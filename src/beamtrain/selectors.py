@@ -266,10 +266,11 @@ def save_plan(plan: ClusterCoveragePlan, path: str, csv_path: str | None = None)
 
 def load_plan(path: str) -> ClusterCoveragePlan:
     try:
-        data = np.load(path)
+        with np.load(path) as npz:
+            data = {name: npz[name] for name in npz.files}
     except Exception as exc:
         raise ValueError(f"cannot read plan file {path!r}: {exc}") from exc
-    if "format_version" not in data.files or data["format_version"][0] != PLAN_FORMAT_VERSION:
+    if "format_version" not in data or data["format_version"][0] != PLAN_FORMAT_VERSION:
         raise ValueError(f"unsupported plan file version in {path!r}")
     prob_tables = data["prob_tables"]
     candidate_sets = []

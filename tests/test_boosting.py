@@ -1,8 +1,16 @@
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from beamtrain.boosting import (TrainConfig, Tree, kfold_tune, load_model, param_count,
-                                save_model, train, training_loss_curve)
+from beamtrain import boosting
+from beamtrain.boosting import (TrainConfig, Tree, TreeEnsembleModel, _fit_tree, kfold_tune,
+                                load_model, param_count, save_model, train,
+                                training_loss_curve)
 
 
 def _grid_data(n=64, d=4, seed=0):
@@ -142,3 +150,152 @@ def test_invalid_config_rejected():
         TrainConfig(max_depth=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+
+
+def test_model_file_without_trees_loads(tmp_path):
+    # files store empty node arrays as float64, as np.array([]) makes them
+    path = str(tmp_path / "empty.npz")
+    np.savez_compressed(path, format_version=np.array([1]), base_prediction=np.array([0.25, 0.5]),
+                        learning_rate=np.array([0.3]), output_dimension=np.array([2]),
+                        role=np.array(["decoupled_ue"]), tree_outputs=np.array([], dtype=int),
+                        tree_sizes=np.array([], dtype=int),
+                        **{"node_" + n: np.array([]) for n in
+                           ("feature", "threshold", "left", "right", "value")})
+    model = load_model(path)
+    assert len(model.trees) == 0 and param_count(model) == 2
+    assert np.array_equal(model.predict_batch(np.zeros((3, 2))), [[0.25, 0.5]] * 3)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tree_sizes", [3, 3]),       # more nodes claimed than stored
+    ("tree_outputs", [5]),        # output index past output_dimension
+    ("node_left", [0, -1, -1]),   # child pointing back at its parent
+    ("node_right", [7, -1, -1]),   # child outside its tree
+])
+def test_model_file_with_bad_layout_rejected(tmp_path, key, value):
+    arrays = dict(format_version=np.array([1]), base_prediction=np.array([0.5]),
+                  learning_rate=np.array([0.3]), output_dimension=np.array([1]),
+                  role=np.array(["coupled"]), tree_outputs=np.array([0]),
+                  tree_sizes=np.array([3]), node_feature=np.array([0, -1, -1]),
+                  node_threshold=np.array([0.5, 0, 0]), node_left=np.array([1, -1, -1]),
+                  node_right=np.array([2, -1, -1]), node_value=np.array([0, 0.2, 0.8]))
+    arrays[key] = np.array(value)
+    path = str(tmp_path / "bad.npz")
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="bad model file"):
+        load_model(path)
+
+
+# ------------------------------------------------ packed prediction vs Tree.predict
+
+# Inputs and thresholds share one coarse grid, so `x <= threshold` ties occur.
+_GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+
+
+@st.composite
+def _trees(draw):
+    """A random tree of depth 0-4 (depth 0 is a lone leaf) in preorder."""
+    depth = draw(st.integers(0, 4))
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(level):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(draw(st.floats(-1.0, 1.0)))
+        if level < depth and (level == 0 or draw(st.booleans())):
+            feature[node] = draw(st.integers(0, 1))
+            threshold[node] = draw(_GRID)
+            left[node] = build(level + 1)
+            right[node] = build(level + 1)
+        return node
+
+    build(0)
+    return Tree(feature, threshold, left, right, value)
+
+
+@st.composite
+def _ensembles(draw):
+    d = draw(st.integers(1, 5))
+    trees = draw(st.lists(st.tuples(st.integers(0, d - 1), _trees()), max_size=12))
+    base = np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=d, max_size=d)))
+    learning_rate = draw(st.floats(0.05, 1.0))
+    return TreeEnsembleModel(base, trees, learning_rate, d), trees
+
+
+def _reference_predict(model, trees, X):
+    out = np.tile(model.base_prediction, (X.shape[0], 1))
+    for dim, tree in trees:
+        out[:, dim] += model.learning_rate * tree.predict(X)
+    return np.clip(out, 0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ensembles(),
+       hnp.arrays(float, st.tuples(st.sampled_from([0, 1, 2, 9]), st.just(2)), elements=_GRID),
+       st.sampled_from([1, 5, boosting._CHUNK_CELLS]))
+def test_packed_prediction_matches_per_tree_reference(ensemble, X, chunk_cells):
+    model, trees = ensemble
+    with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
+        batch = model.predict_batch(X)
+        rows = [model.predict(x) for x in X]
+    expected = _reference_predict(model, trees, X)
+    assert batch.shape == expected.shape
+    assert batch.tobytes() == expected.tobytes()
+    for x_row, row in zip(batch, rows):
+        assert row.tobytes() == x_row.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(4, 40), st.just(2)), elements=_GRID),
+       st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3))
+def test_fit_leaf_rows_match_tree_predict(X, seed, max_depth, min_leaf):
+    residual = np.random.default_rng(seed).normal(size=len(X))
+    order = [np.argsort(X[:, f], kind="stable") for f in range(2)]
+    tree, leaf_of_row = _fit_tree(X, residual, order,
+                                  TrainConfig(max_depth=max_depth, min_samples_leaf=min_leaf))
+    assert np.all(tree.feature[leaf_of_row] == -1)
+    assert np.array_equal(tree.value[leaf_of_row], tree.predict(X))
+
+
+def test_hand_built_model_trees_are_read_only():
+    stump = Tree(feature=[0, -1, -1], threshold=[0.5, 0, 0],
+                 left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
+    # output 0 has no tree, so it keeps its base bit for bit, sign of zero included
+    model = TreeEnsembleModel(np.array([-0.0, 0.3]), [(1, stump)], 1.0, 2)
+    X = np.array([[0.0, 0.0], [1.0, 0.0]])
+    expected = _reference_predict(model, [(1, stump)], X).tobytes()
+    assert model.predict_batch(X).tobytes() == expected
+    stump.value[:] = 0.0  # the model holds its own copy of the nodes
+    assert model.predict_batch(X).tobytes() == expected
+    with pytest.raises(AttributeError):
+        model.trees.append((0, stump))
+    with pytest.raises(AttributeError):
+        model.trees = []
+    with pytest.raises(ValueError):
+        model.trees[0][1].value[1] = 5.0
+    with pytest.raises(ValueError):
+        model.layout["node_threshold"][0] = 9.0
+    with pytest.raises(TypeError):
+        model.layout["node_value"] = np.zeros(3)
+    assert model.predict_batch(X).tobytes() == expected
+
+
+def test_budget_stop_mid_round_predicts_with_held_trees(tmp_path):
+    X, Y = _grid_data(n=60, d=32, seed=10)
+    model = train(X, Y, TrainConfig(tree_count=10, max_depth=3, learning_rate=0.5,
+                                    budget_parameters=1000))
+    per_output = Counter(dim for dim, _ in model.trees)
+    # the budget ran out partway through a round: low outputs got one more tree
+    assert len(set(per_output.values())) == 2
+    extra = [dim for dim in range(32) if per_output[dim] == max(per_output.values())]
+    assert extra == list(range(len(extra)))
+    assert param_count(model) == 32 + sum(t.param_cost for _, t in model.trees) <= 1000
+    probe = np.random.default_rng(11).uniform(0, 100, size=(25, 2))
+    expected = _reference_predict(model, model.trees, probe)
+    assert model.predict_batch(probe).tobytes() == expected.tobytes()
+    path = str(tmp_path / "m.npz")
+    save_model(model, path)
+    assert load_model(path).predict_batch(probe).tobytes() == expected.tobytes()
