@@ -431,7 +431,7 @@ def save_model(model: TreeEnsembleModel, path: str) -> None:
 
 def load_model(path: str) -> TreeEnsembleModel:
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             arrays = {name: data[name] for name in data.files}
     except Exception as exc:
         raise ValueError(f"cannot read model file {path!r}: {exc}") from exc

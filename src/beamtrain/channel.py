@@ -48,6 +48,29 @@ def default_ue_geometry(config: SceneConfig, rows: int = 4, cols: int = 4) -> Ar
     return ArrayGeometry(rows=rows, cols=cols, orientation=orientation)
 
 
+def path_responses(paths: list[PathComponent], bs_geometry: ArrayGeometry,
+                   ue_geometry: ArrayGeometry, config: SceneConfig):
+    """Array responses and subcarrier phases of every traced path.
+
+    Returns (a_ue, a_bs, phases): the unit-norm steering vectors a_ue (P, n_ue)
+    and a_bs (P, n_bs) toward each path's world-frame arrival and departure
+    angles, turned into each array's local frame, and phases (K, P) with
+    phases[k, p] = exp(-2j pi k df tau_p). This is the one place where the
+    angle conventions of the paths meet those of the arrays.
+    """
+    a_ue = np.empty((len(paths), ue_geometry.num_elements), dtype=complex)
+    a_bs = np.empty((len(paths), bs_geometry.num_elements), dtype=complex)
+    for n, p in enumerate(paths):
+        az, el = world_to_local_angles(bs_geometry, _unit_from_angles(*p.aod))
+        a_bs[n] = steering_vector(bs_geometry, az, el, config.carrier_frequency)
+        az, el = world_to_local_angles(ue_geometry, _unit_from_angles(*p.aoa))
+        a_ue[n] = steering_vector(ue_geometry, az, el, config.carrier_frequency)
+    k = np.arange(config.subcarrier_count)[:, None]
+    delays = np.array([p.delay for p in paths], dtype=float)
+    phases = np.exp(-2j * np.pi * k * config.subcarrier_spacing * delays)
+    return a_ue, a_bs, phases
+
+
 def paths_to_channel(paths: list[PathComponent], bs_geometry: ArrayGeometry,
                      ue_geometry: ArrayGeometry, config: SceneConfig,
                      ue_location=(0.0, 0.0), snapshot_id: int = 0,
@@ -56,17 +79,9 @@ def paths_to_channel(paths: list[PathComponent], bs_geometry: ArrayGeometry,
     K = config.subcarrier_count
     n_ue, n_bs = ue_geometry.num_elements, bs_geometry.num_elements
     H = np.zeros((K, n_ue, n_bs), dtype=complex)
-    if paths:
-        k = np.arange(K)
-        for p in paths:
-            d_world = _unit_from_angles(*p.aod)
-            a_world = _unit_from_angles(*p.aoa)
-            az_bs, el_bs = world_to_local_angles(bs_geometry, d_world)
-            az_ue, el_ue = world_to_local_angles(ue_geometry, a_world)
-            a_bs = steering_vector(bs_geometry, az_bs, el_bs, config.carrier_frequency)
-            a_ue = steering_vector(ue_geometry, az_ue, el_ue, config.carrier_frequency)
-            phase = np.exp(-2j * np.pi * k * config.subcarrier_spacing * p.delay)
-            H += phase[:, None, None] * (p.complex_gain * np.outer(a_ue, a_bs.conj()))[None, :, :]
+    a_ue, a_bs, phases = path_responses(paths, bs_geometry, ue_geometry, config)
+    for n, p in enumerate(paths):
+        H += phases[:, n, None, None] * (p.complex_gain * np.outer(a_ue[n], a_bs[n].conj()))[None, :, :]
     return ChannelRealization(ue_location=np.asarray(ue_location, dtype=float),
                               matrices=H, snapshot_id=snapshot_id, ue_index=ue_index)
 
@@ -112,7 +127,8 @@ def save_channels(channels: list[ChannelRealization], path: str, index_csv: str 
 
 def load_channels(path: str) -> list[ChannelRealization]:
     try:
-        data = np.load(path)
+        with open(path, "rb") as fh, np.load(fh) as npz:
+            data = {name: npz[name] for name in npz.files}
     except Exception as exc:
         raise ValueError(f"cannot read channel file {path!r}: {exc}") from exc
     if "format_version" not in data or data["format_version"][0] != CHANNEL_FORMAT_VERSION:

@@ -9,8 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import Codebook
-from .channel import channel_for_ue
-from .linkeval import RateRow, sweep_all
+# The dense route (channel_for_ue, sweep_all) is no longer called here, but
+# perfbench/spans.py wraps both at this module, so they stay importable from it.
+from .channel import channel_for_ue  # noqa: F401
+from .linkeval import RateRow, sweep_all, sweep_paths  # noqa: F401
+from .scene import trace_paths
 
 log = logging.getLogger(__name__)
 
@@ -47,17 +50,20 @@ class DatasetSplit:
 def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
                        bs_geometry, ue_geometry, config) -> list[RateRow]:
     """One row per (snapshot, UE); fully blocked UEs (all-zero rows) are
-    dropped with a logged count. Row order is (snapshot_id, ue_index)."""
+    dropped with a logged count. Row order is (snapshot_id, ue_index).
+    Rates come from the traced paths (`sweep_paths`); no dense channel is
+    formed."""
     rows = []
     dropped = 0
     for snapshot in sorted(snapshots, key=lambda s: s.snapshot_id):
         for ue_index in snapshot.ue_indices:
-            channel = channel_for_ue(snapshot, ue_index, bs_geometry, ue_geometry, config)
-            row = sweep_all(channel, combiners, beamformers, config.sigma2)
-            if np.max(row.rates) <= 0.0:
+            paths = trace_paths(snapshot, ue_index, config)
+            rates = sweep_paths(paths, combiners, beamformers, bs_geometry, ue_geometry, config)
+            if np.max(rates) <= 0.0:
                 dropped += 1
                 continue
-            rows.append(row)
+            rows.append(RateRow(location=snapshot.ue_location(ue_index), rates=rates,
+                                snapshot_id=snapshot.snapshot_id, ue_index=ue_index))
     if dropped:
         log.info("dropped %d fully blocked UE rows", dropped)
     return rows
@@ -153,11 +159,11 @@ def load_dataset(path: str, fmt: str = "binary"):
     """Load rows saved by save_dataset; malformed files raise ValueError."""
     if fmt == "binary":
         try:
-            data = np.load(path)
-            keys = set(data.files)
+            with open(path, "rb") as fh, np.load(fh) as npz:
+                data = {name: npz[name] for name in npz.files}
         except Exception as exc:
             raise ValueError(f"cannot read dataset file {path!r}: {exc}") from exc
-        if "format_version" not in keys or data["format_version"][0] != DATASET_FORMAT_VERSION:
+        if "format_version" not in data or data["format_version"][0] != DATASET_FORMAT_VERSION:
             raise ValueError(f"unsupported dataset version in {path!r}")
         kind = str(data["row_kind"][0])
         rows = []

@@ -61,6 +61,13 @@ class ExperimentConfig:
     heatmap_s_f: tuple = (1, 2, 4, 8, 12, 16, 20, 24, 32)
     output_dir: str = "out"
 
+    def __post_init__(self):
+        # snapshot i draws its seed from label i, which must stay below the
+        # frozen labels of the split and the clustering
+        if self.snapshot_count >= _SEED_SPLIT:
+            raise ValueError(f"snapshot_count must be below {_SEED_SPLIT}, "
+                             f"got {self.snapshot_count}")
+
     @property
     def num_combiners(self) -> int:
         return self.ue_array[0] * self.ue_array[1]

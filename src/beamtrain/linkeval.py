@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import Codebook
-from .channel import ChannelRealization
+from .channel import ChannelRealization, path_responses
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,41 @@ def sweep_all(channel: ChannelRealization, combiners: Codebook, beamformers: Cod
     rates = np.mean(np.log2(1.0 + np.abs(proj) ** 2 / sigma2), axis=0)
     return RateRow(location=channel.ue_location, rates=rates.reshape(-1),
                    snapshot_id=channel.snapshot_id, ue_index=channel.ue_index)
+
+
+def sweep_paths(paths, combiners: Codebook, beamformers: Codebook, bs_geometry,
+                ue_geometry, config) -> np.ndarray:
+    """Rates of all |W|*|F| beam pairs straight from one UE's traced paths.
+
+    Equal to sweep_all on paths_to_channel(paths, ...) without forming the
+    dense (K, n_ue, n_bs) channel. The channel is a sum of a few paths, so
+    W^* H[k] F^T = sum_p c_p[k] u_p v_p^T with u_p = W^* a_ue,p,
+    v_p = F a_bs,p^* and c_p[k] = g_p exp(-2j pi k df tau_p): the
+    projection is one (K x P) @ (P x |W||F|) product, flattened as
+    n = i * |F| + j. No paths give an all-zero row.
+    """
+    sigma2 = config.sigma2
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    # the row outlives the temporaries below; allocated first, it does not
+    # sit above them on the heap and keep their freed memory from reuse
+    rates = np.empty(combiners.num_beams * beamformers.num_beams)
+    a_ue, a_bs, phases = path_responses(paths, bs_geometry, ue_geometry, config)
+    u = a_ue @ combiners.beams.conj().T          # (P, |W|)
+    v = a_bs.conj() @ beamformers.beams.T        # (P, |F|)
+    pairs = (u[:, :, None] * v[:, None, :]).reshape(len(paths), rates.size)
+    # c_p[k] / sigma, so that |proj|^2 is the SNR
+    gains = np.array([p.complex_gain for p in paths], dtype=complex) / np.sqrt(sigma2)
+    coeffs = phases * gains                      # (K, P)
+    # coeffs @ pairs in real arithmetic: rows [:K] hold the real parts and
+    # rows [K:] the imaginary parts, so |proj|^2 is two contiguous halves
+    lhs = np.block([[coeffs.real, -coeffs.imag], [coeffs.imag, coeffs.real]])
+    proj = lhs @ np.concatenate([pairs.real, pairs.imag])
+    power = np.square(proj, out=proj)
+    snr = power[:len(coeffs)]
+    snr += power[len(coeffs):]
+    snr += 1.0
+    return np.mean(np.log2(snr, out=snr), axis=0, out=rates)
 
 
 def throughput_ratio(rate_row: RateRow | np.ndarray, subset) -> float:

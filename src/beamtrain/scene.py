@@ -139,44 +139,37 @@ def generate_snapshot(config: SceneConfig, seed, snapshot_id: int = 0) -> SceneS
                          snapshot_id=snapshot_id, rng_seed=seed)
 
 
-def _bus_boxes(snapshot: SceneSnapshot, margin: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    boxes = []
-    for v in snapshot.vehicles:
-        if v.kind != "bus":
-            continue
-        c = np.asarray(v.center)
-        half = np.array([v.dims[0] / 2.0, v.dims[1] / 2.0, v.dims[2] / 2.0]) + margin
-        boxes.append((c - half, c + half))
-    return boxes
-
-
-def _segment_hits_box(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Slab test for a segment against an axis-aligned box."""
-    d = p1 - p0
-    t_min, t_max = 0.0, 1.0
-    for ax in range(3):
-        if abs(d[ax]) < 1e-12:
-            if p0[ax] < lo[ax] or p0[ax] > hi[ax]:
-                return False
-            continue
-        t0 = (lo[ax] - p0[ax]) / d[ax]
-        t1 = (hi[ax] - p0[ax]) / d[ax]
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t_min = max(t_min, t0)
-        t_max = min(t_max, t1)
-        if t_min > t_max:
-            return False
-    return True
+def _bus_boxes(snapshot: SceneSnapshot, margin: float) -> np.ndarray:
+    """(lo, hi) corners of every bus box inflated by `margin`, in vehicle
+    order: shape (buses, 2, 3)."""
+    buses = [v for v in snapshot.vehicles if v.kind == "bus"]
+    centers = np.array([v.center for v in buses], dtype=float).reshape(-1, 3)
+    half = np.array([v.dims for v in buses], dtype=float).reshape(-1, 3) / 2.0 + margin
+    return np.stack([centers - half, centers + half], axis=1)
 
 
 def _blocked(p0, p1, boxes, exclude: int | None = None) -> bool:
-    for i, (lo, hi) in enumerate(boxes):
-        if i == exclude:
-            continue
-        if _segment_hits_box(p0, p1, lo, hi):
-            return True
-    return False
+    """Slab test of the segment p0 -> p1 against all boxes at once.
+
+    `boxes` holds (lo, hi) corner pairs, shape (B, 2, 3); box `exclude` is
+    skipped. On an axis the segment is parallel to (|d| < 1e-12) a box is
+    missed unless p0 lies within its slab; on every other axis the segment
+    parameter is clipped to the slab's [t0, t1], and a box is hit when the
+    clipped part of [0, 1] is not empty.
+    """
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 2, 3)
+    lo, hi = boxes[:, 0], boxes[:, 1]
+    d = p1 - p0
+    flat = np.abs(d) < 1e-12
+    step = np.where(flat, 1.0, d)
+    t0 = (lo - p0) / step
+    t1 = (hi - p0) / step
+    t_min = np.where(flat, 0.0, np.minimum(t0, t1)).max(axis=1, initial=0.0)
+    t_max = np.where(flat, 1.0, np.maximum(t0, t1)).min(axis=1, initial=1.0)
+    hit = (t_min <= t_max) & np.all(~flat | ((lo <= p0) & (p0 <= hi)), axis=1)
+    if exclude is not None:
+        hit[exclude] = False
+    return bool(hit.any())
 
 
 def _angles_world(direction: np.ndarray) -> tuple[float, float]:

@@ -266,7 +266,7 @@ def save_plan(plan: ClusterCoveragePlan, path: str, csv_path: str | None = None)
 
 def load_plan(path: str) -> ClusterCoveragePlan:
     try:
-        with np.load(path) as npz:
+        with open(path, "rb") as fh, np.load(fh) as npz:
             data = {name: npz[name] for name in npz.files}
     except Exception as exc:
         raise ValueError(f"cannot read plan file {path!r}: {exc}") from exc

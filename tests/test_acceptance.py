@@ -7,6 +7,7 @@ module fixture, so the whole file stays within the stated time limits.
 
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def test_criterion_8_determinism(tmp_path):
     if cli.main(["eval", "run", "--smoke", "--out", out_b]) != 0:
         failures.append("second run returned nonzero")
     for name in ("curves.csv", "heatmap.csv", "run_manifest.json"):
-        if open(f"{out_a}/{name}", "rb").read() != open(f"{out_b}/{name}", "rb").read():
+        if Path(out_a, name).read_bytes() != Path(out_b, name).read_bytes():
             failures.append(f"{name} differs between runs")
     _verdict(8, "repeated runs are byte-identical", failures)
 

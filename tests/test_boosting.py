@@ -140,9 +140,10 @@ def test_model_roundtrip(tmp_path):
 
 def test_model_bad_file(tmp_path):
     bad = tmp_path / "bad.npz"
-    bad.write_bytes(b"garbage")
-    with pytest.raises(ValueError):
-        load_model(str(bad))
+    for content in (b"garbage", b"PK\x03\x04" + bytes(36)):  # the second looks like a cut npz
+        bad.write_bytes(content)
+        with pytest.raises(ValueError):
+            load_model(str(bad))
 
 
 def test_invalid_config_rejected():

@@ -119,12 +119,13 @@ def test_channel_bundle_roundtrip(tmp_path, cfg):
     for a, b in zip(channels, loaded):
         assert np.array_equal(a.matrices, b.matrices)
         assert a.snapshot_id == b.snapshot_id
-    header = open(index).readline().strip()
-    assert header == "snapshot_id,ue_index,x,y,path_count"
+    with open(index) as fh:
+        assert fh.readline().strip() == "snapshot_id,ue_index,x,y,path_count"
 
 
 def test_channel_bundle_bad_file(tmp_path):
     bad = tmp_path / "bad.npz"
-    bad.write_bytes(b"not a zipfile")
-    with pytest.raises(ValueError):
-        load_channels(str(bad))
+    for content in (b"not a zipfile", b"PK\x03\x04" + bytes(36)):  # the second looks like a cut npz
+        bad.write_bytes(content)
+        with pytest.raises(ValueError):
+            load_channels(str(bad))

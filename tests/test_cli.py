@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def test_scene_gen(tmp_path, capsys):
     assert rc == 0
     channels = load_channels(out + "/channels.npz")
     assert channels
-    lines = open(out + "/channels_index.csv").read().splitlines()
+    lines = Path(out, "channels_index.csv").read_text().splitlines()
     assert lines[0] == "snapshot_id,ue_index,x,y,path_count"
     assert len(lines) == len(channels) + 1
     assert "wrote" in capsys.readouterr().out
@@ -75,7 +76,7 @@ def test_plan_build(tmp_path, capsys):
     from beamtrain.selectors import load_plan
     plan = load_plan(out)
     assert sorted(plan.selected_beams) == list(range(64))
-    assert open(out + ".csv").readline().startswith("selection_order")
+    assert Path(out + ".csv").read_text().startswith("selection_order")
 
 
 def test_eval_run_byte_identical(tmp_path):
@@ -84,7 +85,7 @@ def test_eval_run_byte_identical(tmp_path):
     assert cli.main(["eval", "run", "--smoke", "--out", out_a]) == 0
     assert cli.main(["eval", "run", "--smoke", "--out", out_b]) == 0
     for name in ("curves.csv", "heatmap.csv", "run_manifest.json"):
-        assert open(f"{out_a}/{name}", "rb").read() == open(f"{out_b}/{name}", "rb").read()
+        assert Path(out_a, name).read_bytes() == Path(out_b, name).read_bytes()
 
 
 def test_seed_override_changes_outputs(tmp_path):
@@ -93,7 +94,7 @@ def test_seed_override_changes_outputs(tmp_path):
     out_b = str(tmp_path / "s1")
     assert cli.main(["eval", "run", "--config", cfg, "--out", out_a]) == 0
     assert cli.main(["eval", "run", "--config", cfg, "--seed", "5", "--out", out_b]) == 0
-    assert open(out_a + "/curves.csv").read() != open(out_b + "/curves.csv").read()
+    assert Path(out_a, "curves.csv").read_text() != Path(out_b, "curves.csv").read_text()
 
 
 def test_error_paths_return_nonzero(tmp_path, capsys):

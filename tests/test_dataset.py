@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from beamtrain.arrays import dft_codebook
-from beamtrain.channel import default_bs_geometry, default_ue_geometry
+from beamtrain.channel import channel_for_ue, default_bs_geometry, default_ue_geometry
 from beamtrain.dataset import (TRRow, build_rate_dataset, load_dataset, save_dataset,
                                split_dataset, to_atr, to_throughput_ratios)
-from beamtrain.linkeval import RateRow
+from beamtrain.linkeval import RateRow, sweep_all
 from beamtrain.scene import SceneConfig, generate_snapshot
 
 
@@ -34,6 +34,23 @@ def test_build_rate_dataset_deterministic():
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.rates, rb.rates)
+
+
+def test_build_rate_dataset_matches_dense_route():
+    """Rows from the traced paths equal the dense channel sweep to 1e-12 of
+    each row's peak, and the same UEs are kept and dropped."""
+    cfg, rows = _small_corpus()
+    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
+    W, F = dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs")
+    dense = [sweep_all(channel_for_ue(snap, ue, bs_g, ue_g, cfg), W, F, cfg.sigma2)
+             for snap in (generate_snapshot(cfg, s, snapshot_id=s) for s in range(3))
+             for ue in snap.ue_indices]
+    kept = [r for r in dense if np.max(r.rates) > 0.0]
+    assert 0 < len(kept) < len(dense)  # some UEs are fully blocked and dropped
+    assert [(r.snapshot_id, r.ue_index) for r in rows] == [(r.snapshot_id, r.ue_index) for r in kept]
+    for row, ref in zip(rows, kept):
+        assert np.array_equal(row.location, ref.location)
+        assert np.max(np.abs(row.rates - ref.rates)) <= 1e-12 * np.max(ref.rates)
 
 
 def test_to_throughput_ratios_basic():
@@ -136,7 +153,8 @@ def test_csv_roundtrip_precision(tmp_path):
     loaded = load_dataset(path, fmt="csv")
     for a, b in zip(rows, loaded):
         assert np.abs(a.ratios - b.rates).max() < 1e-8
-    header = open(path).readline().strip().split(",")
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
     assert header[:3] == ["x", "y", "snapshot_id"]
     assert header[3] == "r_1_1" and header[-1] == "r_3_4"
 

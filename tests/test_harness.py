@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ def test_config_rejects_unknown_keys_and_versions():
         ExperimentConfig.from_dict({"schema_version": 99})
 
 
+def test_config_rejects_snapshot_count_reaching_seed_labels():
+    # snapshot seed labels must stay below the frozen split label (1_000_000)
+    assert ExperimentConfig.from_dict({"snapshot_count": 999_999}).snapshot_count == 999_999
+    for count in (1_000_000, 2_000_000):
+        with pytest.raises(ValueError, match="snapshot_count"):
+            ExperimentConfig.from_dict({"snapshot_count": count})
+
+
 def test_table_predictor_lookup():
     locs = np.array([[1.0, 2.0], [3.0, 4.0]])
     vals = np.array([[0.1, 0.9], [0.5, 0.5]])
@@ -127,10 +136,10 @@ def test_smoke_run_deterministic(smoke_result):
 def test_emit_outputs_files(tmp_path, smoke_result):
     out = str(tmp_path / "run")
     emit_outputs(smoke_result, out)
-    header = open(out + "/curves.csv").readline().strip()
+    header = Path(out, "curves.csv").read_text().splitlines()[0]
     assert header == "scenario,n_b,n_b_actual,s_w,s_f,r_t,p_m,overhead_bits"
-    assert open(out + "/heatmap.csv").readline().strip() == "scenario,s_w,s_f,r_t"
-    manifest = json.load(open(out + "/run_manifest.json"))
+    assert Path(out, "heatmap.csv").read_text().splitlines()[0] == "scenario,s_w,s_f,r_t"
+    manifest = json.loads(Path(out, "run_manifest.json").read_text())
     assert manifest["config_hash"] == smoke_result.config.config_hash()
     assert manifest["n_test"] == smoke_result.n_test
     assert manifest["dataset_checksum"] == smoke_result.dataset_checksum

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrain.arrays import ArrayGeometry, dft_codebook
-from beamtrain.channel import ChannelRealization
-from beamtrain.linkeval import (RateRow, pair_index, per_pair_rate, sweep_all,
+from beamtrain.channel import (ChannelRealization, default_bs_geometry, default_ue_geometry,
+                               paths_to_channel)
+from beamtrain.linkeval import (RateRow, pair_index, per_pair_rate, sweep_all, sweep_paths,
                                 throughput_ratio, unflatten_pair)
+from beamtrain.scene import PathComponent, SceneConfig
 
 
 def _channel(H):
@@ -103,3 +109,40 @@ def test_pair_index_roundtrip():
     for n in range(1024):
         i, j = unflatten_pair(n, 64)
         assert pair_index(i, j, 64) == n
+
+
+def _setup(bs_shape, ue_shape, subcarriers):
+    scene = dataclasses.replace(SceneConfig(), subcarrier_count=subcarriers)
+    bs_g = default_bs_geometry(scene, *bs_shape)
+    ue_g = default_ue_geometry(scene, *ue_shape)
+    return scene, bs_g, ue_g, dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs")
+
+
+# the default 8x8 / 4x4 arrays, and criterion 1's 2x4 / 2x2 arrays with K = 4
+_SETUPS = (_setup((8, 8), (4, 4), 64), _setup((2, 4), (2, 2), 4))
+
+_ANGLES = st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi / 2, np.pi / 2))
+_PATHS = st.lists(st.builds(
+    lambda magnitude, phase, aod, aoa, delay: PathComponent(
+        complex_gain=magnitude * np.exp(1j * phase), aod=aod, aoa=aoa, delay=delay),
+    magnitude=st.floats(1e-8, 1e-3), phase=st.floats(-np.pi, np.pi),
+    aod=_ANGLES, aoa=_ANGLES, delay=st.floats(0.0, 2e-6)), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(setup=st.sampled_from(_SETUPS), paths=_PATHS)
+def test_sweep_paths_matches_dense_sweep(setup, paths):
+    scene, bs_g, ue_g, W, F = setup
+    dense = sweep_all(paths_to_channel(paths, bs_g, ue_g, scene), W, F, scene.sigma2).rates
+    rates = sweep_paths(paths, W, F, bs_g, ue_g, scene)
+    assert rates.shape == dense.shape == (W.num_beams * F.num_beams,)
+    if not paths:
+        assert np.all(rates == 0.0) and np.all(dense == 0.0)  # the UE is dropped
+        return
+    # Errors are relative to the row's peak rate. Only nearly opposite paths
+    # that cancel can bring the peak below a thousandth of its bound
+    # log2(1 + (sum_p |g_p|)^2 / sigma2); there, rounding in either route is
+    # of the size of the terms before they cancel, so the bound sets the scale.
+    bound = np.log2(1.0 + sum(abs(p.complex_gain) for p in paths) ** 2 / scene.sigma2)
+    scale = max(float(np.max(dense)), 1e-3 * bound)
+    assert np.max(np.abs(rates - dense)) <= 1e-12 * scale

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamtrain.scene import (SceneConfig, _blocked, _reflection_point,
+from beamtrain import scene
+from beamtrain.scene import (SceneConfig, _blocked, _bus_boxes, _reflection_point,
                              generate_snapshot, trace_paths)
 
 
@@ -139,3 +142,84 @@ def test_reflection_point_on_plane():
     u_out = (ue - p) / np.linalg.norm(ue - p)
     assert np.isclose(u_in[0], -u_out[0])
     assert np.allclose(u_in[1:], u_out[1:])
+
+
+def _segment_hits_box(p0, p1, lo, hi) -> bool:
+    """Scalar slab test for a segment against one axis-aligned box: the
+    reference for the array version in `scene._blocked`."""
+    d = p1 - p0
+    t_min, t_max = 0.0, 1.0
+    for ax in range(3):
+        if abs(d[ax]) < 1e-12:
+            if p0[ax] < lo[ax] or p0[ax] > hi[ax]:
+                return False
+            continue
+        t0 = (lo[ax] - p0[ax]) / d[ax]
+        t1 = (hi[ax] - p0[ax]) / d[ax]
+        if t0 > t1:
+            t0, t1 = t1, t0
+        t_min = max(t_min, t0)
+        t_max = min(t_max, t1)
+        if t_min > t_max:
+            return False
+    return True
+
+
+def _blocked_reference(p0, p1, boxes, exclude=None) -> bool:
+    for i, (lo, hi) in enumerate(boxes):
+        if i == exclude:
+            continue
+        if _segment_hits_box(p0, p1, lo, hi):
+            return True
+    return False
+
+
+# coordinates on a half-metre grid make segments parallel to an axis, points
+# on box faces and degenerate boxes common; free floats cover the rest
+_COORD = st.one_of(st.integers(-6, 6).map(lambda i: i / 2.0), st.floats(-4.0, 4.0))
+_POINT = st.tuples(_COORD, _COORD, _COORD).map(np.array)
+# per-axis offsets of the segment end, including |d| below and above 1e-12
+_OFFSET = st.one_of(st.sampled_from([0.0, 5e-13, -5e-13, 2e-12]), _COORD)
+# box sizes include zero and, as a negative blockage margin can give, negative
+_SIZE = st.tuples(*[st.one_of(st.just(0.0), st.floats(-1.0, 3.0))] * 3).map(np.array)
+
+
+@settings(max_examples=500, deadline=None)
+@given(p0=_POINT, offset=st.tuples(_OFFSET, _OFFSET, _OFFSET), data=st.data())
+def test_blocked_matches_scalar_slab_test(p0, offset, data):
+    p1 = p0 + np.array(offset)
+    # boxes anywhere, and boxes around a point of the segment's line before
+    # its start, on it, or past its end
+    corner = st.one_of(_POINT, st.floats(-2.0, 3.0).map(lambda s: p0 + s * (p1 - p0) - 0.5))
+    raw = data.draw(st.lists(st.tuples(corner, _SIZE), max_size=5))
+    boxes = np.array([(lo, lo + size) for lo, size in raw]).reshape(-1, 2, 3)
+    exclude = data.draw(st.one_of(st.none(), st.integers(0, len(raw) - 1)) if raw else st.none())
+    assert _blocked(p0, p1, boxes, exclude) == _blocked_reference(p0, p1, boxes, exclude)
+    for b in range(len(boxes)):
+        assert _blocked(p0, p1, boxes[b:b + 1]) == _segment_hits_box(p0, p1, *boxes[b])
+
+
+def _path_bits(path):
+    floats = (path.complex_gain.real, path.complex_gain.imag, path.delay, *path.aod, *path.aoa)
+    return (path.kind, *(float(v).hex() for v in floats))
+
+
+@pytest.mark.parametrize("bus_fraction,seed", [(0.2, 1), (0.2, 2), (0.5, 3), (0.8, 4)])
+def test_trace_paths_same_as_with_scalar_slab_test(monkeypatch, bus_fraction, seed):
+    """The array slab test gives the path lists of the per-box scalar loop,
+    bit for bit, and the bus boxes are the per-vehicle corners."""
+    cfg = dataclasses.replace(SceneConfig(), bus_fraction=bus_fraction)
+    snaps = [generate_snapshot(cfg, seed * 100 + i, snapshot_id=i) for i in range(6)]
+    for snap in snaps:
+        buses = [v for v in snap.vehicles if v.kind == "bus"]
+        boxes = _bus_boxes(snap, cfg.blockage_margin)
+        assert boxes.shape == (len(buses), 2, 3)
+        for v, (lo, hi) in zip(buses, boxes):
+            half = np.array([v.dims[0] / 2.0, v.dims[1] / 2.0, v.dims[2] / 2.0]) + cfg.blockage_margin
+            assert np.array_equal(lo, np.asarray(v.center) - half)
+            assert np.array_equal(hi, np.asarray(v.center) + half)
+    fast = [[_path_bits(p) for p in trace_paths(s, u, cfg)] for s in snaps for u in s.ue_indices]
+    monkeypatch.setattr(scene, "_blocked", _blocked_reference)
+    slow = [[_path_bits(p) for p in trace_paths(s, u, cfg)] for s in snaps for u in s.ue_indices]
+    assert fast == slow
+    assert sum(map(len, fast)) > 0

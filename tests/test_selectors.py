@@ -182,11 +182,13 @@ def test_plan_roundtrip(tmp_path):
     assert np.array_equal(loaded.selected_beams, plan.selected_beams)
     assert np.allclose(loaded.prob_tables, plan.prob_tables)
     assert np.allclose(loaded.significances, plan.significances)
-    assert open(csv_path).readline().strip() == "selection_order,beam_index"
+    with open(csv_path) as fh:
+        assert fh.readline().strip() == "selection_order,beam_index"
     bad = tmp_path / "bad.npz"
-    bad.write_bytes(b"nope")
-    with pytest.raises(ValueError):
-        load_plan(str(bad))
+    for content in (b"nope", b"PK\x03\x04" + bytes(36)):  # the second looks like a cut npz
+        bad.write_bytes(content)
+        with pytest.raises(ValueError):
+            load_plan(str(bad))
 
 
 def test_beam_pair_set_helpers():
