@@ -10,12 +10,12 @@ threshold), 1 per leaf, 1 per output base prediction.
 """
 
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
+
+from .fileio import save_npz
 
 log = logging.getLogger(__name__)
 
@@ -417,16 +417,7 @@ def save_model(model: TreeEnsembleModel, path: str) -> None:
         "role": np.array([model.role]),
         **model.layout,
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    save_npz(path, arrays)
 
 
 def load_model(path: str) -> TreeEnsembleModel:

@@ -1,13 +1,12 @@
 """Frequency-selective MIMO channel assembly from traced paths."""
 
 import csv
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import ArrayGeometry, rotation_from_boresight, steering_vector, world_to_local_angles
+from .fileio import atomic_write, save_npz
 from .scene import PathComponent, SceneConfig, SceneSnapshot, trace_paths
 
 CHANNEL_FORMAT_VERSION = 1
@@ -112,17 +111,15 @@ def save_channels(channels: list[ChannelRealization], path: str, index_csv: str 
         "locations": np.array([c.ue_location for c in channels]),
         "matrices": np.array([c.matrices for c in channels]),
     }
-    _atomic_savez(path, arrays)
+    save_npz(path, arrays)
     if index_csv is not None:
         counts = path_counts if path_counts is not None else [-1] * len(channels)
-        tmp = index_csv + ".tmp"
-        with open(tmp, "w", newline="") as fh:
+        with atomic_write(index_csv, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["snapshot_id", "ue_index", "x", "y", "path_count"])
             for c, n in zip(channels, counts):
                 writer.writerow([c.snapshot_id, c.ue_index,
                                  "%.9g" % c.ue_location[0], "%.9g" % c.ue_location[1], n])
-        os.replace(tmp, index_csv)
 
 
 def load_channels(path: str) -> list[ChannelRealization]:
@@ -139,16 +136,3 @@ def load_channels(path: str) -> list[ChannelRealization]:
                            ue_index=int(data["ue_indices"][i]))
         for i in range(len(data["snapshot_ids"]))
     ]
-
-
-def _atomic_savez(path: str, arrays: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import boosting, dataset, harness, selectors
-from .channel import channel_for_ue, default_bs_geometry, default_ue_geometry, save_channels
+from .channel import default_bs_geometry, default_ue_geometry, paths_to_channel, save_channels
 from .scene import generate_snapshot, trace_paths
 
 
@@ -35,7 +35,9 @@ def cmd_scene_gen(args) -> int:
                                  snapshot_id=i)
         for ue in snap.ue_indices:
             paths = trace_paths(snap, ue, config.scene)
-            channels.append(channel_for_ue(snap, ue, bs_geom, ue_geom, config.scene))
+            channels.append(paths_to_channel(paths, bs_geom, ue_geom, config.scene,
+                                             ue_location=snap.ue_location(ue),
+                                             snapshot_id=snap.snapshot_id, ue_index=ue))
             counts.append(len(paths))
     os.makedirs(args.out, exist_ok=True)
     save_channels(channels, os.path.join(args.out, "channels.npz"),
@@ -68,9 +70,7 @@ def cmd_dataset_transform(args) -> int:
 def cmd_model_train(args) -> int:
     config = _load_config(args)
     _, _, tr_rows, atr_rows = harness.build_corpus(config)
-    split = dataset.split_dataset(len(tr_rows), config.test_fraction, config.folds,
-                                  seed=harness.derive_seed(config.master_seed,
-                                                           harness._SEED_SPLIT))
+    split = harness.split_corpus(config, len(tr_rows))
     models = harness.train_models(config, tr_rows, atr_rows, split)
     if args.role not in models:
         print(f"unknown role {args.role!r}; choose from {sorted(models)}", file=sys.stderr)
@@ -95,16 +95,9 @@ def cmd_model_inspect(args) -> int:
 def cmd_plan_build(args) -> int:
     config = _load_config(args)
     _, _, tr_rows, atr_rows = harness.build_corpus(config)
-    split = dataset.split_dataset(len(tr_rows), config.test_fraction, config.folds,
-                                  seed=harness.derive_seed(config.master_seed,
-                                                           harness._SEED_SPLIT))
-    X = np.array([r.location for r in tr_rows])
-    atr_f = np.array([r.atr_f for r in atr_rows])
-    plan = selectors.select_bs_coverage(
-        X[split.train_rows], atr_f[split.train_rows], config.cluster_count,
-        n_bs=config.num_beamformers,
-        seed=harness.derive_seed(config.master_seed, harness._SEED_CLUSTER),
-        use_significance=config.use_significance)
+    split = harness.split_corpus(config, len(tr_rows))
+    plan = harness.build_coverage_plan(config, np.array([r.location for r in tr_rows]),
+                                       np.array([r.atr_f for r in atr_rows]), split)
     selectors.save_plan(plan, args.out, csv_path=args.out + ".csv")
     print(f"wrote coverage plan with {len(plan.selected_beams)} beams to {args.out}")
     return 0

@@ -2,13 +2,12 @@
 
 import csv
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import Codebook
+from .fileio import atomic_write, save_npz
 # The dense route (channel_for_ue, sweep_all) is no longer called here, but
 # perfbench/spans.py wraps both at this module, so they stay importable from it.
 from .channel import channel_for_ue  # noqa: F401
@@ -137,20 +136,18 @@ def save_dataset(rows, path: str, fmt: str = "binary",
                   "values": values, **extra}
         if num_combiners and num_beamformers:
             arrays["pair_shape"] = np.array([num_combiners, num_beamformers])
-        _atomic_write_npz(path, arrays)
+        save_npz(path, arrays)
     elif fmt == "csv":
         if not (num_combiners and num_beamformers):
             raise ValueError("CSV format needs num_combiners and num_beamformers for headers")
         header = ["x", "y", "snapshot_id"] + [
             f"r_{i + 1}_{j + 1}" for i in range(num_combiners) for j in range(num_beamformers)]
-        tmp = path + ".tmp"
-        with open(tmp, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for n in range(len(rows)):
                 writer.writerow(["%.9g" % locs[n, 0], "%.9g" % locs[n, 1], int(snaps[n])]
                                 + ["%.9g" % v for v in values[n]])
-        os.replace(tmp, path)
     else:
         raise ValueError(f"unknown dataset format {fmt!r}")
 
@@ -199,16 +196,3 @@ def load_dataset(path: str, fmt: str = "binary"):
                 raise ValueError(f"inconsistent row width in {path!r}")
         return rows
     raise ValueError(f"unknown dataset format {fmt!r}")
-
-
-def _atomic_write_npz(path: str, arrays: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)

@@ -18,6 +18,7 @@ from . import boosting, metrics, selectors
 from .arrays import dft_codebook
 from .channel import default_bs_geometry, default_ue_geometry
 from .dataset import build_rate_dataset, split_dataset, to_atr, to_throughput_ratios
+from .fileio import atomic_write
 from .scene import SceneConfig, generate_snapshot
 
 log = logging.getLogger(__name__)
@@ -67,6 +68,17 @@ class ExperimentConfig:
         if self.snapshot_count >= _SEED_SPLIT:
             raise ValueError(f"snapshot_count must be below {_SEED_SPLIT}, "
                              f"got {self.snapshot_count}")
+        # set sizes and budgets index the evaluation tables from 1
+        for key in ("n_b_sweep", "heatmap_s_w", "heatmap_s_f"):
+            if any(v < 1 for v in getattr(self, key)):
+                raise ValueError(f"{key} entries must be >= 1, got {getattr(self, key)}")
+        for key in ("s_w_size", "cluster_count"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
 
     @property
     def num_combiners(self) -> int:
@@ -153,24 +165,6 @@ class EvalResult:
     config: ExperimentConfig
 
 
-class TablePredictor:
-    """Exact-lookup predictor mapping known locations to stored vectors.
-
-    Stands in for a trained model when true ratios are injected as
-    predictions (oracle evaluation)."""
-
-    def __init__(self, locations: np.ndarray, values: np.ndarray):
-        self._table = {tuple(np.asarray(l, dtype=float)): np.asarray(v)
-                       for l, v in zip(locations, values)}
-
-    def predict(self, location) -> np.ndarray:
-        key = tuple(np.asarray(location, dtype=float))
-        return self._table[key]
-
-    def predict_batch(self, X) -> np.ndarray:
-        return np.array([self.predict(x) for x in np.asarray(X)])
-
-
 class StageError(RuntimeError):
     """Pipeline failure annotated with the failing stage."""
 
@@ -246,23 +240,31 @@ def train_models(config: ExperimentConfig, tr_rows, atr_rows, split):
     return models
 
 
-def run_experiment(config: ExperimentConfig) -> EvalResult:
-    """Full reproducible pipeline from (config, master seed) to curves."""
-    _, _, tr_rows, atr_rows = build_corpus(config)
+def split_corpus(config: ExperimentConfig, num_rows: int):
+    """The seeded train/test split and training folds of a corpus."""
     with _stage("split dataset"):
-        split = split_dataset(len(tr_rows), config.test_fraction, config.folds,
-                              seed=derive_seed(config.master_seed, _SEED_SPLIT))
-    models = train_models(config, tr_rows, atr_rows, split)
-    X = np.array([r.location for r in tr_rows])
-    TR = np.array([r.ratios for r in tr_rows])
-    ATR_F = np.array([r.atr_f for r in atr_rows])
+        return split_dataset(num_rows, config.test_fraction, config.folds,
+                             seed=derive_seed(config.master_seed, _SEED_SPLIT))
 
+
+def build_coverage_plan(config: ExperimentConfig, locations, atr_f, split):
+    """The scenario-3 BS beam list, clustered from the training rows."""
     with _stage("build cluster coverage plan"):
-        plan = selectors.select_bs_coverage(
-            X[split.train_rows], ATR_F[split.train_rows], config.cluster_count,
+        return selectors.select_bs_coverage(
+            locations[split.train_rows], atr_f[split.train_rows], config.cluster_count,
             n_bs=config.num_beamformers,
             seed=derive_seed(config.master_seed, _SEED_CLUSTER),
             use_significance=config.use_significance)
+
+
+def run_experiment(config: ExperimentConfig) -> EvalResult:
+    """Full reproducible pipeline from (config, master seed) to curves."""
+    _, _, tr_rows, atr_rows = build_corpus(config)
+    split = split_corpus(config, len(tr_rows))
+    models = train_models(config, tr_rows, atr_rows, split)
+    X = np.array([r.location for r in tr_rows])
+    TR = np.array([r.ratios for r in tr_rows])
+    plan = build_coverage_plan(config, X, np.array([r.atr_f for r in atr_rows]), split)
 
     with _stage("evaluate scenarios"):
         curves, heatmap = evaluate(config, models, plan, X[split.test_rows],
@@ -275,70 +277,51 @@ def run_experiment(config: ExperimentConfig) -> EvalResult:
                       dataset_checksum=checksum, config=config)
 
 
-def _scenario_sets(config: ExperimentConfig, models, plan, X_test):
-    """Per-row descending beam orderings reused across all budgets."""
-    orders = {}
-    if 1 in config.scenarios:
-        pred = models["theta1"].predict_batch(X_test)
-        orders["pairs"] = np.argsort(-pred, axis=1, kind="stable")
-    if 2 in config.scenarios or 3 in config.scenarios:
-        orders["w"] = np.argsort(-models["theta2_w"].predict_batch(X_test), axis=1, kind="stable")
-    if 2 in config.scenarios:
-        orders["f"] = np.argsort(-models["theta2_f"].predict_batch(X_test), axis=1, kind="stable")
-    if 3 in config.scenarios:
-        orders["coverage"] = plan.selected_beams
-    return orders
-
-
 def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
-    num_f = config.num_beamformers
-    num_w = config.num_combiners
-    orders = _scenario_sets(config, models, plan, X_test)
-    n = len(X_test)
+    """Curves over the N_B sweep and the decoupled (|S_w|, |S_f|) heatmap.
+    Each model ranks every test row's beams once, and each curve point and
+    heatmap cell is one entry of the `metrics.prefix_tables` of those
+    orderings."""
+    num_f, num_w = config.num_beamformers, config.num_combiners
+    TR_test = np.asarray(TR_test, dtype=float)
+    grid = TR_test.reshape(len(TR_test), num_w, num_f)
+
+    def ordering(role):
+        return np.argsort(-models[role].predict_batch(X_test), axis=1, kind="stable")
+
+    tables = {}
+    if 1 in config.scenarios:
+        tables[1] = metrics.prefix_tables(TR_test[:, None, :], [0], ordering("theta1"))
+    if 2 in config.scenarios or 3 in config.scenarios:
+        w_order = ordering("theta2_w")
+    if 2 in config.scenarios:
+        tables[2] = metrics.prefix_tables(grid, w_order, ordering("theta2_f"))
+    if 3 in config.scenarios:
+        tables[3] = metrics.prefix_tables(grid, w_order, plan.selected_beams)
+
+    def point(scenario, n_b, s_w, s_f):
+        r_t, p_m = tables[scenario]
+        row = {"scenario": scenario, "n_b": n_b, "n_b_actual": s_w * s_f,
+               "s_w": s_w, "s_f": s_f,
+               "r_t": float(r_t[s_w - 1, s_f - 1]), "p_m": float(p_m[s_w - 1, s_f - 1]),
+               "overhead_bits": selectors.overhead_bits(scenario, s_w * s_f, num_w)}
+        if scenario == 1:  # a coupled selection has no per-side set sizes
+            row.update(s_w=-1, s_f=-1)
+        return row
+
     curves = []
     for n_b in config.n_b_sweep:
-        if 1 in config.scenarios:
-            k = min(n_b, config.num_pairs)
-            sets = [selectors.BeamPairSet(orders["pairs"][r, :k], num_f) for r in range(n)]
-            curves.append({
-                "scenario": 1, "n_b": n_b, "n_b_actual": k, "s_w": -1, "s_f": -1,
-                "r_t": metrics.avg_throughput_ratio(TR_test, sets, num_f),
-                "p_m": metrics.misalignment_probability(TR_test, sets, num_f),
-                "overhead_bits": selectors.overhead_bits(1, k, num_w),
-            })
+        if 1 in tables:
+            curves.append(point(1, n_b, 1, min(n_b, config.num_pairs)))
         for scenario in (2, 3):
-            if scenario not in config.scenarios:
-                continue
-            s_w, s_f = decoupled_split(n_b, min(config.s_w_size, num_w), num_f)
-            sets = []
-            for r in range(n):
-                w_sel = orders["w"][r, :s_w]
-                f_sel = orders["f"][r, :s_f] if scenario == 2 else orders["coverage"][:s_f]
-                sets.append(selectors.DecoupledSets(s_w=w_sel, s_f=np.asarray(f_sel)))
-            curves.append({
-                "scenario": scenario, "n_b": n_b, "n_b_actual": s_w * s_f,
-                "s_w": s_w, "s_f": s_f,
-                "r_t": metrics.avg_throughput_ratio(TR_test, sets, num_f),
-                "p_m": metrics.misalignment_probability(TR_test, sets, num_f),
-                "overhead_bits": selectors.overhead_bits(scenario, s_w * s_f, num_w),
-            })
-    heatmap = []
-    for scenario in (2, 3):
-        if scenario not in config.scenarios:
-            continue
-        for s_w in config.heatmap_s_w:
-            if s_w > num_w:
-                continue
-            for s_f in config.heatmap_s_f:
-                if s_f > num_f:
-                    continue
-                sets = []
-                for r in range(n):
-                    w_sel = orders["w"][r, :s_w]
-                    f_sel = orders["f"][r, :s_f] if scenario == 2 else orders["coverage"][:s_f]
-                    sets.append(selectors.DecoupledSets(s_w=w_sel, s_f=np.asarray(f_sel)))
-                heatmap.append({"scenario": scenario, "s_w": s_w, "s_f": s_f,
-                                "r_t": metrics.avg_throughput_ratio(TR_test, sets, num_f)})
+            if scenario in tables:
+                s_w, s_f = decoupled_split(n_b, min(config.s_w_size, num_w), num_f)
+                curves.append(point(scenario, n_b, s_w, s_f))
+    heatmap = [{"scenario": scenario, "s_w": s_w, "s_f": s_f,
+                "r_t": float(tables[scenario][0][s_w - 1, s_f - 1])}
+               for scenario in (2, 3) if scenario in tables
+               for s_w in config.heatmap_s_w if s_w <= num_w
+               for s_f in config.heatmap_s_f if s_f <= num_f]
     return curves, heatmap
 
 
@@ -360,11 +343,9 @@ def emit_outputs(result: EvalResult, out_dir: str) -> None:
         "dataset_checksum": result.dataset_checksum,
         "model_param_counts": result.param_counts,
     }
-    tmp = os.path.join(out_dir, "run_manifest.json.tmp")
-    with open(tmp, "w") as fh:
+    with atomic_write(os.path.join(out_dir, "run_manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "run_manifest.json"))
 
 
 def _format_cell(v) -> str:
@@ -374,9 +355,7 @@ def _format_cell(v) -> str:
 
 
 def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="\n") as fh:
+    with atomic_write(path, newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
-    os.replace(tmp, path)

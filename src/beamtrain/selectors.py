@@ -13,11 +13,11 @@ lowest beam index and the selected sets are nested as budgets grow.
 
 import csv
 import logging
-import os
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .fileio import atomic_write, save_npz
 
 log = logging.getLogger(__name__)
 
@@ -33,13 +33,6 @@ class BeamPairSet:
     @property
     def budget(self) -> int:
         return len(self.flat_indices)
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return [divmod(int(n), self.num_beamformers) for n in self.flat_indices]
-
-    def contains(self, flat_index: int) -> bool:
-        return int(flat_index) in set(int(n) for n in self.flat_indices)
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,6 @@ class ClusterCoveragePlan:
     assignments: np.ndarray
     significances: np.ndarray      # alpha_c, sums to 1 (or all-ones mode)
     prob_tables: np.ndarray        # (C, |F|, |F|): [cluster, k-1, beam]
-    candidate_sets: list           # per (cluster, k): beam indices by descending prob
     selected_beams: np.ndarray     # S_f in selection order
 
     def prefix(self, n_bs: int) -> "ClusterCoveragePlan":
@@ -217,7 +209,6 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
                     break
     return ClusterCoveragePlan(centroids=centroids, assignments=assignments,
                                significances=significances, prob_tables=prob_tables,
-                               candidate_sets=candidate_sets,
                                selected_beams=np.array(selected, dtype=int))
 
 
@@ -239,19 +230,9 @@ def save_plan(plan: ClusterCoveragePlan, path: str, csv_path: str | None = None)
         "prob_tables": plan.prob_tables,
         "selected_beams": plan.selected_beams,
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    save_npz(path, arrays)
     if csv_path is not None:
-        tmpc = csv_path + ".tmp"
-        with open(tmpc, "w", newline="") as fh:
+        with atomic_write(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["selection_order", "beam_index"])
             for i, j in enumerate(plan.selected_beams):
@@ -261,7 +242,6 @@ def save_plan(plan: ClusterCoveragePlan, path: str, csv_path: str | None = None)
             for c in range(len(plan.centroids)):
                 writer.writerow([c, "%.9g" % plan.significances[c],
                                  "%.9g" % plan.centroids[c, 0], "%.9g" % plan.centroids[c, 1]])
-        os.replace(tmpc, csv_path)
 
 
 def load_plan(path: str) -> ClusterCoveragePlan:
@@ -272,12 +252,7 @@ def load_plan(path: str) -> ClusterCoveragePlan:
         raise ValueError(f"cannot read plan file {path!r}: {exc}") from exc
     if "format_version" not in data or data["format_version"][0] != PLAN_FORMAT_VERSION:
         raise ValueError(f"unsupported plan file version in {path!r}")
-    prob_tables = data["prob_tables"]
-    candidate_sets = []
-    for c in range(prob_tables.shape[0]):
-        candidate_sets.append([top_k_stable(prob_tables[c, k], int(np.sum(prob_tables[c, k] > 0)))
-                               for k in range(prob_tables.shape[1])])
     return ClusterCoveragePlan(centroids=data["centroids"], assignments=data["assignments"],
-                               significances=data["significances"], prob_tables=prob_tables,
-                               candidate_sets=candidate_sets,
+                               significances=data["significances"],
+                               prob_tables=data["prob_tables"],
                                selected_beams=data["selected_beams"])

@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamtrain import cli
+from beamtrain import channel, cli
 from beamtrain.boosting import TrainConfig, save_model, train
 from beamtrain.channel import load_channels
 from beamtrain.dataset import load_dataset
 from beamtrain.harness import ExperimentConfig
+from beamtrain.scene import trace_paths
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -20,12 +21,21 @@ def _tiny_config(tmp_path, **overrides):
     return str(path)
 
 
-def test_scene_gen(tmp_path, capsys):
+def test_scene_gen(tmp_path, capsys, monkeypatch):
+    traced = []
+
+    def counting(snapshot, ue, config):
+        traced.append((snapshot.snapshot_id, ue))
+        return trace_paths(snapshot, ue, config)
+
+    monkeypatch.setattr(cli, "trace_paths", counting)
+    monkeypatch.setattr(channel, "trace_paths", counting)
     out = str(tmp_path / "scene")
     rc = cli.main(["scene", "gen", "--config", _tiny_config(tmp_path), "--out", out])
     assert rc == 0
     channels = load_channels(out + "/channels.npz")
     assert channels
+    assert traced == [(c.snapshot_id, c.ue_index) for c in channels]   # each UE traced once
     lines = Path(out, "channels_index.csv").read_text().splitlines()
     assert lines[0] == "snapshot_id,ue_index,x,y,path_count"
     assert len(lines) == len(channels) + 1

@@ -1,13 +1,16 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from beamtrain.harness import (DEFAULT_N_B_SWEEP, ExperimentConfig, StageError,
-                               TablePredictor, _stage, decoupled_split, derive_seed,
-                               emit_outputs, run_experiment)
+from beamtrain import metrics
+from beamtrain.harness import (DEFAULT_N_B_SWEEP, ExperimentConfig, StageError, _stage,
+                               decoupled_split, derive_seed, emit_outputs, evaluate,
+                               run_experiment)
+from beamtrain.selectors import BeamPairSet, DecoupledSets, overhead_bits
 
 
 def test_derive_seed_stable_and_distinct():
@@ -79,14 +82,22 @@ def test_config_rejects_snapshot_count_reaching_seed_labels():
             ExperimentConfig.from_dict({"snapshot_count": count})
 
 
-def test_table_predictor_lookup():
-    locs = np.array([[1.0, 2.0], [3.0, 4.0]])
-    vals = np.array([[0.1, 0.9], [0.5, 0.5]])
-    p = TablePredictor(locs, vals)
-    assert np.array_equal(p.predict([3.0, 4.0]), [0.5, 0.5])
-    assert np.array_equal(p.predict_batch(locs), vals)
-    with pytest.raises(KeyError):
-        p.predict([9.0, 9.0])
+@pytest.mark.parametrize("key, value", [
+    ("n_b_sweep", [1, 0, 5]),
+    ("n_b_sweep", [-3]),
+    ("heatmap_s_w", [0, 1]),
+    ("heatmap_s_f", [4, 0]),
+    ("s_w_size", 0),
+    ("cluster_count", 0),
+    ("test_fraction", 0.0),
+    ("test_fraction", 1.0),
+    ("test_fraction", 1.5),
+    ("folds", 1),
+])
+def test_config_rejects_bad_evaluation_keys(key, value):
+    # rejected when the config is read, before any stage runs
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict({key: value})
 
 
 def test_stage_wraps_exceptions():
@@ -143,3 +154,55 @@ def test_emit_outputs_files(tmp_path, smoke_result):
     assert manifest["config_hash"] == smoke_result.config.config_hash()
     assert manifest["n_test"] == smoke_result.n_test
     assert manifest["dataset_checksum"] == smoke_result.dataset_checksum
+
+
+class _Predictions:
+    def __init__(self, values):
+        self.values = values
+
+    def predict_batch(self, X):
+        return self.values[np.asarray(X, dtype=int)[:, 0]]
+
+
+def test_evaluate_reads_the_per_row_metrics():
+    """Every curve point and heatmap cell equals the per-row reference
+    metrics over the prefixes of the predicted orderings, with ties in the
+    predictions and in TR; heatmap sizes beyond the codebooks are skipped."""
+    cfg = ExperimentConfig(bs_array=(2, 4), ue_array=(2, 2), n_b_sweep=(1, 2, 5, 9, 32, 40),
+                           s_w_size=3, heatmap_s_w=(1, 2, 4, 5), heatmap_s_f=(1, 3, 8, 9))
+    num_w, num_f, n = cfg.num_combiners, cfg.num_beamformers, 30
+    rng = np.random.default_rng(4)
+    TR = rng.choice([0.1, 0.3, 0.7, 1.0], size=(n, cfg.num_pairs))
+    models = {role: _Predictions(rng.choice([0.0, 0.5, 1.0], size=(n, size)))
+              for role, size in (("theta1", cfg.num_pairs), ("theta2_w", num_w),
+                                 ("theta2_f", num_f))}
+    plan = SimpleNamespace(selected_beams=rng.permutation(num_f))
+    X = np.column_stack([np.arange(n), np.zeros(n)])
+    curves, heatmap = evaluate(cfg, models, plan, X, TR)
+
+    def ordering(role):
+        return np.argsort(-models[role].values, axis=1, kind="stable")
+
+    def decoupled(scenario, s_w, s_f):
+        f = ordering("theta2_f") if scenario == 2 else np.tile(plan.selected_beams, (n, 1))
+        return [DecoupledSets(s_w=ordering("theta2_w")[r, :s_w], s_f=f[r, :s_f])
+                for r in range(n)]
+
+    want = []
+    for n_b in cfg.n_b_sweep:
+        k = min(n_b, cfg.num_pairs)
+        sets = [BeamPairSet(ordering("theta1")[r, :k], num_f) for r in range(n)]
+        want.append((1, n_b, k, -1, -1, sets))
+        for scenario in (2, 3):
+            s_w, s_f = decoupled_split(n_b, cfg.s_w_size, num_f)
+            want.append((scenario, n_b, s_w * s_f, s_w, s_f, decoupled(scenario, s_w, s_f)))
+    assert curves == [
+        {"scenario": scenario, "n_b": n_b, "n_b_actual": actual, "s_w": s_w, "s_f": s_f,
+         "r_t": metrics.avg_throughput_ratio(TR, sets, num_f),
+         "p_m": metrics.misalignment_probability(TR, sets, num_f),
+         "overhead_bits": overhead_bits(scenario, actual, num_w)}
+        for scenario, n_b, actual, s_w, s_f, sets in want]
+    assert heatmap == [
+        {"scenario": scenario, "s_w": s_w, "s_f": s_f,
+         "r_t": metrics.avg_throughput_ratio(TR, decoupled(scenario, s_w, s_f), num_f)}
+        for scenario in (2, 3) for s_w in (1, 2, 4) for s_f in (1, 3, 8)]
