@@ -7,6 +7,28 @@ lightweight, so it is enforced during training, not checked after.
 
 Counting rule (frozen): 2 parameters per internal node (feature id +
 threshold), 1 per leaf, 1 per output base prediction.
+
+Training fits each boosting round for all outputs at once, level by level,
+as XGBoost and LightGBM grow trees: an output's tree depends only on that
+output's residuals, so the trees of a block of outputs grow together, one
+vectorized step per tree level. The trees are then taken in output order,
+and training stops at the first tree that would push the parameter count
+past the budget, also partway through a round, so that low-index outputs
+hold one tree more than the rest. That is the intended allocation: the
+budget is a hard cap, filled greedily in round and output order.
+
+The fit gives the trees of a recursive per-tree trainer (the tests keep
+one as the reference) node for node and bit for bit, because it keeps that
+trainer's arithmetic:
+- a node's split sums are sequential cumulative sums over its rows in the
+  feature's sorted order, restarting at every node (the rows of a padded
+  node x position matrix);
+- node means and the parent sse are `np.sum` over the node's rows in the
+  first feature's order, one node at a time, because numpy sums pairwise
+  in an order set by the length;
+- node ids are in preorder: node, left subtree, right subtree;
+- a later feature wins only if its sse is lower by more than 1e-15, and
+  within a feature the lowest threshold wins ties.
 """
 
 import logging
@@ -97,68 +119,6 @@ class Tree:
         return self.value[node]
 
 
-def _best_split(X, residual, order, min_leaf):
-    """Best (feature, threshold, sse) over midpoint thresholds; ties go to
-    the lower feature index, then the lower threshold."""
-    n = order[0].shape[0]
-    best = None
-    for f in range(X.shape[1]):
-        o = order[f]
-        v = X[o, f]
-        r = residual[o]
-        cs = np.cumsum(r)
-        cs2 = np.cumsum(r * r)
-        total, total2 = cs[-1], cs2[-1]
-        i = np.arange(1, n)          # left sizes
-        valid = (v[:-1] < v[1:]) & (i >= min_leaf) & (n - i >= min_leaf)
-        if not np.any(valid):
-            continue
-        left_sse = cs2[:-1] - cs[:-1] ** 2 / i
-        right_sse = (total2 - cs2[:-1]) - (total - cs[:-1]) ** 2 / (n - i)
-        sse = np.where(valid, left_sse + right_sse, np.inf)
-        pos = int(np.argmin(sse))
-        if best is None or sse[pos] < best[2] - 1e-15:
-            best = (f, (v[pos] + v[pos + 1]) / 2.0, float(sse[pos]))
-    return best
-
-
-def _fit_tree(X, residual, order, config: TrainConfig):
-    """Fit one tree. Also returns the leaf id of every training row, taken
-    from the fit's own partition, which uses the same `<=` test as
-    `Tree.predict`."""
-    feature, threshold, left, right, value = [], [], [], [], []
-    leaf_of_row = np.empty(X.shape[0], dtype=int)
-
-    def build(order_node, depth):
-        node_id = len(feature)
-        leaf_of_row[order_node[0]] = node_id  # children, built later, overwrite
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        r = residual[order_node[0]]
-        value.append(float(np.mean(r)))
-        n = r.shape[0]
-        if depth >= config.max_depth or n < 2 * config.min_samples_leaf:
-            return node_id
-        parent_sse = float(np.sum((r - np.mean(r)) ** 2))
-        split = _best_split(X, residual, order_node, config.min_samples_leaf)
-        if split is None or split[2] >= parent_sse - 1e-12 * max(1.0, parent_sse):
-            return node_id
-        f, thr, _ = split
-        go_left = X[:, f] <= thr
-        left_orders = [o[go_left[o]] for o in order_node]
-        right_orders = [o[~go_left[o]] for o in order_node]
-        feature[node_id] = f
-        threshold[node_id] = thr
-        left[node_id] = build(left_orders, depth + 1)
-        right[node_id] = build(right_orders, depth + 1)
-        return node_id
-
-    build(order, 0)
-    return Tree(feature, threshold, left, right, value), leaf_of_row
-
-
 def _read_only(a, dtype):
     a = np.array(a, dtype=dtype)
     a.flags.writeable = False
@@ -171,10 +131,10 @@ class TreeEnsembleModel:
     All trees live in one packed, read-only node layout (`layout`): the node
     arrays of every tree concatenated in fit order, with `tree_outputs[i]`
     the output and `tree_sizes[i]` the node count of tree i. Child ids are
-    local to their tree and always greater than their parent's id, as
-    `_fit_tree` writes them. The layout is built once, at construction, and
-    `trees` is a tuple of views into it, so the trees a caller sees are
-    always the trees prediction evaluates.
+    local to their tree and always greater than their parent's id, as the
+    preorder that `train` writes gives them. The layout is built once, at
+    construction, and `trees` is a tuple of views into it, so the trees a
+    caller sees are always the trees prediction evaluates.
 
     Prediction walks every tree at once, one level per step, over a
     (rows x trees) node matrix; a tree that reached a leaf stays there.
@@ -318,27 +278,230 @@ def param_count(model: TreeEnsembleModel) -> int:
     return model.output_dimension + 2 * internal + (len(model.layout["node_feature"]) - internal)
 
 
-def _boosted_trees(X, Y, base, config: TrainConfig):
-    """(output, tree) pairs in fit order. Rounds fit one tree per output on
-    the current residuals, and stop the moment the next tree would push the
-    parameter count past the budget."""
-    d = Y.shape[1]
-    order = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
-    pred = np.tile(base, (len(X), 1))
+def _node_sums(a, starts, lengths):
+    """`np.sum` of each node's slice `a[start:start + length]`. numpy sums a
+    float64 slice pairwise, in an order set by the slice's length, so each
+    node is summed on its own, as the per-node fit sums it."""
+    return np.array([np.add.reduce(a[s:s + n])
+                     for s, n in zip(starts.tolist(), lengths.tolist())])
+
+
+def _best_splits(x, r, starts, lengths, min_leaf):
+    """Best split of every node: (found, sse, feature, threshold).
+
+    Row f of `x` and `r` holds the values of feature f and the residuals,
+    node after node in that feature's sorted order, and is padded by at
+    least the longest node; node k starts at `starts[k]`. A feature's
+    candidate thresholds are the midpoints between distinct neighbouring
+    values that leave at least `min_leaf` rows on either side; its best
+    has the lowest sse, and the lowest threshold among equal ones. The
+    lowest feature with a candidate wins unless a later one beats it by
+    more than 1e-15. Nodes are padded to the longest of their group, and
+    the cumulative sums run along each padded row, so they restart at
+    every node as a per-node `np.cumsum` does. Each sse term is computed as
+    the per-node formula computes it, in the same order."""
+    features = len(x)
+    found = np.zeros(len(starts), dtype=bool)
+    best_sse, threshold = np.zeros(len(starts)), np.zeros(len(starts))
+    feature = np.full(len(starts), -1)
+    by_length = np.argsort(-lengths, kind="stable")
+    # views of every run of `width` values, from which each group is copied
+    width = max(2, int(lengths.max(initial=0)))
+    x_windows = np.lib.stride_tricks.sliding_window_view(x, width, axis=-1)
+    r_windows = np.lib.stride_tricks.sliding_window_view(r, width, axis=-1)
+    sorted_lengths = lengths[by_length]
+    lo = 0
+    while lo < len(by_length):
+        width = max(2, int(sorted_lengths[lo]))
+        # about _CHUNK_CELLS / 2 cells, as the search keeps five arrays of a
+        # group's size, and no node shorter than half the width
+        hi = min(lo + max(1, _CHUNK_CELLS // (2 * features * width)),
+                 lo + int(np.searchsorted(-sorted_lengths[lo:], -(width // 2), side="right")))
+        group = by_length[lo:max(hi, lo + 1)]
+        lo += len(group)
+        v = x_windows[:, starts[group], :width]                # (feature, node, position)
+        res = r_windows[:, starts[group], :width]
+        n = lengths[group][:, None].astype(float)
+        i = np.arange(1.0, width)                              # left sizes
+        right = n - i
+        too_small = (i < min_leaf) | (right < max(min_leaf, 1))
+        np.maximum(right, 1.0, out=right)      # no division by zero in padding
+        cs = np.cumsum(res, axis=2)
+        cs2 = np.cumsum(np.square(res, out=res), axis=2)
+        f_ix, k_ix = np.arange(features)[:, None, None], np.arange(len(group))[:, None]
+        last = lengths[group][:, None] - 1
+        total, total2 = cs[:, k_ix, last], cs2[:, k_ix, last]
+        cs, cs2 = cs[..., :-1], cs2[..., :-1]
+        split_sse = np.square(cs)                              # left: cs2 - cs ** 2 / i
+        split_sse /= i
+        np.subtract(cs2, split_sse, out=split_sse)
+        right_sse = np.subtract(total, cs, out=cs)             # right: (total2 - cs2)
+        np.square(right_sse, out=right_sse)                    #   - (total - cs) ** 2 / right
+        right_sse /= right
+        np.subtract(total2, cs2, out=cs2)
+        split_sse += np.subtract(cs2, right_sse, out=cs2)
+        invalid = (v[..., :-1] >= v[..., 1:]) | too_small
+        np.copyto(split_sse, np.inf, where=invalid)
+        pos = np.argmin(split_sse, axis=2)[..., None]
+        sse = split_sse[f_ix, k_ix, pos][..., 0]
+        midpoint = ((v[f_ix, k_ix, pos] + v[f_ix, k_ix, pos + 1]) / 2.0)[..., 0]
+        ok = np.isfinite(sse)                  # the sse of a valid split is finite
+        for f in range(features):
+            take = ok[f] & (~found[group] | (sse[f] < best_sse[group] - 1e-15))
+            chosen = group[take]
+            best_sse[chosen], threshold[chosen] = sse[f, take], midpoint[f, take]
+            feature[chosen] = f
+            found[group] |= ok[f]
+    return found, best_sse, feature, threshold
+
+
+def _fit_trees(X, orders, residual, config: TrainConfig):
+    """One tree per row of `residual` (trees x rows of X, C-contiguous), all
+    fitted together, level by level.
+
+    A node is a set of rows. Each level keeps, per feature, the rows of all
+    its nodes in one flat array, node after node, each node's rows in that
+    feature's sorted order. A node's value is the mean of its residuals in
+    the first feature's order; it splits at its best split (`_best_splits`)
+    if that lowers its sse by more than 1e-12 * max(1, sse).
+
+    Returns the trees' node arrays, packed tree after tree with each tree in
+    preorder (node, left subtree, right subtree), the trees' node counts
+    and internal-node counts, and the leaf value of every (tree, row)."""
+    trees, n = residual.shape
+    min_leaf = config.min_samples_leaf
+    x_flat = np.ascontiguousarray(X.T).ravel()  # feature f, row j at f * n + j
+    r_flat = residual.ravel()                   # tree c, row j at c * n + j
+    tree = np.arange(trees)                     # the tree of every node of the level
+    lengths = np.full(trees, n)
+    rows = [np.tile(o, trees) for o in orders]
+    leaf_value = np.empty(trees * n)
+    levels = []
+    for depth in range(config.max_depth + 1):
+        total = int(lengths.sum())
+        starts = np.cumsum(lengths) - lengths
+        node = np.repeat(np.arange(len(lengths)), lengths)
+        at = tree[node] * n
+        # per feature, the residuals in node order, padded for `_best_splits`;
+        # x below holds the feature values in the same layout
+        r = np.empty((len(rows), total + max(2, int(lengths.max()))))
+        r[:, total:] = 0.0
+        for f, rows_f in enumerate(rows):
+            r[f, :total] = r_flat[at + rows_f]
+        mean = _node_sums(r[0, :total], starts, lengths) / lengths
+        leaf_value[at + rows[0]] = mean[node]  # the next level overwrites split nodes
+        feature = np.full(len(lengths), -1)
+        threshold = np.zeros(len(lengths))
+        split = np.zeros(len(lengths), dtype=bool)
+        if depth < config.max_depth:
+            tried = np.nonzero(lengths >= 2 * min_leaf)[0]
+            parent_sse = _node_sums((r[0, :total] - mean[node]) ** 2, starts[tried],
+                                    lengths[tried])
+            x = np.empty_like(r)
+            x[:, total:] = 0.0
+            for f, rows_f in enumerate(rows):
+                x[f, :total] = x_flat[f * n + rows_f]
+            found, sse, best_feature, best_threshold = _best_splits(
+                x, r, starts[tried], lengths[tried], min_leaf)
+            gain = found & ~(sse >= parent_sse - 1e-12 * np.maximum(1.0, parent_sse))
+            split[tried[gain]] = True
+            feature[tried[gain]] = best_feature[gain]
+            threshold[tried[gain]] = best_threshold[gain]
+        levels.append((tree, mean, feature, threshold, split))
+        if not np.any(split):
+            break
+        # the k-th split node's children are nodes k (left) and K + k (right)
+        # of the next level, K the number of splits; masks keep the row order.
+        # The last level needs the rows in the first feature's order only.
+        if depth + 1 == config.max_depth:
+            rows = rows[:1]
+        kept = split[node]
+        of = node[kept]
+        for f, rows_f in enumerate(rows):
+            rows_f = rows_f[kept]
+            go_left = x_flat[feature[of] * n + rows_f] <= threshold[of]
+            rows[f] = np.concatenate([rows_f[go_left], rows_f[~go_left]])
+        # every feature's order holds the same rows per node
+        left = np.bincount((np.cumsum(split) - 1)[of[go_left]], minlength=int(split.sum()))
+        tree = np.concatenate([tree[split], tree[split]])
+        lengths = np.concatenate([left, lengths[split] - left])
+    return _preorder(levels, trees) + (leaf_value.reshape(trees, n),)
+
+
+def _preorder(levels, trees):
+    """The node arrays of `_fit_trees`' levels, packed tree after tree in
+    preorder, and each tree's node and internal-node counts."""
+    sizes = [np.ones(len(levels[-1][0]), dtype=int)]     # subtree sizes, bottom up
+    for *_, split in reversed(levels[:-1]):
+        below, k = sizes[0], int(split.sum())
+        size = np.ones(len(split), dtype=int)
+        size[split] += below[:k] + below[k:]
+        sizes.insert(0, size)
+    ids = np.zeros(trees, dtype=int)                    # preorder ids, top down
+    parts = []
+    for depth, (tree, mean, feature, threshold, split) in enumerate(levels):
+        left, right = np.full(len(split), -1), np.full(len(split), -1)
+        if np.any(split):
+            left[split] = ids[split] + 1
+            right[split] = left[split] + sizes[depth + 1][:int(split.sum())]
+        parts.append((tree, ids, feature, threshold, left, right, mean))
+        ids = np.concatenate([left[split], right[split]])
+    tree, ids, *arrays = (np.concatenate(a) for a in zip(*parts))
+    tree_sizes = sizes[0]
+    place = (np.cumsum(tree_sizes) - tree_sizes)[tree] + ids
+    nodes = {}
+    for (name, _), values in zip(_NODE_FIELDS, arrays):
+        nodes[name] = np.empty_like(values)
+        nodes[name][place] = values
+    internal = np.bincount(tree[arrays[0] >= 0], minlength=trees)
+    return nodes, tree_sizes, internal
+
+
+def _boosted_layout(X, Y, base, config: TrainConfig):
+    """The packed layout of the boosted trees, in fit order.
+
+    Every round fits one tree per output on the current residuals, skipping
+    outputs whose residuals are all below 1e-12 and trees without a split,
+    and training stops the moment the next tree would push the parameter
+    count past the budget, also partway through a round. The trees of a
+    round depend only on their own output's residuals, so blocks of outputs
+    are fitted at once, and the block's trees are then taken in output
+    order. A block spans about `_CHUNK_CELLS` (feature, row, output) cells,
+    the size of the fit's largest temporaries."""
+    n, d = Y.shape
+    orders = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
+    pred = np.tile(base, (n, 1))
     used = d
+    pieces = []
+    block = max(1, _CHUNK_CELLS // (X.shape[1] * n))  # (feature, row, output) cells
     for _ in range(config.tree_count):
-        for dim in range(d):
-            residual = Y[:, dim] - pred[:, dim]
-            if np.max(np.abs(residual)) < 1e-12:
+        for lo in range(0, d, block):
+            dims = np.arange(lo, min(lo + block, d))
+            residual = (Y[:, dims] - pred[:, dims]).T
+            active = ~(np.max(np.abs(residual), axis=1) < 1e-12)
+            if not np.any(active):
                 continue
-            tree, leaf_of_row = _fit_tree(X, residual, order, config)
-            if tree.num_internal == 0:
-                continue  # no useful split left for this output
-            if used + tree.param_cost > config.budget_parameters:
-                return
-            yield dim, tree
-            used += tree.param_cost
-            pred[:, dim] += config.learning_rate * tree.value[leaf_of_row]
+            dims, residual = dims[active], residual[active]
+            nodes, sizes, internal, leaf_value = _fit_trees(X, orders, residual, config)
+            cost = np.where(internal > 0, sizes + internal, 0)
+            fits = used + np.cumsum(cost) <= config.budget_parameters
+            kept = (internal > 0) & fits
+            pred[:, dims[kept]] += config.learning_rate * leaf_value[kept].T
+            used += int(cost[kept].sum())
+            in_kept = np.repeat(kept, sizes)
+            pieces.append((dims[kept], sizes[kept],
+                           *(nodes[name][in_kept] for name, _ in _NODE_FIELDS)))
+            if not np.all(fits):
+                return _pack(pieces)
+    return _pack(pieces)
+
+
+def _pack(pieces):
+    """The layout (`_LAYOUT` keys) of the concatenated pieces, empty if none."""
+    layout = {key: np.zeros(0, dtype=dtype) for key, dtype in _LAYOUT}
+    if pieces:
+        layout = {key: np.concatenate(arrays) for (key, _), arrays in zip(_LAYOUT, zip(*pieces))}
+    return layout
 
 
 def train(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel:
@@ -362,25 +525,8 @@ def train(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel
     sort = np.lexsort((X[:, 1], X[:, 0]))
     X, Y = X[sort], Y[sort]
     base = Y.mean(axis=0)
-    return TreeEnsembleModel(base, _boosted_trees(X, Y, base, config),
-                             learning_rate=config.learning_rate, output_dimension=d, role=role)
-
-
-def training_loss_curve(X, Y, config: TrainConfig) -> np.ndarray:
-    """Per-round training MSE (diagnostic; mirrors train())."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    losses = []
-    for rounds in range(1, config.tree_count + 1):
-        cfg = TrainConfig(tree_count=rounds, max_depth=config.max_depth,
-                          learning_rate=config.learning_rate,
-                          min_samples_leaf=config.min_samples_leaf,
-                          budget_parameters=config.budget_parameters)
-        m = train(X, Y, cfg)
-        losses.append(float(np.mean((m.predict_batch(X) - Y) ** 2)))
-    return np.array(losses)
+    return TreeEnsembleModel.from_layout(base, _boosted_layout(X, Y, base, config),
+                                         config.learning_rate, d, role)
 
 
 def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray) -> TrainConfig:

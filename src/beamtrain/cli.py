@@ -5,6 +5,7 @@ import dataclasses
 import logging
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -23,6 +24,14 @@ def _load_config(args) -> harness.ExperimentConfig:
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     return config
+
+
+def _output_dir(path: str) -> None:
+    """Create the output directory and check that a file can be written in
+    it, so that a bad --out fails before any stage runs."""
+    os.makedirs(path, exist_ok=True)
+    with tempfile.TemporaryFile(dir=path):
+        pass
 
 
 def cmd_scene_gen(args) -> int:
@@ -71,12 +80,9 @@ def cmd_model_train(args) -> int:
     config = _load_config(args)
     _, _, tr_rows, atr_rows = harness.build_corpus(config)
     split = harness.split_corpus(config, len(tr_rows))
-    models = harness.train_models(config, tr_rows, atr_rows, split)
-    if args.role not in models:
-        print(f"unknown role {args.role!r}; choose from {sorted(models)}", file=sys.stderr)
-        return 2
-    boosting.save_model(models[args.role], args.out)
-    print(f"wrote {args.role} model ({boosting.param_count(models[args.role])} parameters)")
+    model = harness.train_role(config, args.role, tr_rows, atr_rows, split)
+    boosting.save_model(model, args.out)
+    print(f"wrote {args.role} model ({boosting.param_count(model)} parameters)")
     return 0
 
 
@@ -105,6 +111,7 @@ def cmd_plan_build(args) -> int:
 
 def cmd_eval_run(args) -> int:
     config = _load_config(args)
+    _output_dir(args.out)
     result = harness.run_experiment(config)
     harness.emit_outputs(result, args.out)
     print(f"evaluated {result.n_test} test UEs; outputs in {args.out}")
@@ -113,6 +120,7 @@ def cmd_eval_run(args) -> int:
 
 def cmd_eval_heatmap(args) -> int:
     config = _load_config(args)
+    _output_dir(args.out)
     result = harness.run_experiment(config)
     harness.emit_outputs(result, args.out)
     for row in result.heatmap:

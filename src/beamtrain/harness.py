@@ -112,12 +112,14 @@ class ExperimentConfig:
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version}")
         scene_raw = raw.pop("scene", {})
+        known = {f.name for f in dataclasses.fields(cls)}
+        known_scene = {f.name for f in dataclasses.fields(SceneConfig)}
+        unknown = sorted(set(raw) - known) + sorted("scene." + k
+                                                    for k in set(scene_raw) - known_scene)
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         scene = SceneConfig(**{k: tuple(v) if isinstance(v, list) else v
                                for k, v in scene_raw.items()})
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         coerced = {}
         for k, v in raw.items():
             if k in ("bs_grid", "ue_grid"):
@@ -211,31 +213,34 @@ def build_corpus(config: ExperimentConfig):
     return snapshots, rate_rows, tr_rows, atr_rows
 
 
+def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
+    """K-fold tune and fit one model role on the training rows, under its
+    budget. The scenario-2 and scenario-3 UE models share targets, budget
+    and grid, so theta3_w is fitted as theta2_w."""
+    if name == "theta1":
+        Y, grid, budget, role = ([r.ratios for r in tr_rows], config.bs_grid, config.bs_budget,
+                                 "coupled")
+    elif name == "theta2_f":
+        Y, grid, budget, role = ([r.atr_f for r in atr_rows], config.bs_grid, config.bs_budget,
+                                 "decoupled_bs")
+    elif name in ("theta2_w", "theta3_w"):
+        Y, grid, budget, role = ([r.atr_w for r in atr_rows], config.ue_grid, config.ue_budget,
+                                 "decoupled_ue")
+    else:
+        raise ValueError(f"unknown model role {name!r}")
+    X = np.array([r.location for r in tr_rows])[split.train_rows]
+    Y = np.array(Y)[split.train_rows]
+    with _stage(f"tune and train {name}"):
+        cfg = boosting.kfold_tune(X, Y, [boosting.TrainConfig(budget_parameters=budget, **g)
+                                         for g in grid], split.fold_assignments)
+        return boosting.train(X, Y, cfg, role=role)
+
+
 def train_models(config: ExperimentConfig, tr_rows, atr_rows, split):
-    """K-fold tune and fit the four regression roles under their budgets.
-
-    The scenario-2 and scenario-3 UE models share targets, budget and grid,
-    so one fitted model serves both roles.
-    """
-    X = np.array([r.location for r in tr_rows])
-    TR = np.array([r.ratios for r in tr_rows])
-    ATR_F = np.array([r.atr_f for r in atr_rows])
-    ATR_W = np.array([r.atr_w for r in atr_rows])
-    tr_idx = split.train_rows
-
-    def grid_for(raw_grid, budget):
-        return [boosting.TrainConfig(budget_parameters=budget, **g) for g in raw_grid]
-
-    models = {}
-    with _stage("tune and train models"):
-        for name, Y, grid, budget, role in (
-            ("theta1", TR, config.bs_grid, config.bs_budget, "coupled"),
-            ("theta2_f", ATR_F, config.bs_grid, config.bs_budget, "decoupled_bs"),
-            ("theta2_w", ATR_W, config.ue_grid, config.ue_budget, "decoupled_ue"),
-        ):
-            cfg = boosting.kfold_tune(X[tr_idx], Y[tr_idx], grid_for(grid, budget),
-                                      split.fold_assignments)
-            models[name] = boosting.train(X[tr_idx], Y[tr_idx], cfg, role=role)
+    """K-fold tune and fit the four regression roles under their budgets;
+    theta3_w is the theta2_w model."""
+    models = {name: train_role(config, name, tr_rows, atr_rows, split)
+              for name in ("theta1", "theta2_f", "theta2_w")}
     models["theta3_w"] = models["theta2_w"]
     return models
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beamtrain import boosting
-from beamtrain.boosting import (TrainConfig, Tree, TreeEnsembleModel, _fit_tree, kfold_tune,
-                                load_model, param_count, save_model, train,
-                                training_loss_curve)
+from beamtrain.boosting import (TrainConfig, Tree, TreeEnsembleModel, kfold_tune, load_model,
+                                param_count, save_model, train)
+from reference_boosting import fit_tree, train_reference
 
 
 def _grid_data(n=64, d=4, seed=0):
@@ -44,6 +45,8 @@ def test_budget_enforced_during_training():
                       budget_parameters=2048)
     model = train(X, Y, cfg)
     assert param_count(model) <= 2048
+    # the budget runs out after 46 trees of the first round
+    assert _layout_bytes(model) == _layout_bytes(train_reference(X, Y, cfg))
 
 
 def test_budget_below_outputs_raises():
@@ -75,10 +78,16 @@ def test_tree_predict_routing():
     assert np.array_equal(stump.predict(X), [-1.0, -1.0, 1.0])
 
 
+def _training_losses(X, Y, config):
+    """Training MSE of fits with 1, 2, ..., config.tree_count rounds."""
+    return [float(np.mean((train(X, Y, replace(config, tree_count=t)).predict_batch(X) - Y) ** 2))
+            for t in range(1, config.tree_count + 1)]
+
+
 def test_training_loss_monotone():
     X, Y = _grid_data(n=40, d=1, seed=2)
-    losses = training_loss_curve(X, Y, TrainConfig(tree_count=8, learning_rate=0.3,
-                                                   budget_parameters=10000))
+    losses = _training_losses(X, Y, TrainConfig(tree_count=8, learning_rate=0.3,
+                                                budget_parameters=10000))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -255,8 +264,8 @@ def test_packed_prediction_matches_per_tree_reference(ensemble, X, chunk_cells):
 def test_fit_leaf_rows_match_tree_predict(X, seed, max_depth, min_leaf):
     residual = np.random.default_rng(seed).normal(size=len(X))
     order = [np.argsort(X[:, f], kind="stable") for f in range(2)]
-    tree, leaf_of_row = _fit_tree(X, residual, order,
-                                  TrainConfig(max_depth=max_depth, min_samples_leaf=min_leaf))
+    tree, leaf_of_row = fit_tree(X, residual, order,
+                                 TrainConfig(max_depth=max_depth, min_samples_leaf=min_leaf))
     assert np.all(tree.feature[leaf_of_row] == -1)
     assert np.array_equal(tree.value[leaf_of_row], tree.predict(X))
 
@@ -294,9 +303,80 @@ def test_budget_stop_mid_round_predicts_with_held_trees(tmp_path):
     extra = [dim for dim in range(32) if per_output[dim] == max(per_output.values())]
     assert extra == list(range(len(extra)))
     assert param_count(model) == 32 + sum(t.param_cost for _, t in model.trees) <= 1000
+    assert _layout_bytes(model) == _layout_bytes(train_reference(X, Y, TrainConfig(
+        tree_count=10, max_depth=3, learning_rate=0.5, budget_parameters=1000)))
     probe = np.random.default_rng(11).uniform(0, 100, size=(25, 2))
     expected = _reference_predict(model, model.trees, probe)
     assert model.predict_batch(probe).tobytes() == expected.tobytes()
     path = str(tmp_path / "m.npz")
     save_model(model, path)
     assert load_model(path).predict_batch(probe).tobytes() == expected.tobytes()
+
+
+# ------------------------------------------ round-at-once fit vs the per-tree trainer
+
+# Residual pool: repeated values, signed zeros and order-sensitive sums.
+_RESIDUALS = st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0]) | st.floats(-1.0, 1.0)
+# Inputs with value ties, and two neighbouring floats whose midpoint rounds
+# to the lower one, so that a row can sit exactly on a threshold.
+_FIT_GRID = st.sampled_from([0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 1.5, 2.0, 3.0])
+
+
+def _layout_bytes(model):
+    return {key: (a.dtype.str, a.tobytes()) for key, a in model.layout.items()}
+
+
+@st.composite
+def _training_sets(draw):
+    """X on a coarse grid (`_FIT_GRID`), 1-40 outputs, some of them constant
+    (all-zero residuals), and budgets that often run out partway through a
+    round."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 40))
+    X = draw(hnp.arrays(float, (n, 2), elements=_FIT_GRID))
+    Y = draw(hnp.arrays(float, (n, d), elements=st.sampled_from([0.0, 0.5, 1.0])
+                        | st.floats(0.0, 1.0)))
+    constant = draw(hnp.arrays(bool, d))
+    Y[:, constant] = Y[0, constant]
+    config = TrainConfig(tree_count=draw(st.integers(1, 6)), max_depth=draw(st.integers(1, 4)),
+                         learning_rate=draw(st.sampled_from([0.3, 1.0]) | st.floats(0.05, 1.0)),
+                         min_samples_leaf=draw(st.integers(1, 3)),
+                         budget_parameters=d + draw(st.integers(0, 25 * d)))
+    return X, Y, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_training_sets(), st.sampled_from([1, 37, boosting._CHUNK_CELLS]))
+def test_round_fit_matches_per_tree_reference(data, chunk_cells):
+    X, Y, config = data
+    with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
+        model = train(X, Y, config)
+    reference = train_reference(X, Y, config)
+    assert _layout_bytes(model) == _layout_bytes(reference)
+    assert model.base_prediction.tobytes() == reference.base_prediction.tobytes()
+    assert model.predict_batch(X).tobytes() == reference.predict_batch(X).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 40), st.just(2)), elements=_FIT_GRID),
+       st.data(), st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 37, 65536]))
+def test_level_fit_matches_per_tree_reference(X, data, max_depth, min_leaf, chunk_cells):
+    """Every tree and every row's leaf value (the in-sample update of the
+    next round) equal the recursive per-tree fit, also for unsorted rows."""
+    columns = data.draw(st.integers(1, 12))
+    residual = data.draw(hnp.arrays(float, (len(X), columns), elements=_RESIDUALS))
+    residual[:, data.draw(hnp.arrays(bool, columns))] = 0.0
+    config = TrainConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+    orders = [np.argsort(X[:, f], kind="stable") for f in range(2)]
+    with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
+        nodes, sizes, internal, leaf_value = boosting._fit_trees(
+            X, orders, np.ascontiguousarray(residual.T), config)
+    ends = np.cumsum(sizes)
+    assert ends[-1] == len(nodes["feature"])
+    for c in range(columns):
+        tree, leaf_of_row = fit_tree(X, residual[:, c], orders, config)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            got = nodes[name][ends[c] - sizes[c]:ends[c]]
+            assert (got.dtype, got.tobytes()) == (getattr(tree, name).dtype,
+                                                  getattr(tree, name).tobytes())
+        assert internal[c] == tree.num_internal
+        assert leaf_value[c].tobytes() == tree.value[leaf_of_row].tobytes()

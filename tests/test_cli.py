@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamtrain import channel, cli
+from beamtrain import boosting, channel, cli, harness
 from beamtrain.boosting import TrainConfig, save_model, train
 from beamtrain.channel import load_channels
 from beamtrain.dataset import load_dataset
@@ -66,6 +66,46 @@ def test_model_train_and_inspect(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "role: decoupled_ue" in out
     assert "param_count:" in out
+
+
+def _npz_arrays(path):
+    with np.load(path) as data:
+        return {name: (data[name].dtype.str, data[name].tobytes()) for name in data.files}
+
+
+def test_model_train_fits_only_its_role(tmp_path, monkeypatch):
+    cfg = _tiny_config(tmp_path, folds=3, ue_grid=[
+        {"tree_count": 5, "max_depth": 2, "learning_rate": 0.3},
+        {"tree_count": 10, "max_depth": 3, "learning_rate": 0.5}])
+    fitted = []
+    real_train = boosting.train
+
+    def counting(X, Y, config, role="coupled"):
+        fitted.append(Y.shape[1])
+        return real_train(X, Y, config, role)
+
+    monkeypatch.setattr(boosting, "train", counting)
+    path = str(tmp_path / "m.npz")
+    assert cli.main(["model", "train", "--config", cfg, "--role", "theta2_w", "--out", path]) == 0
+    assert fitted == [16] * (2 * 3 + 1)   # 2 grid points x 3 folds, then the final fit
+    # the file holds the theta2_w model of the whole pipeline
+    config = ExperimentConfig.from_file(cfg)
+    _, _, tr_rows, atr_rows = harness.build_corpus(config)
+    models = harness.train_models(config, tr_rows, atr_rows,
+                                  harness.split_corpus(config, len(tr_rows)))
+    save_model(models["theta2_w"], str(tmp_path / "pipeline.npz"))
+    assert _npz_arrays(path) == _npz_arrays(str(tmp_path / "pipeline.npz"))
+
+
+@pytest.mark.parametrize("command", ["run", "heatmap"])
+def test_eval_bad_out_fails_before_any_stage(tmp_path, monkeypatch, capsys, command):
+    ran = []
+    monkeypatch.setattr(harness, "run_experiment", ran.append)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["eval", command, "--smoke", "--out", str(blocker / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_model_inspect_handcrafted(tmp_path, capsys):

@@ -72,6 +72,9 @@ def test_config_rejects_unknown_keys_and_versions():
         ExperimentConfig.from_dict({"nonsense": 1})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"schema_version": 99})
+    with pytest.raises(ValueError, match=r"scene\.lane_cnt"):
+        ExperimentConfig.from_dict({"scene": {"lane_cnt": 3}})
+    assert ExperimentConfig.from_dict({"scene": {"lane_count": 3}}).scene.lane_count == 3
 
 
 def test_config_rejects_snapshot_count_reaching_seed_labels():
