@@ -8,7 +8,7 @@ from .channel import ChannelRealization, channel_for_ue, paths_to_channel
 from .dataset import (ATRRow, DatasetSplit, TRRow, build_rate_dataset, split_dataset,
                       to_atr, to_throughput_ratios)
 from .harness import EvalResult, ExperimentConfig, emit_outputs, run_experiment
-from .linkeval import RateRow, per_pair_rate, sweep_all, sweep_paths, throughput_ratio
+from .linkeval import RateRow, sweep_all, sweep_paths, throughput_ratio
 from .metrics import avg_throughput_ratio, misalignment_probability
 from .scene import PathComponent, SceneConfig, SceneSnapshot, generate_snapshot, trace_paths
 from .selectors import (BeamPairSet, ClusterCoveragePlan, DecoupledSets, kmeans,
@@ -23,7 +23,7 @@ __all__ = [
     "ATRRow", "DatasetSplit", "TRRow", "build_rate_dataset", "split_dataset",
     "to_atr", "to_throughput_ratios",
     "EvalResult", "ExperimentConfig", "emit_outputs", "run_experiment",
-    "RateRow", "per_pair_rate", "sweep_all", "sweep_paths", "throughput_ratio",
+    "RateRow", "sweep_all", "sweep_paths", "throughput_ratio",
     "avg_throughput_ratio", "misalignment_probability",
     "PathComponent", "SceneConfig", "SceneSnapshot", "generate_snapshot", "trace_paths",
     "BeamPairSet", "ClusterCoveragePlan", "DecoupledSets", "kmeans",

@@ -66,21 +66,25 @@ class Codebook:
         return self.beams.shape[0]
 
 
-def steering_vector(geometry: ArrayGeometry, azimuth: float, elevation: float,
+def steering_vector(geometry: ArrayGeometry, azimuth, elevation,
                     carrier_hz: float = DEFAULT_CARRIER_HZ) -> np.ndarray:
     """Unit-norm array response for a direction given in the local frame.
 
     Element (r, c) carries phase -2*pi*d/lambda * (r*u_row + c*u_col) with
     (u_row, u_col) the direction cosines along the row/column axes.
+    `azimuth` and `elevation` may be arrays of one shape S; the responses
+    then have shape S + (num_elements,), each equal to its own call.
     """
     u_col = np.cos(elevation) * np.sin(azimuth)
     u_row = np.sin(elevation)
     d_over_lam = geometry.element_spacing / wavelength(carrier_hz)
     r = np.arange(geometry.rows)[:, None]
     c = np.arange(geometry.cols)[None, :]
-    phase = -2.0 * np.pi * d_over_lam * (r * u_row + c * u_col)
+    shape = np.shape(u_row)
+    phase = -2.0 * np.pi * d_over_lam * (r * np.reshape(u_row, shape + (1, 1))
+                                         + c * np.reshape(u_col, shape + (1, 1)))
     a = np.exp(1j * phase) / np.sqrt(geometry.num_elements)
-    return a.reshape(-1)
+    return a.reshape(shape + (geometry.num_elements,))
 
 
 def _dft_basis(n: int) -> np.ndarray:
@@ -123,14 +127,33 @@ def nearest_beam_index(geometry: ArrayGeometry, u_row: float, u_col: float) -> i
     return m_r * geometry.cols + m_c
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real (N, 3) array.
+
+    Each row is a stacked vector-vector matmul, which numpy computes as the
+    same dot product `np.linalg.norm` takes of one vector, so each norm
+    equals its own `np.linalg.norm` bit for bit. `np.linalg.norm(v, axis=1)`
+    and `einsum` sum the squares in other orders and differ in the last bit.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def direction_angles(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(azimuth, elevation) of each row of an (N, 3) array of unit vectors."""
+    return np.arctan2(unit[:, 1], unit[:, 0]), np.arcsin(np.clip(unit[:, 2], -1.0, 1.0))
+
+
+def local_angles(geometry: ArrayGeometry, directions_world: np.ndarray):
+    """(azimuth, elevation) arrays in the array-local frame of the rows of
+    an (N, 3) array of world directions."""
+    d = directions_world / row_norms(directions_world)[:, None]
+    return direction_angles(d @ geometry.orientation)
+
+
 def world_to_local_angles(geometry: ArrayGeometry, direction_world) -> tuple[float, float]:
     """(azimuth, elevation) in the array-local frame of a world direction."""
-    d = np.asarray(direction_world, dtype=float)
-    d = d / np.linalg.norm(d)
-    local = geometry.orientation.T @ d
-    azimuth = float(np.arctan2(local[1], local[0]))
-    elevation = float(np.arcsin(np.clip(local[2], -1.0, 1.0)))
-    return azimuth, elevation
+    azimuth, elevation = local_angles(geometry, np.asarray(direction_world, dtype=float).reshape(1, 3))
+    return float(azimuth[0]), float(elevation[0])
 
 
 def rotation_from_boresight(boresight, col_axis_hint=(0.0, 0.0, 1.0)) -> np.ndarray:

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, rotation_from_boresight, steering_vector, world_to_local_angles
+from .arrays import ArrayGeometry, local_angles, rotation_from_boresight, steering_vector
 from .fileio import atomic_write, save_npz
-from .scene import PathComponent, SceneConfig, SceneSnapshot, trace_paths
+from .scene import PathComponent, PathTable, SceneConfig, SceneSnapshot, trace_paths
 
 CHANNEL_FORMAT_VERSION = 1
 
@@ -47,27 +47,33 @@ def default_ue_geometry(config: SceneConfig, rows: int = 4, cols: int = 4) -> Ar
     return ArrayGeometry(rows=rows, cols=cols, orientation=orientation)
 
 
-def path_responses(paths: list[PathComponent], bs_geometry: ArrayGeometry,
+def path_responses(table: PathTable, bs_geometry: ArrayGeometry,
                    ue_geometry: ArrayGeometry, config: SceneConfig):
-    """Array responses and subcarrier phases of every traced path.
+    """Array responses and subcarrier phases of every path of a path table.
 
     Returns (a_ue, a_bs, phases): the unit-norm steering vectors a_ue (P, n_ue)
     and a_bs (P, n_bs) toward each path's world-frame arrival and departure
     angles, turned into each array's local frame, and phases (K, P) with
     phases[k, p] = exp(-2j pi k df tau_p). This is the one place where the
-    angle conventions of the paths meet those of the arrays.
+    angle conventions of the paths meet those of the arrays. Each path's
+    responses are computed elementwise, so a row does not depend on the
+    other rows of the table.
     """
-    a_ue = np.empty((len(paths), ue_geometry.num_elements), dtype=complex)
-    a_bs = np.empty((len(paths), bs_geometry.num_elements), dtype=complex)
-    for n, p in enumerate(paths):
-        az, el = world_to_local_angles(bs_geometry, _unit_from_angles(*p.aod))
-        a_bs[n] = steering_vector(bs_geometry, az, el, config.carrier_frequency)
-        az, el = world_to_local_angles(ue_geometry, _unit_from_angles(*p.aoa))
-        a_ue[n] = steering_vector(ue_geometry, az, el, config.carrier_frequency)
+    fc = config.carrier_frequency
+    a_bs = steering_vector(bs_geometry, *local_angles(bs_geometry, _unit_from_angles(table.aod)), fc)
+    a_ue = steering_vector(ue_geometry, *local_angles(ue_geometry, _unit_from_angles(table.aoa)), fc)
     k = np.arange(config.subcarrier_count)[:, None]
-    delays = np.array([p.delay for p in paths], dtype=float)
-    phases = np.exp(-2j * np.pi * k * config.subcarrier_spacing * delays)
+    phases = np.exp(-2j * np.pi * k * config.subcarrier_spacing * table.delay)
     return a_ue, a_bs, phases
+
+
+def dense_channel(gains, a_ue, a_bs, phases) -> np.ndarray:
+    """H[k] = sum_p gains[p] * phases[k, p] * a_ue[p] a_bs[p]^*, accumulated
+    path by path: (K, n_ue, n_bs)."""
+    H = np.zeros((phases.shape[0], a_ue.shape[1], a_bs.shape[1]), dtype=complex)
+    for n, gain in enumerate(gains):
+        H += phases[:, n, None, None] * (gain * np.outer(a_ue[n], a_bs[n].conj()))[None, :, :]
+    return H
 
 
 def paths_to_channel(paths: list[PathComponent], bs_geometry: ArrayGeometry,
@@ -75,14 +81,11 @@ def paths_to_channel(paths: list[PathComponent], bs_geometry: ArrayGeometry,
                      ue_location=(0.0, 0.0), snapshot_id: int = 0,
                      ue_index: int = -1) -> ChannelRealization:
     """H[k] = sum_p gain_p * exp(-2j pi k df tau_p) * a_ue(aoa_p) a_bs(aod_p)^*."""
-    K = config.subcarrier_count
-    n_ue, n_bs = ue_geometry.num_elements, bs_geometry.num_elements
-    H = np.zeros((K, n_ue, n_bs), dtype=complex)
-    a_ue, a_bs, phases = path_responses(paths, bs_geometry, ue_geometry, config)
-    for n, p in enumerate(paths):
-        H += phases[:, n, None, None] * (p.complex_gain * np.outer(a_ue[n], a_bs[n].conj()))[None, :, :]
+    table = PathTable.from_paths(paths)
+    a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
     return ChannelRealization(ue_location=np.asarray(ue_location, dtype=float),
-                              matrices=H, snapshot_id=snapshot_id, ue_index=ue_index)
+                              matrices=dense_channel(table.gain, a_ue, a_bs, phases),
+                              snapshot_id=snapshot_id, ue_index=ue_index)
 
 
 def channel_for_ue(snapshot: SceneSnapshot, ue_index: int, bs_geometry: ArrayGeometry,
@@ -93,12 +96,12 @@ def channel_for_ue(snapshot: SceneSnapshot, ue_index: int, bs_geometry: ArrayGeo
                             snapshot_id=snapshot.snapshot_id, ue_index=ue_index)
 
 
-def _unit_from_angles(azimuth: float, elevation: float) -> np.ndarray:
-    return np.array([
-        np.cos(elevation) * np.cos(azimuth),
-        np.cos(elevation) * np.sin(azimuth),
-        np.sin(elevation),
-    ])
+def _unit_from_angles(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors of the rows of an (N, 2) array of (azimuth, elevation)."""
+    azimuth, elevation = angles[:, 0], angles[:, 1]
+    return np.stack([np.cos(elevation) * np.cos(azimuth),
+                     np.cos(elevation) * np.sin(azimuth),
+                     np.sin(elevation)], axis=1)
 
 
 def save_channels(channels: list[ChannelRealization], path: str, index_csv: str | None = None,

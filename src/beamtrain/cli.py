@@ -10,8 +10,9 @@ import tempfile
 import numpy as np
 
 from . import boosting, dataset, harness, selectors
-from .channel import default_bs_geometry, default_ue_geometry, paths_to_channel, save_channels
-from .scene import generate_snapshot, trace_paths
+from .channel import (ChannelRealization, default_bs_geometry, default_ue_geometry,
+                      dense_channel, path_responses, save_channels)
+from .scene import generate_snapshot, trace_snapshot
 
 
 def _load_config(args) -> harness.ExperimentConfig:
@@ -42,12 +43,13 @@ def cmd_scene_gen(args) -> int:
     for i in range(config.snapshot_count):
         snap = generate_snapshot(config.scene, harness.derive_seed(config.master_seed, i),
                                  snapshot_id=i)
-        for ue in snap.ue_indices:
-            paths = trace_paths(snap, ue, config.scene)
-            channels.append(paths_to_channel(paths, bs_geom, ue_geom, config.scene,
-                                             ue_location=snap.ue_location(ue),
-                                             snapshot_id=snap.snapshot_id, ue_index=ue))
-            counts.append(len(paths))
+        table = trace_snapshot(snap, config.scene)
+        a_ue, a_bs, phases = path_responses(table, bs_geom, ue_geom, config.scene)
+        for ue, rows in zip(snap.ue_indices, table.ue_rows(snap.ue_indices)):
+            H = dense_channel(table.gain[rows], a_ue[rows], a_bs[rows], phases[:, rows])
+            channels.append(ChannelRealization(ue_location=snap.ue_location(ue), matrices=H,
+                                               snapshot_id=snap.snapshot_id, ue_index=ue))
+            counts.append(rows.stop - rows.start)
     os.makedirs(args.out, exist_ok=True)
     save_channels(channels, os.path.join(args.out, "channels.npz"),
                   index_csv=os.path.join(args.out, "channels_index.csv"), path_counts=counts)

@@ -7,12 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import Codebook
+from .channel import path_responses
 from .fileio import atomic_write, save_npz
+from .linkeval import RateRow, sweep_responses
+from .scene import PATH_KINDS, trace_snapshot
 # The dense route (channel_for_ue, sweep_all) is no longer called here, but
 # perfbench/spans.py wraps both at this module, so they stay importable from it.
 from .channel import channel_for_ue  # noqa: F401
-from .linkeval import RateRow, sweep_all, sweep_paths  # noqa: F401
-from .scene import trace_paths
+from .linkeval import sweep_all  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -50,21 +52,34 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
                        bs_geometry, ue_geometry, config) -> list[RateRow]:
     """One row per (snapshot, UE); fully blocked UEs (all-zero rows) are
     dropped with a logged count. Row order is (snapshot_id, ue_index).
-    Rates come from the traced paths (`sweep_paths`); no dense channel is
-    formed."""
+
+    Each snapshot is traced once into a path table, and its array responses
+    are computed once (`path_responses`); each UE's rates come from its
+    slice of both (`sweep_responses`). No dense channel is formed. UEs
+    without paths are dropped unswept. The UE, dropped-UE and per-kind path
+    counts are logged at info level.
+    """
     rows = []
-    dropped = 0
+    ues = dropped = 0
+    paths = np.zeros(len(PATH_KINDS), dtype=int)
     for snapshot in sorted(snapshots, key=lambda s: s.snapshot_id):
-        for ue_index in snapshot.ue_indices:
-            paths = trace_paths(snapshot, ue_index, config)
-            rates = sweep_paths(paths, combiners, beamformers, bs_geometry, ue_geometry, config)
+        table = trace_snapshot(snapshot, config)
+        paths += np.bincount(table.kind, minlength=len(PATH_KINDS))
+        a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
+        for ue_index, ue_rows in zip(snapshot.ue_indices, table.ue_rows(snapshot.ue_indices)):
+            ues += 1
+            if ue_rows.start == ue_rows.stop:
+                dropped += 1
+                continue
+            rates = sweep_responses(table.gain[ue_rows], a_ue[ue_rows], a_bs[ue_rows],
+                                    phases[:, ue_rows], combiners, beamformers, config.sigma2)
             if np.max(rates) <= 0.0:
                 dropped += 1
                 continue
             rows.append(RateRow(location=snapshot.ue_location(ue_index), rates=rates,
                                 snapshot_id=snapshot.snapshot_id, ue_index=ue_index))
-    if dropped:
-        log.info("dropped %d fully blocked UE rows", dropped)
+    log.info("rate dataset: %d UEs, %d dropped as fully blocked; paths: %s", ues, dropped,
+             ", ".join(f"{n} {kind}" for kind, n in zip(PATH_KINDS, paths.tolist())))
     return rows
 
 

@@ -240,7 +240,8 @@ def test_criterion_6_parameter_budgets(full_runs):
 # -------------------------------------------------------- criterion 7
 
 def test_criterion_7_physics_sanity():
-    from beamtrain.scene import PathComponent, _angles_world
+    from beamtrain.scene import PathComponent
+    from reference_scene import angles_world as _angles_world
     scene = SceneConfig()
     bs_g = default_bs_geometry(scene)
     ue_g = default_ue_geometry(scene)

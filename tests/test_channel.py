@@ -7,7 +7,8 @@ from beamtrain.arrays import dft_codebook, nearest_beam_index, steering_vector, 
 from beamtrain.channel import (channel_for_ue, default_bs_geometry, default_ue_geometry,
                                load_channels, paths_to_channel, save_channels)
 from beamtrain.linkeval import sweep_all
-from beamtrain.scene import PathComponent, SceneConfig, _angles_world, generate_snapshot
+from beamtrain.scene import PathComponent, SceneConfig, generate_snapshot
+from reference_scene import angles_world as _angles_world
 
 
 @pytest.fixture

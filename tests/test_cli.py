@@ -4,12 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamtrain import boosting, channel, cli, harness
+from beamtrain import boosting, channel, cli, harness, scene
 from beamtrain.boosting import TrainConfig, save_model, train
-from beamtrain.channel import load_channels
+from beamtrain.channel import default_bs_geometry, default_ue_geometry, load_channels
 from beamtrain.dataset import load_dataset
 from beamtrain.harness import ExperimentConfig
-from beamtrain.scene import trace_paths
+from reference_scene import trace_paths as trace_paths_reference
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -23,15 +23,17 @@ def _tiny_config(tmp_path, **overrides):
 
 def test_scene_gen(tmp_path, capsys, monkeypatch):
     traced = []
+    trace = scene._trace
 
-    def counting(snapshot, ue, config):
-        traced.append((snapshot.snapshot_id, ue))
-        return trace_paths(snapshot, ue, config)
+    def counting(snapshot, ue_indices, config):
+        traced.extend((snapshot.snapshot_id, int(ue)) for ue in ue_indices)
+        return trace(snapshot, ue_indices, config)
 
-    monkeypatch.setattr(cli, "trace_paths", counting)
-    monkeypatch.setattr(channel, "trace_paths", counting)
+    monkeypatch.setattr(scene, "_trace", counting)
+    monkeypatch.setattr(channel, "trace_paths", None)   # no per-UE route
     out = str(tmp_path / "scene")
-    rc = cli.main(["scene", "gen", "--config", _tiny_config(tmp_path), "--out", out])
+    config_path = _tiny_config(tmp_path)
+    rc = cli.main(["scene", "gen", "--config", config_path, "--out", out])
     assert rc == 0
     channels = load_channels(out + "/channels.npz")
     assert channels
@@ -40,6 +42,20 @@ def test_scene_gen(tmp_path, capsys, monkeypatch):
     assert lines[0] == "snapshot_id,ue_index,x,y,path_count"
     assert len(lines) == len(channels) + 1
     assert "wrote" in capsys.readouterr().out
+
+    # each channel is the dense channel of the reference tracer's paths,
+    # bit for bit, and the index counts those paths
+    config = ExperimentConfig.from_file(config_path)
+    bs_g = default_bs_geometry(config.scene, *config.bs_array)
+    ue_g = default_ue_geometry(config.scene, *config.ue_array)
+    snaps = [scene.generate_snapshot(config.scene, harness.derive_seed(config.master_seed, i),
+                                     snapshot_id=i) for i in range(config.snapshot_count)]
+    for c, line in zip(channels, lines[1:]):
+        paths = trace_paths_reference(snaps[c.snapshot_id], c.ue_index, config.scene)
+        dense = channel.paths_to_channel(paths, bs_g, ue_g, config.scene)
+        assert np.array_equal(c.matrices, dense.matrices)
+        assert int(line.split(",")[-1]) == len(paths)
+    assert any(n > 0 for n in (int(line.split(",")[-1]) for line in lines[1:]))
 
 
 def test_dataset_build_and_transform(tmp_path):

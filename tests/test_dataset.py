@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,9 @@ from beamtrain.arrays import dft_codebook
 from beamtrain.channel import channel_for_ue, default_bs_geometry, default_ue_geometry
 from beamtrain.dataset import (TRRow, build_rate_dataset, load_dataset, save_dataset,
                                split_dataset, to_atr, to_throughput_ratios)
-from beamtrain.linkeval import RateRow, sweep_all
+from beamtrain.linkeval import RateRow, sweep_all, sweep_paths
 from beamtrain.scene import SceneConfig, generate_snapshot
+from reference_scene import trace_paths as trace_paths_reference
 
 
 def _small_corpus(seed_count=3, seed0=0):
@@ -51,6 +55,44 @@ def test_build_rate_dataset_matches_dense_route():
     for row, ref in zip(rows, kept):
         assert np.array_equal(row.location, ref.location)
         assert np.max(np.abs(row.rates - ref.rates)) <= 1e-12 * np.max(ref.rates)
+
+
+@pytest.mark.parametrize("bus_fraction", [0.0, 0.2, 0.6])
+def test_build_rate_dataset_equals_per_ue_reference_route(bus_fraction):
+    """Rows equal the reference tracer's paths swept one UE at a time
+    (`sweep_paths` on path lists), bit for bit, with the same UEs kept."""
+    cfg = dataclasses.replace(SceneConfig(), bus_fraction=bus_fraction)
+    snaps = [generate_snapshot(cfg, 40 + s, snapshot_id=s) for s in range(4)]
+    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
+    W, F = dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs")
+    rows = build_rate_dataset(snaps, W, F, bs_g, ue_g, cfg)
+    expected = []
+    for snap in snaps:
+        for ue in snap.ue_indices:
+            rates = sweep_paths(trace_paths_reference(snap, ue, cfg), W, F, bs_g, ue_g, cfg)
+            if np.max(rates) > 0.0:
+                expected.append((snap.snapshot_id, ue, rates))
+    assert [(r.snapshot_id, r.ue_index) for r in rows] == [(s, u) for s, u, _ in expected]
+    for row, (_, _, rates) in zip(rows, expected):
+        assert row.rates.tobytes() == rates.tobytes()
+    if bus_fraction == 0.6:
+        assert len(rows) < sum(len(s.ue_indices) for s in snaps)   # some UEs dropped
+
+
+def test_build_rate_dataset_logs_ue_and_path_counts(caplog):
+    cfg = dataclasses.replace(SceneConfig(), bus_fraction=0.5)
+    snaps = [generate_snapshot(cfg, s, snapshot_id=s) for s in range(3)]
+    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
+    with caplog.at_level(logging.INFO, logger="beamtrain.dataset"):
+        rows = build_rate_dataset(snaps, dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs"),
+                                  bs_g, ue_g, cfg)
+    kinds = [p.kind for s in snaps for u in s.ue_indices for p in trace_paths_reference(s, u, cfg)]
+    ues = sum(len(s.ue_indices) for s in snaps)
+    assert len(rows) < ues
+    assert caplog.messages == [
+        f"rate dataset: {ues} UEs, {ues - len(rows)} dropped as fully blocked; paths: "
+        f"{kinds.count('los')} los, {kinds.count('wall')} wall, {kinds.count('bus')} bus"]
+    assert kinds.count("bus") > 0
 
 
 def test_to_throughput_ratios_basic():

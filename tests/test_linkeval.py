@@ -8,9 +8,36 @@ from hypothesis import strategies as st
 from beamtrain.arrays import ArrayGeometry, dft_codebook
 from beamtrain.channel import (ChannelRealization, default_bs_geometry, default_ue_geometry,
                                paths_to_channel)
-from beamtrain.linkeval import (RateRow, pair_index, per_pair_rate, sweep_all, sweep_paths,
-                                throughput_ratio, unflatten_pair)
+from beamtrain.linkeval import (RateRow, pair_index, sweep_all, sweep_paths, throughput_ratio,
+                                unflatten_pair)
 from beamtrain.scene import PathComponent, SceneConfig
+
+
+def per_pair_rate(channel: ChannelRealization, combiner: np.ndarray, beamformer: np.ndarray,
+                  sigma2: float, rng: np.random.Generator | None = None) -> float:
+    """Average rate over subcarriers for one (combiner, beamformer) pair:
+    the per-pair definition that `sweep_all` is checked against.
+
+    Deterministic mode (default) uses the noise-free effective SNR
+    |w^* H[k] f|^2 / sigma2. With `rng`, the measured-power estimator
+    |y|^2 - sigma2 is used instead, clamped at zero.
+    """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    H = channel.matrices
+    w = np.asarray(combiner)
+    f = np.asarray(beamformer)
+    if w.shape[0] != H.shape[1] or f.shape[0] != H.shape[2]:
+        raise ValueError("combiner/beamformer dimensions do not match the channel")
+    proj = np.einsum("i,kij,j->k", w.conj(), H, f)
+    if rng is None:
+        snr = np.abs(proj) ** 2 / sigma2
+    else:
+        noise = rng.normal(size=(H.shape[0], H.shape[1])) + 1j * rng.normal(size=(H.shape[0], H.shape[1]))
+        noise *= np.sqrt(sigma2 / 2.0)
+        y = proj + noise @ w.conj()
+        snr = np.maximum(np.abs(y) ** 2 - sigma2, 0.0) / sigma2
+    return float(np.mean(np.log2(1.0 + snr)))
 
 
 def _channel(H):

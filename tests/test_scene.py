@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrain import scene
-from beamtrain.scene import (SceneConfig, _blocked, _bus_boxes, _reflection_point,
-                             generate_snapshot, trace_paths)
+from beamtrain.scene import (PATH_KINDS, SceneConfig, Vehicle, _bus_boxes, _segments_blocked,
+                             generate_snapshot, trace_paths, trace_snapshot)
+from reference_scene import blocked as _blocked_reference
+from reference_scene import reflection_point, segment_hits_box
+from reference_scene import trace_paths as trace_paths_reference
+
+
+def _blocked(p0, p1, boxes, exclude=None) -> bool:
+    """The array slab test for one segment."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 2, 3)
+    return bool(_segments_blocked(p0[None], p1[None], boxes,
+                                  [-1 if exclude is None else exclude])[0])
 
 
 def test_snapshot_determinism():
@@ -76,7 +85,6 @@ def test_clear_los_yields_los_plus_two_wall_reflections():
 
 
 def test_bus_straddling_los_blocks_it():
-    from beamtrain.scene import Vehicle
     cfg = SceneConfig()
     car = Vehicle(kind="car", center=(1.75, 100.0, 0.75), dims=cfg.car_dims)
     # bus just ahead of the car, tall enough to cut the descending sight line
@@ -87,7 +95,6 @@ def test_bus_straddling_los_blocks_it():
 
 
 def test_wall_reflection_matches_image_source_oracle():
-    from beamtrain.scene import Vehicle
     cfg = SceneConfig()
     car = Vehicle(kind="car", center=(7.0, 80.0, 0.75), dims=cfg.car_dims)
     snap = _snapshot_with(cfg, [car], [0])
@@ -135,43 +142,13 @@ def test_segment_box_blockage():
 def test_reflection_point_on_plane():
     bs = np.array([0.0, 0.0, 10.0])
     ue = np.array([7.0, 60.0, 1.5])
-    p = _reflection_point(bs, ue, -2.0)
+    p = reflection_point(bs, ue, -2.0)
     assert abs(p[0] - (-2.0)) < 1e-12
     # mirror law: normal components flip, tangential components match
     u_in = (p - bs) / np.linalg.norm(p - bs)
     u_out = (ue - p) / np.linalg.norm(ue - p)
     assert np.isclose(u_in[0], -u_out[0])
     assert np.allclose(u_in[1:], u_out[1:])
-
-
-def _segment_hits_box(p0, p1, lo, hi) -> bool:
-    """Scalar slab test for a segment against one axis-aligned box: the
-    reference for the array version in `scene._blocked`."""
-    d = p1 - p0
-    t_min, t_max = 0.0, 1.0
-    for ax in range(3):
-        if abs(d[ax]) < 1e-12:
-            if p0[ax] < lo[ax] or p0[ax] > hi[ax]:
-                return False
-            continue
-        t0 = (lo[ax] - p0[ax]) / d[ax]
-        t1 = (hi[ax] - p0[ax]) / d[ax]
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t_min = max(t_min, t0)
-        t_max = min(t_max, t1)
-        if t_min > t_max:
-            return False
-    return True
-
-
-def _blocked_reference(p0, p1, boxes, exclude=None) -> bool:
-    for i, (lo, hi) in enumerate(boxes):
-        if i == exclude:
-            continue
-        if _segment_hits_box(p0, p1, lo, hi):
-            return True
-    return False
 
 
 # coordinates on a half-metre grid make segments parallel to an axis, points
@@ -196,7 +173,16 @@ def test_blocked_matches_scalar_slab_test(p0, offset, data):
     exclude = data.draw(st.one_of(st.none(), st.integers(0, len(raw) - 1)) if raw else st.none())
     assert _blocked(p0, p1, boxes, exclude) == _blocked_reference(p0, p1, boxes, exclude)
     for b in range(len(boxes)):
-        assert _blocked(p0, p1, boxes[b:b + 1]) == _segment_hits_box(p0, p1, *boxes[b])
+        assert _blocked(p0, p1, boxes[b:b + 1]) == segment_hits_box(p0, p1, *boxes[b])
+    # one call for the segment, its reverse and the midpoint legs, each with
+    # every exclude: the same answers as segment by segment
+    mid = (p0 + p1) / 2.0
+    legs = [(p0, p1), (p1, p0), (p0, mid), (mid, p1)]
+    excludes = [None, *range(len(boxes))]
+    cases = [(a, b, e) for a, b in legs for e in excludes]
+    got = _segments_blocked(np.array([a for a, _, _ in cases]), np.array([b for _, b, _ in cases]),
+                            boxes, [-1 if e is None else e for _, _, e in cases])
+    assert got.tolist() == [_blocked_reference(a, b, boxes, e) for a, b, e in cases]
 
 
 def _path_bits(path):
@@ -204,10 +190,33 @@ def _path_bits(path):
     return (path.kind, *(float(v).hex() for v in floats))
 
 
+def _table_bits(table, rows):
+    """_path_bits of the table's rows, read from the arrays themselves."""
+    return [(PATH_KINDS[table.kind[n]],
+             *(float(v).hex() for v in (table.gain[n].real, table.gain[n].imag, table.delay[n],
+                                        *table.aod[n], *table.aoa[n])))
+            for n in range(rows.start, rows.stop)]
+
+
+def _assert_table_matches_reference(snap, cfg):
+    """The snapshot's path table holds every UE's reference paths, bit for
+    bit and in order, and nothing else; the per-UE view agrees."""
+    table = trace_snapshot(snap, cfg)
+    rows = table.ue_rows(snap.ue_indices)
+    assert sum(r.stop - r.start for r in rows) == len(table.ue)
+    for ue, r in zip(snap.ue_indices, rows):
+        expected = [_path_bits(p) for p in trace_paths_reference(snap, ue, cfg)]
+        assert np.all(table.ue[r] == ue)
+        assert _table_bits(table, r) == expected
+        assert [_path_bits(p) for p in trace_paths(snap, ue, cfg)] == expected
+    return table
+
+
 @pytest.mark.parametrize("bus_fraction,seed", [(0.2, 1), (0.2, 2), (0.5, 3), (0.8, 4)])
-def test_trace_paths_same_as_with_scalar_slab_test(monkeypatch, bus_fraction, seed):
-    """The array slab test gives the path lists of the per-box scalar loop,
-    bit for bit, and the bus boxes are the per-vehicle corners."""
+def test_trace_paths_same_as_with_scalar_slab_test(bus_fraction, seed):
+    """The path table gives the path lists of the per-UE reference tracer
+    and its per-box scalar slab test, bit for bit, and the bus boxes are
+    the per-vehicle corners."""
     cfg = dataclasses.replace(SceneConfig(), bus_fraction=bus_fraction)
     snaps = [generate_snapshot(cfg, seed * 100 + i, snapshot_id=i) for i in range(6)]
     for snap in snaps:
@@ -219,7 +228,101 @@ def test_trace_paths_same_as_with_scalar_slab_test(monkeypatch, bus_fraction, se
             assert np.array_equal(lo, np.asarray(v.center) - half)
             assert np.array_equal(hi, np.asarray(v.center) + half)
     fast = [[_path_bits(p) for p in trace_paths(s, u, cfg)] for s in snaps for u in s.ue_indices]
-    monkeypatch.setattr(scene, "_blocked", _blocked_reference)
-    slow = [[_path_bits(p) for p in trace_paths(s, u, cfg)] for s in snaps for u in s.ue_indices]
+    slow = [[_path_bits(p) for p in trace_paths_reference(s, u, cfg)]
+            for s in snaps for u in s.ue_indices]
     assert fast == slow
     assert sum(map(len, fast)) > 0
+    for snap in snaps:
+        _assert_table_matches_reference(snap, cfg)
+
+
+_SCENES = st.builds(
+    SceneConfig,
+    lane_count=st.integers(1, 5), lane_width=st.sampled_from([2.5, 3.5, 4.25]),
+    street_length=st.floats(40.0, 200.0), bs_height=st.sampled_from([4.0, 10.0, 22.5]),
+    wall_clearance=st.floats(0.0, 5.0), wall_height=st.floats(3.0, 30.0),
+    min_gap=st.floats(0.5, 3.0), max_gap=st.floats(3.0, 12.0),
+    bus_fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    ue_fraction=st.one_of(st.just(0.0), st.floats(0.3, 1.0)),
+    roi_y_min=st.floats(0.0, 30.0), blockage_margin=st.floats(-0.5, 1.5),
+    wall_reflection=st.floats(0.1, 1.0), bus_reflection=st.floats(0.1, 1.0))
+
+
+def _onto_wall_ends(snap, cfg, ue):
+    """cfg with the street length or wall height moved onto a wall
+    reflection point of `ue`, so that the point sits on the wall's end."""
+    bs = cfg.bs_position
+    ue_xyz = snap.ue_position(ue, cfg)
+    for wall_x in cfg.wall_x:
+        p = reflection_point(bs, ue_xyz, wall_x)
+        if p is not None and p[1] > 0.0 and p[2] > 0.0:
+            return dataclasses.replace(cfg, street_length=float(p[1]), wall_height=float(p[2]))
+    return cfg
+
+
+def _onto_panel_ends(snap, cfg, ue, bus):
+    """snap with the bus's length and height set so that a panel reflection
+    point of `ue` sits on the panel's end and top edge."""
+    v = snap.vehicles[bus]
+    bs, ue_xyz = cfg.bs_position, snap.ue_position(ue, cfg)
+    for panel_x in (v.center[0] - v.dims[0] / 2.0, v.center[0] + v.dims[0] / 2.0):
+        outward = np.sign(panel_x - v.center[0])
+        if np.sign(bs[0] - panel_x) != outward or np.sign(ue_xyz[0] - panel_x) != outward:
+            continue   # the panel faces away from the BS or the UE
+        p = reflection_point(bs, ue_xyz, panel_x)
+        if p is None or p[2] <= 0.0:
+            continue
+        dims = (v.dims[0], 2.0 * abs(float(p[1]) - v.center[1]), float(p[2]))
+        moved = Vehicle(kind="bus", center=(v.center[0], v.center[1], dims[2] / 2.0), dims=dims)
+        vehicles = list(snap.vehicles)
+        vehicles[bus] = moved
+        return dataclasses.replace(snap, vehicles=tuple(vehicles))
+    return snap
+
+
+def test_reflections_on_wall_and_panel_ends_are_kept():
+    """A reflection point exactly on the end of a wall or a bus panel
+    (`<=` on every bound) gives a path."""
+    car = Vehicle(kind="car", center=(5.25, 70.0, 0.75), dims=SceneConfig().car_dims)
+    bus = Vehicle(kind="bus", center=(12.25, 90.0, 1.9), dims=SceneConfig().bus_dims)
+    cfg = _onto_wall_ends(_snapshot_with(SceneConfig(), [car], [0]), SceneConfig(), 0)
+    snap = _onto_panel_ends(_snapshot_with(cfg, [car, bus], [0]), cfg, 0, 1)
+    assert snap.vehicles[1] != bus and cfg != SceneConfig()
+    table = _assert_table_matches_reference(snap, cfg)
+    assert sorted(PATH_KINDS[k] for k in table.kind) == ["bus", "los", "wall"]
+
+
+# a wall clearance of about 1e-275 m puts a reflection point onto the BS:
+# both routes then divide a zero-length leg by its zero norm alike
+@pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(cfg=_SCENES, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_path_table_matches_reference_tracer(cfg, seed, data):
+    """Random streets: any bus fraction, snapshots without buses or UEs,
+    fully blocked UEs, and reflection points on wall and panel ends."""
+    snap = generate_snapshot(cfg, seed)
+    if snap.ue_indices and data.draw(st.booleans()):
+        ue = data.draw(st.sampled_from(snap.ue_indices))
+        cfg = _onto_wall_ends(snap, cfg, ue)
+        buses = [i for i, v in enumerate(snap.vehicles) if v.kind == "bus"]
+        if buses:
+            snap = _onto_panel_ends(snap, cfg, ue, data.draw(st.sampled_from(buses)))
+    table = _assert_table_matches_reference(snap, cfg)
+    assert table.gain.dtype == complex and table.aod.shape == table.aoa.shape == (len(table.ue), 2)
+
+
+def test_path_table_edge_snapshots():
+    """No UE, no bus, and every UE fully blocked by one huge bus box."""
+    cfg = SceneConfig()
+    empty = _snapshot_with(cfg, [Vehicle(kind="car", center=(1.75, 50.0, 0.75), dims=cfg.car_dims)], [])
+    table = _assert_table_matches_reference(empty, cfg)
+    assert len(table.ue) == 0 and table.aod.shape == (0, 2)
+    no_bus = dataclasses.replace(cfg, bus_fraction=0.0)
+    snap = generate_snapshot(no_bus, 3)
+    assert len(_assert_table_matches_reference(snap, no_bus).ue) == 3 * len(snap.ue_indices)
+    walled = dataclasses.replace(cfg, blockage_margin=500.0)
+    snap = generate_snapshot(dataclasses.replace(cfg, bus_fraction=0.5), 5)
+    assert any(v.kind == "bus" for v in snap.vehicles) and snap.ue_indices
+    table = _assert_table_matches_reference(snap, walled)
+    assert len(table.ue) == 0
+    assert all(r.start == r.stop for r in table.ue_rows(snap.ue_indices))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beamtrain.harness import decoupled_split
 from beamtrain.selectors import (BeamPairSet, DecoupledSets, kmeans,
                                  kth_best_probability, load_plan, overhead_bits, save_plan,
                                  select_bs_coverage, select_coupled,
@@ -195,3 +198,49 @@ def test_beam_pair_set_helpers():
     assert s.budget == 3
     d = DecoupledSets(s_w=np.array([0, 1]), s_f=np.array([3, 4, 5]))
     assert d.num_pairs == 6
+
+
+# ------------------------------------------------- nesting as the budget grows
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_b=st.integers(1, 2048), grow=st.integers(0, 2048), s_w=st.integers(1, 64),
+       num_beamformers=st.integers(1, 256))
+def test_decoupled_split_nested_as_budget_grows(n_b, grow, s_w, num_beamformers):
+    small = decoupled_split(n_b, s_w, num_beamformers)
+    large = decoupled_split(n_b + grow, s_w, num_beamformers)
+    for (w, f), budget in ((small, n_b), (large, n_b + grow)):
+        assert 1 <= w <= s_w and 1 <= f <= num_beamformers
+        assert w * f <= budget
+    assert small[0] <= large[0] and small[1] <= large[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0]) | st.floats(-2.0, 2.0),
+                       min_size=1, max_size=40),
+       data=st.data())
+def test_top_k_stable_nested_as_k_grows(scores, data):
+    k = data.draw(st.integers(0, len(scores)))
+    larger = data.draw(st.integers(k, len(scores)))
+    assert np.array_equal(top_k_stable(scores, k), top_k_stable(scores, larger)[:k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), rows=st.integers(4, 40), beams=st.integers(2, 12),
+       clusters=st.integers(1, 4), ties=st.booleans(), significance=st.booleans(),
+       data=st.data())
+def test_coverage_plan_nested_as_budget_grows(seed, rows, beams, clusters, ties, significance,
+                                              data):
+    rng = np.random.default_rng(seed)
+    locations = rng.uniform(0, 100, size=(rows, 2))
+    atr = rng.integers(0, 3, size=(rows, beams)) / 2.0 if ties else rng.uniform(0, 1, (rows, beams))
+    n = data.draw(st.integers(0, beams))
+    larger = data.draw(st.integers(n, beams))
+    plan = select_bs_coverage(locations, atr, num_clusters=clusters, n_bs=larger, seed=seed,
+                              use_significance=significance)
+    small = select_bs_coverage(locations, atr, num_clusters=clusters, n_bs=n, seed=seed,
+                               use_significance=significance)
+    assert len(plan.selected_beams) == larger
+    assert np.array_equal(small.selected_beams, plan.selected_beams[:n])
+    assert np.array_equal(plan.prefix(n).selected_beams, small.selected_beams)
+    assert np.array_equal(plan.prefix(larger).prefix(n).selected_beams, small.selected_beams)
