@@ -12,7 +12,7 @@ from .linkeval import RateRow, sweep_all, sweep_paths, throughput_ratio
 from .metrics import avg_throughput_ratio, misalignment_probability
 from .scene import PathComponent, SceneConfig, SceneSnapshot, generate_snapshot, trace_paths
 from .selectors import (BeamPairSet, ClusterCoveragePlan, DecoupledSets, kmeans,
-                        kth_best_probability, overhead_bits, select_bs_coverage,
+                        kth_best_table, overhead_bits, select_bs_coverage,
                         select_coupled, select_decoupled_no_location,
                         select_decoupled_with_location)
 
@@ -27,7 +27,7 @@ __all__ = [
     "avg_throughput_ratio", "misalignment_probability",
     "PathComponent", "SceneConfig", "SceneSnapshot", "generate_snapshot", "trace_paths",
     "BeamPairSet", "ClusterCoveragePlan", "DecoupledSets", "kmeans",
-    "kth_best_probability", "overhead_bits", "select_bs_coverage",
+    "kth_best_table", "overhead_bits", "select_bs_coverage",
     "select_coupled", "select_decoupled_no_location",
     "select_decoupled_with_location",
 ]

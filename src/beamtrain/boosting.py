@@ -538,7 +538,7 @@ def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray) -> T
         return grid[0]
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    folds = np.unique(fold_assignments)
+    folds = sorted(set(np.asarray(fold_assignments).tolist()))  # np.unique loads numpy.ma
     best = None
     for gi, cfg in enumerate(grid):
         mses, params = [], []

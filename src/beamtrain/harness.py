@@ -253,23 +253,32 @@ def split_corpus(config: ExperimentConfig, num_rows: int):
 
 
 def build_coverage_plan(config: ExperimentConfig, locations, atr_f, split):
-    """The scenario-3 BS beam list, clustered from the training rows."""
+    """The scenario-3 BS beam list, clustered from the training rows. Its
+    cluster count and cluster sizes are logged at info level."""
     with _stage("build cluster coverage plan"):
-        return selectors.select_bs_coverage(
-            locations[split.train_rows], atr_f[split.train_rows], config.cluster_count,
-            n_bs=config.num_beamformers,
-            seed=derive_seed(config.master_seed, _SEED_CLUSTER),
-            use_significance=config.use_significance)
+        try:
+            plan = selectors.select_bs_coverage(
+                locations[split.train_rows], atr_f[split.train_rows], config.cluster_count,
+                n_bs=config.num_beamformers,
+                seed=derive_seed(config.master_seed, _SEED_CLUSTER),
+                use_significance=config.use_significance)
+        except ValueError as e:
+            raise ValueError(f"cluster_count {config.cluster_count}: {e}") from e
+        sizes = np.bincount(plan.assignments, minlength=config.cluster_count)
+        log.info("coverage plan: %d clusters of %d to %d training rows, median %g",
+                 len(sizes), sizes.min(), sizes.max(), np.median(sizes))
+        return plan
 
 
 def run_experiment(config: ExperimentConfig) -> EvalResult:
     """Full reproducible pipeline from (config, master seed) to curves."""
     _, _, tr_rows, atr_rows = build_corpus(config)
     split = split_corpus(config, len(tr_rows))
-    models = train_models(config, tr_rows, atr_rows, split)
     X = np.array([r.location for r in tr_rows])
-    TR = np.array([r.ratios for r in tr_rows])
+    # the plan reads no model, so a bad cluster_count fails before training
     plan = build_coverage_plan(config, X, np.array([r.atr_f for r in atr_rows]), split)
+    models = train_models(config, tr_rows, atr_rows, split)
+    TR = np.array([r.ratios for r in tr_rows])
 
     with _stage("evaluate scenarios"):
         curves, heatmap = evaluate(config, models, plan, X[split.test_rows],

@@ -79,15 +79,25 @@ def select_decoupled_with_location(model_f, model_w, location,
     return DecoupledSets(s_w=top_k_stable(atr_w, num_w), s_f=top_k_stable(atr_f, num_f))
 
 
+def distinct_row_count(X: np.ndarray) -> int:
+    """Number of distinct rows of a 2-D array, as `len(np.unique(X, axis=0))`
+    counts them, from one lexicographic sort (and without importing
+    `numpy.ma`, which `np.unique(..., axis=0)` does)."""
+    if len(X) == 0:
+        return 0
+    ordered = X[np.lexsort(X.T[::-1])]
+    return 1 + int(np.count_nonzero(np.any(ordered[1:] != ordered[:-1], axis=1)))
+
+
 def kmeans(locations: np.ndarray, num_clusters: int, seed: int = 0,
            max_iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ initialization plus Lloyd iterations to an
     assignment fixpoint; empty clusters are re-seeded at the point farthest
     from all centroids."""
     X = np.asarray(locations, dtype=float)
-    distinct = np.unique(X, axis=0)
-    if num_clusters > len(distinct):
-        raise ValueError(f"{num_clusters} clusters exceed {len(distinct)} distinct locations")
+    distinct = distinct_row_count(X)
+    if num_clusters > distinct:
+        raise ValueError(f"{num_clusters} clusters exceed {distinct} distinct locations")
     rng = np.random.default_rng(seed)
 
     centroids = np.empty((num_clusters, X.shape[1]))
@@ -116,17 +126,18 @@ def kmeans(locations: np.ndarray, num_clusters: int, seed: int = 0,
     return centroids, assignments
 
 
-def kth_best_probability(cluster_atr_rows: np.ndarray, k: int) -> np.ndarray:
-    """Empirical probability, over a cluster's rows, that each beam ranks
-    k-th by ATR (ranking ties resolve to the lowest beam index)."""
+def kth_best_table(cluster_atr_rows: np.ndarray) -> np.ndarray:
+    """(|F|, |F|) table whose [k-1, j] entry is the empirical probability,
+    over a cluster's rows, that beam j ranks k-th by ATR (ranking ties
+    resolve to the lowest beam index)."""
     rows = np.atleast_2d(np.asarray(cluster_atr_rows, dtype=float))
     if rows.shape[0] == 0:
         raise ValueError("empty cluster")
     num_beams = rows.shape[1]
-    if not (1 <= k <= num_beams):
-        raise ValueError(f"rank k={k} outside 1..{num_beams}")
     ranked = np.argsort(-rows, axis=1, kind="stable")
-    return np.bincount(ranked[:, k - 1], minlength=num_beams) / rows.shape[0]
+    cells = np.arange(num_beams) * num_beams + ranked
+    counts = np.bincount(cells.ravel(), minlength=num_beams * num_beams)
+    return counts.reshape(num_beams, num_beams) / rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -165,32 +176,24 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
     else:
         significances = np.ones(num_clusters)
 
-    prob_tables = np.zeros((num_clusters, num_beams, num_beams))
-    candidate_sets = []
-    for c in range(num_clusters):
-        cluster_rows = rows[assignments == c]
-        per_cluster = []
-        for k in range(1, num_beams + 1):
-            p = kth_best_probability(cluster_rows, k)
-            prob_tables[c, k - 1] = p
-            nonzero = top_k_stable(p, int(np.sum(p > 0)))
-            per_cluster.append(nonzero)
-        candidate_sets.append(per_cluster)
+    prob_tables = np.stack([kth_best_table(rows[assignments == c])
+                            for c in range(num_clusters)])
+    # candidates[c, k, :nonzero[c, k]]: the beams cluster c ranks (k+1)-th
+    # with nonzero probability, most probable first, ties to the lower index
+    candidates = np.argsort(-prob_tables, axis=2, kind="stable")
+    nonzero = np.count_nonzero(prob_tables > 0, axis=2)
 
     selected: list[int] = []
     chosen = np.zeros(num_beams, dtype=bool)
     for k in range(num_beams):
         if len(selected) >= n_bs:
             break
-        max_len = max(len(candidate_sets[c][k]) for c in range(num_clusters))
-        for pos in range(max_len):
-            candidates = sorted({int(candidate_sets[c][k][pos])
-                                 for c in range(num_clusters)
-                                 if pos < len(candidate_sets[c][k])})
-            if not candidates:
+        for pos in range(int(nonzero[:, k].max())):
+            beams = sorted({int(j) for j in candidates[nonzero[:, k] > pos, k, pos]})
+            if chosen[beams].all():  # nothing left to append at this position
                 continue
-            scores = [float(np.dot(significances, prob_tables[:, k, j])) for j in candidates]
-            for _, j in sorted(zip([-s for s in scores], candidates)):
+            scores = [float(np.dot(significances, prob_tables[:, k, j])) for j in beams]
+            for _, j in sorted(zip([-s for s in scores], beams)):
                 if chosen[j]:
                     continue
                 selected.append(j)

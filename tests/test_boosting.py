@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import beamtrain
 from beamtrain import boosting
 from beamtrain.boosting import (TrainConfig, Tree, TreeEnsembleModel, kfold_tune, load_model,
                                 param_count, save_model, train)
@@ -124,6 +128,22 @@ def test_kfold_prefers_richer_model_when_underfitting():
     strong = TrainConfig(tree_count=60, max_depth=3, learning_rate=0.3,
                          budget_parameters=10000)
     assert kfold_tune(X, Y, [weak, strong], folds) == strong
+
+
+def test_kfold_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma, about 1.5 MB of RSS; numpy 1.x imports it
+    # with numpy itself, so the test checks only that the call adds no import
+    code = ("import sys; import numpy as np\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from beamtrain.boosting import TrainConfig, kfold_tune\n"
+            "X = np.arange(40.0).reshape(20, 2)\n"
+            "grid = [TrainConfig(tree_count=t, budget_parameters=1000) for t in (1, 2)]\n"
+            "kfold_tune(X, X[:, :1] / 40.0, grid, np.arange(20) % 2)\n"
+            "print('numpy.ma' in sys.modules and not before)")
+    src = os.path.dirname(os.path.dirname(beamtrain.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
 
 
 def test_kfold_deterministic():

@@ -1,15 +1,16 @@
 import dataclasses
 import json
+import logging
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from beamtrain import metrics
+from beamtrain import boosting, metrics
 from beamtrain.harness import (DEFAULT_N_B_SWEEP, ExperimentConfig, StageError, _stage,
-                               decoupled_split, derive_seed, emit_outputs, evaluate,
-                               run_experiment)
+                               build_coverage_plan, decoupled_split, derive_seed, emit_outputs,
+                               evaluate, run_experiment)
 from beamtrain.selectors import BeamPairSet, DecoupledSets, overhead_bits
 
 
@@ -107,6 +108,32 @@ def test_stage_wraps_exceptions():
     with pytest.raises(StageError, match="stage 'demo' failed"):
         with _stage("demo"):
             raise RuntimeError("boom")
+
+
+def test_too_many_clusters_fail_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained before the plan was built")
+    monkeypatch.setattr(boosting, "train", no_training)
+    config = dataclasses.replace(ExperimentConfig.smoke(), snapshot_count=4,
+                                 cluster_count=10_000)
+    with pytest.raises(StageError, match="cluster_count 10000: 10000 clusters exceed"):
+        run_experiment(config)
+
+
+def test_build_coverage_plan_logs_cluster_sizes(caplog):
+    # three far-apart blobs of 2, 3 and 6 training rows; the last 4 rows are
+    # held out and must not count
+    rng = np.random.default_rng(8)
+    centers = [(0.0, 0.0)] * 2 + [(100.0, 0.0)] * 3 + [(0.0, 100.0)] * 6 + [(50.0, 50.0)] * 4
+    locations = np.array(centers) + rng.uniform(-1, 1, size=(len(centers), 2))
+    atr_f = rng.uniform(0, 1, size=(len(centers), 64))
+    split = SimpleNamespace(train_rows=np.arange(11))
+    config = dataclasses.replace(ExperimentConfig.smoke(), cluster_count=3)
+    with caplog.at_level(logging.INFO, logger="beamtrain.harness"):
+        plan = build_coverage_plan(config, locations, atr_f, split)
+    assert sorted(np.bincount(plan.assignments)) == [2, 3, 6]
+    assert caplog.messages == ["stage: build cluster coverage plan",
+                               "coverage plan: 3 clusters of 2 to 6 training rows, median 3"]
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beamtrain
 from beamtrain.harness import decoupled_split
-from beamtrain.selectors import (BeamPairSet, DecoupledSets, kmeans,
-                                 kth_best_probability, load_plan, overhead_bits, save_plan,
+from beamtrain.selectors import (BeamPairSet, DecoupledSets, distinct_row_count, kmeans,
+                                 kth_best_table, load_plan, overhead_bits, save_plan,
                                  select_bs_coverage, select_coupled,
                                  select_decoupled_no_location,
                                  select_decoupled_with_location, top_k_stable)
+from reference_selectors import select_bs_coverage_reference
 
 
 class _Const:
@@ -108,24 +114,45 @@ def test_kmeans_deterministic_and_validates():
         kmeans(np.zeros((5, 2)), 2)  # only one distinct point
 
 
-def test_kth_best_probability_worked_example():
+def test_distinct_row_count_matches_unique_rows():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 7, 60):
+        X = rng.integers(0, 3, size=(n, 2)).astype(float)  # repeated rows
+        X[rng.random(n) < 0.2, 1] = -0.0
+        assert distinct_row_count(X) == len(np.unique(X, axis=0))
+    assert distinct_row_count(np.zeros((0, 2))) == 0
+    assert distinct_row_count(np.zeros((5, 2))) == 1
+
+
+def test_plan_leaves_numpy_ma_unloaded():
+    # np.unique(..., axis=0) imports numpy.ma, about 1.5 MB of RSS; numpy 1.x
+    # imports it with numpy itself, so the test checks only that the call adds no import
+    code = ("import sys, types; import numpy as np\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from beamtrain.harness import ExperimentConfig, build_coverage_plan\n"
+            "rng = np.random.default_rng(0)\n"
+            "split = types.SimpleNamespace(train_rows=np.arange(60))\n"
+            "build_coverage_plan(ExperimentConfig(cluster_count=4), rng.integers(0, 9, (80, 2)),\n"
+            "                    rng.random((80, 64)), split)\n"
+            "print('numpy.ma' in sys.modules and not before)")
+    src = os.path.dirname(os.path.dirname(beamtrain.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
+
+
+def test_kth_best_table_worked_example():
     # two rows; beam 2 is best in both, second best splits between 0 and 1
     rows = np.array([[0.5, 0.2, 0.9], [0.1, 0.6, 0.8]])
-    p1 = kth_best_probability(rows, 1)
-    p2 = kth_best_probability(rows, 2)
-    assert np.allclose(p1, [0.0, 0.0, 1.0])
-    assert np.allclose(p2, [0.5, 0.5, 0.0])
-    assert np.allclose(kth_best_probability(rows, 3), [0.5, 0.5, 0.0])
+    table = kth_best_table(rows)
+    assert np.allclose(table, [[0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
     with pytest.raises(ValueError):
-        kth_best_probability(rows, 4)
-    with pytest.raises(ValueError):
-        kth_best_probability(np.zeros((0, 3)), 1)
+        kth_best_table(np.zeros((0, 3)))
 
 
-def test_kth_best_probability_ranking_ties_to_lower_index():
+def test_kth_best_table_ranking_ties_to_lower_index():
     rows = np.array([[0.7, 0.7, 0.1]])
-    assert np.allclose(kth_best_probability(rows, 1), [1.0, 0.0, 0.0])
-    assert np.allclose(kth_best_probability(rows, 2), [0.0, 1.0, 0.0])
+    assert np.allclose(kth_best_table(rows), np.eye(3))
 
 
 def test_coverage_worked_example_two_clusters():
@@ -223,6 +250,30 @@ def test_top_k_stable_nested_as_k_grows(scores, data):
     k = data.draw(st.integers(0, len(scores)))
     larger = data.draw(st.integers(k, len(scores)))
     assert np.array_equal(top_k_stable(scores, k), top_k_stable(scores, larger)[:k])
+
+
+# up to 24 beams: past 16 elements numpy's default sort is no insertion sort, so an
+# unstable candidate sort would show
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 40), beams=st.integers(1, 24),
+       levels=st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (0.0,)]),
+       clusters=st.integers(1, 5), significance=st.booleans(), data=st.data())
+def test_coverage_plan_matches_per_rank_reference(seed, rows, beams, levels, clusters,
+                                                  significance, data):
+    rng = np.random.default_rng(seed)
+    # few distinct locations and ATR values, so clusters repeat rows and ranks tie
+    locations = rng.integers(0, 6, size=(rows, 2)).astype(float)
+    atr = rng.choice(levels, size=(rows, beams))
+    clusters = min(clusters, distinct_row_count(locations))
+    n_bs = data.draw(st.integers(1, beams))
+    got = select_bs_coverage(locations, atr, num_clusters=clusters, n_bs=n_bs, seed=seed,
+                             use_significance=significance)
+    want = select_bs_coverage_reference(locations, atr, num_clusters=clusters, n_bs=n_bs,
+                                        seed=seed, use_significance=significance)
+    assert got.prob_tables.tobytes() == want.prob_tables.tobytes()
+    assert got.significances.tobytes() == want.significances.tobytes()
+    assert got.selected_beams.dtype == want.selected_beams.dtype
+    assert got.selected_beams.tolist() == want.selected_beams.tolist()
 
 
 @settings(max_examples=40, deadline=None)
