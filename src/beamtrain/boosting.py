@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fileio import save_npz
+from .fileio import load_npz, save_npz
 
 log = logging.getLogger(__name__)
 
@@ -555,29 +555,23 @@ def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray) -> T
 
 
 def save_model(model: TreeEnsembleModel, path: str) -> None:
-    arrays = {
-        "format_version": np.array([MODEL_FORMAT_VERSION]),
+    save_npz(path, {
         "base_prediction": model.base_prediction,
         "learning_rate": np.array([model.learning_rate]),
         "output_dimension": np.array([model.output_dimension]),
         "role": np.array([model.role]),
         **model.layout,
-    }
-    save_npz(path, arrays)
+    }, MODEL_FORMAT_VERSION)
 
 
 def load_model(path: str) -> TreeEnsembleModel:
-    try:
-        with open(path, "rb") as fh, np.load(fh) as data:
-            arrays = {name: data[name] for name in data.files}
-    except Exception as exc:
-        raise ValueError(f"cannot read model file {path!r}: {exc}") from exc
-    if "format_version" not in arrays or arrays["format_version"][0] != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model file version in {path!r}")
+    arrays = load_npz(path, "model", MODEL_FORMAT_VERSION,
+                      ("base_prediction", "learning_rate", "output_dimension", "role")
+                      + tuple(key for key, _ in _LAYOUT))
     try:
         return TreeEnsembleModel.from_layout(
             arrays["base_prediction"], {key: arrays[key] for key, _ in _LAYOUT},
             learning_rate=float(arrays["learning_rate"][0]),
             output_dimension=int(arrays["output_dimension"][0]), role=str(arrays["role"][0]))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad model file {path!r}: {exc}") from exc

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayGeometry, local_angles, rotation_from_boresight, steering_vector
-from .fileio import atomic_write, save_npz
+from .fileio import atomic_write, load_npz, save_npz
 from .scene import PathComponent, PathTable, SceneConfig, SceneSnapshot, trace_paths
 
 CHANNEL_FORMAT_VERSION = 1
+_CHANNEL_KEYS = ("snapshot_ids", "ue_indices", "locations", "matrices")
 
 
 @dataclass(frozen=True)
@@ -25,12 +26,10 @@ class ChannelRealization:
         return self.matrices.shape[0]
 
 
-def default_bs_geometry(config: SceneConfig, rows: int = 8, cols: int = 8,
-                        tilt: float | None = None) -> ArrayGeometry:
+def default_bs_geometry(config: SceneConfig, rows: int = 8, cols: int = 8) -> ArrayGeometry:
     """BS array on the wall at the origin, boresight down-tilted along the
-    street; default tilt aims at lane level mid-region."""
-    if tilt is None:
-        tilt = float(np.arctan(config.bs_height / (config.street_length / 2.0)))
+    street; the tilt aims at lane level mid-region."""
+    tilt = float(np.arctan(config.bs_height / (config.street_length / 2.0)))
     boresight = np.array([0.0, np.cos(tilt), -np.sin(tilt)])
     return ArrayGeometry(rows=rows, cols=cols,
                          orientation=rotation_from_boresight(boresight),
@@ -104,35 +103,25 @@ def _unit_from_angles(angles: np.ndarray) -> np.ndarray:
                      np.sin(elevation)], axis=1)
 
 
-def save_channels(channels: list[ChannelRealization], path: str, index_csv: str | None = None,
-                  path_counts: list[int] | None = None) -> None:
-    """Versioned binary bundle plus an optional human-readable index CSV."""
-    arrays = {
-        "format_version": np.array([CHANNEL_FORMAT_VERSION]),
+def save_channels(channels: list[ChannelRealization], path: str, index_csv: str,
+                  path_counts: list[int]) -> None:
+    """Versioned binary bundle plus a human-readable index CSV."""
+    save_npz(path, {
         "snapshot_ids": np.array([c.snapshot_id for c in channels]),
         "ue_indices": np.array([c.ue_index for c in channels]),
         "locations": np.array([c.ue_location for c in channels]),
         "matrices": np.array([c.matrices for c in channels]),
-    }
-    save_npz(path, arrays)
-    if index_csv is not None:
-        counts = path_counts if path_counts is not None else [-1] * len(channels)
-        with atomic_write(index_csv, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["snapshot_id", "ue_index", "x", "y", "path_count"])
-            for c, n in zip(channels, counts):
-                writer.writerow([c.snapshot_id, c.ue_index,
-                                 "%.9g" % c.ue_location[0], "%.9g" % c.ue_location[1], n])
+    }, CHANNEL_FORMAT_VERSION)
+    with atomic_write(index_csv, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["snapshot_id", "ue_index", "x", "y", "path_count"])
+        for c, n in zip(channels, path_counts):
+            writer.writerow([c.snapshot_id, c.ue_index,
+                             "%.9g" % c.ue_location[0], "%.9g" % c.ue_location[1], n])
 
 
 def load_channels(path: str) -> list[ChannelRealization]:
-    try:
-        with open(path, "rb") as fh, np.load(fh) as npz:
-            data = {name: npz[name] for name in npz.files}
-    except Exception as exc:
-        raise ValueError(f"cannot read channel file {path!r}: {exc}") from exc
-    if "format_version" not in data or data["format_version"][0] != CHANNEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported channel file version in {path!r}")
+    data = load_npz(path, "channel", CHANNEL_FORMAT_VERSION, _CHANNEL_KEYS)
     return [
         ChannelRealization(ue_location=data["locations"][i], matrices=data["matrices"][i],
                            snapshot_id=int(data["snapshot_ids"][i]),

@@ -62,18 +62,16 @@ def cmd_dataset_build(args) -> int:
     _, rate_rows, _, _ = harness.build_corpus(config)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "rates." + ("csv" if args.format == "csv" else "npz"))
-    dataset.save_dataset(rate_rows, path, fmt=args.format,
-                         num_combiners=config.num_combiners,
-                         num_beamformers=config.num_beamformers)
+    dataset.save_dataset(rate_rows, path, (config.num_combiners, config.num_beamformers),
+                         fmt=args.format)
     print(f"wrote {len(rate_rows)} rows to {path}")
     return 0
 
 
 def cmd_dataset_transform(args) -> int:
-    rows = dataset.load_dataset(args.input, fmt="binary")
+    rows, pair_shape = dataset.load_dataset(args.input, fmt="binary")
     tr_rows = dataset.to_throughput_ratios(rows)
-    dataset.save_dataset(tr_rows, args.out, fmt="binary",
-                         num_combiners=args.num_combiners, num_beamformers=args.num_beamformers)
+    dataset.save_dataset(tr_rows, args.out, pair_shape, fmt="binary")
     print(f"wrote {len(tr_rows)} throughput-ratio rows to {args.out}")
     return 0
 
@@ -160,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = ds.add_parser("transform", help="rates -> throughput ratios")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--num-combiners", type=int, default=16)
-    p.add_argument("--num-beamformers", type=int, default=64)
     p.set_defaults(func=cmd_dataset_transform)
 
     model = sub.add_parser("model", help="regression models").add_subparsers(

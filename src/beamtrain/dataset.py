@@ -2,13 +2,14 @@
 
 import csv
 import logging
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import Codebook
 from .channel import path_responses
-from .fileio import atomic_write, save_npz
+from .fileio import atomic_write, load_npz, require_keys, save_npz
 from .linkeval import RateRow, sweep_responses
 from .scene import PATH_KINDS, trace_snapshot
 # The dense route (channel_for_ue, sweep_all) is no longer called here, but
@@ -19,6 +20,7 @@ from .linkeval import sweep_all  # noqa: F401
 log = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 1
+_DATASET_KEYS = ("locations", "snapshot_ids", "ue_indices", "values", "row_kind", "pair_shape")
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,
 def _rows_to_arrays(rows):
     locs = np.array([r.location for r in rows])
     snaps = np.array([r.snapshot_id for r in rows])
-    ues = np.array([getattr(r, "ue_index", -1) for r in rows])
+    ues = np.array([r.ue_index for r in rows])
     if isinstance(rows[0], TRRow):
         values = np.array([r.ratios for r in rows])
         extra = {"max_rates": np.array([r.max_rate for r in rows]), "row_kind": np.array(["tr"])}
@@ -138,23 +140,30 @@ def _rows_to_arrays(rows):
     return locs, snaps, ues, values, extra
 
 
-def save_dataset(rows, path: str, fmt: str = "binary",
-                 num_combiners: int | None = None, num_beamformers: int | None = None) -> None:
-    """Persist rate or TR rows; binary round-trips losslessly, CSV keeps
-    9 significant digits. CSV columns: x, y, snapshot_id, r_{i}_{j}."""
+def _check_pair_shape(pair_shape, width, path: str) -> tuple[int, int]:
+    """(|W|, |F|) of a dataset file, which must be positive and cover its
+    `width` pairs per row."""
+    shape = tuple(int(n) for n in np.ravel(pair_shape))
+    if len(shape) != 2 or min(shape) < 1 or shape[0] * shape[1] != width:
+        raise ValueError(f"pair_shape {shape} of dataset file {path!r} does not match "
+                         f"its row width {width}")
+    return shape
+
+
+def save_dataset(rows, path: str, pair_shape, fmt: str) -> None:
+    """Persist rate or TR rows of `pair_shape` = (|W|, |F|) pairs; binary
+    round-trips losslessly, CSV keeps 9 significant digits. CSV columns:
+    x, y, snapshot_id, r_{i}_{j}."""
     if not rows:
         raise ValueError("cannot save an empty dataset")
     locs, snaps, ues, values, extra = _rows_to_arrays(rows)
+    num_combiners, num_beamformers = _check_pair_shape(pair_shape, values.shape[1], path)
     if fmt == "binary":
-        arrays = {"format_version": np.array([DATASET_FORMAT_VERSION]),
-                  "locations": locs, "snapshot_ids": snaps, "ue_indices": ues,
-                  "values": values, **extra}
-        if num_combiners and num_beamformers:
-            arrays["pair_shape"] = np.array([num_combiners, num_beamformers])
-        save_npz(path, arrays)
+        save_npz(path, {"locations": locs, "snapshot_ids": snaps, "ue_indices": ues,
+                        "values": values, **extra,
+                        "pair_shape": np.array([num_combiners, num_beamformers])},
+                 DATASET_FORMAT_VERSION)
     elif fmt == "csv":
-        if not (num_combiners and num_beamformers):
-            raise ValueError("CSV format needs num_combiners and num_beamformers for headers")
         header = ["x", "y", "snapshot_id"] + [
             f"r_{i + 1}_{j + 1}" for i in range(num_combiners) for j in range(num_beamformers)]
         with atomic_write(path, newline="") as fh:
@@ -168,28 +177,24 @@ def save_dataset(rows, path: str, fmt: str = "binary",
 
 
 def load_dataset(path: str, fmt: str = "binary"):
-    """Load rows saved by save_dataset; malformed files raise ValueError."""
+    """Load (rows, pair_shape) saved by save_dataset; malformed files raise
+    ValueError. pair_shape = (|W|, |F|) comes from the npz, or from the last
+    CSV header cell r_{|W|}_{|F|}, and must match the row width."""
     if fmt == "binary":
-        try:
-            with open(path, "rb") as fh, np.load(fh) as npz:
-                data = {name: npz[name] for name in npz.files}
-        except Exception as exc:
-            raise ValueError(f"cannot read dataset file {path!r}: {exc}") from exc
-        if "format_version" not in data or data["format_version"][0] != DATASET_FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset version in {path!r}")
+        data = load_npz(path, "dataset", DATASET_FORMAT_VERSION, _DATASET_KEYS)
+        values = data["values"]
+        pair_shape = _check_pair_shape(data["pair_shape"],
+                                       values.shape[1] if values.ndim == 2 else None, path)
         kind = str(data["row_kind"][0])
+        if kind == "tr":
+            require_keys(data, path, "dataset", ("max_rates",))
         rows = []
         for n in range(len(data["snapshot_ids"])):
-            if kind == "tr":
-                rows.append(TRRow(location=data["locations"][n], ratios=data["values"][n],
-                                  max_rate=float(data["max_rates"][n]),
-                                  snapshot_id=int(data["snapshot_ids"][n]),
-                                  ue_index=int(data["ue_indices"][n])))
-            else:
-                rows.append(RateRow(location=data["locations"][n], rates=data["values"][n],
-                                    snapshot_id=int(data["snapshot_ids"][n]),
-                                    ue_index=int(data["ue_indices"][n])))
-        return rows
+            ids = dict(location=data["locations"][n], snapshot_id=int(data["snapshot_ids"][n]),
+                       ue_index=int(data["ue_indices"][n]))
+            rows.append(TRRow(ratios=values[n], max_rate=float(data["max_rates"][n]), **ids)
+                        if kind == "tr" else RateRow(rates=values[n], **ids))
+        return rows, pair_shape
     if fmt == "csv":
         rows = []
         with open(path, newline="") as fh:
@@ -198,16 +203,15 @@ def load_dataset(path: str, fmt: str = "binary"):
                 header = next(reader)
             except StopIteration:
                 raise ValueError(f"empty dataset file {path!r}")
-            if header[:3] != ["x", "y", "snapshot_id"]:
+            if (header[:3] != ["x", "y", "snapshot_id"]
+                    or not re.fullmatch(r"r_\d+_\d+", header[-1])):
                 raise ValueError(f"malformed dataset header in {path!r}")
-            width = len(header) - 3
+            pair_shape = _check_pair_shape(header[-1].split("_")[1:], len(header) - 3, path)
             for line in reader:
                 if len(line) != len(header):
                     raise ValueError(f"truncated or malformed row in {path!r}")
                 rows.append(RateRow(location=np.array([float(line[0]), float(line[1])]),
                                     rates=np.array([float(v) for v in line[3:]]),
                                     snapshot_id=int(line[2])))
-            if rows and any(len(r.rates) != width for r in rows):
-                raise ValueError(f"inconsistent row width in {path!r}")
-        return rows
+        return rows, pair_shape
     raise ValueError(f"unknown dataset format {fmt!r}")

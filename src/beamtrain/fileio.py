@@ -1,4 +1,4 @@
-"""Atomic file writes: every output file appears whole or not at all."""
+"""Atomic file writes, and the versioned npz archive every artifact file uses."""
 
 import os
 import secrets
@@ -29,7 +29,32 @@ def atomic_write(path: str, mode: str = "w", newline: str | None = None):
         raise
 
 
-def save_npz(path: str, arrays: dict) -> None:
-    """Write `arrays` as one compressed npz archive, atomically."""
+def save_npz(path: str, arrays: dict, version: int) -> None:
+    """Write `format_version` and then `arrays`, in their order, as one
+    compressed npz archive, atomically."""
     with atomic_write(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        np.savez_compressed(fh, format_version=np.array([version]), **arrays)
+
+
+def load_npz(path: str, what: str, version: int, keys) -> dict:
+    """Read every array of an archive written by `save_npz`.
+
+    An unreadable archive, another `format_version` and the first of `keys`
+    that the archive lacks each raise a ValueError naming the file; `what`
+    names the kind of file in the message."""
+    try:
+        with open(path, "rb") as fh, np.load(fh) as npz:
+            data = {name: npz[name] for name in npz.files}
+    except Exception as exc:
+        raise ValueError(f"cannot read {what} file {path!r}: {exc}") from exc
+    if not np.array_equal(data.get("format_version"), [version]):
+        raise ValueError(f"unsupported {what} file version in {path!r}")
+    require_keys(data, path, what, keys)
+    return data
+
+
+def require_keys(data: dict, path: str, what: str, keys) -> None:
+    """Raise a ValueError naming the first of `keys` missing from `data`."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} file {path!r} lacks key {key!r}")

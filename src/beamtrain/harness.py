@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 try:
@@ -60,7 +61,6 @@ class ExperimentConfig:
     )
     heatmap_s_w: tuple = (1, 2, 3, 4, 5, 6, 7)
     heatmap_s_f: tuple = (1, 2, 4, 8, 12, 16, 20, 24, 32)
-    output_dir: str = "out"
 
     def __post_init__(self):
         # snapshot i draws its seed from label i, which must stay below the
@@ -171,17 +171,17 @@ class StageError(RuntimeError):
     """Pipeline failure annotated with the failing stage."""
 
 
+@contextmanager
 def _stage(name):
-    class _ctx:
-        def __enter__(self):
-            log.info("stage: %s", name)
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(f"stage '{name}' failed: {exc}") from exc
-            return False
-    return _ctx()
+    """Log the stage; an Exception raised in it becomes a StageError naming
+    it. KeyboardInterrupt and other BaseExceptions pass through."""
+    log.info("stage: %s", name)
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(f"stage '{name}' failed: {exc}") from exc
 
 
 def decoupled_split(n_b: int, s_w: int, num_beamformers: int) -> tuple[int, int]:

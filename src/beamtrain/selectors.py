@@ -17,11 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import atomic_write, save_npz
+from .fileio import atomic_write, load_npz, save_npz
 
 log = logging.getLogger(__name__)
 
 PLAN_FORMAT_VERSION = 1
+_PLAN_KEYS = ("centroids", "assignments", "significances", "prob_tables", "selected_beams")
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,11 @@ def distinct_row_count(X: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(np.any(ordered[1:] != ordered[:-1], axis=1)))
 
 
-def kmeans(locations: np.ndarray, num_clusters: int, seed: int = 0,
-           max_iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded k-means++ initialization plus Lloyd iterations to an
-    assignment fixpoint; empty clusters are re-seeded at the point farthest
-    from all centroids."""
+def kmeans(locations: np.ndarray, num_clusters: int,
+           seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded k-means++ initialization plus at most 100 Lloyd iterations to
+    an assignment fixpoint; empty clusters are re-seeded at the point
+    farthest from all centroids."""
     X = np.asarray(locations, dtype=float)
     distinct = distinct_row_count(X)
     if num_clusters > distinct:
@@ -109,7 +110,7 @@ def kmeans(locations: np.ndarray, num_clusters: int, seed: int = 0,
         d2 = np.minimum(d2, np.sum((X - centroids[c]) ** 2, axis=1))
 
     assignments = np.full(len(X), -1)
-    for _ in range(max_iters):
+    for _ in range(100):
         dists = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_assignments = np.argmin(dists, axis=1)  # ties -> lowest index
         for c in range(num_clusters):
@@ -224,38 +225,20 @@ def select_decoupled_no_location(model_w, location, num_w: int,
     return DecoupledSets(s_w=top_k_stable(atr_w, num_w), s_f=plan.selected_beams.copy())
 
 
-def save_plan(plan: ClusterCoveragePlan, path: str, csv_path: str | None = None) -> None:
-    arrays = {
-        "format_version": np.array([PLAN_FORMAT_VERSION]),
-        "centroids": plan.centroids,
-        "assignments": plan.assignments,
-        "significances": plan.significances,
-        "prob_tables": plan.prob_tables,
-        "selected_beams": plan.selected_beams,
-    }
-    save_npz(path, arrays)
-    if csv_path is not None:
-        with atomic_write(csv_path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["selection_order", "beam_index"])
-            for i, j in enumerate(plan.selected_beams):
-                writer.writerow([i, int(j)])
-            writer.writerow([])
-            writer.writerow(["cluster", "significance", "centroid_x", "centroid_y"])
-            for c in range(len(plan.centroids)):
-                writer.writerow([c, "%.9g" % plan.significances[c],
-                                 "%.9g" % plan.centroids[c, 0], "%.9g" % plan.centroids[c, 1]])
+def save_plan(plan: ClusterCoveragePlan, path: str, csv_path: str) -> None:
+    save_npz(path, {key: getattr(plan, key) for key in _PLAN_KEYS}, PLAN_FORMAT_VERSION)
+    with atomic_write(csv_path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["selection_order", "beam_index"])
+        for i, j in enumerate(plan.selected_beams):
+            writer.writerow([i, int(j)])
+        writer.writerow([])
+        writer.writerow(["cluster", "significance", "centroid_x", "centroid_y"])
+        for c in range(len(plan.centroids)):
+            writer.writerow([c, "%.9g" % plan.significances[c],
+                             "%.9g" % plan.centroids[c, 0], "%.9g" % plan.centroids[c, 1]])
 
 
 def load_plan(path: str) -> ClusterCoveragePlan:
-    try:
-        with open(path, "rb") as fh, np.load(fh) as npz:
-            data = {name: npz[name] for name in npz.files}
-    except Exception as exc:
-        raise ValueError(f"cannot read plan file {path!r}: {exc}") from exc
-    if "format_version" not in data or data["format_version"][0] != PLAN_FORMAT_VERSION:
-        raise ValueError(f"unsupported plan file version in {path!r}")
-    return ClusterCoveragePlan(centroids=data["centroids"], assignments=data["assignments"],
-                               significances=data["significances"],
-                               prob_tables=data["prob_tables"],
-                               selected_beams=data["selected_beams"])
+    data = load_npz(path, "plan", PLAN_FORMAT_VERSION, _PLAN_KEYS)
+    return ClusterCoveragePlan(**{key: data[key] for key in _PLAN_KEYS})

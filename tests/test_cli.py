@@ -62,14 +62,30 @@ def test_dataset_build_and_transform(tmp_path):
     out = str(tmp_path / "ds")
     rc = cli.main(["dataset", "build", "--config", _tiny_config(tmp_path), "--out", out])
     assert rc == 0
-    rows = load_dataset(out + "/rates.npz", fmt="binary")
+    rows, pair_shape = load_dataset(out + "/rates.npz", fmt="binary")
     assert rows and rows[0].rates.shape == (1024,)
+    assert pair_shape == (16, 64)
 
     tr_out = str(tmp_path / "tr.npz")
     rc = cli.main(["dataset", "transform", "--input", out + "/rates.npz", "--out", tr_out])
     assert rc == 0
-    tr = load_dataset(tr_out, fmt="binary")
+    tr, pair_shape = load_dataset(tr_out, fmt="binary")
+    assert pair_shape == (16, 64)
     assert np.all(np.max([r.ratios for r in tr], axis=1) == 1.0)
+
+
+def test_dataset_transform_keeps_the_input_pair_shape(tmp_path):
+    out = str(tmp_path / "ds")
+    config = _tiny_config(tmp_path, bs_array=[4, 4])
+    assert cli.main(["dataset", "build", "--config", config, "--out", out]) == 0
+    tr_out = str(tmp_path / "tr.npz")
+    assert cli.main(["dataset", "transform", "--input", out + "/rates.npz",
+                     "--out", tr_out]) == 0
+    with np.load(tr_out) as npz:
+        assert npz["pair_shape"].tolist() == [16, 16]
+        assert npz["values"].shape[1] == 256
+    tr, pair_shape = load_dataset(tr_out, fmt="binary")
+    assert pair_shape == (16, 16) and tr[0].ratios.shape == (256,)
 
 
 def test_model_train_and_inspect(tmp_path, capsys):

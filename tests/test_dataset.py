@@ -180,8 +180,9 @@ def _toy_rows(n=5, width=12, seed=0):
 def test_binary_roundtrip_bit_identical(tmp_path):
     rows = _toy_rows()
     path = str(tmp_path / "d.npz")
-    save_dataset(rows, path, fmt="binary", num_combiners=3, num_beamformers=4)
-    loaded = load_dataset(path, fmt="binary")
+    save_dataset(rows, path, (3, 4), fmt="binary")
+    loaded, pair_shape = load_dataset(path, fmt="binary")
+    assert pair_shape == (3, 4)
     for a, b in zip(rows, loaded):
         assert np.array_equal(a.rates, b.rates)
         assert np.array_equal(a.location, b.location)
@@ -191,8 +192,9 @@ def test_binary_roundtrip_bit_identical(tmp_path):
 def test_csv_roundtrip_precision(tmp_path):
     rows = to_throughput_ratios(_toy_rows())
     path = str(tmp_path / "d.csv")
-    save_dataset(rows, path, fmt="csv", num_combiners=3, num_beamformers=4)
-    loaded = load_dataset(path, fmt="csv")
+    save_dataset(rows, path, (3, 4), fmt="csv")
+    loaded, pair_shape = load_dataset(path, fmt="csv")
+    assert pair_shape == (3, 4)
     for a, b in zip(rows, loaded):
         assert np.abs(a.ratios - b.rates).max() < 1e-8
     with open(path) as fh:
@@ -204,17 +206,41 @@ def test_csv_roundtrip_precision(tmp_path):
 def test_truncated_files_raise(tmp_path):
     rows = _toy_rows()
     binpath = tmp_path / "d.npz"
-    save_dataset(rows, str(binpath), fmt="binary")
+    save_dataset(rows, str(binpath), (3, 4), fmt="binary")
     binpath.write_bytes(binpath.read_bytes()[:40])
     with pytest.raises(ValueError):
         load_dataset(str(binpath), fmt="binary")
 
     csvpath = tmp_path / "d.csv"
-    save_dataset(rows, str(csvpath), fmt="csv", num_combiners=3, num_beamformers=4)
+    save_dataset(rows, str(csvpath), (3, 4), fmt="csv")
     text = csvpath.read_text()
     csvpath.write_text(text[:len(text) // 2].rsplit(",", 1)[0])
     with pytest.raises(ValueError):
         load_dataset(str(csvpath), fmt="csv")
+
+
+def test_load_rejects_pair_shape_off_the_row_width(tmp_path):
+    rows = _toy_rows(width=12)
+    binpath = str(tmp_path / "d.npz")
+    save_dataset(rows, binpath, (3, 4), fmt="binary")
+    with np.load(binpath) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays["pair_shape"] = np.array([4, 4])
+    np.savez_compressed(binpath, **arrays)
+    with pytest.raises(ValueError, match=r"pair_shape \(4, 4\) .* row width 12"):
+        load_dataset(binpath, fmt="binary")
+
+    csvpath = tmp_path / "d.csv"
+    save_dataset(rows, str(csvpath), (3, 4), fmt="csv")
+    csvpath.write_text(csvpath.read_text().replace("r_3_4", "r_4_4", 1))
+    with pytest.raises(ValueError, match=r"pair_shape \(4, 4\) .* row width 12"):
+        load_dataset(str(csvpath), fmt="csv")
+    with pytest.raises(ValueError, match="row width 12"):
+        save_dataset(rows, binpath, (4, 4), fmt="binary")
+    arrays["pair_shape"], arrays["values"] = np.array([3, 4]), arrays["values"].ravel()
+    np.savez_compressed(binpath, **arrays)
+    with pytest.raises(ValueError, match=r"pair_shape \(3, 4\) .* row width None"):
+        load_dataset(binpath, fmt="binary")
 
 
 def test_tr_rows_have_unique_argmax_under_tie_rule():

@@ -3,7 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from beamtrain.fileio import atomic_write, save_npz
+from beamtrain.boosting import TrainConfig, load_model, save_model, train
+from beamtrain.channel import ChannelRealization, load_channels, save_channels
+from beamtrain.dataset import load_dataset, save_dataset, to_throughput_ratios
+from beamtrain.fileio import atomic_write, load_npz, save_npz
+from beamtrain.linkeval import RateRow
+from beamtrain.selectors import ClusterCoveragePlan, load_plan, save_plan
 
 
 def test_atomic_write_replaces_the_file(tmp_path):
@@ -46,9 +51,91 @@ def test_files_get_the_mode_of_a_plain_open(tmp_path):
     plain = tmp_path / "plain"
     with open(plain, "w"):
         pass
-    save_npz(str(tmp_path / "a.npz"), {"x": np.arange(3)})
+    save_npz(str(tmp_path / "a.npz"), {"x": np.arange(3)}, 1)
     with atomic_write(str(tmp_path / "b.csv")) as fh:
         fh.write("x\n")
     want = os.stat(plain).st_mode
     assert os.stat(tmp_path / "a.npz").st_mode == want
     assert os.stat(tmp_path / "b.csv").st_mode == want
+
+
+def test_npz_roundtrip_writes_the_version_first(tmp_path):
+    path = str(tmp_path / "a.npz")
+    save_npz(path, {"b": np.arange(3), "a": np.array(["x"])}, 7)
+    with np.load(path) as npz:
+        assert npz.files == ["format_version", "b", "a"]
+    data = load_npz(path, "test", 7, ("a", "b"))
+    assert data["format_version"].tolist() == [7]
+    assert data["b"].tolist() == [0, 1, 2] and data["a"].tolist() == ["x"]
+
+
+def test_npz_rejects_other_versions_and_bad_archives(tmp_path):
+    path = str(tmp_path / "a.npz")
+    save_npz(path, {"x": np.arange(3)}, 2)
+    with pytest.raises(ValueError, match="unsupported test file version in .*a.npz"):
+        load_npz(path, "test", 1, ("x",))
+    np.savez_compressed(path, x=np.arange(3))   # no format_version at all
+    with pytest.raises(ValueError, match="unsupported test file version"):
+        load_npz(path, "test", 1, ("x",))
+    (tmp_path / "a.npz").write_bytes(b"PK\x03\x04" + bytes(36))   # a cut archive
+    with pytest.raises(ValueError, match="cannot read test file .*a.npz"):
+        load_npz(path, "test", 1, ("x",))
+    save_npz(path, {"x": np.arange(3)}, 1)
+    with pytest.raises(ValueError, match="test file .*a.npz.* lacks key 'y'"):
+        load_npz(path, "test", 1, ("x", "y", "z"))
+
+
+def _rate_rows():
+    rng = np.random.default_rng(0)
+    return [RateRow(location=rng.uniform(0, 100, 2), rates=rng.uniform(0.01, 3, 6),
+                    snapshot_id=k, ue_index=k) for k in range(4)]
+
+
+def _write_rate_dataset(path):
+    save_dataset(_rate_rows(), path, (2, 3), fmt="binary")
+
+
+def _write_tr_dataset(path):
+    save_dataset(to_throughput_ratios(_rate_rows()), path, (2, 3), fmt="binary")
+
+
+def _write_channels(path):
+    channel = ChannelRealization(ue_location=np.array([1.0, 2.0]),
+                                 matrices=np.ones((2, 2, 3), dtype=complex), snapshot_id=0,
+                                 ue_index=0)
+    save_channels([channel], path, path + ".csv", [1])
+
+
+def _write_plan(path):
+    plan = ClusterCoveragePlan(centroids=np.zeros((1, 2)), assignments=np.zeros(3, dtype=int),
+                               significances=np.ones(1), prob_tables=np.ones((1, 2, 2)) / 2,
+                               selected_beams=np.array([1, 0]))
+    save_plan(plan, path, path + ".csv")
+
+
+def _write_model(path):
+    X = np.random.default_rng(1).uniform(0, 10, size=(20, 2))
+    save_model(train(X, X[:, :1] / 10.0, TrainConfig(tree_count=2, budget_parameters=1000)),
+               path)
+
+
+@pytest.mark.parametrize("write, load", [
+    (_write_rate_dataset, load_dataset),
+    (_write_tr_dataset, load_dataset),    # a TR dataset also needs max_rates
+    (_write_channels, load_channels),
+    (_write_plan, load_plan),
+    (_write_model, load_model),
+])
+def test_loaders_name_a_missing_key(tmp_path, write, load):
+    path = str(tmp_path / "artifact.npz")
+    write(path)
+    load(path)
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    assert arrays.pop("format_version").tolist() == [1]
+    for key in arrays:
+        cut = str(tmp_path / "cut.npz")
+        np.savez_compressed(cut, format_version=np.array([1]),
+                            **{k: v for k, v in arrays.items() if k != key})
+        with pytest.raises(ValueError, match=f"cut.npz' lacks key '{key}'"):
+            load(cut)

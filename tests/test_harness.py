@@ -108,6 +108,24 @@ def test_stage_wraps_exceptions():
     with pytest.raises(StageError, match="stage 'demo' failed"):
         with _stage("demo"):
             raise RuntimeError("boom")
+    with pytest.raises(StageError, match="stage 'demo' failed: bad value") as info:
+        with _stage("demo"):
+            raise ValueError("bad value")
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_stage_lets_keyboard_interrupt_through():
+    interrupt = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt) as info:
+        with _stage("demo"):
+            raise interrupt
+    assert info.value is interrupt
+
+
+def test_config_rejects_output_dir():
+    # the output directory is the CLI's --out, never a config key
+    with pytest.raises(ValueError, match=r"unknown config keys: \['output_dir'\]"):
+        ExperimentConfig.from_dict({"output_dir": "out"})
 
 
 def test_too_many_clusters_fail_before_training(monkeypatch):
