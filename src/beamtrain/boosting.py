@@ -137,9 +137,11 @@ class TreeEnsembleModel:
     caller sees are always the trees prediction evaluates.
 
     Prediction walks every tree at once, one level per step, over a
-    (rows x trees) node matrix; a tree that reached a leaf stays there.
-    Each output then adds `learning_rate * leaf value` of its trees in fit
-    order, so results are bit-identical to summing `Tree.predict` per tree.
+    (rows x trees) node matrix, through a child table built with the layout
+    in which a leaf is its own child, so a tree that reached a leaf stays
+    there. Each output then adds `learning_rate * leaf value` of its trees
+    in fit order, so results are bit-identical to summing `Tree.predict`
+    per tree.
     """
 
     def __init__(self, base_prediction, trees=(), learning_rate: float = 0.3,
@@ -180,13 +182,24 @@ class TreeEnsembleModel:
             raise ValueError("node feature ids must be >= -1")
         self._starts = np.cumsum(sizes) - sizes
         inner = feature >= 0
-        parent = (np.arange(n_nodes) - np.repeat(self._starts, sizes))[inner]
+        offset = np.repeat(self._starts, sizes)
+        parent = (np.arange(n_nodes) - offset)[inner]
         size = np.repeat(sizes, sizes)[inner]
         for side in ("node_left", "node_right"):
             child = self._layout[side][inner]
             if np.any((child <= parent) | (child >= size)):
                 raise ValueError("child node ids must point forward inside their tree")
-        self._depth = self._max_depth()
+        # child[2n + go_left]: the global id of node n's right or left child;
+        # a leaf points to itself, so a walk that reaches it stays there
+        own = np.arange(n_nodes)
+        self._child = _read_only(np.stack(
+            [np.where(inner, offset + self._layout["node_right"], own),
+             np.where(inner, offset + self._layout["node_left"], own)], axis=1).ravel(), int)
+        self._root_feature = _read_only(feature[self._starts], int)
+        self._root_threshold = _read_only(self._layout["node_threshold"][self._starts], float)
+        used = np.sort(feature[inner])
+        self._features = tuple(used[np.diff(used, prepend=-1) > 0].tolist())
+        self._depth = int(self._tree_depths().max(initial=0))
         # Round of a tree = number of earlier trees on its output; one round
         # holds at most one tree per output.
         by_output = np.argsort(outputs, kind="stable")
@@ -198,19 +211,20 @@ class TreeEnsembleModel:
         self._round_count = int(self._round.max(initial=-1)) + 1
         self._trees = None
 
-    def _max_depth(self) -> int:
-        """Longest root-to-leaf path over all trees."""
-        feature, left, right = (self._layout[k] for k in ("node_feature", "node_left",
-                                                          "node_right"))
-        starts, nodes, depth = self._starts, self._starts, 0
-        while True:
-            inner = feature[nodes] >= 0
-            if not np.any(inner):
-                return depth
-            starts, nodes = starts[inner], nodes[inner]
-            starts = np.concatenate([starts, starts])
-            nodes = starts + np.concatenate([left[nodes], right[nodes]])
-            depth += 1
+    def _tree_depths(self) -> np.ndarray:
+        """Longest root-to-leaf path of every tree, from one walk of all
+        trees' internal nodes, a level per step."""
+        feature = self._layout["node_feature"]
+        depths = np.zeros(len(self._starts), dtype=int)
+        tree, node, level = np.arange(len(self._starts)), self._starts, 0
+        while len(node):
+            inner = feature[node] >= 0
+            tree, node = tree[inner], node[inner]
+            level += 1
+            depths[tree] = level
+            node = self._child[np.concatenate([2 * node, 2 * node + 1])]
+            tree = np.concatenate([tree, tree])
+        return depths
 
     @property
     def layout(self):
@@ -232,45 +246,47 @@ class TreeEnsembleModel:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Base plus `learning_rate * leaf value` of every tree, clipped to
-        [0, 1]. The contributions go into a (rows, round, output) grid
-        padded with -0.0, which adds exactly nothing to any float, and the
-        rounds are added one after another: each output thus gets its trees'
-        contributions in fit order, as a per-tree loop would add them."""
+        [0, 1]. The contributions go into a (rows, 1 + round, output) grid
+        whose slot 0 holds the base and whose empty cells hold -0.0, which
+        adds exactly nothing to any float; one `np.add.accumulate` along the
+        round axis then adds them one after another, so each output gets its
+        trees' contributions in fit order, as a per-tree loop would add them."""
         X = np.asarray(X, dtype=float)
-        out = np.tile(self.base_prediction, (X.shape[0], 1))
+        out = np.empty((X.shape[0], self.output_dimension))
         value, outputs = self._layout["node_value"], self._layout["tree_outputs"]
-        grid = (self._round_count, self.output_dimension)
+        grid = (1 + self._round_count, self.output_dimension)
         step = max(1, _CHUNK_CELLS // max(1, len(outputs), grid[0] * grid[1]))
         for lo in range(0, X.shape[0], step):
-            rows = slice(lo, lo + step)
-            leaves = self._leaves(X[rows])
+            leaves = self._leaves(X[lo:lo + step])
             padded = np.full((len(leaves),) + grid, -0.0)
-            padded[:, self._round, outputs] = self.learning_rate * value[leaves]
-            for r in range(grid[0]):
-                out[rows] += padded[:, r]
+            padded[:, 0] = self.base_prediction
+            padded[:, 1 + self._round, outputs] = self.learning_rate * value[leaves]
+            out[lo:lo + step] = np.add.accumulate(padded, axis=1)[:, -1]
         return np.clip(out, 0.0, 1.0)
 
     def _leaves(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id (into the layout) of every (row, tree) cell."""
-        feature, threshold, left, right = (
-            self._layout[k] for k in ("node_feature", "node_threshold", "node_left",
-                                      "node_right"))
-        starts = self._starts
-        row = np.arange(X.shape[0])[:, None]
-        node = np.broadcast_to(starts, (X.shape[0], len(starts)))
-        for _ in range(self._depth):
-            f = feature[node]
-            go_left = X[row, f] <= threshold[node]
-            child = starts + np.where(go_left, left[node], right[node])
-            node = np.where(f >= 0, child, node)
-        return node
+        """Leaf node id (into the layout) of every (row, tree) cell.
+
+        Every tree advances one level per step, over a (rows x trees) node
+        matrix: `x <= threshold` picks the child `child[2 * node + go_left]`,
+        and a tree that reached a leaf loops on it. The root level reads
+        each tree's root feature and threshold as (trees,) vectors."""
+        feature, threshold = self._layout["node_feature"], self._layout["node_threshold"]
+        node, f, t = self._starts, self._root_feature, self._root_threshold
+        for level in range(self._depth):
+            if level:
+                f, t = feature[node], threshold[node]
+            # the row's value of its node's feature; a leaf's pick is unused
+            x = X[:, self._features[-1], None]
+            for k in self._features[:-1]:
+                x = np.where(f == k, X[:, k, None], x)
+            node = self._child[2 * node + (x <= t)]
+        return np.broadcast_to(node, (X.shape[0], len(self._starts)))
 
     def depth_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for _, tree in self.trees:
-            d = tree.depth
-            hist[d] = hist.get(d, 0) + 1
-        return hist
+        """Number of trees of each depth, by ascending depth."""
+        counts = np.bincount(self._tree_depths())
+        return {depth: n for depth, n in enumerate(counts.tolist()) if n}
 
 
 def param_count(model: TreeEnsembleModel) -> int:

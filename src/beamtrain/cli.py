@@ -90,7 +90,7 @@ def cmd_model_inspect(args) -> int:
     model = boosting.load_model(args.model)
     print(f"role: {model.role}")
     print(f"outputs: {model.output_dimension}")
-    print(f"trees: {len(model.trees)}")
+    print(f"trees: {len(model.layout['tree_sizes'])}")
     print(f"param_count: {boosting.param_count(model)}")
     hist = model.depth_histogram()
     for depth in sorted(hist):

@@ -58,8 +58,10 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
     Each snapshot is traced once into a path table, and its array responses
     are computed once (`path_responses`); each UE's rates come from its
     slice of both (`sweep_responses`). No dense channel is formed. UEs
-    without paths are dropped unswept. The UE, dropped-UE and per-kind path
-    counts are logged at info level.
+    without paths are dropped unswept. A kept row with a non-finite rate,
+    as degenerate geometry gives, raises a ValueError naming the snapshot
+    and the UE. The UE, dropped-UE and per-kind path counts are logged at
+    info level.
     """
     rows = []
     ues = dropped = 0
@@ -68,6 +70,7 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
         table = trace_snapshot(snapshot, config)
         paths += np.bincount(table.kind, minlength=len(PATH_KINDS))
         a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
+        first = len(rows)
         for ue_index, ue_rows in zip(snapshot.ue_indices, table.ue_rows(snapshot.ue_indices)):
             ues += 1
             if ue_rows.start == ue_rows.stop:
@@ -80,6 +83,11 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
                 continue
             rows.append(RateRow(location=snapshot.ue_location(ue_index), rates=rates,
                                 snapshot_id=snapshot.snapshot_id, ue_index=ue_index))
+        kept = rows[first:]
+        if kept and not np.isfinite(np.concatenate([r.rates for r in kept])).all():
+            bad = next(r for r in kept if not np.isfinite(r.rates).all())
+            raise ValueError(f"snapshot {snapshot.snapshot_id}, UE {bad.ue_index}: "
+                             "rates are not finite")
     log.info("rate dataset: %d UEs, %d dropped as fully blocked; paths: %s", ues, dropped,
              ", ".join(f"{n} {kind}" for kind, n in zip(PATH_KINDS, paths.tolist())))
     return rows

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -295,13 +296,18 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
     """Curves over the N_B sweep and the decoupled (|S_w|, |S_f|) heatmap.
     Each model ranks every test row's beams once, and each curve point and
     heatmap cell is one entry of the `metrics.prefix_tables` of those
-    orderings."""
+    orderings. Each role's rows, trees and prediction time are logged at
+    info level."""
     num_f, num_w = config.num_beamformers, config.num_combiners
     TR_test = np.asarray(TR_test, dtype=float)
     grid = TR_test.reshape(len(TR_test), num_w, num_f)
 
     def ordering(role):
-        return np.argsort(-models[role].predict_batch(X_test), axis=1, kind="stable")
+        start = time.perf_counter()
+        predictions = models[role].predict_batch(X_test)
+        log.info("predicted %s: %d rows, %d trees, %.4f s", role, len(predictions),
+                 len(models[role].layout["tree_sizes"]), time.perf_counter() - start)
+        return np.argsort(-predictions, axis=1, kind="stable")
 
     tables = {}
     if 1 in config.scenarios:

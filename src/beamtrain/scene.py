@@ -41,6 +41,12 @@ class SceneConfig:
     reference_snr_db: float = 25.0       # peak post-beamforming SNR at 30 m
     reference_distance: float = 30.0
 
+    def __post_init__(self):
+        # the BS stands at x = 0, wall_clearance from the near wall: at zero
+        # its wall path starts at the BS itself and has no direction
+        if not (np.isfinite(self.wall_clearance) and self.wall_clearance > 0):
+            raise ValueError(f"wall_clearance must be finite and > 0, got {self.wall_clearance}")
+
     @property
     def bs_position(self) -> np.ndarray:
         return np.array([0.0, 0.0, self.bs_height])

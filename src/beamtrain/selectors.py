@@ -240,5 +240,28 @@ def save_plan(plan: ClusterCoveragePlan, path: str, csv_path: str) -> None:
 
 
 def load_plan(path: str) -> ClusterCoveragePlan:
+    """Read a plan written by `save_plan`. For C clusters and B beams,
+    `prob_tables` must be (C, B, B), `centroids` (C, 2) and `significances`
+    (C,); `assignments` must lie in [0, C), and `selected_beams` must be
+    distinct and lie in [0, B). A ValueError names the file and the key."""
     data = load_npz(path, "plan", PLAN_FORMAT_VERSION, _PLAN_KEYS)
+
+    def bad(key, rule):
+        return ValueError(f"plan file {path!r}: {key!r} must be {rule}")
+
+    tables = data["prob_tables"]
+    if tables.ndim != 3 or tables.shape[1] != tables.shape[2]:
+        raise bad("prob_tables", f"of shape (C, B, B), got {tables.shape}")
+    clusters, beams = tables.shape[:2]
+    for key, shape in (("centroids", (clusters, 2)), ("significances", (clusters,))):
+        if data[key].shape != shape:
+            raise bad(key, f"of shape {shape}, got {data[key].shape}")
+    for key, bound in (("assignments", clusters), ("selected_beams", beams)):
+        a = data[key]
+        if (a.ndim != 1 or not np.issubdtype(a.dtype, np.integer)
+                or np.any((a < 0) | (a >= bound))):
+            raise bad(key, f"integers in [0, {bound})")
+    beams_in_order = np.sort(data["selected_beams"])
+    if np.any(beams_in_order[1:] == beams_in_order[:-1]):
+        raise bad("selected_beams", "distinct")
     return ClusterCoveragePlan(**{key: data[key] for key in _PLAN_KEYS})

@@ -220,12 +220,16 @@ def test_model_file_with_bad_layout_rejected(tmp_path, key, value):
 
 # Inputs and thresholds share one coarse grid, so `x <= threshold` ties occur.
 _GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+# Inputs also hold NaN, which goes right at every internal node, and +-inf.
+_INPUTS = _GRID | st.sampled_from([np.nan, np.inf, -np.inf])
 
 
 @st.composite
 def _trees(draw):
-    """A random tree of depth 0-4 (depth 0 is a lone leaf) in preorder."""
-    depth = draw(st.integers(0, 4))
+    """A random tree of depth 0-6 (depth 0 is a lone leaf) in preorder,
+    splitting on features 0-2; a node below the root splits with
+    probability 3/4, so that rows reach the deep levels."""
+    depth = draw(st.integers(0, 6))
     feature, threshold, left, right, value = [], [], [], [], []
 
     def build(level):
@@ -235,8 +239,8 @@ def _trees(draw):
         left.append(-1)
         right.append(-1)
         value.append(draw(st.floats(-1.0, 1.0)))
-        if level < depth and (level == 0 or draw(st.booleans())):
-            feature[node] = draw(st.integers(0, 1))
+        if level < depth and (level == 0 or draw(st.integers(0, 3)) > 0):
+            feature[node] = draw(st.integers(0, 2))
             threshold[node] = draw(_GRID)
             left[node] = build(level + 1)
             right[node] = build(level + 1)
@@ -264,7 +268,7 @@ def _reference_predict(model, trees, X):
 
 @settings(max_examples=200, deadline=None)
 @given(_ensembles(),
-       hnp.arrays(float, st.tuples(st.sampled_from([0, 1, 2, 9]), st.just(2)), elements=_GRID),
+       hnp.arrays(float, st.tuples(st.sampled_from([0, 1, 2, 9]), st.just(3)), elements=_INPUTS),
        st.sampled_from([1, 5, boosting._CHUNK_CELLS]))
 def test_packed_prediction_matches_per_tree_reference(ensemble, X, chunk_cells):
     model, trees = ensemble
@@ -276,6 +280,16 @@ def test_packed_prediction_matches_per_tree_reference(ensemble, X, chunk_cells):
     assert batch.tobytes() == expected.tobytes()
     for x_row, row in zip(batch, rows):
         assert row.tobytes() == x_row.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ensembles())
+def test_depth_histogram_matches_tree_depths(ensemble):
+    model, trees = ensemble
+    depths = Counter(tree.depth for _, tree in trees)
+    assert model.depth_histogram() == depths
+    assert list(model.depth_histogram()) == sorted(depths)
+    assert model._depth == max(depths, default=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -311,6 +325,22 @@ def test_hand_built_model_trees_are_read_only():
     with pytest.raises(TypeError):
         model.layout["node_value"] = np.zeros(3)
     assert model.predict_batch(X).tobytes() == expected
+
+
+def test_walk_tables_are_read_only():
+    leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.1])
+    stump = Tree(feature=[1, -1, -1], threshold=[0.5, 0, 0],
+                 left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
+    model = TreeEnsembleModel(np.array([0.05]), [(0, leaf), (0, stump)], 1.0, 1)
+    # child[2n + go_left] holds global node ids, and a leaf is its own child
+    assert model._child.tolist() == [0, 0, 3, 2, 2, 2, 3, 3]
+    assert model._root_feature.tolist() == [-1, 1]
+    assert model._root_threshold.tolist() == [0.0, 0.5]
+    for table in (model._child, model._root_feature, model._root_threshold):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    X = np.array([[9.0, 0.5], [9.0, np.nan]])
+    assert model.predict_batch(X).tolist() == [[0.05 + 0.1 + 0.2], [0.05 + 0.1 + 0.8]]
 
 
 def test_budget_stop_mid_round_predicts_with_held_trees(tmp_path):

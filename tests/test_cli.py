@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,21 @@ def test_eval_bad_out_fails_before_any_stage(tmp_path, monkeypatch, capsys, comm
     assert cli.main(["eval", command, "--smoke", "--out", str(blocker / "out")]) == 1
     assert "error:" in capsys.readouterr().err
     assert ran == []
+
+
+def test_model_inspect_counts_what_the_tree_views_give(tmp_path, capsys):
+    """`model inspect` reads tree counts and depths from the layout; on a
+    --smoke model it prints what counting the `Tree` views prints."""
+    path = str(tmp_path / "m.npz")
+    assert cli.main(["model", "train", "--smoke", "--role", "theta2_w", "--out", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["model", "inspect", "--model", path]) == 0
+    model = boosting.load_model(path)
+    depths = Counter(tree.depth for _, tree in model.trees)
+    assert capsys.readouterr().out.splitlines() == [
+        "role: decoupled_ue", "outputs: 16", f"trees: {len(model.trees)}",
+        f"param_count: {boosting.param_count(model)}",
+        *(f"depth {depth}: {depths[depth]} trees" for depth in sorted(depths))]
 
 
 def test_model_inspect_handcrafted(tmp_path, capsys):

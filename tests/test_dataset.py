@@ -95,6 +95,18 @@ def test_build_rate_dataset_logs_ue_and_path_counts(caplog):
     assert kinds.count("bus") > 0
 
 
+def test_build_rate_dataset_rejects_non_finite_rates():
+    # a wall 1e-275 m beside the BS passes the config check, but the wall
+    # path's direction underflows and its rates come out NaN
+    cfg = dataclasses.replace(SceneConfig(), wall_clearance=1e-275)
+    snaps = [generate_snapshot(cfg, s, snapshot_id=s) for s in range(2)]
+    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"^snapshot 0, UE \d+: rates are not finite$"):
+        build_rate_dataset(snaps, dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs"),
+                           bs_g, ue_g, cfg)
+
+
 def test_to_throughput_ratios_basic():
     row = RateRow(location=np.zeros(2), rates=np.array([2.0, 4.0, 8.0]), snapshot_id=0)
     tr = to_throughput_ratios([row])[0]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -205,8 +206,9 @@ def test_emit_outputs_files(tmp_path, smoke_result):
 
 
 class _Predictions:
-    def __init__(self, values):
+    def __init__(self, values, trees=0):
         self.values = values
+        self.layout = {"tree_sizes": np.ones(trees, dtype=int)}
 
     def predict_batch(self, X):
         return self.values[np.asarray(X, dtype=int)[:, 0]]
@@ -254,3 +256,20 @@ def test_evaluate_reads_the_per_row_metrics():
         {"scenario": scenario, "s_w": s_w, "s_f": s_f,
          "r_t": metrics.avg_throughput_ratio(TR, decoupled(scenario, s_w, s_f), num_f)}
         for scenario in (2, 3) for s_w in (1, 2, 4) for s_f in (1, 3, 8)]
+
+
+def test_evaluate_logs_rows_trees_and_seconds_per_role(caplog):
+    cfg = ExperimentConfig(bs_array=(2, 4), ue_array=(2, 2), n_b_sweep=(1, 2),
+                           heatmap_s_w=(1,), heatmap_s_f=(1,))
+    rng = np.random.default_rng(5)
+    models = {role: _Predictions(rng.uniform(size=(6, size)), trees)
+              for role, size, trees in (("theta1", cfg.num_pairs, 7), ("theta2_w", 4, 3),
+                                        ("theta2_f", 8, 5))}
+    plan = SimpleNamespace(selected_beams=np.arange(8))
+    X = np.column_stack([np.arange(6), np.zeros(6)])
+    with caplog.at_level(logging.INFO, logger="beamtrain.harness"):
+        evaluate(cfg, models, plan, X, rng.uniform(size=(6, cfg.num_pairs)))
+    assert [m.rsplit(",", 1)[0] for m in caplog.messages] == [
+        "predicted theta1: 6 rows, 7 trees", "predicted theta2_w: 6 rows, 3 trees",
+        "predicted theta2_f: 6 rows, 5 trees"]
+    assert all(re.fullmatch(r" \d+\.\d{4} s", m.rsplit(",", 1)[1]) for m in caplog.messages)

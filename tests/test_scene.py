@@ -26,6 +26,12 @@ def test_snapshot_determinism():
     assert a == b
 
 
+@pytest.mark.parametrize("clearance", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_rejects_degenerate_wall_clearance(clearance):
+    with pytest.raises(ValueError, match="wall_clearance"):
+        SceneConfig(wall_clearance=clearance)
+
+
 def test_zero_bus_fraction_gives_only_cars():
     cfg = dataclasses.replace(SceneConfig(), bus_fraction=0.0)
     snap = generate_snapshot(cfg, 1)
@@ -240,7 +246,7 @@ _SCENES = st.builds(
     SceneConfig,
     lane_count=st.integers(1, 5), lane_width=st.sampled_from([2.5, 3.5, 4.25]),
     street_length=st.floats(40.0, 200.0), bs_height=st.sampled_from([4.0, 10.0, 22.5]),
-    wall_clearance=st.floats(0.0, 5.0), wall_height=st.floats(3.0, 30.0),
+    wall_clearance=st.floats(0.0, 5.0, exclude_min=True), wall_height=st.floats(3.0, 30.0),
     min_gap=st.floats(0.5, 3.0), max_gap=st.floats(3.0, 12.0),
     bus_fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     ue_fraction=st.one_of(st.just(0.0), st.floats(0.3, 1.0)),

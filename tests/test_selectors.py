@@ -220,6 +220,38 @@ def test_plan_roundtrip(tmp_path):
             load_plan(str(bad))
 
 
+def _plan_arrays(**changes):
+    """A valid one-cluster, two-beam plan archive, with `changes` applied."""
+    arrays = dict(format_version=np.array([1]), centroids=np.array([[1.0, 2.0]]),
+                  assignments=np.array([0, 0, 0]), significances=np.array([1.0]),
+                  prob_tables=np.array([[[0.5, 0.5], [0.5, 0.5]]]),
+                  selected_beams=np.array([1, 0]))
+    arrays.update({key: np.array(value) for key, value in changes.items()})
+    return arrays
+
+
+@pytest.mark.parametrize("key, value", [
+    ("selected_beams", [5, 9]),          # beams past a 2-beam codebook
+    ("selected_beams", [1, 1]),          # a beam twice
+    ("selected_beams", [-1]),
+    ("selected_beams", [0.0, 1.0]),      # not beam indices
+    ("prob_tables", [[0.5, 0.5]]),       # not (C, B, B)
+    ("prob_tables", np.zeros((1, 2, 3))),
+    ("centroids", [[1.0, 2.0, 3.0]]),
+    ("centroids", [[1.0, 2.0], [3.0, 4.0]]),  # two centroids for one cluster
+    ("significances", [0.5, 0.5]),
+    ("assignments", [0, 1, 0]),          # cluster 1 of a one-cluster plan
+    ("assignments", [[0, 0]]),
+])
+def test_load_plan_rejects_inconsistent_arrays(tmp_path, key, value):
+    path = str(tmp_path / "plan.npz")
+    np.savez_compressed(path, **_plan_arrays())
+    assert load_plan(path).selected_beams.tolist() == [1, 0]
+    np.savez_compressed(path, **_plan_arrays(**{key: value}))
+    with pytest.raises(ValueError, match=f"plan file .*plan.npz.*'{key}'"):
+        load_plan(path)
+
+
 def test_beam_pair_set_helpers():
     s = BeamPairSet(flat_indices=np.array([5, 0, 130]), num_beamformers=64)
     assert s.budget == 3
