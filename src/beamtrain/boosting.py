@@ -24,14 +24,19 @@ trainer's arithmetic:
   feature's sorted order, restarting at every node (the rows of a padded
   node x position matrix);
 - node means and the parent sse are `np.sum` over the node's rows in the
-  first feature's order, one node at a time, because numpy sums pairwise
-  in an order set by the length;
+  first feature's order. numpy sums pairwise in an order set by the
+  length, so each node is summed alone, all in one `np.add.reduceat` over
+  the level's values with a 0.0 put in front of every node: `reduceat`
+  copies a segment's first value (the 0.0) to the output and hands the
+  rest to the pairwise loop, and `np.sum` of a float64 slice is likewise
+  the identity 0.0 plus that loop's sum of all its values;
 - node ids are in preorder: node, left subtree, right subtree;
 - a later feature wins only if its sse is lower by more than 1e-15, and
   within a feature the lowest threshold wins ties.
 """
 
 import logging
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -64,10 +69,12 @@ class TrainConfig:
     budget_parameters: int = 2048
 
     def __post_init__(self):
-        if self.tree_count < 0 or self.max_depth < 1:
-            raise ValueError("tree_count must be >= 0 and max_depth >= 1")
-        if not (0.0 < self.learning_rate <= 1.0):
-            raise ValueError("learning_rate must be in (0, 1]")
+        for name, low in (("tree_count", 0), ("max_depth", 1), ("min_samples_leaf", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (isinstance(self.learning_rate, numbers.Real) and 0.0 < self.learning_rate <= 1.0):
+            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate!r}")
 
 
 class Tree:
@@ -86,37 +93,6 @@ class Tree:
         self.left = np.asarray(left, dtype=int)
         self.right = np.asarray(right, dtype=int)
         self.value = np.asarray(value, dtype=float)
-
-    @property
-    def num_internal(self) -> int:
-        return int(np.sum(self.feature >= 0))
-
-    @property
-    def num_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
-
-    @property
-    def param_cost(self) -> int:
-        return 2 * self.num_internal + self.num_leaves
-
-    @property
-    def depth(self) -> int:
-        def walk(n):
-            if self.feature[n] < 0:
-                return 0
-            return 1 + max(walk(self.left[n]), walk(self.right[n]))
-        return walk(0)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=int)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            n = node[idx]
-            go_left = X[idx, self.feature[n]] <= self.threshold[n]
-            node[idx] = np.where(go_left, self.left[n], self.right[n])
-            active = self.feature[node] >= 0
-        return self.value[node]
 
 
 def _read_only(a, dtype):
@@ -140,8 +116,8 @@ class TreeEnsembleModel:
     (rows x trees) node matrix, through a child table built with the layout
     in which a leaf is its own child, so a tree that reached a leaf stays
     there. Each output then adds `learning_rate * leaf value` of its trees
-    in fit order, so results are bit-identical to summing `Tree.predict`
-    per tree.
+    in fit order, so results are bit-identical to walking the trees one at
+    a time and summing them per output.
     """
 
     def __init__(self, base_prediction, trees=(), learning_rate: float = 0.3,
@@ -294,12 +270,10 @@ def param_count(model: TreeEnsembleModel) -> int:
     return model.output_dimension + 2 * internal + (len(model.layout["node_feature"]) - internal)
 
 
-def _node_sums(a, starts, lengths):
-    """`np.sum` of each node's slice `a[start:start + length]`. numpy sums a
-    float64 slice pairwise, in an order set by the slice's length, so each
-    node is summed on its own, as the per-node fit sums it."""
-    return np.array([np.add.reduce(a[s:s + n])
-                     for s, n in zip(starts.tolist(), lengths.tolist())])
+def _node_sums(a, starts):
+    """`np.sum` of each node's slice of `a`, the nodes lying back to back
+    from `starts`, bit for bit, as the module docstring explains."""
+    return np.add.reduceat(np.insert(a, starts, 0.0), starts + np.arange(len(starts)))
 
 
 def _best_splits(x, r, starts, lengths, min_leaf):
@@ -404,15 +378,14 @@ def _fit_trees(X, orders, residual, config: TrainConfig):
         r[:, total:] = 0.0
         for f, rows_f in enumerate(rows):
             r[f, :total] = r_flat[at + rows_f]
-        mean = _node_sums(r[0, :total], starts, lengths) / lengths
+        mean = _node_sums(r[0, :total], starts) / lengths
         leaf_value[at + rows[0]] = mean[node]  # the next level overwrites split nodes
         feature = np.full(len(lengths), -1)
         threshold = np.zeros(len(lengths))
         split = np.zeros(len(lengths), dtype=bool)
         if depth < config.max_depth:
             tried = np.nonzero(lengths >= 2 * min_leaf)[0]
-            parent_sse = _node_sums((r[0, :total] - mean[node]) ** 2, starts[tried],
-                                    lengths[tried])
+            parent_sse = _node_sums((r[0, :total] - mean[node]) ** 2, starts)[tried]
             x = np.empty_like(r)
             x[:, total:] = 0.0
             for f, rows_f in enumerate(rows):
@@ -567,7 +540,10 @@ def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray) -> T
         if best is None or key < best[0]:
             best = (key, cfg)
         log.debug("grid point %d: val MSE %.6g, mean params %.1f", gi, key[0], key[1])
-    return best[1]
+    (mse, params, gi), cfg = best
+    log.info("chose grid point %d of %d: val MSE %.6g, mean params %.1f", gi, len(grid), mse,
+             params)
+    return cfg
 
 
 def save_model(model: TreeEnsembleModel, path: str) -> None:

@@ -40,6 +40,9 @@ _SEED_SNAPSHOT_BASE = 0        # + snapshot index
 _SEED_SPLIT = 1_000_000
 _SEED_CLUSTER = 1_000_001
 
+# the keys of a model grid point: TrainConfig's fields but the budget
+_GRID_KEYS = {f.name for f in dataclasses.fields(boosting.TrainConfig)} - {"budget_parameters"}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -80,6 +83,23 @@ class ExperimentConfig:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
+        # every grid point must make a TrainConfig, so that a bad grid fails
+        # before the corpus is built; the harness sets each role's budget
+        for key in ("bs_grid", "ue_grid"):
+            grid = getattr(self, key)
+            if not grid:
+                raise ValueError(f"{key} must hold at least one grid point")
+            for i, point in enumerate(grid):
+                if not isinstance(point, dict):
+                    raise ValueError(f"{key}[{i}] must be a table of grid keys, got {point!r}")
+                unknown = sorted(set(point) - _GRID_KEYS)
+                if unknown:
+                    raise ValueError(f"{key}[{i}].{unknown[0]} is not a grid key; grid keys "
+                                     f"are {sorted(_GRID_KEYS)}")
+                try:
+                    boosting.TrainConfig(**point)
+                except ValueError as exc:
+                    raise ValueError(f"{key}[{i}].{exc}") from exc
 
     @property
     def num_combiners(self) -> int:
@@ -121,14 +141,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {unknown}")
         scene = SceneConfig(**{k: tuple(v) if isinstance(v, list) else v
                                for k, v in scene_raw.items()})
-        coerced = {}
-        for k, v in raw.items():
-            if k in ("bs_grid", "ue_grid"):
-                coerced[k] = tuple(dict(g) for g in v)
-            elif isinstance(v, list):
-                coerced[k] = tuple(v)
-            else:
-                coerced[k] = v
+        # grid points stay dicts, which __post_init__ checks
+        coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
         return cls(scene=scene, **coerced)
 
     @classmethod
@@ -217,7 +231,9 @@ def build_corpus(config: ExperimentConfig):
 def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
     """K-fold tune and fit one model role on the training rows, under its
     budget. The scenario-2 and scenario-3 UE models share targets, budget
-    and grid, so theta3_w is fitted as theta2_w."""
+    and grid, so theta3_w is fitted as theta2_w. The chosen grid point, the
+    model's trees and parameters and the fit's seconds are logged at info
+    level, after `kfold_tune`'s line on the chosen point's validation MSE."""
     if name == "theta1":
         Y, grid, budget, role = ([r.ratios for r in tr_rows], config.bs_grid, config.bs_budget,
                                  "coupled")
@@ -232,9 +248,14 @@ def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
     X = np.array([r.location for r in tr_rows])[split.train_rows]
     Y = np.array(Y)[split.train_rows]
     with _stage(f"tune and train {name}"):
-        cfg = boosting.kfold_tune(X, Y, [boosting.TrainConfig(budget_parameters=budget, **g)
-                                         for g in grid], split.fold_assignments)
-        return boosting.train(X, Y, cfg, role=role)
+        configs = [boosting.TrainConfig(budget_parameters=budget, **g) for g in grid]
+        cfg = boosting.kfold_tune(X, Y, configs, split.fold_assignments)
+        start = time.perf_counter()
+        model = boosting.train(X, Y, cfg, role=role)
+        log.info("trained %s: grid point %d of %d, %d trees, %d parameters, fit %.3f s", name,
+                 configs.index(cfg), len(configs), len(model.layout["tree_sizes"]),
+                 boosting.param_count(model), time.perf_counter() - start)
+        return model
 
 
 def train_models(config: ExperimentConfig, tr_rows, atr_rows, split):

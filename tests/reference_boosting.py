@@ -3,12 +3,42 @@ round-at-once fit in `beamtrain.boosting` is held to, tree for tree.
 
 It fits one tree per (round, output) with a recursive builder that calls
 `_best_split` once per node; `train_reference` is `boosting.train` built on
-it.
+it. `tree_predict` walks one `Tree` at a time, the reference for the packed
+prediction of `TreeEnsembleModel`.
 """
 
 import numpy as np
 
 from beamtrain.boosting import TrainConfig, Tree, TreeEnsembleModel
+
+
+def internal_count(tree: Tree) -> int:
+    return int(np.sum(tree.feature >= 0))
+
+
+def tree_param_cost(tree: Tree) -> int:
+    """2 parameters per internal node, 1 per leaf."""
+    return 2 * internal_count(tree) + int(np.sum(tree.feature < 0))
+
+
+def tree_depth(tree: Tree) -> int:
+    def walk(n):
+        if tree.feature[n] < 0:
+            return 0
+        return 1 + max(walk(tree.left[n]), walk(tree.right[n]))
+    return walk(0)
+
+
+def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    node = np.zeros(X.shape[0], dtype=int)
+    active = tree.feature[node] >= 0
+    while np.any(active):
+        idx = np.nonzero(active)[0]
+        n = node[idx]
+        go_left = X[idx, tree.feature[n]] <= tree.threshold[n]
+        node[idx] = np.where(go_left, tree.left[n], tree.right[n])
+        active = tree.feature[node] >= 0
+    return tree.value[node]
 
 
 def _best_split(X, residual, order, min_leaf):
@@ -39,7 +69,7 @@ def _best_split(X, residual, order, min_leaf):
 def fit_tree(X, residual, order, config: TrainConfig):
     """Fit one tree. Also returns the leaf id of every training row, taken
     from the fit's own partition, which uses the same `<=` test as
-    `Tree.predict`."""
+    `tree_predict`."""
     feature, threshold, left, right, value = [], [], [], [], []
     leaf_of_row = np.empty(X.shape[0], dtype=int)
 
@@ -87,12 +117,12 @@ def boosted_trees(X, Y, base, config: TrainConfig):
             if np.max(np.abs(residual)) < 1e-12:
                 continue
             tree, leaf_of_row = fit_tree(X, residual, order, config)
-            if tree.num_internal == 0:
+            if internal_count(tree) == 0:
                 continue  # no useful split left for this output
-            if used + tree.param_cost > config.budget_parameters:
+            if used + tree_param_cost(tree) > config.budget_parameters:
                 return
             yield dim, tree
-            used += tree.param_cost
+            used += tree_param_cost(tree)
             pred[:, dim] += config.learning_rate * tree.value[leaf_of_row]
 
 

@@ -15,7 +15,8 @@ import beamtrain
 from beamtrain import boosting
 from beamtrain.boosting import (TrainConfig, Tree, TreeEnsembleModel, kfold_tune, load_model,
                                 param_count, save_model, train)
-from reference_boosting import fit_tree, train_reference
+from reference_boosting import (fit_tree, internal_count, train_reference, tree_depth,
+                                tree_param_cost, tree_predict)
 
 
 def _grid_data(n=64, d=4, seed=0):
@@ -65,8 +66,8 @@ def test_param_count_examples():
     # a single stump: 1 internal node (2 params) + 2 leaves = 4
     stump = Tree(feature=[0, -1, -1], threshold=[0.5, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
-    assert stump.param_cost == 4
-    assert stump.depth == 1
+    assert tree_param_cost(stump) == 4
+    assert tree_depth(stump) == 1
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     model = train(X, np.array([[0.0], [1.0]]),
                   TrainConfig(tree_count=1, max_depth=1, learning_rate=1.0,
@@ -79,7 +80,7 @@ def test_tree_predict_routing():
     stump = Tree(feature=[1, -1, -1], threshold=[10.0, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, -1.0, 1.0])
     X = np.array([[0.0, 5.0], [0.0, 10.0], [0.0, 10.5]])
-    assert np.array_equal(stump.predict(X), [-1.0, -1.0, 1.0])
+    assert np.array_equal(tree_predict(stump, X), [-1.0, -1.0, 1.0])
 
 
 def _training_losses(X, Y, config):
@@ -180,6 +181,11 @@ def test_invalid_config_rejected():
         TrainConfig(max_depth=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for name, value in (("min_samples_leaf", 0), ("min_samples_leaf", -2), ("tree_count", -1),
+                        ("max_depth", 2.5), ("tree_count", "3"), ("learning_rate", "0.3")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**{name: value})
+    assert TrainConfig(min_samples_leaf=1, tree_count=0).min_samples_leaf == 1
 
 
 def test_model_file_without_trees_loads(tmp_path):
@@ -216,7 +222,7 @@ def test_model_file_with_bad_layout_rejected(tmp_path, key, value):
         load_model(path)
 
 
-# ------------------------------------------------ packed prediction vs Tree.predict
+# ------------------------------------------------ packed prediction vs tree_predict
 
 # Inputs and thresholds share one coarse grid, so `x <= threshold` ties occur.
 _GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
@@ -262,7 +268,7 @@ def _ensembles(draw):
 def _reference_predict(model, trees, X):
     out = np.tile(model.base_prediction, (X.shape[0], 1))
     for dim, tree in trees:
-        out[:, dim] += model.learning_rate * tree.predict(X)
+        out[:, dim] += model.learning_rate * tree_predict(tree, X)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -286,7 +292,7 @@ def test_packed_prediction_matches_per_tree_reference(ensemble, X, chunk_cells):
 @given(_ensembles())
 def test_depth_histogram_matches_tree_depths(ensemble):
     model, trees = ensemble
-    depths = Counter(tree.depth for _, tree in trees)
+    depths = Counter(tree_depth(tree) for _, tree in trees)
     assert model.depth_histogram() == depths
     assert list(model.depth_histogram()) == sorted(depths)
     assert model._depth == max(depths, default=0)
@@ -301,7 +307,7 @@ def test_fit_leaf_rows_match_tree_predict(X, seed, max_depth, min_leaf):
     tree, leaf_of_row = fit_tree(X, residual, order,
                                  TrainConfig(max_depth=max_depth, min_samples_leaf=min_leaf))
     assert np.all(tree.feature[leaf_of_row] == -1)
-    assert np.array_equal(tree.value[leaf_of_row], tree.predict(X))
+    assert np.array_equal(tree.value[leaf_of_row], tree_predict(tree, X))
 
 
 def test_hand_built_model_trees_are_read_only():
@@ -352,7 +358,7 @@ def test_budget_stop_mid_round_predicts_with_held_trees(tmp_path):
     assert len(set(per_output.values())) == 2
     extra = [dim for dim in range(32) if per_output[dim] == max(per_output.values())]
     assert extra == list(range(len(extra)))
-    assert param_count(model) == 32 + sum(t.param_cost for _, t in model.trees) <= 1000
+    assert param_count(model) == 32 + sum(tree_param_cost(t) for _, t in model.trees) <= 1000
     assert _layout_bytes(model) == _layout_bytes(train_reference(X, Y, TrainConfig(
         tree_count=10, max_depth=3, learning_rate=0.5, budget_parameters=1000)))
     probe = np.random.default_rng(11).uniform(0, 100, size=(25, 2))
@@ -361,6 +367,52 @@ def test_budget_stop_mid_round_predicts_with_held_trees(tmp_path):
     path = str(tmp_path / "m.npz")
     save_model(model, path)
     assert load_model(path).predict_batch(probe).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------- node sums vs per-node np.sum
+
+# Node lengths on both sides of the boundaries of numpy's pairwise sum: the
+# plain loop below 8 values, the 8-way unrolled blocks of up to 128 and the
+# 8192 values of a ufunc buffer.
+_NODE_LENGTHS = st.sampled_from([1, 7, 8, 9, 127, 128, 129, 8192, 8193]) | st.integers(1, 300)
+# What a node holds: only -0.0, signed zeros, or values of mixed exponents
+# around 1, 1e300 or 1e-300 (their squares overflow or underflow), with
+# some signed zeros among them.
+_NODE_KINDS = st.sampled_from(["-0.0", "+-0.0", 1.0, 1e300, 1e-300])
+
+
+def _node_values(rng, n, kind):
+    if kind == "-0.0":
+        return np.full(n, -0.0)
+    signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    if kind == "+-0.0":
+        return signed_zeros
+    values = kind * rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-4, 5, n)
+    return np.where(rng.random(n) < 0.1, signed_zeros, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_NODE_LENGTHS, _NODE_KINDS), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1), st.data())
+def test_node_sums_equal_per_node_sums(nodes, seed, data):
+    """Both `_node_sums` calls of `_fit_trees` equal the reference trainer's
+    per-node `np.sum`/`np.mean` byte for byte: the means over every node,
+    and the parent sse over a subset of them."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array([n for n, _ in nodes])
+    a = np.concatenate([_node_values(rng, n, kind) for n, kind in nodes])
+    starts = np.cumsum(lengths) - lengths
+    slices = [a[s:s + n] for s, n in zip(starts, lengths)]
+    sums = boosting._node_sums(a, starts)
+    assert sums.dtype == np.float64
+    assert sums.tobytes() == np.array([np.add.reduce(v) for v in slices]).tobytes()
+    mean = sums / lengths
+    assert mean.tobytes() == np.array([np.mean(v) for v in slices]).tobytes()
+    tried = np.nonzero(data.draw(hnp.arrays(bool, len(nodes))))[0]
+    with np.errstate(over="ignore"):   # squares of values near 1e300 are inf
+        sse = boosting._node_sums((a - np.repeat(mean, lengths)) ** 2, starts)[tried]
+        expected = np.array([np.sum((slices[k] - np.mean(slices[k])) ** 2) for k in tried])
+    assert sse.tobytes() == expected.astype(float).tobytes()
 
 
 # ------------------------------------------ round-at-once fit vs the per-tree trainer
@@ -428,5 +480,5 @@ def test_level_fit_matches_per_tree_reference(X, data, max_depth, min_leaf, chun
             got = nodes[name][ends[c] - sizes[c]:ends[c]]
             assert (got.dtype, got.tobytes()) == (getattr(tree, name).dtype,
                                                   getattr(tree, name).tobytes())
-        assert internal[c] == tree.num_internal
+        assert internal[c] == internal_count(tree)
         assert leaf_value[c].tobytes() == tree.value[leaf_of_row].tobytes()

@@ -1,4 +1,5 @@
 import json
+import logging
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from beamtrain.boosting import TrainConfig, save_model, train
 from beamtrain.channel import default_bs_geometry, default_ue_geometry, load_channels
 from beamtrain.dataset import load_dataset
 from beamtrain.harness import ExperimentConfig
+from reference_boosting import tree_depth
 from reference_scene import trace_paths as trace_paths_reference
 
 
@@ -141,6 +143,17 @@ def test_eval_bad_out_fails_before_any_stage(tmp_path, monkeypatch, capsys, comm
     assert ran == []
 
 
+def test_eval_run_bad_grid_fails_before_any_stage(tmp_path, monkeypatch, capsys, caplog):
+    def no_snapshots(*args, **kwargs):
+        raise AssertionError("a snapshot was generated")
+    monkeypatch.setattr(harness, "generate_snapshot", no_snapshots)
+    cfg = _tiny_config(tmp_path, ue_grid=[{"tree_count": 5}, {"max_dept": 3}])
+    with caplog.at_level(logging.INFO, logger="beamtrain"):
+        assert cli.main(["eval", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "ue_grid[1].max_dept is not a grid key" in capsys.readouterr().err
+    assert not [m for m in caplog.messages if m.startswith("stage:")]
+
+
 def test_model_inspect_counts_what_the_tree_views_give(tmp_path, capsys):
     """`model inspect` reads tree counts and depths from the layout; on a
     --smoke model it prints what counting the `Tree` views prints."""
@@ -149,7 +162,7 @@ def test_model_inspect_counts_what_the_tree_views_give(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["model", "inspect", "--model", path]) == 0
     model = boosting.load_model(path)
-    depths = Counter(tree.depth for _, tree in model.trees)
+    depths = Counter(tree_depth(tree) for _, tree in model.trees)
     assert capsys.readouterr().out.splitlines() == [
         "role: decoupled_ue", "outputs: 16", f"trees: {len(model.trees)}",
         f"param_count: {boosting.param_count(model)}",

@@ -10,8 +10,8 @@ import pytest
 
 from beamtrain import boosting, metrics
 from beamtrain.harness import (DEFAULT_N_B_SWEEP, ExperimentConfig, StageError, _stage,
-                               build_coverage_plan, decoupled_split, derive_seed, emit_outputs,
-                               evaluate, run_experiment)
+                               build_corpus, build_coverage_plan, decoupled_split, derive_seed,
+                               emit_outputs, evaluate, run_experiment, split_corpus, train_role)
 from beamtrain.selectors import BeamPairSet, DecoupledSets, overhead_bits
 
 
@@ -103,6 +103,25 @@ def test_config_rejects_bad_evaluation_keys(key, value):
     # rejected when the config is read, before any stage runs
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("key, grid, message", [
+    ("ue_grid", [], "ue_grid must hold at least one grid point"),
+    ("bs_grid", [{"max_dept": 3}], "bs_grid[0].max_dept is not a grid key"),
+    ("ue_grid", [{}, {"budget_parameters": 10}], "ue_grid[1].budget_parameters is not a grid key"),
+    ("ue_grid", [{"tree_count": 5}, {"min_samples_leaf": 0}],
+     "ue_grid[1].min_samples_leaf must be an integer >= 1, got 0"),
+    ("bs_grid", [{"max_depth": 2.5}], "bs_grid[0].max_depth must be an integer >= 1, got 2.5"),
+    ("bs_grid", [{"learning_rate": 0.0}], "bs_grid[0].learning_rate must be in (0, 1], got 0.0"),
+    ("bs_grid", [{"tree_count": "9"}], "bs_grid[0].tree_count must be an integer >= 0, got '9'"),
+    ("bs_grid", [3], "bs_grid[0] must be a table of grid keys, got 3"),
+])
+def test_config_rejects_bad_model_grids(key, grid, message):
+    # rejected when the config is built, before any stage runs
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_dict({key: grid})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**{key: tuple(grid)})
 
 
 def test_stage_wraps_exceptions():
@@ -273,3 +292,29 @@ def test_evaluate_logs_rows_trees_and_seconds_per_role(caplog):
         "predicted theta1: 6 rows, 7 trees", "predicted theta2_w: 6 rows, 3 trees",
         "predicted theta2_f: 6 rows, 5 trees"]
     assert all(re.fullmatch(r" \d+\.\d{4} s", m.rsplit(",", 1)[1]) for m in caplog.messages)
+
+
+def test_train_role_logs_grid_point_trees_parameters_and_seconds(caplog):
+    config = dataclasses.replace(
+        ExperimentConfig.smoke(), snapshot_count=4, folds=3,
+        ue_grid=({"tree_count": 2, "max_depth": 1}, {"tree_count": 6, "max_depth": 3}))
+    _, _, tr_rows, atr_rows = build_corpus(config)
+    split = split_corpus(config, len(tr_rows))
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="beamtrain"):
+        models = {name: train_role(config, name, tr_rows, atr_rows, split)
+                  for name in ("theta2_f", "theta2_w")}
+    counts = {name: (len(m.layout["tree_sizes"]), boosting.param_count(m))
+              for name, m in models.items()}
+    fit = r"fit \d+\.\d{3} s"
+    # a one-point grid is not tuned, so it logs no validation MSE
+    assert caplog.messages[0] == "stage: tune and train theta2_f"
+    assert re.fullmatch(r"trained theta2_f: grid point 0 of 1, %d trees, %d parameters, " % counts[
+        "theta2_f"] + fit, caplog.messages[1])
+    assert caplog.messages[2] == "stage: tune and train theta2_w"
+    chosen = re.fullmatch(r"chose grid point ([01]) of 2: val MSE (\S+), mean params \S+",
+                          caplog.messages[3])
+    assert chosen and 0.0 < float(chosen[2]) < 1.0
+    assert re.fullmatch(r"trained theta2_w: grid point %s of 2, %d trees, %d parameters, " % (
+        chosen[1], *counts["theta2_w"]) + fit, caplog.messages[4])
+    assert len(caplog.messages) == 5
