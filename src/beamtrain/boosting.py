@@ -108,9 +108,10 @@ class TreeEnsembleModel:
     arrays of every tree concatenated in fit order, with `tree_outputs[i]`
     the output and `tree_sizes[i]` the node count of tree i. Child ids are
     local to their tree and always greater than their parent's id, as the
-    preorder that `train` writes gives them. The layout is built once, at
-    construction, and `trees` is a tuple of views into it, so the trees a
-    caller sees are always the trees prediction evaluates.
+    preorder that `train` writes gives them. The constructor takes the
+    layout as `train` builds it and model files store it, checks it and
+    keeps a read-only copy; `trees` is a tuple of views into that copy, so
+    the trees a caller sees are always the trees prediction evaluates.
 
     Prediction walks every tree at once, one level per step, over a
     (rows x trees) node matrix, through a child table built with the layout
@@ -120,25 +121,8 @@ class TreeEnsembleModel:
     a time and summing them per output.
     """
 
-    def __init__(self, base_prediction, trees=(), learning_rate: float = 0.3,
-                 output_dimension: int = 1, role: str = "coupled"):
-        trees = tuple(trees)
-        layout = {"tree_outputs": [dim for dim, _ in trees],
-                  "tree_sizes": [len(t.feature) for _, t in trees]}
-        for name, dtype in _NODE_FIELDS:
-            layout["node_" + name] = (np.concatenate([getattr(t, name) for _, t in trees])
-                                      if trees else np.zeros(0, dtype=dtype))
-        self._build(base_prediction, layout, learning_rate, output_dimension, role)
-
-    @classmethod
-    def from_layout(cls, base_prediction, layout, learning_rate: float, output_dimension: int,
-                    role: str) -> "TreeEnsembleModel":
-        """Model over an already packed layout, as `save_model` writes it."""
-        model = cls.__new__(cls)
-        model._build(base_prediction, layout, learning_rate, output_dimension, role)
-        return model
-
-    def _build(self, base_prediction, layout, learning_rate, output_dimension, role):
+    def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
+                 role: str):
         self.base_prediction = base_prediction
         self.learning_rate = learning_rate
         self.output_dimension = output_dimension
@@ -514,8 +498,8 @@ def train(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel
     sort = np.lexsort((X[:, 1], X[:, 0]))
     X, Y = X[sort], Y[sort]
     base = Y.mean(axis=0)
-    return TreeEnsembleModel.from_layout(base, _boosted_layout(X, Y, base, config),
-                                         config.learning_rate, d, role)
+    return TreeEnsembleModel(base, _boosted_layout(X, Y, base, config), config.learning_rate, d,
+                             role)
 
 
 def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray) -> TrainConfig:
@@ -561,7 +545,7 @@ def load_model(path: str) -> TreeEnsembleModel:
                       ("base_prediction", "learning_rate", "output_dimension", "role")
                       + tuple(key for key, _ in _LAYOUT))
     try:
-        return TreeEnsembleModel.from_layout(
+        return TreeEnsembleModel(
             arrays["base_prediction"], {key: arrays[key] for key, _ in _LAYOUT},
             learning_rate=float(arrays["learning_rate"][0]),
             output_dimension=int(arrays["output_dimension"][0]), role=str(arrays["role"][0]))

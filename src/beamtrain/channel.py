@@ -1,16 +1,11 @@
 """Frequency-selective MIMO channel assembly from traced paths."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import ArrayGeometry, local_angles, rotation_from_boresight, steering_vector
-from .fileio import atomic_write, load_npz, save_npz
 from .scene import PathComponent, PathTable, SceneConfig, SceneSnapshot, trace_paths
-
-CHANNEL_FORMAT_VERSION = 1
-_CHANNEL_KEYS = ("snapshot_ids", "ue_indices", "locations", "matrices")
 
 
 @dataclass(frozen=True)
@@ -101,30 +96,3 @@ def _unit_from_angles(angles: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(elevation) * np.cos(azimuth),
                      np.cos(elevation) * np.sin(azimuth),
                      np.sin(elevation)], axis=1)
-
-
-def save_channels(channels: list[ChannelRealization], path: str, index_csv: str,
-                  path_counts: list[int]) -> None:
-    """Versioned binary bundle plus a human-readable index CSV."""
-    save_npz(path, {
-        "snapshot_ids": np.array([c.snapshot_id for c in channels]),
-        "ue_indices": np.array([c.ue_index for c in channels]),
-        "locations": np.array([c.ue_location for c in channels]),
-        "matrices": np.array([c.matrices for c in channels]),
-    }, CHANNEL_FORMAT_VERSION)
-    with atomic_write(index_csv, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snapshot_id", "ue_index", "x", "y", "path_count"])
-        for c, n in zip(channels, path_counts):
-            writer.writerow([c.snapshot_id, c.ue_index,
-                             "%.9g" % c.ue_location[0], "%.9g" % c.ue_location[1], n])
-
-
-def load_channels(path: str) -> list[ChannelRealization]:
-    data = load_npz(path, "channel", CHANNEL_FORMAT_VERSION, _CHANNEL_KEYS)
-    return [
-        ChannelRealization(ue_location=data["locations"][i], matrices=data["matrices"][i],
-                           snapshot_id=int(data["snapshot_ids"][i]),
-                           ue_index=int(data["ue_indices"][i]))
-        for i in range(len(data["snapshot_ids"]))
-    ]

@@ -10,9 +10,10 @@ import tempfile
 import numpy as np
 
 from . import boosting, dataset, harness, selectors
-from .channel import (ChannelRealization, default_bs_geometry, default_ue_geometry,
-                      dense_channel, path_responses, save_channels)
-from .scene import generate_snapshot, trace_snapshot
+from .fileio import atomic_write, save_npz
+from .scene import trace_snapshot
+
+PATHS_FORMAT_VERSION = 1
 
 
 def _load_config(args) -> harness.ExperimentConfig:
@@ -36,24 +37,24 @@ def _output_dir(path: str) -> None:
 
 
 def cmd_scene_gen(args) -> int:
+    """Trace every snapshot into its path table and write the tables,
+    concatenated with a `snapshot_id` column, plus an index of every UE."""
     config = _load_config(args)
-    bs_geom = default_bs_geometry(config.scene, *config.bs_array)
-    ue_geom = default_ue_geometry(config.scene, *config.ue_array)
-    channels, counts = [], []
-    for i in range(config.snapshot_count):
-        snap = generate_snapshot(config.scene, harness.derive_seed(config.master_seed, i),
-                                 snapshot_id=i)
+    _output_dir(args.out)
+    tables, index = [], []
+    for snap in harness.generate_snapshots(config):
         table = trace_snapshot(snap, config.scene)
-        a_ue, a_bs, phases = path_responses(table, bs_geom, ue_geom, config.scene)
-        for ue, rows in zip(snap.ue_indices, table.ue_rows(snap.ue_indices)):
-            H = dense_channel(table.gain[rows], a_ue[rows], a_bs[rows], phases[:, rows])
-            channels.append(ChannelRealization(ue_location=snap.ue_location(ue), matrices=H,
-                                               snapshot_id=snap.snapshot_id, ue_index=ue))
-            counts.append(rows.stop - rows.start)
-    os.makedirs(args.out, exist_ok=True)
-    save_channels(channels, os.path.join(args.out, "channels.npz"),
-                  index_csv=os.path.join(args.out, "channels_index.csv"), path_counts=counts)
-    print(f"wrote {len(channels)} channels to {args.out}")
+        tables.append({"snapshot_id": np.full(len(table.ue), snap.snapshot_id),
+                       **vars(table)})
+        index += [(snap.snapshot_id, ue, *snap.ue_location(ue), rows.stop - rows.start)
+                  for ue, rows in zip(snap.ue_indices, table.ue_rows(snap.ue_indices))]
+    save_npz(os.path.join(args.out, "paths.npz"),
+             {key: np.concatenate([t[key] for t in tables]) for key in tables[0]},
+             PATHS_FORMAT_VERSION)
+    with atomic_write(os.path.join(args.out, "paths_index.csv"), newline="") as fh:
+        fh.write("snapshot_id,ue_index,x,y,path_count\n")
+        fh.writelines("%d,%d,%.9g,%.9g,%d\n" % row for row in index)
+    print(f"wrote {sum(len(t['ue']) for t in tables)} paths of {len(index)} UEs to {args.out}")
     return 0
 
 
@@ -76,10 +77,25 @@ def cmd_dataset_transform(args) -> int:
     return 0
 
 
-def cmd_model_train(args) -> int:
+def _tr_corpus(args):
+    """The config, and the TR rows, ATR rows and split of the `--input`
+    file, which must be a `dataset transform` file of the config's
+    (|W|, |F|) pair shape."""
     config = _load_config(args)
-    _, _, tr_rows, atr_rows = harness.build_corpus(config)
-    split = harness.split_corpus(config, len(tr_rows))
+    rows, pair_shape = dataset.load_dataset(args.input, fmt="binary")
+    if not isinstance(rows[0], dataset.TRRow):
+        raise ValueError(f"dataset file {args.input!r} has row_kind 'rate'; --input takes the "
+                         "throughput-ratio file that `dataset transform` writes")
+    expected = (config.num_combiners, config.num_beamformers)
+    if pair_shape != expected:
+        raise ValueError(f"dataset file {args.input!r} has pair_shape {pair_shape}, but the "
+                         f"config's ue_array and bs_array give {expected}")
+    return (config, rows, dataset.to_atr(rows, *pair_shape),
+            harness.split_corpus(config, len(rows)))
+
+
+def cmd_model_train(args) -> int:
+    config, tr_rows, atr_rows, split = _tr_corpus(args)
     model = harness.train_role(config, args.role, tr_rows, atr_rows, split)
     boosting.save_model(model, args.out)
     print(f"wrote {args.role} model ({boosting.param_count(model)} parameters)")
@@ -99,9 +115,7 @@ def cmd_model_inspect(args) -> int:
 
 
 def cmd_plan_build(args) -> int:
-    config = _load_config(args)
-    _, _, tr_rows, atr_rows = harness.build_corpus(config)
-    split = harness.split_corpus(config, len(tr_rows))
+    config, tr_rows, atr_rows, split = _tr_corpus(args)
     plan = harness.build_coverage_plan(config, np.array([r.location for r in tr_rows]),
                                        np.array([r.atr_f for r in atr_rows]), split)
     selectors.save_plan(plan, args.out, csv_path=args.out + ".csv")
@@ -143,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scene = sub.add_parser("scene", help="scene and channel generation").add_subparsers(
+    scene = sub.add_parser("scene", help="scene generation and path tracing").add_subparsers(
         dest="subcommand", required=True)
-    p = scene.add_parser("gen", help="generate snapshots and channels")
+    p = scene.add_parser("gen", help="generate snapshots and trace their paths")
     _add_common(p, "scene_out")
     p.set_defaults(func=cmd_scene_gen)
 
@@ -164,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = model.add_parser("train", help="train one model role")
     _add_common(p, "model.npz")
+    p.add_argument("--input", required=True, help="TR dataset file from `dataset transform`")
     p.add_argument("--role", default="theta1",
                    choices=["theta1", "theta2_f", "theta2_w", "theta3_w"])
     p.set_defaults(func=cmd_model_train)
@@ -175,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = plan.add_parser("build", help="build the cluster coverage plan")
     _add_common(p, "plan.npz")
+    p.add_argument("--input", required=True, help="TR dataset file from `dataset transform`")
     p.set_defaults(func=cmd_plan_build)
 
     ev = sub.add_parser("eval", help="experiments and metrics").add_subparsers(

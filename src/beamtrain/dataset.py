@@ -193,6 +193,8 @@ def load_dataset(path: str, fmt: str = "binary"):
         values = data["values"]
         pair_shape = _check_pair_shape(data["pair_shape"],
                                        values.shape[1] if values.ndim == 2 else None, path)
+        if len(values) == 0:
+            raise ValueError(f"dataset file {path!r} holds no rows")
         kind = str(data["row_kind"][0])
         if kind == "tr":
             require_keys(data, path, "dataset", ("max_rates",))

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -67,6 +68,21 @@ class ExperimentConfig:
     heatmap_s_f: tuple = (1, 2, 4, 8, 12, 16, 20, 24, 32)
 
     def __post_init__(self):
+        for key, low in (("snapshot_count", 1), ("folds", 2), ("s_w_size", 1),
+                         ("cluster_count", 1)):
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+        for key in ("bs_array", "ue_array"):
+            shape = getattr(self, key)
+            if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(
+                    isinstance(n, numbers.Integral) and n >= 1 for n in shape)):
+                raise ValueError(f"{key} must be two positive integers (rows, cols), "
+                                 f"got {shape!r}")
+        if not (isinstance(self.scenarios, (tuple, list)) and self.scenarios
+                and all(s in (1, 2, 3) for s in self.scenarios)):
+            raise ValueError(f"scenarios must be a nonempty list drawn from 1, 2 and 3, "
+                             f"got {self.scenarios!r}")
         # snapshot i draws its seed from label i, which must stay below the
         # frozen labels of the split and the clustering
         if self.snapshot_count >= _SEED_SPLIT:
@@ -76,13 +92,8 @@ class ExperimentConfig:
         for key in ("n_b_sweep", "heatmap_s_w", "heatmap_s_f"):
             if any(v < 1 for v in getattr(self, key)):
                 raise ValueError(f"{key} entries must be >= 1, got {getattr(self, key)}")
-        for key in ("s_w_size", "cluster_count"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
         # every grid point must make a TrainConfig, so that a bad grid fails
         # before the corpus is built; the harness sets each role's budget
         for key in ("bs_grid", "ue_grid"):
@@ -209,12 +220,17 @@ def decoupled_split(n_b: int, s_w: int, num_beamformers: int) -> tuple[int, int]
     return s_w, max(1, min(num_beamformers, n_b // s_w))
 
 
+def generate_snapshots(config: ExperimentConfig):
+    """The run's snapshots in snapshot order; snapshot i is seeded from
+    label i of the master seed."""
+    with _stage("generate snapshots"):
+        return [generate_snapshot(config.scene, derive_seed(config.master_seed, i), snapshot_id=i)
+                for i in range(config.snapshot_count)]
+
+
 def build_corpus(config: ExperimentConfig):
     """Snapshots -> rate rows -> TR/ATR rows, deterministically."""
-    with _stage("generate snapshots"):
-        snapshots = [generate_snapshot(config.scene, derive_seed(config.master_seed, i),
-                                       snapshot_id=i)
-                     for i in range(config.snapshot_count)]
+    snapshots = generate_snapshots(config)
     with _stage("build rate dataset"):
         bs_geom = default_bs_geometry(config.scene, *config.bs_array)
         ue_geom = default_ue_geometry(config.scene, *config.ue_array)

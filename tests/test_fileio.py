@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from beamtrain import cli
 from beamtrain.boosting import TrainConfig, load_model, save_model, train
-from beamtrain.channel import ChannelRealization, load_channels, save_channels
 from beamtrain.dataset import load_dataset, save_dataset, to_throughput_ratios
 from beamtrain.fileio import atomic_write, load_npz, save_npz
 from beamtrain.linkeval import RateRow
@@ -99,11 +99,16 @@ def _write_tr_dataset(path):
     save_dataset(to_throughput_ratios(_rate_rows()), path, (2, 3), fmt="binary")
 
 
-def _write_channels(path):
-    channel = ChannelRealization(ue_location=np.array([1.0, 2.0]),
-                                 matrices=np.ones((2, 2, 3), dtype=complex), snapshot_id=0,
-                                 ue_index=0)
-    save_channels([channel], path, path + ".csv", [1])
+def _write_paths(path):
+    out = os.path.join(os.path.dirname(path), "scene")
+    assert cli.main(["scene", "gen", "--smoke", "--out", out]) == 0
+    os.replace(os.path.join(out, "paths.npz"), path)
+
+
+def _load_paths(path):
+    """`scene gen`'s path file, which has no loader in the package."""
+    return load_npz(path, "paths", cli.PATHS_FORMAT_VERSION,
+                    ("snapshot_id", "ue", "kind", "gain", "delay", "aod", "aoa"))
 
 
 def _write_plan(path):
@@ -122,7 +127,7 @@ def _write_model(path):
 @pytest.mark.parametrize("write, load", [
     (_write_rate_dataset, load_dataset),
     (_write_tr_dataset, load_dataset),    # a TR dataset also needs max_rates
-    (_write_channels, load_channels),
+    (_write_paths, _load_paths),
     (_write_plan, load_plan),
     (_write_model, load_model),
 ])

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from beamtrain.arrays import ArrayGeometry, dft_codebook
 from beamtrain.channel import (ChannelRealization, default_bs_geometry, default_ue_geometry,
                                paths_to_channel)
-from beamtrain.linkeval import (RateRow, pair_index, sweep_all, sweep_paths, throughput_ratio,
-                                unflatten_pair)
+from beamtrain.linkeval import RateRow, sweep_all
 from beamtrain.scene import PathComponent, SceneConfig
+from reference_linkeval import pair_index, sweep_paths, throughput_ratio, unflatten_pair
 
 
 def per_pair_rate(channel: ChannelRealization, combiner: np.ndarray, beamformer: np.ndarray,
