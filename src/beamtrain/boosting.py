@@ -26,10 +26,11 @@ trainer's arithmetic:
 - node means and the parent sse are `np.sum` over the node's rows in the
   first feature's order. numpy sums pairwise in an order set by the
   length, so each node is summed alone, all in one `np.add.reduceat` over
-  the level's values with a 0.0 put in front of every node: `reduceat`
-  copies a segment's first value (the 0.0) to the output and hands the
-  rest to the pairwise loop, and `np.sum` of a float64 slice is likewise
-  the identity 0.0 plus that loop's sum of all its values;
+  a copy of the level's values with a 0.0 slot in front of every node
+  (the parent sse squares the deviations in that copy, then zeroes the
+  slots again): `reduceat` copies a segment's first value (the slot) to
+  the output and hands the rest to the pairwise loop, and `np.sum` of a
+  float64 slice is likewise the identity 0.0 plus that loop's sum;
 - node ids are in preorder: node, left subtree, right subtree;
 - a later feature wins only if its sse is lower by more than 1e-15, and
   within a feature the lowest threshold wins ties.
@@ -254,20 +255,29 @@ def param_count(model: TreeEnsembleModel) -> int:
     return model.output_dimension + 2 * internal + (len(model.layout["node_feature"]) - internal)
 
 
-def _node_sums(a, starts):
-    """`np.sum` of each node's slice of `a`, the nodes lying back to back
-    from `starts`, bit for bit, as the module docstring explains."""
-    return np.add.reduceat(np.insert(a, starts, 0.0), starts + np.arange(len(starts)))
+def _node_stats(a, starts, lengths, sse):
+    """Each node's mean and, if `sse`, sum of squared deviations from it, the
+    nodes lying back to back in `a` from `starts`; see the module docstring."""
+    slots = starts + np.arange(len(starts))
+    slotted = np.insert(a, starts, 0.0)
+    mean = np.add.reduceat(slotted, slots) / lengths
+    if not sse:
+        return mean, None
+    slotted -= np.repeat(mean, lengths + 1)
+    np.square(slotted, out=slotted)
+    slotted[slots] = 0.0
+    return mean, np.add.reduceat(slotted, slots)
 
 
 def _best_splits(x, r, starts, lengths, min_leaf):
-    """Best split of every node: (found, sse, feature, threshold).
+    """Best split of every node: (sse, feature, threshold), feature -1 if none.
 
     Row f of `x` and `r` holds the values of feature f and the residuals,
     node after node in that feature's sorted order, and is padded by at
     least the longest node; node k starts at `starts[k]`. A feature's
     candidate thresholds are the midpoints between distinct neighbouring
-    values that leave at least `min_leaf` rows on either side; its best
+    values (one boolean step mask, `x[:, :-1] >= x[:, 1:]`, marks the
+    others) that leave at least `min_leaf` rows on either side; its best
     has the lowest sse, and the lowest threshold among equal ones. The
     lowest feature with a candidate wins unless a later one beats it by
     more than 1e-15. Nodes are padded to the longest of their group, and
@@ -275,14 +285,14 @@ def _best_splits(x, r, starts, lengths, min_leaf):
     every node as a per-node `np.cumsum` does. Each sse term is computed as
     the per-node formula computes it, in the same order."""
     features = len(x)
-    found = np.zeros(len(starts), dtype=bool)
     best_sse, threshold = np.zeros(len(starts)), np.zeros(len(starts))
     feature = np.full(len(starts), -1)
     by_length = np.argsort(-lengths, kind="stable")
-    # views of every run of `width` values, from which each group is copied
+    # views of every run of `width` residuals and `width - 1` steps
     width = max(2, int(lengths.max(initial=0)))
-    x_windows = np.lib.stride_tricks.sliding_window_view(x, width, axis=-1)
-    r_windows = np.lib.stride_tricks.sliding_window_view(r, width, axis=-1)
+    r_windows, step_windows = (np.lib.stride_tricks.as_strided(
+        a, (features, a.shape[1] - w + 1, w), a.strides + a.strides[1:], writeable=False)
+        for a, w in ((r, width), (x[:, :-1] >= x[:, 1:], width - 1)))
     sorted_lengths = lengths[by_length]
     lo = 0
     while lo < len(by_length):
@@ -293,8 +303,7 @@ def _best_splits(x, r, starts, lengths, min_leaf):
                  lo + int(np.searchsorted(-sorted_lengths[lo:], -(width // 2), side="right")))
         group = by_length[lo:max(hi, lo + 1)]
         lo += len(group)
-        v = x_windows[:, starts[group], :width]                # (feature, node, position)
-        res = r_windows[:, starts[group], :width]
+        res = r_windows[:, starts[group], :width]              # (feature, node, position)
         n = lengths[group][:, None].astype(float)
         i = np.arange(1.0, width)                              # left sizes
         right = n - i
@@ -314,87 +323,83 @@ def _best_splits(x, r, starts, lengths, min_leaf):
         right_sse /= right
         np.subtract(total2, cs2, out=cs2)
         split_sse += np.subtract(cs2, right_sse, out=cs2)
-        invalid = (v[..., :-1] >= v[..., 1:]) | too_small
+        invalid = step_windows[:, starts[group], :width - 1] | too_small
         np.copyto(split_sse, np.inf, where=invalid)
         pos = np.argmin(split_sse, axis=2)[..., None]
         sse = split_sse[f_ix, k_ix, pos][..., 0]
-        midpoint = ((v[f_ix, k_ix, pos] + v[f_ix, k_ix, pos + 1]) / 2.0)[..., 0]
+        at = starts[group][:, None] + pos                      # pos in the rows of x
+        midpoint = ((x[f_ix, at] + x[f_ix, at + 1]) / 2.0)[..., 0]
         ok = np.isfinite(sse)                  # the sse of a valid split is finite
         for f in range(features):
-            take = ok[f] & (~found[group] | (sse[f] < best_sse[group] - 1e-15))
+            take = ok[f] & ((feature[group] < 0) | (sse[f] < best_sse[group] - 1e-15))
             chosen = group[take]
             best_sse[chosen], threshold[chosen] = sse[f, take], midpoint[f, take]
             feature[chosen] = f
-            found[group] |= ok[f]
-    return found, best_sse, feature, threshold
+    return best_sse, feature, threshold
 
 
 def _fit_trees(X, orders, residual, config: TrainConfig):
     """One tree per row of `residual` (trees x rows of X, C-contiguous), all
     fitted together, level by level.
 
-    A node is a set of rows. Each level keeps, per feature, the rows of all
-    its nodes in one flat array, node after node, each node's rows in that
-    feature's sorted order. A node's value is the mean of its residuals in
-    the first feature's order; it splits at its best split (`_best_splits`)
-    if that lowers its sse by more than 1e-12 * max(1, sse).
+    A node is a set of cells: cell `tree * n + row` is a row of a tree and
+    its index into the flat residuals. Each level keeps, per feature, the
+    cells of all its nodes in one flat array, node after node, each node's
+    cells in that feature's sorted order. A node's value is the mean of its
+    residuals in the first feature's order; it splits at its best split
+    (`_best_splits`) if that lowers its sse by more than 1e-12 * max(1, sse).
 
     Returns the trees' node arrays, packed tree after tree with each tree in
     preorder (node, left subtree, right subtree), the trees' node counts
     and internal-node counts, and the leaf value of every (tree, row)."""
     trees, n = residual.shape
-    min_leaf = config.min_samples_leaf
-    x_flat = np.ascontiguousarray(X.T).ravel()  # feature f, row j at f * n + j
-    r_flat = residual.ravel()                   # tree c, row j at c * n + j
-    tree = np.arange(trees)                     # the tree of every node of the level
-    lengths = np.full(trees, n)
-    rows = [np.tile(o, trees) for o in orders]
-    leaf_value = np.empty(trees * n)
+    size = trees * n
+    x_all = np.tile(X.T, trees)                 # feature f, cell c at [f, c]
+    cells = [(np.arange(0, size, n)[:, None] + o).ravel() for o in orders]
+    tree, lengths = np.arange(trees), np.full(trees, n)  # each node's tree and cell count
+    leaf_value = np.empty(size)
     levels = []
     for depth in range(config.max_depth + 1):
         total = int(lengths.sum())
         starts = np.cumsum(lengths) - lengths
         node = np.repeat(np.arange(len(lengths)), lengths)
-        at = tree[node] * n
-        # per feature, the residuals in node order, padded for `_best_splits`;
-        # x below holds the feature values in the same layout
-        r = np.empty((len(rows), total + max(2, int(lengths.max()))))
-        r[:, total:] = 0.0
-        for f, rows_f in enumerate(rows):
-            r[f, :total] = r_flat[at + rows_f]
-        mean = _node_sums(r[0, :total], starts) / lengths
-        leaf_value[at + rows[0]] = mean[node]  # the next level overwrites split nodes
-        feature = np.full(len(lengths), -1)
-        threshold = np.zeros(len(lengths))
-        split = np.zeros(len(lengths), dtype=bool)
+        # per feature, the residuals and feature values in node order, padded
+        # for `_best_splits`; the ids are in range, so mode="clip" only skips a copy
+        r, x = np.empty((2, len(cells), total + max(2, int(lengths.max()))))
+        r[:, total:] = x[:, total:] = 0.0
+        for f, cells_f in enumerate(cells):
+            np.take(residual, cells_f, out=r[f, :total], mode="clip")
+        mean, parent_sse = _node_stats(r[0, :total], starts, lengths, depth < config.max_depth)
+        feature, threshold = np.full(len(lengths), -1), np.zeros(len(lengths))
         if depth < config.max_depth:
-            tried = np.nonzero(lengths >= 2 * min_leaf)[0]
-            parent_sse = _node_sums((r[0, :total] - mean[node]) ** 2, starts)[tried]
-            x = np.empty_like(r)
-            x[:, total:] = 0.0
-            for f, rows_f in enumerate(rows):
-                x[f, :total] = x_flat[f * n + rows_f]
-            found, sse, best_feature, best_threshold = _best_splits(
-                x, r, starts[tried], lengths[tried], min_leaf)
-            gain = found & ~(sse >= parent_sse - 1e-12 * np.maximum(1.0, parent_sse))
-            split[tried[gain]] = True
+            tried = np.nonzero(lengths >= 2 * config.min_samples_leaf)[0]
+            for f, cells_f in enumerate(cells):
+                np.take(x_all[f], cells_f, out=x[f, :total], mode="clip")
+            sse, best_feature, best_threshold = _best_splits(
+                x, r, starts[tried], lengths[tried], config.min_samples_leaf)
+            parent_sse = parent_sse[tried]
+            gain = (best_feature >= 0) & ~(sse >= parent_sse - 1e-12 * np.maximum(1.0, parent_sse))
             feature[tried[gain]] = best_feature[gain]
             threshold[tried[gain]] = best_threshold[gain]
+        split = feature >= 0
         levels.append((tree, mean, feature, threshold, split))
         if not np.any(split):
+            leaf_value[cells[0]] = mean[node]
             break
-        # the k-th split node's children are nodes k (left) and K + k (right)
-        # of the next level, K the number of splits; masks keep the row order.
-        # The last level needs the rows in the first feature's order only.
-        if depth + 1 == config.max_depth:
-            rows = rows[:1]
         kept = split[node]
+        leaf_value[cells[0][~kept]] = mean[node[~kept]]   # the cells of unsplit nodes
+        # the k-th split node's children are nodes k (left) and K + k (right)
+        # of the next level, K the number of splits; masks keep the cell order.
+        # The last level needs the cells in the first feature's order only.
+        if depth + 1 == config.max_depth:
+            cells = cells[:1]
         of = node[kept]
-        for f, rows_f in enumerate(rows):
-            rows_f = rows_f[kept]
-            go_left = x_flat[feature[of] * n + rows_f] <= threshold[of]
-            rows[f] = np.concatenate([rows_f[go_left], rows_f[~go_left]])
-        # every feature's order holds the same rows per node
+        at, below = feature[of] * size, threshold[of]
+        for f, cells_f in enumerate(cells):
+            cells_f = cells_f[kept]
+            go_left = np.take(x_all, at + cells_f) <= below
+            cells[f] = np.concatenate([cells_f[go_left], cells_f[~go_left]])
+        # every feature's order holds the same cells per node
         left = np.bincount((np.cumsum(split) - 1)[of[go_left]], minlength=int(split.sum()))
         tree = np.concatenate([tree[split], tree[split]])
         lengths = np.concatenate([left, lengths[split] - left])
@@ -422,10 +427,8 @@ def _preorder(levels, trees):
     tree, ids, *arrays = (np.concatenate(a) for a in zip(*parts))
     tree_sizes = sizes[0]
     place = (np.cumsum(tree_sizes) - tree_sizes)[tree] + ids
-    nodes = {}
-    for (name, _), values in zip(_NODE_FIELDS, arrays):
-        nodes[name] = np.empty_like(values)
-        nodes[name][place] = values
+    by_place = np.argsort(place)
+    nodes = {name: values[by_place] for (name, _), values in zip(_NODE_FIELDS, arrays)}
     internal = np.bincount(tree[arrays[0] >= 0], minlength=trees)
     return nodes, tree_sizes, internal
 
@@ -443,14 +446,14 @@ def _boosted_layout(X, Y, base, config: TrainConfig):
     the size of the fit's largest temporaries."""
     n, d = Y.shape
     orders = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
-    pred = np.tile(base, (n, 1))
+    pred = np.repeat(base[:, None], n, axis=1)      # output-major: output k in row k
     used = d
-    pieces = []
+    pieces = [tuple(np.zeros(0, dtype) for _, dtype in _LAYOUT)]  # an empty layout
     block = max(1, _CHUNK_CELLS // (X.shape[1] * n))  # (feature, row, output) cells
     for _ in range(config.tree_count):
         for lo in range(0, d, block):
             dims = np.arange(lo, min(lo + block, d))
-            residual = (Y[:, dims] - pred[:, dims]).T
+            residual = Y[:, dims].T - pred[dims]      # C-contiguous, as `_fit_trees` reads it
             active = ~(np.max(np.abs(residual), axis=1) < 1e-12)
             if not np.any(active):
                 continue
@@ -459,7 +462,7 @@ def _boosted_layout(X, Y, base, config: TrainConfig):
             cost = np.where(internal > 0, sizes + internal, 0)
             fits = used + np.cumsum(cost) <= config.budget_parameters
             kept = (internal > 0) & fits
-            pred[:, dims[kept]] += config.learning_rate * leaf_value[kept].T
+            pred[dims[kept]] += config.learning_rate * leaf_value[kept]
             used += int(cost[kept].sum())
             in_kept = np.repeat(kept, sizes)
             pieces.append((dims[kept], sizes[kept],
@@ -470,11 +473,8 @@ def _boosted_layout(X, Y, base, config: TrainConfig):
 
 
 def _pack(pieces):
-    """The layout (`_LAYOUT` keys) of the concatenated pieces, empty if none."""
-    layout = {key: np.zeros(0, dtype=dtype) for key, dtype in _LAYOUT}
-    if pieces:
-        layout = {key: np.concatenate(arrays) for (key, _), arrays in zip(_LAYOUT, zip(*pieces))}
-    return layout
+    """The layout (`_LAYOUT` keys) of the concatenated pieces."""
+    return {key: np.concatenate(arrays) for (key, _), arrays in zip(_LAYOUT, zip(*pieces))}
 
 
 def train(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel:

@@ -71,6 +71,9 @@ def cmd_dataset_build(args) -> int:
 
 def cmd_dataset_transform(args) -> int:
     rows, pair_shape = dataset.load_dataset(args.input, fmt="binary")
+    if isinstance(rows[0], dataset.TRRow):
+        raise ValueError(f"dataset file {args.input!r} has row_kind 'tr'; --input takes the "
+                         "rate file that `dataset build` writes")
     tr_rows = dataset.to_throughput_ratios(rows)
     dataset.save_dataset(tr_rows, args.out, pair_shape, fmt="binary")
     print(f"wrote {len(tr_rows)} throughput-ratio rows to {args.out}")

@@ -248,8 +248,9 @@ def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
     """K-fold tune and fit one model role on the training rows, under its
     budget. The scenario-2 and scenario-3 UE models share targets, budget
     and grid, so theta3_w is fitted as theta2_w. The chosen grid point, the
-    model's trees and parameters and the fit's seconds are logged at info
-    level, after `kfold_tune`'s line on the chosen point's validation MSE."""
+    model's trees and parameters and the seconds of tuning and of the final
+    fit are logged at info level, after `kfold_tune`'s line on the chosen
+    point's validation MSE."""
     if name == "theta1":
         Y, grid, budget, role = ([r.ratios for r in tr_rows], config.bs_grid, config.bs_budget,
                                  "coupled")
@@ -265,12 +266,14 @@ def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
     Y = np.array(Y)[split.train_rows]
     with _stage(f"tune and train {name}"):
         configs = [boosting.TrainConfig(budget_parameters=budget, **g) for g in grid]
-        cfg = boosting.kfold_tune(X, Y, configs, split.fold_assignments)
         start = time.perf_counter()
+        cfg = boosting.kfold_tune(X, Y, configs, split.fold_assignments)
+        tuned = time.perf_counter()
         model = boosting.train(X, Y, cfg, role=role)
-        log.info("trained %s: grid point %d of %d, %d trees, %d parameters, fit %.3f s", name,
-                 configs.index(cfg), len(configs), len(model.layout["tree_sizes"]),
-                 boosting.param_count(model), time.perf_counter() - start)
+        log.info("trained %s: grid point %d of %d, %d trees, %d parameters, tune %.2f s, "
+                 "fit %.3f s", name, configs.index(cfg), len(configs),
+                 len(model.layout["tree_sizes"]), boosting.param_count(model), tuned - start,
+                 time.perf_counter() - tuned)
         return model
 
 

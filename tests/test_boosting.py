@@ -394,25 +394,25 @@ def _node_values(rng, n, kind):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(_NODE_LENGTHS, _NODE_KINDS), min_size=1, max_size=6),
        st.integers(0, 2**32 - 1), st.data())
-def test_node_sums_equal_per_node_sums(nodes, seed, data):
-    """Both `_node_sums` calls of `_fit_trees` equal the reference trainer's
-    per-node `np.sum`/`np.mean` byte for byte: the means over every node,
-    and the parent sse over a subset of them."""
+def test_node_stats_equal_per_node_sums(nodes, seed, data):
+    """`_node_stats`, which `_fit_trees` calls once per level, equals the
+    reference trainer's per-node `np.mean` and `np.sum` byte for byte: the
+    means over every node, and the parent sse over a subset of them."""
     rng = np.random.default_rng(seed)
     lengths = np.array([n for n, _ in nodes])
     a = np.concatenate([_node_values(rng, n, kind) for n, kind in nodes])
     starts = np.cumsum(lengths) - lengths
     slices = [a[s:s + n] for s, n in zip(starts, lengths)]
-    sums = boosting._node_sums(a, starts)
-    assert sums.dtype == np.float64
-    assert sums.tobytes() == np.array([np.add.reduce(v) for v in slices]).tobytes()
-    mean = sums / lengths
+    mean, none = boosting._node_stats(a, starts, lengths, False)
+    assert none is None
+    assert mean.dtype == np.float64
     assert mean.tobytes() == np.array([np.mean(v) for v in slices]).tobytes()
     tried = np.nonzero(data.draw(hnp.arrays(bool, len(nodes))))[0]
     with np.errstate(over="ignore"):   # squares of values near 1e300 are inf
-        sse = boosting._node_sums((a - np.repeat(mean, lengths)) ** 2, starts)[tried]
+        both_mean, sse = boosting._node_stats(a, starts, lengths, True)
         expected = np.array([np.sum((slices[k] - np.mean(slices[k])) ** 2) for k in tried])
-    assert sse.tobytes() == expected.astype(float).tobytes()
+    assert both_mean.tobytes() == mean.tobytes()
+    assert sse[tried].tobytes() == expected.astype(float).tobytes()
 
 
 # ------------------------------------------ round-at-once fit vs the per-tree trainer
@@ -456,6 +456,37 @@ def test_round_fit_matches_per_tree_reference(data, chunk_cells):
     assert _layout_bytes(model) == _layout_bytes(reference)
     assert model.base_prediction.tobytes() == reference.base_prediction.tobytes()
     assert model.predict_batch(X).tobytes() == reference.predict_batch(X).tobytes()
+
+
+@st.composite
+def _paper_shaped_sets(draw):
+    """Training sets shaped like the paper's: 150-600 rows, a lane column
+    of 4 values and a continuous coordinate along the road, and 1-20 smooth
+    outputs in [0, 1] with noise, so that nodes are hundreds of rows wide
+    and a level's nodes fall into several of `_best_splits`' length groups;
+    the budget holds about 1-4 trees per output."""
+    n, d = draw(st.integers(150, 600)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n), rng.uniform(20.0, 80.0, n)])
+    phase = rng.uniform(0.0, 2 * np.pi, d)
+    Y = 0.5 + 0.3 * np.sin(X[:, 1:] / rng.uniform(2.0, 20.0, d) + phase) * (X[:, :1] / 12.25)
+    Y = np.clip(Y + rng.normal(0.0, 0.05, (n, d)), 0.0, 1.0)
+    config = TrainConfig(tree_count=draw(st.integers(1, 3)), max_depth=draw(st.integers(3, 4)),
+                         learning_rate=draw(st.sampled_from([0.3, 0.5])),
+                         min_samples_leaf=draw(st.integers(1, 3)),
+                         budget_parameters=d * draw(st.integers(25, 90)))
+    return X, Y, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_paper_shaped_sets(), st.sampled_from([37, boosting._CHUNK_CELLS]))
+def test_paper_shaped_fit_matches_per_tree_reference(data, chunk_cells):
+    X, Y, config = data
+    with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
+        model = train(X, Y, config)
+    reference = train_reference(X, Y, config)
+    assert _layout_bytes(model) == _layout_bytes(reference)
+    assert model.base_prediction.tobytes() == reference.base_prediction.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -220,6 +220,18 @@ def test_a_bad_input_fails_before_training(tmp_path, monkeypatch, capsys, comman
     assert stages == [] and not (tmp_path / "out.npz").exists()
 
 
+def test_dataset_transform_rejects_a_tr_file(tmp_path, capsys):
+    """A TR file given to `dataset transform` fails with an error naming the
+    file and its row kind, and nothing is written."""
+    tr = _tr_file(tmp_path, "--config", _tiny_config(tmp_path))
+    out = tmp_path / "tr2.npz"
+    capsys.readouterr()
+    assert cli.main(["dataset", "transform", "--input", tr, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(tr) in err and "row_kind 'tr'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("scenarios", []),
     ("scenarios", [4]),

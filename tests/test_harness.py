@@ -306,7 +306,7 @@ def test_train_role_logs_grid_point_trees_parameters_and_seconds(caplog):
                   for name in ("theta2_f", "theta2_w")}
     counts = {name: (len(m.layout["tree_sizes"]), boosting.param_count(m))
               for name, m in models.items()}
-    fit = r"fit \d+\.\d{3} s"
+    fit = r"tune \d+\.\d{2} s, fit \d+\.\d{3} s"
     # a one-point grid is not tuned, so it logs no validation MSE
     assert caplog.messages[0] == "stage: tune and train theta2_f"
     assert re.fullmatch(r"trained theta2_f: grid point 0 of 1, %d trees, %d parameters, " % counts[
