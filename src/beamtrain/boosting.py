@@ -114,12 +114,16 @@ class TreeEnsembleModel:
     keeps a read-only copy; `trees` is a tuple of views into that copy, so
     the trees a caller sees are always the trees prediction evaluates.
 
-    Prediction walks every tree at once, one level per step, over a
-    (rows x trees) node matrix, through a child table built with the layout
-    in which a leaf is its own child, so a tree that reached a leaf stays
-    there. Each output then adds `learning_rate * leaf value` of its trees
-    in fit order, so results are bit-identical to walking the trees one at
-    a time and summing them per output.
+    A layout that is not a tree (a node listed as a child twice, or by no
+    parent) is rejected. Prediction walks every tree at once, one level per
+    step, over a (rows x trees) node matrix, through walk tables built with
+    the layout in level-major order: the roots in tree order, then level by
+    level each internal node's left and right child, so siblings are
+    adjacent. In them a leaf is its own right child behind a NaN threshold,
+    so a tree that reached a leaf stays there. Each output then adds
+    `learning_rate * leaf value` of its trees in fit order, so results are
+    bit-identical to walking the trees one at a time and summing them per
+    output.
     """
 
     def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
@@ -150,17 +154,36 @@ class TreeEnsembleModel:
             child = self._layout[side][inner]
             if np.any((child <= parent) | (child >= size)):
                 raise ValueError("child node ids must point forward inside their tree")
-        # child[2n + go_left]: the global id of node n's right or left child;
-        # a leaf points to itself, so a walk that reaches it stays there
-        own = np.arange(n_nodes)
-        self._child = _read_only(np.stack(
-            [np.where(inner, offset + self._layout["node_right"], own),
-             np.where(inner, offset + self._layout["node_left"], own)], axis=1).ravel(), int)
-        self._root_feature = _read_only(feature[self._starts], int)
-        self._root_threshold = _read_only(self._layout["node_threshold"][self._starts], float)
+        left, right = (np.where(inner, offset + self._layout[side], -1)
+                       for side in ("node_left", "node_right"))
+        parents = np.bincount(np.r_[left[inner], right[inner]], minlength=n_nodes)
+        parents[self._starts] += 1          # a root has none, every other node one
+        if np.any(parents != 1):
+            raise ValueError("the nodes are not a tree: a node has no parent or two")
+        # Level-major order: the roots in tree order, then level after level
+        # each internal node's left and right child, in the order of the level
+        # above, so that siblings are adjacent and left = right - 1.
+        levels, tree_of = [self._starts], np.repeat(np.arange(len(sizes)), sizes)
+        self._tree_depths = np.zeros(len(sizes), dtype=int)
+        while len(levels[-1]):
+            self._tree_depths[tree_of[levels[-1]]] = len(levels) - 1
+            split = levels[-1][inner[levels[-1]]]
+            levels.append(np.stack([left[split], right[split]], axis=1).ravel())
+        order = np.concatenate(levels)
+        rank = np.empty(n_nodes, dtype=int)
+        rank[order] = np.arange(n_nodes)
+        # the walk tables, in that order: a leaf is its own right child and has
+        # a NaN threshold, which no `x <=` passes, so a walk stays on it
+        self._right = _read_only(np.where(inner[order], rank[right[order]], np.arange(n_nodes)),
+                                 int)
+        self._threshold = _read_only(
+            np.where(inner, self._layout["node_threshold"], np.nan)[order], float)
+        self._feature = _read_only(feature[order],
+                                   np.min_scalar_type(-int(feature.max(initial=0)) - 1))
+        self._value = _read_only(learning_rate * self._layout["node_value"][order], float)
         used = np.sort(feature[inner])
         self._features = tuple(used[np.diff(used, prepend=-1) > 0].tolist())
-        self._depth = int(self._tree_depths().max(initial=0))
+        self._depth = int(self._tree_depths.max(initial=0))
         # Round of a tree = number of earlier trees on its output; one round
         # holds at most one tree per output.
         by_output = np.argsort(outputs, kind="stable")
@@ -171,21 +194,6 @@ class TreeEnsembleModel:
         self._round[by_output] = position - np.maximum.accumulate(np.where(first, position, 0))
         self._round_count = int(self._round.max(initial=-1)) + 1
         self._trees = None
-
-    def _tree_depths(self) -> np.ndarray:
-        """Longest root-to-leaf path of every tree, from one walk of all
-        trees' internal nodes, a level per step."""
-        feature = self._layout["node_feature"]
-        depths = np.zeros(len(self._starts), dtype=int)
-        tree, node, level = np.arange(len(self._starts)), self._starts, 0
-        while len(node):
-            inner = feature[node] >= 0
-            tree, node = tree[inner], node[inner]
-            level += 1
-            depths[tree] = level
-            node = self._child[np.concatenate([2 * node, 2 * node + 1])]
-            tree = np.concatenate([tree, tree])
-        return depths
 
     @property
     def layout(self):
@@ -207,46 +215,49 @@ class TreeEnsembleModel:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Base plus `learning_rate * leaf value` of every tree, clipped to
-        [0, 1]. The contributions go into a (rows, 1 + round, output) grid
+        [0, 1]. The contributions go into a (1 + round, rows, output) grid
         whose slot 0 holds the base and whose empty cells hold -0.0, which
-        adds exactly nothing to any float; one `np.add.accumulate` along the
-        round axis then adds them one after another, so each output gets its
-        trees' contributions in fit order, as a per-tree loop would add them."""
+        adds exactly nothing to any float. A loop then adds the rounds to
+        slot 0 one after another, so each output gets its trees'
+        contributions in fit order, as a per-tree loop would add them;
+        `np.add.reduce` over the rounds would not, as it may sum pairwise."""
         X = np.asarray(X, dtype=float)
         out = np.empty((X.shape[0], self.output_dimension))
-        value, outputs = self._layout["node_value"], self._layout["tree_outputs"]
-        grid = (1 + self._round_count, self.output_dimension)
-        step = max(1, _CHUNK_CELLS // max(1, len(outputs), grid[0] * grid[1]))
+        outputs = self._layout["tree_outputs"]
+        cells = (1 + self._round_count) * self.output_dimension
+        step = max(1, _CHUNK_CELLS // max(1, len(outputs), cells))
         for lo in range(0, X.shape[0], step):
             leaves = self._leaves(X[lo:lo + step])
-            padded = np.full((len(leaves),) + grid, -0.0)
-            padded[:, 0] = self.base_prediction
-            padded[:, 1 + self._round, outputs] = self.learning_rate * value[leaves]
-            out[lo:lo + step] = np.add.accumulate(padded, axis=1)[:, -1]
+            grid = np.full((1 + self._round_count, len(leaves), self.output_dimension), -0.0)
+            grid[0] = self.base_prediction
+            grid[1 + self._round, :, outputs] = self._value[leaves].T
+            for contributions in grid[1:]:
+                grid[0] += contributions
+            out[lo:lo + step] = grid[0]
         return np.clip(out, 0.0, 1.0)
 
     def _leaves(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id (into the layout) of every (row, tree) cell.
+        """Leaf node id (into the level-major walk tables) of every (row,
+        tree) cell.
 
         Every tree advances one level per step, over a (rows x trees) node
-        matrix: `x <= threshold` picks the child `child[2 * node + go_left]`,
-        and a tree that reached a leaf loops on it. The root level reads
-        each tree's root feature and threshold as (trees,) vectors."""
-        feature, threshold = self._layout["node_feature"], self._layout["node_threshold"]
-        node, f, t = self._starts, self._root_feature, self._root_threshold
-        for level in range(self._depth):
-            if level:
-                f, t = feature[node], threshold[node]
+        matrix: `node = right[node] - (x <= threshold)` goes to the left or
+        the right child, and a tree that reached a leaf stays on it (its
+        own right child, behind a NaN threshold). The walk starts on the
+        first (trees,) entries, the roots."""
+        node = np.arange(len(self._starts))
+        for _ in range(self._depth):
+            f = self._feature[node]
             # the row's value of its node's feature; a leaf's pick is unused
             x = X[:, self._features[-1], None]
             for k in self._features[:-1]:
                 x = np.where(f == k, X[:, k, None], x)
-            node = self._child[2 * node + (x <= t)]
+            node = self._right[node] - (x <= self._threshold[node])
         return np.broadcast_to(node, (X.shape[0], len(self._starts)))
 
     def depth_histogram(self) -> dict[int, int]:
         """Number of trees of each depth, by ascending depth."""
-        counts = np.bincount(self._tree_depths())
+        counts = np.bincount(self._tree_depths)
         return {depth: n for depth, n in enumerate(counts.tolist()) if n}
 
 

@@ -110,7 +110,7 @@ def kmeans(locations: np.ndarray, num_clusters: int,
         d2 = np.minimum(d2, np.sum((X - centroids[c]) ** 2, axis=1))
 
     assignments = np.full(len(X), -1)
-    for _ in range(100):
+    for iterations in range(1, 101):
         dists = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_assignments = np.argmin(dists, axis=1)  # ties -> lowest index
         for c in range(num_clusters):
@@ -124,6 +124,7 @@ def kmeans(locations: np.ndarray, num_clusters: int,
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
+    log.info("kmeans: %d clusters, %d Lloyd iterations", num_clusters, iterations)
     return centroids, assignments
 
 
@@ -161,9 +162,13 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
                        n_bs: int, seed: int = 0, use_significance: bool = True) -> ClusterCoveragePlan:
     """Location-free BS beam list covering the region of interest.
 
-    Clusters the rows by location, builds per-cluster k-th-best beam
-    probability tables, then greedily appends beams in (k, rank-position)
-    order scored by the significance-weighted probability sum.
+    Clusters the rows by location and builds per-cluster k-th-best beam
+    probability tables. The greedy visits the slots (k, rank position) in
+    order and appends the beams that some cluster lists at that slot and
+    that are not chosen yet, by descending significance-weighted
+    probability of rank k, ties to the lower beam. So a beam is appended
+    at its first slot, and the list is all beams sorted by (first slot,
+    descending score there, index), cut to n_bs.
     """
     X = np.asarray(locations, dtype=float)
     rows = np.asarray(atr_f_rows, dtype=float)
@@ -179,41 +184,25 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
 
     prob_tables = np.stack([kth_best_table(rows[assignments == c])
                             for c in range(num_clusters)])
-    # candidates[c, k, :nonzero[c, k]]: the beams cluster c ranks (k+1)-th
-    # with nonzero probability, most probable first, ties to the lower index
+    # candidates[c, k]: the beams by their probability of rank k + 1 in
+    # cluster c, most probable first, ties to the lower index; the `listed`
+    # ones are nonzero. Slot (k, pos) is number k * B + pos; a beam's first
+    # slot is the first that any cluster lists it at, and every beam has
+    # one, as every row ranks every beam and no cluster is empty.
     candidates = np.argsort(-prob_tables, axis=2, kind="stable")
-    nonzero = np.count_nonzero(prob_tables > 0, axis=2)
-
-    selected: list[int] = []
-    chosen = np.zeros(num_beams, dtype=bool)
-    for k in range(num_beams):
-        if len(selected) >= n_bs:
-            break
-        for pos in range(int(nonzero[:, k].max())):
-            beams = sorted({int(j) for j in candidates[nonzero[:, k] > pos, k, pos]})
-            if chosen[beams].all():  # nothing left to append at this position
-                continue
-            scores = [float(np.dot(significances, prob_tables[:, k, j])) for j in beams]
-            for _, j in sorted(zip([-s for s in scores], beams)):
-                if chosen[j]:
-                    continue
-                selected.append(j)
-                chosen[j] = True
-                if len(selected) >= n_bs:
-                    break
-            if len(selected) >= n_bs:
-                break
-    if len(selected) < n_bs:
-        log.warning("coverage selection exhausted ranked beams; filling by index")
-        for j in range(num_beams):
-            if not chosen[j]:
-                selected.append(j)
-                chosen[j] = True
-                if len(selected) >= n_bs:
-                    break
+    listed = np.arange(num_beams) < np.count_nonzero(prob_tables > 0, axis=2)[..., None]
+    slots = np.broadcast_to(np.arange(num_beams * num_beams).reshape(num_beams, num_beams),
+                            candidates.shape)
+    first = np.full(num_beams, num_beams * num_beams)
+    np.minimum.at(first, candidates[listed], slots[listed])
+    scores = np.array([float(np.dot(significances, prob_tables[:, k, j]))
+                       for j, k in enumerate(first // num_beams)])
+    # by first slot, then by score at that slot's rank, descending; lexsort
+    # is stable, so ties go to the lower beam
+    selected = np.lexsort((-scores, first))[:n_bs]
     return ClusterCoveragePlan(centroids=centroids, assignments=assignments,
                                significances=significances, prob_tables=prob_tables,
-                               selected_beams=np.array(selected, dtype=int))
+                               selected_beams=selected)
 
 
 def select_decoupled_no_location(model_w, location, num_w: int,

@@ -222,6 +222,22 @@ def test_model_file_with_bad_layout_rejected(tmp_path, key, value):
         load_model(path)
 
 
+@pytest.mark.parametrize("feature, left, right", [
+    ([0, 0, -1, -1], [1, 2, -1, -1], [1, 3, -1, -1]),     # node 1 listed twice by node 0
+    ([0, -1, -1, -1], [1, -1, -1, -1], [2, -1, -1, -1]),  # node 3 has no parent
+])
+def test_model_file_with_non_tree_layout_rejected(tmp_path, feature, left, right):
+    path = str(tmp_path / "bad.npz")
+    np.savez_compressed(path, format_version=np.array([1]), base_prediction=np.array([0.5]),
+                        learning_rate=np.array([0.3]), output_dimension=np.array([1]),
+                        role=np.array(["coupled"]), tree_outputs=np.array([0]),
+                        tree_sizes=np.array([4]), node_feature=np.array(feature),
+                        node_threshold=np.array([0.5, 0.5, 0, 0]), node_left=np.array(left),
+                        node_right=np.array(right), node_value=np.array([0, 0, 0.2, 0.8]))
+    with pytest.raises(ValueError, match="^bad model file .*not a tree"):
+        load_model(path)
+
+
 # ------------------------------------------------ packed prediction vs tree_predict
 
 # Inputs and thresholds share one coarse grid, so `x <= threshold` ties occur.
@@ -337,16 +353,71 @@ def test_walk_tables_are_read_only():
     leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.1])
     stump = Tree(feature=[1, -1, -1], threshold=[0.5, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
-    model = model_from_trees(np.array([0.05]), [(0, leaf), (0, stump)], 1.0, 1)
-    # child[2n + go_left] holds global node ids, and a leaf is its own child
-    assert model._child.tolist() == [0, 0, 3, 2, 2, 2, 3, 3]
-    assert model._root_feature.tolist() == [-1, 1]
-    assert model._root_threshold.tolist() == [0.0, 0.5]
-    for table in (model._child, model._root_feature, model._root_threshold):
+    # a root on feature 0 with a leaf left and a stump on feature 1 right
+    deep = Tree(feature=[0, -1, 1, -1, -1], threshold=[1.0, 0, 0.5, 0, 0],
+                left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1], value=[0, 0.3, 0, 0.4, 0.5])
+    model = model_from_trees(np.array([0.05]), [(0, leaf), (0, stump), (0, deep)], 0.5, 1)
+    # level 0 holds the roots in tree order, level 1 the children of the
+    # stump's and the deep tree's roots, level 2 those of the deep tree's
+    # right child; each right child follows its left sibling, and a leaf is
+    # its own right child behind a NaN threshold
+    assert model._right.tolist() == [0, 4, 6, 3, 4, 5, 8, 7, 8]
+    assert np.array_equal(model._threshold,
+                          [np.nan, 0.5, 1.0, np.nan, np.nan, np.nan, 0.5, np.nan, np.nan],
+                          equal_nan=True)
+    assert model._feature.tolist() == [-1, 1, 0, -1, -1, -1, 1, -1, -1]
+    assert model._feature.dtype == np.int8
+    assert model._value.tolist() == [0.5 * v for v in [0.1, 0, 0, 0.2, 0.8, 0.3, 0, 0.4, 0.5]]
+    assert model._tree_depths.tolist() == [0, 1, 2]
+    for table in (model._right, model._threshold, model._feature, model._value):
         with pytest.raises(ValueError):
             table[0] = 1
-    X = np.array([[9.0, 0.5], [9.0, np.nan]])
-    assert model.predict_batch(X).tolist() == [[0.05 + 0.1 + 0.2], [0.05 + 0.1 + 0.8]]
+    X = np.array([[9.0, 0.5], [9.0, np.nan], [0.0, 0.0]])
+    assert model.predict_batch(X).tolist() == [
+        [0.05 + 0.05 + 0.1 + 0.2], [0.05 + 0.05 + 0.4 + 0.25], [0.05 + 0.05 + 0.1 + 0.15]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ensembles())
+def test_walk_tables_hold_the_trees_level_by_level(ensemble):
+    model, trees = ensemble
+    right, threshold, feature = model._right, model._threshold, model._feature
+    inner = feature >= 0
+    assert np.all(np.isnan(threshold) == ~inner)
+    assert np.array_equal(right[~inner], np.nonzero(~inner)[0])
+    depth = np.zeros(len(right), dtype=int)
+    # each node's children are right - 1 and right, one level below it, and
+    # every node but a root is the child of one node
+    children = np.stack([right[inner] - 1, right[inner]], axis=1).ravel()
+    assert sorted(children.tolist()) == list(range(len(trees), len(right)))
+    for node in np.nonzero(inner)[0]:
+        depth[right[node] - 1:right[node] + 1] = depth[node] + 1
+    assert np.all(np.diff(depth) >= 0)          # each level is one contiguous run
+
+    def same(node, tree, i):                    # the walk table's subtree = the tree's
+        if tree.feature[i] < 0:
+            return not inner[node] and model._value[node] == model.learning_rate * tree.value[i]
+        return (feature[node] == tree.feature[i] and threshold[node] == tree.threshold[i]
+                and same(right[node] - 1, tree, tree.left[i])
+                and same(right[node], tree, tree.right[i]))
+
+    assert all(same(root, tree, 0) for root, (_, tree) in enumerate(trees))
+
+
+def test_rounds_are_added_in_fit_order():
+    # one output and nine lone-leaf trees, one per round; numpy's pairwise
+    # sum of these values gives 2.0, the sequential sum 0.25
+    values = [1e16, 1.0, 1.0, -1e16, 0.25, 0.0, 0.0, 0.0, 0.0]
+    trees = [(0, Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[v]))
+             for v in values]
+    model = model_from_trees(np.array([0.0]), trees, 1.0, 1)
+    expected = 0.0
+    for v in values:
+        expected += v
+    assert expected == 0.25 and np.sum([0.0] + values) == 2.0
+    assert model.predict(np.zeros(2)).tolist() == [expected]
+    assert model.predict_batch(np.zeros((1, 2))).tolist() == [[expected]]
+    assert model.predict_batch(np.zeros((3, 2))).tolist() == [[expected]] * 3
 
 
 def test_budget_stop_mid_round_predicts_with_held_trees(tmp_path):

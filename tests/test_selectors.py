@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -88,6 +89,18 @@ def test_kmeans_single_cluster_is_mean():
     centroids, assignments = kmeans(X, 1, seed=0)
     assert np.allclose(centroids[0], X.mean(axis=0))
     assert np.all(assignments == 0)
+
+
+def test_kmeans_logs_its_iterations(caplog):
+    X = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 6.0], [5.0, 6.0]])
+    with caplog.at_level(logging.INFO, logger="beamtrain.selectors"):
+        kmeans(X, 1, seed=0)
+        kmeans(X, 2, seed=0)
+    messages = [r.getMessage() for r in caplog.records]
+    # one cluster: the first iteration assigns every point, the second finds
+    # the fixpoint
+    assert messages[0] == "kmeans: 1 clusters, 2 Lloyd iterations"
+    assert messages[1].startswith("kmeans: 2 clusters, ")
 
 
 def test_kmeans_recovers_separated_blobs():
