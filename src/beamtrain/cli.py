@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import json
 import logging
 import os
 import sys
@@ -64,18 +65,18 @@ def cmd_dataset_build(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "rates." + ("csv" if args.format == "csv" else "npz"))
     dataset.save_dataset(rate_rows, path, (config.num_combiners, config.num_beamformers),
-                         fmt=args.format)
+                         fmt=args.format, corpus=config.corpus_keys())
     print(f"wrote {len(rate_rows)} rows to {path}")
     return 0
 
 
 def cmd_dataset_transform(args) -> int:
-    rows, pair_shape = dataset.load_dataset(args.input, fmt="binary")
+    rows, pair_shape, corpus = dataset.load_dataset(args.input, fmt="binary")
     if isinstance(rows[0], dataset.TRRow):
         raise ValueError(f"dataset file {args.input!r} has row_kind 'tr'; --input takes the "
                          "rate file that `dataset build` writes")
     tr_rows = dataset.to_throughput_ratios(rows)
-    dataset.save_dataset(tr_rows, args.out, pair_shape, fmt="binary")
+    dataset.save_dataset(tr_rows, args.out, pair_shape, fmt="binary", corpus=corpus)
     print(f"wrote {len(tr_rows)} throughput-ratio rows to {args.out}")
     return 0
 
@@ -83,9 +84,9 @@ def cmd_dataset_transform(args) -> int:
 def _tr_corpus(args):
     """The config, and the TR rows, ATR rows and split of the `--input`
     file, which must be a `dataset transform` file of the config's
-    (|W|, |F|) pair shape."""
+    (|W|, |F|) pair shape and corpus keys."""
     config = _load_config(args)
-    rows, pair_shape = dataset.load_dataset(args.input, fmt="binary")
+    rows, pair_shape, corpus = dataset.load_dataset(args.input, fmt="binary")
     if not isinstance(rows[0], dataset.TRRow):
         raise ValueError(f"dataset file {args.input!r} has row_kind 'rate'; --input takes the "
                          "throughput-ratio file that `dataset transform` writes")
@@ -93,8 +94,20 @@ def _tr_corpus(args):
     if pair_shape != expected:
         raise ValueError(f"dataset file {args.input!r} has pair_shape {pair_shape}, but the "
                          f"config's ue_array and bs_array give {expected}")
+    recorded = _flat_corpus(corpus)
+    for key, want in _flat_corpus(config.corpus_keys()).items():
+        if recorded.get(key) != want:
+            raise ValueError(f"dataset file {args.input!r} has {key} {recorded.get(key)!r}, "
+                             f"but the config gives {want!r}")
     return (config, rows, dataset.to_atr(rows, *pair_shape),
             harness.split_corpus(config, len(rows)))
+
+
+def _flat_corpus(corpus: dict) -> dict:
+    """Corpus keys with the scene's JSON spread into `scene.<field>` keys."""
+    scene = json.loads(corpus["scene"])
+    return {"master_seed": corpus["master_seed"], "snapshot_count": corpus["snapshot_count"],
+            **{f"scene.{key}": scene[key] for key in sorted(scene)}}
 
 
 def cmd_model_train(args) -> int:

@@ -19,8 +19,11 @@ from .linkeval import sweep_all  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-DATASET_FORMAT_VERSION = 1
-_DATASET_KEYS = ("locations", "snapshot_ids", "ue_indices", "values", "row_kind", "pair_shape")
+DATASET_FORMAT_VERSION = 2
+# the config values the corpus was built from, besides the pair shape
+CORPUS_KEYS = ("master_seed", "snapshot_count", "scene")
+_DATASET_KEYS = ("locations", "snapshot_ids", "ue_indices", "values", "row_kind",
+                 "pair_shape") + CORPUS_KEYS
 
 
 @dataclass(frozen=True)
@@ -158,18 +161,22 @@ def _check_pair_shape(pair_shape, width, path: str) -> tuple[int, int]:
     return shape
 
 
-def save_dataset(rows, path: str, pair_shape, fmt: str) -> None:
+def save_dataset(rows, path: str, pair_shape, fmt: str, corpus: dict | None = None) -> None:
     """Persist rate or TR rows of `pair_shape` = (|W|, |F|) pairs; binary
     round-trips losslessly, CSV keeps 9 significant digits. CSV columns:
-    x, y, snapshot_id, r_{i}_{j}."""
+    x, y, snapshot_id, r_{i}_{j}. A binary file also records `corpus`, the
+    value of each of CORPUS_KEYS that the rows were built from."""
     if not rows:
         raise ValueError("cannot save an empty dataset")
     locs, snaps, ues, values, extra = _rows_to_arrays(rows)
     num_combiners, num_beamformers = _check_pair_shape(pair_shape, values.shape[1], path)
     if fmt == "binary":
+        if corpus is None:
+            raise ValueError(f"a binary dataset records its corpus keys {CORPUS_KEYS}")
         save_npz(path, {"locations": locs, "snapshot_ids": snaps, "ue_indices": ues,
                         "values": values, **extra,
-                        "pair_shape": np.array([num_combiners, num_beamformers])},
+                        "pair_shape": np.array([num_combiners, num_beamformers]),
+                        **{key: np.array([corpus[key]]) for key in CORPUS_KEYS}},
                  DATASET_FORMAT_VERSION)
     elif fmt == "csv":
         header = ["x", "y", "snapshot_id"] + [
@@ -185,9 +192,10 @@ def save_dataset(rows, path: str, pair_shape, fmt: str) -> None:
 
 
 def load_dataset(path: str, fmt: str = "binary"):
-    """Load (rows, pair_shape) saved by save_dataset; malformed files raise
-    ValueError. pair_shape = (|W|, |F|) comes from the npz, or from the last
-    CSV header cell r_{|W|}_{|F|}, and must match the row width."""
+    """Load (rows, pair_shape, corpus) saved by save_dataset; malformed files
+    raise ValueError. pair_shape = (|W|, |F|) comes from the npz, or from the
+    last CSV header cell r_{|W|}_{|F|}, and must match the row width. corpus
+    maps CORPUS_KEYS to the npz's values; a CSV file records none."""
     if fmt == "binary":
         data = load_npz(path, "dataset", DATASET_FORMAT_VERSION, _DATASET_KEYS)
         values = data["values"]
@@ -204,7 +212,7 @@ def load_dataset(path: str, fmt: str = "binary"):
                        ue_index=int(data["ue_indices"][n]))
             rows.append(TRRow(ratios=values[n], max_rate=float(data["max_rates"][n]), **ids)
                         if kind == "tr" else RateRow(rates=values[n], **ids))
-        return rows, pair_shape
+        return rows, pair_shape, {key: data[key][0].item() for key in CORPUS_KEYS}
     if fmt == "csv":
         rows = []
         with open(path, newline="") as fh:
@@ -223,5 +231,5 @@ def load_dataset(path: str, fmt: str = "binary"):
                 rows.append(RateRow(location=np.array([float(line[0]), float(line[1])]),
                                     rates=np.array([float(v) for v in line[3:]]),
                                     snapshot_id=int(line[2])))
-        return rows, pair_shape
+        return rows, pair_shape, None
     raise ValueError(f"unknown dataset format {fmt!r}")

@@ -177,6 +177,13 @@ class ExperimentConfig:
                    ue_grid=({"tree_count": 20, "max_depth": 3, "learning_rate": 0.3},),
                    heatmap_s_w=(1, 3, 5), heatmap_s_f=(1, 4, 16))
 
+    def corpus_keys(self) -> dict:
+        """The values of `dataset.CORPUS_KEYS` that `build_corpus` reads
+        besides the pair shape: the master seed, the snapshot count and the
+        scene as sorted-key JSON."""
+        return {"master_seed": self.master_seed, "snapshot_count": self.snapshot_count,
+                "scene": json.dumps(dataclasses.asdict(self.scene), sort_keys=True)}
+
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
@@ -336,28 +343,50 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
     """Curves over the N_B sweep and the decoupled (|S_w|, |S_f|) heatmap.
     Each model ranks every test row's beams once, and each curve point and
     heatmap cell is one entry of the `metrics.prefix_tables` of those
-    orderings. Each role's rows, trees and prediction time are logged at
-    info level."""
+    orderings, each cut to the longest prefix that a point or cell reads.
+    Each role's rows, trees and prediction time are logged at info level."""
     num_f, num_w = config.num_beamformers, config.num_combiners
     TR_test = np.asarray(TR_test, dtype=float)
     grid = TR_test.reshape(len(TR_test), num_w, num_f)
 
-    def ordering(role):
+    # the (scenario, n_b, s_w, s_f) of every curve point, then of every
+    # heatmap cell (n_b None); a coupled point reads prefix N_B of one ordering
+    curve_cells = []
+    for n_b in config.n_b_sweep:
+        if 1 in config.scenarios:
+            curve_cells.append((1, n_b, 1, min(n_b, config.num_pairs)))
+        for scenario in (2, 3):
+            if scenario in config.scenarios:
+                curve_cells.append((scenario, n_b,
+                                    *decoupled_split(n_b, min(config.s_w_size, num_w), num_f)))
+    heat_cells = [(scenario, None, s_w, s_f)
+                  for scenario in (2, 3) if scenario in config.scenarios
+                  for s_w in config.heatmap_s_w if s_w <= num_w
+                  for s_f in config.heatmap_s_f if s_f <= num_f]
+
+    def longest(scenarios, axis):
+        """The largest entry at `axis` (2: |S_w|, 3: |S_f|) of the cells of
+        `scenarios`; 1 where none is read, as a table needs one entry."""
+        return max((cell[axis] for cell in curve_cells + heat_cells if cell[0] in scenarios),
+                   default=1)
+
+    def ordering(role, length):
         start = time.perf_counter()
         predictions = models[role].predict_batch(X_test)
         log.info("predicted %s: %d rows, %d trees, %.4f s", role, len(predictions),
                  len(models[role].layout["tree_sizes"]), time.perf_counter() - start)
-        return np.argsort(-predictions, axis=1, kind="stable")
+        return np.argsort(-predictions, axis=1, kind="stable")[:, :length]
 
     tables = {}
     if 1 in config.scenarios:
-        tables[1] = metrics.prefix_tables(TR_test[:, None, :], [0], ordering("theta1"))
+        tables[1] = metrics.prefix_tables(TR_test[:, None, :], [0],
+                                          ordering("theta1", longest((1,), 3)))
     if 2 in config.scenarios or 3 in config.scenarios:
-        w_order = ordering("theta2_w")
+        w_order = ordering("theta2_w", longest((2, 3), 2))
     if 2 in config.scenarios:
-        tables[2] = metrics.prefix_tables(grid, w_order, ordering("theta2_f"))
+        tables[2] = metrics.prefix_tables(grid, w_order, ordering("theta2_f", longest((2,), 3)))
     if 3 in config.scenarios:
-        tables[3] = metrics.prefix_tables(grid, w_order, plan.selected_beams)
+        tables[3] = metrics.prefix_tables(grid, w_order, plan.selected_beams[:longest((3,), 3)])
 
     def point(scenario, n_b, s_w, s_f):
         r_t, p_m = tables[scenario]
@@ -369,19 +398,10 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
             row.update(s_w=-1, s_f=-1)
         return row
 
-    curves = []
-    for n_b in config.n_b_sweep:
-        if 1 in tables:
-            curves.append(point(1, n_b, 1, min(n_b, config.num_pairs)))
-        for scenario in (2, 3):
-            if scenario in tables:
-                s_w, s_f = decoupled_split(n_b, min(config.s_w_size, num_w), num_f)
-                curves.append(point(scenario, n_b, s_w, s_f))
+    curves = [point(*cell) for cell in curve_cells]
     heatmap = [{"scenario": scenario, "s_w": s_w, "s_f": s_f,
                 "r_t": float(tables[scenario][0][s_w - 1, s_f - 1])}
-               for scenario in (2, 3) if scenario in tables
-               for s_w in config.heatmap_s_w if s_w <= num_w
-               for s_f in config.heatmap_s_f if s_f <= num_f]
+               for scenario, _, s_w, s_f in heat_cells]
     return curves, heatmap
 
 

@@ -94,8 +94,10 @@ def kmeans(locations: np.ndarray, num_clusters: int,
            seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ initialization plus at most 100 Lloyd iterations to
     an assignment fixpoint; empty clusters are re-seeded at the point
-    farthest from all centroids."""
+    farthest from all centroids. `locations` is (n, 2)."""
     X = np.asarray(locations, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 2:
+        raise ValueError(f"locations must be (n, 2), got shape {X.shape}")
     distinct = distinct_row_count(X)
     if num_clusters > distinct:
         raise ValueError(f"{num_clusters} clusters exceed {distinct} distinct locations")
@@ -113,14 +115,24 @@ def kmeans(locations: np.ndarray, num_clusters: int,
     for iterations in range(1, 101):
         dists = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_assignments = np.argmin(dists, axis=1)  # ties -> lowest index
-        for c in range(num_clusters):
-            mask = new_assignments == c
-            if np.any(mask):
-                centroids[c] = X[mask].mean(axis=0)
-            else:
-                farthest = int(np.argmax(np.min(dists, axis=1)))
-                centroids[c] = X[farthest]
-                new_assignments[farthest] = c
+        counts = np.bincount(new_assignments, minlength=num_clusters)
+        if counts.all():
+            # bincount adds each cluster's rows in row order, as
+            # X[mask].mean(axis=0) does over two columns (over one it would
+            # sum pairwise), so the means are the same bits
+            for j in range(X.shape[1]):
+                centroids[:, j] = np.bincount(new_assignments, weights=X[:, j],
+                                              minlength=num_clusters) / counts
+        else:
+            # cluster by cluster, each empty one re-seeded in turn
+            for c in range(num_clusters):
+                mask = new_assignments == c
+                if np.any(mask):
+                    centroids[c] = X[mask].mean(axis=0)
+                else:
+                    farthest = int(np.argmax(np.min(dists, axis=1)))
+                    centroids[c] = X[farthest]
+                    new_assignments[farthest] = c
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments

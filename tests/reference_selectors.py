@@ -1,14 +1,56 @@
-"""The per-rank coverage plan, kept as the reference that
-`beamtrain.selectors.select_bs_coverage` is held to, beam for beam.
+"""The per-cluster k-means and the per-rank coverage plan, kept as the
+references that `beamtrain.selectors.kmeans` and
+`beamtrain.selectors.select_bs_coverage` are held to, bit for bit and beam
+for beam.
 
-It ranks a cluster's rows again for every rank k and sorts every k-th-best
-probability vector on its own; `select_bs_coverage_reference` is the greedy
-selection built on it.
+`kmeans_reference` updates each centroid with its own masked mean. The
+coverage plan ranks a cluster's rows again for every rank k and sorts every
+k-th-best probability vector on its own; `select_bs_coverage_reference` is
+the greedy selection built on it.
 """
 
 import numpy as np
 
-from beamtrain.selectors import ClusterCoveragePlan, kmeans, top_k_stable
+from beamtrain.selectors import ClusterCoveragePlan, distinct_row_count, top_k_stable
+
+
+def kmeans_reference(locations, num_clusters: int, seed: int = 0, reseeded=None):
+    """Seeded k-means++ initialization plus at most 100 Lloyd iterations to
+    an assignment fixpoint; each centroid is the mean of its rows, and an
+    empty cluster is re-seeded at the point farthest from all centroids.
+    Each re-seed appends (iteration, cluster) to `reseeded` when given."""
+    X = np.asarray(locations, dtype=float)
+    distinct = distinct_row_count(X)
+    if num_clusters > distinct:
+        raise ValueError(f"{num_clusters} clusters exceed {distinct} distinct locations")
+    rng = np.random.default_rng(seed)
+
+    centroids = np.empty((num_clusters, X.shape[1]))
+    centroids[0] = X[rng.integers(len(X))]
+    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    for c in range(1, num_clusters):
+        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(len(X), 1.0 / len(X))
+        centroids[c] = X[rng.choice(len(X), p=probs)]
+        d2 = np.minimum(d2, np.sum((X - centroids[c]) ** 2, axis=1))
+
+    assignments = np.full(len(X), -1)
+    for iterations in range(1, 101):
+        dists = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_assignments = np.argmin(dists, axis=1)  # ties -> lowest index
+        for c in range(num_clusters):
+            mask = new_assignments == c
+            if np.any(mask):
+                centroids[c] = X[mask].mean(axis=0)
+            else:
+                farthest = int(np.argmax(np.min(dists, axis=1)))
+                centroids[c] = X[farthest]
+                new_assignments[farthest] = c
+                if reseeded is not None:
+                    reseeded.append((iterations, c))
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+    return centroids, assignments
 
 
 def kth_best_probability(cluster_atr_rows: np.ndarray, k: int) -> np.ndarray:
@@ -32,7 +74,7 @@ def select_bs_coverage_reference(locations, atr_f_rows, num_clusters: int, n_bs:
     num_beams = rows.shape[1]
     if n_bs > num_beams:
         raise ValueError("n_bs exceeds the beamformer codebook size")
-    centroids, assignments = kmeans(X, num_clusters, seed=seed)
+    centroids, assignments = kmeans_reference(X, num_clusters, seed=seed)
     counts = np.bincount(assignments, minlength=num_clusters)
     if use_significance:
         significances = counts / counts.sum()

@@ -92,14 +92,14 @@ def test_dataset_build_and_transform(tmp_path):
     out = str(tmp_path / "ds")
     rc = cli.main(["dataset", "build", "--config", _tiny_config(tmp_path), "--out", out])
     assert rc == 0
-    rows, pair_shape = load_dataset(out + "/rates.npz", fmt="binary")
+    rows, pair_shape, _ = load_dataset(out + "/rates.npz", fmt="binary")
     assert rows and rows[0].rates.shape == (1024,)
     assert pair_shape == (16, 64)
 
     tr_out = str(tmp_path / "tr.npz")
     rc = cli.main(["dataset", "transform", "--input", out + "/rates.npz", "--out", tr_out])
     assert rc == 0
-    tr, pair_shape = load_dataset(tr_out, fmt="binary")
+    tr, pair_shape, _ = load_dataset(tr_out, fmt="binary")
     assert pair_shape == (16, 64)
     assert np.all(np.max([r.ratios for r in tr], axis=1) == 1.0)
 
@@ -114,7 +114,7 @@ def test_dataset_transform_keeps_the_input_pair_shape(tmp_path):
     with np.load(tr_out) as npz:
         assert npz["pair_shape"].tolist() == [16, 16]
         assert npz["values"].shape[1] == 256
-    tr, pair_shape = load_dataset(tr_out, fmt="binary")
+    tr, pair_shape, _ = load_dataset(tr_out, fmt="binary")
     assert pair_shape == (16, 16) and tr[0].ratios.shape == (256,)
 
 
@@ -218,6 +218,35 @@ def test_a_bad_input_fails_before_training(tmp_path, monkeypatch, capsys, comman
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(path) in err and key in err
     assert stages == [] and not (tmp_path / "out.npz").exists()
+
+
+@pytest.mark.parametrize("command", [["model", "train", "--role", "theta2_w"],
+                                     ["plan", "build"]])
+def test_a_tr_file_of_another_corpus_fails_before_training(tmp_path, monkeypatch, capsys,
+                                                           command):
+    """A TR file built with another master seed, snapshot count or scene
+    than the config and `--seed` give is rejected with an error naming the
+    file and the first differing key, before any stage runs."""
+    config = _tiny_config(tmp_path)
+    tr = _tr_file(tmp_path, "--config", config)
+    stages = []
+    monkeypatch.setattr(harness, "split_corpus", lambda *args: stages.append(args))
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    for flags, key in (
+            (["--config", config, "--seed", "5"], "master_seed 0, but the config gives 5"),
+            (["--config", _tiny_config(tmp_path / "a", snapshot_count=5)],
+             "snapshot_count 4, but the config gives 5"),
+            (["--config", _tiny_config(tmp_path / "b", scene={"lane_count": 3})],
+             "scene.lane_count 4, but the config gives 3")):
+        capsys.readouterr()
+        assert cli.main([*command, *flags, "--input", tr,
+                         "--out", str(tmp_path / "out.npz")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(tr) in err and key in err
+    assert stages == [] and not (tmp_path / "out.npz").exists()
+    # the file records the corpus keys of the config it was built with
+    assert load_dataset(tr)[2] == ExperimentConfig.from_file(config).corpus_keys()
 
 
 def test_dataset_transform_rejects_a_tr_file(tmp_path, capsys):

@@ -184,6 +184,9 @@ def test_split_determinism_and_errors():
         split_dataset(100, folds=1)
 
 
+_CORPUS = {"master_seed": 3, "snapshot_count": 2, "scene": "{}"}
+
+
 def _toy_rows(n=5, width=12, seed=0):
     rng = np.random.default_rng(seed)
     return [RateRow(location=rng.uniform(0, 100, 2), rates=rng.uniform(0.01, 3, width),
@@ -193,21 +196,23 @@ def _toy_rows(n=5, width=12, seed=0):
 def test_binary_roundtrip_bit_identical(tmp_path):
     rows = _toy_rows()
     path = str(tmp_path / "d.npz")
-    save_dataset(rows, path, (3, 4), fmt="binary")
-    loaded, pair_shape = load_dataset(path, fmt="binary")
-    assert pair_shape == (3, 4)
+    save_dataset(rows, path, (3, 4), fmt="binary", corpus=_CORPUS)
+    loaded, pair_shape, corpus = load_dataset(path, fmt="binary")
+    assert pair_shape == (3, 4) and corpus == _CORPUS
     for a, b in zip(rows, loaded):
         assert np.array_equal(a.rates, b.rates)
         assert np.array_equal(a.location, b.location)
         assert a.snapshot_id == b.snapshot_id
+    with pytest.raises(ValueError, match="records its corpus keys"):
+        save_dataset(rows, path, (3, 4), fmt="binary")
 
 
 def test_csv_roundtrip_precision(tmp_path):
     rows = to_throughput_ratios(_toy_rows())
     path = str(tmp_path / "d.csv")
     save_dataset(rows, path, (3, 4), fmt="csv")
-    loaded, pair_shape = load_dataset(path, fmt="csv")
-    assert pair_shape == (3, 4)
+    loaded, pair_shape, corpus = load_dataset(path, fmt="csv")
+    assert pair_shape == (3, 4) and corpus is None
     for a, b in zip(rows, loaded):
         assert np.abs(a.ratios - b.rates).max() < 1e-8
     with open(path) as fh:
@@ -219,7 +224,7 @@ def test_csv_roundtrip_precision(tmp_path):
 def test_truncated_files_raise(tmp_path):
     rows = _toy_rows()
     binpath = tmp_path / "d.npz"
-    save_dataset(rows, str(binpath), (3, 4), fmt="binary")
+    save_dataset(rows, str(binpath), (3, 4), fmt="binary", corpus=_CORPUS)
     binpath.write_bytes(binpath.read_bytes()[:40])
     with pytest.raises(ValueError):
         load_dataset(str(binpath), fmt="binary")
@@ -234,7 +239,7 @@ def test_truncated_files_raise(tmp_path):
 
 def test_load_rejects_a_binary_file_without_rows(tmp_path):
     path = str(tmp_path / "d.npz")
-    save_dataset(to_throughput_ratios(_toy_rows()), path, (3, 4), fmt="binary")
+    save_dataset(to_throughput_ratios(_toy_rows()), path, (3, 4), fmt="binary", corpus=_CORPUS)
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
     for key in ("locations", "snapshot_ids", "ue_indices", "values", "max_rates"):
@@ -247,7 +252,7 @@ def test_load_rejects_a_binary_file_without_rows(tmp_path):
 def test_load_rejects_pair_shape_off_the_row_width(tmp_path):
     rows = _toy_rows(width=12)
     binpath = str(tmp_path / "d.npz")
-    save_dataset(rows, binpath, (3, 4), fmt="binary")
+    save_dataset(rows, binpath, (3, 4), fmt="binary", corpus=_CORPUS)
     with np.load(binpath) as npz:
         arrays = {name: npz[name] for name in npz.files}
     arrays["pair_shape"] = np.array([4, 4])
@@ -261,7 +266,7 @@ def test_load_rejects_pair_shape_off_the_row_width(tmp_path):
     with pytest.raises(ValueError, match=r"pair_shape \(4, 4\) .* row width 12"):
         load_dataset(str(csvpath), fmt="csv")
     with pytest.raises(ValueError, match="row width 12"):
-        save_dataset(rows, binpath, (4, 4), fmt="binary")
+        save_dataset(rows, binpath, (4, 4), fmt="binary", corpus=_CORPUS)
     arrays["pair_shape"], arrays["values"] = np.array([3, 4]), arrays["values"].ravel()
     np.savez_compressed(binpath, **arrays)
     with pytest.raises(ValueError, match=r"pair_shape \(3, 4\) .* row width None"):

@@ -5,7 +5,8 @@ import pytest
 
 from beamtrain import cli
 from beamtrain.boosting import TrainConfig, load_model, save_model, train
-from beamtrain.dataset import load_dataset, save_dataset, to_throughput_ratios
+from beamtrain.dataset import (DATASET_FORMAT_VERSION, load_dataset, save_dataset,
+                               to_throughput_ratios)
 from beamtrain.fileio import atomic_write, load_npz, save_npz
 from beamtrain.linkeval import RateRow
 from beamtrain.selectors import ClusterCoveragePlan, load_plan, save_plan
@@ -85,6 +86,9 @@ def test_npz_rejects_other_versions_and_bad_archives(tmp_path):
         load_npz(path, "test", 1, ("x", "y", "z"))
 
 
+_CORPUS = {"master_seed": 0, "snapshot_count": 4, "scene": "{}"}
+
+
 def _rate_rows():
     rng = np.random.default_rng(0)
     return [RateRow(location=rng.uniform(0, 100, 2), rates=rng.uniform(0.01, 3, 6),
@@ -92,11 +96,11 @@ def _rate_rows():
 
 
 def _write_rate_dataset(path):
-    save_dataset(_rate_rows(), path, (2, 3), fmt="binary")
+    save_dataset(_rate_rows(), path, (2, 3), fmt="binary", corpus=_CORPUS)
 
 
 def _write_tr_dataset(path):
-    save_dataset(to_throughput_ratios(_rate_rows()), path, (2, 3), fmt="binary")
+    save_dataset(to_throughput_ratios(_rate_rows()), path, (2, 3), fmt="binary", corpus=_CORPUS)
 
 
 def _write_paths(path):
@@ -132,15 +136,16 @@ def _write_model(path):
     (_write_model, load_model),
 ])
 def test_loaders_name_a_missing_key(tmp_path, write, load):
+    version = DATASET_FORMAT_VERSION if load is load_dataset else 1
     path = str(tmp_path / "artifact.npz")
     write(path)
     load(path)
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    assert arrays.pop("format_version").tolist() == [1]
+    assert arrays.pop("format_version").tolist() == [version]
     for key in arrays:
         cut = str(tmp_path / "cut.npz")
-        np.savez_compressed(cut, format_version=np.array([1]),
+        np.savez_compressed(cut, format_version=np.array([version]),
                             **{k: v for k, v in arrays.items() if k != key})
         with pytest.raises(ValueError, match=f"cut.npz' lacks key '{key}'"):
             load(cut)

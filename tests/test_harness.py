@@ -233,12 +233,24 @@ class _Predictions:
         return self.values[np.asarray(X, dtype=int)[:, 0]]
 
 
-def test_evaluate_reads_the_per_row_metrics():
+# (scenarios, n_b_sweep, heatmap_s_w, heatmap_s_f) on 4 x 8 pairs: the first
+# reads every prefix in full; the others read theta1's ordering up to 9 of 32
+# and the theta2_w ordering, the theta2_f ordering and the plan up to 3 of 4,
+# 3 of 8 and 3 of 8; the last reads nothing
+@pytest.mark.parametrize("scenarios, n_b_sweep, heatmap_s_w, heatmap_s_f", [
+    ((1, 2, 3), (1, 2, 5, 9, 32, 40), (1, 2, 4, 5), (1, 3, 8, 9)),
+    ((1,), (1, 2, 5, 9), (1, 2), (1, 3)),
+    ((3,), (1, 2, 5, 9), (1, 2), (1, 3)),
+    ((2, 3), (1, 2, 5, 9), (1, 2), (1, 3)),
+    ((1, 2, 3), (), (), ()),
+], ids=["all", "theta1_cut", "scenario3_cut", "scenarios23_cut", "nothing_read"])
+def test_evaluate_reads_the_per_row_metrics(scenarios, n_b_sweep, heatmap_s_w, heatmap_s_f):
     """Every curve point and heatmap cell equals the per-row reference
     metrics over the prefixes of the predicted orderings, with ties in the
     predictions and in TR; heatmap sizes beyond the codebooks are skipped."""
-    cfg = ExperimentConfig(bs_array=(2, 4), ue_array=(2, 2), n_b_sweep=(1, 2, 5, 9, 32, 40),
-                           s_w_size=3, heatmap_s_w=(1, 2, 4, 5), heatmap_s_f=(1, 3, 8, 9))
+    cfg = ExperimentConfig(bs_array=(2, 4), ue_array=(2, 2), scenarios=scenarios,
+                           n_b_sweep=n_b_sweep, s_w_size=3, heatmap_s_w=heatmap_s_w,
+                           heatmap_s_f=heatmap_s_f)
     num_w, num_f, n = cfg.num_combiners, cfg.num_beamformers, 30
     rng = np.random.default_rng(4)
     TR = rng.choice([0.1, 0.3, 0.7, 1.0], size=(n, cfg.num_pairs))
@@ -259,12 +271,15 @@ def test_evaluate_reads_the_per_row_metrics():
 
     want = []
     for n_b in cfg.n_b_sweep:
-        k = min(n_b, cfg.num_pairs)
-        sets = [BeamPairSet(ordering("theta1")[r, :k], num_f) for r in range(n)]
-        want.append((1, n_b, k, -1, -1, sets))
+        if 1 in scenarios:
+            k = min(n_b, cfg.num_pairs)
+            sets = [BeamPairSet(ordering("theta1")[r, :k], num_f) for r in range(n)]
+            want.append((1, n_b, k, -1, -1, sets))
         for scenario in (2, 3):
-            s_w, s_f = decoupled_split(n_b, cfg.s_w_size, num_f)
-            want.append((scenario, n_b, s_w * s_f, s_w, s_f, decoupled(scenario, s_w, s_f)))
+            if scenario in scenarios:
+                s_w, s_f = decoupled_split(n_b, cfg.s_w_size, num_f)
+                want.append((scenario, n_b, s_w * s_f, s_w, s_f,
+                             decoupled(scenario, s_w, s_f)))
     assert curves == [
         {"scenario": scenario, "n_b": n_b, "n_b_actual": actual, "s_w": s_w, "s_f": s_f,
          "r_t": metrics.avg_throughput_ratio(TR, sets, num_f),
@@ -274,7 +289,8 @@ def test_evaluate_reads_the_per_row_metrics():
     assert heatmap == [
         {"scenario": scenario, "s_w": s_w, "s_f": s_f,
          "r_t": metrics.avg_throughput_ratio(TR, decoupled(scenario, s_w, s_f), num_f)}
-        for scenario in (2, 3) for s_w in (1, 2, 4) for s_f in (1, 3, 8)]
+        for scenario in (2, 3) if scenario in scenarios
+        for s_w in heatmap_s_w if s_w <= num_w for s_f in heatmap_s_f if s_f <= num_f]
 
 
 def test_evaluate_logs_rows_trees_and_seconds_per_role(caplog):

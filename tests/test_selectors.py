@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beamtrain
@@ -15,7 +15,7 @@ from beamtrain.selectors import (BeamPairSet, DecoupledSets, distinct_row_count,
                                  select_bs_coverage, select_coupled,
                                  select_decoupled_no_location,
                                  select_decoupled_with_location, top_k_stable)
-from reference_selectors import select_bs_coverage_reference
+from reference_selectors import kmeans_reference, select_bs_coverage_reference
 
 
 class _Const:
@@ -125,6 +125,44 @@ def test_kmeans_deterministic_and_validates():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     with pytest.raises(ValueError):
         kmeans(np.zeros((5, 2)), 2)  # only one distinct point
+
+
+# ten rows on repeated locations whose first cluster of three empties in the
+# second Lloyd iteration (test_kmeans_example_reseeds_an_empty_cluster)
+_RESEEDING_ROWS = [[5, 7], [1, 7], [8, 1], [5, 7], [9, 1], [8, 1], [9, 2], [5, 1], [7, 8], [8, 1]]
+
+
+# coordinates whose sums round, so that another summation order would show
+_COORDINATES = st.integers(0, 9) | st.integers(-10 ** 4, 10 ** 4).map(lambda v: v / 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(locations=st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1,
+                          max_size=12).flatmap(
+           lambda points: st.lists(st.sampled_from(points), min_size=1, max_size=60)),
+       clusters=st.integers(1, 8), seed=st.integers(0, 2 ** 16))
+@example(locations=_RESEEDING_ROWS, clusters=3, seed=5)
+def test_kmeans_matches_per_cluster_reference(locations, clusters, seed):
+    """`kmeans` equals the per-cluster masked-mean reference bit for bit,
+    on repeated locations and on more clusters than natural groups."""
+    X = np.array(locations, dtype=float)
+    clusters = min(clusters, distinct_row_count(X))
+    centroids, assignments = kmeans(X, clusters, seed=seed)
+    want_centroids, want_assignments = kmeans_reference(X, clusters, seed=seed)
+    assert centroids.tobytes() == want_centroids.tobytes()
+    assert assignments.tolist() == want_assignments.tolist()
+
+
+def test_kmeans_example_reseeds_an_empty_cluster():
+    reseeded = []
+    kmeans_reference(np.array(_RESEEDING_ROWS, dtype=float), 3, seed=5, reseeded=reseeded)
+    assert reseeded == [(2, 0)]
+
+
+def test_kmeans_rejects_locations_not_of_two_columns():
+    for X in (np.arange(6.0), np.zeros((6, 1)), np.zeros((6, 3))):
+        with pytest.raises(ValueError, match="locations must be"):
+            kmeans(X, 1)
 
 
 def test_distinct_row_count_matches_unique_rows():
