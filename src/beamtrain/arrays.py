@@ -30,19 +30,16 @@ class ArrayGeometry:
     cols: int
     element_spacing: float = wavelength() / 2.0
     orientation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    reference_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array must have at least one row and column")
         R = np.asarray(self.orientation, dtype=float)
-        p = np.asarray(self.reference_position, dtype=float)
         if R.shape != (3, 3):
             raise ValueError("orientation must be a 3x3 rotation matrix")
         if not np.allclose(R @ R.T, np.eye(3), atol=1e-9) or abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise ValueError("orientation must be orthonormal with determinant +1")
         object.__setattr__(self, "orientation", R)
-        object.__setattr__(self, "reference_position", p)
 
     @property
     def num_elements(self) -> int:

@@ -16,10 +16,6 @@ class ChannelRealization:
     snapshot_id: int
     ue_index: int = -1
 
-    @property
-    def num_subcarriers(self) -> int:
-        return self.matrices.shape[0]
-
 
 def default_bs_geometry(config: SceneConfig, rows: int = 8, cols: int = 8) -> ArrayGeometry:
     """BS array on the wall at the origin, boresight down-tilted along the
@@ -27,8 +23,7 @@ def default_bs_geometry(config: SceneConfig, rows: int = 8, cols: int = 8) -> Ar
     tilt = float(np.arctan(config.bs_height / (config.street_length / 2.0)))
     boresight = np.array([0.0, np.cos(tilt), -np.sin(tilt)])
     return ArrayGeometry(rows=rows, cols=cols,
-                         orientation=rotation_from_boresight(boresight),
-                         reference_position=config.bs_position)
+                         orientation=rotation_from_boresight(boresight))
 
 
 def default_ue_geometry(config: SceneConfig, rows: int = 4, cols: int = 4) -> ArrayGeometry:

@@ -18,7 +18,7 @@ PATHS_FORMAT_VERSION = 1
 
 
 def _load_config(args) -> harness.ExperimentConfig:
-    if getattr(args, "smoke", False):
+    if args.smoke:
         config = harness.ExperimentConfig.smoke()
     elif args.config:
         config = harness.ExperimentConfig.from_file(args.config)
@@ -31,7 +31,9 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def _output_dir(path: str) -> None:
     """Create the output directory and check that a file can be written in
-    it, so that a bad --out fails before any stage runs."""
+    it, so that a bad --out fails before any stage runs. A command that
+    writes one file checks the file's directory."""
+    path = path or "."
     os.makedirs(path, exist_ok=True)
     with tempfile.TemporaryFile(dir=path):
         pass
@@ -61,8 +63,8 @@ def cmd_scene_gen(args) -> int:
 
 def cmd_dataset_build(args) -> int:
     config = _load_config(args)
+    _output_dir(args.out)
     _, rate_rows, _, _ = harness.build_corpus(config)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "rates." + ("csv" if args.format == "csv" else "npz"))
     dataset.save_dataset(rate_rows, path, (config.num_combiners, config.num_beamformers),
                          fmt=args.format, corpus=config.corpus_keys())
@@ -71,6 +73,7 @@ def cmd_dataset_build(args) -> int:
 
 
 def cmd_dataset_transform(args) -> int:
+    _output_dir(os.path.dirname(args.out))
     rows, pair_shape, corpus = dataset.load_dataset(args.input, fmt="binary")
     if isinstance(rows[0], dataset.TRRow):
         raise ValueError(f"dataset file {args.input!r} has row_kind 'tr'; --input takes the "
@@ -84,8 +87,10 @@ def cmd_dataset_transform(args) -> int:
 def _tr_corpus(args):
     """The config, and the TR rows, ATR rows and split of the `--input`
     file, which must be a `dataset transform` file of the config's
-    (|W|, |F|) pair shape and corpus keys."""
+    (|W|, |F|) pair shape and corpus keys. Checks the `--out` directory
+    first."""
     config = _load_config(args)
+    _output_dir(os.path.dirname(args.out))
     rows, pair_shape, corpus = dataset.load_dataset(args.input, fmt="binary")
     if not isinstance(rows[0], dataset.TRRow):
         raise ValueError(f"dataset file {args.input!r} has row_kind 'rate'; --input takes the "
@@ -160,9 +165,10 @@ def cmd_eval_heatmap(args) -> int:
 
 
 def _add_common(p, out_default=None):
-    p.add_argument("--config", help="experiment config file (.json or .toml)")
+    profile = p.add_mutually_exclusive_group()
+    profile.add_argument("--config", help="experiment config file (.json or .toml)")
+    profile.add_argument("--smoke", action="store_true", help="use the small CI profile")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--smoke", action="store_true", help="use the small CI profile")
     if out_default is not None:
         p.add_argument("--out", default=out_default, help="output path")
 

@@ -76,27 +76,17 @@ class SceneConfig:
 
 
 @dataclass(frozen=True)
-class Vehicle:
-    kind: str                 # "car" or "bus"
-    center: tuple             # (x, y, z) of the body center, z = height/2
-    dims: tuple               # (width, length, height)
-    heading: float = np.pi / 2  # along +y
-
-
-@dataclass(frozen=True)
 class SceneSnapshot:
-    vehicles: tuple
-    ue_indices: tuple         # indices into `vehicles` of cars acting as UEs
+    """The vehicles of one snapshot as arrays, one row per vehicle in
+    placement order (lane by lane, then along the lane)."""
+    center: np.ndarray        # (V, 3) body centre (x, y, z), z = height/2
+    dims: np.ndarray          # (V, 3) width, length, height
+    is_bus: np.ndarray        # (V,) bool: a bus, else a car
+    ue_indices: tuple         # vehicle indices of the cars acting as UEs
     snapshot_id: int
-    rng_seed: object
-
-    def ue_position(self, ue_index: int, config: SceneConfig) -> np.ndarray:
-        v = self.vehicles[ue_index]
-        return np.array([v.center[0], v.center[1], v.dims[2]])  # roof mount
 
     def ue_location(self, ue_index: int) -> np.ndarray:
-        v = self.vehicles[ue_index]
-        return np.array([v.center[0], v.center[1]])
+        return self.center[ue_index, :2].copy()
 
 
 @dataclass(frozen=True)
@@ -156,45 +146,46 @@ class PathTable:
 
 def generate_snapshot(config: SceneConfig, seed, snapshot_id: int = 0) -> SceneSnapshot:
     """Place vehicles lane by lane with uniform inter-vehicle gaps; cars in
-    the region of interest become UEs with probability ue_fraction."""
+    the region of interest become UEs with probability ue_fraction.
+
+    The draws are frozen: per lane a gap then a bus flag for each vehicle
+    (and for the one that no longer fits), then one UE flag per car in the
+    region of interest, in vehicle order.
+    """
     if config.street_length < config.min_gap + config.car_dims[1]:
         raise ValueError("street too short to place any vehicle")
     rng = np.random.default_rng(seed)
-    vehicles = []
+    placed = []   # (lane x, y centre, is bus) per vehicle
     for lane in range(config.lane_count):
         lane_x = (lane + 0.5) * config.lane_width
         cursor = 0.0
         while True:
             gap = rng.uniform(config.min_gap, config.max_gap)
             is_bus = rng.random() < config.bus_fraction
-            dims = config.bus_dims if is_bus else config.car_dims
-            y_center = cursor + gap + dims[1] / 2.0
-            if y_center + dims[1] / 2.0 > config.street_length:
+            length = (config.bus_dims if is_bus else config.car_dims)[1]
+            y_center = cursor + gap + length / 2.0
+            if y_center + length / 2.0 > config.street_length:
                 break
-            vehicles.append(Vehicle(
-                kind="bus" if is_bus else "car",
-                center=(lane_x, y_center, dims[2] / 2.0),
-                dims=dims,
-            ))
-            cursor = y_center + dims[1] / 2.0
+            placed.append((lane_x, y_center, is_bus))
+            cursor = y_center + length / 2.0
+    placed = np.array(placed, dtype=float).reshape(-1, 3)
+    is_bus = placed[:, 2] == 1.0
+    dims = np.where(is_bus[:, None], np.array(config.bus_dims, dtype=float),
+                    np.array(config.car_dims, dtype=float))
+    center = np.stack([placed[:, 0], placed[:, 1], dims[:, 2] / 2.0], axis=1)
     x0, x1, y0, y1 = config.region_of_interest
-    ue_indices = []
-    for idx, v in enumerate(vehicles):
-        if v.kind != "car":
-            continue
-        inside = x0 <= v.center[0] <= x1 and y0 <= v.center[1] <= y1
-        if inside and rng.random() < config.ue_fraction:
-            ue_indices.append(idx)
-    return SceneSnapshot(vehicles=tuple(vehicles), ue_indices=tuple(ue_indices),
-                         snapshot_id=snapshot_id, rng_seed=seed)
+    x, y = center[:, 0], center[:, 1]
+    roi_cars = np.flatnonzero(~is_bus & (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
+    ue_indices = roi_cars[rng.random(len(roi_cars)) < config.ue_fraction]
+    return SceneSnapshot(center=center, dims=dims, is_bus=is_bus,
+                         ue_indices=tuple(ue_indices.tolist()), snapshot_id=snapshot_id)
 
 
 def _bus_boxes(snapshot: SceneSnapshot, margin: float) -> np.ndarray:
     """(lo, hi) corners of every bus box inflated by `margin`, in vehicle
     order: shape (buses, 2, 3)."""
-    buses = [v for v in snapshot.vehicles if v.kind == "bus"]
-    centers = np.array([v.center for v in buses], dtype=float).reshape(-1, 3)
-    half = np.array([v.dims for v in buses], dtype=float).reshape(-1, 3) / 2.0 + margin
+    centers = snapshot.center[snapshot.is_bus]
+    half = snapshot.dims[snapshot.is_bus] / 2.0 + margin
     return np.stack([centers - half, centers + half], axis=1)
 
 
@@ -234,17 +225,17 @@ def _trace(snapshot: SceneSnapshot, ue_indices, config: SceneConfig) -> PathTabl
     bs = config.bs_position
     lam = wavelength(config.carrier_frequency)
     boxes = _bus_boxes(snapshot, config.blockage_margin)
-    ue = np.array([snapshot.ue_position(i, config) for i in ue_indices], dtype=float).reshape(-1, 3)
-    buses = [v for v in snapshot.vehicles if v.kind == "bus"]
-    bus_center = np.array([v.center for v in buses], dtype=float).reshape(-1, 3)
-    bus_dims = np.array([v.dims for v in buses], dtype=float).reshape(-1, 3)
+    # UEs are roof-mounted: at the car's (x, y) and its height
+    idx = np.asarray(ue_indices, dtype=int)
+    ue = np.column_stack([snapshot.center[idx, :2], snapshot.dims[idx, 2]])
+    bus_center, bus_dims = snapshot.center[snapshot.is_bus], snapshot.dims[snapshot.is_bus]
     n_walls = len(config.wall_x)
 
     # reflection planes x = plane_x: the walls, then each bus's two panels;
     # per panel the bus index, centre and dims, repeated for both panels
     cx, w = bus_center[:, 0], bus_dims[:, 0]
     plane_x = np.concatenate([config.wall_x, np.stack([cx - w / 2.0, cx + w / 2.0], axis=1).ravel()])
-    owner = np.repeat(np.arange(len(buses)), 2)
+    owner = np.repeat(np.arange(len(bus_center)), 2)
     center, dims = bus_center[owner], bus_dims[owner]
 
     # image method for all (UE, plane) pairs: the BS mirrored in the plane,

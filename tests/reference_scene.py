@@ -1,16 +1,66 @@
-"""The per-UE scalar path tracer, kept as the reference that the
-per-snapshot path table of `beamtrain.scene` is held to, path for path and
-bit for bit.
+"""The per-vehicle snapshot generator and the per-UE scalar path tracer,
+kept as the references that `beamtrain.scene` is held to: the generator's
+vehicle arrays and UEs exactly, and the per-snapshot path table path for
+path and bit for bit.
+
+`generate_snapshot_reference` places one `Vehicle` at a time and draws one
+UE flag per car in the region of interest with its own scalar draw.
 
 `trace_paths` traces one UE: LOS, then one image-method reflection per
 building wall and per bus side panel, each tested for blockage segment by
 segment with the scalar slab test `segment_hits_box`, one box at a time.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from beamtrain.arrays import SPEED_OF_LIGHT, wavelength
 from beamtrain.scene import PathComponent, SceneConfig, SceneSnapshot, _bus_boxes
+
+
+@dataclass(frozen=True)
+class Vehicle:
+    kind: str                 # "car" or "bus"
+    center: tuple             # (x, y, z) of the body center, z = height/2
+    dims: tuple               # (width, length, height)
+
+
+def generate_snapshot_reference(config: SceneConfig, seed, snapshot_id: int = 0) -> SceneSnapshot:
+    """Place vehicles lane by lane with uniform inter-vehicle gaps; cars in
+    the region of interest become UEs with probability ue_fraction."""
+    if config.street_length < config.min_gap + config.car_dims[1]:
+        raise ValueError("street too short to place any vehicle")
+    rng = np.random.default_rng(seed)
+    vehicles = []
+    for lane in range(config.lane_count):
+        lane_x = (lane + 0.5) * config.lane_width
+        cursor = 0.0
+        while True:
+            gap = rng.uniform(config.min_gap, config.max_gap)
+            is_bus = rng.random() < config.bus_fraction
+            dims = config.bus_dims if is_bus else config.car_dims
+            y_center = cursor + gap + dims[1] / 2.0
+            if y_center + dims[1] / 2.0 > config.street_length:
+                break
+            vehicles.append(Vehicle(
+                kind="bus" if is_bus else "car",
+                center=(lane_x, y_center, dims[2] / 2.0),
+                dims=dims,
+            ))
+            cursor = y_center + dims[1] / 2.0
+    x0, x1, y0, y1 = config.region_of_interest
+    ue_indices = []
+    for idx, v in enumerate(vehicles):
+        if v.kind != "car":
+            continue
+        inside = x0 <= v.center[0] <= x1 and y0 <= v.center[1] <= y1
+        if inside and rng.random() < config.ue_fraction:
+            ue_indices.append(idx)
+    return SceneSnapshot(center=np.array([v.center for v in vehicles], dtype=float).reshape(-1, 3),
+                         dims=np.array([v.dims for v in vehicles], dtype=float).reshape(-1, 3),
+                         is_bus=np.array([v.kind == "bus" for v in vehicles], dtype=bool),
+                         ue_indices=tuple(ue_indices), snapshot_id=snapshot_id)
 
 
 def segment_hits_box(p0, p1, lo, hi) -> bool:
@@ -81,7 +131,7 @@ def trace_paths(snapshot: SceneSnapshot, ue_index: int, config: SceneConfig) -> 
     if ue_index not in snapshot.ue_indices:
         raise ValueError(f"vehicle {ue_index} is not a UE in this snapshot")
     bs = config.bs_position
-    ue = snapshot.ue_position(ue_index, config)
+    ue = np.array([*snapshot.center[ue_index, :2], snapshot.dims[ue_index, 2]])  # roof mount
     lam = wavelength(config.carrier_frequency)
     boxes = _bus_boxes(snapshot, config.blockage_margin)
     paths: list[PathComponent] = []
@@ -101,13 +151,8 @@ def trace_paths(snapshot: SceneSnapshot, ue_index: int, config: SceneConfig) -> 
         total = float(np.linalg.norm(p - bs) + np.linalg.norm(ue - p))
         paths.append(make_path(bs, ue, p, p, total, config.wall_reflection, lam, "wall"))
 
-    bus_idx = -1
-    for v in snapshot.vehicles:
-        if v.kind != "bus":
-            continue
-        bus_idx += 1
-        cx, cy, _ = v.center
-        w, length, height = v.dims
+    buses = zip(snapshot.center[snapshot.is_bus].tolist(), snapshot.dims[snapshot.is_bus].tolist())
+    for bus_idx, ((cx, cy, _), (w, length, height)) in enumerate(buses):
         for panel_x in (cx - w / 2.0, cx + w / 2.0):
             outward = np.sign(panel_x - cx)
             if np.sign(bs[0] - panel_x) != outward or np.sign(ue[0] - panel_x) != outward:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamtrain import boosting, channel, cli, harness, scene, selectors
+from beamtrain import boosting, channel, cli, dataset, harness, scene, selectors
 from beamtrain.boosting import TrainConfig, save_model, train
 from beamtrain.channel import (default_bs_geometry, default_ue_geometry, dense_channel,
                                path_responses)
@@ -283,15 +283,48 @@ def test_eval_run_bad_key_fails_before_any_stage(tmp_path, monkeypatch, capsys, 
     assert not [m for m in caplog.messages if m.startswith("stage:")]
 
 
-@pytest.mark.parametrize("command", ["run", "heatmap"])
-def test_eval_bad_out_fails_before_any_stage(tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize("command, stage, out", [
+    pytest.param(["eval", "run", "--smoke"], (harness, "run_experiment"), "out", id="run"),
+    pytest.param(["eval", "heatmap", "--smoke"], (harness, "run_experiment"), "out",
+                 id="heatmap"),
+    pytest.param(["dataset", "build", "--smoke"], (harness, "build_corpus"), "ds",
+                 id="dataset-build"),
+    pytest.param(["dataset", "build", "--smoke"], (harness, "build_corpus"), None,
+                 id="dataset-build-onto-a-file"),
+    pytest.param(["dataset", "transform", "--input", "rates.npz"], (dataset, "load_dataset"),
+                 "ds/tr.npz", id="dataset-transform"),
+    pytest.param(["model", "train", "--smoke", "--input", "tr.npz"], (dataset, "load_dataset"),
+                 "ds/m.npz", id="model-train"),
+    pytest.param(["plan", "build", "--smoke", "--input", "tr.npz"], (dataset, "load_dataset"),
+                 "ds/p.npz", id="plan-build"),
+])
+def test_eval_bad_out_fails_before_any_stage(tmp_path, monkeypatch, capsys, command, stage, out):
+    """An --out that cannot be written fails with an error naming it before
+    the input is read or a stage runs: a path below a regular file (for a
+    file, its directory is checked), or for a directory an existing file."""
     ran = []
-    monkeypatch.setattr(harness, "run_experiment", ran.append)
+    monkeypatch.setattr(*stage, lambda *args, **kwargs: ran.append(args))
     blocker = tmp_path / "file"
     blocker.write_text("")
-    assert cli.main(["eval", command, "--smoke", "--out", str(blocker / "out")]) == 1
-    assert "error:" in capsys.readouterr().err
+    bad = blocker if out is None else blocker / out
+    assert cli.main([*command, "--out", str(bad)]) == 1
+    checked = bad.parent if bad.suffix == ".npz" else bad
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(checked)) in err
     assert ran == []
+
+
+def test_smoke_and_config_cannot_be_combined(tmp_path, capsys):
+    """--smoke would silently drop the config file, so argparse rejects the
+    pair on every command that takes both."""
+    config = _tiny_config(tmp_path)
+    for command in (["scene", "gen"], ["dataset", "build"], ["model", "train", "--input", "x"],
+                    ["plan", "build", "--input", "x"], ["eval", "run"], ["eval", "heatmap"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, "--smoke", "--config", config, "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "argument --config: not allowed with argument --smoke" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_run_bad_grid_fails_before_any_stage(tmp_path, monkeypatch, capsys, caplog):

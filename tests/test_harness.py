@@ -2,13 +2,14 @@ import dataclasses
 import json
 import logging
 import re
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from beamtrain import boosting, metrics
+from beamtrain import boosting, harness, metrics
 from beamtrain.harness import (DEFAULT_N_B_SWEEP, ExperimentConfig, StageError, _stage,
                                build_corpus, build_coverage_plan, decoupled_split, derive_seed,
                                emit_outputs, evaluate, run_experiment, split_corpus, train_role)
@@ -67,6 +68,62 @@ def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     assert ExperimentConfig.from_file(str(path)) == cfg
+
+
+_TOML_CONFIG = """\
+master_seed = 7
+snapshot_count = 3
+n_b_sweep = [1, 5, 10]
+test_fraction = 0.25
+
+[scene]
+lane_count = 3
+car_dims = [1.8, 4.4, 1.5]
+
+[[bs_grid]]
+tree_count = 20
+max_depth = 3
+learning_rate = 0.5
+
+[[ue_grid]]
+tree_count = 10
+max_depth = 2
+learning_rate = 0.3
+
+[[ue_grid]]
+tree_count = 5
+max_depth = 4
+learning_rate = 0.1
+"""
+
+_JSON_TWIN = {
+    "master_seed": 7, "snapshot_count": 3, "n_b_sweep": [1, 5, 10], "test_fraction": 0.25,
+    "scene": {"lane_count": 3, "car_dims": [1.8, 4.4, 1.5]},
+    "bs_grid": [{"tree_count": 20, "max_depth": 3, "learning_rate": 0.5}],
+    "ue_grid": [{"tree_count": 10, "max_depth": 2, "learning_rate": 0.3},
+                {"tree_count": 5, "max_depth": 4, "learning_rate": 0.1}],
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is in the standard library "
+                    "from Python 3.11; below it TOML configs are refused")
+def test_config_from_toml_file_equals_its_json_twin(tmp_path):
+    toml_path, json_path = tmp_path / "cfg.toml", tmp_path / "cfg.json"
+    toml_path.write_text(_TOML_CONFIG)
+    json_path.write_text(json.dumps(_JSON_TWIN))
+    cfg = ExperimentConfig.from_file(str(toml_path))
+    assert cfg == ExperimentConfig.from_file(str(json_path))
+    assert cfg.config_hash() == ExperimentConfig.from_file(str(json_path)).config_hash()
+    assert cfg != ExperimentConfig() and cfg.scene.car_dims == (1.8, 4.4, 1.5)
+    assert len(cfg.ue_grid) == 2
+
+
+def test_toml_config_without_tomllib_points_to_json(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "tomllib", None)
+    path = tmp_path / "cfg.toml"
+    path.write_text(_TOML_CONFIG)
+    with pytest.raises(RuntimeError, match="TOML configs need Python >= 3.11; use JSON instead"):
+        ExperimentConfig.from_file(str(path))
 
 
 def test_config_rejects_unknown_keys_and_versions():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrain.scene import (PATH_KINDS, SceneConfig, Vehicle, _bus_boxes, _segments_blocked,
+from beamtrain.scene import (PATH_KINDS, SceneConfig, SceneSnapshot, _bus_boxes, _segments_blocked,
                              generate_snapshot, trace_paths, trace_snapshot)
 from reference_scene import blocked as _blocked_reference
+from reference_scene import generate_snapshot_reference
 from reference_scene import reflection_point, segment_hits_box
 from reference_scene import trace_paths as trace_paths_reference
 
@@ -19,11 +20,29 @@ def _blocked(p0, p1, boxes, exclude=None) -> bool:
                                   [-1 if exclude is None else exclude])[0])
 
 
+def _roof(snap, ue):
+    """The roof-mounted antenna position of vehicle `ue`."""
+    return np.array([*snap.center[ue, :2], snap.dims[ue, 2]])
+
+
+def _assert_same_snapshot(a, b):
+    """Every field of the two snapshots is equal, arrays bit for bit and
+    in dtype."""
+    for f in dataclasses.fields(SceneSnapshot):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y), f.name
+        assert np.asarray(x).dtype == np.asarray(y).dtype, f.name
+        assert np.array_equal(x, y), f.name
+
+
 def test_snapshot_determinism():
     cfg = SceneConfig()
     a = generate_snapshot(cfg, 123, snapshot_id=5)
     b = generate_snapshot(cfg, 123, snapshot_id=5)
-    assert a == b
+    assert [f.name for f in dataclasses.fields(SceneSnapshot)] == [
+        "center", "dims", "is_bus", "ue_indices", "snapshot_id"]
+    _assert_same_snapshot(a, b)
+    assert a.snapshot_id == 5 and len(a.is_bus) > 0 and a.ue_indices
 
 
 @pytest.mark.parametrize("clearance", [0.0, -1.0, float("nan"), float("inf")])
@@ -35,21 +54,21 @@ def test_config_rejects_degenerate_wall_clearance(clearance):
 def test_zero_bus_fraction_gives_only_cars():
     cfg = dataclasses.replace(SceneConfig(), bus_fraction=0.0)
     snap = generate_snapshot(cfg, 1)
-    assert all(v.kind == "car" for v in snap.vehicles)
+    assert len(snap.is_bus) > 0 and not snap.is_bus.any()
 
 
 def test_vehicles_stay_in_lane_and_do_not_overlap():
     cfg = SceneConfig()
     snap = generate_snapshot(cfg, 9)
     by_lane = {}
-    for v in snap.vehicles:
-        by_lane.setdefault(v.center[0], []).append(v)
+    for center, dims in zip(snap.center.tolist(), snap.dims.tolist()):
+        by_lane.setdefault(center[0], []).append((center, dims))
     assert len(by_lane) == cfg.lane_count
     for lane_x, vehicles in by_lane.items():
         lane = lane_x / cfg.lane_width - 0.5
         assert abs(lane - round(lane)) < 1e-9
-        spans = sorted((v.center[1] - v.dims[1] / 2, v.center[1] + v.dims[1] / 2)
-                       for v in vehicles)
+        spans = sorted((center[1] - dims[1] / 2, center[1] + dims[1] / 2)
+                       for center, dims in vehicles)
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             assert lo >= hi  # ordered along the lane, no overlap
 
@@ -60,9 +79,9 @@ def test_ues_are_cars_inside_roi():
     x0, x1, y0, y1 = cfg.region_of_interest
     assert snap.ue_indices
     for idx in snap.ue_indices:
-        v = snap.vehicles[idx]
-        assert v.kind == "car"
-        assert x0 <= v.center[0] <= x1 and y0 <= v.center[1] <= y1
+        x, y, _ = snap.center[idx]
+        assert not snap.is_bus[idx]
+        assert x0 <= x <= x1 and y0 <= y <= y1
 
 
 def test_corpus_size_500_seeds():
@@ -77,9 +96,45 @@ def test_too_short_street_raises():
         generate_snapshot(cfg, 0)
 
 
-def _snapshot_with(cfg, vehicles, ue_indices):
-    snap = generate_snapshot(cfg, 0)
-    return dataclasses.replace(snap, vehicles=tuple(vehicles), ue_indices=tuple(ue_indices))
+_STREETS = st.builds(
+    SceneConfig,
+    lane_count=st.integers(1, 5), lane_width=st.sampled_from([2.5, 3.5, 4.25]),
+    # 6 m is the shortest street every drawn min_gap allows (1.5 m + a
+    # 4.5 m car); short streets hold a few vehicles, some lanes none
+    street_length=st.one_of(st.floats(6.0, 20.0), st.floats(20.0, 200.0)),
+    min_gap=st.floats(0.5, 1.5), max_gap=st.floats(1.5, 12.0),
+    bus_fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    ue_fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    roi_y_min=st.floats(0.0, 60.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_STREETS, seed=st.integers(0, 2 ** 32 - 1))
+def test_generator_matches_per_vehicle_reference(cfg, seed):
+    """The array generator places the vehicles of the per-vehicle reference
+    bit for bit, picks the same UEs and leaves the RNG at the same draw:
+    the single UE draw takes one number per car in the region of interest,
+    like the reference's scalar draws."""
+    rng, rng_reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    _assert_same_snapshot(generate_snapshot(cfg, rng, snapshot_id=3),
+                          generate_snapshot_reference(cfg, rng_reference, snapshot_id=3))
+    assert rng.random() == rng_reference.random()
+
+
+def _car(cfg, x, y):
+    return ((x, y, cfg.car_dims[2] / 2.0), cfg.car_dims, False)
+
+
+def _bus(cfg, x, y):
+    return ((x, y, cfg.bus_dims[2] / 2.0), cfg.bus_dims, True)
+
+
+def _snapshot_with(vehicles, ue_indices):
+    """A snapshot of the given (center, dims, is_bus) vehicles."""
+    center, dims, is_bus = zip(*vehicles)
+    return SceneSnapshot(center=np.array(center, dtype=float), dims=np.array(dims, dtype=float),
+                         is_bus=np.array(is_bus, dtype=bool), ue_indices=tuple(ue_indices),
+                         snapshot_id=0)
 
 
 def test_clear_los_yields_los_plus_two_wall_reflections():
@@ -92,18 +147,17 @@ def test_clear_los_yields_los_plus_two_wall_reflections():
 
 def test_bus_straddling_los_blocks_it():
     cfg = SceneConfig()
-    car = Vehicle(kind="car", center=(1.75, 100.0, 0.75), dims=cfg.car_dims)
+    car = _car(cfg, 1.75, 100.0)
     # bus just ahead of the car, tall enough to cut the descending sight line
-    bus = Vehicle(kind="bus", center=(1.6, 90.0, 1.9), dims=cfg.bus_dims)
-    snap = _snapshot_with(cfg, [car, bus], [0])
+    bus = _bus(cfg, 1.6, 90.0)
+    snap = _snapshot_with([car, bus], [0])
     paths = trace_paths(snap, 0, cfg)
     assert all(p.kind != "los" for p in paths)
 
 
 def test_wall_reflection_matches_image_source_oracle():
     cfg = SceneConfig()
-    car = Vehicle(kind="car", center=(7.0, 80.0, 0.75), dims=cfg.car_dims)
-    snap = _snapshot_with(cfg, [car], [0])
+    snap = _snapshot_with([_car(cfg, 7.0, 80.0)], [0])
     paths = trace_paths(snap, 0, cfg)
     left_wall = [p for p in paths if p.kind == "wall"][0]
 
@@ -226,13 +280,14 @@ def test_trace_paths_same_as_with_scalar_slab_test(bus_fraction, seed):
     cfg = dataclasses.replace(SceneConfig(), bus_fraction=bus_fraction)
     snaps = [generate_snapshot(cfg, seed * 100 + i, snapshot_id=i) for i in range(6)]
     for snap in snaps:
-        buses = [v for v in snap.vehicles if v.kind == "bus"]
+        buses = np.flatnonzero(snap.is_bus)
         boxes = _bus_boxes(snap, cfg.blockage_margin)
         assert boxes.shape == (len(buses), 2, 3)
-        for v, (lo, hi) in zip(buses, boxes):
-            half = np.array([v.dims[0] / 2.0, v.dims[1] / 2.0, v.dims[2] / 2.0]) + cfg.blockage_margin
-            assert np.array_equal(lo, np.asarray(v.center) - half)
-            assert np.array_equal(hi, np.asarray(v.center) + half)
+        for bus, (lo, hi) in zip(buses, boxes):
+            center, dims = snap.center[bus].tolist(), snap.dims[bus].tolist()
+            half = np.array([dims[0] / 2.0, dims[1] / 2.0, dims[2] / 2.0]) + cfg.blockage_margin
+            assert np.array_equal(lo, np.asarray(center) - half)
+            assert np.array_equal(hi, np.asarray(center) + half)
     fast = [[_path_bits(p) for p in trace_paths(s, u, cfg)] for s in snaps for u in s.ue_indices]
     slow = [[_path_bits(p) for p in trace_paths_reference(s, u, cfg)]
             for s in snaps for u in s.ue_indices]
@@ -258,7 +313,7 @@ def _onto_wall_ends(snap, cfg, ue):
     """cfg with the street length or wall height moved onto a wall
     reflection point of `ue`, so that the point sits on the wall's end."""
     bs = cfg.bs_position
-    ue_xyz = snap.ue_position(ue, cfg)
+    ue_xyz = _roof(snap, ue)
     for wall_x in cfg.wall_x:
         p = reflection_point(bs, ue_xyz, wall_x)
         if p is not None and p[1] > 0.0 and p[2] > 0.0:
@@ -269,31 +324,29 @@ def _onto_wall_ends(snap, cfg, ue):
 def _onto_panel_ends(snap, cfg, ue, bus):
     """snap with the bus's length and height set so that a panel reflection
     point of `ue` sits on the panel's end and top edge."""
-    v = snap.vehicles[bus]
-    bs, ue_xyz = cfg.bs_position, snap.ue_position(ue, cfg)
-    for panel_x in (v.center[0] - v.dims[0] / 2.0, v.center[0] + v.dims[0] / 2.0):
-        outward = np.sign(panel_x - v.center[0])
+    center, dims = snap.center[bus].tolist(), snap.dims[bus].tolist()
+    bs, ue_xyz = cfg.bs_position, _roof(snap, ue)
+    for panel_x in (center[0] - dims[0] / 2.0, center[0] + dims[0] / 2.0):
+        outward = np.sign(panel_x - center[0])
         if np.sign(bs[0] - panel_x) != outward or np.sign(ue_xyz[0] - panel_x) != outward:
             continue   # the panel faces away from the BS or the UE
         p = reflection_point(bs, ue_xyz, panel_x)
         if p is None or p[2] <= 0.0:
             continue
-        dims = (v.dims[0], 2.0 * abs(float(p[1]) - v.center[1]), float(p[2]))
-        moved = Vehicle(kind="bus", center=(v.center[0], v.center[1], dims[2] / 2.0), dims=dims)
-        vehicles = list(snap.vehicles)
-        vehicles[bus] = moved
-        return dataclasses.replace(snap, vehicles=tuple(vehicles))
+        moved_center, moved_dims = snap.center.copy(), snap.dims.copy()
+        moved_dims[bus] = (dims[0], 2.0 * abs(float(p[1]) - center[1]), float(p[2]))
+        moved_center[bus, 2] = moved_dims[bus, 2] / 2.0
+        return dataclasses.replace(snap, center=moved_center, dims=moved_dims)
     return snap
 
 
 def test_reflections_on_wall_and_panel_ends_are_kept():
     """A reflection point exactly on the end of a wall or a bus panel
     (`<=` on every bound) gives a path."""
-    car = Vehicle(kind="car", center=(5.25, 70.0, 0.75), dims=SceneConfig().car_dims)
-    bus = Vehicle(kind="bus", center=(12.25, 90.0, 1.9), dims=SceneConfig().bus_dims)
-    cfg = _onto_wall_ends(_snapshot_with(SceneConfig(), [car], [0]), SceneConfig(), 0)
-    snap = _onto_panel_ends(_snapshot_with(cfg, [car, bus], [0]), cfg, 0, 1)
-    assert snap.vehicles[1] != bus and cfg != SceneConfig()
+    car, bus = _car(SceneConfig(), 5.25, 70.0), _bus(SceneConfig(), 12.25, 90.0)
+    cfg = _onto_wall_ends(_snapshot_with([car], [0]), SceneConfig(), 0)
+    snap = _onto_panel_ends(_snapshot_with([car, bus], [0]), cfg, 0, 1)
+    assert not np.array_equal(snap.dims[1], bus[1]) and cfg != SceneConfig()
     table = _assert_table_matches_reference(snap, cfg)
     assert sorted(PATH_KINDS[k] for k in table.kind) == ["bus", "los", "wall"]
 
@@ -310,7 +363,7 @@ def test_path_table_matches_reference_tracer(cfg, seed, data):
     if snap.ue_indices and data.draw(st.booleans()):
         ue = data.draw(st.sampled_from(snap.ue_indices))
         cfg = _onto_wall_ends(snap, cfg, ue)
-        buses = [i for i, v in enumerate(snap.vehicles) if v.kind == "bus"]
+        buses = np.flatnonzero(snap.is_bus).tolist()
         if buses:
             snap = _onto_panel_ends(snap, cfg, ue, data.draw(st.sampled_from(buses)))
     table = _assert_table_matches_reference(snap, cfg)
@@ -320,7 +373,7 @@ def test_path_table_matches_reference_tracer(cfg, seed, data):
 def test_path_table_edge_snapshots():
     """No UE, no bus, and every UE fully blocked by one huge bus box."""
     cfg = SceneConfig()
-    empty = _snapshot_with(cfg, [Vehicle(kind="car", center=(1.75, 50.0, 0.75), dims=cfg.car_dims)], [])
+    empty = _snapshot_with([_car(cfg, 1.75, 50.0)], [])
     table = _assert_table_matches_reference(empty, cfg)
     assert len(table.ue) == 0 and table.aod.shape == (0, 2)
     no_bus = dataclasses.replace(cfg, bus_fraction=0.0)
@@ -328,7 +381,7 @@ def test_path_table_edge_snapshots():
     assert len(_assert_table_matches_reference(snap, no_bus).ue) == 3 * len(snap.ue_indices)
     walled = dataclasses.replace(cfg, blockage_margin=500.0)
     snap = generate_snapshot(dataclasses.replace(cfg, bus_fraction=0.5), 5)
-    assert any(v.kind == "bus" for v in snap.vehicles) and snap.ue_indices
+    assert snap.is_bus.any() and snap.ue_indices
     table = _assert_table_matches_reference(snap, walled)
     assert len(table.ue) == 0
     assert all(r.start == r.stop for r in table.ue_rows(snap.ue_indices))
