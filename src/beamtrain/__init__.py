@@ -5,12 +5,12 @@ selection over synthetic geometric MIMO-OFDM channels."""
 from .arrays import ArrayGeometry, Codebook, dft_codebook, steering_vector
 from .boosting import TrainConfig, TreeEnsembleModel, kfold_tune, param_count, train
 from .channel import ChannelRealization, channel_for_ue, paths_to_channel
-from .dataset import (ATRRow, DatasetSplit, TRRow, build_rate_dataset, split_dataset,
+from .dataset import (ATRRow, DatasetSplit, RateRow, TRRow, build_rate_dataset, split_dataset,
                       to_atr, to_throughput_ratios)
 from .harness import EvalResult, ExperimentConfig, emit_outputs, run_experiment
-from .linkeval import RateRow, sweep_all
+from .linkeval import sweep_all
 from .metrics import avg_throughput_ratio, misalignment_probability
-from .scene import PathComponent, SceneConfig, SceneSnapshot, generate_snapshot, trace_paths
+from .scene import SceneConfig, SceneSnapshot, generate_snapshot, trace_paths
 from .selectors import (BeamPairSet, ClusterCoveragePlan, DecoupledSets, kmeans,
                         kth_best_table, overhead_bits, select_bs_coverage,
                         select_coupled, select_decoupled_no_location,
@@ -20,12 +20,12 @@ __all__ = [
     "ArrayGeometry", "Codebook", "dft_codebook", "steering_vector",
     "TrainConfig", "TreeEnsembleModel", "kfold_tune", "param_count", "train",
     "ChannelRealization", "channel_for_ue", "paths_to_channel",
-    "ATRRow", "DatasetSplit", "TRRow", "build_rate_dataset", "split_dataset",
+    "ATRRow", "DatasetSplit", "RateRow", "TRRow", "build_rate_dataset", "split_dataset",
     "to_atr", "to_throughput_ratios",
     "EvalResult", "ExperimentConfig", "emit_outputs", "run_experiment",
-    "RateRow", "sweep_all",
+    "sweep_all",
     "avg_throughput_ratio", "misalignment_probability",
-    "PathComponent", "SceneConfig", "SceneSnapshot", "generate_snapshot", "trace_paths",
+    "SceneConfig", "SceneSnapshot", "generate_snapshot", "trace_paths",
     "BeamPairSet", "ClusterCoveragePlan", "DecoupledSets", "kmeans",
     "kth_best_table", "overhead_bits", "select_bs_coverage",
     "select_coupled", "select_decoupled_no_location",

@@ -5,16 +5,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayGeometry, local_angles, rotation_from_boresight, steering_vector
-from .scene import PathComponent, PathTable, SceneConfig, SceneSnapshot, trace_paths
+from .scene import PathTable, SceneConfig, SceneSnapshot, trace_paths
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
     """Per-UE channel: K complex matrices of shape (UE elements, BS elements)."""
-    ue_location: np.ndarray   # (x, y) meters
     matrices: np.ndarray      # (K, n_ue, n_bs) complex
-    snapshot_id: int
-    ue_index: int = -1
 
 
 def default_bs_geometry(config: SceneConfig, rows: int = 8, cols: int = 8) -> ArrayGeometry:
@@ -65,24 +62,18 @@ def dense_channel(gains, a_ue, a_bs, phases) -> np.ndarray:
     return H
 
 
-def paths_to_channel(paths: list[PathComponent], bs_geometry: ArrayGeometry,
-                     ue_geometry: ArrayGeometry, config: SceneConfig,
-                     ue_location=(0.0, 0.0), snapshot_id: int = 0,
-                     ue_index: int = -1) -> ChannelRealization:
-    """H[k] = sum_p gain_p * exp(-2j pi k df tau_p) * a_ue(aoa_p) a_bs(aod_p)^*."""
-    table = PathTable.from_paths(paths)
+def paths_to_channel(table: PathTable, bs_geometry: ArrayGeometry,
+                     ue_geometry: ArrayGeometry, config: SceneConfig) -> ChannelRealization:
+    """H[k] = sum_p gain_p * exp(-2j pi k df tau_p) * a_ue(aoa_p) a_bs(aod_p)^*
+    over the rows of a path table."""
     a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
-    return ChannelRealization(ue_location=np.asarray(ue_location, dtype=float),
-                              matrices=dense_channel(table.gain, a_ue, a_bs, phases),
-                              snapshot_id=snapshot_id, ue_index=ue_index)
+    return ChannelRealization(matrices=dense_channel(table.gain, a_ue, a_bs, phases))
 
 
 def channel_for_ue(snapshot: SceneSnapshot, ue_index: int, bs_geometry: ArrayGeometry,
                    ue_geometry: ArrayGeometry, config: SceneConfig) -> ChannelRealization:
-    paths = trace_paths(snapshot, ue_index, config)
-    return paths_to_channel(paths, bs_geometry, ue_geometry, config,
-                            ue_location=snapshot.ue_location(ue_index),
-                            snapshot_id=snapshot.snapshot_id, ue_index=ue_index)
+    return paths_to_channel(trace_paths(snapshot, ue_index, config), bs_geometry, ue_geometry,
+                            config)
 
 
 def _unit_from_angles(angles: np.ndarray) -> np.ndarray:

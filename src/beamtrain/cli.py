@@ -74,7 +74,7 @@ def cmd_dataset_build(args) -> int:
 
 def cmd_dataset_transform(args) -> int:
     _output_dir(os.path.dirname(args.out))
-    rows, pair_shape, corpus = dataset.load_dataset(args.input, fmt="binary")
+    rows, pair_shape, corpus = dataset.load_dataset(args.input)
     if isinstance(rows[0], dataset.TRRow):
         raise ValueError(f"dataset file {args.input!r} has row_kind 'tr'; --input takes the "
                          "rate file that `dataset build` writes")
@@ -91,7 +91,7 @@ def _tr_corpus(args):
     first."""
     config = _load_config(args)
     _output_dir(os.path.dirname(args.out))
-    rows, pair_shape, corpus = dataset.load_dataset(args.input, fmt="binary")
+    rows, pair_shape, corpus = dataset.load_dataset(args.input)
     if not isinstance(rows[0], dataset.TRRow):
         raise ValueError(f"dataset file {args.input!r} has row_kind 'rate'; --input takes the "
                          "throughput-ratio file that `dataset transform` writes")

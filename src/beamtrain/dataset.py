@@ -2,7 +2,6 @@
 
 import csv
 import logging
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .arrays import Codebook
 from .channel import path_responses
 from .fileio import atomic_write, load_npz, require_keys, save_npz
-from .linkeval import RateRow, sweep_responses
+from .linkeval import sweep_responses
 from .scene import PATH_KINDS, trace_snapshot
 # The dense route (channel_for_ue, sweep_all) is no longer called here, but
 # perfbench/spans.py wraps both at this module, so they stay importable from it.
@@ -27,6 +26,15 @@ _DATASET_KEYS = ("locations", "snapshot_ids", "ue_indices", "values", "row_kind"
 
 
 @dataclass(frozen=True)
+class RateRow:
+    """Rates (bits/s/Hz) for all |W|*|F| beam pairs of one UE."""
+    location: np.ndarray      # (x, y)
+    rates: np.ndarray         # (|W|*|F|,)
+    snapshot_id: int
+    ue_index: int = -1
+
+
+@dataclass(frozen=True)
 class TRRow:
     """Throughput ratios r_T for one UE; max entry is exactly 1.0."""
     location: np.ndarray
@@ -38,12 +46,10 @@ class TRRow:
 
 @dataclass(frozen=True)
 class ATRRow:
-    """Per-beam approximate throughput ratios (codebook-averaged)."""
-    location: np.ndarray
+    """Per-beam approximate throughput ratios (codebook-averaged) of one
+    TR row."""
     atr_f: np.ndarray         # (|F|,)
     atr_w: np.ndarray         # (|W|,)
-    snapshot_id: int
-    ue_index: int = -1
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,7 @@ def to_atr(tr_rows: list[TRRow], num_combiners: int, num_beamformers: int) -> li
     out = []
     for row in tr_rows:
         grid = row.ratios.reshape(num_combiners, num_beamformers)
-        out.append(ATRRow(location=row.location, atr_f=grid.mean(axis=0),
-                          atr_w=grid.mean(axis=1), snapshot_id=row.snapshot_id,
-                          ue_index=row.ue_index))
+        out.append(ATRRow(atr_f=grid.mean(axis=0), atr_w=grid.mean(axis=1)))
     return out
 
 
@@ -191,45 +195,23 @@ def save_dataset(rows, path: str, pair_shape, fmt: str, corpus: dict | None = No
         raise ValueError(f"unknown dataset format {fmt!r}")
 
 
-def load_dataset(path: str, fmt: str = "binary"):
-    """Load (rows, pair_shape, corpus) saved by save_dataset; malformed files
-    raise ValueError. pair_shape = (|W|, |F|) comes from the npz, or from the
-    last CSV header cell r_{|W|}_{|F|}, and must match the row width. corpus
-    maps CORPUS_KEYS to the npz's values; a CSV file records none."""
-    if fmt == "binary":
-        data = load_npz(path, "dataset", DATASET_FORMAT_VERSION, _DATASET_KEYS)
-        values = data["values"]
-        pair_shape = _check_pair_shape(data["pair_shape"],
-                                       values.shape[1] if values.ndim == 2 else None, path)
-        if len(values) == 0:
-            raise ValueError(f"dataset file {path!r} holds no rows")
-        kind = str(data["row_kind"][0])
-        if kind == "tr":
-            require_keys(data, path, "dataset", ("max_rates",))
-        rows = []
-        for n in range(len(data["snapshot_ids"])):
-            ids = dict(location=data["locations"][n], snapshot_id=int(data["snapshot_ids"][n]),
-                       ue_index=int(data["ue_indices"][n]))
-            rows.append(TRRow(ratios=values[n], max_rate=float(data["max_rates"][n]), **ids)
-                        if kind == "tr" else RateRow(rates=values[n], **ids))
-        return rows, pair_shape, {key: data[key][0].item() for key in CORPUS_KEYS}
-    if fmt == "csv":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"empty dataset file {path!r}")
-            if (header[:3] != ["x", "y", "snapshot_id"]
-                    or not re.fullmatch(r"r_\d+_\d+", header[-1])):
-                raise ValueError(f"malformed dataset header in {path!r}")
-            pair_shape = _check_pair_shape(header[-1].split("_")[1:], len(header) - 3, path)
-            for line in reader:
-                if len(line) != len(header):
-                    raise ValueError(f"truncated or malformed row in {path!r}")
-                rows.append(RateRow(location=np.array([float(line[0]), float(line[1])]),
-                                    rates=np.array([float(v) for v in line[3:]]),
-                                    snapshot_id=int(line[2])))
-        return rows, pair_shape, None
-    raise ValueError(f"unknown dataset format {fmt!r}")
+def load_dataset(path: str):
+    """Load (rows, pair_shape, corpus) from a binary file of save_dataset;
+    a malformed file raises ValueError. pair_shape = (|W|, |F|) must match
+    the row width, and corpus maps CORPUS_KEYS to the file's values."""
+    data = load_npz(path, "dataset", DATASET_FORMAT_VERSION, _DATASET_KEYS)
+    values = data["values"]
+    pair_shape = _check_pair_shape(data["pair_shape"],
+                                   values.shape[1] if values.ndim == 2 else None, path)
+    if len(values) == 0:
+        raise ValueError(f"dataset file {path!r} holds no rows")
+    kind = str(data["row_kind"][0])
+    if kind == "tr":
+        require_keys(data, path, "dataset", ("max_rates",))
+    rows = []
+    for n in range(len(data["snapshot_ids"])):
+        ids = dict(location=data["locations"][n], snapshot_id=int(data["snapshot_ids"][n]),
+                   ue_index=int(data["ue_indices"][n]))
+        rows.append(TRRow(ratios=values[n], max_rate=float(data["max_rates"][n]), **ids)
+                    if kind == "tr" else RateRow(rates=values[n], **ids))
+    return rows, pair_shape, {key: data[key][0].item() for key in CORPUS_KEYS}

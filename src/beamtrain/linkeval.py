@@ -5,35 +5,23 @@ index and j the BS beamformer index (0-based, row-major). Every argmax in
 the package breaks ties toward the lowest flattened index.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrays import Codebook
 from .channel import ChannelRealization
 
 
-@dataclass(frozen=True)
-class RateRow:
-    """Rates (bits/s/Hz) for all |W|*|F| beam pairs of one UE."""
-    location: np.ndarray      # (x, y)
-    rates: np.ndarray         # (|W|*|F|,)
-    snapshot_id: int
-    ue_index: int = -1
-
-
 def sweep_all(channel: ChannelRealization, combiners: Codebook, beamformers: Codebook,
-              sigma2: float) -> RateRow:
-    """Exhaustive sweep over all beam pairs of both codebooks."""
+              sigma2: float) -> np.ndarray:
+    """Rates of all |W|*|F| beam pairs, an exhaustive sweep of the dense
+    channel over both codebooks."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     W = combiners.beams            # (|W|, n_ue)
     F = beamformers.beams          # (|F|, n_bs)
     H = channel.matrices           # (K, n_ue, n_bs)
     proj = np.matmul(W.conj(), H) @ F.T  # (K, |W|, |F|)
-    rates = np.mean(np.log2(1.0 + np.abs(proj) ** 2 / sigma2), axis=0)
-    return RateRow(location=channel.ue_location, rates=rates.reshape(-1),
-                   snapshot_id=channel.snapshot_id, ue_index=channel.ue_index)
+    return np.mean(np.log2(1.0 + np.abs(proj) ** 2 / sigma2), axis=0).reshape(-1)
 
 
 def sweep_responses(gains, a_ue, a_bs, phases, combiners: Codebook, beamformers: Codebook,

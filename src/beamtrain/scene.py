@@ -43,9 +43,17 @@ class SceneConfig:
 
     def __post_init__(self):
         # the BS stands at x = 0, wall_clearance from the near wall: at zero
-        # its wall path starts at the BS itself and has no direction
-        if not (np.isfinite(self.wall_clearance) and self.wall_clearance > 0):
-            raise ValueError(f"wall_clearance must be finite and > 0, got {self.wall_clearance}")
+        # its wall path starts at the BS itself and has no direction; the
+        # wavelength and every path's phase divide by carrier_frequency
+        for key in ("wall_clearance", "carrier_frequency"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
+        for key in ("lane_count", "subcarrier_count"):
+            if not getattr(self, key) >= 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.noise_power is not None and not self.noise_power > 0:
+            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
 
     @property
     def bs_position(self) -> np.ndarray:
@@ -89,17 +97,6 @@ class SceneSnapshot:
         return self.center[ue_index, :2].copy()
 
 
-@dataclass(frozen=True)
-class PathComponent:
-    """One propagation path; angles are world-frame (azimuth, elevation) of
-    the departure direction at the BS and arrival-source direction at the UE."""
-    complex_gain: complex
-    aod: tuple
-    aoa: tuple
-    delay: float
-    kind: str = "los"         # "los", "wall", "bus"
-
-
 PATH_KINDS = ("los", "wall", "bus")
 
 
@@ -109,8 +106,7 @@ class PathTable:
 
     Rows are grouped by UE in ascending vehicle index. Within a UE they run
     LOS, then the walls in `wall_x` order, then bus side panels in vehicle
-    order, each bus's `cx - w/2` panel before its `cx + w/2` panel: the
-    order of the per-UE path lists.
+    order, each bus's `cx - w/2` panel before its `cx + w/2` panel.
     """
     ue: np.ndarray      # (P,) vehicle index of the path's UE
     kind: np.ndarray    # (P,) index into PATH_KINDS
@@ -118,23 +114,6 @@ class PathTable:
     delay: np.ndarray   # (P,) seconds
     aod: np.ndarray     # (P, 2) world-frame (azimuth, elevation) at the BS
     aoa: np.ndarray     # (P, 2) world-frame (azimuth, elevation) at the UE
-
-    @classmethod
-    def from_paths(cls, paths) -> "PathTable":
-        """A table of one UE's path list; its `ue` column is -1."""
-        return cls(ue=np.full(len(paths), -1),
-                   kind=np.array([PATH_KINDS.index(p.kind) for p in paths], dtype=int),
-                   gain=np.array([p.complex_gain for p in paths], dtype=complex),
-                   delay=np.array([p.delay for p in paths], dtype=float),
-                   aod=np.array([p.aod for p in paths], dtype=float).reshape(-1, 2),
-                   aoa=np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2))
-
-    def paths(self) -> list[PathComponent]:
-        return [PathComponent(complex_gain=g, aod=tuple(d), aoa=tuple(a), delay=t,
-                              kind=PATH_KINDS[k])
-                for g, d, a, t, k in zip(self.gain.tolist(), self.aod.tolist(),
-                                         self.aoa.tolist(), self.delay.tolist(),
-                                         self.kind.tolist())]
 
     def ue_rows(self, ue_indices) -> list[slice]:
         """The row slice of each UE in `ue_indices`; empty for a UE without
@@ -305,8 +284,8 @@ def trace_snapshot(snapshot: SceneSnapshot, config: SceneConfig) -> PathTable:
     return _trace(snapshot, sorted(set(snapshot.ue_indices)), config)
 
 
-def trace_paths(snapshot: SceneSnapshot, ue_index: int, config: SceneConfig) -> list[PathComponent]:
-    """One UE's paths as a list: its rows of the path table. May be empty."""
+def trace_paths(snapshot: SceneSnapshot, ue_index: int, config: SceneConfig) -> PathTable:
+    """One UE's rows of the path table. May be empty."""
     if ue_index not in snapshot.ue_indices:
         raise ValueError(f"vehicle {ue_index} is not a UE in this snapshot")
-    return _trace(snapshot, [ue_index], config).paths()
+    return _trace(snapshot, [ue_index], config)

@@ -1,30 +1,30 @@
 """Per-UE rate helpers that only the tests use: the sweep of one UE's path
-list, the throughput ratio of a beam subset and the pair flattening
+tuples, the throughput ratio of a beam subset and the pair flattening
 n(i, j) = i * |F| + j of `beamtrain.linkeval`."""
 
 import numpy as np
 
 from beamtrain.arrays import Codebook
 from beamtrain.channel import path_responses
-from beamtrain.linkeval import RateRow, sweep_responses
-from beamtrain.scene import PathTable
+from beamtrain.linkeval import sweep_responses
+from reference_scene import paths_table
 
 
 def sweep_paths(paths, combiners: Codebook, beamformers: Codebook, bs_geometry,
                 ue_geometry, config) -> np.ndarray:
     """Rates of all |W|*|F| beam pairs straight from one UE's traced paths
-    (a list of PathComponent); see `linkeval.sweep_responses`."""
-    table = PathTable.from_paths(paths)
+    (a list of `reference_scene.TracedPath`); see `linkeval.sweep_responses`."""
+    table = paths_table(paths)
     a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
     return sweep_responses(table.gain, a_ue, a_bs, phases, combiners, beamformers, config.sigma2)
 
 
-def throughput_ratio(rate_row: RateRow | np.ndarray, subset) -> float:
+def throughput_ratio(rates: np.ndarray, subset) -> float:
     """Best rate within the subset divided by the best rate overall.
 
     All-zero rows return 1.0 by convention (any subset is optimal).
     """
-    rates = rate_row.rates if isinstance(rate_row, RateRow) else np.asarray(rate_row)
+    rates = np.asarray(rates)
     idx = np.fromiter(subset, dtype=int)
     if idx.size == 0:
         raise ValueError("subset must be nonempty")

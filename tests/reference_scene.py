@@ -9,14 +9,17 @@ UE flag per car in the region of interest with its own scalar draw.
 `trace_paths` traces one UE: LOS, then one image-method reflection per
 building wall and per bus side panel, each tested for blockage segment by
 segment with the scalar slab test `segment_hits_box`, one box at a time.
+It returns one `TracedPath` tuple per path; `paths_table` stacks them into
+the package's `PathTable`.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from beamtrain.arrays import SPEED_OF_LIGHT, wavelength
-from beamtrain.scene import PathComponent, SceneConfig, SceneSnapshot, _bus_boxes
+from beamtrain.scene import PATH_KINDS, PathTable, SceneConfig, SceneSnapshot, _bus_boxes
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,26 @@ class Vehicle:
     kind: str                 # "car" or "bus"
     center: tuple             # (x, y, z) of the body center, z = height/2
     dims: tuple               # (width, length, height)
+
+
+class TracedPath(NamedTuple):
+    """One propagation path; angles are world-frame (azimuth, elevation) of
+    the departure direction at the BS and arrival-source direction at the UE."""
+    complex_gain: complex
+    aod: tuple
+    aoa: tuple
+    delay: float
+    kind: str = "los"         # "los", "wall", "bus"
+
+
+def paths_table(paths) -> PathTable:
+    """The path table of one UE's `TracedPath` tuples; its `ue` column is -1."""
+    return PathTable(ue=np.full(len(paths), -1),
+                     kind=np.array([PATH_KINDS.index(p.kind) for p in paths], dtype=int),
+                     gain=np.array([p.complex_gain for p in paths], dtype=complex),
+                     delay=np.array([p.delay for p in paths], dtype=float),
+                     aod=np.array([p.aod for p in paths], dtype=float).reshape(-1, 2),
+                     aoa=np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2))
 
 
 def generate_snapshot_reference(config: SceneConfig, seed, snapshot_id: int = 0) -> SceneSnapshot:
@@ -100,10 +123,10 @@ def angles_world(direction: np.ndarray) -> tuple[float, float]:
 
 def make_path(bs: np.ndarray, ue: np.ndarray, first_hop: np.ndarray,
               last_hop: np.ndarray, total_dist: float, refl_amp: float,
-              lam: float, kind: str) -> PathComponent:
+              lam: float, kind: str) -> TracedPath:
     amp = refl_amp * lam / (4.0 * np.pi * total_dist)
     gain = amp * np.exp(-2j * np.pi * total_dist / lam)
-    return PathComponent(
+    return TracedPath(
         complex_gain=complex(gain),
         aod=angles_world(first_hop - bs),
         aoa=angles_world(last_hop - ue),
@@ -125,7 +148,8 @@ def reflection_point(bs: np.ndarray, ue: np.ndarray, plane_x: float) -> np.ndarr
     return image + t * d
 
 
-def trace_paths(snapshot: SceneSnapshot, ue_index: int, config: SceneConfig) -> list[PathComponent]:
+def trace_paths(snapshot: SceneSnapshot, ue_index: int,
+                config: SceneConfig) -> list[TracedPath]:
     """LOS plus first-order specular reflections off the two building walls
     and off bus side panels, with bus bounding-box blockage. May be empty."""
     if ue_index not in snapshot.ue_indices:
@@ -134,7 +158,7 @@ def trace_paths(snapshot: SceneSnapshot, ue_index: int, config: SceneConfig) -> 
     ue = np.array([*snapshot.center[ue_index, :2], snapshot.dims[ue_index, 2]])  # roof mount
     lam = wavelength(config.carrier_frequency)
     boxes = _bus_boxes(snapshot, config.blockage_margin)
-    paths: list[PathComponent] = []
+    paths: list[TracedPath] = []
 
     if not blocked(bs, ue, boxes):
         dist = float(np.linalg.norm(ue - bs))

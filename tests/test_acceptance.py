@@ -15,13 +15,15 @@ import pytest
 
 from beamtrain import cli, metrics, selectors
 from beamtrain.arrays import dft_codebook
-from beamtrain.channel import default_bs_geometry, default_ue_geometry, paths_to_channel
-from beamtrain.dataset import split_dataset, to_throughput_ratios
-from beamtrain.harness import (ExperimentConfig, _SEED_CLUSTER, _SEED_SPLIT, build_corpus,
-                               derive_seed, evaluate, train_models)
+from beamtrain.channel import (channel_for_ue, default_bs_geometry, default_ue_geometry,
+                               paths_to_channel)
+from beamtrain.harness import (ExperimentConfig, build_corpus, build_coverage_plan, derive_seed,
+                               evaluate, split_corpus, train_models)
 from beamtrain.linkeval import sweep_all
 from beamtrain.scene import SceneConfig, generate_snapshot
 from reference_arrays import nearest_beam_index, world_to_local_angles
+from reference_scene import TracedPath, paths_table
+from reference_scene import angles_world as _angles_world
 
 
 _CAPFD = None
@@ -53,16 +55,11 @@ def _full_run(seed):
     config = ExperimentConfig(master_seed=seed)
     t0 = time.perf_counter()
     _, _, tr_rows, atr_rows = build_corpus(config)
-    split = split_dataset(len(tr_rows), config.test_fraction, config.folds,
-                          seed=derive_seed(seed, _SEED_SPLIT))
-    models = train_models(config, tr_rows, atr_rows, split)
+    split = split_corpus(config, len(tr_rows))
     X = np.array([r.location for r in tr_rows])
     TR = np.array([r.ratios for r in tr_rows])
-    ATR_F = np.array([r.atr_f for r in atr_rows])
-    plan = selectors.select_bs_coverage(
-        X[split.train_rows], ATR_F[split.train_rows], config.cluster_count,
-        n_bs=config.num_beamformers, seed=derive_seed(seed, _SEED_CLUSTER),
-        use_significance=config.use_significance)
+    plan = build_coverage_plan(config, X, np.array([r.atr_f for r in atr_rows]), split)
+    models = train_models(config, tr_rows, atr_rows, split)
     t_eval = time.perf_counter()
     curves, _ = evaluate(config, models, plan, X[split.test_rows], TR[split.test_rows])
     t1 = time.perf_counter()
@@ -91,21 +88,19 @@ def test_criterion_1_oracle_equivalence():
     bs_g = default_bs_geometry(scene, 2, 4)
     ue_g = default_ue_geometry(scene, 2, 2)
     W, F = dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs")
-    rows = []
+    locations, rates = [], []
     snapshot = 0
-    while len(rows) < 100:
+    while len(rates) < 100:
         snap = generate_snapshot(scene, derive_seed(99, snapshot), snapshot_id=snapshot)
         for ue in snap.ue_indices:
-            from beamtrain.channel import channel_for_ue
-            ch = channel_for_ue(snap, ue, bs_g, ue_g, scene)
-            row = sweep_all(ch, W, F, scene.sigma2)
-            if row.rates.max() > 0:
-                rows.append(row)
+            row = sweep_all(channel_for_ue(snap, ue, bs_g, ue_g, scene), W, F, scene.sigma2)
+            if row.max() > 0:
+                locations.append(snap.ue_location(ue))
+                rates.append(row)
         snapshot += 1
-    rows = rows[:100]
-    tr = to_throughput_ratios(rows)
-    X = np.array([r.location for r in tr])
-    R = np.array([r.ratios for r in tr])
+    X = np.array(locations[:100])
+    R = np.array(rates[:100])
+    R /= R.max(axis=1, keepdims=True)   # the throughput ratios
     # the true ratios injected as predictions, looked up by location
     table = {tuple(x): ratios for x, ratios in zip(X, R)}
     oracle = SimpleNamespace(predict=lambda location: table[tuple(location)])
@@ -113,7 +108,7 @@ def test_criterion_1_oracle_equivalence():
     failures = []
     num_pairs = 32
     for n_b in range(1, num_pairs + 1):
-        for r in range(len(tr)):
+        for r in range(len(R)):
             sel = selectors.select_coupled(oracle, X[r], n_b, num_beamformers=8)
             brute = sorted(range(num_pairs), key=lambda j: (-R[r, j], j))[:n_b]
             if list(sel.flat_indices) != brute:
@@ -241,8 +236,6 @@ def test_criterion_6_parameter_budgets(full_runs):
 # -------------------------------------------------------- criterion 7
 
 def test_criterion_7_physics_sanity():
-    from beamtrain.scene import PathComponent
-    from reference_scene import angles_world as _angles_world
     scene = SceneConfig()
     bs_g = default_bs_geometry(scene)
     ue_g = default_ue_geometry(scene)
@@ -255,12 +248,10 @@ def test_criterion_7_physics_sanity():
                        rng.uniform(20, scene.street_length), 1.5])
         d = float(np.linalg.norm(ue - scene.bs_position))
         gain = lam / (4 * np.pi * d) * np.exp(-2j * np.pi * d / lam)
-        path = PathComponent(complex_gain=gain, aod=_angles_world(ue - scene.bs_position),
-                             aoa=_angles_world(scene.bs_position - ue),
-                             delay=d / 299792458.0)
-        ch = paths_to_channel([path], bs_g, ue_g, scene, ue_location=ue[:2])
-        row = sweep_all(ch, W, F, scene.sigma2)
-        i, j = divmod(int(np.argmax(row.rates)), 64)
+        path = TracedPath(complex_gain=gain, aod=_angles_world(ue - scene.bs_position),
+                          aoa=_angles_world(scene.bs_position - ue), delay=d / 299792458.0)
+        ch = paths_to_channel(paths_table([path]), bs_g, ue_g, scene)
+        i, j = divmod(int(np.argmax(sweep_all(ch, W, F, scene.sigma2))), 64)
         az, el = world_to_local_angles(bs_g, ue - scene.bs_position)
         want_j = nearest_beam_index(bs_g, np.sin(el), np.cos(el) * np.sin(az))
         az, el = world_to_local_angles(ue_g, scene.bs_position - ue)

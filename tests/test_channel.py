@@ -7,8 +7,9 @@ from beamtrain.arrays import dft_codebook, steering_vector
 from beamtrain.channel import (channel_for_ue, default_bs_geometry, default_ue_geometry,
                                paths_to_channel)
 from beamtrain.linkeval import sweep_all
-from beamtrain.scene import PathComponent, SceneConfig, generate_snapshot
+from beamtrain.scene import SceneConfig, generate_snapshot, trace_paths
 from reference_arrays import nearest_beam_index, world_to_local_angles
+from reference_scene import TracedPath, paths_table
 from reference_scene import angles_world as _angles_world
 
 
@@ -23,19 +24,21 @@ def _los_path(cfg, ue_xyz):
     d = float(np.linalg.norm(ue - bs))
     lam = 299792458.0 / cfg.carrier_frequency
     gain = lam / (4 * np.pi * d) * np.exp(-2j * np.pi * d / lam)
-    return PathComponent(complex_gain=gain, aod=_angles_world(ue - bs),
-                         aoa=_angles_world(bs - ue), delay=d / 299792458.0)
+    return TracedPath(complex_gain=gain, aod=_angles_world(ue - bs),
+                      aoa=_angles_world(bs - ue), delay=d / 299792458.0)
 
 
 def test_empty_paths_give_zero_channel(cfg):
-    ch = paths_to_channel([], default_bs_geometry(cfg), default_ue_geometry(cfg), cfg)
+    ch = paths_to_channel(paths_table([]), default_bs_geometry(cfg), default_ue_geometry(cfg),
+                          cfg)
     assert np.all(ch.matrices == 0)
     assert ch.matrices.shape == (cfg.subcarrier_count, 16, 64)
 
 
 def test_zero_delay_path_is_flat_across_subcarriers(cfg):
-    p = dataclasses.replace(_los_path(cfg, (5.0, 50.0, 1.5)), delay=0.0)
-    ch = paths_to_channel([p], default_bs_geometry(cfg), default_ue_geometry(cfg), cfg)
+    p = _los_path(cfg, (5.0, 50.0, 1.5))._replace(delay=0.0)
+    ch = paths_to_channel(paths_table([p]), default_bs_geometry(cfg), default_ue_geometry(cfg),
+                          cfg)
     for k in range(1, cfg.subcarrier_count):
         assert np.allclose(ch.matrices[k], ch.matrices[0])
 
@@ -44,9 +47,9 @@ def test_two_path_channel_matches_direct_sum_oracle(cfg):
     cfg4 = dataclasses.replace(cfg, subcarrier_count=4)
     bs_g, ue_g = default_bs_geometry(cfg4), default_ue_geometry(cfg4)
     p1 = _los_path(cfg4, (3.0, 40.0, 1.5))
-    p2 = dataclasses.replace(_los_path(cfg4, (9.0, 90.0, 1.5)),
-                             complex_gain=0.3j * _los_path(cfg4, (9.0, 90.0, 1.5)).complex_gain)
-    ch = paths_to_channel([p1, p2], bs_g, ue_g, cfg4)
+    p2 = _los_path(cfg4, (9.0, 90.0, 1.5))
+    p2 = p2._replace(complex_gain=0.3j * p2.complex_gain)
+    ch = paths_to_channel(paths_table([p1, p2]), bs_g, ue_g, cfg4)
 
     def unit(az, el):
         return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
@@ -66,20 +69,19 @@ def test_two_path_channel_matches_direct_sum_oracle(cfg):
 
 def test_channel_rank_bounded_by_path_count(cfg):
     snap = generate_snapshot(cfg, 17)
-    from beamtrain.scene import trace_paths
     for idx in snap.ue_indices[:3]:
-        paths = trace_paths(snap, idx, cfg)
+        table = trace_paths(snap, idx, cfg)
         ch = channel_for_ue(snap, idx, default_bs_geometry(cfg), default_ue_geometry(cfg), cfg)
         for k in (0, cfg.subcarrier_count - 1):
             rank = np.linalg.matrix_rank(ch.matrices[k], tol=1e-12)
-            assert rank <= max(len(paths), 0) + (0 if paths else 0)
+            assert rank <= len(table.ue)
 
 
 def test_energy_decreases_with_distance(cfg):
     bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
-    near = paths_to_channel([_los_path(cfg, (5.0, np.sqrt(20.0 ** 2 - 100.0), 1.5))],
+    near = paths_to_channel(paths_table([_los_path(cfg, (5.0, np.sqrt(20.0 ** 2 - 100.0), 1.5))]),
                             bs_g, ue_g, cfg)
-    far = paths_to_channel([_los_path(cfg, (5.0, 200.0, 1.5))], bs_g, ue_g, cfg)
+    far = paths_to_channel(paths_table([_los_path(cfg, (5.0, 200.0, 1.5))]), bs_g, ue_g, cfg)
     assert np.sum(np.abs(near.matrices) ** 2) > np.sum(np.abs(far.matrices) ** 2)
 
 
@@ -90,9 +92,8 @@ def test_single_los_best_pair_is_nearest_steering(cfg):
     for _ in range(20):
         ue = np.array([rng.uniform(0, cfg.street_width),
                        rng.uniform(20, cfg.street_length), 1.5])
-        ch = paths_to_channel([_los_path(cfg, ue)], bs_g, ue_g, cfg, ue_location=ue[:2])
-        row = sweep_all(ch, W, F, cfg.sigma2)
-        i, j = divmod(int(np.argmax(row.rates)), 64)
+        ch = paths_to_channel(paths_table([_los_path(cfg, ue)]), bs_g, ue_g, cfg)
+        i, j = divmod(int(np.argmax(sweep_all(ch, W, F, cfg.sigma2))), 64)
         az, el = world_to_local_angles(bs_g, ue - cfg.bs_position)
         assert j == nearest_beam_index(bs_g, np.sin(el), np.cos(el) * np.sin(az))
         az, el = world_to_local_angles(ue_g, cfg.bs_position - ue)

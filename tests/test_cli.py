@@ -14,6 +14,7 @@ from beamtrain.dataset import load_dataset
 from beamtrain.fileio import load_npz
 from beamtrain.harness import ExperimentConfig
 from reference_boosting import tree_depth
+from reference_scene import paths_table
 from reference_scene import trace_paths as trace_paths_reference
 
 
@@ -84,22 +85,44 @@ def test_scene_gen(tmp_path, capsys, monkeypatch):
         assert [scene.PATH_KINDS[k] for k in paths["kind"][rows]] == [p.kind for p in reference]
         assert [x, y] == ["%.9g" % v for v in snaps[int(snapshot_id)].ue_location(int(ue))]
         H = dense_channel(paths["gain"][rows], a_ue[rows], a_bs[rows], phases[:, rows])
-        dense = channel.paths_to_channel(reference, bs_g, ue_g, config.scene)
+        dense = channel.paths_to_channel(paths_table(reference), bs_g, ue_g, config.scene)
         assert H.tobytes() == dense.matrices.tobytes()
+
+
+def test_readme_python_block_rebuilds_a_ues_channel(tmp_path, monkeypatch):
+    """README's python block, run after `scene gen --smoke --out scene_out`,
+    gives vehicle 5 of snapshot 0 the dense channel of its traced paths,
+    bit for bit."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["scene", "gen", "--smoke", "--out", "scene_out"]) == 0
+    namespace = {}
+    exec(blocks[0].split("```")[0], namespace)
+    config = ExperimentConfig.smoke()
+    snapshot = harness.generate_snapshots(config)[0]
+    bs_g = default_bs_geometry(config.scene, *config.bs_array)
+    ue_g = default_ue_geometry(config.scene, *config.ue_array)
+    expected = channel.paths_to_channel(scene.trace_paths(snapshot, 5, config.scene), bs_g, ue_g,
+                                        config.scene).matrices
+    H = namespace["H"]
+    assert H.dtype == expected.dtype and H.shape == expected.shape
+    assert H.tobytes() == expected.tobytes() and np.any(H != 0)
 
 
 def test_dataset_build_and_transform(tmp_path):
     out = str(tmp_path / "ds")
     rc = cli.main(["dataset", "build", "--config", _tiny_config(tmp_path), "--out", out])
     assert rc == 0
-    rows, pair_shape, _ = load_dataset(out + "/rates.npz", fmt="binary")
+    rows, pair_shape, _ = load_dataset(out + "/rates.npz")
     assert rows and rows[0].rates.shape == (1024,)
     assert pair_shape == (16, 64)
 
     tr_out = str(tmp_path / "tr.npz")
     rc = cli.main(["dataset", "transform", "--input", out + "/rates.npz", "--out", tr_out])
     assert rc == 0
-    tr, pair_shape, _ = load_dataset(tr_out, fmt="binary")
+    tr, pair_shape, _ = load_dataset(tr_out)
     assert pair_shape == (16, 64)
     assert np.all(np.max([r.ratios for r in tr], axis=1) == 1.0)
 
@@ -114,7 +137,7 @@ def test_dataset_transform_keeps_the_input_pair_shape(tmp_path):
     with np.load(tr_out) as npz:
         assert npz["pair_shape"].tolist() == [16, 16]
         assert npz["values"].shape[1] == 256
-    tr, pair_shape, _ = load_dataset(tr_out, fmt="binary")
+    tr, pair_shape, _ = load_dataset(tr_out)
     assert pair_shape == (16, 16) and tr[0].ratios.shape == (256,)
 
 

@@ -5,10 +5,9 @@ import pytest
 
 from beamtrain import cli
 from beamtrain.boosting import TrainConfig, load_model, save_model, train
-from beamtrain.dataset import (DATASET_FORMAT_VERSION, load_dataset, save_dataset,
+from beamtrain.dataset import (DATASET_FORMAT_VERSION, RateRow, load_dataset, save_dataset,
                                to_throughput_ratios)
 from beamtrain.fileio import atomic_write, load_npz, save_npz
-from beamtrain.linkeval import RateRow
 from beamtrain.selectors import ClusterCoveragePlan, load_plan, save_plan
 
 

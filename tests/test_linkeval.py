@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from beamtrain.arrays import ArrayGeometry, dft_codebook
 from beamtrain.channel import (ChannelRealization, default_bs_geometry, default_ue_geometry,
                                paths_to_channel)
-from beamtrain.linkeval import RateRow, sweep_all
-from beamtrain.scene import PathComponent, SceneConfig
+from beamtrain.linkeval import sweep_all
+from beamtrain.scene import SceneConfig
 from reference_linkeval import pair_index, sweep_paths, throughput_ratio, unflatten_pair
+from reference_scene import TracedPath, paths_table
 
 
 def per_pair_rate(channel: ChannelRealization, combiner: np.ndarray, beamformer: np.ndarray,
@@ -42,7 +43,7 @@ def per_pair_rate(channel: ChannelRealization, combiner: np.ndarray, beamformer:
 
 def _channel(H):
     H = np.asarray(H, dtype=complex)
-    return ChannelRealization(ue_location=np.zeros(2), matrices=H, snapshot_id=0)
+    return ChannelRealization(matrices=H)
 
 
 def test_unit_snr_gives_rate_one():
@@ -86,30 +87,28 @@ def test_sweep_all_default_sizes():
     W, F = dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs")
     rng = np.random.default_rng(2)
     H = rng.normal(size=(2, 16, 64)) + 1j * rng.normal(size=(2, 16, 64))
-    row = sweep_all(_channel(H), W, F, 1.0)
-    assert row.rates.shape == (1024,)
+    rates = sweep_all(_channel(H), W, F, 1.0)
+    assert rates.shape == (1024,)
     # spot-check the flattening order against per_pair_rate
     for i, j in [(0, 0), (3, 17), (15, 63)]:
         expected = per_pair_rate(_channel(H), W.beams[i], F.beams[j], 1.0)
-        assert row.rates[pair_index(i, j, 64)] == pytest.approx(expected, abs=1e-12)
+        assert rates[pair_index(i, j, 64)] == pytest.approx(expected, abs=1e-12)
 
 
 def test_sweep_all_zero_channel():
     ue_g, bs_g = ArrayGeometry(2, 2), ArrayGeometry(2, 2)
     W, F = dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs")
-    row = sweep_all(_channel(np.zeros((2, 4, 4))), W, F, 1.0)
-    assert np.all(row.rates == 0)
+    assert np.all(sweep_all(_channel(np.zeros((2, 4, 4))), W, F, 1.0) == 0)
 
 
 def test_throughput_ratio_basics():
     rates = np.array([1.0, 2.0, 4.0, 8.0])
-    row = RateRow(location=np.zeros(2), rates=rates, snapshot_id=0)
-    assert throughput_ratio(row, range(4)) == 1.0
-    assert throughput_ratio(row, [3]) == 1.0
-    assert throughput_ratio(row, [1]) == pytest.approx(0.25)
-    assert throughput_ratio(RateRow(np.zeros(2), np.zeros(4), 0), [0]) == 1.0
+    assert throughput_ratio(rates, range(4)) == 1.0
+    assert throughput_ratio(rates, [3]) == 1.0
+    assert throughput_ratio(rates, [1]) == pytest.approx(0.25)
+    assert throughput_ratio(np.zeros(4), [0]) == 1.0
     with pytest.raises(ValueError):
-        throughput_ratio(row, [])
+        throughput_ratio(rates, [])
 
 
 def test_throughput_ratio_monotone_and_scale_invariant():
@@ -150,7 +149,7 @@ _SETUPS = (_setup((8, 8), (4, 4), 64), _setup((2, 4), (2, 2), 4))
 
 _ANGLES = st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi / 2, np.pi / 2))
 _PATHS = st.lists(st.builds(
-    lambda magnitude, phase, aod, aoa, delay: PathComponent(
+    lambda magnitude, phase, aod, aoa, delay: TracedPath(
         complex_gain=magnitude * np.exp(1j * phase), aod=aod, aoa=aoa, delay=delay),
     magnitude=st.floats(1e-8, 1e-3), phase=st.floats(-np.pi, np.pi),
     aod=_ANGLES, aoa=_ANGLES, delay=st.floats(0.0, 2e-6)), max_size=4)
@@ -160,7 +159,7 @@ _PATHS = st.lists(st.builds(
 @given(setup=st.sampled_from(_SETUPS), paths=_PATHS)
 def test_sweep_paths_matches_dense_sweep(setup, paths):
     scene, bs_g, ue_g, W, F = setup
-    dense = sweep_all(paths_to_channel(paths, bs_g, ue_g, scene), W, F, scene.sigma2).rates
+    dense = sweep_all(paths_to_channel(paths_table(paths), bs_g, ue_g, scene), W, F, scene.sigma2)
     rates = sweep_paths(paths, W, F, bs_g, ue_g, scene)
     assert rates.shape == dense.shape == (W.num_beams * F.num_beams,)
     if not paths:

@@ -45,10 +45,20 @@ def test_snapshot_determinism():
     assert a.snapshot_id == 5 and len(a.is_bus) > 0 and a.ue_indices
 
 
-@pytest.mark.parametrize("clearance", [0.0, -1.0, float("nan"), float("inf")])
-def test_config_rejects_degenerate_wall_clearance(clearance):
-    with pytest.raises(ValueError, match="wall_clearance"):
-        SceneConfig(wall_clearance=clearance)
+@pytest.mark.parametrize("key,value", [
+    *(pytest.param("wall_clearance", v, id=str(v))
+      for v in (0.0, -1.0, float("nan"), float("inf"))),
+    ("carrier_frequency", 0.0), ("carrier_frequency", -28e9),
+    ("carrier_frequency", float("nan")), ("carrier_frequency", float("inf")),
+    ("subcarrier_count", 0), ("subcarrier_count", -1),
+    ("noise_power", 0.0), ("noise_power", -1.0), ("noise_power", float("nan")),
+    ("lane_count", 0), ("lane_count", -2),
+])
+def test_config_rejects_degenerate_wall_clearance(key, value):
+    """A physical key that no scene can use fails at construction, with an
+    error naming the key."""
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        SceneConfig(**{key: value})
 
 
 def test_zero_bus_fraction_gives_only_cars():
@@ -140,9 +150,8 @@ def _snapshot_with(vehicles, ue_indices):
 def test_clear_los_yields_los_plus_two_wall_reflections():
     cfg = dataclasses.replace(SceneConfig(), bus_fraction=0.0)
     snap = generate_snapshot(cfg, 2)
-    paths = trace_paths(snap, snap.ue_indices[0], cfg)
-    kinds = sorted(p.kind for p in paths)
-    assert kinds == ["los", "wall", "wall"]
+    table = trace_paths(snap, snap.ue_indices[0], cfg)
+    assert sorted(PATH_KINDS[k] for k in table.kind) == ["los", "wall", "wall"]
 
 
 def test_bus_straddling_los_blocks_it():
@@ -151,45 +160,43 @@ def test_bus_straddling_los_blocks_it():
     # bus just ahead of the car, tall enough to cut the descending sight line
     bus = _bus(cfg, 1.6, 90.0)
     snap = _snapshot_with([car, bus], [0])
-    paths = trace_paths(snap, 0, cfg)
-    assert all(p.kind != "los" for p in paths)
+    table = trace_paths(snap, 0, cfg)
+    assert PATH_KINDS.index("los") not in table.kind
 
 
 def test_wall_reflection_matches_image_source_oracle():
     cfg = SceneConfig()
     snap = _snapshot_with([_car(cfg, 7.0, 80.0)], [0])
-    paths = trace_paths(snap, 0, cfg)
-    left_wall = [p for p in paths if p.kind == "wall"][0]
+    table = trace_paths(snap, 0, cfg)
+    left_wall = np.flatnonzero(table.kind == PATH_KINDS.index("wall"))[0]
 
     # independent image-source computation for the x = -2 wall
     bs = cfg.bs_position
     ue = np.array([7.0, 80.0, cfg.car_dims[2]])
     image = np.array([2 * (-2.0) - bs[0], bs[1], bs[2]])
     dist = np.linalg.norm(ue - image)
-    assert abs(left_wall.delay - dist / 299792458.0) < 1e-15
+    assert abs(table.delay[left_wall] - dist / 299792458.0) < 1e-15
     # reflection point from similar triangles, then departure/arrival angles
     t = (-2.0 - image[0]) / (ue[0] - image[0])
     point = image + t * (ue - image)
     dep = point - bs
     expected_aod = (np.arctan2(dep[1], dep[0]), np.arcsin(dep[2] / np.linalg.norm(dep)))
-    assert np.allclose(left_wall.aod, expected_aod, atol=1e-12)
+    assert np.allclose(table.aod[left_wall], expected_aod, atol=1e-12)
     arr = point - ue
     expected_aoa = (np.arctan2(arr[1], arr[0]), np.arcsin(arr[2] / np.linalg.norm(arr)))
-    assert np.allclose(left_wall.aoa, expected_aoa, atol=1e-12)
+    assert np.allclose(table.aoa[left_wall], expected_aoa, atol=1e-12)
     lam = 299792458.0 / cfg.carrier_frequency
-    assert abs(abs(left_wall.complex_gain) - cfg.wall_reflection * lam / (4 * np.pi * dist)) < 1e-18
+    assert abs(abs(table.gain[left_wall]) - cfg.wall_reflection * lam / (4 * np.pi * dist)) < 1e-18
 
 
 def test_reflection_delays_exceed_los():
     cfg = dataclasses.replace(SceneConfig(), bus_fraction=0.3)
     snap = generate_snapshot(cfg, 11)
     for idx in snap.ue_indices:
-        paths = trace_paths(snap, idx, cfg)
-        los = [p for p in paths if p.kind == "los"]
-        if not los:
-            continue
-        for p in paths:
-            assert p.delay >= los[0].delay - 1e-15
+        table = trace_paths(snap, idx, cfg)
+        los = table.delay[table.kind == PATH_KINDS.index("los")]
+        if len(los):
+            assert np.all(table.delay >= los[0] - 1e-15)
 
 
 def test_segment_box_blockage():
@@ -250,17 +257,17 @@ def _path_bits(path):
     return (path.kind, *(float(v).hex() for v in floats))
 
 
-def _table_bits(table, rows):
+def _table_bits(table, rows=slice(None)):
     """_path_bits of the table's rows, read from the arrays themselves."""
     return [(PATH_KINDS[table.kind[n]],
              *(float(v).hex() for v in (table.gain[n].real, table.gain[n].imag, table.delay[n],
                                         *table.aod[n], *table.aoa[n])))
-            for n in range(rows.start, rows.stop)]
+            for n in range(len(table.ue))[rows]]
 
 
 def _assert_table_matches_reference(snap, cfg):
     """The snapshot's path table holds every UE's reference paths, bit for
-    bit and in order, and nothing else; the per-UE view agrees."""
+    bit and in order, and nothing else; each UE's own table agrees."""
     table = trace_snapshot(snap, cfg)
     rows = table.ue_rows(snap.ue_indices)
     assert sum(r.stop - r.start for r in rows) == len(table.ue)
@@ -268,7 +275,9 @@ def _assert_table_matches_reference(snap, cfg):
         expected = [_path_bits(p) for p in trace_paths_reference(snap, ue, cfg)]
         assert np.all(table.ue[r] == ue)
         assert _table_bits(table, r) == expected
-        assert [_path_bits(p) for p in trace_paths(snap, ue, cfg)] == expected
+        per_ue = trace_paths(snap, ue, cfg)
+        assert np.all(per_ue.ue == ue)
+        assert _table_bits(per_ue) == expected
     return table
 
 
@@ -288,7 +297,7 @@ def test_trace_paths_same_as_with_scalar_slab_test(bus_fraction, seed):
             half = np.array([dims[0] / 2.0, dims[1] / 2.0, dims[2] / 2.0]) + cfg.blockage_margin
             assert np.array_equal(lo, np.asarray(center) - half)
             assert np.array_equal(hi, np.asarray(center) + half)
-    fast = [[_path_bits(p) for p in trace_paths(s, u, cfg)] for s in snaps for u in s.ue_indices]
+    fast = [_table_bits(trace_paths(s, u, cfg)) for s in snaps for u in s.ue_indices]
     slow = [[_path_bits(p) for p in trace_paths_reference(s, u, cfg)]
             for s in snaps for u in s.ue_indices]
     assert fast == slow
