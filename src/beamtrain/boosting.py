@@ -21,8 +21,8 @@ The fit gives the trees of a recursive per-tree trainer (the tests keep
 one as the reference) node for node and bit for bit, because it keeps that
 trainer's arithmetic:
 - a node's split sums are sequential cumulative sums over its rows in the
-  feature's sorted order, restarting at every node (the rows of a padded
-  node x position matrix);
+  feature's sorted order, restarting at every node (each row of the split
+  search's padded (feature, node, position) blocks is summed on its own);
 - node means and the parent sse are `np.sum` over the node's rows in the
   first feature's order. numpy sums pairwise in an order set by the
   length, so each node is summed alone, all in one `np.add.reduceat` over
@@ -291,33 +291,31 @@ def _best_splits(x, r, starts, lengths, min_leaf):
     others) that leave at least `min_leaf` rows on either side; its best
     has the lowest sse, and the lowest threshold among equal ones. The
     lowest feature with a candidate wins unless a later one beats it by
-    more than 1e-15. Nodes are padded to the longest of their group, and
-    the cumulative sums run along each padded row, so they restart at
-    every node as a per-node `np.cumsum` does. Each sse term is computed as
-    the per-node formula computes it, in the same order."""
+    more than 1e-15. A group is the next nodes by length up to the cell
+    cap, one (feature, node, position) block padded to its longest node;
+    the cumulative sums run along each row, so they restart at every node
+    as a per-node `np.cumsum` does, and the last position, which leaves no
+    row on the right, is masked like the padding. Each sse term is computed
+    as the per-node formula computes it, in the same order."""
     features = len(x)
     best_sse, threshold = np.zeros(len(starts)), np.zeros(len(starts))
     feature = np.full(len(starts), -1)
     by_length = np.argsort(-lengths, kind="stable")
-    # views of every run of `width` residuals and `width - 1` steps
+    # views of every run of `width` residuals and of `width` steps
     width = max(2, int(lengths.max(initial=0)))
     r_windows, step_windows = (np.lib.stride_tricks.as_strided(
-        a, (features, a.shape[1] - w + 1, w), a.strides + a.strides[1:], writeable=False)
-        for a, w in ((r, width), (x[:, :-1] >= x[:, 1:], width - 1)))
-    sorted_lengths = lengths[by_length]
+        a, (features, a.shape[1] - width + 1, width), a.strides + a.strides[1:],
+        writeable=False) for a in (r, x[:, :-1] >= x[:, 1:]))
     lo = 0
     while lo < len(by_length):
-        width = max(2, int(sorted_lengths[lo]))
-        # about _CHUNK_CELLS / 2 cells, as the search keeps five arrays of a
-        # group's size, and no node shorter than half the width
-        hi = min(lo + max(1, _CHUNK_CELLS // (2 * features * width)),
-                 lo + int(np.searchsorted(-sorted_lengths[lo:], -(width // 2), side="right")))
-        group = by_length[lo:max(hi, lo + 1)]
+        width = max(2, int(lengths[by_length[lo]]))
+        # the next nodes by length, about _CHUNK_CELLS / 2 cells, as the
+        # search keeps five arrays of a group's size
+        group = by_length[lo:lo + max(1, _CHUNK_CELLS // (2 * features * width))]
         lo += len(group)
         res = r_windows[:, starts[group], :width]              # (feature, node, position)
-        n = lengths[group][:, None].astype(float)
-        i = np.arange(1.0, width)                              # left sizes
-        right = n - i
+        i = np.arange(1.0, width + 1)                          # left sizes
+        right = lengths[group][:, None].astype(float) - i  # <= 0 at the last position
         too_small = (i < min_leaf) | (right < max(min_leaf, 1))
         np.maximum(right, 1.0, out=right)      # no division by zero in padding
         cs = np.cumsum(res, axis=2)
@@ -325,7 +323,6 @@ def _best_splits(x, r, starts, lengths, min_leaf):
         f_ix, k_ix = np.arange(features)[:, None, None], np.arange(len(group))[:, None]
         last = lengths[group][:, None] - 1
         total, total2 = cs[:, k_ix, last], cs2[:, k_ix, last]
-        cs, cs2 = cs[..., :-1], cs2[..., :-1]
         split_sse = np.square(cs)                              # left: cs2 - cs ** 2 / i
         split_sse /= i
         np.subtract(cs2, split_sse, out=split_sse)
@@ -334,7 +331,7 @@ def _best_splits(x, r, starts, lengths, min_leaf):
         right_sse /= right
         np.subtract(total2, cs2, out=cs2)
         split_sse += np.subtract(cs2, right_sse, out=cs2)
-        invalid = step_windows[:, starts[group], :width - 1] | too_small
+        invalid = step_windows[:, starts[group], :width] | too_small
         np.copyto(split_sse, np.inf, where=invalid)
         pos = np.argmin(split_sse, axis=2)[..., None]
         sse = split_sse[f_ix, k_ix, pos][..., 0]

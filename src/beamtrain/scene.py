@@ -42,13 +42,15 @@ class SceneConfig:
     reference_distance: float = 30.0
 
     def __post_init__(self):
-        # the BS stands at x = 0, wall_clearance from the near wall: at zero
-        # its wall path starts at the BS itself and has no direction; the
-        # wavelength and every path's phase divide by carrier_frequency
-        for key in ("wall_clearance", "carrier_frequency"):
+        # at wall_clearance 0 the wall path starts at the BS and has no
+        # direction; phases divide by carrier_frequency, the default noise
+        # power by reference_distance, and lane_width 0 stacks every lane
+        for key in ("wall_clearance", "carrier_frequency", "reference_distance", "lane_width"):
             value = getattr(self, key)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
+        if not self.max_gap >= self.min_gap:
+            raise ValueError(f"max_gap must be >= min_gap ({self.min_gap}), got {self.max_gap}")
         for key in ("lane_count", "subcarrier_count"):
             if not getattr(self, key) >= 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")

@@ -15,8 +15,8 @@ import beamtrain
 from beamtrain import boosting
 from beamtrain.boosting import (TrainConfig, Tree, kfold_tune, load_model, param_count,
                                 save_model, train)
-from reference_boosting import (fit_tree, internal_count, model_from_trees, train_reference,
-                                tree_depth, tree_param_cost, tree_predict)
+from reference_boosting import (_best_split, fit_tree, internal_count, model_from_trees,
+                                train_reference, tree_depth, tree_param_cost, tree_predict)
 
 
 def _grid_data(n=64, d=4, seed=0):
@@ -534,8 +534,9 @@ def _paper_shaped_sets(draw):
     """Training sets shaped like the paper's: 150-600 rows, a lane column
     of 4 values and a continuous coordinate along the road, and 1-20 smooth
     outputs in [0, 1] with noise, so that nodes are hundreds of rows wide
-    and a level's nodes fall into several of `_best_splits`' length groups;
-    the budget holds about 1-4 trees per output."""
+    and a level's nodes fill several of `_best_splits`' cap-filled groups,
+    each one block padded to its longest node; the budget holds about 1-4
+    trees per output."""
     n, d = draw(st.integers(150, 600)), draw(st.integers(1, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n), rng.uniform(20.0, 80.0, n)])
@@ -558,6 +559,46 @@ def test_paper_shaped_fit_matches_per_tree_reference(data, chunk_cells):
     reference = train_reference(X, Y, config)
     assert _layout_bytes(model) == _layout_bytes(reference)
     assert model.base_prediction.tobytes() == reference.base_prediction.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(2, 600), min_size=1, max_size=8), st.integers(0, 2**32 - 1),
+       st.data(), st.integers(1, 3), st.sampled_from([37, boosting._CHUNK_CELLS]))
+def test_best_splits_match_per_node_reference(lengths, seed, data, min_leaf, chunk_cells):
+    """One level's `_best_splits` gives every node the (sse, feature,
+    threshold) of the per-node reference search, byte for byte: nodes of
+    2-600 rows, several as long as the longest, a lane column of 4 values,
+    a coordinate and residuals with ties and signed zeros, and padding
+    that holds values, not zeros."""
+    lengths = np.array(lengths)
+    ties = data.draw(hnp.arrays(bool, len(lengths)))
+    lengths[ties] = lengths.max()
+    rng = np.random.default_rng(seed)
+
+    def column(n, pool):
+        return np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.uniform(-1.0, 1.0, n))
+
+    nodes = [(np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n),
+                               column(n, [-0.0, 0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0))])]),
+              column(n, [-0.0, 0.0, 0.25, -0.5])) for n in lengths]
+    starts = np.cumsum(lengths) - lengths
+    pad = int(lengths.max())
+    x = column(2 * (lengths.sum() + pad), [-0.0, 0.0, 0.5]).reshape(2, -1)
+    r = column(2 * (lengths.sum() + pad), [-0.0, 0.0, 0.25]).reshape(2, -1)
+    orders = []
+    for (X, residual), start, n in zip(nodes, starts, lengths):
+        orders.append([np.argsort(X[:, f], kind="stable") for f in range(2)])
+        for f, order in enumerate(orders[-1]):
+            x[f, start:start + n], r[f, start:start + n] = X[order, f], residual[order]
+    with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
+        sse, feature, threshold = boosting._best_splits(x, r, starts, lengths, min_leaf)
+    for k, ((X, residual), order) in enumerate(zip(nodes, orders)):
+        expected = _best_split(X, residual, order, min_leaf)
+        if expected is None:
+            assert feature[k] == -1
+        else:
+            assert (feature[k], np.float64(threshold[k]).tobytes(), sse[k].tobytes()) == (
+                expected[0], np.float64(expected[1]).tobytes(), np.float64(expected[2]).tobytes())
 
 
 @settings(max_examples=200, deadline=None)

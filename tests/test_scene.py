@@ -53,6 +53,11 @@ def test_snapshot_determinism():
     ("subcarrier_count", 0), ("subcarrier_count", -1),
     ("noise_power", 0.0), ("noise_power", -1.0), ("noise_power", float("nan")),
     ("lane_count", 0), ("lane_count", -2),
+    ("reference_distance", 0.0), ("reference_distance", -30.0),
+    ("reference_distance", float("nan")), ("reference_distance", float("inf")),
+    ("lane_width", 0.0), ("lane_width", -3.5), ("lane_width", float("nan")),
+    ("lane_width", float("inf")),
+    ("max_gap", 1.0), ("max_gap", float("nan")),
 ])
 def test_config_rejects_degenerate_wall_clearance(key, value):
     """A physical key that no scene can use fails at construction, with an
