@@ -34,6 +34,12 @@ trainer's arithmetic:
 - node ids are in preorder: node, left subtree, right subtree;
 - a later feature wins only if its sse is lower by more than 1e-15, and
   within a feature the lowest threshold wins ties.
+
+The equality holds only while every candidate sse is finite. Where the
+squared residuals overflow (residuals of about 1e200), the split search
+drops the inf and NaN sse values and the node gets no split, while the
+reference may split on a NaN. Throughput ratios in [0, 1] never get there.
+`train` rejects a non-finite input or target outright.
 """
 
 import logging
@@ -441,8 +447,10 @@ def _preorder(levels, trees):
     return nodes, tree_sizes, internal
 
 
-def _boosted_layout(X, Y, base, config: TrainConfig):
-    """The packed layout of the boosted trees, in fit order.
+def _boosted_layout(X, Y, sort, base, config: TrainConfig):
+    """The packed layout of the boosted trees, in fit order, fitted to the
+    rows `Y[sort]` at the locations `X` (already sorted); each block of
+    outputs is read as `Y[sort, lo:hi]`, so no sorted copy of `Y` is made.
 
     Every round fits one tree per output on the current residuals, skipping
     outputs whose residuals are all below 1e-12 and trees without a split,
@@ -461,7 +469,8 @@ def _boosted_layout(X, Y, base, config: TrainConfig):
     for _ in range(config.tree_count):
         for lo in range(0, d, block):
             dims = np.arange(lo, min(lo + block, d))
-            residual = Y[:, dims].T - pred[dims]      # C-contiguous, as `_fit_trees` reads it
+            # C-contiguous, as `_fit_trees` reads it
+            residual = Y[sort, lo:lo + block].T - pred[dims]
             active = ~(np.max(np.abs(residual), axis=1) < 1e-12)
             if not np.any(active):
                 continue
@@ -489,7 +498,9 @@ def train(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel
     """Greedy per-output boosting under a global parameter budget.
 
     Rows are lexicographically sorted by location first, so the fit does not
-    depend on input row order.
+    depend on input row order. The caller's `Y` is read in that order, never
+    copied whole: only the base takes a transient sorted copy, freed before
+    the fit. A non-finite `X` or `Y` raises a ValueError naming it.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -499,15 +510,17 @@ def train(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel
         raise ValueError("empty training data")
     if len(X) != len(Y):
         raise ValueError("inputs and targets must have the same length")
+    for name, a in (("X", X), ("Y", Y)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} holds a non-finite value")
     d = Y.shape[1]
     if config.budget_parameters < d:
         raise ValueError(f"budget {config.budget_parameters} cannot hold {d} base predictions")
 
     sort = np.lexsort((X[:, 1], X[:, 0]))
-    X, Y = X[sort], Y[sort]
-    base = Y.mean(axis=0)
-    return TreeEnsembleModel(base, _boosted_layout(X, Y, base, config), config.learning_rate, d,
-                             role)
+    base = Y[sort].mean(axis=0)
+    return TreeEnsembleModel(base, _boosted_layout(X[sort], Y, sort, base, config),
+                             config.learning_rate, d, role)
 
 
 def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray) -> TrainConfig:

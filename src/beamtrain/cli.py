@@ -64,7 +64,7 @@ def cmd_scene_gen(args) -> int:
 def cmd_dataset_build(args) -> int:
     config = _load_config(args)
     _output_dir(args.out)
-    _, rate_rows, _, _ = harness.build_corpus(config)
+    _, rate_rows = harness.build_rate_rows(config)
     path = os.path.join(args.out, "rates." + ("csv" if args.format == "csv" else "npz"))
     dataset.save_dataset(rate_rows, path, (config.num_combiners, config.num_beamformers),
                          fmt=args.format, corpus=config.corpus_keys())

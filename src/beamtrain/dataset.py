@@ -66,16 +66,21 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
 
     Each snapshot is traced once into a path table, and its array responses
     are computed once (`path_responses`); each UE's rates come from its
-    slice of both (`sweep_responses`). No dense channel is formed. UEs
-    without paths are dropped unswept. A kept row with a non-finite rate,
-    as degenerate geometry gives, raises a ValueError naming the snapshot
-    and the UE. The UE, dropped-UE and per-kind path counts are logged at
-    info level.
+    slice of both (`sweep_responses`). No dense channel is formed. The rows'
+    `rates` are views into one (UEs, |W|*|F|) array: each UE is swept into
+    the next free row, and a dropped UE's row is overwritten by the next
+    UE. UEs without paths are dropped unswept. A kept row with a non-finite
+    rate, as degenerate geometry gives, raises a ValueError naming the
+    snapshot and the UE. The UE, dropped-UE and per-kind path counts are
+    logged at info level.
     """
+    snapshots = sorted(snapshots, key=lambda s: s.snapshot_id)
+    rates = np.empty((sum(len(s.ue_indices) for s in snapshots),
+                      combiners.num_beams * beamformers.num_beams))
     rows = []
     ues = dropped = 0
     paths = np.zeros(len(PATH_KINDS), dtype=int)
-    for snapshot in sorted(snapshots, key=lambda s: s.snapshot_id):
+    for snapshot in snapshots:
         table = trace_snapshot(snapshot, config)
         paths += np.bincount(table.kind, minlength=len(PATH_KINDS))
         a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
@@ -85,17 +90,18 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
             if ue_rows.start == ue_rows.stop:
                 dropped += 1
                 continue
-            rates = sweep_responses(table.gain[ue_rows], a_ue[ue_rows], a_bs[ue_rows],
-                                    phases[:, ue_rows], combiners, beamformers, config.sigma2)
-            if np.max(rates) <= 0.0:
+            row = sweep_responses(table.gain[ue_rows], a_ue[ue_rows], a_bs[ue_rows],
+                                  phases[:, ue_rows], combiners, beamformers, config.sigma2,
+                                  out=rates[len(rows)])
+            if np.max(row) <= 0.0:
                 dropped += 1
                 continue
-            rows.append(RateRow(location=snapshot.ue_location(ue_index), rates=rates,
+            rows.append(RateRow(location=snapshot.ue_location(ue_index), rates=row,
                                 snapshot_id=snapshot.snapshot_id, ue_index=ue_index))
-        kept = rows[first:]
-        if kept and not np.isfinite(np.concatenate([r.rates for r in kept])).all():
-            bad = next(r for r in kept if not np.isfinite(r.rates).all())
-            raise ValueError(f"snapshot {snapshot.snapshot_id}, UE {bad.ue_index}: "
+        finite = np.isfinite(rates[first:len(rows)]).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"snapshot {snapshot.snapshot_id}, UE "
+                             f"{rows[first + int(np.argmin(finite))].ue_index}: "
                              "rates are not finite")
     log.info("rate dataset: %d UEs, %d dropped as fully blocked; paths: %s", ues, dropped,
              ", ".join(f"{n} {kind}" for kind, n in zip(PATH_KINDS, paths.tolist())))
@@ -103,13 +109,16 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
 
 
 def to_throughput_ratios(rate_rows: list[RateRow]) -> list[TRRow]:
+    """Each row divided by its peak rate. The rows' `ratios` are views into
+    one (rows, |W|*|F|) array."""
+    ratios = np.empty((len(rate_rows), len(rate_rows[0].rates) if rate_rows else 0))
     out = []
-    for row in rate_rows:
+    for row, tr in zip(rate_rows, ratios):
         peak = float(np.max(row.rates))
         if peak <= 0.0:
             raise ValueError("rate row with non-positive max (should be dropped upstream)")
-        out.append(TRRow(location=row.location, ratios=row.rates / peak, max_rate=peak,
-                         snapshot_id=row.snapshot_id, ue_index=row.ue_index))
+        out.append(TRRow(location=row.location, ratios=np.divide(row.rates, peak, out=tr),
+                         max_rate=peak, snapshot_id=row.snapshot_id, ue_index=row.ue_index))
     return out
 
 

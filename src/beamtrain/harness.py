@@ -6,6 +6,7 @@ import json
 import logging
 import numbers
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -14,6 +15,10 @@ try:
     import tomllib
 except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
+try:
+    import resource
+except ModuleNotFoundError:  # not on Windows
+    resource = None
 
 import numpy as np
 
@@ -235,16 +240,22 @@ def generate_snapshots(config: ExperimentConfig):
                 for i in range(config.snapshot_count)]
 
 
-def build_corpus(config: ExperimentConfig):
-    """Snapshots -> rate rows -> TR/ATR rows, deterministically."""
+def build_rate_rows(config: ExperimentConfig):
+    """Snapshots -> rate rows, deterministically: the stages of
+    `build_corpus` before the transform."""
     snapshots = generate_snapshots(config)
     with _stage("build rate dataset"):
         bs_geom = default_bs_geometry(config.scene, *config.bs_array)
         ue_geom = default_ue_geometry(config.scene, *config.ue_array)
         combiners = dft_codebook(ue_geom, "ue")
         beamformers = dft_codebook(bs_geom, "bs")
-        rate_rows = build_rate_dataset(snapshots, combiners, beamformers,
-                                       bs_geom, ue_geom, config.scene)
+        return snapshots, build_rate_dataset(snapshots, combiners, beamformers,
+                                             bs_geom, ue_geom, config.scene)
+
+
+def build_corpus(config: ExperimentConfig):
+    """Snapshots -> rate rows -> TR/ATR rows, deterministically."""
+    snapshots, rate_rows = build_rate_rows(config)
     with _stage("transform dataset"):
         tr_rows = to_throughput_ratios(rate_rows)
         atr_rows = to_atr(tr_rows, config.num_combiners, config.num_beamformers)
@@ -254,23 +265,25 @@ def build_corpus(config: ExperimentConfig):
 def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
     """K-fold tune and fit one model role on the training rows, under its
     budget. The scenario-2 and scenario-3 UE models share targets, budget
-    and grid, so theta3_w is fitted as theta2_w. The chosen grid point, the
-    model's trees and parameters and the seconds of tuning and of the final
-    fit are logged at info level, after `kfold_tune`'s line on the chosen
-    point's validation MSE."""
+    and grid, so theta3_w is fitted as theta2_w. Only the training rows'
+    locations and targets are stacked. The chosen grid point, the model's
+    trees and parameters and the seconds of tuning and of the final fit are
+    logged at info level, after `kfold_tune`'s line on the chosen point's
+    validation MSE."""
+    rows = split.train_rows
     if name == "theta1":
-        Y, grid, budget, role = ([r.ratios for r in tr_rows], config.bs_grid, config.bs_budget,
-                                 "coupled")
+        Y, grid, budget, role = ([tr_rows[i].ratios for i in rows], config.bs_grid,
+                                 config.bs_budget, "coupled")
     elif name == "theta2_f":
-        Y, grid, budget, role = ([r.atr_f for r in atr_rows], config.bs_grid, config.bs_budget,
-                                 "decoupled_bs")
+        Y, grid, budget, role = ([atr_rows[i].atr_f for i in rows], config.bs_grid,
+                                 config.bs_budget, "decoupled_bs")
     elif name in ("theta2_w", "theta3_w"):
-        Y, grid, budget, role = ([r.atr_w for r in atr_rows], config.ue_grid, config.ue_budget,
-                                 "decoupled_ue")
+        Y, grid, budget, role = ([atr_rows[i].atr_w for i in rows], config.ue_grid,
+                                 config.ue_budget, "decoupled_ue")
     else:
         raise ValueError(f"unknown model role {name!r}")
-    X = np.array([r.location for r in tr_rows])[split.train_rows]
-    Y = np.array(Y)[split.train_rows]
+    X = np.array([tr_rows[i].location for i in rows])
+    Y = np.array(Y)
     with _stage(f"tune and train {name}"):
         configs = [boosting.TrainConfig(budget_parameters=budget, **g) for g in grid]
         start = time.perf_counter()
@@ -318,21 +331,48 @@ def build_coverage_plan(config: ExperimentConfig, locations, atr_f, split):
         return plan
 
 
+def _peak_rss_mb():
+    """The process's peak resident set size in MB (MiB), or None where the
+    `resource` module is missing. `ru_maxrss` is in KiB on Linux and in
+    bytes on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
+def _dataset_checksum(tr_rows) -> str:
+    """The sha256 of the stacked TR rows, fed to it row by row. Its own
+    function, so that no loop variable of the caller keeps the last row,
+    and with it the whole TR array, alive."""
+    digest = hashlib.sha256()
+    for row in tr_rows:
+        digest.update(row.ratios)
+    return digest.hexdigest()
+
+
 def run_experiment(config: ExperimentConfig) -> EvalResult:
-    """Full reproducible pipeline from (config, master seed) to curves."""
-    _, _, tr_rows, atr_rows = build_corpus(config)
+    """Full reproducible pipeline from (config, master seed) to curves.
+
+    Each large matrix is held once: the rate rows are dropped with the
+    corpus tuple, the TR rows once the models are trained, and evaluation
+    reads only the test rows' TR. The process's peak RSS is logged at info
+    level after evaluation."""
+    tr_rows, atr_rows = build_corpus(config)[2:]
     split = split_corpus(config, len(tr_rows))
     X = np.array([r.location for r in tr_rows])
     # the plan reads no model, so a bad cluster_count fails before training
     plan = build_coverage_plan(config, X, np.array([r.atr_f for r in atr_rows]), split)
     models = train_models(config, tr_rows, atr_rows, split)
-    TR = np.array([r.ratios for r in tr_rows])
+    checksum = _dataset_checksum(tr_rows)
+    TR_test = np.array([tr_rows[i].ratios for i in split.test_rows])
+    del tr_rows, atr_rows
 
     with _stage("evaluate scenarios"):
-        curves, heatmap = evaluate(config, models, plan, X[split.test_rows],
-                                   TR[split.test_rows])
-
-    checksum = hashlib.sha256(np.ascontiguousarray(TR).tobytes()).hexdigest()
+        curves, heatmap = evaluate(config, models, plan, X[split.test_rows], TR_test)
+    peak = _peak_rss_mb()
+    if peak is not None:
+        log.info("peak RSS %.1f MB", peak)
     return EvalResult(curves=curves, heatmap=heatmap, n_test=len(split.test_rows),
                       master_seed=config.master_seed,
                       param_counts={k: boosting.param_count(m) for k, m in models.items()},

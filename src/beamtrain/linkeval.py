@@ -25,7 +25,7 @@ def sweep_all(channel: ChannelRealization, combiners: Codebook, beamformers: Cod
 
 
 def sweep_responses(gains, a_ue, a_bs, phases, combiners: Codebook, beamformers: Codebook,
-                    sigma2: float) -> np.ndarray:
+                    sigma2: float, out=None) -> np.ndarray:
     """Rates of all |W|*|F| beam pairs of one UE from its paths' gains and
     `channel.path_responses`.
 
@@ -35,12 +35,14 @@ def sweep_responses(gains, a_ue, a_bs, phases, combiners: Codebook, beamformers:
     v_p = F a_bs,p^* and c_p[k] = g_p exp(-2j pi k df tau_p): the
     projection is one (K x P) @ (P x |W||F|) product, flattened as
     n = i * |F| + j. No paths give an all-zero row.
+
+    The rates are written into `out`, a float64 (|W|*|F|,) array such as a
+    row of a caller's corpus array, and `out` is returned; its bytes equal
+    those of a call without it, which allocates the row.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    # the row outlives the temporaries below; allocated first, it does not
-    # sit above them on the heap and keep their freed memory from reuse
-    rates = np.empty(combiners.num_beams * beamformers.num_beams)
+    rates = np.empty(combiners.num_beams * beamformers.num_beams) if out is None else out
     P, K = len(gains), len(phases)
     u = a_ue @ combiners.beams.conj().T          # (P, |W|)
     v = a_bs.conj() @ beamformers.beams.T        # (P, |F|)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -60,6 +61,37 @@ def test_budget_below_outputs_raises():
         train(X, Y, TrainConfig(budget_parameters=4))
     with pytest.raises(ValueError):
         train(np.zeros((0, 2)), np.zeros((0, 2)), TrainConfig())
+
+
+@pytest.mark.parametrize("name", ["X", "Y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_inputs_before_sorting(name, bad):
+    data = dict(zip("XY", _grid_data()))
+    data[name][5, 1] = bad
+    with mock.patch.object(np, "lexsort", side_effect=AssertionError("rows were sorted")), \
+            pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
+        train(data["X"], data["Y"], TrainConfig())
+
+
+def test_train_holds_no_sorted_copy_of_the_targets():
+    """`train` reads the caller's Y in sorted order, block by block, and
+    never copies it whole for the fit: on a 4 MiB Y the traced peak stays
+    below one Y more (the (outputs, rows) predictions) plus a fixed 8 MiB
+    for one block's fit temporaries. A sorted copy of Y would exceed it."""
+    rng = np.random.default_rng(3)
+    n, d = 1024, 512
+    X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n), rng.uniform(0, 100, n)])
+    Y = rng.uniform(size=(n, d))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train(X, Y, TrainConfig(tree_count=2, max_depth=3, budget_parameters=10**6))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert Y.nbytes == 4 * 2**20
+    assert peak < Y.nbytes + 8 * 2**20
 
 
 def test_param_count_examples():
@@ -625,3 +657,20 @@ def test_level_fit_matches_per_tree_reference(X, data, max_depth, min_leaf, chun
                                                   getattr(tree, name).tobytes())
         assert internal[c] == internal_count(tree)
         assert leaf_value[c].tobytes() == tree.value[leaf_of_row].tobytes()
+
+
+def test_best_splits_give_no_split_where_the_sse_overflows():
+    """Residuals of +-1e200 square to inf, so every candidate sse is inf or
+    NaN and `_best_splits` gives the node no split. The per-node reference
+    splits on the NaN, which is why the bit-for-bit equality of the two
+    holds only while every candidate sse is finite."""
+    X = np.column_stack([[1.75, 1.75, 5.25, 5.25, 8.75, 8.75], np.arange(6.0)])
+    residual = np.array([1e200, -1e200] * 3)
+    orders = [np.argsort(X[:, f], kind="stable") for f in range(2)]
+    x, r = np.zeros((2, 2 * len(X))), np.zeros((2, 2 * len(X)))
+    for f, order in enumerate(orders):
+        x[f, :len(X)], r[f, :len(X)] = X[order, f], residual[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, feature, _ = boosting._best_splits(x, r, np.array([0]), np.array([len(X)]), 1)
+        assert feature.tolist() == [-1]
+        assert _best_split(X, residual, orders, 1) is not None

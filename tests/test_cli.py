@@ -310,9 +310,9 @@ def test_eval_run_bad_key_fails_before_any_stage(tmp_path, monkeypatch, capsys, 
     pytest.param(["eval", "run", "--smoke"], (harness, "run_experiment"), "out", id="run"),
     pytest.param(["eval", "heatmap", "--smoke"], (harness, "run_experiment"), "out",
                  id="heatmap"),
-    pytest.param(["dataset", "build", "--smoke"], (harness, "build_corpus"), "ds",
+    pytest.param(["dataset", "build", "--smoke"], (harness, "build_rate_rows"), "ds",
                  id="dataset-build"),
-    pytest.param(["dataset", "build", "--smoke"], (harness, "build_corpus"), None,
+    pytest.param(["dataset", "build", "--smoke"], (harness, "build_rate_rows"), None,
                  id="dataset-build-onto-a-file"),
     pytest.param(["dataset", "transform", "--input", "rates.npz"], (dataset, "load_dataset"),
                  "ds/tr.npz", id="dataset-transform"),

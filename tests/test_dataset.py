@@ -110,6 +110,17 @@ def test_build_rate_dataset_rejects_non_finite_rates():
                            bs_g, ue_g, cfg)
 
 
+def test_rate_and_tr_rows_are_views_into_one_array_each():
+    _, rows = _small_corpus()
+    tr_rows = to_throughput_ratios(rows)
+    for views in ([r.rates for r in rows], [r.ratios for r in tr_rows]):
+        base = views[0].base
+        assert base is not None and base.ndim == 2
+        assert all(view.base is base for view in views)
+    assert not np.shares_memory(rows[0].rates, tr_rows[0].ratios)
+    assert to_throughput_ratios([]) == []
+
+
 def test_to_throughput_ratios_basic():
     row = RateRow(location=np.zeros(2), rates=np.array([2.0, 4.0, 8.0]), snapshot_id=0)
     tr = to_throughput_ratios([row])[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import re
@@ -267,6 +268,35 @@ def test_smoke_run_deterministic(smoke_result):
     assert again.curves == smoke_result.curves
     assert again.heatmap == smoke_result.heatmap
     assert again.dataset_checksum == smoke_result.dataset_checksum
+
+
+def test_dataset_checksum_is_the_sha256_of_the_stacked_tr_rows(smoke_result):
+    _, _, tr_rows, _ = build_corpus(ExperimentConfig.smoke())
+    stacked = np.array([r.ratios for r in tr_rows])
+    assert smoke_result.dataset_checksum == hashlib.sha256(stacked.tobytes()).hexdigest()
+
+
+def test_run_experiment_logs_the_peak_rss_after_evaluation(caplog):
+    config = dataclasses.replace(ExperimentConfig.smoke(), snapshot_count=4, folds=3)
+    with caplog.at_level(logging.INFO, logger="beamtrain.harness"):
+        run_experiment(config)
+    evaluated = caplog.messages.index("stage: evaluate scenarios")
+    peak = [m for m in caplog.messages if m.startswith("peak RSS")]
+    assert len(peak) == 1 and caplog.messages.index(peak[0]) > evaluated
+    megabytes = re.fullmatch(r"peak RSS (\d+\.\d) MB", peak[0])
+    assert megabytes and 10.0 < float(megabytes[1]) <= harness._peak_rss_mb() + 0.05
+
+
+@pytest.mark.parametrize("platform, mb", [("linux", 3 * 2**10), ("darwin", 3.0)])
+def test_peak_rss_is_converted_from_the_platform_unit(monkeypatch, platform, mb):
+    """`ru_maxrss` counts KiB on Linux and bytes on macOS."""
+    usage = SimpleNamespace(ru_maxrss=3 * 2**20)
+    monkeypatch.setattr(harness, "resource",
+                        SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage))
+    monkeypatch.setattr(harness.sys, "platform", platform)
+    assert harness._peak_rss_mb() == mb
+    monkeypatch.setattr(harness, "resource", None)
+    assert harness._peak_rss_mb() is None
 
 
 def test_emit_outputs_files(tmp_path, smoke_result):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from beamtrain.arrays import ArrayGeometry, dft_codebook
 from beamtrain.channel import (ChannelRealization, default_bs_geometry, default_ue_geometry,
-                               paths_to_channel)
-from beamtrain.linkeval import sweep_all
+                               path_responses, paths_to_channel)
+from beamtrain.linkeval import sweep_all, sweep_responses
 from beamtrain.scene import SceneConfig
 from reference_linkeval import pair_index, sweep_paths, throughput_ratio, unflatten_pair
 from reference_scene import TracedPath, paths_table
@@ -172,3 +172,19 @@ def test_sweep_paths_matches_dense_sweep(setup, paths):
     bound = np.log2(1.0 + sum(abs(p.complex_gain) for p in paths) ** 2 / scene.sigma2)
     scale = max(float(np.max(dense)), 1e-3 * bound)
     assert np.max(np.abs(rates - dense)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(setup=st.sampled_from(_SETUPS), paths=_PATHS)
+def test_sweep_responses_writes_into_out(setup, paths):
+    """With `out=` a row of a larger array, the rates land in that row and
+    the row is returned; its bytes equal those of the allocating call, and
+    the other rows are untouched."""
+    scene, bs_g, ue_g, W, F = setup
+    table = paths_table(paths)
+    args = (table.gain, *path_responses(table, bs_g, ue_g, scene), W, F, scene.sigma2)
+    corpus = np.full((3, W.num_beams * F.num_beams), np.nan)
+    row = corpus[1]
+    assert sweep_responses(*args, out=row) is row
+    assert row.tobytes() == sweep_responses(*args).tobytes()
+    assert np.isnan(corpus[[0, 2]]).all()
