@@ -40,6 +40,10 @@ squared residuals overflow (residuals of about 1e200), the split search
 drops the inf and NaN sse values and the node gets no split, while the
 reference may split on a NaN. Throughput ratios in [0, 1] never get there.
 `train` rejects a non-finite input or target outright.
+
+Prediction does not walk the trees: it reads exact per-output step tables,
+compiled once per model from its trees (see `TreeEnsembleModel`), so that
+ranking the beams of one UE is a threshold count and one gather.
 """
 
 import logging
@@ -62,8 +66,10 @@ _NODE_FIELDS = (("feature", int), ("threshold", float), ("left", int), ("right",
 # under these names.
 _LAYOUT = (("tree_outputs", int), ("tree_sizes", int)) + tuple(
     ("node_" + name, dtype) for name, dtype in _NODE_FIELDS)
-# Prediction walks rows in chunks of at most this many (row, tree) cells, so
-# the walk's temporaries stay about 0.5 MB each whatever the batch size.
+# Prediction counts thresholds in chunks of at most this many (row,
+# threshold, output) cells, and training fits blocks of about this many
+# (feature, row, output) cells, so that their temporaries stay small
+# whatever the batch or corpus size.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -108,6 +114,27 @@ def _read_only(a, dtype):
     return a
 
 
+@dataclass(frozen=True)
+class StepTables:
+    """A model's predictions as exact step functions of the features its
+    trees split on, one table per output; see `TreeEnsembleModel`."""
+    features: tuple       # the feature ids the trees split on, ascending
+    thresholds: tuple     # per feature: (most thresholds, outputs), +inf padded
+    counts: tuple         # per feature: each output's threshold count
+    strides: tuple        # per feature: each output's flat-index step per interval
+    offsets: np.ndarray   # each output's first cell in `values`
+    values: np.ndarray    # the clipped prediction of every cell, flat
+
+    @property
+    def cells(self) -> int:
+        return len(self.values)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (*self.thresholds, *self.counts, *self.strides,
+                                      self.offsets, self.values))
+
+
 class TreeEnsembleModel:
     """Per-output boosted tree ensembles with a shared global budget.
 
@@ -118,18 +145,25 @@ class TreeEnsembleModel:
     preorder that `train` writes gives them. The constructor takes the
     layout as `train` builds it and model files store it, checks it and
     keeps a read-only copy; `trees` is a tuple of views into that copy, so
-    the trees a caller sees are always the trees prediction evaluates.
+    the trees a caller sees are always the trees prediction evaluates. A
+    layout that is not a tree (a node listed as a child twice, or by no
+    parent) or that has a NaN threshold on an internal node is rejected.
 
-    A layout that is not a tree (a node listed as a child twice, or by no
-    parent) is rejected. Prediction walks every tree at once, one level per
-    step, over a (rows x trees) node matrix, through walk tables built with
-    the layout in level-major order: the roots in tree order, then level by
-    level each internal node's left and right child, so siblings are
-    adjacent. In them a leaf is its own right child behind a NaN threshold,
-    so a tree that reached a leaf stays there. Each output then adds
-    `learning_rate * leaf value` of its trees in fit order, so results are
-    bit-identical to walking the trees one at a time and summing them per
-    output.
+    Prediction reads `step_tables`, compiled from the layout on first use
+    and kept, as the layout never changes. On a feature f, an output's trees
+    compare x[f] with the output's sorted distinct thresholds a_0 < ... <
+    a_{m-1}, which cut the line into m + 1 intervals (a_{k-1}, a_k], the
+    last holding everything above a_{m-1} and NaN, which no `x <=` passes.
+    Every point of an interval takes the same branch at every node of those
+    trees, so an output's prediction is constant on each cell of the
+    product of its intervals, Π_f (m_f + 1) cells. A row's interval on f is
+    the number of thresholds it does not satisfy, `~(x <= a)`, capped at m
+    (NaN satisfies none, not even the +inf padding), and one gather reads
+    its cell. A cell holds what walking the trees gives at the cell's
+    representative point (a_k for interval k, NaN for the last): the base
+    plus `learning_rate * leaf value` of the output's trees, added in fit
+    order as a per-tree loop adds them, clipped to [0, 1]. So predictions
+    are bit-identical to walking the trees one at a time.
     """
 
     def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
@@ -151,55 +185,23 @@ class TreeEnsembleModel:
             raise ValueError(f"tree output index outside [0, {output_dimension})")
         if np.any(feature < -1):
             raise ValueError("node feature ids must be >= -1")
-        self._starts = np.cumsum(sizes) - sizes
-        inner = feature >= 0
-        offset = np.repeat(self._starts, sizes)
-        parent = (np.arange(n_nodes) - offset)[inner]
-        size = np.repeat(sizes, sizes)[inner]
+        # the internal nodes, and the first node of their tree and of the next
+        inner = np.flatnonzero(feature >= 0)
+        if np.any(np.isnan(self._layout["node_threshold"][inner])):
+            raise ValueError("an internal node has a NaN threshold")
+        ends = np.cumsum(sizes)
+        tree = np.searchsorted(ends, inner, side="right")
+        start, end = (ends - sizes)[tree], ends[tree]
+        parents = np.zeros(n_nodes, dtype=int)
+        parents[ends - sizes] = 1           # a root has none, every other node one
         for side in ("node_left", "node_right"):
-            child = self._layout[side][inner]
-            if np.any((child <= parent) | (child >= size)):
+            child = self._layout[side][inner] + start
+            if np.any((child <= inner) | (child >= end)):
                 raise ValueError("child node ids must point forward inside their tree")
-        left, right = (np.where(inner, offset + self._layout[side], -1)
-                       for side in ("node_left", "node_right"))
-        parents = np.bincount(np.r_[left[inner], right[inner]], minlength=n_nodes)
-        parents[self._starts] += 1          # a root has none, every other node one
+            parents += np.bincount(child, minlength=n_nodes)
         if np.any(parents != 1):
             raise ValueError("the nodes are not a tree: a node has no parent or two")
-        # Level-major order: the roots in tree order, then level after level
-        # each internal node's left and right child, in the order of the level
-        # above, so that siblings are adjacent and left = right - 1.
-        levels, tree_of = [self._starts], np.repeat(np.arange(len(sizes)), sizes)
-        self._tree_depths = np.zeros(len(sizes), dtype=int)
-        while len(levels[-1]):
-            self._tree_depths[tree_of[levels[-1]]] = len(levels) - 1
-            split = levels[-1][inner[levels[-1]]]
-            levels.append(np.stack([left[split], right[split]], axis=1).ravel())
-        order = np.concatenate(levels)
-        rank = np.empty(n_nodes, dtype=int)
-        rank[order] = np.arange(n_nodes)
-        # the walk tables, in that order: a leaf is its own right child and has
-        # a NaN threshold, which no `x <=` passes, so a walk stays on it
-        self._right = _read_only(np.where(inner[order], rank[right[order]], np.arange(n_nodes)),
-                                 int)
-        self._threshold = _read_only(
-            np.where(inner, self._layout["node_threshold"], np.nan)[order], float)
-        self._feature = _read_only(feature[order],
-                                   np.min_scalar_type(-int(feature.max(initial=0)) - 1))
-        self._value = _read_only(learning_rate * self._layout["node_value"][order], float)
-        used = np.sort(feature[inner])
-        self._features = tuple(used[np.diff(used, prepend=-1) > 0].tolist())
-        self._depth = int(self._tree_depths.max(initial=0))
-        # Round of a tree = number of earlier trees on its output; one round
-        # holds at most one tree per output.
-        by_output = np.argsort(outputs, kind="stable")
-        sorted_outputs = outputs[by_output]
-        first = np.r_[True, sorted_outputs[1:] != sorted_outputs[:-1]]
-        position = np.arange(len(outputs))
-        self._round = np.empty(len(outputs), dtype=int)
-        self._round[by_output] = position - np.maximum.accumulate(np.where(first, position, 0))
-        self._round_count = int(self._round.max(initial=-1)) + 1
-        self._trees = None
+        self._trees = self._step_tables = None
 
     @property
     def layout(self):
@@ -210,61 +212,252 @@ class TreeEnsembleModel:
     def trees(self) -> tuple:
         """(output index, Tree) pairs in fit order; each Tree views the layout."""
         if self._trees is None:
-            ends = self._starts + self._layout["tree_sizes"]
+            sizes = self._layout["tree_sizes"]
+            ends = np.cumsum(sizes)
             self._trees = tuple(
                 (int(dim), Tree(*(self._layout["node_" + name][a:b] for name, _ in _NODE_FIELDS)))
-                for dim, a, b in zip(self._layout["tree_outputs"], self._starts, ends))
+                for dim, a, b in zip(self._layout["tree_outputs"], ends - sizes, ends))
         return self._trees
+
+    @property
+    def step_tables(self) -> StepTables:
+        """The read-only step tables that prediction reads, compiled on
+        first use."""
+        if self._step_tables is None:
+            self._step_tables = _compile(self._layout, self.base_prediction, self.learning_rate,
+                                         self.output_dimension)
+        return self._step_tables
 
     def predict(self, location) -> np.ndarray:
         return self.predict_batch(np.asarray(location, dtype=float).reshape(1, -1))[0]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Base plus `learning_rate * leaf value` of every tree, clipped to
-        [0, 1]. The contributions go into a (1 + round, rows, output) grid
-        whose slot 0 holds the base and whose empty cells hold -0.0, which
-        adds exactly nothing to any float. A loop then adds the rounds to
-        slot 0 one after another, so each output gets its trees'
-        contributions in fit order, as a per-tree loop would add them;
-        `np.add.reduce` over the rounds would not, as it may sum pairwise."""
+        """Each row's cell of each output's step table. A row's interval on
+        a feature is the number of the output's thresholds it does not
+        satisfy, counted along a (rows, thresholds, outputs) block as the
+        padded count less those `x <=` passes and capped at the output's
+        count; the intervals, times the strides, plus the offsets index one
+        gather. Rows go in chunks of at most `_CHUNK_CELLS` block cells."""
         X = np.asarray(X, dtype=float)
+        tables = self.step_tables
         out = np.empty((X.shape[0], self.output_dimension))
-        outputs = self._layout["tree_outputs"]
-        cells = (1 + self._round_count) * self.output_dimension
-        step = max(1, _CHUNK_CELLS // max(1, len(outputs), cells))
+        widest = max((len(a) for a in tables.thresholds), default=0)
+        step = max(1, _CHUNK_CELLS // max(1, widest * self.output_dimension))
         for lo in range(0, X.shape[0], step):
-            leaves = self._leaves(X[lo:lo + step])
-            grid = np.full((1 + self._round_count, len(leaves), self.output_dimension), -0.0)
-            grid[0] = self.base_prediction
-            grid[1 + self._round, :, outputs] = self._value[leaves].T
-            for contributions in grid[1:]:
-                grid[0] += contributions
-            out[lo:lo + step] = grid[0]
-        return np.clip(out, 0.0, 1.0)
-
-    def _leaves(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id (into the level-major walk tables) of every (row,
-        tree) cell.
-
-        Every tree advances one level per step, over a (rows x trees) node
-        matrix: `node = right[node] - (x <= threshold)` goes to the left or
-        the right child, and a tree that reached a leaf stays on it (its
-        own right child, behind a NaN threshold). The walk starts on the
-        first (trees,) entries, the roots."""
-        node = np.arange(len(self._starts))
-        for _ in range(self._depth):
-            f = self._feature[node]
-            # the row's value of its node's feature; a leaf's pick is unused
-            x = X[:, self._features[-1], None]
-            for k in self._features[:-1]:
-                x = np.where(f == k, X[:, k, None], x)
-            node = self._right[node] - (x <= self._threshold[node])
-        return np.broadcast_to(node, (X.shape[0], len(self._starts)))
+            flat = tables.offsets
+            for f, thresholds, counts, strides in zip(tables.features, tables.thresholds,
+                                                      tables.counts, tables.strides):
+                satisfied = X[lo:lo + step, f, None, None] <= thresholds
+                interval = len(thresholds) - np.add.reduce(
+                    satisfied.view(np.uint8), axis=1, dtype=np.min_scalar_type(len(thresholds)))
+                flat = flat + np.minimum(interval, counts) * strides
+            out[lo:lo + step] = tables.values[flat]
+        return out
 
     def depth_histogram(self) -> dict[int, int]:
         """Number of trees of each depth, by ascending depth."""
-        counts = np.bincount(self._tree_depths)
+        counts = np.bincount(_walk_tables(self._layout, self.learning_rate)[-1])
         return {depth: n for depth, n in enumerate(counts.tolist()) if n}
+
+
+def _walk_tables(layout, learning_rate):
+    """The layout in level-major order, as walk tables, and each tree's depth.
+
+    The order holds the roots in tree order, then level after level each
+    internal node's left and right child, in the order of the level above,
+    so that siblings are adjacent and the k-th internal node's children are
+    nodes trees + 2k and trees + 2k + 1. Returns, in that order, each node's
+    right child, threshold, feature and `learning_rate * value`; a leaf is
+    its own right child behind a NaN threshold, which no `x <=` passes, so a
+    walk `node = right[node] - (x <= threshold[node])` stays on it."""
+    sizes, inner = layout["tree_sizes"], layout["node_feature"] >= 0
+    starts = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(len(sizes)), sizes)
+    # each node's left and right child, as ids into the layout
+    children = np.stack([layout["node_left"], layout["node_right"]], axis=1)
+    children += np.repeat(starts, sizes)[:, None]
+    levels, depths = [starts], np.zeros(len(sizes), dtype=int)
+    while len(levels[-1]):
+        depths[tree_of[levels[-1]]] = len(levels) - 1
+        levels.append(children[levels[-1][inner[levels[-1]]]].ravel())
+    order = np.concatenate(levels)
+    inner = inner[order]
+    right = np.arange(len(order))
+    right[inner] = len(sizes) + 1 + 2 * np.arange(np.count_nonzero(inner))
+    threshold = layout["node_threshold"][order]
+    threshold[~inner] = np.nan
+    return (right, threshold, layout["node_feature"][order],
+            learning_rate * layout["node_value"][order], depths)
+
+
+def _grids(m):
+    """Flat-index strides (feature, item) and cell counts (item,) of grids
+    of m + 1 intervals per feature, m being (feature, item) threshold
+    counts; the last feature's stride is 1."""
+    steps = np.ones((len(m) + 1, m.shape[1]), dtype=int)
+    for f in reversed(range(len(m))):
+        steps[f] = steps[f + 1] * (m[f] + 1)
+    return steps[1:], steps[0]
+
+
+def _cells(m):
+    """The cells of those grids, item after item, each in row-major order.
+    Returns each cell's item and, per feature, the position of its interval
+    in the items' interval lists laid end to end."""
+    item, positions = np.arange(m.shape[1]), []
+    for m_f in m:
+        n = (m_f + 1)[item]
+        first = (np.cumsum(m_f + 1) - (m_f + 1))[item]
+        positions = [np.repeat(p, n) for p in positions] + [_runs(n, first)]
+        item = np.repeat(item, n)
+    return item, positions
+
+
+def _runs(lengths, firsts=0):
+    """Each element's position in its run, runs of `lengths` laid end to
+    end, plus its run's entry of `firsts`."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - firsts, lengths)
+
+
+def _compile(layout, base, learning_rate, d) -> StepTables:
+    """The step tables of a layout; see `TreeEnsembleModel`.
+
+    Each tree is walked once per cell of its own grid, whose intervals come
+    from its own thresholds only, so at most 2^depth cells (`_own_values`).
+    Output interval k on feature f lies inside tree interval map[k], the
+    number of the tree's thresholds below a_k, so an output cell reads each
+    tree's value at one own-grid cell: the sum over features of the maps at
+    the cell's intervals, each map scaled by the tree's stride in its own
+    grid. The output tables lie by falling tree count, so the outputs that
+    have an r-th tree hold a prefix of the cells, and round r adds the
+    values of the r-th trees to that prefix. Trees and maps lie round by
+    round in the same output order, so each round reads one slice of every
+    map. A model that splits on no feature is compiled as if on one feature
+    without thresholds."""
+    outputs = layout["tree_outputs"]
+    n_trees = len(outputs)
+    per_output = np.bincount(outputs, minlength=d)      # trees per output
+    by_count = np.argsort(-per_output, kind="stable")   # table position -> output
+    place = np.empty(d, dtype=int)
+    place[by_count] = np.arange(d)
+    # the trees round-major (round of a tree = number of earlier trees on
+    # its output), a round's by table position
+    rounds = np.empty(n_trees, dtype=int)
+    rounds[np.argsort(outputs, kind="stable")] = _runs(per_output)
+    trees = np.lexsort((place[outputs], rounds))
+    tree_output = outputs[trees]
+    features, thresholds, out_m, tree_m, tree_rank = _thresholds(layout, trees, d)
+    # per feature, every tree's intervals, tree after tree: the tree, the
+    # interval's index j in it, whether it is the last, and the threshold
+    # that ends it (NaN for the last)
+    intervals = []
+    for table, m_t, rank in zip(thresholds, tree_m, tree_rank):
+        item_tree, j = np.repeat(np.arange(n_trees), m_t + 1), _runs(m_t + 1)
+        last = j == m_t[item_tree]
+        bound = np.full(len(j), np.nan)
+        bound[~last] = table[rank, tree_output[item_tree[~last]]]
+        intervals.append((item_tree, j, last, bound))
+    own_strides, own_cells = _grids(tree_m)
+    own_value = _own_values(layout, learning_rate, trees, features, tree_m,
+                            [bound for *_, bound in intervals])
+
+    # per feature, the trees' maps, tree after tree: the run of output
+    # intervals inside tree interval j holds j * stride, plus the tree's
+    # own-grid start on the first feature
+    maps = []
+    for i, (m, rank, (item_tree, j, last, _)) in enumerate(zip(out_m, tree_rank, intervals)):
+        end = np.empty(len(j), dtype=int)            # past the run's last output interval
+        end[last], end[~last] = (m + 1)[tree_output], rank + 1
+        run = end - np.where(j > 0, np.concatenate(([0], end[:-1])), 0)
+        step = j * own_strides[i][item_tree]
+        if i == 0:
+            step += (np.cumsum(own_cells) - own_cells)[item_tree]
+        maps.append(np.repeat(step, run))
+    del intervals
+
+    # the output cells by table position, and each one's map cell per
+    # feature in a round's slice of the maps
+    out_strides, out_cells = _grids(out_m)
+    ends = np.cumsum(out_cells[by_count])
+    _, positions = _cells(out_m[:, by_count])
+    # per round: the outputs that have an r-th tree (the first ones), their
+    # cells and, per feature, the start of the round's slice of the maps
+    active = (per_output[:, None] > np.arange(per_output.max(initial=0))).sum(axis=0)
+    heads = np.cumsum(out_m[:, by_count] + 1, axis=1)[:, active - 1]
+    starts = np.cumsum(heads, axis=1) - heads
+    values = np.repeat(np.asarray(base, dtype=float)[by_count], out_cells[by_count])
+    for r, cells in enumerate(ends[active - 1].tolist()):
+        index = np.take(maps[0][starts[0, r]:], positions[0][:cells])
+        for flat, position, start in zip(maps[1:], positions[1:], starts[1:, r]):
+            index += np.take(flat[start:], position[:cells])
+        values[:cells] += np.take(own_value, index)
+    np.clip(values, 0.0, 1.0, out=values)
+    n = len(features)
+    return StepTables(features, tuple(_read_only(t, float) for t in thresholds[:n]),
+                      tuple(_read_only(m, int) for m in out_m[:n]),
+                      tuple(_read_only(s, int) for s in out_strides[:n]),
+                      _read_only((ends - out_cells[by_count])[place], int),
+                      _read_only(values, float))
+
+
+def _thresholds(layout, trees, d):
+    """The feature ids the trees split on and, per feature: a (most
+    thresholds, outputs) matrix of each output's sorted distinct thresholds,
+    padded with +inf; each output's threshold count; each tree's distinct
+    threshold count, trees in `trees` order; and those thresholds as ranks
+    in their output's list, tree after tree, each tree's ascending. Without
+    features, one feature without thresholds."""
+    outputs, node_feature = layout["tree_outputs"], layout["node_feature"]
+    position = np.empty(len(trees), dtype=int)
+    position[trees] = np.arange(len(trees))
+    tree_of = position[np.repeat(np.arange(len(trees)), layout["tree_sizes"])]
+    inner = node_feature >= 0
+    features = (tuple(np.flatnonzero(np.bincount(node_feature[inner])).tolist())
+                if np.any(inner) else ())
+    thresholds, out_m, tree_m, tree_rank = [], [], [], []
+    for f in features:
+        nodes = np.flatnonzero(node_feature == f)
+        # the nodes by output, then threshold (a stable sort on the small
+        # output ids is a radix sort)
+        a, tree = layout["node_threshold"][nodes], tree_of[nodes]
+        output = outputs[trees[tree]].astype(np.min_scalar_type(d))
+        order = np.argsort(a)
+        order = order[np.argsort(output[order], kind="stable")]
+        a, tree, output = a[order], tree[order], output[order]
+        first = np.concatenate(([True], (output[1:] != output[:-1]) | (a[1:] != a[:-1])))
+        m = np.bincount(output[first], minlength=d)
+        rank = np.cumsum(first) - 1 - (np.cumsum(m) - m)[output]
+        table = np.full((m.max(), d), np.inf)
+        table[rank[first], output[first]] = a[first]
+        own = np.sort(tree * len(table) + rank)             # (tree, rank) pairs
+        own = own[np.concatenate(([True], own[1:] != own[:-1]))]
+        thresholds.append(table)
+        out_m.append(m)
+        tree_m.append(np.bincount(own // len(table), minlength=len(trees)))
+        tree_rank.append(own % len(table))
+    if not features:
+        thresholds, out_m, tree_m, tree_rank = ([np.zeros((0, d))], [np.zeros(d, int)],
+                                                [np.zeros(len(trees), int)], [np.zeros(0, int)])
+    return features, thresholds, np.array(out_m), np.array(tree_m), tree_rank
+
+
+def _own_values(layout, learning_rate, trees, features, tree_m, bounds):
+    """`learning_rate * leaf value` of the trees (in `trees` order) at every
+    cell of their own grids, tree after tree, each grid in row-major order:
+    each cell is walked at its representative point, on each feature the
+    entry of `bounds` of its interval: the threshold that ends it, or NaN
+    for the last."""
+    right, threshold, feature, value, depths = _walk_tables(layout, learning_rate)
+    cell_tree, positions = _cells(tree_m)
+    point = np.stack([bound[p] for bound, p in zip(bounds, positions)])
+    row = np.zeros(max(features, default=0) + 2, dtype=int)  # feature -> row of point
+    row[list(features)] = np.arange(len(features))
+    # a node's feature's row in the flat points, then each cell's column
+    pick, column = row[feature] * len(cell_tree), np.arange(len(cell_tree))
+    node = trees[cell_tree]                                # the roots
+    for _ in range(int(depths.max(initial=0))):
+        node = right[node] - (np.take(point, pick[node] + column) <= threshold[node])
+    return value[node]
 
 
 def param_count(model: TreeEnsembleModel) -> int:

@@ -129,6 +129,8 @@ def cmd_model_inspect(args) -> int:
     print(f"outputs: {model.output_dimension}")
     print(f"trees: {len(model.layout['tree_sizes'])}")
     print(f"param_count: {boosting.param_count(model)}")
+    tables = model.step_tables
+    print(f"step_tables: {tables.cells} cells, {tables.nbytes / 2**20:.3f} MB")
     hist = model.depth_histogram()
     for depth in sorted(hist):
         print(f"depth {depth}: {hist[depth]} trees")

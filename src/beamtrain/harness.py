@@ -384,7 +384,8 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
     Each model ranks every test row's beams once, and each curve point and
     heatmap cell is one entry of the `metrics.prefix_tables` of those
     orderings, each cut to the longest prefix that a point or cell reads.
-    Each role's rows, trees and prediction time are logged at info level."""
+    Each role's rows, trees, step-table size and prediction time (with the
+    compile of a model not yet read) are logged at info level."""
     num_f, num_w = config.num_beamformers, config.num_combiners
     TR_test = np.asarray(TR_test, dtype=float)
     grid = TR_test.reshape(len(TR_test), num_w, num_f)
@@ -413,8 +414,10 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
     def ordering(role, length):
         start = time.perf_counter()
         predictions = models[role].predict_batch(X_test)
-        log.info("predicted %s: %d rows, %d trees, %.4f s", role, len(predictions),
-                 len(models[role].layout["tree_sizes"]), time.perf_counter() - start)
+        steps = models[role].step_tables
+        log.info("predicted %s: %d rows, %d trees, %d table cells (%.3f MB), %.4f s", role,
+                 len(predictions), len(models[role].layout["tree_sizes"]), steps.cells,
+                 steps.nbytes / 2**20, time.perf_counter() - start)
         return np.argsort(-predictions, axis=1, kind="stable")[:, :length]
 
     tables = {}

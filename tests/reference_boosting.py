@@ -3,9 +3,9 @@ round-at-once fit in `beamtrain.boosting` is held to, tree for tree.
 
 It fits one tree per (round, output) with a recursive builder that calls
 `_best_split` once per node; `train_reference` is `boosting.train` built on
-it. `tree_predict` walks one `Tree` at a time, the reference for the packed
-prediction of `TreeEnsembleModel`, and `model_from_trees` packs a list of
-(output, Tree) pairs into a model.
+it. `tree_predict` walks one `Tree` at a time, the reference for the
+step-table prediction of `TreeEnsembleModel`, and `model_from_trees` packs
+a list of (output, Tree) pairs into a model.
 """
 
 import numpy as np

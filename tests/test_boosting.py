@@ -270,12 +270,83 @@ def test_model_file_with_non_tree_layout_rejected(tmp_path, feature, left, right
         load_model(path)
 
 
+def test_model_file_with_nan_threshold_rejected(tmp_path):
+    """A NaN threshold on an internal node has no place in an output's
+    sorted thresholds; `train` never writes one. A leaf's is never read."""
+    X, Y = _grid_data(n=30, d=2, seed=4)
+    path = str(tmp_path / "m.npz")
+    save_model(train(X, Y, TrainConfig(tree_count=2, budget_parameters=10000)), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    inner = np.flatnonzero(arrays["node_feature"] >= 0)
+    leaf = np.flatnonzero(arrays["node_feature"] < 0)[0]
+    arrays["node_threshold"][leaf] = np.nan
+    np.savez_compressed(path, **arrays)
+    assert load_model(path).predict_batch(X).shape == Y.shape
+    arrays["node_threshold"][inner[-1]] = np.nan
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError,
+                       match="^bad model file .*: an internal node has a NaN threshold$"):
+        load_model(path)
+
+
+def _full_trees(trees, depth, outputs, seed):
+    """The layout of `trees` full trees of `depth` in preorder, splitting on
+    features 0 and 1 at thresholds of a 64-value grid, spread over the
+    outputs round by round."""
+    rng = np.random.default_rng(seed)
+    left, right = [], []
+
+    def build(level):
+        node = len(left)
+        left.append(-1)
+        right.append(-1)
+        if level < depth:
+            left[node] = build(level + 1)
+            right[node] = build(level + 1)
+        return node
+
+    build(0)
+    left, right = np.array(left), np.array(right)
+    inner = np.tile(left >= 0, trees)
+    return {"tree_outputs": np.arange(trees) % outputs, "tree_sizes": np.full(trees, len(left)),
+            "node_feature": np.where(inner, rng.integers(0, 2, inner.size), -1),
+            "node_threshold": np.where(inner, rng.integers(0, 64, inner.size) / 4.0, 0.0),
+            "node_left": np.tile(left, trees), "node_right": np.tile(right, trees),
+            "node_value": rng.uniform(-0.1, 0.1, inner.size)}
+
+
+def test_model_construction_stays_near_the_layout_size():
+    """The constructor keeps a copy of the layout and checks it with a few
+    node-length temporaries; the level-major walk tables are built only when
+    the step tables are compiled. On 45,000 nodes its traced peak stays
+    below twice the layout; building the walk tables, with their dozen
+    node-length temporaries, in the constructor reaches almost four times."""
+    layout = _full_trees(3000, 3, 256, seed=1)
+    size = sum(a.nbytes for a in layout.values())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = boosting.TreeEnsembleModel(np.full(256, 0.5), layout, 0.3, 256, "coupled")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert size == 45000 * 40 + 3000 * 16
+    assert peak < 2 * size
+    assert model._step_tables is None
+
+
 # ------------------------------------------------ packed prediction vs tree_predict
 
 # Inputs and thresholds share one coarse grid, so `x <= threshold` ties occur.
 _GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-# Inputs also hold NaN, which goes right at every internal node, and +-inf.
-_INPUTS = _GRID | st.sampled_from([np.nan, np.inf, -np.inf])
+# Thresholds also hold -0.0, which ties with 0.0, and +-inf, which an
+# output's interval list holds like any other value.
+_THRESHOLDS = _GRID | st.sampled_from([-0.0, np.inf, -np.inf])
+# Inputs also hold NaN, which goes right at every internal node, +-inf and
+# -0.0.
+_INPUTS = _GRID | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
 
 
 @st.composite
@@ -295,7 +366,7 @@ def _trees(draw):
         value.append(draw(st.floats(-1.0, 1.0)))
         if level < depth and (level == 0 or draw(st.integers(0, 3)) > 0):
             feature[node] = draw(st.integers(0, 2))
-            threshold[node] = draw(_GRID)
+            threshold[node] = draw(_THRESHOLDS)
             left[node] = build(level + 1)
             right[node] = build(level + 1)
         return node
@@ -343,7 +414,8 @@ def test_depth_histogram_matches_tree_depths(ensemble):
     depths = Counter(tree_depth(tree) for _, tree in trees)
     assert model.depth_histogram() == depths
     assert list(model.depth_histogram()) == sorted(depths)
-    assert model._depth == max(depths, default=0)
+    assert boosting._walk_tables(model.layout, 1.0)[-1].tolist() == [
+        tree_depth(tree) for _, tree in trees]
 
 
 @settings(max_examples=100, deadline=None)
@@ -381,7 +453,7 @@ def test_hand_built_model_trees_are_read_only():
     assert model.predict_batch(X).tobytes() == expected
 
 
-def test_walk_tables_are_read_only():
+def test_walk_and_step_tables_of_a_hand_built_model():
     leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.1])
     stump = Tree(feature=[1, -1, -1], threshold=[0.5, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
@@ -393,17 +465,29 @@ def test_walk_tables_are_read_only():
     # stump's and the deep tree's roots, level 2 those of the deep tree's
     # right child; each right child follows its left sibling, and a leaf is
     # its own right child behind a NaN threshold
-    assert model._right.tolist() == [0, 4, 6, 3, 4, 5, 8, 7, 8]
-    assert np.array_equal(model._threshold,
+    right, threshold, feature, value, depths = boosting._walk_tables(model.layout, 0.5)
+    assert right.tolist() == [0, 4, 6, 3, 4, 5, 8, 7, 8]
+    assert np.array_equal(threshold,
                           [np.nan, 0.5, 1.0, np.nan, np.nan, np.nan, 0.5, np.nan, np.nan],
                           equal_nan=True)
-    assert model._feature.tolist() == [-1, 1, 0, -1, -1, -1, 1, -1, -1]
-    assert model._feature.dtype == np.int8
-    assert model._value.tolist() == [0.5 * v for v in [0.1, 0, 0, 0.2, 0.8, 0.3, 0, 0.4, 0.5]]
-    assert model._tree_depths.tolist() == [0, 1, 2]
-    for table in (model._right, model._threshold, model._feature, model._value):
+    assert feature.tolist() == [-1, 1, 0, -1, -1, -1, 1, -1, -1]
+    assert value.tolist() == [0.5 * v for v in [0.1, 0, 0, 0.2, 0.8, 0.3, 0, 0.4, 0.5]]
+    assert depths.tolist() == [0, 1, 2]
+    # one output with one threshold on each feature: 2 x 2 cells, feature 1
+    # the faster; a cell adds the three trees' values in fit order
+    tables = model.step_tables
+    assert tables.features == (0, 1)
+    assert [t.tolist() for t in tables.thresholds] == [[[1.0]], [[0.5]]]
+    assert [c.tolist() for c in tables.counts] == [[1], [1]]
+    assert [s.tolist() for s in tables.strides] == [[2], [1]]
+    assert tables.offsets.tolist() == [0] and tables.cells == 4
+    assert tables.values.tolist() == [0.05 + 0.05 + stump + deep for stump, deep in (
+        (0.1, 0.15), (0.4, 0.15), (0.1, 0.2), (0.4, 0.25))]
+    for table in (*tables.thresholds, *tables.counts, *tables.strides, tables.offsets,
+                  tables.values):
         with pytest.raises(ValueError):
             table[0] = 1
+    assert model.step_tables is tables
     X = np.array([[9.0, 0.5], [9.0, np.nan], [0.0, 0.0]])
     assert model.predict_batch(X).tolist() == [
         [0.05 + 0.05 + 0.1 + 0.2], [0.05 + 0.05 + 0.4 + 0.25], [0.05 + 0.05 + 0.1 + 0.15]]
@@ -413,7 +497,8 @@ def test_walk_tables_are_read_only():
 @given(_ensembles())
 def test_walk_tables_hold_the_trees_level_by_level(ensemble):
     model, trees = ensemble
-    right, threshold, feature = model._right, model._threshold, model._feature
+    right, threshold, feature, value, _ = boosting._walk_tables(model.layout,
+                                                                model.learning_rate)
     inner = feature >= 0
     assert np.all(np.isnan(threshold) == ~inner)
     assert np.array_equal(right[~inner], np.nonzero(~inner)[0])
@@ -428,12 +513,81 @@ def test_walk_tables_hold_the_trees_level_by_level(ensemble):
 
     def same(node, tree, i):                    # the walk table's subtree = the tree's
         if tree.feature[i] < 0:
-            return not inner[node] and model._value[node] == model.learning_rate * tree.value[i]
+            return not inner[node] and value[node] == model.learning_rate * tree.value[i]
         return (feature[node] == tree.feature[i] and threshold[node] == tree.threshold[i]
                 and same(right[node] - 1, tree, tree.left[i])
                 and same(right[node], tree, tree.right[i]))
 
     assert all(same(root, tree, 0) for root, (_, tree) in enumerate(trees))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ensembles())
+def test_step_tables_hold_each_outputs_sorted_distinct_thresholds(ensemble):
+    """Per feature, an output's column holds the sorted distinct thresholds
+    of its trees' nodes on that feature (-0.0 and 0.0 are one), then +inf
+    padding; its table has one cell per product of its intervals."""
+    model, trees = ensemble
+    tables = model.step_tables
+    used = sorted({f for _, tree in trees for f in tree.feature[tree.feature >= 0].tolist()})
+    assert tables.features == tuple(used)
+    cells = np.ones(model.output_dimension, dtype=int)
+    for f, matrix, counts, strides in zip(tables.features, tables.thresholds, tables.counts,
+                                          tables.strides):
+        for output in range(model.output_dimension):
+            expected = sorted({float(t) for dim, tree in trees if dim == output
+                               for t in tree.threshold[tree.feature == f]})
+            assert matrix[:counts[output], output].tolist() == expected
+            assert np.all(matrix[counts[output]:, output] == np.inf)
+        assert len(matrix) == counts.max()
+        cells *= counts + 1
+    assert tables.cells == cells.sum()
+    # each output's cells are one contiguous run, the feature strides of a
+    # row-major grid
+    order = np.argsort(tables.offsets, kind="stable")
+    assert np.array_equal(np.sort(tables.offsets), np.cumsum(cells[order]) - cells[order])
+    expected = np.ones(model.output_dimension, dtype=int)
+    for counts, strides in reversed(list(zip(tables.counts, tables.strides))):
+        assert np.array_equal(strides, expected)
+        expected = expected * (counts + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ensembles(), st.integers(1, 3),
+       hnp.arrays(float, st.tuples(st.sampled_from([0, 1, 7]), st.just(3)), elements=_INPUTS),
+       st.sampled_from([1, 5, boosting._CHUNK_CELLS]))
+def test_packed_prediction_ignores_unused_columns(ensemble, spare, X, chunk_cells):
+    """Columns past the features the trees split on change nothing."""
+    model, trees = ensemble
+    wide = np.column_stack([X, np.full((len(X), spare), np.nan)])
+    with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
+        batch = model.predict_batch(wide)
+    assert batch.tobytes() == _reference_predict(model, trees, X).tobytes()
+
+
+def test_step_tables_of_models_without_trees_or_splits():
+    """A model without trees has one cell per output, its clipped base; an
+    output without a tree keeps one cell, its clipped base, next to the
+    cells of outputs with trees; a tree that is a lone leaf adds its value
+    to every cell."""
+    X = np.array([[0.0, 1.0], [np.nan, np.inf], [-0.0, -np.inf]])
+    empty = model_from_trees(np.array([-0.5, 0.25, 1.5]), [], 0.3, 3)
+    assert empty.step_tables.features == () and empty.step_tables.cells == 3
+    assert empty.step_tables.values.tolist() == [0.0, 0.25, 1.0]
+    assert empty.predict_batch(X).tolist() == [[0.0, 0.25, 1.0]] * 3
+    leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.5])
+    stump = Tree(feature=[1, -1, -1], threshold=[0.5, 0, 0],
+                 left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
+    trees = [(2, leaf), (0, stump), (2, leaf)]
+    model = model_from_trees(np.array([0.125, -0.0, 0.25]), trees, 0.5, 3)
+    tables = model.step_tables
+    assert tables.features == (1,) and tables.counts[0].tolist() == [1, 0, 0]
+    assert tables.cells == 2 + 1 + 1
+    assert tables.values[tables.offsets[1]].tobytes() == np.float64(-0.0).tobytes()
+    assert model.predict_batch(X).tobytes() == _reference_predict(model, trees, X).tobytes()
+    only_leaves = model_from_trees(np.array([0.125]), [(0, leaf)] * 2, 0.5, 1)
+    assert only_leaves.step_tables.features == ()
+    assert only_leaves.predict_batch(X).tolist() == [[0.125 + 0.25 + 0.25]] * 3
 
 
 def test_rounds_are_added_in_fit_order():

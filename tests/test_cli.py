@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -153,6 +154,7 @@ def test_model_train_and_inspect(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "role: decoupled_ue" in out
     assert "param_count:" in out
+    assert re.search(r"^step_tables: [1-9]\d* cells, \d+\.\d{3} MB$", out, re.MULTILINE)
 
 
 def _npz_arrays(path):
@@ -374,6 +376,8 @@ def test_model_inspect_counts_what_the_tree_views_give(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "role: decoupled_ue", "outputs: 16", f"trees: {len(model.trees)}",
         f"param_count: {boosting.param_count(model)}",
+        f"step_tables: {model.step_tables.cells} cells, "
+        f"{model.step_tables.nbytes / 2**20:.3f} MB",
         *(f"depth {depth}: {depths[depth]} trees" for depth in sorted(depths))]
 
 

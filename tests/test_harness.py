@@ -315,6 +315,7 @@ class _Predictions:
     def __init__(self, values, trees=0):
         self.values = values
         self.layout = {"tree_sizes": np.ones(trees, dtype=int)}
+        self.step_tables = SimpleNamespace(cells=10 * trees, nbytes=trees * 2**19)
 
     def predict_batch(self, X):
         return self.values[np.asarray(X, dtype=int)[:, 0]]
@@ -392,8 +393,9 @@ def test_evaluate_logs_rows_trees_and_seconds_per_role(caplog):
     with caplog.at_level(logging.INFO, logger="beamtrain.harness"):
         evaluate(cfg, models, plan, X, rng.uniform(size=(6, cfg.num_pairs)))
     assert [m.rsplit(",", 1)[0] for m in caplog.messages] == [
-        "predicted theta1: 6 rows, 7 trees", "predicted theta2_w: 6 rows, 3 trees",
-        "predicted theta2_f: 6 rows, 5 trees"]
+        "predicted theta1: 6 rows, 7 trees, 70 table cells (3.500 MB)",
+        "predicted theta2_w: 6 rows, 3 trees, 30 table cells (1.500 MB)",
+        "predicted theta2_f: 6 rows, 5 trees, 50 table cells (2.500 MB)"]
     assert all(re.fullmatch(r" \d+\.\d{4} s", m.rsplit(",", 1)[1]) for m in caplog.messages)
 
 
