@@ -42,8 +42,9 @@ reference may split on a NaN. Throughput ratios in [0, 1] never get there.
 `train` rejects a non-finite input or target outright.
 
 Prediction does not walk the trees: it reads exact per-output step tables,
-compiled once per model from its trees (see `TreeEnsembleModel`), so that
-ranking the beams of one UE is a threshold count and one gather.
+compiled once per model by walking every table cell through its output's
+trees (see `TreeEnsembleModel`), so that ranking the beams of one UE is a
+threshold count and one gather.
 """
 
 import logging
@@ -159,11 +160,11 @@ class TreeEnsembleModel:
     product of its intervals, Π_f (m_f + 1) cells. A row's interval on f is
     the number of thresholds it does not satisfy, `~(x <= a)`, capped at m
     (NaN satisfies none, not even the +inf padding), and one gather reads
-    its cell. A cell holds what walking the trees gives at the cell's
-    representative point (a_k for interval k, NaN for the last): the base
-    plus `learning_rate * leaf value` of the output's trees, added in fit
-    order as a per-tree loop adds them, clipped to [0, 1]. So predictions
-    are bit-identical to walking the trees one at a time.
+    its cell. The compile walks each cell's representative point (a_k for
+    interval k, NaN for the last) through the output's trees, and the cell
+    holds the base plus `learning_rate * leaf value` of those trees, added
+    in fit order as a per-tree loop adds them, clipped to [0, 1]. So
+    predictions are bit-identical to walking the trees one at a time.
     """
 
     def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
@@ -300,164 +301,87 @@ def _grids(m):
     return steps[1:], steps[0]
 
 
-def _cells(m):
-    """The cells of those grids, item after item, each in row-major order.
-    Returns each cell's item and, per feature, the position of its interval
-    in the items' interval lists laid end to end."""
-    item, positions = np.arange(m.shape[1]), []
-    for m_f in m:
-        n = (m_f + 1)[item]
-        first = (np.cumsum(m_f + 1) - (m_f + 1))[item]
-        positions = [np.repeat(p, n) for p in positions] + [_runs(n, first)]
-        item = np.repeat(item, n)
-    return item, positions
-
-
-def _runs(lengths, firsts=0):
-    """Each element's position in its run, runs of `lengths` laid end to
-    end, plus its run's entry of `firsts`."""
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - firsts, lengths)
-
-
 def _compile(layout, base, learning_rate, d) -> StepTables:
     """The step tables of a layout; see `TreeEnsembleModel`.
 
-    Each tree is walked once per cell of its own grid, whose intervals come
-    from its own thresholds only, so at most 2^depth cells (`_own_values`).
-    Output interval k on feature f lies inside tree interval map[k], the
-    number of the tree's thresholds below a_k, so an output cell reads each
-    tree's value at one own-grid cell: the sum over features of the maps at
-    the cell's intervals, each map scaled by the tree's stride in its own
-    grid. The output tables lie by falling tree count, so the outputs that
-    have an r-th tree hold a prefix of the cells, and round r adds the
-    values of the r-th trees to that prefix. Trees and maps lie round by
-    round in the same output order, so each round reads one slice of every
-    map. A model that splits on no feature is compiled as if on one feature
-    without thresholds."""
+    Every cell is walked through its output's trees at its representative
+    point, on the walk tables of `_walk_tables`. The output tables lie by
+    falling tree count, so the outputs that have an r-th tree hold a prefix
+    of the cells: round r walks that prefix through those trees, as
+    `node = right[node] - (x <= threshold[node])`, and adds the leaf values
+    to it, so that every cell adds its trees in fit order. A model that
+    splits on no feature is compiled as if on one feature without
+    thresholds."""
     outputs = layout["tree_outputs"]
-    n_trees = len(outputs)
     per_output = np.bincount(outputs, minlength=d)      # trees per output
     by_count = np.argsort(-per_output, kind="stable")   # table position -> output
-    place = np.empty(d, dtype=int)
-    place[by_count] = np.arange(d)
-    # the trees round-major (round of a tree = number of earlier trees on
-    # its output), a round's by table position
-    rounds = np.empty(n_trees, dtype=int)
-    rounds[np.argsort(outputs, kind="stable")] = _runs(per_output)
-    trees = np.lexsort((place[outputs], rounds))
-    tree_output = outputs[trees]
-    features, thresholds, out_m, tree_m, tree_rank = _thresholds(layout, trees, d)
-    # per feature, every tree's intervals, tree after tree: the tree, the
-    # interval's index j in it, whether it is the last, and the threshold
-    # that ends it (NaN for the last)
-    intervals = []
-    for table, m_t, rank in zip(thresholds, tree_m, tree_rank):
-        item_tree, j = np.repeat(np.arange(n_trees), m_t + 1), _runs(m_t + 1)
-        last = j == m_t[item_tree]
-        bound = np.full(len(j), np.nan)
-        bound[~last] = table[rank, tree_output[item_tree[~last]]]
-        intervals.append((item_tree, j, last, bound))
-    own_strides, own_cells = _grids(tree_m)
-    own_value = _own_values(layout, learning_rate, trees, features, tree_m,
-                            [bound for *_, bound in intervals])
-
-    # per feature, the trees' maps, tree after tree: the run of output
-    # intervals inside tree interval j holds j * stride, plus the tree's
-    # own-grid start on the first feature
-    maps = []
-    for i, (m, rank, (item_tree, j, last, _)) in enumerate(zip(out_m, tree_rank, intervals)):
-        end = np.empty(len(j), dtype=int)            # past the run's last output interval
-        end[last], end[~last] = (m + 1)[tree_output], rank + 1
-        run = end - np.where(j > 0, np.concatenate(([0], end[:-1])), 0)
-        step = j * own_strides[i][item_tree]
-        if i == 0:
-            step += (np.cumsum(own_cells) - own_cells)[item_tree]
-        maps.append(np.repeat(step, run))
-    del intervals
-
-    # the output cells by table position, and each one's map cell per
-    # feature in a round's slice of the maps
-    out_strides, out_cells = _grids(out_m)
-    ends = np.cumsum(out_cells[by_count])
-    _, positions = _cells(out_m[:, by_count])
-    # per round: the outputs that have an r-th tree (the first ones), their
-    # cells and, per feature, the start of the round's slice of the maps
-    active = (per_output[:, None] > np.arange(per_output.max(initial=0))).sum(axis=0)
-    heads = np.cumsum(out_m[:, by_count] + 1, axis=1)[:, active - 1]
-    starts = np.cumsum(heads, axis=1) - heads
-    values = np.repeat(np.asarray(base, dtype=float)[by_count], out_cells[by_count])
-    for r, cells in enumerate(ends[active - 1].tolist()):
-        index = np.take(maps[0][starts[0, r]:], positions[0][:cells])
-        for flat, position, start in zip(maps[1:], positions[1:], starts[1:, r]):
-            index += np.take(flat[start:], position[:cells])
-        values[:cells] += np.take(own_value, index)
+    features, thresholds, counts = _thresholds(layout, d)
+    strides, cells = _grids(counts)
+    sizes = cells[by_count]                             # cell counts by table position
+    ends = np.cumsum(sizes)
+    # each cell's output and, per feature, representative point: a_k in
+    # interval k, NaN in the last
+    output = np.repeat(by_count, sizes)
+    local = np.arange(len(output)) - np.repeat(ends - sizes, sizes)
+    point = np.empty((len(counts), len(output)))
+    for row, table, m, stride in zip(point, thresholds, counts, strides):
+        table = np.concatenate([table, np.full((1, d), np.nan)])
+        table[m, np.arange(d)] = np.nan
+        row[:] = table[local // stride[output] % (m + 1)[output], output]
+    del local                   # freed before the walk, whose temporaries set the peak
+    right, threshold, feature, value, depths = _walk_tables(layout, learning_rate)
+    pick = np.zeros(max(features, default=0) + 2, dtype=int)  # feature -> its row's start
+    pick[list(features)] = np.arange(len(features)) * len(output)
+    pick = pick[feature]
+    # the trees output by output, each output's in fit order
+    trees, first = np.argsort(outputs, kind="stable"), np.cumsum(per_output) - per_output
+    values = np.repeat(np.asarray(base, dtype=float)[by_count], sizes)
+    for r in range(per_output.max(initial=0)):
+        n = ends[np.count_nonzero(per_output > r) - 1]
+        node, column = trees[first[output[:n]] + r], np.arange(n)   # the r-th trees' roots
+        for _ in range(int(depths.max(initial=0))):
+            node = right[node] - (np.take(point, pick[node] + column) <= threshold[node])
+        values[:n] += value[node]
     np.clip(values, 0.0, 1.0, out=values)
+    offsets = np.empty(d, dtype=int)
+    offsets[by_count] = ends - sizes
     n = len(features)
     return StepTables(features, tuple(_read_only(t, float) for t in thresholds[:n]),
-                      tuple(_read_only(m, int) for m in out_m[:n]),
-                      tuple(_read_only(s, int) for s in out_strides[:n]),
-                      _read_only((ends - out_cells[by_count])[place], int),
-                      _read_only(values, float))
+                      tuple(_read_only(m, int) for m in counts[:n]),
+                      tuple(_read_only(s, int) for s in strides[:n]),
+                      _read_only(offsets, int), _read_only(values, float))
 
 
-def _thresholds(layout, trees, d):
-    """The feature ids the trees split on and, per feature: a (most
-    thresholds, outputs) matrix of each output's sorted distinct thresholds,
-    padded with +inf; each output's threshold count; each tree's distinct
-    threshold count, trees in `trees` order; and those thresholds as ranks
-    in their output's list, tree after tree, each tree's ascending. Without
-    features, one feature without thresholds."""
-    outputs, node_feature = layout["tree_outputs"], layout["node_feature"]
-    position = np.empty(len(trees), dtype=int)
-    position[trees] = np.arange(len(trees))
-    tree_of = position[np.repeat(np.arange(len(trees)), layout["tree_sizes"])]
+def _thresholds(layout, d):
+    """The feature ids the trees split on, per feature a (most thresholds,
+    outputs) matrix of each output's sorted distinct thresholds, padded with
+    +inf, and each output's threshold count per feature, a (features,
+    outputs) array. Without features, one feature without thresholds."""
+    node_feature = layout["node_feature"]
+    node_output = np.repeat(layout["tree_outputs"].astype(np.min_scalar_type(d)),
+                            layout["tree_sizes"])
     inner = node_feature >= 0
     features = (tuple(np.flatnonzero(np.bincount(node_feature[inner])).tolist())
                 if np.any(inner) else ())
-    thresholds, out_m, tree_m, tree_rank = [], [], [], []
+    thresholds, counts = [], []
     for f in features:
         nodes = np.flatnonzero(node_feature == f)
         # the nodes by output, then threshold (a stable sort on the small
-        # output ids is a radix sort)
-        a, tree = layout["node_threshold"][nodes], tree_of[nodes]
-        output = outputs[trees[tree]].astype(np.min_scalar_type(d))
+        # output ids is a radix sort); then each output's distinct ones
+        a, output = layout["node_threshold"][nodes], node_output[nodes]
         order = np.argsort(a)
         order = order[np.argsort(output[order], kind="stable")]
-        a, tree, output = a[order], tree[order], output[order]
+        a, output = a[order], output[order]
         first = np.concatenate(([True], (output[1:] != output[:-1]) | (a[1:] != a[:-1])))
-        m = np.bincount(output[first], minlength=d)
-        rank = np.cumsum(first) - 1 - (np.cumsum(m) - m)[output]
+        a, output = a[first], output[first]
+        m = np.bincount(output, minlength=d)
         table = np.full((m.max(), d), np.inf)
-        table[rank[first], output[first]] = a[first]
-        own = np.sort(tree * len(table) + rank)             # (tree, rank) pairs
-        own = own[np.concatenate(([True], own[1:] != own[:-1]))]
+        table[np.arange(len(a)) - (np.cumsum(m) - m)[output], output] = a
         thresholds.append(table)
-        out_m.append(m)
-        tree_m.append(np.bincount(own // len(table), minlength=len(trees)))
-        tree_rank.append(own % len(table))
+        counts.append(m)
     if not features:
-        thresholds, out_m, tree_m, tree_rank = ([np.zeros((0, d))], [np.zeros(d, int)],
-                                                [np.zeros(len(trees), int)], [np.zeros(0, int)])
-    return features, thresholds, np.array(out_m), np.array(tree_m), tree_rank
-
-
-def _own_values(layout, learning_rate, trees, features, tree_m, bounds):
-    """`learning_rate * leaf value` of the trees (in `trees` order) at every
-    cell of their own grids, tree after tree, each grid in row-major order:
-    each cell is walked at its representative point, on each feature the
-    entry of `bounds` of its interval: the threshold that ends it, or NaN
-    for the last."""
-    right, threshold, feature, value, depths = _walk_tables(layout, learning_rate)
-    cell_tree, positions = _cells(tree_m)
-    point = np.stack([bound[p] for bound, p in zip(bounds, positions)])
-    row = np.zeros(max(features, default=0) + 2, dtype=int)  # feature -> row of point
-    row[list(features)] = np.arange(len(features))
-    # a node's feature's row in the flat points, then each cell's column
-    pick, column = row[feature] * len(cell_tree), np.arange(len(cell_tree))
-    node = trees[cell_tree]                                # the roots
-    for _ in range(int(depths.max(initial=0))):
-        node = right[node] - (np.take(point, pick[node] + column) <= threshold[node])
-    return value[node]
+        thresholds, counts = [np.zeros((0, d))], [np.zeros(d, int)]
+    return features, thresholds, np.array(counts)
 
 
 def param_count(model: TreeEnsembleModel) -> int:

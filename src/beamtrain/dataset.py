@@ -145,9 +145,7 @@ def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,
     if len(train) < folds:
         raise ValueError(f"{len(train)} training rows cannot fill {folds} folds")
     fold_of = np.empty(len(train), dtype=int)
-    shuffled_train = rng.permutation(len(train))
-    for pos, row in enumerate(shuffled_train):
-        fold_of[row] = pos % folds
+    fold_of[rng.permutation(len(train))] = np.arange(len(train)) % folds
     return DatasetSplit(train_rows=train, test_rows=test, fold_assignments=fold_of)
 
 

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -551,6 +552,57 @@ def test_step_tables_hold_each_outputs_sorted_distinct_thresholds(ensemble):
         assert np.array_equal(strides, expected)
         expected = expected * (counts + 1)
 
+
+
+def _assert_cells_hold_the_walk(model, trees, outputs, intervals, width):
+    """The cells of `outputs` at the (cells, features) interval indices
+    `intervals` hold, bit for bit, the clipped base plus the fit-order sum
+    of `learning_rate * tree_predict` of the output's trees at the cell's
+    representative point: a_k on interval k, NaN on the last and on the
+    features the trees never split on. Returns the cells' flat indices."""
+    tables = model.step_tables
+    flat = tables.offsets[outputs]
+    points = np.full((len(outputs), width), np.nan)
+    for f, matrix, counts, strides, k in zip(tables.features, tables.thresholds, tables.counts,
+                                             tables.strides, intervals.T):
+        flat += k * strides[outputs]
+        points[:, f] = np.where(k < counts[outputs],
+                                matrix[np.minimum(k, len(matrix) - 1), outputs], np.nan)
+    expected = _reference_predict(model, trees, points)[np.arange(len(outputs)), outputs]
+    assert tables.values[flat].tobytes() == expected.tobytes()
+    return flat
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ensembles())
+def test_every_step_table_cell_holds_the_walk_at_its_point(ensemble):
+    """Cell by cell, every output's table holds its trees' walk at the
+    cell's representative point, and the outputs' cells cover the table
+    once."""
+    model, trees = ensemble
+    tables = model.step_tables
+    outputs, intervals = [], []
+    for output in range(model.output_dimension):
+        grid = np.array(list(product(*(range(m[output] + 1) for m in tables.counts))),
+                        dtype=int, ndmin=2)
+        outputs += [output] * len(grid)
+        intervals.append(grid)
+    flat = _assert_cells_hold_the_walk(model, trees, np.array(outputs),
+                                       np.concatenate(intervals), 3)
+    assert sorted(flat.tolist()) == list(range(tables.cells))
+
+
+def test_step_table_cells_of_many_outputs_and_rounds_hold_the_walk():
+    """A seeded sample of the cells of 256 outputs with 11 or 12 depth-3
+    trees each, so that the compile's rounds run over shrinking prefixes."""
+    model = boosting.TreeEnsembleModel(np.full(256, 0.5), _full_trees(3000, 3, 256, seed=1),
+                                       0.3, 256, "coupled")
+    tables = model.step_tables
+    rng = np.random.default_rng(1)
+    outputs = rng.integers(0, 256, 2000)
+    intervals = np.stack([rng.integers(0, m[outputs] + 1) for m in tables.counts], axis=1)
+    assert tables.features == (0, 1)
+    _assert_cells_hold_the_walk(model, model.trees, outputs, intervals, 2)
 
 @settings(max_examples=100, deadline=None)
 @given(_ensembles(), st.integers(1, 3),

@@ -197,6 +197,21 @@ def test_split_determinism_and_errors():
         split_dataset(100, folds=1)
 
 
+
+def test_split_replays_the_seeded_permutations():
+    """The test rows are the first round(n * fraction) of one seeded
+    permutation; the next permutation of the sorted training rows deals
+    them out to the folds round-robin, its k-th entry to fold k % folds."""
+    split = split_dataset(103, test_fraction=0.2, folds=7, seed=5)
+    rng = np.random.default_rng(5)
+    order = rng.permutation(103)
+    assert split.test_rows.tolist() == sorted(order[:21].tolist())
+    assert split.train_rows.tolist() == sorted(order[21:].tolist())
+    fold_of = [None] * 82
+    for k, row in enumerate(rng.permutation(82).tolist()):
+        fold_of[row] = k % 7
+    assert split.fold_assignments.tolist() == fold_of
+
 _CORPUS = {"master_seed": 3, "snapshot_count": 2, "scene": "{}"}
 
 
