@@ -43,8 +43,8 @@ reference may split on a NaN. Throughput ratios in [0, 1] never get there.
 
 Prediction does not walk the trees: it reads exact per-output step tables,
 compiled once per model by walking every table cell through its output's
-trees (see `TreeEnsembleModel`), so that ranking the beams of one UE is a
-threshold count and one gather.
+trees (see `TreeEnsembleModel`), so that ranking the beams of one UE is
+one binary search per feature and one gather.
 """
 
 import logging
@@ -67,10 +67,9 @@ _NODE_FIELDS = (("feature", int), ("threshold", float), ("left", int), ("right",
 # under these names.
 _LAYOUT = (("tree_outputs", int), ("tree_sizes", int)) + tuple(
     ("node_" + name, dtype) for name, dtype in _NODE_FIELDS)
-# Prediction counts thresholds in chunks of at most this many (row,
-# threshold, output) cells, and training fits blocks of about this many
-# (feature, row, output) cells, so that their temporaries stay small
-# whatever the batch or corpus size.
+# Prediction gathers chunks of at most this many (row, output) cells, and
+# training fits blocks of about this many (feature, row, output) cells, so
+# that their temporaries stay small whatever the batch or corpus size.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -120,8 +119,8 @@ class StepTables:
     """A model's predictions as exact step functions of the features its
     trees split on, one table per output; see `TreeEnsembleModel`."""
     features: tuple       # the feature ids the trees split on, ascending
-    thresholds: tuple     # per feature: (most thresholds, outputs), +inf padded
-    counts: tuple         # per feature: each output's threshold count
+    cuts: tuple           # per feature: all outputs' sorted distinct thresholds
+    below: tuple          # per feature: (cuts + 1, outputs) interval of each output
     strides: tuple        # per feature: each output's flat-index step per interval
     offsets: np.ndarray   # each output's first cell in `values`
     values: np.ndarray    # the clipped prediction of every cell, flat
@@ -132,8 +131,8 @@ class StepTables:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (*self.thresholds, *self.counts, *self.strides,
-                                      self.offsets, self.values))
+        return sum(a.nbytes for a in (*self.cuts, *self.below, *self.strides, self.offsets,
+                                      self.values))
 
 
 class TreeEnsembleModel:
@@ -157,14 +156,18 @@ class TreeEnsembleModel:
     last holding everything above a_{m-1} and NaN, which no `x <=` passes.
     Every point of an interval takes the same branch at every node of those
     trees, so an output's prediction is constant on each cell of the
-    product of its intervals, Π_f (m_f + 1) cells. A row's interval on f is
-    the number of thresholds it does not satisfy, `~(x <= a)`, capped at m
-    (NaN satisfies none, not even the +inf padding), and one gather reads
-    its cell. The compile walks each cell's representative point (a_k for
-    interval k, NaN for the last) through the output's trees, and the cell
-    holds the base plus `learning_rate * leaf value` of those trees, added
-    in fit order as a per-tree loop adds them, clipped to [0, 1]. So
-    predictions are bit-identical to walking the trees one at a time.
+    product of its intervals, Π_f (m_f + 1) cells. The tables keep, per
+    feature, the cuts (the sorted distinct thresholds of all outputs, -0.0
+    and 0.0 being one) and `below`, whose entry [g, o] counts output o's
+    thresholds among the first g cuts. A row's interval on f is then
+    `below[searchsorted(cuts, x)]`: the count of the thresholds below x,
+    which are those `x <=` fails; NaN sorts past every cut, into the last
+    interval. One gather reads the row's cells. The compile walks each
+    cell's representative point (a_k for interval k, NaN for the last)
+    through the output's trees, and the cell holds the base plus
+    `learning_rate * leaf value` of those trees, added in fit order as a
+    per-tree loop adds them, clipped to [0, 1]. So predictions are
+    bit-identical to walking the trees one at a time.
     """
 
     def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
@@ -233,25 +236,20 @@ class TreeEnsembleModel:
         return self.predict_batch(np.asarray(location, dtype=float).reshape(1, -1))[0]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Each row's cell of each output's step table. A row's interval on
-        a feature is the number of the output's thresholds it does not
-        satisfy, counted along a (rows, thresholds, outputs) block as the
-        padded count less those `x <=` passes and capped at the output's
-        count; the intervals, times the strides, plus the offsets index one
-        gather. Rows go in chunks of at most `_CHUNK_CELLS` block cells."""
+        """Each row's cell of each output's step table. On every feature one
+        binary search of the cuts finds each row's `below` entry, each
+        output's interval; the intervals, times the strides, plus the
+        offsets index one gather. Rows go in chunks of at most
+        `_CHUNK_CELLS` (row, output) cells."""
         X = np.asarray(X, dtype=float)
         tables = self.step_tables
+        at = [np.searchsorted(cuts, X[:, f]) for f, cuts in zip(tables.features, tables.cuts)]
         out = np.empty((X.shape[0], self.output_dimension))
-        widest = max((len(a) for a in tables.thresholds), default=0)
-        step = max(1, _CHUNK_CELLS // max(1, widest * self.output_dimension))
+        step = max(1, _CHUNK_CELLS // self.output_dimension)
         for lo in range(0, X.shape[0], step):
             flat = tables.offsets
-            for f, thresholds, counts, strides in zip(tables.features, tables.thresholds,
-                                                      tables.counts, tables.strides):
-                satisfied = X[lo:lo + step, f, None, None] <= thresholds
-                interval = len(thresholds) - np.add.reduce(
-                    satisfied.view(np.uint8), axis=1, dtype=np.min_scalar_type(len(thresholds)))
-                flat = flat + np.minimum(interval, counts) * strides
+            for g, below, strides in zip(at, tables.below, tables.strides):
+                flat = flat + below[g[lo:lo + step]] * strides
             out[lo:lo + step] = tables.values[flat]
         return out
 
@@ -315,19 +313,19 @@ def _compile(layout, base, learning_rate, d) -> StepTables:
     outputs = layout["tree_outputs"]
     per_output = np.bincount(outputs, minlength=d)      # trees per output
     by_count = np.argsort(-per_output, kind="stable")   # table position -> output
-    features, thresholds, counts = _thresholds(layout, d)
+    features, cuts, below, points = _thresholds(layout, d)
+    counts = np.array([b[-1] for b in below], dtype=int)  # (features, outputs)
     strides, cells = _grids(counts)
     sizes = cells[by_count]                             # cell counts by table position
     ends = np.cumsum(sizes)
-    # each cell's output and, per feature, representative point: a_k in
-    # interval k, NaN in the last
+    # each cell's output and, per feature, representative point: the
+    # output's k-th threshold in interval k, NaN in the last
     output = np.repeat(by_count, sizes)
     local = np.arange(len(output)) - np.repeat(ends - sizes, sizes)
     point = np.empty((len(counts), len(output)))
-    for row, table, m, stride in zip(point, thresholds, counts, strides):
-        table = np.concatenate([table, np.full((1, d), np.nan)])
-        table[m, np.arange(d)] = np.nan
-        row[:] = table[local // stride[output] % (m + 1)[output], output]
+    for row, table, m, stride in zip(point, points, counts, strides):
+        first = np.cumsum(m + 1) - (m + 1)              # each output's first point
+        row[:] = table[first[output] + local // stride[output] % (m + 1)[output]]
     del local                   # freed before the walk, whose temporaries set the peak
     right, threshold, feature, value, depths = _walk_tables(layout, learning_rate)
     pick = np.zeros(max(features, default=0) + 2, dtype=int)  # feature -> its row's start
@@ -346,42 +344,50 @@ def _compile(layout, base, learning_rate, d) -> StepTables:
     offsets = np.empty(d, dtype=int)
     offsets[by_count] = ends - sizes
     n = len(features)
-    return StepTables(features, tuple(_read_only(t, float) for t in thresholds[:n]),
-                      tuple(_read_only(m, int) for m in counts[:n]),
+    return StepTables(features, tuple(_read_only(c, float) for c in cuts[:n]),
+                      tuple(_read_only(b, b.dtype) for b in below[:n]),
                       tuple(_read_only(s, int) for s in strides[:n]),
                       _read_only(offsets, int), _read_only(values, float))
 
 
 def _thresholds(layout, d):
-    """The feature ids the trees split on, per feature a (most thresholds,
-    outputs) matrix of each output's sorted distinct thresholds, padded with
-    +inf, and each output's threshold count per feature, a (features,
-    outputs) array. Without features, one feature without thresholds."""
+    """The feature ids the trees split on and, per feature, the sorted
+    distinct thresholds of all outputs (the cuts), the (cuts + 1, outputs)
+    counts of each output's thresholds among the first g cuts, in the
+    smallest unsigned dtype, and the representative points: each output's
+    sorted distinct thresholds and a NaN, output after output. -0.0 and 0.0
+    are one threshold. Without features, one feature without thresholds."""
     node_feature = layout["node_feature"]
     node_output = np.repeat(layout["tree_outputs"].astype(np.min_scalar_type(d)),
                             layout["tree_sizes"])
     inner = node_feature >= 0
     features = (tuple(np.flatnonzero(np.bincount(node_feature[inner])).tolist())
                 if np.any(inner) else ())
-    thresholds, counts = [], []
+    cuts, below, points = [], [], []
     for f in features:
         nodes = np.flatnonzero(node_feature == f)
-        # the nodes by output, then threshold (a stable sort on the small
-        # output ids is a radix sort); then each output's distinct ones
+        # the nodes by threshold, then by output (a stable sort on the small
+        # output ids is a radix sort); then the distinct ones, and each
+        # output's distinct ones
         a, output = layout["node_threshold"][nodes], node_output[nodes]
         order = np.argsort(a)
+        cut = a[order]
+        cuts.append(cut[np.concatenate(([True], cut[1:] != cut[:-1]))])
         order = order[np.argsort(output[order], kind="stable")]
         a, output = a[order], output[order]
         first = np.concatenate(([True], (output[1:] != output[:-1]) | (a[1:] != a[:-1])))
         a, output = a[first], output[first]
-        m = np.bincount(output, minlength=d)
-        table = np.full((m.max(), d), np.inf)
-        table[np.arange(len(a)) - (np.cumsum(m) - m)[output], output] = a
-        thresholds.append(table)
-        counts.append(m)
+        # a 1 just past each output's thresholds' cuts, summed down the cuts
+        # in the table's own dtype
+        count = np.zeros((len(cuts[-1]) + 1, d),
+                         dtype=np.min_scalar_type(np.bincount(output).max()))
+        count[np.searchsorted(cuts[-1], a) + 1, output] = 1
+        below.append(np.add.accumulate(count, axis=0, dtype=count.dtype, out=count))
+        points.append(np.full(len(a) + d, np.nan))
+        points[-1][np.arange(len(a)) + output] = a
     if not features:
-        thresholds, counts = [np.zeros((0, d))], [np.zeros(d, int)]
-    return features, thresholds, np.array(counts)
+        cuts, below, points = [np.zeros(0)], [np.zeros((1, d), np.uint8)], [np.full(d, np.nan)]
+    return features, cuts, below, points
 
 
 def param_count(model: TreeEnsembleModel) -> int:

@@ -131,6 +131,8 @@ def cmd_model_inspect(args) -> int:
     print(f"param_count: {boosting.param_count(model)}")
     tables = model.step_tables
     print(f"step_tables: {tables.cells} cells, {tables.nbytes / 2**20:.3f} MB")
+    print("cuts: " + (", ".join(f"{len(cuts)} on feature {f}"
+                                for f, cuts in zip(tables.features, tables.cuts)) or "none"))
     hist = model.depth_histogram()
     for depth in sorted(hist):
         print(f"depth {depth}: {hist[depth]} trees")

@@ -19,6 +19,10 @@ from .linkeval import sweep_all  # noqa: F401
 log = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 2
+# `to_atr` stacks the TR rows this many at a time: a stacked copy of the
+# whole TR matrix (46 MB at the paper's size) raised the peak RSS of a
+# paper-size run by 10 MB, although it is freed before training.
+_BLOCK_ROWS = 256
 # the config values the corpus was built from, besides the pair shape
 CORPUS_KEYS = ("master_seed", "snapshot_count", "scene")
 _DATASET_KEYS = ("locations", "snapshot_ids", "ue_indices", "values", "row_kind",
@@ -109,27 +113,35 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
 
 
 def to_throughput_ratios(rate_rows: list[RateRow]) -> list[TRRow]:
-    """Each row divided by its peak rate. The rows' `ratios` are views into
-    one (rows, |W|*|F|) array."""
-    ratios = np.empty((len(rate_rows), len(rate_rows[0].rates) if rate_rows else 0))
-    out = []
-    for row, tr in zip(rate_rows, ratios):
-        peak = float(np.max(row.rates))
-        if peak <= 0.0:
-            raise ValueError("rate row with non-positive max (should be dropped upstream)")
-        out.append(TRRow(location=row.location, ratios=np.divide(row.rates, peak, out=tr),
-                         max_rate=peak, snapshot_id=row.snapshot_id, ue_index=row.ue_index))
-    return out
+    """Each row divided by its peak rate, as one max and one divide over the
+    stacked rates. The rows' `ratios` are views into one (rows, |W|*|F|)
+    array."""
+    if not rate_rows:
+        return []
+    ratios = np.array([row.rates for row in rate_rows])
+    peaks = np.max(ratios, axis=1)
+    if np.any(peaks <= 0.0):
+        raise ValueError("rate row with non-positive max (should be dropped upstream)")
+    ratios /= peaks[:, None]
+    return [TRRow(location=row.location, ratios=tr, max_rate=peak, snapshot_id=row.snapshot_id,
+                  ue_index=row.ue_index)
+            for row, tr, peak in zip(rate_rows, ratios, peaks.tolist())]
 
 
 def to_atr(tr_rows: list[TRRow], num_combiners: int, num_beamformers: int) -> list[ATRRow]:
     """ATR of a combiner averages its row over all beamformers, and vice
-    versa; both vectors share the grand mean of the TR row."""
-    out = []
-    for row in tr_rows:
-        grid = row.ratios.reshape(num_combiners, num_beamformers)
-        out.append(ATRRow(atr_f=grid.mean(axis=0), atr_w=grid.mean(axis=1)))
-    return out
+    versa; both vectors share the grand mean of the TR row. Blocks of
+    `_BLOCK_ROWS` rows are stacked as (rows, |W|, |F|) and averaged along
+    each axis into one array per side, of which the rows' `atr_f` and
+    `atr_w` are views."""
+    atr_f = np.empty((len(tr_rows), num_beamformers))
+    atr_w = np.empty((len(tr_rows), num_combiners))
+    for lo in range(0, len(tr_rows), _BLOCK_ROWS):
+        grid = np.array([row.ratios for row in tr_rows[lo:lo + _BLOCK_ROWS]])
+        grid = grid.reshape(-1, num_combiners, num_beamformers)
+        grid.mean(axis=1, out=atr_f[lo:lo + _BLOCK_ROWS])
+        grid.mean(axis=2, out=atr_w[lo:lo + _BLOCK_ROWS])
+    return [ATRRow(atr_f=f, atr_w=w) for f, w in zip(atr_f, atr_w)]
 
 
 def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,

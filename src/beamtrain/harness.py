@@ -381,9 +381,11 @@ def run_experiment(config: ExperimentConfig) -> EvalResult:
 
 def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
     """Curves over the N_B sweep and the decoupled (|S_w|, |S_f|) heatmap.
-    Each model ranks every test row's beams once, and each curve point and
-    heatmap cell is one entry of the `metrics.prefix_tables` of those
-    orderings, each cut to the longest prefix that a point or cell reads.
+    Each model ranks every test row's beams once, up to the longest prefix
+    that a curve point or heatmap cell reads (`selectors.top_k_stable`, the
+    prefix of a stable descending sort, which on theta1's wide rows it finds
+    without sorting them whole), and each point and cell is one entry of the
+    `metrics.prefix_tables` of those orderings.
     Each role's rows, trees, step-table size and prediction time (with the
     compile of a model not yet read) are logged at info level."""
     num_f, num_w = config.num_beamformers, config.num_combiners
@@ -418,7 +420,7 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
         log.info("predicted %s: %d rows, %d trees, %d table cells (%.3f MB), %.4f s", role,
                  len(predictions), len(models[role].layout["tree_sizes"]), steps.cells,
                  steps.nbytes / 2**20, time.perf_counter() - start)
-        return np.argsort(-predictions, axis=1, kind="stable")[:, :length]
+        return selectors.top_k_stable(predictions, length)
 
     tables = {}
     if 1 in config.scenarios:

@@ -7,8 +7,9 @@ predicted per-beam ATR.
 Scenario 3 (decoupled without location): the UE picks by predicted ATR; the
 BS serves a precomputed cluster-coverage beam list, independent of the UE.
 
-Every top-k here uses a stable descending sort, so ties resolve to the
-lowest beam index and the selected sets are nested as budgets grow.
+Every top-k here ranks as a stable descending sort does (`top_k_stable`),
+so ties resolve to the lowest beam index and the selected sets are nested
+as budgets grow.
 """
 
 import csv
@@ -47,9 +48,44 @@ class DecoupledSets:
 
 
 def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores; ties resolve to lower indices."""
-    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
-    return order[:k]
+    """Indices of the k largest scores along the last axis, best first.
+
+    Tie rule (frozen): equal scores rank the lower index first, -0.0 and
+    0.0 being equal, and NaN ranks last. The result is that of a stable
+    descending sort, `np.argsort(-scores, axis=-1, kind="stable")[..., :k]`,
+    so selections are nested as k grows.
+
+    A batch of at least 8 rows of at least 256 scores, k at most half of
+    them, is not sorted whole; there this is several times faster, and on
+    fewer or narrower rows slower, than the full sort. Each row's k-th
+    value comes from a partition, and the row keeps every value above it
+    and its lowest-index ties at it, k values, whose columns are in index
+    order, so sorting them by value, stably where the row holds ties, keeps
+    the tie rule. A row whose k-th value is NaN is sorted whole."""
+    neg = -np.asarray(scores, dtype=float)
+    if neg.ndim != 2 or len(neg) < 8 or neg.shape[1] < 256 or 2 * k > neg.shape[1] or k < 1:
+        return np.argsort(neg, axis=-1, kind="stable")[..., :k]
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    keep = neg <= kth
+    over = np.count_nonzero(keep, axis=1) > k          # rows with more ties than places
+    if np.any(over):
+        ties = neg[over] == kth[over]
+        places = k - np.count_nonzero(neg[over] < kth[over], axis=1)
+        keep[over] &= ~ties | (np.cumsum(ties, axis=1) <= places[:, None])
+    redo = np.isnan(kth[:, 0])                         # NaN never passes `<=`
+    keep[redo] = np.arange(neg.shape[1]) < k           # placeholders, sorted whole below
+    columns = np.flatnonzero(keep).reshape(len(neg), k) % neg.shape[1]
+    values = np.take_along_axis(neg, columns, axis=1)
+    # numpy's default sort, several times faster, orders a row without ties
+    # as any sort does; a row with ties is sorted again, stably
+    order = np.argsort(values, axis=1)
+    ranked = np.take_along_axis(values, order, axis=1)
+    tied = np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)
+    order[tied] = np.argsort(values[tied], axis=1, kind="stable")
+    top = np.take_along_axis(columns, order, axis=1)
+    if np.any(redo):
+        top[redo] = np.argsort(neg[redo], axis=1, kind="stable")[:, :k]
+    return top
 
 
 def select_coupled(model, location, n_pairs: int, num_beamformers: int) -> BeamPairSet:

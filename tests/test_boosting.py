@@ -478,13 +478,16 @@ def test_walk_and_step_tables_of_a_hand_built_model():
     # the faster; a cell adds the three trees' values in fit order
     tables = model.step_tables
     assert tables.features == (0, 1)
-    assert [t.tolist() for t in tables.thresholds] == [[[1.0]], [[0.5]]]
-    assert [c.tolist() for c in tables.counts] == [[1], [1]]
+    assert [c.tolist() for c in tables.cuts] == [[1.0], [0.5]]
+    # below[g] holds the output's intervals at and after cut g - 1: none of
+    # its thresholds lies below a row up to the cut, one above it
+    assert [b.tolist() for b in tables.below] == [[[0], [1]], [[0], [1]]]
+    assert [b.dtype for b in tables.below] == [np.uint8, np.uint8]
     assert [s.tolist() for s in tables.strides] == [[2], [1]]
     assert tables.offsets.tolist() == [0] and tables.cells == 4
     assert tables.values.tolist() == [0.05 + 0.05 + stump + deep for stump, deep in (
         (0.1, 0.15), (0.4, 0.15), (0.1, 0.2), (0.4, 0.25))]
-    for table in (*tables.thresholds, *tables.counts, *tables.strides, tables.offsets,
+    for table in (*tables.cuts, *tables.below, *tables.strides, tables.offsets,
                   tables.values):
         with pytest.raises(ValueError):
             table[0] = 1
@@ -525,32 +528,41 @@ def test_walk_tables_hold_the_trees_level_by_level(ensemble):
 @settings(max_examples=100, deadline=None)
 @given(_ensembles())
 def test_step_tables_hold_each_outputs_sorted_distinct_thresholds(ensemble):
-    """Per feature, an output's column holds the sorted distinct thresholds
-    of its trees' nodes on that feature (-0.0 and 0.0 are one), then +inf
-    padding; its table has one cell per product of its intervals."""
+    """Per feature, the cuts are the sorted distinct thresholds of all the
+    trees' nodes on that feature (-0.0 and 0.0 are one, +-inf are
+    thresholds like any other), and `below[g]` counts each output's own
+    sorted distinct thresholds among the first g cuts, in the smallest
+    unsigned dtype that holds them. So `below[searchsorted(cuts, x)]` is the
+    number of an output's thresholds that `x <=` fails, NaN failing all of
+    them. An output's table has one cell per product of its intervals."""
     model, trees = ensemble
     tables = model.step_tables
     used = sorted({f for _, tree in trees for f in tree.feature[tree.feature >= 0].tolist()})
     assert tables.features == tuple(used)
     cells = np.ones(model.output_dimension, dtype=int)
-    for f, matrix, counts, strides in zip(tables.features, tables.thresholds, tables.counts,
-                                          tables.strides):
-        for output in range(model.output_dimension):
-            expected = sorted({float(t) for dim, tree in trees if dim == output
-                               for t in tree.threshold[tree.feature == f]})
-            assert matrix[:counts[output], output].tolist() == expected
-            assert np.all(matrix[counts[output]:, output] == np.inf)
-        assert len(matrix) == counts.max()
-        cells *= counts + 1
+    probes = [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.25, 1.0, 1.25, 3.0, 3.5]
+    for f, cuts, below in zip(tables.features, tables.cuts, tables.below):
+        own = [sorted({float(t) for dim, tree in trees if dim == output
+                       for t in tree.threshold[tree.feature == f]})
+               for output in range(model.output_dimension)]
+        assert cuts.tolist() == sorted(set().union(*own))
+        assert np.all(cuts[1:] > cuts[:-1])
+        assert below.shape == (len(cuts) + 1, model.output_dimension)
+        assert below.dtype == np.min_scalar_type(max(map(len, own)))
+        for output, a in enumerate(own):
+            assert below[:, output].tolist() == [0] + [sum(t <= c for t in a) for c in cuts]
+            for x in probes + cuts.tolist():
+                assert below[np.searchsorted(cuts, x), output] == sum(not x <= t for t in a)
+        cells *= below[-1].astype(int) + 1
     assert tables.cells == cells.sum()
     # each output's cells are one contiguous run, the feature strides of a
     # row-major grid
     order = np.argsort(tables.offsets, kind="stable")
     assert np.array_equal(np.sort(tables.offsets), np.cumsum(cells[order]) - cells[order])
     expected = np.ones(model.output_dimension, dtype=int)
-    for counts, strides in reversed(list(zip(tables.counts, tables.strides))):
+    for below, strides in reversed(list(zip(tables.below, tables.strides))):
         assert np.array_equal(strides, expected)
-        expected = expected * (counts + 1)
+        expected = expected * (below[-1].astype(int) + 1)
 
 
 
@@ -559,15 +571,16 @@ def _assert_cells_hold_the_walk(model, trees, outputs, intervals, width):
     `intervals` hold, bit for bit, the clipped base plus the fit-order sum
     of `learning_rate * tree_predict` of the output's trees at the cell's
     representative point: a_k on interval k, NaN on the last and on the
-    features the trees never split on. Returns the cells' flat indices."""
+    features the trees never split on. a_k is the cut where the output's
+    `below` column first exceeds k. Returns the cells' flat indices."""
     tables = model.step_tables
     flat = tables.offsets[outputs]
     points = np.full((len(outputs), width), np.nan)
-    for f, matrix, counts, strides, k in zip(tables.features, tables.thresholds, tables.counts,
-                                             tables.strides, intervals.T):
+    for f, cuts, below, strides, k in zip(tables.features, tables.cuts, tables.below,
+                                          tables.strides, intervals.T):
         flat += k * strides[outputs]
-        points[:, f] = np.where(k < counts[outputs],
-                                matrix[np.minimum(k, len(matrix) - 1), outputs], np.nan)
+        past = np.argmax(below[:, outputs] > k, axis=0)      # 0 on the last interval
+        points[:, f] = np.where(k < below[-1, outputs], cuts[past - 1], np.nan)
     expected = _reference_predict(model, trees, points)[np.arange(len(outputs)), outputs]
     assert tables.values[flat].tobytes() == expected.tobytes()
     return flat
@@ -583,7 +596,7 @@ def test_every_step_table_cell_holds_the_walk_at_its_point(ensemble):
     tables = model.step_tables
     outputs, intervals = [], []
     for output in range(model.output_dimension):
-        grid = np.array(list(product(*(range(m[output] + 1) for m in tables.counts))),
+        grid = np.array(list(product(*(range(int(b[-1, output]) + 1) for b in tables.below))),
                         dtype=int, ndmin=2)
         outputs += [output] * len(grid)
         intervals.append(grid)
@@ -600,7 +613,8 @@ def test_step_table_cells_of_many_outputs_and_rounds_hold_the_walk():
     tables = model.step_tables
     rng = np.random.default_rng(1)
     outputs = rng.integers(0, 256, 2000)
-    intervals = np.stack([rng.integers(0, m[outputs] + 1) for m in tables.counts], axis=1)
+    intervals = np.stack([rng.integers(0, b[-1, outputs].astype(int) + 1) for b in tables.below],
+                         axis=1)
     assert tables.features == (0, 1)
     _assert_cells_hold_the_walk(model, model.trees, outputs, intervals, 2)
 
@@ -633,7 +647,8 @@ def test_step_tables_of_models_without_trees_or_splits():
     trees = [(2, leaf), (0, stump), (2, leaf)]
     model = model_from_trees(np.array([0.125, -0.0, 0.25]), trees, 0.5, 3)
     tables = model.step_tables
-    assert tables.features == (1,) and tables.counts[0].tolist() == [1, 0, 0]
+    assert tables.features == (1,) and tables.cuts[0].tolist() == [0.5]
+    assert tables.below[0].tolist() == [[0, 0, 0], [1, 0, 0]]
     assert tables.cells == 2 + 1 + 1
     assert tables.values[tables.offsets[1]].tobytes() == np.float64(-0.0).tobytes()
     assert model.predict_batch(X).tobytes() == _reference_predict(model, trees, X).tobytes()

@@ -154,7 +154,7 @@ def test_model_train_and_inspect(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "role: decoupled_ue" in out
     assert "param_count:" in out
-    assert re.search(r"^step_tables: [1-9]\d* cells, \d+\.\d{3} MB$", out, re.MULTILINE)
+    assert re.search(r"^step_tables: [1-9]\d* cells, \d+\.\d{3} MB\ncuts: ", out, re.MULTILINE)
 
 
 def _npz_arrays(path):
@@ -378,6 +378,8 @@ def test_model_inspect_counts_what_the_tree_views_give(tmp_path, capsys):
         f"param_count: {boosting.param_count(model)}",
         f"step_tables: {model.step_tables.cells} cells, "
         f"{model.step_tables.nbytes / 2**20:.3f} MB",
+        "cuts: " + ", ".join(f"{len(cuts)} on feature {f}" for f, cuts in zip(
+            model.step_tables.features, model.step_tables.cuts)),
         *(f"depth {depth}: {depths[depth]} trees" for depth in sorted(depths))]
 
 
@@ -388,7 +390,13 @@ def test_model_inspect_handcrafted(tmp_path, capsys):
     path = str(tmp_path / "hand.npz")
     save_model(model, path)
     assert cli.main(["model", "inspect", "--model", path]) == 0
-    assert "outputs: 1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "outputs: 1" in out
+    # each split feature's cut count is its number of distinct thresholds
+    feature, threshold = model.layout["node_feature"], model.layout["node_threshold"]
+    cuts = ", ".join(f"{len(set(threshold[feature == f].tolist()))} on feature {f}"
+                     for f in sorted(set(feature[feature >= 0].tolist())))
+    assert f"\ncuts: {cuts}\n" in out
 
 
 def test_plan_build(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from beamtrain import dataset
 from beamtrain.arrays import dft_codebook
 from beamtrain.channel import channel_for_ue, default_bs_geometry, default_ue_geometry
 from beamtrain.dataset import (RateRow, TRRow, build_rate_dataset, load_dataset, save_dataset,
@@ -119,6 +121,30 @@ def test_rate_and_tr_rows_are_views_into_one_array_each():
         assert all(view.base is base for view in views)
     assert not np.shares_memory(rows[0].rates, tr_rows[0].ratios)
     assert to_throughput_ratios([]) == []
+
+
+def test_transform_rows_equal_the_per_row_stage_bit_for_bit():
+    """The stacked transform gives each TR row its rates divided by their
+    peak, and each ATR row the per-row means over the row's (|W|, |F|)
+    grid, bit for bit, also where the rows fill no whole block; the ATR
+    rows of each side are views into one array."""
+    _, rows = _small_corpus()
+    tr_rows = to_throughput_ratios(rows)
+    assert len(rows) % 7
+    with mock.patch.object(dataset, "_BLOCK_ROWS", 7):
+        atr_rows = to_atr(tr_rows, 16, 64)
+    for row, tr, atr in zip(rows, tr_rows, atr_rows):
+        peak = float(np.max(row.rates))
+        assert tr.max_rate == peak
+        assert tr.ratios.tobytes() == (row.rates / peak).tobytes()
+        grid = tr.ratios.reshape(16, 64)
+        assert atr.atr_f.tobytes() == grid.mean(axis=0).tobytes()
+        assert atr.atr_w.tobytes() == grid.mean(axis=1).tobytes()
+    for side in ("atr_f", "atr_w"):
+        base = getattr(atr_rows[0], side).base
+        assert base is not None and base.shape[0] == len(rows)
+        assert all(getattr(atr, side).base is base for atr in atr_rows)
+    assert to_atr([], 16, 64) == []
 
 
 def test_to_throughput_ratios_basic():

@@ -6,6 +6,7 @@ import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,8 +234,46 @@ def test_build_coverage_plan_logs_cluster_sizes(caplog):
 
 
 @pytest.fixture(scope="module")
-def smoke_result():
-    return run_experiment(ExperimentConfig.smoke())
+def smoke_run():
+    """The smoke run's result, and the models, test rows and orderings that
+    its evaluation read."""
+    seen = {"orders": []}
+    evaluate_, prefix_tables = harness.evaluate, metrics.prefix_tables
+
+    def evaluate_spy(config, models, plan, X_test, TR_test):
+        seen.update(models=models, X_test=X_test)
+        return evaluate_(config, models, plan, X_test, TR_test)
+
+    def prefix_tables_spy(grid, w_order, f_order):
+        seen["orders"].append((w_order, f_order))
+        return prefix_tables(grid, w_order, f_order)
+
+    with mock.patch.object(harness, "evaluate", evaluate_spy), \
+            mock.patch.object(metrics, "prefix_tables", prefix_tables_spy):
+        return run_experiment(ExperimentConfig.smoke()), seen
+
+
+@pytest.fixture(scope="module")
+def smoke_result(smoke_run):
+    return smoke_run[0]
+
+
+def test_evaluate_orderings_are_stable_argsort_prefixes(smoke_run):
+    """On the trained smoke models, each ordering that evaluation reads is
+    the prefix of a stable descending argsort of the role's predictions:
+    theta1's 128 of 1024 pairs, which `top_k_stable` takes from a
+    partition, and the theta2_w and theta2_f orderings."""
+    _, seen = smoke_run
+    models, X = seen["models"], seen["X_test"]
+
+    def prefix(role, k):
+        return np.argsort(-models[role].predict_batch(X), axis=1, kind="stable")[:, :k]
+
+    (_, theta1), (w_order, f_order), (w_again, plan) = seen["orders"]
+    assert len(X) >= 8 and theta1.shape == (len(X), 128)
+    assert np.array_equal(theta1, prefix("theta1", 128))
+    assert np.array_equal(w_order, prefix("theta2_w", w_order.shape[1])) and w_again is w_order
+    assert np.array_equal(f_order, prefix("theta2_f", f_order.shape[1]))
 
 
 def test_smoke_run_shapes(smoke_result):

@@ -325,6 +325,45 @@ def test_decoupled_split_nested_as_budget_grows(n_b, grow, s_w, num_beamformers)
     assert small[0] <= large[0] and small[1] <= large[1]
 
 
+# Few score levels per batch, so that ties straddle the k-th value: 0.0 and
+# -0.0 tie, and NaN ranks last.
+_LEVELS = st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.inf, np.nan])
+                   | st.floats(0.0, 1.0), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=_LEVELS, rows=st.integers(1, 12),
+       width=st.sampled_from([1, 16, 64, 255, 256, 300, 1024]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_top_k_stable_rows_match_the_stable_argsort_prefix(levels, rows, width, seed, data):
+    """The top k of each row of a batch is the prefix of its stable
+    descending argsort, for every k from 1 to the width; batches of at
+    least 8 rows of at least 256 columns, k at most half the width, take
+    them from a partition."""
+    k = data.draw(st.integers(1, width))
+    rng = np.random.default_rng(seed)
+    scores = np.array(levels)[rng.integers(0, len(levels), (rows, width))]
+    expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    got = top_k_stable(scores, k)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_top_k_stable_rows_tied_across_the_kth_value():
+    """Rows whose k-th value is tied with values on both sides of it, is
+    -0.0 among 0.0, or is NaN keep the lowest-index ties, as a stable sort
+    does."""
+    rng = np.random.default_rng(3)
+    scores = rng.choice([0.0, 0.5, 1.0], size=(10, 512))
+    scores[1] = 0.5
+    scores[2] = np.where(rng.random(512) < 0.5, -0.0, 0.0)
+    scores[3, :412] = np.nan           # the k-th value is NaN from k = 101 on
+    scores[3, 412:] = 1.0
+    scores[4, rng.random(512) < 0.75] = np.nan
+    for k in (1, 100, 128, 200, 256):
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(top_k_stable(scores, k), expected)
+
+
 @settings(max_examples=300, deadline=None)
 @given(scores=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0]) | st.floats(-2.0, 2.0),
                        min_size=1, max_size=40),
