@@ -245,7 +245,7 @@ class TreeEnsembleModel:
         tables = self.step_tables
         at = [np.searchsorted(cuts, X[:, f]) for f, cuts in zip(tables.features, tables.cuts)]
         out = np.empty((X.shape[0], self.output_dimension))
-        step = max(1, _CHUNK_CELLS // self.output_dimension)
+        step = max(1, _CHUNK_CELLS // max(1, self.output_dimension))
         for lo in range(0, X.shape[0], step):
             flat = tables.offsets
             for g, below, strides in zip(at, tables.below, tables.strides):

@@ -19,10 +19,6 @@ from .linkeval import sweep_all  # noqa: F401
 log = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 2
-# `to_atr` stacks the TR rows this many at a time: a stacked copy of the
-# whole TR matrix (46 MB at the paper's size) raised the peak RSS of a
-# paper-size run by 10 MB, although it is freed before training.
-_BLOCK_ROWS = 256
 # the config values the corpus was built from, besides the pair shape
 CORPUS_KEYS = ("master_seed", "snapshot_count", "scene")
 _DATASET_KEYS = ("locations", "snapshot_ids", "ue_indices", "values", "row_kind",
@@ -130,17 +126,15 @@ def to_throughput_ratios(rate_rows: list[RateRow]) -> list[TRRow]:
 
 def to_atr(tr_rows: list[TRRow], num_combiners: int, num_beamformers: int) -> list[ATRRow]:
     """ATR of a combiner averages its row over all beamformers, and vice
-    versa; both vectors share the grand mean of the TR row. Blocks of
-    `_BLOCK_ROWS` rows are stacked as (rows, |W|, |F|) and averaged along
-    each axis into one array per side, of which the rows' `atr_f` and
-    `atr_w` are views."""
+    versa; both vectors share the grand mean of the TR row. Each row's
+    means are written into one array per side, of which the rows' `atr_f`
+    and `atr_w` are views."""
     atr_f = np.empty((len(tr_rows), num_beamformers))
     atr_w = np.empty((len(tr_rows), num_combiners))
-    for lo in range(0, len(tr_rows), _BLOCK_ROWS):
-        grid = np.array([row.ratios for row in tr_rows[lo:lo + _BLOCK_ROWS]])
-        grid = grid.reshape(-1, num_combiners, num_beamformers)
-        grid.mean(axis=1, out=atr_f[lo:lo + _BLOCK_ROWS])
-        grid.mean(axis=2, out=atr_w[lo:lo + _BLOCK_ROWS])
+    for row, f, w in zip(tr_rows, atr_f, atr_w):
+        grid = row.ratios.reshape(num_combiners, num_beamformers)
+        grid.mean(axis=0, out=f)
+        grid.mean(axis=1, out=w)
     return [ATRRow(atr_f=f, atr_w=w) for f, w in zip(atr_f, atr_w)]
 
 

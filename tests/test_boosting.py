@@ -632,11 +632,13 @@ def test_packed_prediction_ignores_unused_columns(ensemble, spare, X, chunk_cell
 
 
 def test_step_tables_of_models_without_trees_or_splits():
-    """A model without trees has one cell per output, its clipped base; an
-    output without a tree keeps one cell, its clipped base, next to the
-    cells of outputs with trees; a tree that is a lone leaf adds its value
-    to every cell."""
+    """A model without trees has one cell per output, its clipped base, and
+    one without outputs predicts empty rows; an output without a tree keeps
+    one cell, its clipped base, next to the cells of outputs with trees; a
+    tree that is a lone leaf adds its value to every cell."""
     X = np.array([[0.0, 1.0], [np.nan, np.inf], [-0.0, -np.inf]])
+    no_outputs = model_from_trees(np.zeros(0), [], 0.3, 0)
+    assert no_outputs.step_tables.cells == 0 and no_outputs.predict_batch(X).shape == (3, 0)
     empty = model_from_trees(np.array([-0.5, 0.25, 1.5]), [], 0.3, 3)
     assert empty.step_tables.features == () and empty.step_tables.cells == 3
     assert empty.step_tables.values.tolist() == [0.0, 0.25, 1.0]

@@ -1,12 +1,10 @@
 import csv
 import dataclasses
 import logging
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from beamtrain import dataset
 from beamtrain.arrays import dft_codebook
 from beamtrain.channel import channel_for_ue, default_bs_geometry, default_ue_geometry
 from beamtrain.dataset import (RateRow, TRRow, build_rate_dataset, load_dataset, save_dataset,
@@ -126,13 +124,11 @@ def test_rate_and_tr_rows_are_views_into_one_array_each():
 def test_transform_rows_equal_the_per_row_stage_bit_for_bit():
     """The stacked transform gives each TR row its rates divided by their
     peak, and each ATR row the per-row means over the row's (|W|, |F|)
-    grid, bit for bit, also where the rows fill no whole block; the ATR
-    rows of each side are views into one array."""
+    grid, bit for bit; the ATR rows of each side are views into one
+    array."""
     _, rows = _small_corpus()
     tr_rows = to_throughput_ratios(rows)
-    assert len(rows) % 7
-    with mock.patch.object(dataset, "_BLOCK_ROWS", 7):
-        atr_rows = to_atr(tr_rows, 16, 64)
+    atr_rows = to_atr(tr_rows, 16, 64)
     for row, tr, atr in zip(rows, tr_rows, atr_rows):
         peak = float(np.max(row.rates))
         assert tr.max_rate == peak

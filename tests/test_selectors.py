@@ -359,7 +359,7 @@ def test_top_k_stable_rows_tied_across_the_kth_value():
     scores[3, :412] = np.nan           # the k-th value is NaN from k = 101 on
     scores[3, 412:] = 1.0
     scores[4, rng.random(512) < 0.75] = np.nan
-    for k in (1, 100, 128, 200, 256):
+    for k in (0, 1, 100, 128, 200, 256):
         expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         assert np.array_equal(top_k_stable(scores, k), expected)
 
