@@ -147,7 +147,8 @@ class TreeEnsembleModel:
     keeps a read-only copy; `trees` is a tuple of views into that copy, so
     the trees a caller sees are always the trees prediction evaluates. A
     layout that is not a tree (a node listed as a child twice, or by no
-    parent) or that has a NaN threshold on an internal node is rejected.
+    parent) or that has a NaN threshold on an internal node is rejected, as
+    are a base and a learning rate that would make predictions NaN.
 
     Prediction reads `step_tables`, compiled from the layout on first use
     and kept, as the layout never changes. On a feature f, an output's trees
@@ -162,16 +163,24 @@ class TreeEnsembleModel:
     thresholds among the first g cuts. A row's interval on f is then
     `below[searchsorted(cuts, x)]`: the count of the thresholds below x,
     which are those `x <=` fails; NaN sorts past every cut, into the last
-    interval. One gather reads the row's cells. The compile walks each
-    cell's representative point (a_k for interval k, NaN for the last)
-    through the output's trees, and the cell holds the base plus
-    `learning_rate * leaf value` of those trees, added in fit order as a
-    per-tree loop adds them, clipped to [0, 1]. So predictions are
-    bit-identical to walking the trees one at a time.
+    interval. One gather reads the row's cells. The compile walks each cell
+    through the output's trees by integers: a node whose threshold is the
+    output's a_j has rank j, and the x of interval k pass its `x <= a_j`
+    exactly when k <= j. A cell holds the base plus `learning_rate * leaf
+    value` of those trees, added in fit order as a per-tree loop adds them,
+    clipped to [0, 1]. So predictions are bit-identical to walking the
+    trees one at a time.
     """
 
     def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
                  role: str):
+        if not (isinstance(output_dimension, numbers.Integral) and output_dimension >= 0):
+            raise ValueError(f"output_dimension must be an integer >= 0, got {output_dimension!r}")
+        if not (np.shape(base_prediction) == (output_dimension,)
+                and np.all(np.isfinite(base_prediction))):
+            raise ValueError(f"base_prediction must be a finite ({output_dimension},) array")
+        if not (isinstance(learning_rate, numbers.Real) and 0.0 < learning_rate <= 1.0):
+            raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate!r}")
         self.base_prediction = base_prediction
         self.learning_rate = learning_rate
         self.output_dimension = output_dimension
@@ -255,38 +264,27 @@ class TreeEnsembleModel:
 
     def depth_histogram(self) -> dict[int, int]:
         """Number of trees of each depth, by ascending depth."""
-        counts = np.bincount(_walk_tables(self._layout, self.learning_rate)[-1])
+        counts = np.bincount(_children(self._layout)[1])
         return {depth: n for depth, n in enumerate(counts.tolist()) if n}
 
 
-def _walk_tables(layout, learning_rate):
-    """The layout in level-major order, as walk tables, and each tree's depth.
-
-    The order holds the roots in tree order, then level after level each
-    internal node's left and right child, in the order of the level above,
-    so that siblings are adjacent and the k-th internal node's children are
-    nodes trees + 2k and trees + 2k + 1. Returns, in that order, each node's
-    right child, threshold, feature and `learning_rate * value`; a leaf is
-    its own right child behind a NaN threshold, which no `x <=` passes, so a
-    walk `node = right[node] - (x <= threshold[node])` stays on it."""
+def _children(layout):
+    """Each node's children, as layout indices, and each tree's depth. From
+    node n, `x <= threshold` goes to the left child, `child[2n + 1]`, and
+    the rest to the right one, `child[2n]`; a leaf is its own child."""
     sizes, inner = layout["tree_sizes"], layout["node_feature"] >= 0
     starts = np.cumsum(sizes) - sizes
-    tree_of = np.repeat(np.arange(len(sizes)), sizes)
-    # each node's left and right child, as ids into the layout
-    children = np.stack([layout["node_left"], layout["node_right"]], axis=1)
-    children += np.repeat(starts, sizes)[:, None]
-    levels, depths = [starts], np.zeros(len(sizes), dtype=int)
-    while len(levels[-1]):
-        depths[tree_of[levels[-1]]] = len(levels) - 1
-        levels.append(children[levels[-1][inner[levels[-1]]]].ravel())
-    order = np.concatenate(levels)
-    inner = inner[order]
-    right = np.arange(len(order))
-    right[inner] = len(sizes) + 1 + 2 * np.arange(np.count_nonzero(inner))
-    threshold = layout["node_threshold"][order]
-    threshold[~inner] = np.nan
-    return (right, threshold, layout["node_feature"][order],
-            learning_rate * layout["node_value"][order], depths)
+    child = np.repeat(np.arange(len(inner)), 2).reshape(-1, 2)
+    offset = np.repeat(starts, sizes)[inner]
+    child[inner, 0] = layout["node_right"][inner] + offset
+    child[inner, 1] = layout["node_left"][inner] + offset
+    # level by level from the roots: the nodes of a level and their trees
+    level, tree, depths, depth = starts, np.arange(len(sizes)), np.zeros(len(sizes), int), 0
+    while len(level):
+        depths[tree] = depth
+        split = inner[level]
+        level, tree, depth = child[level[split]].ravel(), np.repeat(tree[split], 2), depth + 1
+    return child.ravel(), depths
 
 
 def _grids(m):
@@ -302,44 +300,42 @@ def _grids(m):
 def _compile(layout, base, learning_rate, d) -> StepTables:
     """The step tables of a layout; see `TreeEnsembleModel`.
 
-    Every cell is walked through its output's trees at its representative
-    point, on the walk tables of `_walk_tables`. The output tables lie by
-    falling tree count, so the outputs that have an r-th tree hold a prefix
-    of the cells: round r walks that prefix through those trees, as
-    `node = right[node] - (x <= threshold[node])`, and adds the leaf values
-    to it, so that every cell adds its trees in fit order. A model that
-    splits on no feature is compiled as if on one feature without
-    thresholds."""
+    The output tables lie by falling tree count, so the outputs that have
+    an r-th tree hold a prefix of the cells: round r walks that prefix
+    through those trees on the layout as stored, as `node = child[2 * node
+    + (k <= rank[node])]` with k the cell's interval on the node's feature
+    (`_children`, `_thresholds`), and adds the leaf values to it, so that
+    every cell adds its trees in fit order. A model that splits on no
+    feature is compiled as if on one feature without thresholds."""
     outputs = layout["tree_outputs"]
     per_output = np.bincount(outputs, minlength=d)      # trees per output
     by_count = np.argsort(-per_output, kind="stable")   # table position -> output
-    features, cuts, below, points = _thresholds(layout, d)
+    features, cuts, below, rank = _thresholds(layout, d)
     counts = np.array([b[-1] for b in below], dtype=int)  # (features, outputs)
     strides, cells = _grids(counts)
     sizes = cells[by_count]                             # cell counts by table position
     ends = np.cumsum(sizes)
-    # each cell's output and, per feature, representative point: the
-    # output's k-th threshold in interval k, NaN in the last
+    # each cell's output and, per feature, interval index
     output = np.repeat(by_count, sizes)
     local = np.arange(len(output)) - np.repeat(ends - sizes, sizes)
-    point = np.empty((len(counts), len(output)))
-    for row, table, m, stride in zip(point, points, counts, strides):
-        first = np.cumsum(m + 1) - (m + 1)              # each output's first point
-        row[:] = table[first[output] + local // stride[output] % (m + 1)[output]]
+    interval = np.empty((len(counts), len(output)), dtype=int)
+    for row, m, stride in zip(interval, counts, strides):
+        row[:] = local // stride[output] % (m + 1)[output]
     del local                   # freed before the walk, whose temporaries set the peak
-    right, threshold, feature, value, depths = _walk_tables(layout, learning_rate)
+    child, depths = _children(layout)
     pick = np.zeros(max(features, default=0) + 2, dtype=int)  # feature -> its row's start
     pick[list(features)] = np.arange(len(features)) * len(output)
-    pick = pick[feature]
-    # the trees output by output, each output's in fit order
-    trees, first = np.argsort(outputs, kind="stable"), np.cumsum(per_output) - per_output
+    pick = pick[layout["node_feature"]]
+    # the trees' roots output by output, each output's in fit order
+    starts = np.cumsum(layout["tree_sizes"]) - layout["tree_sizes"]
+    roots, first = starts[np.argsort(outputs, kind="stable")], np.cumsum(per_output) - per_output
     values = np.repeat(np.asarray(base, dtype=float)[by_count], sizes)
     for r in range(per_output.max(initial=0)):
         n = ends[np.count_nonzero(per_output > r) - 1]
-        node, column = trees[first[output[:n]] + r], np.arange(n)   # the r-th trees' roots
+        node, column = roots[first[output[:n]] + r], np.arange(n)   # the r-th trees' roots
         for _ in range(int(depths.max(initial=0))):
-            node = right[node] - (np.take(point, pick[node] + column) <= threshold[node])
-        values[:n] += value[node]
+            node = child[2 * node + (np.take(interval, pick[node] + column) <= rank[node])]
+        values[:n] += learning_rate * layout["node_value"][node]
     np.clip(values, 0.0, 1.0, out=values)
     offsets = np.empty(d, dtype=int)
     offsets[by_count] = ends - sizes
@@ -352,18 +348,19 @@ def _compile(layout, base, learning_rate, d) -> StepTables:
 
 def _thresholds(layout, d):
     """The feature ids the trees split on and, per feature, the sorted
-    distinct thresholds of all outputs (the cuts), the (cuts + 1, outputs)
-    counts of each output's thresholds among the first g cuts, in the
-    smallest unsigned dtype, and the representative points: each output's
-    sorted distinct thresholds and a NaN, output after output. -0.0 and 0.0
-    are one threshold. Without features, one feature without thresholds."""
+    distinct thresholds of all outputs (the cuts) and the (cuts + 1,
+    outputs) counts of each output's thresholds among the first g cuts, in
+    the smallest unsigned dtype; and each node's rank: the number of its
+    output's distinct thresholds on its feature below its own, -1 on a
+    leaf. -0.0 and 0.0 are one threshold. Without features, one feature
+    without thresholds."""
     node_feature = layout["node_feature"]
     node_output = np.repeat(layout["tree_outputs"].astype(np.min_scalar_type(d)),
                             layout["tree_sizes"])
     inner = node_feature >= 0
     features = (tuple(np.flatnonzero(np.bincount(node_feature[inner])).tolist())
                 if np.any(inner) else ())
-    cuts, below, points = [], [], []
+    cuts, below, rank = [], [], np.full(len(node_feature), -1)
     for f in features:
         nodes = np.flatnonzero(node_feature == f)
         # the nodes by threshold, then by output (a stable sort on the small
@@ -383,11 +380,11 @@ def _thresholds(layout, d):
                          dtype=np.min_scalar_type(np.bincount(output).max()))
         count[np.searchsorted(cuts[-1], a) + 1, output] = 1
         below.append(np.add.accumulate(count, axis=0, dtype=count.dtype, out=count))
-        points.append(np.full(len(a) + d, np.nan))
-        points[-1][np.arange(len(a)) + output] = a
+        rank[nodes] = below[-1][np.searchsorted(cuts[-1], layout["node_threshold"][nodes]),
+                                node_output[nodes]]
     if not features:
-        cuts, below, points = [np.zeros(0)], [np.zeros((1, d), np.uint8)], [np.full(d, np.nan)]
-    return features, cuts, below, points
+        cuts, below = [np.zeros(0)], [np.zeros((1, d), np.uint8)]
+    return features, cuts, below, rank
 
 
 def param_count(model: TreeEnsembleModel) -> int:

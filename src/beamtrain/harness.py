@@ -73,7 +73,7 @@ class ExperimentConfig:
     heatmap_s_f: tuple = (1, 2, 4, 8, 12, 16, 20, 24, 32)
 
     def __post_init__(self):
-        for key, low in (("snapshot_count", 1), ("folds", 2), ("s_w_size", 1),
+        for key, low in (("master_seed", 0), ("snapshot_count", 1), ("folds", 2), ("s_w_size", 1),
                          ("cluster_count", 1)):
             value = getattr(self, key)
             if not (isinstance(value, numbers.Integral) and value >= low):

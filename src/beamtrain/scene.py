@@ -7,6 +7,7 @@ method); bus bounding boxes act as blockers. Cars carry roof-mounted UEs.
 """
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,9 @@ class SceneConfig:
         if not self.max_gap >= self.min_gap:
             raise ValueError(f"max_gap must be >= min_gap ({self.min_gap}), got {self.max_gap}")
         for key in ("lane_count", "subcarrier_count"):
-            if not getattr(self, key) >= 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
         if self.noise_power is not None and not self.noise_power > 0:
             raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
 

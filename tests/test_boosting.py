@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -255,6 +256,31 @@ def test_model_file_with_bad_layout_rejected(tmp_path, key, value):
         load_model(path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("base_prediction", [0.5, np.nan], "base_prediction must be a finite (2,) array"),
+    ("base_prediction", [0.5, np.inf], "base_prediction must be a finite (2,) array"),
+    ("base_prediction", [0.5], "base_prediction must be a finite (2,) array"),
+    ("base_prediction", [[0.5, 0.5]], "base_prediction must be a finite (2,) array"),
+    ("learning_rate", [np.inf], "learning_rate must be in (0, 1], got inf"),
+    ("learning_rate", [np.nan], "learning_rate must be in (0, 1], got nan"),
+    ("learning_rate", [0.0], "learning_rate must be in (0, 1], got 0.0"),
+    ("learning_rate", [1.5], "learning_rate must be in (0, 1], got 1.5"),
+    ("output_dimension", [-1], "output_dimension must be an integer >= 0, got -1"),
+])
+def test_model_file_with_bad_base_rate_or_outputs_rejected(tmp_path, key, value, message):
+    """The arrays beside the layout: a NaN or infinite base or learning rate
+    would give NaN predictions, which every ranking puts last."""
+    X, Y = _grid_data(n=30, d=2, seed=4)
+    path = str(tmp_path / "m.npz")
+    save_model(train(X, Y, TrainConfig(tree_count=2, budget_parameters=10000)), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays[key] = np.array(value)
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match=f"^bad model file .*: {re.escape(message)}$"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("feature, left, right", [
     ([0, 0, -1, -1], [1, 2, -1, -1], [1, 3, -1, -1]),     # node 1 listed twice by node 0
     ([0, -1, -1, -1], [1, -1, -1, -1], [2, -1, -1, -1]),  # node 3 has no parent
@@ -319,10 +345,10 @@ def _full_trees(trees, depth, outputs, seed):
 
 def test_model_construction_stays_near_the_layout_size():
     """The constructor keeps a copy of the layout and checks it with a few
-    node-length temporaries; the level-major walk tables are built only when
-    the step tables are compiled. On 45,000 nodes its traced peak stays
-    below twice the layout; building the walk tables, with their dozen
-    node-length temporaries, in the constructor reaches almost four times."""
+    node-length temporaries; the child table and the ranks are built only
+    when the step tables are compiled. On 45,000 nodes its traced peak stays
+    below twice the layout; building the child table in the constructor as
+    well goes past it."""
     layout = _full_trees(3000, 3, 256, seed=1)
     size = sum(a.nbytes for a in layout.values())
     tracemalloc.start()
@@ -415,8 +441,7 @@ def test_depth_histogram_matches_tree_depths(ensemble):
     depths = Counter(tree_depth(tree) for _, tree in trees)
     assert model.depth_histogram() == depths
     assert list(model.depth_histogram()) == sorted(depths)
-    assert boosting._walk_tables(model.layout, 1.0)[-1].tolist() == [
-        tree_depth(tree) for _, tree in trees]
+    assert boosting._children(model.layout)[1].tolist() == [tree_depth(tree) for _, tree in trees]
 
 
 @settings(max_examples=100, deadline=None)
@@ -454,7 +479,7 @@ def test_hand_built_model_trees_are_read_only():
     assert model.predict_batch(X).tobytes() == expected
 
 
-def test_walk_and_step_tables_of_a_hand_built_model():
+def test_child_and_step_tables_of_a_hand_built_model():
     leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.1])
     stump = Tree(feature=[1, -1, -1], threshold=[0.5, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
@@ -462,18 +487,15 @@ def test_walk_and_step_tables_of_a_hand_built_model():
     deep = Tree(feature=[0, -1, 1, -1, -1], threshold=[1.0, 0, 0.5, 0, 0],
                 left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1], value=[0, 0.3, 0, 0.4, 0.5])
     model = model_from_trees(np.array([0.05]), [(0, leaf), (0, stump), (0, deep)], 0.5, 1)
-    # level 0 holds the roots in tree order, level 1 the children of the
-    # stump's and the deep tree's roots, level 2 those of the deep tree's
-    # right child; each right child follows its left sibling, and a leaf is
-    # its own right child behind a NaN threshold
-    right, threshold, feature, value, depths = boosting._walk_tables(model.layout, 0.5)
-    assert right.tolist() == [0, 4, 6, 3, 4, 5, 8, 7, 8]
-    assert np.array_equal(threshold,
-                          [np.nan, 0.5, 1.0, np.nan, np.nan, np.nan, 0.5, np.nan, np.nan],
-                          equal_nan=True)
-    assert feature.tolist() == [-1, 1, 0, -1, -1, -1, 1, -1, -1]
-    assert value.tolist() == [0.5 * v for v in [0.1, 0, 0, 0.2, 0.8, 0.3, 0, 0.4, 0.5]]
+    # the trees lie at layout nodes 0, 1-3 and 4-8; node n's right child is
+    # child[2n] and its left child child[2n + 1], and a leaf is its own child
+    child, depths = boosting._children(model.layout)
+    assert child.tolist() == [0, 0, 3, 2, 2, 2, 3, 3, 6, 5, 5, 5, 8, 7, 7, 7, 8, 8]
     assert depths.tolist() == [0, 1, 2]
+    # the output has one threshold on each feature, so every internal node
+    # has rank 0 (no threshold below its own) and every leaf rank -1
+    rank = boosting._thresholds(model.layout, 1)[-1]
+    assert rank.tolist() == [-1, 0, -1, -1, 0, -1, 0, -1, -1]
     # one output with one threshold on each feature: 2 x 2 cells, feature 1
     # the faster; a cell adds the three trees' values in fit order
     tables = model.step_tables
@@ -499,30 +521,40 @@ def test_walk_and_step_tables_of_a_hand_built_model():
 
 @settings(max_examples=100, deadline=None)
 @given(_ensembles())
-def test_walk_tables_hold_the_trees_level_by_level(ensemble):
+def test_child_table_and_ranks_hold_the_trees(ensemble):
+    """Following the child table from each root rebuilds the tree, every leaf
+    is its own child, and a node's rank counts its output's distinct
+    thresholds on its feature below its own (-1 on a leaf)."""
     model, trees = ensemble
-    right, threshold, feature, value, _ = boosting._walk_tables(model.layout,
-                                                                model.learning_rate)
-    inner = feature >= 0
-    assert np.all(np.isnan(threshold) == ~inner)
-    assert np.array_equal(right[~inner], np.nonzero(~inner)[0])
-    depth = np.zeros(len(right), dtype=int)
-    # each node's children are right - 1 and right, one level below it, and
-    # every node but a root is the child of one node
-    children = np.stack([right[inner] - 1, right[inner]], axis=1).ravel()
-    assert sorted(children.tolist()) == list(range(len(trees), len(right)))
-    for node in np.nonzero(inner)[0]:
-        depth[right[node] - 1:right[node] + 1] = depth[node] + 1
-    assert np.all(np.diff(depth) >= 0)          # each level is one contiguous run
+    layout = model.layout
+    child, _ = boosting._children(layout)
+    rank = boosting._thresholds(layout, model.output_dimension)[-1]
+    leaves = np.flatnonzero(layout["node_feature"] < 0)
+    assert np.all(child.reshape(-1, 2)[leaves] == leaves[:, None])
+    assert np.all(rank[leaves] == -1)
 
-    def same(node, tree, i):                    # the walk table's subtree = the tree's
+    def same(node, tree, i):                    # the layout's subtree = the tree's
         if tree.feature[i] < 0:
-            return not inner[node] and value[node] == model.learning_rate * tree.value[i]
-        return (feature[node] == tree.feature[i] and threshold[node] == tree.threshold[i]
-                and same(right[node] - 1, tree, tree.left[i])
-                and same(right[node], tree, tree.right[i]))
+            return layout["node_feature"][node] < 0 and layout["node_value"][node] == tree.value[i]
+        return (layout["node_feature"][node] == tree.feature[i]
+                and layout["node_threshold"][node] == tree.threshold[i]
+                and same(child[2 * node + 1], tree, tree.left[i])
+                and same(child[2 * node], tree, tree.right[i]))
 
-    assert all(same(root, tree, 0) for root, (_, tree) in enumerate(trees))
+    roots = np.cumsum(layout["tree_sizes"]) - layout["tree_sizes"]
+    assert all(same(root, tree, 0) for root, (_, tree) in zip(roots, trees))
+    # per output and feature, the distinct thresholds as Python floats, a
+    # set in which -0.0 and 0.0 are one
+    own = {}
+    for output, tree in trees:
+        for f, t in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                own.setdefault((output, f), set()).add(float(t))
+    node_output = np.repeat(layout["tree_outputs"], layout["tree_sizes"])
+    for node in np.flatnonzero(layout["node_feature"] >= 0):
+        t = layout["node_threshold"][node]
+        key = (node_output[node], layout["node_feature"][node])
+        assert rank[node] == sum(a < t for a in own[key])
 
 
 @settings(max_examples=100, deadline=None)

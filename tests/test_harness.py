@@ -157,6 +157,8 @@ def test_config_rejects_snapshot_count_reaching_seed_labels():
     ("test_fraction", 1.0),
     ("test_fraction", 1.5),
     ("folds", 1),
+    ("master_seed", -1),
+    ("master_seed", 1.5),
 ])
 def test_config_rejects_bad_evaluation_keys(key, value):
     # rejected when the config is read, before any stage runs

@@ -50,9 +50,9 @@ def test_snapshot_determinism():
       for v in (0.0, -1.0, float("nan"), float("inf"))),
     ("carrier_frequency", 0.0), ("carrier_frequency", -28e9),
     ("carrier_frequency", float("nan")), ("carrier_frequency", float("inf")),
-    ("subcarrier_count", 0), ("subcarrier_count", -1),
+    ("subcarrier_count", 0), ("subcarrier_count", -1), ("subcarrier_count", 2.5),
     ("noise_power", 0.0), ("noise_power", -1.0), ("noise_power", float("nan")),
-    ("lane_count", 0), ("lane_count", -2),
+    ("lane_count", 0), ("lane_count", -2), ("lane_count", 2.5),
     ("reference_distance", 0.0), ("reference_distance", -30.0),
     ("reference_distance", float("nan")), ("reference_distance", float("inf")),
     ("lane_width", 0.0), ("lane_width", -3.5), ("lane_width", float("nan")),
