@@ -3,7 +3,9 @@
 Conventions used throughout the package:
   - array-local frame: boresight along +x, column axis along +y, row axis
     along +z; element (r, c) sits at r*d on the row axis and c*d on the
-    column axis; elements are flattened as e = r*cols + c.
+    column axis, d being half the wavelength at the scene's carrier, where
+    the DFT codebooks tile the visible region; elements are flattened as
+    e = r*cols + c.
   - azimuth/elevation are measured in the array-local frame; the direction
     unit vector is (cos(el)cos(az), cos(el)sin(az), sin(el)).
   - `orientation` is the rotation matrix mapping local to world coordinates
@@ -15,20 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
-DEFAULT_CARRIER_HZ = 28e9
 
 
-def wavelength(carrier_hz: float = DEFAULT_CARRIER_HZ) -> float:
+def wavelength(carrier_hz: float) -> float:
     return SPEED_OF_LIGHT / carrier_hz
 
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Geometry of a rows x cols uniform planar array."""
+    """Geometry of a rows x cols uniform planar array, elements lambda/2 apart."""
 
     rows: int
     cols: int
-    element_spacing: float = wavelength() / 2.0
     orientation: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
@@ -63,23 +63,22 @@ class Codebook:
         return self.beams.shape[0]
 
 
-def steering_vector(geometry: ArrayGeometry, azimuth, elevation,
-                    carrier_hz: float = DEFAULT_CARRIER_HZ) -> np.ndarray:
+def steering_vector(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     """Unit-norm array response for a direction given in the local frame.
 
-    Element (r, c) carries phase -2*pi*d/lambda * (r*u_row + c*u_col) with
-    (u_row, u_col) the direction cosines along the row/column axes.
+    Element (r, c) carries phase -2*pi*d/lambda * (r*u_row + c*u_col) =
+    -pi * (r*u_row + c*u_col), (u_row, u_col) being the direction cosines
+    along the row/column axes. The carrier cancels from d/lambda = 1/2.
     `azimuth` and `elevation` may be arrays of one shape S; the responses
     then have shape S + (num_elements,), each equal to its own call.
     """
     u_col = np.cos(elevation) * np.sin(azimuth)
     u_row = np.sin(elevation)
-    d_over_lam = geometry.element_spacing / wavelength(carrier_hz)
     r = np.arange(geometry.rows)[:, None]
     c = np.arange(geometry.cols)[None, :]
     shape = np.shape(u_row)
-    phase = -2.0 * np.pi * d_over_lam * (r * np.reshape(u_row, shape + (1, 1))
-                                         + c * np.reshape(u_col, shape + (1, 1)))
+    phase = -np.pi * (r * np.reshape(u_row, shape + (1, 1))
+                      + c * np.reshape(u_col, shape + (1, 1)))
     a = np.exp(1j * phase) / np.sqrt(geometry.num_elements)
     return a.reshape(shape + (geometry.num_elements,))
 

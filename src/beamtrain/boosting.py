@@ -181,7 +181,7 @@ class TreeEnsembleModel:
             raise ValueError(f"base_prediction must be a finite ({output_dimension},) array")
         if not (isinstance(learning_rate, numbers.Real) and 0.0 < learning_rate <= 1.0):
             raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate!r}")
-        self.base_prediction = base_prediction
+        self.base_prediction = _read_only(base_prediction, float)
         self.learning_rate = learning_rate
         self.output_dimension = output_dimension
         self.role = role

@@ -14,7 +14,7 @@ class ChannelRealization:
     matrices: np.ndarray      # (K, n_ue, n_bs) complex
 
 
-def default_bs_geometry(config: SceneConfig, rows: int = 8, cols: int = 8) -> ArrayGeometry:
+def default_bs_geometry(config: SceneConfig, rows: int, cols: int) -> ArrayGeometry:
     """BS array on the wall at the origin, boresight down-tilted along the
     street; the tilt aims at lane level mid-region."""
     tilt = float(np.arctan(config.bs_height / (config.street_length / 2.0)))
@@ -23,7 +23,7 @@ def default_bs_geometry(config: SceneConfig, rows: int = 8, cols: int = 8) -> Ar
                          orientation=rotation_from_boresight(boresight))
 
 
-def default_ue_geometry(config: SceneConfig, rows: int = 4, cols: int = 4) -> ArrayGeometry:
+def default_ue_geometry(config: SceneConfig, rows: int, cols: int) -> ArrayGeometry:
     """Roof-mounted UE array: boresight up, rows along the vehicle heading."""
     orientation = np.array([
         [0.0, 1.0, 0.0],
@@ -45,9 +45,8 @@ def path_responses(table: PathTable, bs_geometry: ArrayGeometry,
     responses are computed elementwise, so a row does not depend on the
     other rows of the table.
     """
-    fc = config.carrier_frequency
-    a_bs = steering_vector(bs_geometry, *local_angles(bs_geometry, _unit_from_angles(table.aod)), fc)
-    a_ue = steering_vector(ue_geometry, *local_angles(ue_geometry, _unit_from_angles(table.aoa)), fc)
+    a_bs = steering_vector(bs_geometry, *local_angles(bs_geometry, _unit_from_angles(table.aod)))
+    a_ue = steering_vector(ue_geometry, *local_angles(ue_geometry, _unit_from_angles(table.aoa)))
     k = np.arange(config.subcarrier_count)[:, None]
     phases = np.exp(-2j * np.pi * k * config.subcarrier_spacing * table.delay)
     return a_ue, a_bs, phases

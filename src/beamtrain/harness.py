@@ -84,6 +84,10 @@ class ExperimentConfig:
                     isinstance(n, numbers.Integral) and n >= 1 for n in shape)):
                 raise ValueError(f"{key} must be two positive integers (rows, cols), "
                                  f"got {shape!r}")
+        # scenario 1 signals each combiner in log2(combiners) bits
+        if self.num_combiners & (self.num_combiners - 1):
+            raise ValueError(f"ue_array must hold a power-of-two number of elements, "
+                             f"got {self.ue_array!r}")
         if not (isinstance(self.scenarios, (tuple, list)) and self.scenarios
                 and all(s in (1, 2, 3) for s in self.scenarios)):
             raise ValueError(f"scenarios must be a nonempty list drawn from 1, 2 and 3, "
@@ -95,8 +99,8 @@ class ExperimentConfig:
                              f"got {self.snapshot_count}")
         # set sizes and budgets index the evaluation tables from 1
         for key in ("n_b_sweep", "heatmap_s_w", "heatmap_s_f"):
-            if any(v < 1 for v in getattr(self, key)):
-                raise ValueError(f"{key} entries must be >= 1, got {getattr(self, key)}")
+            if not all(isinstance(v, numbers.Integral) and v >= 1 for v in getattr(self, key)):
+                raise ValueError(f"{key} entries must be integers >= 1, got {getattr(self, key)}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         # every grid point must make a TrainConfig, so that a bad grid fails

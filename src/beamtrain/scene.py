@@ -50,8 +50,20 @@ class SceneConfig:
             value = getattr(self, key)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
+        # with a negative gap or a vehicle length <= 0 a lane's cursor need
+        # not advance, and snapshot generation may never reach the street end
+        if not self.min_gap >= 0:
+            raise ValueError(f"min_gap must be >= 0, got {self.min_gap}")
         if not self.max_gap >= self.min_gap:
             raise ValueError(f"max_gap must be >= min_gap ({self.min_gap}), got {self.max_gap}")
+        for key in ("car_dims", "bus_dims"):
+            dims = getattr(self, key)
+            if not (np.shape(dims) == (3,) and all(np.isfinite(v) and v > 0 for v in dims)):
+                raise ValueError(f"{key} must be three finite lengths > 0 (width, length, "
+                                 f"height), got {dims!r}")
+        if not self.min_gap + self.car_dims[1] <= self.street_length < np.inf:
+            raise ValueError(f"street_length must be finite and >= min_gap + car length "
+                             f"({self.min_gap + self.car_dims[1]}), got {self.street_length}")
         for key in ("lane_count", "subcarrier_count"):
             value = getattr(self, key)
             if not (isinstance(value, numbers.Integral) and value >= 1):
@@ -135,8 +147,6 @@ def generate_snapshot(config: SceneConfig, seed, snapshot_id: int = 0) -> SceneS
     (and for the one that no longer fits), then one UE flag per car in the
     region of interest, in vehicle order.
     """
-    if config.street_length < config.min_gap + config.car_dims[1]:
-        raise ValueError("street too short to place any vehicle")
     rng = np.random.default_rng(seed)
     placed = []   # (lane x, y centre, is bus) per vehicle
     for lane in range(config.lane_count):

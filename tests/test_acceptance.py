@@ -237,8 +237,8 @@ def test_criterion_6_parameter_budgets(full_runs):
 
 def test_criterion_7_physics_sanity():
     scene = SceneConfig()
-    bs_g = default_bs_geometry(scene)
-    ue_g = default_ue_geometry(scene)
+    bs_g = default_bs_geometry(scene, 8, 8)
+    ue_g = default_ue_geometry(scene, 4, 4)
     W, F = dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs")
     lam = 299792458.0 / scene.carrier_frequency
     rng = np.random.default_rng(42)

@@ -479,6 +479,25 @@ def test_hand_built_model_trees_are_read_only():
     assert model.predict_batch(X).tobytes() == expected
 
 
+@pytest.mark.parametrize("compile_first", [False, True])
+def test_model_keeps_its_own_base_prediction(compile_first):
+    """A write into the caller's base array after construction changes
+    nothing, whether or not the step tables were compiled before it."""
+    stump = Tree(feature=[0, -1, -1], threshold=[0.5, 0, 0],
+                 left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
+    base = np.array([0.25, 0.5])
+    model = model_from_trees(base, [(1, stump)], 0.5, 2)
+    X = np.array([[0.0, 0.0], [1.0, 0.0]])
+    expected = _reference_predict(model, [(1, stump)], X).tobytes()
+    if compile_first:
+        model.step_tables
+    base[:] = np.nan
+    assert model.predict_batch(X).tobytes() == expected
+    assert model.base_prediction.tolist() == [0.25, 0.5]
+    with pytest.raises(ValueError):
+        model.base_prediction[0] = 1.0
+
+
 def test_child_and_step_tables_of_a_hand_built_model():
     leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.1])
     stump = Tree(feature=[1, -1, -1], threshold=[0.5, 0, 0],

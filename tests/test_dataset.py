@@ -18,7 +18,7 @@ from reference_scene import trace_paths as trace_paths_reference
 def _small_corpus(seed_count=3, seed0=0):
     cfg = SceneConfig()
     snaps = [generate_snapshot(cfg, s, snapshot_id=s) for s in range(seed0, seed0 + seed_count)]
-    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
+    bs_g, ue_g = default_bs_geometry(cfg, 8, 8), default_ue_geometry(cfg, 4, 4)
     rows = build_rate_dataset(snaps, dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs"),
                               bs_g, ue_g, cfg)
     return cfg, rows
@@ -46,7 +46,7 @@ def test_build_rate_dataset_matches_dense_route():
     """Rows from the traced paths equal the dense channel sweep to 1e-12 of
     each row's peak, and the same UEs are kept and dropped."""
     cfg, rows = _small_corpus()
-    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
+    bs_g, ue_g = default_bs_geometry(cfg, 8, 8), default_ue_geometry(cfg, 4, 4)
     W, F = dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs")
     dense = [(snap, ue, sweep_all(channel_for_ue(snap, ue, bs_g, ue_g, cfg), W, F, cfg.sigma2))
              for snap in (generate_snapshot(cfg, s, snapshot_id=s) for s in range(3))
@@ -66,7 +66,7 @@ def test_build_rate_dataset_equals_per_ue_reference_route(bus_fraction):
     (`sweep_paths` on path tuples), bit for bit, with the same UEs kept."""
     cfg = dataclasses.replace(SceneConfig(), bus_fraction=bus_fraction)
     snaps = [generate_snapshot(cfg, 40 + s, snapshot_id=s) for s in range(4)]
-    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
+    bs_g, ue_g = default_bs_geometry(cfg, 8, 8), default_ue_geometry(cfg, 4, 4)
     W, F = dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs")
     rows = build_rate_dataset(snaps, W, F, bs_g, ue_g, cfg)
     expected = []
@@ -85,7 +85,7 @@ def test_build_rate_dataset_equals_per_ue_reference_route(bus_fraction):
 def test_build_rate_dataset_logs_ue_and_path_counts(caplog):
     cfg = dataclasses.replace(SceneConfig(), bus_fraction=0.5)
     snaps = [generate_snapshot(cfg, s, snapshot_id=s) for s in range(3)]
-    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
+    bs_g, ue_g = default_bs_geometry(cfg, 8, 8), default_ue_geometry(cfg, 4, 4)
     with caplog.at_level(logging.INFO, logger="beamtrain.dataset"):
         rows = build_rate_dataset(snaps, dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs"),
                                   bs_g, ue_g, cfg)
@@ -103,7 +103,7 @@ def test_build_rate_dataset_rejects_non_finite_rates():
     # path's direction underflows and its rates come out NaN
     cfg = dataclasses.replace(SceneConfig(), wall_clearance=1e-275)
     snaps = [generate_snapshot(cfg, s, snapshot_id=s) for s in range(2)]
-    bs_g, ue_g = default_bs_geometry(cfg), default_ue_geometry(cfg)
+    bs_g, ue_g = default_bs_geometry(cfg, 8, 8), default_ue_geometry(cfg, 4, 4)
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
             ValueError, match=r"^snapshot 0, UE \d+: rates are not finite$"):
         build_rate_dataset(snaps, dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs"),

@@ -159,6 +159,12 @@ def test_config_rejects_snapshot_count_reaching_seed_labels():
     ("folds", 1),
     ("master_seed", -1),
     ("master_seed", 1.5),
+    ("ue_array", [3, 3]),
+    ("ue_array", [1, 6]),
+    ("n_b_sweep", [1.5, 4]),
+    ("n_b_sweep", [1, 2.0]),
+    ("heatmap_s_w", [1, 2.5]),
+    ("heatmap_s_f", [4.0]),
 ])
 def test_config_rejects_bad_evaluation_keys(key, value):
     # rejected when the config is read, before any stage runs

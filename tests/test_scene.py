@@ -58,6 +58,12 @@ def test_snapshot_determinism():
     ("lane_width", 0.0), ("lane_width", -3.5), ("lane_width", float("nan")),
     ("lane_width", float("inf")),
     ("max_gap", 1.0), ("max_gap", float("nan")),
+    ("min_gap", -1.0), ("min_gap", float("nan")),
+    ("car_dims", (1.75, 0.0, 1.5)), ("car_dims", (-1.75, 4.5, 1.5)),
+    ("car_dims", (1.75, 4.5, float("nan"))), ("car_dims", (1.75, 4.5)),
+    ("bus_dims", (2.5, -12.0, 3.8)), ("bus_dims", (0.0, 12.0, 3.8)),
+    ("bus_dims", (2.5, float("inf"), 3.8)),
+    ("street_length", 6.0), ("street_length", float("inf")), ("street_length", float("nan")),
 ])
 def test_config_rejects_degenerate_wall_clearance(key, value):
     """A physical key that no scene can use fails at construction, with an
@@ -106,9 +112,12 @@ def test_corpus_size_500_seeds():
 
 
 def test_too_short_street_raises():
-    cfg = dataclasses.replace(SceneConfig(), street_length=3.0)
-    with pytest.raises(ValueError):
-        generate_snapshot(cfg, 0)
+    """A street too short for one car after the smallest gap is rejected by
+    the config, which generate_snapshot then trusts."""
+    with pytest.raises(ValueError, match="^street_length must be"):
+        dataclasses.replace(SceneConfig(), street_length=3.0)
+    # the shortest street allowed: min_gap 2 m + a 4.5 m car
+    assert generate_snapshot(SceneConfig(street_length=6.5), 0).center.shape[1] == 3
 
 
 _STREETS = st.builds(
@@ -325,12 +334,14 @@ _SCENES = st.builds(
 
 def _onto_wall_ends(snap, cfg, ue):
     """cfg with the street length or wall height moved onto a wall
-    reflection point of `ue`, so that the point sits on the wall's end."""
+    reflection point of `ue`, so that the point sits on the wall's end; a
+    point nearer the BS than the shortest street the config allows is
+    skipped."""
     bs = cfg.bs_position
     ue_xyz = _roof(snap, ue)
     for wall_x in cfg.wall_x:
         p = reflection_point(bs, ue_xyz, wall_x)
-        if p is not None and p[1] > 0.0 and p[2] > 0.0:
+        if p is not None and p[1] >= cfg.min_gap + cfg.car_dims[1] and p[2] > 0.0:
             return dataclasses.replace(cfg, street_length=float(p[1]), wall_height=float(p[2]))
     return cfg
 
