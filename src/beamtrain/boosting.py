@@ -48,13 +48,12 @@ one binary search per feature and one gather.
 """
 
 import logging
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .fileio import load_npz, save_npz
+from .fileio import check, check_fields, integer, load_npz, real, save_npz
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +71,10 @@ _LAYOUT = (("tree_outputs", int), ("tree_sizes", int)) + tuple(
 # that their temporaries stay small whatever the batch or corpus size.
 _CHUNK_CELLS = 1 << 16
 
+_COUNT = integer(0)   # also a model's output_dimension
+_TRAIN_RULES = {"tree_count": _COUNT, "max_depth": integer(1), "learning_rate": real("(0, 1]"),
+                "min_samples_leaf": integer(1), "budget_parameters": _COUNT}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -82,12 +85,7 @@ class TrainConfig:
     budget_parameters: int = 2048
 
     def __post_init__(self):
-        for name, low in (("tree_count", 0), ("max_depth", 1), ("min_samples_leaf", 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (isinstance(self.learning_rate, numbers.Real) and 0.0 < self.learning_rate <= 1.0):
-            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate!r}")
+        check_fields(self, _TRAIN_RULES)
 
 
 class Tree:
@@ -174,13 +172,11 @@ class TreeEnsembleModel:
 
     def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
                  role: str):
-        if not (isinstance(output_dimension, numbers.Integral) and output_dimension >= 0):
-            raise ValueError(f"output_dimension must be an integer >= 0, got {output_dimension!r}")
+        check("output_dimension", output_dimension, _COUNT)
         if not (np.shape(base_prediction) == (output_dimension,)
                 and np.all(np.isfinite(base_prediction))):
             raise ValueError(f"base_prediction must be a finite ({output_dimension},) array")
-        if not (isinstance(learning_rate, numbers.Real) and 0.0 < learning_rate <= 1.0):
-            raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate!r}")
+        check("learning_rate", learning_rate, _TRAIN_RULES["learning_rate"])
         self.base_prediction = _read_only(base_prediction, float)
         self.learning_rate = learning_rate
         self.output_dimension = output_dimension

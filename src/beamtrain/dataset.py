@@ -8,7 +8,7 @@ import numpy as np
 
 from .arrays import Codebook
 from .channel import path_responses
-from .fileio import atomic_write, load_npz, require_keys, save_npz
+from .fileio import atomic_write, check, integer, load_npz, require_keys, save_npz
 from .linkeval import sweep_responses
 from .scene import PATH_KINDS, trace_snapshot
 # The dense route (channel_for_ue, sweep_all) is no longer called here, but
@@ -141,8 +141,7 @@ def to_atr(tr_rows: list[TRRow], num_combiners: int, num_beamformers: int) -> li
 def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,
                   seed: int = 0) -> DatasetSplit:
     """Seeded shuffle into train/test plus round-robin fold ids on train."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    check("folds", folds, integer(2))
     rng = np.random.default_rng(seed)
     order = rng.permutation(num_rows)
     n_test = int(round(num_rows * test_fraction))

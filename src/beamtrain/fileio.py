@@ -1,7 +1,11 @@
-"""Atomic file writes, and the versioned npz archive every artifact file uses."""
+"""Atomic file writes, the versioned npz archive every artifact file uses,
+and the rules that check config keys."""
 
+import dataclasses
+import numbers
 import os
 import secrets
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -58,3 +62,42 @@ def require_keys(data: dict, path: str, what: str, keys) -> None:
     for key in keys:
         if key not in data:
             raise ValueError(f"{what} file {path!r} lacks key {key!r}")
+
+
+# A rule is a (test, text) pair; `check` raises the ValueError
+# `<key> must be <text>, got <value!r>` for a value that fails the test.
+# A bool never passes as a number.
+
+def check(key: str, value, rule) -> None:
+    if not rule[0](value):
+        raise ValueError(f"{key} must be {rule[1]}, got {value!r}")
+
+
+def check_fields(obj, rules: dict) -> None:
+    """Check each field of the dataclass `obj` by its rule in `rules`; a
+    field without a rule is a KeyError."""
+    for f in dataclasses.fields(obj):
+        check(f.name, getattr(obj, f.name), rules[f.name])
+
+
+def integer(low: int, high: float = float("inf")):
+    """Rule: an integer in [low, high]."""
+    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and low <= v <= high,
+            f"an integer >= {low}" if high == float("inf") else f"an integer in [{low}, {high}]")
+
+
+def real(interval: str):
+    """Rule: a real in `interval`, written as in "(0, 1]". NaN lies in no
+    interval, and an open end at inf keeps the value finite."""
+    low, high = map(float, interval[1:-1].split(","))
+    return (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (low < v if interval[0] == "(" else low <= v)
+            and (v < high if interval[-1] == ")" else v <= high), f"in {interval}")
+
+
+def listof(rule, sizes=range(sys.maxsize)):
+    """Rule: a list or tuple of a length in `sizes`, each entry passing `rule`."""
+    count = "" if not sizes.start else f"{sizes.start} " if len(sizes) == 1 else f"{sizes.start}+ "
+    return (lambda v: isinstance(v, (list, tuple)) and len(v) in sizes and all(map(rule[0], v)),
+            f"a list of {count}values, each {rule[1]}")

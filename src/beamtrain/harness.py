@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import numbers
 import os
 import sys
 import time
@@ -26,7 +25,7 @@ from . import boosting, metrics, selectors
 from .arrays import dft_codebook
 from .channel import default_bs_geometry, default_ue_geometry
 from .dataset import build_rate_dataset, split_dataset, to_atr, to_throughput_ratios
-from .fileio import atomic_write
+from .fileio import atomic_write, check, check_fields, integer, listof, real
 from .scene import SceneConfig, generate_snapshot
 
 log = logging.getLogger(__name__)
@@ -48,6 +47,24 @@ _SEED_CLUSTER = 1_000_001
 
 # the keys of a model grid point: TrainConfig's fields but the budget
 _GRID_KEYS = {f.name for f in dataclasses.fields(boosting.TrainConfig)} - {"budget_parameters"}
+
+_EXPERIMENT_RULES = {
+    "scene": (lambda v: isinstance(v, SceneConfig), "a SceneConfig"),
+    **dict.fromkeys(("bs_array", "ue_array"), listof(integer(1), range(2, 3))),  # rows, cols
+    "master_seed": integer(0),
+    # snapshot i draws its seed from label i, which must stay below the
+    # frozen labels of the split and the clustering
+    "snapshot_count": integer(1, _SEED_SPLIT - 1),
+    "test_fraction": real("(0, 1)"),
+    "folds": integer(2),
+    "scenarios": listof(integer(1, 3), range(1, sys.maxsize)),
+    # set sizes and budgets index the evaluation tables from 1
+    **dict.fromkeys(("n_b_sweep", "heatmap_s_w", "heatmap_s_f"), listof(integer(1))),
+    **dict.fromkeys(("s_w_size", "cluster_count"), integer(1)),
+    "use_significance": (lambda v: isinstance(v, bool), "a bool"),
+    **dict.fromkeys(("bs_grid", "ue_grid"), (lambda v: isinstance(v, (list, tuple)), "a list")),
+}
+_TABLE = (lambda v: isinstance(v, dict), "a table of keys")
 
 
 @dataclass(frozen=True)
@@ -73,36 +90,18 @@ class ExperimentConfig:
     heatmap_s_f: tuple = (1, 2, 4, 8, 12, 16, 20, 24, 32)
 
     def __post_init__(self):
-        for key, low in (("master_seed", 0), ("snapshot_count", 1), ("folds", 2), ("s_w_size", 1),
-                         ("cluster_count", 1)):
-            value = getattr(self, key)
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-        for key in ("bs_array", "ue_array"):
-            shape = getattr(self, key)
-            if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(
-                    isinstance(n, numbers.Integral) and n >= 1 for n in shape)):
-                raise ValueError(f"{key} must be two positive integers (rows, cols), "
-                                 f"got {shape!r}")
+        check_fields(self, _EXPERIMENT_RULES)
+        # an experiment's scene must give a corpus: UEs, a car's room past
+        # roi_y_min, and a wall far enough for its path to have a direction
+        s = self.scene
+        for key, rule in (("ue_fraction", real("(0, 1]")), ("bus_fraction", real("[0, 1)")),
+                          ("roi_y_min", real(f"(-inf, {s.street_length - s.car_dims[1]}]")),
+                          ("wall_clearance", real("[1e-100, inf)"))):
+            check(f"scene.{key}", getattr(s, key), rule)
         # scenario 1 signals each combiner in log2(combiners) bits
         if self.num_combiners & (self.num_combiners - 1):
             raise ValueError(f"ue_array must hold a power-of-two number of elements, "
                              f"got {self.ue_array!r}")
-        if not (isinstance(self.scenarios, (tuple, list)) and self.scenarios
-                and all(s in (1, 2, 3) for s in self.scenarios)):
-            raise ValueError(f"scenarios must be a nonempty list drawn from 1, 2 and 3, "
-                             f"got {self.scenarios!r}")
-        # snapshot i draws its seed from label i, which must stay below the
-        # frozen labels of the split and the clustering
-        if self.snapshot_count >= _SEED_SPLIT:
-            raise ValueError(f"snapshot_count must be below {_SEED_SPLIT}, "
-                             f"got {self.snapshot_count}")
-        # set sizes and budgets index the evaluation tables from 1
-        for key in ("n_b_sweep", "heatmap_s_w", "heatmap_s_f"):
-            if not all(isinstance(v, numbers.Integral) and v >= 1 for v in getattr(self, key)):
-                raise ValueError(f"{key} entries must be integers >= 1, got {getattr(self, key)}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         # every grid point must make a TrainConfig, so that a bad grid fails
         # before the corpus is built; the harness sets each role's budget
         for key in ("bs_grid", "ue_grid"):
@@ -110,8 +109,7 @@ class ExperimentConfig:
             if not grid:
                 raise ValueError(f"{key} must hold at least one grid point")
             for i, point in enumerate(grid):
-                if not isinstance(point, dict):
-                    raise ValueError(f"{key}[{i}] must be a table of grid keys, got {point!r}")
+                check(f"{key}[{i}]", point, (_TABLE[0], "a table of grid keys"))
                 unknown = sorted(set(point) - _GRID_KEYS)
                 if unknown:
                     raise ValueError(f"{key}[{i}].{unknown[0]} is not a grid key; grid keys "
@@ -148,19 +146,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        check("config", raw, _TABLE)
         raw = dict(raw)
         version = raw.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version}")
         scene_raw = raw.pop("scene", {})
+        check("scene", scene_raw, _TABLE)
         known = {f.name for f in dataclasses.fields(cls)}
         known_scene = {f.name for f in dataclasses.fields(SceneConfig)}
         unknown = sorted(set(raw) - known) + sorted("scene." + k
                                                     for k in set(scene_raw) - known_scene)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        scene = SceneConfig(**{k: tuple(v) if isinstance(v, list) else v
-                               for k, v in scene_raw.items()})
+        try:
+            scene = SceneConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in scene_raw.items()})
+        except ValueError as exc:
+            raise ValueError(f"scene.{exc}") from exc
         # grid points stay dicts, which __post_init__ checks
         coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
         return cls(scene=scene, **coerced)

@@ -7,14 +7,33 @@ method); bus bounding boxes act as blockers. Cars carry roof-mounted UEs.
 """
 
 import logging
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import SPEED_OF_LIGHT, direction_angles, row_norms, wavelength
+from .fileio import check, check_fields, integer, listof, real
 
 log = logging.getLogger(__name__)
+
+# lengths (m) and frequencies (Hz) stay at most 1e12, as at 1e300 the
+# geometry or the noise power leaves the float range; wall_clearance 0
+# starts the wall path at the BS, lane_width 0 stacks the lanes, and
+# 10 ** (reference_snr_db / 10) must stay finite
+_POSITIVE = real("(0, 1e12]")
+_SCENE_RULES = {
+    **dict.fromkeys(("lane_width", "street_length", "bs_height", "wall_clearance", "wall_height",
+                     "subcarrier_spacing", "reference_distance"), _POSITIVE),
+    "carrier_frequency": real("[1e6, 1e12]"),  # a radio carrier, with a finite wavelength
+    **dict.fromkeys(("lane_count", "subcarrier_count"), integer(1)),
+    **dict.fromkeys(("min_gap", "max_gap"), real("[0, 1e12]")),
+    **dict.fromkeys(("bus_fraction", "ue_fraction", "wall_reflection", "bus_reflection"),
+                    real("[0, 1]")),
+    **dict.fromkeys(("car_dims", "bus_dims"), listof(_POSITIVE, range(3, 4))),  # w, l, h
+    **dict.fromkeys(("roi_y_min", "blockage_margin"), real("(-inf, inf)")),
+    "noise_power": (lambda v: v is None or _POSITIVE[0](v), f"None or {_POSITIVE[1]}"),
+    "reference_snr_db": real("[-300, 300]"),
+}
 
 
 @dataclass(frozen=True)
@@ -43,33 +62,19 @@ class SceneConfig:
     reference_distance: float = 30.0
 
     def __post_init__(self):
-        # at wall_clearance 0 the wall path starts at the BS and has no
-        # direction; phases divide by carrier_frequency, the default noise
-        # power by reference_distance, and lane_width 0 stacks every lane
-        for key in ("wall_clearance", "carrier_frequency", "reference_distance", "lane_width"):
-            value = getattr(self, key)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{key} must be finite and > 0, got {value}")
-        # with a negative gap or a vehicle length <= 0 a lane's cursor need
-        # not advance, and snapshot generation may never reach the street end
-        if not self.min_gap >= 0:
-            raise ValueError(f"min_gap must be >= 0, got {self.min_gap}")
-        if not self.max_gap >= self.min_gap:
-            raise ValueError(f"max_gap must be >= min_gap ({self.min_gap}), got {self.max_gap}")
-        for key in ("car_dims", "bus_dims"):
-            dims = getattr(self, key)
-            if not (np.shape(dims) == (3,) and all(np.isfinite(v) and v > 0 for v in dims)):
-                raise ValueError(f"{key} must be three finite lengths > 0 (width, length, "
-                                 f"height), got {dims!r}")
-        if not self.min_gap + self.car_dims[1] <= self.street_length < np.inf:
-            raise ValueError(f"street_length must be finite and >= min_gap + car length "
-                             f"({self.min_gap + self.car_dims[1]}), got {self.street_length}")
-        for key in ("lane_count", "subcarrier_count"):
-            value = getattr(self, key)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-        if self.noise_power is not None and not self.noise_power > 0:
-            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
+        check_fields(self, _SCENE_RULES)
+        check("max_gap", self.max_gap, real(f"[{self.min_gap}, 1e12]"))
+        # one car must fit, and each vehicle moves its lane's cursor on by at
+        # least min_gap + the shortest length, so a lane holds at most 100000
+        shortest = self.min_gap + min(self.car_dims[1], self.bus_dims[1])
+        check("street_length", self.street_length,
+              real(f"[{self.min_gap + self.car_dims[1]}, {100_000 * shortest}]"))
+        # a bus box deflated by half its smallest side turns inside out
+        check("blockage_margin", self.blockage_margin, real(f"({-min(self.bus_dims) / 2}, inf)"))
+        # like reference_snr_db, noise_power keeps the peak SNR in [-300, 300] dB
+        if self.noise_power is not None:
+            check("noise_power", self.noise_power,
+                  real(f"[{self.reference_gain / 1e30}, {self.reference_gain * 1e30}]"))
 
     @property
     def bs_position(self) -> np.ndarray:
@@ -94,9 +99,12 @@ class SceneConfig:
         sees the configured peak post-beamforming SNR."""
         if self.noise_power is not None:
             return self.noise_power
-        lam = wavelength(self.carrier_frequency)
-        amp = lam / (4.0 * np.pi * self.reference_distance)
-        return amp ** 2 / 10.0 ** (self.reference_snr_db / 10.0)
+        return self.reference_gain / 10.0 ** (self.reference_snr_db / 10.0)
+
+    @property
+    def reference_gain(self) -> float:
+        """Power gain of an unblocked path at the reference distance."""
+        return (wavelength(self.carrier_frequency) / (4.0 * np.pi * self.reference_distance)) ** 2
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,9 @@ def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
     for name, value in (("min_samples_leaf", 0), ("min_samples_leaf", -2), ("tree_count", -1),
-                        ("max_depth", 2.5), ("tree_count", "3"), ("learning_rate", "0.3")):
+                        ("max_depth", 2.5), ("tree_count", "3"), ("learning_rate", "0.3"),
+                        ("budget_parameters", -5), ("budget_parameters", 1.5),
+                        ("tree_count", True), ("learning_rate", True)):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             TrainConfig(**{name: value})
     assert TrainConfig(min_samples_leaf=1, tree_count=0).min_samples_leaf == 1

@@ -99,8 +99,9 @@ def test_build_rate_dataset_logs_ue_and_path_counts(caplog):
 
 
 def test_build_rate_dataset_rejects_non_finite_rates():
-    # a wall 1e-275 m beside the BS passes the config check, but the wall
-    # path's direction underflows and its rates come out NaN
+    # a wall 1e-275 m beside the BS passes SceneConfig's check (only an
+    # ExperimentConfig rejects it), but the wall path's direction underflows
+    # and its rates come out NaN
     cfg = dataclasses.replace(SceneConfig(), wall_clearance=1e-275)
     snaps = [generate_snapshot(cfg, s, snapshot_id=s) for s in range(2)]
     bs_g, ue_g = default_bs_geometry(cfg, 8, 8), default_ue_geometry(cfg, 4, 4)

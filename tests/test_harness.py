@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import re
 import sys
 from pathlib import Path
@@ -10,11 +11,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrain import boosting, harness, metrics
 from beamtrain.harness import (DEFAULT_N_B_SWEEP, ExperimentConfig, StageError, _stage,
                                build_corpus, build_coverage_plan, decoupled_split, derive_seed,
                                emit_outputs, evaluate, run_experiment, split_corpus, train_role)
+from beamtrain.scene import SceneConfig
 from beamtrain.selectors import BeamPairSet, DecoupledSets, overhead_bits
 
 
@@ -128,7 +132,11 @@ def test_toml_config_without_tomllib_points_to_json(tmp_path, monkeypatch):
         ExperimentConfig.from_file(str(path))
 
 
-def test_config_rejects_unknown_keys_and_versions():
+def test_config_rejects_unknown_keys_and_versions(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    with pytest.raises(ValueError, match=r"^config must be a table of keys, got \[1\]"):
+        ExperimentConfig.from_file(str(path))
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"nonsense": 1})
     with pytest.raises(ValueError):
@@ -165,11 +173,36 @@ def test_config_rejects_snapshot_count_reaching_seed_labels():
     ("n_b_sweep", [1, 2.0]),
     ("heatmap_s_w", [1, 2.5]),
     ("heatmap_s_f", [4.0]),
+    ("n_b_sweep", 5),
+    ("heatmap_s_w", 5),
+    ("use_significance", "no"),
+    ("master_seed", True),
+    ("test_fraction", "0.2"),
+    ("scenarios", [1.0]),
+    ("bs_grid", 5),
+    ("scene", [1]),
+    ("scene", 5),
+    ("scene.lane_width", -1),
+    ("scene.bs_height", -10),
+    ("scene.wall_height", -5),
+    ("scene.subcarrier_spacing", -120e3),
+    ("scene.wall_reflection", 3.0),
+    ("scene.blockage_margin", -5),
+    ("scene.reference_snr_db", 1e308),
+    ("scene.bus_fraction", 1.5),
+    # a scene with no room for a UE fails as an experiment's scene
+    ("scene.bus_fraction", 1.0),
+    ("scene.ue_fraction", 0.0),
+    ("scene.ue_fraction", -0.1),
+    ("scene.roi_y_min", 500.0),
+    ("scene.wall_clearance", 1e-275),
 ])
 def test_config_rejects_bad_evaluation_keys(key, value):
-    # rejected when the config is read, before any stage runs
-    with pytest.raises(ValueError, match=key):
-        ExperimentConfig.from_dict({key: value})
+    # rejected when the config is read, before any stage runs, with an error
+    # that begins with the key; a scene key keeps its `scene.` prefix
+    outer, _, inner = key.partition(".")
+    with pytest.raises(ValueError, match=f"^{re.escape(key)} must "):
+        ExperimentConfig.from_dict({outer: {inner: value} if inner else value})
 
 
 @pytest.mark.parametrize("key, grid, message", [
@@ -189,6 +222,116 @@ def test_config_rejects_bad_model_grids(key, grid, message):
         ExperimentConfig.from_dict({key: grid})
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig(**{key: tuple(grid)})
+
+
+def _reals(*bounds):
+    """Each finite bound with the floats just below and above it; an
+    infinite bound as itself and the largest float inside it."""
+    return [v for b in bounds for v in (
+        [b, math.nextafter(b, 0.0)] if math.isinf(b)
+        else [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)])]
+
+
+def _ints(*bounds):
+    return [v for b in bounds for v in (b - 1, b, b + 1)]
+
+
+# the reference SNR bounds of noise_power at the smoke scene's 28 GHz and 30 m
+_PEAK = (299_792_458.0 / 28e9 / (4.0 * math.pi * 30.0)) ** 2
+# Values at, just inside and just outside each bound of every key's rule,
+# cross-key bounds included, against the smoke config's other keys: min_gap
+# 2 m, max_gap 12 m, a 4.5 m car, a 2.5 m wide bus, a 160 m street, and the
+# region of interest from 20 m.
+_SCENE_EDGES = {
+    **dict.fromkeys(("lane_count", "subcarrier_count"), _ints(1)),
+    **dict.fromkeys(("lane_width", "bs_height", "wall_height", "subcarrier_spacing",
+                     "reference_distance"), _reals(0.0, 1e12)),
+    "wall_clearance": _reals(0.0, 1e-100, 1e12),
+    "carrier_frequency": _reals(1e6, 1e12),
+    # a 650 km street holds the most vehicles a lane may; a corpus at it
+    # would take minutes, so only the float above it is drawn
+    "street_length": _reals(0.0, 6.5, 24.5) + [math.nextafter(650_000.0, math.inf)],
+    "min_gap": _reals(0.0, 12.0),
+    "max_gap": _reals(2.0, 1e12),
+    **dict.fromkeys(("bus_fraction", "ue_fraction", "wall_reflection", "bus_reflection"),
+                    _reals(0.0, 1.0)),
+    "car_dims": [(1.75, v, 1.5) for v in _reals(0.0, 140.0)] + [(1.75, 4.5), (1, 1, 1, 1)],
+    "bus_dims": [(v, 12.0, 3.8) for v in _reals(0.0, 1e12)] + [(2.5, 12.0)],
+    "roi_y_min": _reals(-math.inf, 155.5, math.inf),
+    "noise_power": [None] + _reals(0.0, _PEAK / 1e30, _PEAK * 1e30, 1e12),
+    "blockage_margin": _reals(-math.inf, -1.25, math.inf),
+    "reference_snr_db": _reals(-300.0, 300.0),
+}
+_EXPERIMENT_EDGES = {
+    "scene": [{}, 5],
+    **dict.fromkeys(("bs_array", "ue_array"),
+                    [[v, 1] for v in _ints(1)] + [[2], [1, 1, 1], [3, 1]]),
+    "master_seed": _ints(0),
+    "snapshot_count": _ints(1, 999_999),
+    "test_fraction": _reals(0.0, 1.0),
+    "folds": _ints(2),
+    "scenarios": [[], [2, 3]] + [[v] for v in _ints(1, 3)],
+    **dict.fromkeys(("n_b_sweep", "heatmap_s_w", "heatmap_s_f"), [[]] + [[v] for v in _ints(1)]),
+    **dict.fromkeys(("s_w_size", "cluster_count"), _ints(1)),
+    "use_significance": [True, False, 0],
+    **dict.fromkeys(("bs_grid", "ue_grid"), [[], [{}], [3], [{"max_depth": 0}]]),
+}
+_TRAIN_EDGES = {
+    **dict.fromkeys(("tree_count", "budget_parameters"), _ints(0)),
+    **dict.fromkeys(("max_depth", "min_samples_leaf"), _ints(1)),
+    "learning_rate": _reals(0.0, 1.0),
+}
+_EDGES = {SceneConfig: _SCENE_EDGES, ExperimentConfig: _EXPERIMENT_EDGES,
+          boosting.TrainConfig: _TRAIN_EDGES}
+_WRONG_TYPES = ["5", True, None, [1.0]]
+# a cross-key rule names one of its keys, which may be another than the one
+# drawn: the gaps' order names max_gap, and the room for a car past the
+# region of interest's start names roi_y_min
+_NAMED_BY = {"min_gap": "scene.max_gap", "car_dims": "scene.roi_y_min",
+             "street_length": "scene.roi_y_min"}
+
+
+def test_edges_cover_every_config_key():
+    for cls, edges in _EDGES.items():
+        assert sorted(edges) == sorted(f.name for f in dataclasses.fields(cls))
+
+
+def test_readme_rule_table_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| Key | Rule |\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    named = {key for row in rows for key in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+    assert named == ({f.name for f in dataclasses.fields(ExperimentConfig)}
+                     | {f.name for f in dataclasses.fields(boosting.TrainConfig)}
+                     | {"scene." + f.name for f in dataclasses.fields(SceneConfig)})
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_every_config_key_fails_naming_itself_or_builds_a_corpus(data):
+    """One key of the smoke config set to a value at, just inside or just
+    outside a bound of its rule, or to a wrong type: the config fails to
+    build with a ValueError that begins with the key (`scene.<key>` for a
+    scene key, `<grid>[i]` for a grid point), or a 2-snapshot corpus
+    builds."""
+    cls = data.draw(st.sampled_from(list(_EDGES)))
+    key = data.draw(st.sampled_from(sorted(_EDGES[cls])))
+    value = data.draw(st.sampled_from(_EDGES[cls][key] + _WRONG_TYPES))
+    raw = dataclasses.asdict(ExperimentConfig.smoke())
+    (raw["scene"] if cls is SceneConfig else raw)[key] = value
+    names = [f"scene.{key}" if cls is SceneConfig else key] + [_NAMED_BY.get(key)] * (
+        cls is SceneConfig and key in _NAMED_BY)
+    try:
+        if cls is boosting.TrainConfig:
+            boosting.TrainConfig(**{key: value})
+            return
+        config = ExperimentConfig.from_dict(raw)
+    except ValueError as exc:
+        assert any(re.match(rf"{re.escape(name)}(\[\d+\](\.\w+)?)? must ", str(exc))
+                   for name in names), str(exc)
+        return
+    with np.errstate(all="ignore"):
+        snapshots = build_corpus(dataclasses.replace(config, snapshot_count=2))[0]
+    assert len(snapshots) == 2
 
 
 def test_stage_wraps_exceptions():

@@ -64,6 +64,16 @@ def test_snapshot_determinism():
     ("bus_dims", (2.5, -12.0, 3.8)), ("bus_dims", (0.0, 12.0, 3.8)),
     ("bus_dims", (2.5, float("inf"), 3.8)),
     ("street_length", 6.0), ("street_length", float("inf")), ("street_length", float("nan")),
+    ("bs_height", -10.0), ("wall_height", -5.0), ("subcarrier_spacing", -120e3),
+    ("wall_reflection", 3.0), ("bus_reflection", -0.1), ("bus_fraction", 1.5),
+    ("ue_fraction", -0.1), ("roi_y_min", float("nan")), ("roi_y_min", float("inf")),
+    ("reference_snr_db", 1e308), ("blockage_margin", -5.0), ("noise_power", "x"),
+    ("lane_count", True), ("lane_width", "3.5"), ("car_dims", 4.5),
+    # more than 100000 vehicles of 2 m gap + 4.5 m car a lane
+    ("street_length", 650_001.0),
+    # values at which the corpus stage's floats overflow or underflow
+    ("lane_width", 1e300), ("bs_height", 1e300), ("reference_distance", 1e300),
+    ("carrier_frequency", 5e-324), ("carrier_frequency", 1e300), ("noise_power", 5e-324),
 ])
 def test_config_rejects_degenerate_wall_clearance(key, value):
     """A physical key that no scene can use fails at construction, with an
@@ -116,6 +126,9 @@ def test_too_short_street_raises():
     the config, which generate_snapshot then trusts."""
     with pytest.raises(ValueError, match="^street_length must be"):
         dataclasses.replace(SceneConfig(), street_length=3.0)
+    # a lane of nanometre cars without gaps would place about 1.6e11 of them
+    with pytest.raises(ValueError, match="^street_length must be"):
+        SceneConfig(car_dims=(1.75, 1e-9, 1.5), bus_fraction=0.0, min_gap=0.0, max_gap=1e-9)
     # the shortest street allowed: min_gap 2 m + a 4.5 m car
     assert generate_snapshot(SceneConfig(street_length=6.5), 0).center.shape[1] == 3
 
