@@ -65,36 +65,21 @@ def cmd_dataset_build(args) -> int:
     config = _load_config(args)
     _output_dir(args.out)
     _, rate_rows = harness.build_rate_rows(config)
-    path = os.path.join(args.out, "rates." + ("csv" if args.format == "csv" else "npz"))
+    path = os.path.join(args.out, "rates.npz")
     dataset.save_dataset(rate_rows, path, (config.num_combiners, config.num_beamformers),
-                         fmt=args.format, corpus=config.corpus_keys())
+                         config.corpus_keys())
     print(f"wrote {len(rate_rows)} rows to {path}")
-    return 0
-
-
-def cmd_dataset_transform(args) -> int:
-    _output_dir(os.path.dirname(args.out))
-    rows, pair_shape, corpus = dataset.load_dataset(args.input)
-    if isinstance(rows[0], dataset.TRRow):
-        raise ValueError(f"dataset file {args.input!r} has row_kind 'tr'; --input takes the "
-                         "rate file that `dataset build` writes")
-    tr_rows = dataset.to_throughput_ratios(rows)
-    dataset.save_dataset(tr_rows, args.out, pair_shape, fmt="binary", corpus=corpus)
-    print(f"wrote {len(tr_rows)} throughput-ratio rows to {args.out}")
     return 0
 
 
 def _tr_corpus(args):
     """The config, and the TR rows, ATR rows and split of the `--input`
-    file, which must be a `dataset transform` file of the config's
-    (|W|, |F|) pair shape and corpus keys. Checks the `--out` directory
-    first."""
+    rate file, which must be of the config's (|W|, |F|) pair shape and
+    corpus keys. Checks the `--out` directory first, and the file before
+    any stage runs."""
     config = _load_config(args)
     _output_dir(os.path.dirname(args.out))
     rows, pair_shape, corpus = dataset.load_dataset(args.input)
-    if not isinstance(rows[0], dataset.TRRow):
-        raise ValueError(f"dataset file {args.input!r} has row_kind 'rate'; --input takes the "
-                         "throughput-ratio file that `dataset transform` writes")
     expected = (config.num_combiners, config.num_beamformers)
     if pair_shape != expected:
         raise ValueError(f"dataset file {args.input!r} has pair_shape {pair_shape}, but the "
@@ -104,8 +89,8 @@ def _tr_corpus(args):
         if recorded.get(key) != want:
             raise ValueError(f"dataset file {args.input!r} has {key} {recorded.get(key)!r}, "
                              f"but the config gives {want!r}")
-    return (config, rows, dataset.to_atr(rows, *pair_shape),
-            harness.split_corpus(config, len(rows)))
+    tr_rows, atr_rows = harness.transform_corpus(config, rows)
+    return config, tr_rows, atr_rows, harness.split_corpus(config, len(tr_rows))
 
 
 def _flat_corpus(corpus: dict) -> dict:
@@ -193,18 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = ds.add_parser("build", help="build the per-pair rate dataset")
     _add_common(p, "dataset_out")
-    p.add_argument("--format", choices=["binary", "csv"], default="binary")
     p.set_defaults(func=cmd_dataset_build)
-    p = ds.add_parser("transform", help="rates -> throughput ratios")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_dataset_transform)
 
     model = sub.add_parser("model", help="regression models").add_subparsers(
         dest="subcommand", required=True)
     p = model.add_parser("train", help="train one model role")
     _add_common(p, "model.npz")
-    p.add_argument("--input", required=True, help="TR dataset file from `dataset transform`")
+    p.add_argument("--input", required=True, help="rate file from `dataset build`")
     p.add_argument("--role", default="theta1",
                    choices=["theta1", "theta2_f", "theta2_w", "theta3_w"])
     p.set_defaults(func=cmd_model_train)
@@ -216,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = plan.add_parser("build", help="build the cluster coverage plan")
     _add_common(p, "plan.npz")
-    p.add_argument("--input", required=True, help="TR dataset file from `dataset transform`")
+    p.add_argument("--input", required=True, help="rate file from `dataset build`")
     p.set_defaults(func=cmd_plan_build)
 
     ev = sub.add_parser("eval", help="experiments and metrics").add_subparsers(

@@ -1,6 +1,5 @@
 """Location-based datasets: rates, throughput ratios, ATRs, splits, files."""
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -8,7 +7,7 @@ import numpy as np
 
 from .arrays import Codebook
 from .channel import path_responses
-from .fileio import atomic_write, check, integer, load_npz, require_keys, save_npz
+from .fileio import check, integer, load_npz, save_npz
 from .linkeval import sweep_responses
 from .scene import PATH_KINDS, trace_snapshot
 # The dense route (channel_for_ue, sweep_all) is no longer called here, but
@@ -18,11 +17,11 @@ from .linkeval import sweep_all  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-DATASET_FORMAT_VERSION = 2
+# 3: rate rows only, under `rates`; a version-2 file may hold TR rows
+DATASET_FORMAT_VERSION = 3
 # the config values the corpus was built from, besides the pair shape
 CORPUS_KEYS = ("master_seed", "snapshot_count", "scene")
-_DATASET_KEYS = ("locations", "snapshot_ids", "ue_indices", "values", "row_kind",
-                 "pair_shape") + CORPUS_KEYS
+_DATASET_KEYS = ("locations", "snapshot_ids", "ue_indices", "rates", "pair_shape") + CORPUS_KEYS
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,6 @@ class TRRow:
     """Throughput ratios r_T for one UE; max entry is exactly 1.0."""
     location: np.ndarray
     ratios: np.ndarray        # (|W|*|F|,) in [0, 1]
-    max_rate: float
-    snapshot_id: int
-    ue_index: int = -1
 
 
 @dataclass(frozen=True)
@@ -119,9 +115,7 @@ def to_throughput_ratios(rate_rows: list[RateRow]) -> list[TRRow]:
     if np.any(peaks <= 0.0):
         raise ValueError("rate row with non-positive max (should be dropped upstream)")
     ratios /= peaks[:, None]
-    return [TRRow(location=row.location, ratios=tr, max_rate=peak, snapshot_id=row.snapshot_id,
-                  ue_index=row.ue_index)
-            for row, tr, peak in zip(rate_rows, ratios, peaks.tolist())]
+    return [TRRow(location=row.location, ratios=tr) for row, tr in zip(rate_rows, ratios)]
 
 
 def to_atr(tr_rows: list[TRRow], num_combiners: int, num_beamformers: int) -> list[ATRRow]:
@@ -154,19 +148,6 @@ def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,
     return DatasetSplit(train_rows=train, test_rows=test, fold_assignments=fold_of)
 
 
-def _rows_to_arrays(rows):
-    locs = np.array([r.location for r in rows])
-    snaps = np.array([r.snapshot_id for r in rows])
-    ues = np.array([r.ue_index for r in rows])
-    if isinstance(rows[0], TRRow):
-        values = np.array([r.ratios for r in rows])
-        extra = {"max_rates": np.array([r.max_rate for r in rows]), "row_kind": np.array(["tr"])}
-    else:
-        values = np.array([r.rates for r in rows])
-        extra = {"row_kind": np.array(["rate"])}
-    return locs, snaps, ues, values, extra
-
-
 def _check_pair_shape(pair_shape, width, path: str) -> tuple[int, int]:
     """(|W|, |F|) of a dataset file, which must be positive and cover its
     `width` pairs per row."""
@@ -177,53 +158,39 @@ def _check_pair_shape(pair_shape, width, path: str) -> tuple[int, int]:
     return shape
 
 
-def save_dataset(rows, path: str, pair_shape, fmt: str, corpus: dict | None = None) -> None:
-    """Persist rate or TR rows of `pair_shape` = (|W|, |F|) pairs; binary
-    round-trips losslessly, CSV keeps 9 significant digits. CSV columns:
-    x, y, snapshot_id, r_{i}_{j}. A binary file also records `corpus`, the
-    value of each of CORPUS_KEYS that the rows were built from."""
+def save_dataset(rows: list[RateRow], path: str, pair_shape, corpus: dict) -> None:
+    """Persist rate rows of `pair_shape` = (|W|, |F|) pairs losslessly, with
+    `corpus`, the value of each of CORPUS_KEYS that the rows were built
+    from."""
     if not rows:
         raise ValueError("cannot save an empty dataset")
-    locs, snaps, ues, values, extra = _rows_to_arrays(rows)
-    num_combiners, num_beamformers = _check_pair_shape(pair_shape, values.shape[1], path)
-    if fmt == "binary":
-        if corpus is None:
-            raise ValueError(f"a binary dataset records its corpus keys {CORPUS_KEYS}")
-        save_npz(path, {"locations": locs, "snapshot_ids": snaps, "ue_indices": ues,
-                        "values": values, **extra,
-                        "pair_shape": np.array([num_combiners, num_beamformers]),
-                        **{key: np.array([corpus[key]]) for key in CORPUS_KEYS}},
-                 DATASET_FORMAT_VERSION)
-    elif fmt == "csv":
-        header = ["x", "y", "snapshot_id"] + [
-            f"r_{i + 1}_{j + 1}" for i in range(num_combiners) for j in range(num_beamformers)]
-        with atomic_write(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for n in range(len(rows)):
-                writer.writerow(["%.9g" % locs[n, 0], "%.9g" % locs[n, 1], int(snaps[n])]
-                                + ["%.9g" % v for v in values[n]])
-    else:
-        raise ValueError(f"unknown dataset format {fmt!r}")
+    rates = np.array([r.rates for r in rows])
+    save_npz(path, {"locations": np.array([r.location for r in rows]),
+                    "snapshot_ids": np.array([r.snapshot_id for r in rows]),
+                    "ue_indices": np.array([r.ue_index for r in rows]),
+                    "rates": rates,
+                    "pair_shape": np.array(_check_pair_shape(pair_shape, rates.shape[1], path)),
+                    **{key: np.array([corpus[key]]) for key in CORPUS_KEYS}},
+             DATASET_FORMAT_VERSION)
 
 
 def load_dataset(path: str):
-    """Load (rows, pair_shape, corpus) from a binary file of save_dataset;
-    a malformed file raises ValueError. pair_shape = (|W|, |F|) must match
-    the row width, and corpus maps CORPUS_KEYS to the file's values."""
+    """Load (rate rows, pair_shape, corpus) from a file of save_dataset; a
+    malformed file raises a ValueError naming it. pair_shape = (|W|, |F|)
+    must match the row width, each per-row array must hold one entry per
+    rate row, and corpus maps CORPUS_KEYS to the file's values."""
     data = load_npz(path, "dataset", DATASET_FORMAT_VERSION, _DATASET_KEYS)
-    values = data["values"]
+    rates = data["rates"]
     pair_shape = _check_pair_shape(data["pair_shape"],
-                                   values.shape[1] if values.ndim == 2 else None, path)
-    if len(values) == 0:
+                                   rates.shape[1] if rates.ndim == 2 else None, path)
+    n = len(rates)
+    if n == 0:
         raise ValueError(f"dataset file {path!r} holds no rows")
-    kind = str(data["row_kind"][0])
-    if kind == "tr":
-        require_keys(data, path, "dataset", ("max_rates",))
-    rows = []
-    for n in range(len(data["snapshot_ids"])):
-        ids = dict(location=data["locations"][n], snapshot_id=int(data["snapshot_ids"][n]),
-                   ue_index=int(data["ue_indices"][n]))
-        rows.append(TRRow(ratios=values[n], max_rate=float(data["max_rates"][n]), **ids)
-                    if kind == "tr" else RateRow(rates=values[n], **ids))
+    for key, shape in (("locations", (n, 2)), ("snapshot_ids", (n,)), ("ue_indices", (n,))):
+        if data[key].shape != shape:
+            raise ValueError(f"dataset file {path!r} has {key} of shape {data[key].shape}, "
+                             f"but its {n} rate rows need {shape}")
+    rows = [RateRow(location=location, rates=row, snapshot_id=int(snapshot), ue_index=int(ue))
+            for location, row, snapshot, ue in zip(data["locations"], rates,
+                                                   data["snapshot_ids"], data["ue_indices"])]
     return rows, pair_shape, {key: data[key][0].item() for key in CORPUS_KEYS}

@@ -53,15 +53,10 @@ def load_npz(path: str, what: str, version: int, keys) -> dict:
         raise ValueError(f"cannot read {what} file {path!r}: {exc}") from exc
     if not np.array_equal(data.get("format_version"), [version]):
         raise ValueError(f"unsupported {what} file version in {path!r}")
-    require_keys(data, path, what, keys)
-    return data
-
-
-def require_keys(data: dict, path: str, what: str, keys) -> None:
-    """Raise a ValueError naming the first of `keys` missing from `data`."""
     for key in keys:
         if key not in data:
             raise ValueError(f"{what} file {path!r} lacks key {key!r}")
+    return data
 
 
 # A rule is a (test, text) pair; `check` raises the ValueError

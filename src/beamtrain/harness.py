@@ -50,7 +50,8 @@ _GRID_KEYS = {f.name for f in dataclasses.fields(boosting.TrainConfig)} - {"budg
 
 _EXPERIMENT_RULES = {
     "scene": (lambda v: isinstance(v, SceneConfig), "a SceneConfig"),
-    **dict.fromkeys(("bs_array", "ue_array"), listof(integer(1), range(2, 3))),  # rows, cols
+    # rows, cols; the sweep's pairs grow with their product, so each side is bounded
+    **dict.fromkeys(("bs_array", "ue_array"), listof(integer(1, 32), range(2, 3))),
     "master_seed": integer(0),
     # snapshot i draws its seed from label i, which must stay below the
     # frozen labels of the split and the clustering
@@ -260,13 +261,17 @@ def build_rate_rows(config: ExperimentConfig):
                                              bs_geom, ue_geom, config.scene)
 
 
+def transform_corpus(config: ExperimentConfig, rate_rows):
+    """Rate rows -> (TR rows, ATR rows), leaving the rate rows intact."""
+    with _stage("transform dataset"):
+        tr_rows = to_throughput_ratios(rate_rows)
+        return tr_rows, to_atr(tr_rows, config.num_combiners, config.num_beamformers)
+
+
 def build_corpus(config: ExperimentConfig):
     """Snapshots -> rate rows -> TR/ATR rows, deterministically."""
     snapshots, rate_rows = build_rate_rows(config)
-    with _stage("transform dataset"):
-        tr_rows = to_throughput_ratios(rate_rows)
-        atr_rows = to_atr(tr_rows, config.num_combiners, config.num_beamformers)
-    return snapshots, rate_rows, tr_rows, atr_rows
+    return (snapshots, rate_rows, *transform_corpus(config, rate_rows))
 
 
 def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):

@@ -25,7 +25,9 @@ _SCENE_RULES = {
     **dict.fromkeys(("lane_width", "street_length", "bs_height", "wall_clearance", "wall_height",
                      "subcarrier_spacing", "reference_distance"), _POSITIVE),
     "carrier_frequency": real("[1e6, 1e12]"),  # a radio carrier, with a finite wavelength
-    **dict.fromkeys(("lane_count", "subcarrier_count"), integer(1)),
+    # resource bounds: the rate stage's time and memory grow with both
+    "lane_count": integer(1, 64),
+    "subcarrier_count": integer(1, 4096),
     **dict.fromkeys(("min_gap", "max_gap"), real("[0, 1e12]")),
     **dict.fromkeys(("bus_fraction", "ue_fraction", "wall_reflection", "bus_reflection"),
                     real("[0, 1]")),

@@ -31,13 +31,12 @@ def _tiny_config(tmp_path, **overrides):
 _PATH_KEYS = ("snapshot_id", "ue", "kind", "gain", "delay", "aod", "aoa")
 
 
-def _tr_file(tmp_path, *config_args):
-    """The TR file that `dataset build` then `dataset transform` write for
-    the config flags `config_args`."""
-    ds, tr = str(tmp_path / "ds"), str(tmp_path / "tr.npz")
+def _rate_file(tmp_path, *config_args):
+    """The rate file that `dataset build` writes for the config flags
+    `config_args`."""
+    ds = str(tmp_path / "ds")
     assert cli.main(["dataset", "build", *config_args, "--out", ds]) == 0
-    assert cli.main(["dataset", "transform", "--input", ds + "/rates.npz", "--out", tr]) == 0
-    return tr
+    return ds + "/rates.npz"
 
 
 def test_scene_gen(tmp_path, capsys, monkeypatch):
@@ -113,40 +112,43 @@ def test_readme_python_block_rebuilds_a_ues_channel(tmp_path, monkeypatch):
 
 
 def test_dataset_build_and_transform(tmp_path):
-    out = str(tmp_path / "ds")
-    rc = cli.main(["dataset", "build", "--config", _tiny_config(tmp_path), "--out", out])
-    assert rc == 0
-    rows, pair_shape, _ = load_dataset(out + "/rates.npz")
+    """`dataset build` writes the rate rows of the in-process rate stage,
+    bit for bit, and the transform stage turns them into TR rows."""
+    config_path = _tiny_config(tmp_path)
+    rows, pair_shape, _ = load_dataset(_rate_file(tmp_path, "--config", config_path))
     assert rows and rows[0].rates.shape == (1024,)
     assert pair_shape == (16, 64)
-
-    tr_out = str(tmp_path / "tr.npz")
-    rc = cli.main(["dataset", "transform", "--input", out + "/rates.npz", "--out", tr_out])
-    assert rc == 0
-    tr, pair_shape, _ = load_dataset(tr_out)
-    assert pair_shape == (16, 64)
+    config = ExperimentConfig.from_file(config_path)
+    expected = harness.build_rate_rows(config)[1]
+    assert [(r.snapshot_id, r.ue_index) for r in rows] == [
+        (r.snapshot_id, r.ue_index) for r in expected]
+    assert all(a.rates.tobytes() == b.rates.tobytes() and a.location.tobytes()
+               == b.location.tobytes() for a, b in zip(rows, expected))
+    tr, _ = harness.transform_corpus(config, rows)
     assert np.all(np.max([r.ratios for r in tr], axis=1) == 1.0)
 
 
 def test_dataset_transform_keeps_the_input_pair_shape(tmp_path):
-    out = str(tmp_path / "ds")
+    """The file of a 4x4 BS array records its (16, 16) pair shape, and the
+    transform of `model train` reads it: theta2_f gets 16 outputs."""
     config = _tiny_config(tmp_path, bs_array=[4, 4])
-    assert cli.main(["dataset", "build", "--config", config, "--out", out]) == 0
-    tr_out = str(tmp_path / "tr.npz")
-    assert cli.main(["dataset", "transform", "--input", out + "/rates.npz",
-                     "--out", tr_out]) == 0
-    with np.load(tr_out) as npz:
+    rates = _rate_file(tmp_path, "--config", config)
+    with np.load(rates) as npz:
         assert npz["pair_shape"].tolist() == [16, 16]
-        assert npz["values"].shape[1] == 256
-    tr, pair_shape, _ = load_dataset(tr_out)
-    assert pair_shape == (16, 16) and tr[0].ratios.shape == (256,)
+        assert npz["rates"].shape[1] == 256
+    rows, pair_shape, _ = load_dataset(rates)
+    assert pair_shape == (16, 16) and rows[0].rates.shape == (256,)
+    model = str(tmp_path / "m.npz")
+    assert cli.main(["model", "train", "--config", config, "--input", rates,
+                     "--role", "theta2_f", "--out", model]) == 0
+    assert boosting.load_model(model).output_dimension == 16
 
 
 def test_model_train_and_inspect(tmp_path, capsys):
     model_path = str(tmp_path / "m.npz")
     config = _tiny_config(tmp_path)
     rc = cli.main(["model", "train", "--config", config, "--input",
-                   _tr_file(tmp_path, "--config", config), "--role", "theta2_w",
+                   _rate_file(tmp_path, "--config", config), "--role", "theta2_w",
                    "--out", model_path])
     assert rc == 0
     rc = cli.main(["model", "inspect", "--model", model_path])
@@ -166,7 +168,7 @@ def test_model_train_fits_only_its_role(tmp_path, monkeypatch):
     cfg = _tiny_config(tmp_path, folds=3, ue_grid=[
         {"tree_count": 5, "max_depth": 2, "learning_rate": 0.3},
         {"tree_count": 10, "max_depth": 3, "learning_rate": 0.5}])
-    tr = _tr_file(tmp_path, "--config", cfg)
+    rates = _rate_file(tmp_path, "--config", cfg)
     fitted = []
     real_train = boosting.train
 
@@ -176,7 +178,7 @@ def test_model_train_fits_only_its_role(tmp_path, monkeypatch):
 
     monkeypatch.setattr(boosting, "train", counting)
     path = str(tmp_path / "m.npz")
-    assert cli.main(["model", "train", "--config", cfg, "--input", tr, "--role", "theta2_w",
+    assert cli.main(["model", "train", "--config", cfg, "--input", rates, "--role", "theta2_w",
                      "--out", path]) == 0
     assert fitted == [16] * (2 * 3 + 1)   # 2 grid points x 3 folds, then the final fit
     # the file holds the theta2_w model of the whole pipeline
@@ -189,11 +191,12 @@ def test_model_train_fits_only_its_role(tmp_path, monkeypatch):
 
 
 def test_model_train_and_plan_build_read_only_the_tr_file(tmp_path, monkeypatch):
-    """Each role's model file and the plan files from `--input` equal, byte
-    for byte, those of the in-process stages on the rebuilt corpus, and no
-    corpus is built."""
+    """Each role's model file and the plan files from the `--input` rate
+    file equal, byte for byte, those of the in-process stages on the
+    rebuilt corpus; neither the corpus nor its rate rows are built, and the
+    TR rows come from the harness transform stage."""
     config_path = _tiny_config(tmp_path, cluster_count=3)
-    tr = _tr_file(tmp_path, "--config", config_path)
+    rates = _rate_file(tmp_path, "--config", config_path)
     config = ExperimentConfig.from_file(config_path)
     _, _, tr_rows, atr_rows = harness.build_corpus(config)
     split = harness.split_corpus(config, len(tr_rows))
@@ -201,16 +204,21 @@ def test_model_train_and_plan_build_read_only_the_tr_file(tmp_path, monkeypatch)
     def no_corpus(config):
         raise AssertionError("the corpus was rebuilt")
 
+    transforms = []
+    transform = harness.transform_corpus
     monkeypatch.setattr(harness, "build_corpus", no_corpus)
+    monkeypatch.setattr(harness, "build_rate_rows", no_corpus)
+    monkeypatch.setattr(harness, "transform_corpus",
+                        lambda *args: transforms.append(1) or transform(*args))
     for role in ("theta1", "theta2_f", "theta2_w"):
         path = str(tmp_path / f"{role}.npz")
-        assert cli.main(["model", "train", "--config", config_path, "--input", tr,
+        assert cli.main(["model", "train", "--config", config_path, "--input", rates,
                          "--role", role, "--out", path]) == 0
         save_model(harness.train_role(config, role, tr_rows, atr_rows, split),
                    str(tmp_path / "expected.npz"))
         assert Path(path).read_bytes() == (tmp_path / "expected.npz").read_bytes()
     out = str(tmp_path / "plan.npz")
-    assert cli.main(["plan", "build", "--config", config_path, "--input", tr,
+    assert cli.main(["plan", "build", "--config", config_path, "--input", rates,
                      "--out", out]) == 0
     plan = harness.build_coverage_plan(config, np.array([r.location for r in tr_rows]),
                                        np.array([r.atr_f for r in atr_rows]), split)
@@ -218,25 +226,31 @@ def test_model_train_and_plan_build_read_only_the_tr_file(tmp_path, monkeypatch)
     selectors.save_plan(plan, expected, csv_path=expected + ".csv")
     assert Path(out).read_bytes() == Path(expected).read_bytes()
     assert Path(out + ".csv").read_bytes() == Path(expected + ".csv").read_bytes()
+    assert len(transforms) == 4
 
 
 @pytest.mark.parametrize("command", [["model", "train", "--role", "theta2_w"],
                                      ["plan", "build"]])
 def test_a_bad_input_fails_before_training(tmp_path, monkeypatch, capsys, command):
-    """A rate file and a TR file of another pair shape are rejected with an
-    error naming the file and the key, and a missing file with one naming
-    the file, before any stage runs."""
+    """A format-2 dataset file (which may hold TR rows) is rejected with an
+    error naming the file and its version, a rate file of another pair
+    shape with one naming the file and the key, and a missing file with
+    one naming the file, before any stage runs."""
     config = _tiny_config(tmp_path)
-    _tr_file(tmp_path, "--config", config)
-    rates = str(tmp_path / "ds" / "rates.npz")
+    rates = _rate_file(tmp_path, "--config", config)
+    with np.load(rates) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    old = str(tmp_path / "format2.npz")
+    np.savez_compressed(old, **{**arrays, "format_version": np.array([2])})
     (tmp_path / "other").mkdir()
-    other_shape = _tr_file(tmp_path / "other", "--config",
-                           _tiny_config(tmp_path / "other", bs_array=[4, 4]))
+    other_shape = _rate_file(tmp_path / "other", "--config",
+                             _tiny_config(tmp_path / "other", bs_array=[4, 4]))
     missing = str(tmp_path / "missing.npz")
     stages = []
+    monkeypatch.setattr(harness, "transform_corpus", lambda *args: stages.append(args))
     monkeypatch.setattr(harness, "split_corpus", lambda *args: stages.append(args))
-    for path, key in ((rates, "row_kind"), (other_shape, "pair_shape"),
-                      (missing, "No such file")):
+    for path, key in ((old, "unsupported dataset file version"),
+                      (other_shape, "pair_shape"), (missing, "No such file")):
         capsys.readouterr()
         assert cli.main([*command, "--config", config, "--input", path,
                          "--out", str(tmp_path / "out.npz")]) == 1
@@ -249,12 +263,13 @@ def test_a_bad_input_fails_before_training(tmp_path, monkeypatch, capsys, comman
                                      ["plan", "build"]])
 def test_a_tr_file_of_another_corpus_fails_before_training(tmp_path, monkeypatch, capsys,
                                                            command):
-    """A TR file built with another master seed, snapshot count or scene
+    """A rate file built with another master seed, snapshot count or scene
     than the config and `--seed` give is rejected with an error naming the
     file and the first differing key, before any stage runs."""
     config = _tiny_config(tmp_path)
-    tr = _tr_file(tmp_path, "--config", config)
+    rates = _rate_file(tmp_path, "--config", config)
     stages = []
+    monkeypatch.setattr(harness, "transform_corpus", lambda *args: stages.append(args))
     monkeypatch.setattr(harness, "split_corpus", lambda *args: stages.append(args))
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -265,25 +280,13 @@ def test_a_tr_file_of_another_corpus_fails_before_training(tmp_path, monkeypatch
             (["--config", _tiny_config(tmp_path / "b", scene={"lane_count": 3})],
              "scene.lane_count 4, but the config gives 3")):
         capsys.readouterr()
-        assert cli.main([*command, *flags, "--input", tr,
+        assert cli.main([*command, *flags, "--input", rates,
                          "--out", str(tmp_path / "out.npz")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(tr) in err and key in err
+        assert err.startswith("error: ") and repr(rates) in err and key in err
     assert stages == [] and not (tmp_path / "out.npz").exists()
     # the file records the corpus keys of the config it was built with
-    assert load_dataset(tr)[2] == ExperimentConfig.from_file(config).corpus_keys()
-
-
-def test_dataset_transform_rejects_a_tr_file(tmp_path, capsys):
-    """A TR file given to `dataset transform` fails with an error naming the
-    file and its row kind, and nothing is written."""
-    tr = _tr_file(tmp_path, "--config", _tiny_config(tmp_path))
-    out = tmp_path / "tr2.npz"
-    capsys.readouterr()
-    assert cli.main(["dataset", "transform", "--input", tr, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(tr) in err and "row_kind 'tr'" in err
-    assert not out.exists()
+    assert load_dataset(rates)[2] == ExperimentConfig.from_file(config).corpus_keys()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -316,12 +319,10 @@ def test_eval_run_bad_key_fails_before_any_stage(tmp_path, monkeypatch, capsys, 
                  id="dataset-build"),
     pytest.param(["dataset", "build", "--smoke"], (harness, "build_rate_rows"), None,
                  id="dataset-build-onto-a-file"),
-    pytest.param(["dataset", "transform", "--input", "rates.npz"], (dataset, "load_dataset"),
-                 "ds/tr.npz", id="dataset-transform"),
-    pytest.param(["model", "train", "--smoke", "--input", "tr.npz"], (dataset, "load_dataset"),
-                 "ds/m.npz", id="model-train"),
-    pytest.param(["plan", "build", "--smoke", "--input", "tr.npz"], (dataset, "load_dataset"),
-                 "ds/p.npz", id="plan-build"),
+    pytest.param(["model", "train", "--smoke", "--input", "rates.npz"],
+                 (dataset, "load_dataset"), "ds/m.npz", id="model-train"),
+    pytest.param(["plan", "build", "--smoke", "--input", "rates.npz"],
+                 (dataset, "load_dataset"), "ds/p.npz", id="plan-build"),
 ])
 def test_eval_bad_out_fails_before_any_stage(tmp_path, monkeypatch, capsys, command, stage, out):
     """An --out that cannot be written fails with an error naming it before
@@ -367,7 +368,7 @@ def test_model_inspect_counts_what_the_tree_views_give(tmp_path, capsys):
     """`model inspect` reads tree counts and depths from the layout; on a
     --smoke model it prints what counting the `Tree` views prints."""
     path = str(tmp_path / "m.npz")
-    assert cli.main(["model", "train", "--smoke", "--input", _tr_file(tmp_path, "--smoke"),
+    assert cli.main(["model", "train", "--smoke", "--input", _rate_file(tmp_path, "--smoke"),
                      "--role", "theta2_w", "--out", path]) == 0
     capsys.readouterr()
     assert cli.main(["model", "inspect", "--model", path]) == 0
@@ -403,7 +404,7 @@ def test_plan_build(tmp_path, capsys):
     out = str(tmp_path / "plan.npz")
     config = _tiny_config(tmp_path, cluster_count=3)
     rc = cli.main(["plan", "build", "--config", config, "--input",
-                   _tr_file(tmp_path, "--config", config), "--out", out])
+                   _rate_file(tmp_path, "--config", config), "--out", out])
     assert rc == 0
     from beamtrain.selectors import load_plan
     plan = load_plan(out)
@@ -434,3 +435,10 @@ def test_error_paths_return_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         cli.main(["nonsense"])
+    # the rate file is the only dataset file: no transform command, no CSV
+    for command in (["dataset", "transform", "--input", "rates.npz"],
+                    ["dataset", "build", "--smoke", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import logging
 
@@ -132,7 +131,7 @@ def test_transform_rows_equal_the_per_row_stage_bit_for_bit():
     atr_rows = to_atr(tr_rows, 16, 64)
     for row, tr, atr in zip(rows, tr_rows, atr_rows):
         peak = float(np.max(row.rates))
-        assert tr.max_rate == peak
+        assert tr.location is row.location
         assert tr.ratios.tobytes() == (row.rates / peak).tobytes()
         grid = tr.ratios.reshape(16, 64)
         assert atr.atr_f.tobytes() == grid.mean(axis=0).tobytes()
@@ -148,7 +147,6 @@ def test_to_throughput_ratios_basic():
     row = RateRow(location=np.zeros(2), rates=np.array([2.0, 4.0, 8.0]), snapshot_id=0)
     tr = to_throughput_ratios([row])[0]
     assert np.allclose(tr.ratios, [0.25, 0.5, 1.0])
-    assert tr.max_rate == 8.0
     assert tr.ratios.max() == 1.0  # exact
 
 
@@ -171,14 +169,14 @@ def test_to_throughput_ratios_matches_oracle():
 
 
 def test_atr_uniform_row():
-    tr = TRRow(location=np.zeros(2), ratios=np.full(8, 0.4), max_rate=1.0, snapshot_id=0)
+    tr = TRRow(location=np.zeros(2), ratios=np.full(8, 0.4))
     atr = to_atr([tr], 2, 4)[0]
     assert np.allclose(atr.atr_w, 0.4) and np.allclose(atr.atr_f, 0.4)
 
 
 def test_atr_worked_example():
     # |W|=2, |F|=2, order (1,1),(1,2),(2,1),(2,2)
-    tr = TRRow(np.zeros(2), np.array([1.0, 0.5, 0.25, 0.75]), 1.0, 0)
+    tr = TRRow(np.zeros(2), np.array([1.0, 0.5, 0.25, 0.75]))
     atr = to_atr([tr], 2, 2)[0]
     assert np.allclose(atr.atr_w, [0.75, 0.5])
     assert np.allclose(atr.atr_f, [0.625, 0.625])
@@ -189,7 +187,7 @@ def test_atr_means_match_brute_force():
     for _ in range(20):
         ratios = rng.uniform(0, 1, size=16 * 64)
         ratios[rng.integers(ratios.size)] = 1.0
-        tr = TRRow(np.zeros(2), ratios, 1.0, 0)
+        tr = TRRow(np.zeros(2), ratios)
         atr = to_atr([tr], 16, 64)[0]
         grid = ratios.reshape(16, 64)
         for i in range(16):
@@ -244,45 +242,26 @@ def _toy_rows(n=5, width=12, seed=0):
                     snapshot_id=k, ue_index=k) for k in range(n)]
 
 
-def _read_csv(path):
-    """The header and the rows as floats of a CSV dataset file, which the
-    package writes but never reads."""
-    with open(path, newline="") as fh:
-        header, *lines = csv.reader(fh)
-    return header, np.array(lines, dtype=float)
-
-
 def test_binary_roundtrip_bit_identical(tmp_path):
     rows = _toy_rows()
     path = str(tmp_path / "d.npz")
-    save_dataset(rows, path, (3, 4), fmt="binary", corpus=_CORPUS)
+    save_dataset(rows, path, (3, 4), _CORPUS)
     loaded, pair_shape, corpus = load_dataset(path)
     assert pair_shape == (3, 4) and corpus == _CORPUS
+    assert len(loaded) == len(rows)
     for a, b in zip(rows, loaded):
-        assert np.array_equal(a.rates, b.rates)
-        assert np.array_equal(a.location, b.location)
-        assert a.snapshot_id == b.snapshot_id
-    with pytest.raises(ValueError, match="records its corpus keys"):
-        save_dataset(rows, path, (3, 4), fmt="binary")
-
-
-def test_csv_roundtrip_precision(tmp_path):
-    rows = to_throughput_ratios(_toy_rows())
-    path = str(tmp_path / "d.csv")
-    save_dataset(rows, path, (3, 4), fmt="csv")
-    header, table = _read_csv(path)
-    assert header[:3] == ["x", "y", "snapshot_id"]
-    assert header[3] == "r_1_1" and header[-1] == "r_3_4" and len(header) == 3 + 12
-    assert table.shape == (len(rows), len(header))
-    assert table[:, 2].tolist() == [r.snapshot_id for r in rows]
-    assert np.allclose(table[:, :2], [r.location for r in rows], rtol=1e-8, atol=0)
-    assert np.abs(table[:, 3:] - [r.ratios for r in rows]).max() < 1e-8
+        assert isinstance(b, RateRow)
+        assert a.rates.tobytes() == b.rates.tobytes()
+        assert a.location.tobytes() == b.location.tobytes()
+        assert (a.snapshot_id, a.ue_index) == (b.snapshot_id, b.ue_index)
+    with pytest.raises(ValueError, match="cannot save an empty dataset"):
+        save_dataset([], path, (3, 4), _CORPUS)
 
 
 def test_truncated_files_raise(tmp_path):
     rows = _toy_rows()
     binpath = tmp_path / "d.npz"
-    save_dataset(rows, str(binpath), (3, 4), fmt="binary", corpus=_CORPUS)
+    save_dataset(rows, str(binpath), (3, 4), _CORPUS)
     binpath.write_bytes(binpath.read_bytes()[:40])
     with pytest.raises(ValueError):
         load_dataset(str(binpath))
@@ -290,10 +269,10 @@ def test_truncated_files_raise(tmp_path):
 
 def test_load_rejects_a_binary_file_without_rows(tmp_path):
     path = str(tmp_path / "d.npz")
-    save_dataset(to_throughput_ratios(_toy_rows()), path, (3, 4), fmt="binary", corpus=_CORPUS)
+    save_dataset(_toy_rows(), path, (3, 4), _CORPUS)
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    for key in ("locations", "snapshot_ids", "ue_indices", "values", "max_rates"):
+    for key in ("locations", "snapshot_ids", "ue_indices", "rates"):
         arrays[key] = arrays[key][:0]
     np.savez_compressed(path, **arrays)
     with pytest.raises(ValueError, match="d.npz' holds no rows"):
@@ -303,7 +282,7 @@ def test_load_rejects_a_binary_file_without_rows(tmp_path):
 def test_load_rejects_pair_shape_off_the_row_width(tmp_path):
     rows = _toy_rows(width=12)
     binpath = str(tmp_path / "d.npz")
-    save_dataset(rows, binpath, (3, 4), fmt="binary", corpus=_CORPUS)
+    save_dataset(rows, binpath, (3, 4), _CORPUS)
     with np.load(binpath) as npz:
         arrays = {name: npz[name] for name in npz.files}
     arrays["pair_shape"] = np.array([4, 4])
@@ -311,11 +290,32 @@ def test_load_rejects_pair_shape_off_the_row_width(tmp_path):
     with pytest.raises(ValueError, match=r"pair_shape \(4, 4\) .* row width 12"):
         load_dataset(binpath)
     with pytest.raises(ValueError, match="row width 12"):
-        save_dataset(rows, binpath, (4, 4), fmt="binary", corpus=_CORPUS)
-    arrays["pair_shape"], arrays["values"] = np.array([3, 4]), arrays["values"].ravel()
+        save_dataset(rows, binpath, (4, 4), _CORPUS)
+    arrays["pair_shape"], arrays["rates"] = np.array([3, 4]), arrays["rates"].ravel()
     np.savez_compressed(binpath, **arrays)
     with pytest.raises(ValueError, match=r"pair_shape \(3, 4\) .* row width None"):
         load_dataset(binpath)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("snapshot_ids", np.arange(2)),
+    ("ue_indices", np.arange(6)),
+    ("ue_indices", np.arange(5)[:, None]),
+    ("locations", np.zeros((2, 2))),
+    ("locations", np.zeros((5, 3))),
+    ("locations", np.zeros(10)),
+])
+def test_load_rejects_a_per_row_array_off_the_row_count(tmp_path, key, value):
+    """Each per-row array must hold one entry per rate row, (n, 2) for the
+    locations and (n,) for the ids; another shape fails naming the file and
+    the key, where a zip over the rows would drop or misread rows."""
+    path = str(tmp_path / "d.npz")
+    save_dataset(_toy_rows(), path, (3, 4), _CORPUS)
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    np.savez_compressed(path, **{**arrays, key: value})
+    with pytest.raises(ValueError, match=rf"d.npz' has {key} of shape .* 5 rate rows need"):
+        load_dataset(path)
 
 
 def test_tr_rows_have_unique_argmax_under_tie_rule():

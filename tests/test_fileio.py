@@ -5,8 +5,7 @@ import pytest
 
 from beamtrain import cli
 from beamtrain.boosting import TrainConfig, load_model, save_model, train
-from beamtrain.dataset import (DATASET_FORMAT_VERSION, RateRow, load_dataset, save_dataset,
-                               to_throughput_ratios)
+from beamtrain.dataset import DATASET_FORMAT_VERSION, RateRow, load_dataset, save_dataset
 from beamtrain.fileio import atomic_write, load_npz, save_npz
 from beamtrain.selectors import ClusterCoveragePlan, load_plan, save_plan
 
@@ -95,11 +94,7 @@ def _rate_rows():
 
 
 def _write_rate_dataset(path):
-    save_dataset(_rate_rows(), path, (2, 3), fmt="binary", corpus=_CORPUS)
-
-
-def _write_tr_dataset(path):
-    save_dataset(to_throughput_ratios(_rate_rows()), path, (2, 3), fmt="binary", corpus=_CORPUS)
+    save_dataset(_rate_rows(), path, (2, 3), _CORPUS)
 
 
 def _write_paths(path):
@@ -129,7 +124,6 @@ def _write_model(path):
 
 @pytest.mark.parametrize("write, load", [
     (_write_rate_dataset, load_dataset),
-    (_write_tr_dataset, load_dataset),    # a TR dataset also needs max_rates
     (_write_paths, _load_paths),
     (_write_plan, load_plan),
     (_write_model, load_model),

@@ -196,6 +196,9 @@ def test_config_rejects_snapshot_count_reaching_seed_labels():
     ("scene.ue_fraction", -0.1),
     ("scene.roi_y_min", 500.0),
     ("scene.wall_clearance", 1e-275),
+    # a sweep of 2^24 or 2^20 pairs per UE would exhaust memory or time
+    ("bs_array", [4096, 4096]),
+    ("ue_array", [1024, 1024]),
 ])
 def test_config_rejects_bad_evaluation_keys(key, value):
     # rejected when the config is read, before any stage runs, with an error
@@ -243,7 +246,8 @@ _PEAK = (299_792_458.0 / 28e9 / (4.0 * math.pi * 30.0)) ** 2
 # 2 m, max_gap 12 m, a 4.5 m car, a 2.5 m wide bus, a 160 m street, and the
 # region of interest from 20 m.
 _SCENE_EDGES = {
-    **dict.fromkeys(("lane_count", "subcarrier_count"), _ints(1)),
+    "lane_count": _ints(1, 64),
+    "subcarrier_count": _ints(1, 4096),
     **dict.fromkeys(("lane_width", "bs_height", "wall_height", "subcarrier_spacing",
                      "reference_distance"), _reals(0.0, 1e12)),
     "wall_clearance": _reals(0.0, 1e-100, 1e12),
@@ -265,7 +269,7 @@ _SCENE_EDGES = {
 _EXPERIMENT_EDGES = {
     "scene": [{}, 5],
     **dict.fromkeys(("bs_array", "ue_array"),
-                    [[v, 1] for v in _ints(1)] + [[2], [1, 1, 1], [3, 1]]),
+                    [[v, 1] for v in _ints(1, 32)] + [[2], [1, 1, 1], [3, 1]]),
     "master_seed": _ints(0),
     "snapshot_count": _ints(1, 999_999),
     "test_fraction": _reals(0.0, 1.0),

@@ -74,6 +74,8 @@ def test_snapshot_determinism():
     # values at which the corpus stage's floats overflow or underflow
     ("lane_width", 1e300), ("bs_height", 1e300), ("reference_distance", 1e300),
     ("carrier_frequency", 5e-324), ("carrier_frequency", 1e300), ("noise_power", 5e-324),
+    # values at which the rate stage would exhaust memory or time
+    ("subcarrier_count", 10**9), ("lane_count", 10**7),
 ])
 def test_config_rejects_degenerate_wall_clearance(key, value):
     """A physical key that no scene can use fails at construction, with an
