@@ -17,29 +17,33 @@ past the budget, also partway through a round, so that low-index outputs
 hold one tree more than the rest. That is the intended allocation: the
 budget is a hard cap, filled greedily in round and output order.
 
-The fit gives the trees of a recursive per-tree trainer (the tests keep
-one as the reference) node for node and bit for bit, because it keeps that
-trainer's arithmetic:
-- a node's split sums are sequential cumulative sums over its rows in the
-  feature's sorted order, restarting at every node (each row of the split
-  search's padded (feature, node, position) blocks is summed on its own);
-- node means and the parent sse are `np.sum` over the node's rows in the
-  first feature's order. numpy sums pairwise in an order set by the
-  length, so each node is summed alone, all in one `np.add.reduceat` over
-  a copy of the level's values with a 0.0 slot in front of every node
-  (the parent sse squares the deviations in that copy, then zeroes the
-  slots again): `reduceat` copies a segment's first value (the slot) to
-  the output and hands the rest to the pairwise loop, and `np.sum` of a
-  float64 slice is likewise the identity 0.0 plus that loop's sum;
-- node ids are in preorder: node, left subtree, right subtree;
-- a later feature wins only if its sse is lower by more than 1e-15, and
-  within a feature the lowest threshold wins ties.
+Splits are searched on histograms, as in LightGBM and XGBoost's `hist`
+method. Each fit bins every feature once, over its own rows (`_bins`): a
+feature of few distinct values, such as the lane, gets one bin per value,
+and any other gets row-count quantile bins. A node's candidate splits are
+the boundaries after the bins it occupies, and its threshold lies between
+the values of the fit's rows on either side, so that its training rows
+split by `x <= threshold` exactly as by bin; prediction never sees a bin.
+Where every bin is one value, the search sees every split that an exact
+search over sorted values sees.
 
-The equality holds only while every candidate sse is finite. Where the
-squared residuals overflow (residuals of about 1e200), the split search
-drops the inf and NaN sse values and the node gets no split, while the
-reference may split on a NaN. Throughput ratios in [0, 1] never get there.
-`train` rejects a non-finite input or target outright.
+The fit gives the trees of a recursive per-tree histogram trainer (the
+tests keep one as the reference) node for node and bit for bit, because it
+keeps that trainer's arithmetic:
+- every sum over rows, a node's residual sum and sum of squares and a
+  (node, bin) histogram cell alike, is an `np.bincount` over all the
+  block's cells, which adds its weights one after another in input
+  order; a node's cells lie in row order among them, so each sum adds the
+  node's rows in the order the per-node trainer adds them;
+- the cumulative sums along the bins and the split scores are the same
+  elementwise operations, per node;
+- node ids are in preorder: node, left subtree, right subtree;
+- within a feature the lowest bin wins ties, and a later feature wins only
+  if its score is higher by more than 1e-15.
+
+Where the squared residuals overflow (residuals of about 1e200), a node's
+sse is inf or NaN and it does not split. Throughput ratios in [0, 1] never
+get there. `train` rejects a non-finite input or target outright.
 
 Prediction does not walk the trees: it reads exact per-output step tables,
 compiled once per model by walking every table cell through its output's
@@ -66,9 +70,12 @@ _NODE_FIELDS = (("feature", int), ("threshold", float), ("left", int), ("right",
 # under these names.
 _LAYOUT = (("tree_outputs", int), ("tree_sizes", int)) + tuple(
     ("node_" + name, dtype) for name, dtype in _NODE_FIELDS)
-# Prediction gathers chunks of at most this many (row, output) cells, and
-# training fits blocks of about this many (feature, row, output) cells, so
-# that their temporaries stay small whatever the batch or corpus size.
+# Prediction gathers chunks of at most this many (row, output) cells, so
+# that its temporaries stay small whatever the batch size. Training fits
+# the trees of about this many (feature, row, output) cells at once: a
+# level's cell arrays (node ids, and per feature the keys) are that large,
+# and its (node, bin) tables, with at most 2^depth nodes per tree and, past
+# 128 rows, at most a quarter as many bins as rows, a few times that.
 _CHUNK_CELLS = 1 << 16
 
 _COUNT = integer(0)   # also a model's output_dimension
@@ -388,152 +395,135 @@ def param_count(model: TreeEnsembleModel) -> int:
     return model.output_dimension + 2 * internal + (len(model.layout["node_feature"]) - internal)
 
 
-def _node_stats(a, starts, lengths, sse):
-    """Each node's mean and, if `sse`, sum of squared deviations from it, the
-    nodes lying back to back in `a` from `starts`; see the module docstring."""
-    slots = starts + np.arange(len(starts))
-    slotted = np.insert(a, starts, 0.0)
-    mean = np.add.reduceat(slotted, slots) / lengths
-    if not sse:
-        return mean, None
-    slotted -= np.repeat(mean, lengths + 1)
-    np.square(slotted, out=slotted)
-    slotted[slots] = 0.0
-    return mean, np.add.reduceat(slotted, slots)
+def _bins(X):
+    """Each feature's bins over the fit's rows: per feature, each row's bin
+    and each bin's lowest and highest value, bins numbered in value order.
+
+    A feature of at most `cap` distinct values gets one bin per value. Any
+    other gets row-count quantile bins: a value goes to bin `rank * cap //
+    n`, its first row's rank in the sorted column, so that equal values
+    share a bin; bins no value reaches are dropped."""
+    n = len(X)
+    cap = min(256, max(32, n // 4))
+    bins = []
+    for x in X.T:
+        order = np.argsort(x, kind="stable")
+        v = x[order]
+        # each distinct value's first sorted row, its group and whether it
+        # starts a bin; then each bin's first sorted row
+        first = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+        group = first * cap // n if len(first) > cap else np.arange(len(first))
+        start = np.concatenate(([True], group[1:] != group[:-1]))
+        b = np.empty(n, dtype=np.intp)
+        b[order] = np.repeat(np.cumsum(start) - 1, np.diff(np.append(first, n)))
+        edges = first[start]
+        bins.append((b, v[edges], v[np.append(edges[1:], n) - 1]))
+    return bins
 
 
-def _best_splits(x, r, starts, lengths, min_leaf):
-    """Best split of every node: (sse, feature, threshold), feature -1 if none.
+def _best_splits(bins, node, r, m, min_leaf):
+    """Best split of every node 0..m-1 from its histograms: (score,
+    feature, bin, threshold, keys), feature -1 if none.
 
-    Row f of `x` and `r` holds the values of feature f and the residuals,
-    node after node in that feature's sorted order, and is padded by at
-    least the longest node; node k starts at `starts[k]`. A feature's
-    candidate thresholds are the midpoints between distinct neighbouring
-    values (one boolean step mask, `x[:, :-1] >= x[:, 1:]`, marks the
-    others) that leave at least `min_leaf` rows on either side; its best
-    has the lowest sse, and the lowest threshold among equal ones. The
-    lowest feature with a candidate wins unless a later one beats it by
-    more than 1e-15. A group is the next nodes by length up to the cell
-    cap, one (feature, node, position) block padded to its longest node;
-    the cumulative sums run along each row, so they restart at every node
-    as a per-node `np.cumsum` does, and the last position, which leaves no
-    row on the right, is masked like the padding. Each sse term is computed
-    as the per-node formula computes it, in the same order."""
-    features = len(x)
-    best_sse, threshold = np.zeros(len(starts)), np.zeros(len(starts))
-    feature = np.full(len(starts), -1)
-    by_length = np.argsort(-lengths, kind="stable")
-    # views of every run of `width` residuals and of `width` steps
-    width = max(2, int(lengths.max(initial=0)))
-    r_windows, step_windows = (np.lib.stride_tricks.as_strided(
-        a, (features, a.shape[1] - width + 1, width), a.strides + a.strides[1:],
-        writeable=False) for a in (r, x[:, :-1] >= x[:, 1:]))
-    lo = 0
-    while lo < len(by_length):
-        width = max(2, int(lengths[by_length[lo]]))
-        # the next nodes by length, about _CHUNK_CELLS / 2 cells, as the
-        # search keeps five arrays of a group's size
-        group = by_length[lo:lo + max(1, _CHUNK_CELLS // (2 * features * width))]
-        lo += len(group)
-        res = r_windows[:, starts[group], :width]              # (feature, node, position)
-        i = np.arange(1.0, width + 1)                          # left sizes
-        right = lengths[group][:, None].astype(float) - i  # <= 0 at the last position
-        too_small = (i < min_leaf) | (right < max(min_leaf, 1))
-        np.maximum(right, 1.0, out=right)      # no division by zero in padding
-        cs = np.cumsum(res, axis=2)
-        cs2 = np.cumsum(np.square(res, out=res), axis=2)
-        f_ix, k_ix = np.arange(features)[:, None, None], np.arange(len(group))[:, None]
-        last = lengths[group][:, None] - 1
-        total, total2 = cs[:, k_ix, last], cs2[:, k_ix, last]
-        split_sse = np.square(cs)                              # left: cs2 - cs ** 2 / i
-        split_sse /= i
-        np.subtract(cs2, split_sse, out=split_sse)
-        right_sse = np.subtract(total, cs, out=cs)             # right: (total2 - cs2)
-        np.square(right_sse, out=right_sse)                    #   - (total - cs) ** 2 / right
-        right_sse /= right
-        np.subtract(total2, cs2, out=cs2)
-        split_sse += np.subtract(cs2, right_sse, out=cs2)
-        invalid = step_windows[:, starts[group], :width] | too_small
-        np.copyto(split_sse, np.inf, where=invalid)
-        pos = np.argmin(split_sse, axis=2)[..., None]
-        sse = split_sse[f_ix, k_ix, pos][..., 0]
-        at = starts[group][:, None] + pos                      # pos in the rows of x
-        midpoint = ((x[f_ix, at] + x[f_ix, at + 1]) / 2.0)[..., 0]
-        ok = np.isfinite(sse)                  # the sse of a valid split is finite
-        for f in range(features):
-            take = ok[f] & ((feature[group] < 0) | (sse[f] < best_sse[group] - 1e-15))
-            chosen = group[take]
-            best_sse[chosen], threshold[chosen] = sse[f, take], midpoint[f, take]
-            feature[chosen] = f
-    return best_sse, feature, threshold
+    `node` and `r` hold each (row, tree) cell's node and residual. On a
+    feature of `width` bins, cell keys `node * width + bin` index one
+    (node, bin) table, so one bincount of the keys counts every node's
+    rows per bin and one more sums their residuals. Along the bins, the
+    cumulative sums give the left side of a split after each bin, and
+    the split that maximises S_l^2 / n_l + S_r^2 / n_r is the best; it
+    must follow a bin that the node occupies and leave `min_leaf` rows on
+    either side. The lowest bin wins ties, and a later feature wins only
+    by more than 1e-15. The threshold is the midpoint between the chosen
+    bin's highest value and the lowest value of the next bin the node
+    occupies, or the lower value where the midpoint rounds up to the
+    higher, so that `x <= threshold` splits the node's rows as the bins do. A
+    feature of one bin gives no split and no keys."""
+    best, threshold = np.full(m, -np.inf), np.zeros(m)
+    feature, cut = np.full(m, -1), np.zeros(m, dtype=np.intp)
+    keys = []
+    for f, (b, lo, hi) in enumerate(bins):
+        width = len(lo)
+        keys.append((node * width + b[:, None]).ravel() if width > 1 else None)
+        if width < 2:
+            continue
+        count = np.bincount(keys[f], minlength=m * width).reshape(m, width)
+        left_s = np.bincount(keys[f], weights=r.ravel(), minlength=m * width).reshape(m, width)
+        left_n = np.cumsum(count, axis=1)
+        np.cumsum(left_s, axis=1, out=left_s)
+        right_n, right_s = left_n[:, -1:] - left_n, left_s[:, -1:] - left_s
+        score = np.square(left_s) / np.maximum(left_n, 1)
+        score += np.square(right_s) / np.maximum(right_n, 1)
+        score[(count == 0) | (left_n < min_leaf) | (right_n < max(min_leaf, 1))] = -np.inf
+        at = np.argmax(score, axis=1)
+        s = score[np.arange(m), at]
+        k = np.flatnonzero(np.isfinite(s) & ((feature < 0) | (s > best + 1e-15)))
+        after = np.argmax((count[k] > 0) & (np.arange(width) > at[k, None]), axis=1)
+        mid = hi[at[k]] / 2.0 + lo[after] / 2.0            # no overflow near 1.8e308
+        best[k], feature[k], cut[k] = s[k], f, at[k]
+        threshold[k] = np.where(mid < lo[after], mid, hi[at[k]])
+    return best, feature, cut, threshold, keys
 
 
-def _fit_trees(X, orders, residual, config: TrainConfig):
-    """One tree per row of `residual` (trees x rows of X, C-contiguous), all
-    fitted together, level by level.
+def _fit_trees(bins, residual, config: TrainConfig):
+    """One tree per column of `residual` (rows x trees, C-contiguous), all
+    fitted together, level by level, on the fit's `bins`.
 
-    A node is a set of cells: cell `tree * n + row` is a row of a tree and
-    its index into the flat residuals. Each level keeps, per feature, the
-    cells of all its nodes in one flat array, node after node, each node's
-    cells in that feature's sorted order. A node's value is the mean of its
-    residuals in the first feature's order; it splits at its best split
-    (`_best_splits`) if that lowers its sse by more than 1e-12 * max(1, sse).
+    Every (row, tree) cell keeps its node id; a level's nodes are 1..m-1,
+    and node 0 holds the cells of nodes that stopped, so no array is ever
+    compacted. Per node, bincounts of the cells give the row count, the
+    residual sum and the sum of squares, which give the node's value (the
+    mean) and its sse, `sq - sum * mean`. A node splits at its best split
+    (`_best_splits`) if that lowers its sse by more than 1e-12 * max(1,
+    sse). The k-th split node's children are nodes k (left) and K + k
+    (right) of the next level, K the number of splits, and each cell's
+    next node is a gather at its keys from a (node, bin) child table per
+    feature that holds 0 for nodes that split on another feature or not at
+    all. A cell's leaf value is added at the level where its node stops,
+    from a per-node table that holds -0.0 elsewhere (`v + -0.0` is `v` for
+    every v, signed zeros included).
 
     Returns the trees' node arrays, packed tree after tree with each tree in
     preorder (node, left subtree, right subtree), the trees' node counts
-    and internal-node counts, and the leaf value of every (tree, row)."""
-    trees, n = residual.shape
-    size = trees * n
-    x_all = np.tile(X.T, trees)                 # feature f, cell c at [f, c]
-    cells = [(np.arange(0, size, n)[:, None] + o).ravel() for o in orders]
-    tree, lengths = np.arange(trees), np.full(trees, n)  # each node's tree and cell count
-    leaf_value = np.empty(size)
+    and internal-node counts, and the leaf value of every (row, tree)."""
+    n, trees = residual.shape
+    node = np.tile(np.arange(1, trees + 1), (n, 1))
+    r = residual.ravel()
+    r2 = np.square(r)
+    tree = np.arange(trees)                     # the tree of each node 1..m-1
+    leaf_value = np.full(trees * n, -0.0)
     levels = []
     for depth in range(config.max_depth + 1):
-        total = int(lengths.sum())
-        starts = np.cumsum(lengths) - lengths
-        node = np.repeat(np.arange(len(lengths)), lengths)
-        # per feature, the residuals and feature values in node order, padded
-        # for `_best_splits`; the ids are in range, so mode="clip" only skips a copy
-        r, x = np.empty((2, len(cells), total + max(2, int(lengths.max()))))
-        r[:, total:] = x[:, total:] = 0.0
-        for f, cells_f in enumerate(cells):
-            np.take(residual, cells_f, out=r[f, :total], mode="clip")
-        mean, parent_sse = _node_stats(r[0, :total], starts, lengths, depth < config.max_depth)
-        feature, threshold = np.full(len(lengths), -1), np.zeros(len(lengths))
+        m = len(tree) + 1
+        flat = node.ravel()
+        total = np.bincount(flat, weights=r, minlength=m)
+        mean = total / np.maximum(np.bincount(flat, minlength=m), 1)
+        feature, threshold = np.full(m, -1), np.zeros(m)
         if depth < config.max_depth:
-            tried = np.nonzero(lengths >= 2 * config.min_samples_leaf)[0]
-            for f, cells_f in enumerate(cells):
-                np.take(x_all[f], cells_f, out=x[f, :total], mode="clip")
-            sse, best_feature, best_threshold = _best_splits(
-                x, r, starts[tried], lengths[tried], config.min_samples_leaf)
-            parent_sse = parent_sse[tried]
-            gain = (best_feature >= 0) & ~(sse >= parent_sse - 1e-12 * np.maximum(1.0, parent_sse))
-            feature[tried[gain]] = best_feature[gain]
-            threshold[tried[gain]] = best_threshold[gain]
+            score, best, cut, best_threshold, keys = _best_splits(
+                bins, node, residual, m, config.min_samples_leaf)
+            sse = np.bincount(flat, weights=r2, minlength=m) - total * mean
+            split = (best >= 0) & (score - total * mean > 1e-12 * np.maximum(1.0, sse))
+            split[0] = False
+            feature[split], threshold[split] = best[split], best_threshold[split]
         split = feature >= 0
-        levels.append((tree, mean, feature, threshold, split))
+        levels.append((tree, mean[1:], feature[1:], threshold[1:], split[1:]))
+        stop = np.where(split, -0.0, mean)
+        stop[0] = -0.0
+        leaf_value += stop[flat]
         if not np.any(split):
-            leaf_value[cells[0]] = mean[node]
             break
-        kept = split[node]
-        leaf_value[cells[0][~kept]] = mean[node[~kept]]   # the cells of unsplit nodes
-        # the k-th split node's children are nodes k (left) and K + k (right)
-        # of the next level, K the number of splits; masks keep the cell order.
-        # The last level needs the cells in the first feature's order only.
-        if depth + 1 == config.max_depth:
-            cells = cells[:1]
-        of = node[kept]
-        at, below = feature[of] * size, threshold[of]
-        for f, cells_f in enumerate(cells):
-            cells_f = cells_f[kept]
-            go_left = np.take(x_all, at + cells_f) <= below
-            cells[f] = np.concatenate([cells_f[go_left], cells_f[~go_left]])
-        # every feature's order holds the same cells per node
-        left = np.bincount((np.cumsum(split) - 1)[of[go_left]], minlength=int(split.sum()))
-        tree = np.concatenate([tree[split], tree[split]])
-        lengths = np.concatenate([left, lengths[split] - left])
-    return _preorder(levels, trees) + (leaf_value.reshape(trees, n),)
+        at = np.flatnonzero(split)
+        left = np.zeros(m, dtype=np.intp)
+        left[at] = np.arange(1, len(at) + 1)
+        node = 0
+        for f, key in enumerate(keys):
+            on = at[feature[at] == f]
+            if len(on):
+                child = np.zeros((m, len(bins[f][1])), dtype=np.intp)
+                child[on] = left[on, None] + len(at) * (np.arange(child.shape[1]) > cut[on, None])
+                node = node + child.ravel()[key].reshape(n, trees)
+        tree = np.concatenate([tree[split[1:]], tree[split[1:]]])
+    return _preorder(levels, trees) + (leaf_value.reshape(n, trees),)
 
 
 def _preorder(levels, trees):
@@ -574,10 +564,10 @@ def _boosted_layout(X, Y, sort, base, config: TrainConfig):
     count past the budget, also partway through a round. The trees of a
     round depend only on their own output's residuals, so blocks of outputs
     are fitted at once, and the block's trees are then taken in output
-    order. A block spans about `_CHUNK_CELLS` (feature, row, output) cells,
-    the size of the fit's largest temporaries."""
+    order. A block spans about `_CHUNK_CELLS` (feature, row, output) cells.
+    The features are binned once, on these rows (`_bins`)."""
     n, d = Y.shape
-    orders = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
+    bins = _bins(X)
     pred = np.repeat(base[:, None], n, axis=1)      # output-major: output k in row k
     used = d
     pieces = [tuple(np.zeros(0, dtype) for _, dtype in _LAYOUT)]  # an empty layout
@@ -585,17 +575,17 @@ def _boosted_layout(X, Y, sort, base, config: TrainConfig):
     for _ in range(config.tree_count):
         for lo in range(0, d, block):
             dims = np.arange(lo, min(lo + block, d))
-            # C-contiguous, as `_fit_trees` reads it
-            residual = Y[sort, lo:lo + block].T - pred[dims]
-            active = ~(np.max(np.abs(residual), axis=1) < 1e-12)
+            # C-contiguous (rows, outputs), as `_fit_trees` reads it
+            residual = Y[sort, lo:lo + block] - pred[dims].T
+            active = ~(np.max(np.abs(residual), axis=0) < 1e-12)
             if not np.any(active):
                 continue
-            dims, residual = dims[active], residual[active]
-            nodes, sizes, internal, leaf_value = _fit_trees(X, orders, residual, config)
+            dims, residual = dims[active], residual[:, active]
+            nodes, sizes, internal, leaf_value = _fit_trees(bins, residual, config)
             cost = np.where(internal > 0, sizes + internal, 0)
             fits = used + np.cumsum(cost) <= config.budget_parameters
             kept = (internal > 0) & fits
-            pred[dims[kept]] += config.learning_rate * leaf_value[kept]
+            pred[dims[kept]] += config.learning_rate * leaf_value[:, kept].T
             used += int(cost[kept].sum())
             in_kept = np.repeat(kept, sizes)
             pieces.append((dims[kept], sizes[kept],

@@ -66,6 +66,7 @@ _EXPERIMENT_RULES = {
     **dict.fromkeys(("bs_grid", "ue_grid"), (lambda v: isinstance(v, (list, tuple)), "a list")),
 }
 _TABLE = (lambda v: isinstance(v, dict), "a table of keys")
+_MAX_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,12 @@ class ExperimentConfig:
                           ("roi_y_min", real(f"(-inf, {s.street_length - s.car_dims[1]}]")),
                           ("wall_clearance", real("[1e-100, inf)"))):
             check(f"scene.{key}", getattr(s, key), rule)
+        # the rate stage holds UEs x pairs floats: 4096 pairs, 4x the
+        # paper's 1024, keep a 500-snapshot corpus within about 200 MB
+        check("bs_array", self.bs_array, (
+            lambda _: self.num_pairs <= _MAX_PAIRS,
+            f"of at most {_MAX_PAIRS // self.num_combiners} elements beside ue_array "
+            f"{tuple(self.ue_array)}, at most {_MAX_PAIRS} beam pairs"))
         # scenario 1 signals each combiner in log2(combiners) bits
         if self.num_combiners & (self.num_combiners - 1):
             raise ValueError(f"ue_array must hold a power-of-two number of elements, "

@@ -1,9 +1,17 @@
-"""The per-tree boosting trainer, kept as the reference that the
-round-at-once fit in `beamtrain.boosting` is held to, tree for tree.
+"""Per-tree boosting trainers, kept as the references that the
+round-at-once fit in `beamtrain.boosting` is held to.
 
-It fits one tree per (round, output) with a recursive builder that calls
-`_best_split` once per node; `train_reference` is `boosting.train` built on
-it. `tree_predict` walks one `Tree` at a time, the reference for the
+Both fit one tree per (round, output) with a recursive builder that
+searches one node at a time:
+- `train_histogram_reference` searches the node's histograms over the
+  fit's bins (`histogram_bins`, `_histogram_split`), as `boosting.train`
+  does; the fit is held to it tree for tree and bit for bit;
+- `train_reference` searches every midpoint between distinct values in
+  sorted order (`_best_split`), the exact search. Where every feature has
+  no more distinct values than bins, the bins are the values and the fit
+  gives its split features and thresholds.
+
+`tree_predict` walks one `Tree` at a time, the reference for the
 step-table prediction of `TreeEnsembleModel`, and `model_from_trees` packs
 a list of (output, Tree) pairs into a model.
 """
@@ -116,12 +124,112 @@ def fit_tree(X, residual, order, config: TrainConfig):
     return Tree(feature, threshold, left, right, value), leaf_of_row
 
 
-def boosted_trees(X, Y, base, config: TrainConfig):
+def sequential_sum(a):
+    """0.0 plus the values one after another, in order."""
+    return np.add.accumulate(np.concatenate(([0.0], a)))[-1]
+
+
+def histogram_bins(X):
+    """Per feature: each row's bin and each bin's lowest and highest value.
+    Bins follow the sorted distinct values: with at most `cap` of them,
+    one bin each; else value v, first reached at rank i of the sorted
+    column, goes to group `i * cap // n`, and the groups that hold values
+    are the bins, in order."""
+    n = len(X)
+    cap = min(256, max(32, n // 4))
+    bins = []
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        values = X[order, f]
+        first = [i for i in range(n) if i == 0 or values[i] != values[i - 1]]
+        group = [i * cap // n if len(first) > cap else k for k, i in enumerate(first)]
+        row_bin, lo, hi = np.empty(n, dtype=int), [], []
+        for k, i in enumerate(first):
+            if k == 0 or group[k] != group[k - 1]:
+                lo.append(values[i])
+                hi.append(values[i])
+            end = first[k + 1] if k + 1 < len(first) else n
+            hi[-1] = values[end - 1]
+            row_bin[order[i:end]] = len(lo) - 1
+        bins.append((row_bin, np.array(lo), np.array(hi)))
+    return bins
+
+
+def _histogram_split(bins, residual, rows, min_leaf):
+    """Best (feature, threshold, score) of the node of the ascending `rows`
+    over the histograms of `bins`: per bin, the row count and the residual
+    sum, added row after row; a split after bin j scores S_l^2 / n_l + S_r^2
+    / n_r and needs a row in bin j and `min_leaf` rows on either side. The
+    first best bin of a feature wins, a later feature only by more than
+    1e-15; the threshold is the midpoint of bin j's highest value and the
+    next occupied bin's lowest, halves added so that it cannot overflow, or
+    bin j's highest where the midpoint rounds up to the next value."""
+    best = None
+    for f, (row_bin, lo, hi) in enumerate(bins):
+        width = len(lo)
+        if width < 2:
+            continue
+        count, sums = np.zeros(width, dtype=int), np.zeros(width)
+        np.add.at(count, row_bin[rows], 1)
+        np.add.at(sums, row_bin[rows], residual[rows])
+        left_n, left_s = np.cumsum(count), np.cumsum(sums)
+        right_n, right_s = left_n[-1] - left_n, left_s[-1] - left_s
+        score = (np.square(left_s) / np.maximum(left_n, 1)
+                 + np.square(right_s) / np.maximum(right_n, 1))
+        valid = (count > 0) & (left_n >= min_leaf) & (right_n >= max(min_leaf, 1))
+        score = np.where(valid, score, -np.inf)
+        j = int(np.argmax(score))
+        if np.isfinite(score[j]) and (best is None or score[j] > best[2] + 1e-15):
+            after = j + 1 + int(np.argmax(count[j + 1:] > 0))
+            mid = hi[j] / 2.0 + lo[after] / 2.0
+            best = (f, mid if mid < lo[after] else hi[j], score[j])
+    return best
+
+
+def fit_histogram_tree(X, bins, residual, config: TrainConfig):
+    """Fit one tree by histogram split search. A node's value is its
+    residual sum, added row after row, over its row count; it splits if its
+    best split raises S^2 / n by more than 1e-12 * max(1, sse), its sse
+    being the sum of squares less sum * mean. Also returns the leaf id of
+    every training row, taken from the `<=` partition that `tree_predict`
+    uses."""
+    feature, threshold, left, right, value = [], [], [], [], []
+    leaf_of_row = np.empty(X.shape[0], dtype=int)
+
+    def build(rows, depth):
+        node_id = len(feature)
+        leaf_of_row[rows] = node_id  # children, built later, overwrite
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        r = residual[rows]
+        total = sequential_sum(r)
+        mean = total / len(rows)
+        value.append(mean)
+        if depth >= config.max_depth:
+            return node_id
+        sse = sequential_sum(np.square(r)) - total * mean
+        split = _histogram_split(bins, residual, rows, config.min_samples_leaf)
+        if split is None or not split[2] - total * mean > 1e-12 * np.maximum(1.0, sse):
+            return node_id
+        f, thr, _ = split
+        go_left = X[rows, f] <= thr
+        feature[node_id] = f
+        threshold[node_id] = thr
+        left[node_id] = build(rows[go_left], depth + 1)
+        right[node_id] = build(rows[~go_left], depth + 1)
+        return node_id
+
+    build(np.arange(X.shape[0]), 0)
+    return Tree(feature, threshold, left, right, value), leaf_of_row
+
+
+def boosted_trees(X, Y, base, config: TrainConfig, fit):
     """(output, tree) pairs in fit order. Rounds fit one tree per output on
-    the current residuals, and stop the moment the next tree would push the
-    parameter count past the budget."""
+    the current residuals with `fit(residual)`, and stop the moment the next
+    tree would push the parameter count past the budget."""
     d = Y.shape[1]
-    order = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
     pred = np.tile(base, (len(X), 1))
     used = d
     for _ in range(config.tree_count):
@@ -129,7 +237,7 @@ def boosted_trees(X, Y, base, config: TrainConfig):
             residual = Y[:, dim] - pred[:, dim]
             if np.max(np.abs(residual)) < 1e-12:
                 continue
-            tree, leaf_of_row = fit_tree(X, residual, order, config)
+            tree, leaf_of_row = fit(residual)
             if internal_count(tree) == 0:
                 continue  # no useful split left for this output
             if used + tree_param_cost(tree) > config.budget_parameters:
@@ -140,7 +248,26 @@ def boosted_trees(X, Y, base, config: TrainConfig):
 
 
 def train_reference(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel:
-    """Greedy per-output boosting under a global parameter budget.
+    """`boosting.train` on the exact per-node split search."""
+    def fit(X):
+        order = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
+        return lambda residual: fit_tree(X, residual, order, config)
+    return _train(X, Y, config, role, fit)
+
+
+def train_histogram_reference(X, Y, config: TrainConfig,
+                              role: str = "coupled") -> TreeEnsembleModel:
+    """`boosting.train` on the per-node histogram split search, over bins
+    of the sorted rows."""
+    def fit(X):
+        bins = histogram_bins(X)
+        return lambda residual: fit_histogram_tree(X, bins, residual, config)
+    return _train(X, Y, config, role, fit)
+
+
+def _train(X, Y, config, role, fit):
+    """Greedy per-output boosting under a global parameter budget, each
+    tree fitted by `fit(X)(residual)`.
 
     Rows are lexicographically sorted by location first, so the fit does not
     depend on input row order.
@@ -160,5 +287,5 @@ def train_reference(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEns
     sort = np.lexsort((X[:, 1], X[:, 0]))
     X, Y = X[sort], Y[sort]
     base = Y.mean(axis=0)
-    return model_from_trees(base, list(boosted_trees(X, Y, base, config)), config.learning_rate,
-                            d, role)
+    return model_from_trees(base, list(boosted_trees(X, Y, base, config, fit(X))),
+                            config.learning_rate, d, role)

@@ -18,8 +18,10 @@ import beamtrain
 from beamtrain import boosting
 from beamtrain.boosting import (TrainConfig, Tree, kfold_tune, load_model, param_count,
                                 save_model, train)
-from reference_boosting import (_best_split, fit_tree, internal_count, model_from_trees,
-                                train_reference, tree_depth, tree_param_cost, tree_predict)
+from reference_boosting import (_histogram_split, fit_histogram_tree, fit_tree, histogram_bins,
+                                internal_count, model_from_trees, sequential_sum,
+                                train_histogram_reference, train_reference, tree_depth,
+                                tree_param_cost, tree_predict)
 
 
 def _grid_data(n=64, d=4, seed=0):
@@ -54,7 +56,8 @@ def test_budget_enforced_during_training():
     model = train(X, Y, cfg)
     assert param_count(model) <= 2048
     # the budget runs out after 46 trees of the first round
-    assert _layout_bytes(model) == _layout_bytes(train_reference(X, Y, cfg))
+    assert len(model.trees) == 46
+    assert _layout_bytes(model) == _layout_bytes(train_histogram_reference(X, Y, cfg))
 
 
 def test_budget_below_outputs_raises():
@@ -452,10 +455,11 @@ def test_depth_histogram_matches_tree_depths(ensemble):
 def test_fit_leaf_rows_match_tree_predict(X, seed, max_depth, min_leaf):
     residual = np.random.default_rng(seed).normal(size=len(X))
     order = [np.argsort(X[:, f], kind="stable") for f in range(2)]
-    tree, leaf_of_row = fit_tree(X, residual, order,
-                                 TrainConfig(max_depth=max_depth, min_samples_leaf=min_leaf))
-    assert np.all(tree.feature[leaf_of_row] == -1)
-    assert np.array_equal(tree.value[leaf_of_row], tree_predict(tree, X))
+    config = TrainConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+    for tree, leaf_of_row in (fit_tree(X, residual, order, config),
+                              fit_histogram_tree(X, histogram_bins(X), residual, config)):
+        assert np.all(tree.feature[leaf_of_row] == -1)
+        assert np.array_equal(tree.value[leaf_of_row], tree_predict(tree, X))
 
 
 def test_hand_built_model_trees_are_read_only():
@@ -738,7 +742,7 @@ def test_budget_stop_mid_round_predicts_with_held_trees(tmp_path):
     extra = [dim for dim in range(32) if per_output[dim] == max(per_output.values())]
     assert extra == list(range(len(extra)))
     assert param_count(model) == 32 + sum(tree_param_cost(t) for _, t in model.trees) <= 1000
-    assert _layout_bytes(model) == _layout_bytes(train_reference(X, Y, TrainConfig(
+    assert _layout_bytes(model) == _layout_bytes(train_histogram_reference(X, Y, TrainConfig(
         tree_count=10, max_depth=3, learning_rate=0.5, budget_parameters=1000)))
     probe = np.random.default_rng(11).uniform(0, 100, size=(25, 2))
     expected = _reference_predict(model, model.trees, probe)
@@ -748,15 +752,14 @@ def test_budget_stop_mid_round_predicts_with_held_trees(tmp_path):
     assert load_model(path).predict_batch(probe).tobytes() == expected.tobytes()
 
 
-# ---------------------------------------------------- node sums vs per-node np.sum
+# ------------------------------------------------ bins and node sums vs the references
 
-# Node lengths on both sides of the boundaries of numpy's pairwise sum: the
-# plain loop below 8 values, the 8-way unrolled blocks of up to 128 and the
-# 8192 values of a ufunc buffer.
-_NODE_LENGTHS = st.sampled_from([1, 7, 8, 9, 127, 128, 129, 8192, 8193]) | st.integers(1, 300)
-# What a node holds: only -0.0, signed zeros, or values of mixed exponents
-# around 1, 1e300 or 1e-300 (their squares overflow or underflow), with
-# some signed zeros among them.
+# Row counts on both sides of the bin cap's bounds: 32 bins up to 131 rows,
+# n // 4 from 132 rows and 256 from 1024 rows.
+_ROW_COUNTS = st.sampled_from([1, 2, 7, 8, 33, 131, 132, 1027]) | st.integers(1, 300)
+# What a tree's residuals hold: only -0.0, signed zeros, or values of mixed
+# exponents around 1, 1e300 or 1e-300 (their squares overflow or
+# underflow), with some signed zeros among them.
 _NODE_KINDS = st.sampled_from(["-0.0", "+-0.0", 1.0, 1e300, 1e-300])
 
 
@@ -770,37 +773,78 @@ def _node_values(rng, n, kind):
     return np.where(rng.random(n) < 0.1, signed_zeros, values)
 
 
+def _column(rng, n, pool, distinct):
+    """n values: about half from `pool`, the rest from `distinct` values
+    spread over [-1, 1]."""
+    spread = rng.choice(np.linspace(-1.0, 1.0, max(1, distinct)), n)
+    return np.where(rng.random(n) < 0.5, rng.choice(pool, n), spread)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(_NODE_LENGTHS, _NODE_KINDS), min_size=1, max_size=6),
-       st.integers(0, 2**32 - 1), st.data())
-def test_node_stats_equal_per_node_sums(nodes, seed, data):
-    """`_node_stats`, which `_fit_trees` calls once per level, equals the
-    reference trainer's per-node `np.mean` and `np.sum` byte for byte: the
-    means over every node, and the parent sse over a subset of them."""
+@given(_ROW_COUNTS, st.integers(1, 2000), st.integers(0, 2**32 - 1))
+def test_bins_match_the_reference_bins(n, distinct, seed):
+    """`_bins` gives every feature the reference's row bins and bin ends:
+    a lane of 4 values, a constant column, and a coordinate with ties,
+    signed zeros and 1-2000 other values, so that both one bin per value
+    and quantile bins occur. Bins are numbered in value order, every bin
+    holds a row, and a bin's ends hold its rows."""
     rng = np.random.default_rng(seed)
-    lengths = np.array([n for n, _ in nodes])
-    a = np.concatenate([_node_values(rng, n, kind) for n, kind in nodes])
-    starts = np.cumsum(lengths) - lengths
-    slices = [a[s:s + n] for s, n in zip(starts, lengths)]
-    mean, none = boosting._node_stats(a, starts, lengths, False)
-    assert none is None
-    assert mean.dtype == np.float64
-    assert mean.tobytes() == np.array([np.mean(v) for v in slices]).tobytes()
-    tried = np.nonzero(data.draw(hnp.arrays(bool, len(nodes))))[0]
-    with np.errstate(over="ignore"):   # squares of values near 1e300 are inf
-        both_mean, sse = boosting._node_stats(a, starts, lengths, True)
-        expected = np.array([np.sum((slices[k] - np.mean(slices[k])) ** 2) for k in tried])
-    assert both_mean.tobytes() == mean.tobytes()
-    assert sse[tried].tobytes() == expected.astype(float).tobytes()
+    X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n), np.full(n, 0.5),
+                         _column(rng, n, [-0.0, 0.0, 0.5, float(np.nextafter(0.5, 1.0))],
+                                 distinct)])
+    cap = min(256, max(32, n // 4))
+    for (b, lo, hi), (ref_b, ref_lo, ref_hi), x in zip(boosting._bins(X), histogram_bins(X), X.T):
+        assert b.tolist() == ref_b.tolist()
+        assert (lo.tobytes(), hi.tobytes()) == (ref_lo.tobytes(), ref_hi.tobytes())
+        values = len(set(x.tolist()))
+        assert len(lo) == values if values <= cap else len(lo) <= cap
+        assert np.all(np.bincount(b, minlength=len(lo)) > 0)
+        assert np.all(lo[b] <= x) and np.all(x <= hi[b]) and np.all(hi[:-1] < lo[1:])
 
 
-# ------------------------------------------ round-at-once fit vs the per-tree trainer
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_NODE_KINDS, min_size=1, max_size=6), _ROW_COUNTS, st.integers(0, 2**32 - 1),
+       st.integers(1, 3))
+def test_node_stats_equal_per_node_sums(kinds, n, seed, max_depth):
+    """In a level fit, every node's value is the sum of its rows'
+    residuals, added row after row from 0.0, over its row count, byte for
+    byte, and every row's leaf value is its leaf's value, signed zeros
+    included: the bincounts over all cells add each node's residuals in row
+    order. The rows of a node are those that reach it by `x <= threshold`."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n), rng.uniform(20.0, 80.0, n)])
+    residual = np.column_stack([_node_values(rng, n, kind) for kind in kinds])
+    config = TrainConfig(max_depth=max_depth, min_samples_leaf=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # squares of values near 1e300 are inf
+        nodes, sizes, _, leaf_value = boosting._fit_trees(boosting._bins(X), residual, config)
+        expected = []
+        ends = np.cumsum(sizes)
+        for c in range(len(kinds)):
+            tree = Tree(*(nodes[name][ends[c] - sizes[c]:ends[c]] for name in Tree.__slots__))
+            stack = [(0, np.arange(n))]
+            while stack:
+                i, rows = stack.pop()
+                mean = sequential_sum(residual[rows, c]) / len(rows)
+                expected.append((tree.value[i].tobytes(), np.float64(mean).tobytes()))
+                if tree.feature[i] < 0:
+                    expected.append((leaf_value[rows, c].tobytes(),
+                                     np.full(len(rows), mean).tobytes()))
+                else:
+                    go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
+                    stack += [(tree.left[i], rows[go_left]), (tree.right[i], rows[~go_left])]
+    assert all(got == want for got, want in expected)
 
+
+# ------------------------------------------ round-at-once fit vs the per-tree trainers
 # Residual pool: repeated values, signed zeros and order-sensitive sums.
 _RESIDUALS = st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0]) | st.floats(-1.0, 1.0)
-# Inputs with value ties, and two neighbouring floats whose midpoint rounds
-# to the lower one, so that a row can sit exactly on a threshold.
-_FIT_GRID = st.sampled_from([0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 1.5, 2.0, 3.0])
+# Inputs with value ties, and three neighbouring floats: the midpoint of the
+# first two rounds to the lower one, so that a row can sit exactly on a
+# threshold, and that of the last two to the higher one, where the
+# threshold falls back to the lower one.
+_ONE_UP = float(np.nextafter(1.0, 2.0))
+_FIT_GRID = st.sampled_from([0.0, 0.5, 1.0, _ONE_UP, float(np.nextafter(_ONE_UP, 2.0)), 1.5,
+                             2.0, 3.0])
 
 
 def _layout_bytes(model):
@@ -831,7 +875,7 @@ def test_round_fit_matches_per_tree_reference(data, chunk_cells):
     X, Y, config = data
     with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
         model = train(X, Y, config)
-    reference = train_reference(X, Y, config)
+    reference = train_histogram_reference(X, Y, config)
     assert _layout_bytes(model) == _layout_bytes(reference)
     assert model.base_prediction.tobytes() == reference.base_prediction.tobytes()
     assert model.predict_batch(X).tobytes() == reference.predict_batch(X).tobytes()
@@ -839,13 +883,11 @@ def test_round_fit_matches_per_tree_reference(data, chunk_cells):
 
 @st.composite
 def _paper_shaped_sets(draw):
-    """Training sets shaped like the paper's: 150-600 rows, a lane column
-    of 4 values and a continuous coordinate along the road, and 1-20 smooth
-    outputs in [0, 1] with noise, so that nodes are hundreds of rows wide
-    and a level's nodes fill several of `_best_splits`' cap-filled groups,
-    each one block padded to its longest node; the budget holds about 1-4
-    trees per output."""
-    n, d = draw(st.integers(150, 600)), draw(st.integers(1, 20))
+    """Training sets shaped like the paper's: 150-1200 rows, a lane column
+    of 4 values and a continuous coordinate along the road, so that the
+    coordinate gets quantile bins, and 1-20 smooth outputs in [0, 1] with
+    noise; the budget holds about 1-4 trees per output."""
+    n, d = draw(st.integers(150, 1200)), draw(st.integers(1, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n), rng.uniform(20.0, 80.0, n)])
     phase = rng.uniform(0.0, 2 * np.pi, d)
@@ -864,89 +906,136 @@ def test_paper_shaped_fit_matches_per_tree_reference(data, chunk_cells):
     X, Y, config = data
     with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
         model = train(X, Y, config)
-    reference = train_reference(X, Y, config)
+    reference = train_histogram_reference(X, Y, config)
     assert _layout_bytes(model) == _layout_bytes(reference)
     assert model.base_prediction.tobytes() == reference.base_prediction.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(2, 600), min_size=1, max_size=8), st.integers(0, 2**32 - 1),
-       st.data(), st.integers(1, 3), st.sampled_from([37, boosting._CHUNK_CELLS]))
-def test_best_splits_match_per_node_reference(lengths, seed, data, min_leaf, chunk_cells):
-    """One level's `_best_splits` gives every node the (sse, feature,
-    threshold) of the per-node reference search, byte for byte: nodes of
-    2-600 rows, several as long as the longest, a lane column of 4 values,
-    a coordinate and residuals with ties and signed zeros, and padding
-    that holds values, not zeros."""
-    lengths = np.array(lengths)
-    ties = data.draw(hnp.arrays(bool, len(lengths)))
-    lengths[ties] = lengths.max()
+@given(st.integers(1, 600), st.integers(1, 2000), st.integers(1, 4), st.integers(1, 8),
+       st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_best_splits_match_per_node_reference(n, distinct, trees, per_tree, seed, min_leaf):
+    """One level's `_best_splits` gives every node the (score, feature,
+    threshold) of the per-node histogram search, byte for byte: 1-8 nodes
+    per tree over the interleaved cells of 1-4 trees, each node's rows
+    scattered over the fit's rows, a lane column of 4 values, a coordinate
+    with ties, signed zeros and neighbouring floats, and residuals with
+    ties and signed zeros."""
     rng = np.random.default_rng(seed)
-
-    def column(n, pool):
-        return np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.uniform(-1.0, 1.0, n))
-
-    nodes = [(np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n),
-                               column(n, [-0.0, 0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0))])]),
-              column(n, [-0.0, 0.0, 0.25, -0.5])) for n in lengths]
-    starts = np.cumsum(lengths) - lengths
-    pad = int(lengths.max())
-    x = column(2 * (lengths.sum() + pad), [-0.0, 0.0, 0.5]).reshape(2, -1)
-    r = column(2 * (lengths.sum() + pad), [-0.0, 0.0, 0.25]).reshape(2, -1)
-    orders = []
-    for (X, residual), start, n in zip(nodes, starts, lengths):
-        orders.append([np.argsort(X[:, f], kind="stable") for f in range(2)])
-        for f, order in enumerate(orders[-1]):
-            x[f, start:start + n], r[f, start:start + n] = X[order, f], residual[order]
-    with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
-        sse, feature, threshold = boosting._best_splits(x, r, starts, lengths, min_leaf)
-    for k, ((X, residual), order) in enumerate(zip(nodes, orders)):
-        expected = _best_split(X, residual, order, min_leaf)
+    X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n),
+                         _column(rng, n, [-0.0, 0.0, 0.5, 1.0, _ONE_UP,
+                                          float(np.nextafter(_ONE_UP, 2.0))], distinct)])
+    residual = np.column_stack([_column(rng, n, [-0.0, 0.0, 0.25, -0.5], 2000)
+                                for _ in range(trees)])
+    # node k belongs to tree k % trees
+    node = rng.integers(0, per_tree, (n, trees)) * trees + np.arange(trees)
+    m = trees * per_tree
+    bins = boosting._bins(X)
+    score, feature, _, threshold, _ = boosting._best_splits(bins, node, residual, m, min_leaf)
+    for k in range(m):
+        rows = np.flatnonzero(node[:, k % trees] == k)
+        expected = _histogram_split(histogram_bins(X), residual[:, k % trees], rows, min_leaf)
         if expected is None:
             assert feature[k] == -1
         else:
-            assert (feature[k], np.float64(threshold[k]).tobytes(), sse[k].tobytes()) == (
+            assert (feature[k], threshold[k].tobytes(), score[k].tobytes()) == (
                 expected[0], np.float64(expected[1]).tobytes(), np.float64(expected[2]).tobytes())
 
 
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(float, st.tuples(st.integers(1, 40), st.just(2)), elements=_FIT_GRID),
-       st.data(), st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 37, 65536]))
-def test_level_fit_matches_per_tree_reference(X, data, max_depth, min_leaf, chunk_cells):
+       st.data(), st.integers(1, 4), st.integers(1, 3))
+def test_level_fit_matches_per_tree_reference(X, data, max_depth, min_leaf):
     """Every tree and every row's leaf value (the in-sample update of the
-    next round) equal the recursive per-tree fit, also for unsorted rows."""
+    next round) equal the recursive per-tree histogram fit, also for
+    unsorted rows."""
     columns = data.draw(st.integers(1, 12))
     residual = data.draw(hnp.arrays(float, (len(X), columns), elements=_RESIDUALS))
     residual[:, data.draw(hnp.arrays(bool, columns))] = 0.0
     config = TrainConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
-    orders = [np.argsort(X[:, f], kind="stable") for f in range(2)]
-    with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
-        nodes, sizes, internal, leaf_value = boosting._fit_trees(
-            X, orders, np.ascontiguousarray(residual.T), config)
+    nodes, sizes, internal, leaf_value = boosting._fit_trees(boosting._bins(X), residual, config)
     ends = np.cumsum(sizes)
     assert ends[-1] == len(nodes["feature"])
     for c in range(columns):
-        tree, leaf_of_row = fit_tree(X, residual[:, c], orders, config)
+        tree, leaf_of_row = fit_histogram_tree(X, histogram_bins(X), residual[:, c], config)
         for name in ("feature", "threshold", "left", "right", "value"):
             got = nodes[name][ends[c] - sizes[c]:ends[c]]
             assert (got.dtype, got.tobytes()) == (getattr(tree, name).dtype,
                                                   getattr(tree, name).tobytes())
         assert internal[c] == internal_count(tree)
-        assert leaf_value[c].tobytes() == tree.value[leaf_of_row].tobytes()
+        assert leaf_value[:, c].tobytes() == tree.value[leaf_of_row].tobytes()
 
 
 def test_best_splits_give_no_split_where_the_sse_overflows():
-    """Residuals of +-1e200 square to inf, so every candidate sse is inf or
-    NaN and `_best_splits` gives the node no split. The per-node reference
-    splits on the NaN, which is why the bit-for-bit equality of the two
-    holds only while every candidate sse is finite."""
+    """Residuals of +-1e200 square to inf, so the root's sse is inf and no
+    split can lower it by more than the gain rule's 1e-12 * sse: the fit
+    and the per-tree histogram reference both leave the root a leaf, and
+    neither raises."""
     X = np.column_stack([[1.75, 1.75, 5.25, 5.25, 8.75, 8.75], np.arange(6.0)])
     residual = np.array([1e200, -1e200] * 3)
-    orders = [np.argsort(X[:, f], kind="stable") for f in range(2)]
-    x, r = np.zeros((2, 2 * len(X))), np.zeros((2, 2 * len(X)))
-    for f, order in enumerate(orders):
-        x[f, :len(X)], r[f, :len(X)] = X[order, f], residual[order]
+    config = TrainConfig(min_samples_leaf=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, feature, _ = boosting._best_splits(x, r, np.array([0]), np.array([len(X)]), 1)
-        assert feature.tolist() == [-1]
-        assert _best_split(X, residual, orders, 1) is not None
+        nodes, sizes, internal, _ = boosting._fit_trees(boosting._bins(X), residual[:, None],
+                                                         config)
+        tree, _ = fit_histogram_tree(X, histogram_bins(X), residual, config)
+    assert (sizes.tolist(), internal.tolist(), nodes["feature"].tolist()) == ([1], [0], [-1])
+    assert tree.feature.tolist() == [-1]
+
+
+def test_thresholds_of_extreme_values_split_rows_as_their_bins():
+    """The midpoint of -1.7e308 and -1e308 is -1.35e308, not the -inf that
+    their sum overflows to, so every training row's in-sample leaf value
+    (from the bins) is the value `tree_predict` reaches (by thresholds)."""
+    X = np.column_stack([np.zeros(4), [-1.7e308, -1e308, 1e308, 1.7e308]])
+    residual = np.array([[1.0], [0.0], [0.5], [0.25]])
+    config = TrainConfig(max_depth=2, min_samples_leaf=1)
+    nodes, _, _, leaf_value = boosting._fit_trees(boosting._bins(X), residual, config)
+    tree = Tree(*(nodes[name] for name in Tree.__slots__))
+    assert np.all(np.isfinite(tree.threshold))
+    assert -1.7e308 <= tree.threshold[0] < -1e308
+    assert leaf_value[:, 0].tolist() == tree_predict(tree, X).tolist()
+    reference, _ = fit_histogram_tree(X, histogram_bins(X), residual[:, 0], config)
+    assert tree.threshold.tobytes() == reference.threshold.tobytes()
+
+
+# ------------------------------------------ histogram fit vs the exact split search
+
+def test_fit_gives_the_exact_search_where_bins_are_values():
+    """Where no feature has more distinct values than bins (at most
+    min(256, n // 4)), every bin is one value, so the histogram search
+    sees every split the exact search sees: a 3000-row, 16-output,
+    20-round fit splits on the exact per-tree trainer's features at its
+    thresholds, and its predictions agree to 1e-12. Only the order of the
+    sums differs."""
+    rng = np.random.default_rng(12)
+    n, d = 3000, 16
+    X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n),
+                         20.0 + 0.25 * rng.integers(0, 240, n)])
+    phase = rng.uniform(0.0, 2 * np.pi, d)
+    Y = np.clip(0.5 + 0.3 * np.sin(X[:, 1:] / rng.uniform(2.0, 20.0, d) + phase)
+                + rng.normal(0.0, 0.05, (n, d)), 0.0, 1.0)
+    config = TrainConfig(tree_count=20, max_depth=3, learning_rate=0.5, budget_parameters=10**6)
+    model, exact = train(X, Y, config), train_reference(X, Y, config)
+    assert [len(b[1]) for b in boosting._bins(X)] == [4, 240]
+    assert len(model.trees) == len(exact.trees) == 20 * d
+    for key in ("tree_outputs", "tree_sizes", "node_feature", "node_threshold", "node_left",
+                "node_right"):
+        assert np.array_equal(model.layout[key], exact.layout[key])
+    assert np.allclose(model.predict_batch(X), exact.predict_batch(X), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_constant_column_and_few_rows_fit(n):
+    """A constant column is one bin and gives no split; it raises no error
+    at any row count, and with 1-7 rows the fit is the exact search's."""
+    X = np.column_stack([np.full(n, 3.0), np.arange(n, dtype=float)])
+    Y = (np.arange(n)[:, None] % np.array([2, 3]) == 0).astype(float)
+    config = TrainConfig(tree_count=3, max_depth=2, learning_rate=1.0, min_samples_leaf=1,
+                         budget_parameters=1000)
+    model = train(X, Y, config)
+    assert not np.any(model.layout["node_feature"] == 0)
+    assert _layout_bytes(model) == _layout_bytes(train_histogram_reference(X, Y, config))
+    exact = train_reference(X, Y, config)
+    for key in ("tree_outputs", "node_feature", "node_threshold"):
+        assert np.array_equal(model.layout[key], exact.layout[key])
+    assert (len(model.trees) > 0) == (n > 1)

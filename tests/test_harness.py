@@ -208,6 +208,20 @@ def test_config_rejects_bad_evaluation_keys(key, value):
         ExperimentConfig.from_dict({outer: {inner: value} if inner else value})
 
 
+def test_config_bounds_the_beam_pairs():
+    """The rate stage holds UEs x beam pairs floats, the pairs being the
+    product of both arrays' elements: a config may ask for at most 4096,
+    4x the paper's 1024, whatever each side's own bound admits. Checked by
+    construction only; no stage runs at or past the bound."""
+    assert ExperimentConfig(bs_array=(16, 16), ue_array=(4, 4)).num_pairs == 4096
+    for bs, ue in (((32, 16), (4, 4)), ((32, 32), (32, 32))):
+        with pytest.raises(ValueError, match=(
+                rf"^bs_array must be of at most {4096 // (ue[0] * ue[1])} elements beside "
+                rf"ue_array {re.escape(str(ue))}, at most 4096 beam pairs, "
+                rf"got {re.escape(str(bs))}$")):
+            ExperimentConfig.from_dict({"bs_array": list(bs), "ue_array": list(ue)})
+
+
 @pytest.mark.parametrize("key, grid, message", [
     ("ue_grid", [], "ue_grid must hold at least one grid point"),
     ("bs_grid", [{"max_dept": 3}], "bs_grid[0].max_dept is not a grid key"),
