@@ -564,14 +564,17 @@ def _boosted_layout(X, Y, sort, base, config: TrainConfig):
     count past the budget, also partway through a round. The trees of a
     round depend only on their own output's residuals, so blocks of outputs
     are fitted at once, and the block's trees are then taken in output
-    order. A block spans about `_CHUNK_CELLS` (feature, row, output) cells.
-    The features are binned once, on these rows (`_bins`)."""
+    order. A block spans about `_CHUNK_CELLS` cells, counting per tree the
+    larger of its (feature, row) cells and the (node, bin) cells of its
+    deepest level, 2^max_depth nodes on the widest feature's bins. The
+    features are binned once, on these rows (`_bins`)."""
     n, d = Y.shape
     bins = _bins(X)
     pred = np.repeat(base[:, None], n, axis=1)      # output-major: output k in row k
     used = d
     pieces = [tuple(np.zeros(0, dtype) for _, dtype in _LAYOUT)]  # an empty layout
-    block = max(1, _CHUNK_CELLS // (X.shape[1] * n))  # (feature, row, output) cells
+    cells = max(X.shape[1] * n, 2**config.max_depth * max(len(lo) for _, lo, _ in bins))
+    block = max(1, _CHUNK_CELLS // cells)
     for _ in range(config.tree_count):
         for lo in range(0, d, block):
             dims = np.arange(lo, min(lo + block, d))

@@ -2,7 +2,6 @@
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -74,30 +73,14 @@ def cmd_dataset_build(args) -> int:
 
 def _tr_corpus(args):
     """The config, and the TR rows, ATR rows and split of the `--input`
-    rate file, which must be of the config's (|W|, |F|) pair shape and
-    corpus keys. Checks the `--out` directory first, and the file before
-    any stage runs."""
+    rate file, which `dataset.load_dataset` checks against the config's
+    (|W|, |F|) pair shape and corpus keys. Checks the `--out` directory
+    first, and the file before any stage runs."""
     config = _load_config(args)
     _output_dir(os.path.dirname(args.out))
-    rows, pair_shape, corpus = dataset.load_dataset(args.input)
-    expected = (config.num_combiners, config.num_beamformers)
-    if pair_shape != expected:
-        raise ValueError(f"dataset file {args.input!r} has pair_shape {pair_shape}, but the "
-                         f"config's ue_array and bs_array give {expected}")
-    recorded = _flat_corpus(corpus)
-    for key, want in _flat_corpus(config.corpus_keys()).items():
-        if recorded.get(key) != want:
-            raise ValueError(f"dataset file {args.input!r} has {key} {recorded.get(key)!r}, "
-                             f"but the config gives {want!r}")
-    tr_rows, atr_rows = harness.transform_corpus(config, rows)
+    tr_rows, atr_rows = harness.transform_corpus(config, *dataset.load_dataset(
+        args.input, (config.num_combiners, config.num_beamformers), config.corpus_keys()))
     return config, tr_rows, atr_rows, harness.split_corpus(config, len(tr_rows))
-
-
-def _flat_corpus(corpus: dict) -> dict:
-    """Corpus keys with the scene's JSON spread into `scene.<field>` keys."""
-    scene = json.loads(corpus["scene"])
-    return {"master_seed": corpus["master_seed"], "snapshot_count": corpus["snapshot_count"],
-            **{f"scene.{key}": scene[key] for key in sorted(scene)}}
 
 
 def cmd_model_train(args) -> int:

@@ -1,5 +1,6 @@
 """Location-based datasets: rates, throughput ratios, ATRs, splits, files."""
 
+import json
 import logging
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ from .linkeval import sweep_all  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-# 3: rate rows only, under `rates`; a version-2 file may hold TR rows
 DATASET_FORMAT_VERSION = 3
 # the config values the corpus was built from, besides the pair shape
 CORPUS_KEYS = ("master_seed", "snapshot_count", "scene")
@@ -104,18 +104,17 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
     return rows
 
 
-def to_throughput_ratios(rate_rows: list[RateRow]) -> list[TRRow]:
-    """Each row divided by its peak rate, as one max and one divide over the
-    stacked rates. The rows' `ratios` are views into one (rows, |W|*|F|)
-    array."""
-    if not rate_rows:
+def to_throughput_ratios(locations, rates: np.ndarray) -> list[TRRow]:
+    """The TR rows of the (rows, |W|*|F|) `rates` at `locations`: each row
+    divided by its peak rate, in place, as one max and one divide. The
+    rows' `ratios` are views into `rates`."""
+    if len(rates) == 0:
         return []
-    ratios = np.array([row.rates for row in rate_rows])
-    peaks = np.max(ratios, axis=1)
+    peaks = np.max(rates, axis=1)
     if np.any(peaks <= 0.0):
         raise ValueError("rate row with non-positive max (should be dropped upstream)")
-    ratios /= peaks[:, None]
-    return [TRRow(location=row.location, ratios=tr) for row, tr in zip(rate_rows, ratios)]
+    rates /= peaks[:, None]
+    return [TRRow(location=location, ratios=tr) for location, tr in zip(locations, rates)]
 
 
 def to_atr(tr_rows: list[TRRow], num_combiners: int, num_beamformers: int) -> list[ATRRow]:
@@ -174,23 +173,35 @@ def save_dataset(rows: list[RateRow], path: str, pair_shape, corpus: dict) -> No
              DATASET_FORMAT_VERSION)
 
 
-def load_dataset(path: str):
-    """Load (rate rows, pair_shape, corpus) from a file of save_dataset; a
-    malformed file raises a ValueError naming it. pair_shape = (|W|, |F|)
-    must match the row width, each per-row array must hold one entry per
-    rate row, and corpus maps CORPUS_KEYS to the file's values."""
+def load_dataset(path: str, pair_shape, corpus: dict):
+    """The (locations, rates) arrays of a file of save_dataset. A malformed
+    file, and one not of `pair_shape` = (|W|, |F|) or not built from
+    `corpus` (CORPUS_KEYS' values), raises a ValueError naming the file and
+    the key (`scene.<field>` for a scene field)."""
     data = load_npz(path, "dataset", DATASET_FORMAT_VERSION, _DATASET_KEYS)
     rates = data["rates"]
-    pair_shape = _check_pair_shape(data["pair_shape"],
-                                   rates.shape[1] if rates.ndim == 2 else None, path)
+    shape = _check_pair_shape(data["pair_shape"], rates.shape[1] if rates.ndim == 2 else None,
+                              path)
     n = len(rates)
     if n == 0:
         raise ValueError(f"dataset file {path!r} holds no rows")
-    for key, shape in (("locations", (n, 2)), ("snapshot_ids", (n,)), ("ue_indices", (n,))):
-        if data[key].shape != shape:
+    for key, want in (("locations", (n, 2)), ("snapshot_ids", (n,)), ("ue_indices", (n,))):
+        if data[key].shape != want:
             raise ValueError(f"dataset file {path!r} has {key} of shape {data[key].shape}, "
-                             f"but its {n} rate rows need {shape}")
-    rows = [RateRow(location=location, rates=row, snapshot_id=int(snapshot), ue_index=int(ue))
-            for location, row, snapshot, ue in zip(data["locations"], rates,
-                                                   data["snapshot_ids"], data["ue_indices"])]
-    return rows, pair_shape, {key: data[key][0].item() for key in CORPUS_KEYS}
+                             f"but its {n} rate rows need {want}")
+    if shape != tuple(pair_shape):
+        raise ValueError(f"dataset file {path!r} has pair_shape {shape}, but the config's "
+                         f"ue_array and bs_array give {tuple(pair_shape)}")
+    recorded = _flat_corpus({key: data[key][0].item() for key in CORPUS_KEYS})
+    for key, want in _flat_corpus(corpus).items():
+        if recorded.get(key) != want:
+            raise ValueError(f"dataset file {path!r} has {key} {recorded.get(key)!r}, "
+                             f"but the config gives {want!r}")
+    return data["locations"], rates
+
+
+def _flat_corpus(corpus: dict) -> dict:
+    """Corpus keys with the scene's JSON spread into `scene.<field>` keys."""
+    scene = json.loads(corpus["scene"])
+    return {"master_seed": corpus["master_seed"], "snapshot_count": corpus["snapshot_count"],
+            **{f"scene.{key}": scene[key] for key in sorted(scene)}}

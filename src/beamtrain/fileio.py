@@ -1,5 +1,5 @@
 """Atomic file writes, the versioned npz archive every artifact file uses,
-and the rules that check config keys."""
+and the reader and rules that check config keys."""
 
 import dataclasses
 import numbers
@@ -73,6 +73,30 @@ def check_fields(obj, rules: dict) -> None:
     field without a rule is a KeyError."""
     for f in dataclasses.fields(obj):
         check(f.name, getattr(obj, f.name), rules[f.name])
+
+
+def from_table(cls, raw, key: str, **given):
+    """The dataclass `cls` built from `raw`, a table read from a file, and
+    the fields in `given`. A list becomes a tuple, and a table under a
+    field of dataclass type is read by this function in turn. `key` is the
+    table's path, "" for the config itself. A non-table, a key of `raw`
+    that is not a field of `cls` (or is given) and a ValueError of `cls`
+    each raise a ValueError that begins with the key's path."""
+    check(key or "config", raw, (lambda v: isinstance(v, dict), "a table of keys"))
+    fields = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in given}
+    prefix = key + "." if key else ""
+    values = dict(given)
+    for name, value in raw.items():
+        if name not in fields:
+            raise ValueError(f"{prefix}{name} is an unknown key; the known keys are "
+                             f"{sorted(fields)}")
+        values[name] = (from_table(fields[name], value, prefix + name)
+                        if dataclasses.is_dataclass(fields[name])
+                        else tuple(value) if isinstance(value, list) else value)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(prefix + str(exc)) from exc
 
 
 def integer(low: int, high: float = float("inf")):

@@ -25,7 +25,7 @@ from . import boosting, metrics, selectors
 from .arrays import dft_codebook
 from .channel import default_bs_geometry, default_ue_geometry
 from .dataset import build_rate_dataset, split_dataset, to_atr, to_throughput_ratios
-from .fileio import atomic_write, check, check_fields, integer, listof, real
+from .fileio import atomic_write, check, check_fields, from_table, integer, listof, real
 from .scene import SceneConfig, generate_snapshot
 
 log = logging.getLogger(__name__)
@@ -45,9 +45,6 @@ _SEED_SNAPSHOT_BASE = 0        # + snapshot index
 _SEED_SPLIT = 1_000_000
 _SEED_CLUSTER = 1_000_001
 
-# the keys of a model grid point: TrainConfig's fields but the budget
-_GRID_KEYS = {f.name for f in dataclasses.fields(boosting.TrainConfig)} - {"budget_parameters"}
-
 _EXPERIMENT_RULES = {
     "scene": (lambda v: isinstance(v, SceneConfig), "a SceneConfig"),
     # rows, cols; the sweep's pairs grow with their product, so each side is bounded
@@ -65,7 +62,6 @@ _EXPERIMENT_RULES = {
     "use_significance": (lambda v: isinstance(v, bool), "a bool"),
     **dict.fromkeys(("bs_grid", "ue_grid"), (lambda v: isinstance(v, (list, tuple)), "a list")),
 }
-_TABLE = (lambda v: isinstance(v, dict), "a table of keys")
 _MAX_PAIRS = 4096
 
 
@@ -110,22 +106,14 @@ class ExperimentConfig:
         if self.num_combiners & (self.num_combiners - 1):
             raise ValueError(f"ue_array must hold a power-of-two number of elements, "
                              f"got {self.ue_array!r}")
-        # every grid point must make a TrainConfig, so that a bad grid fails
-        # before the corpus is built; the harness sets each role's budget
-        for key in ("bs_grid", "ue_grid"):
+        # every grid point must make a TrainConfig under its role's budget,
+        # so that a bad grid fails before the corpus is built
+        for key, budget in (("bs_grid", self.bs_budget), ("ue_grid", self.ue_budget)):
             grid = getattr(self, key)
             if not grid:
                 raise ValueError(f"{key} must hold at least one grid point")
             for i, point in enumerate(grid):
-                check(f"{key}[{i}]", point, (_TABLE[0], "a table of grid keys"))
-                unknown = sorted(set(point) - _GRID_KEYS)
-                if unknown:
-                    raise ValueError(f"{key}[{i}].{unknown[0]} is not a grid key; grid keys "
-                                     f"are {sorted(_GRID_KEYS)}")
-                try:
-                    boosting.TrainConfig(**point)
-                except ValueError as exc:
-                    raise ValueError(f"{key}[{i}].{exc}") from exc
+                from_table(boosting.TrainConfig, point, f"{key}[{i}]", budget_parameters=budget)
 
     @property
     def num_combiners(self) -> int:
@@ -154,27 +142,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        check("config", raw, _TABLE)
-        raw = dict(raw)
-        version = raw.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema version {version}")
-        scene_raw = raw.pop("scene", {})
-        check("scene", scene_raw, _TABLE)
-        known = {f.name for f in dataclasses.fields(cls)}
-        known_scene = {f.name for f in dataclasses.fields(SceneConfig)}
-        unknown = sorted(set(raw) - known) + sorted("scene." + k
-                                                    for k in set(scene_raw) - known_scene)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        try:
-            scene = SceneConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                   for k, v in scene_raw.items()})
-        except ValueError as exc:
-            raise ValueError(f"scene.{exc}") from exc
-        # grid points stay dicts, which __post_init__ checks
-        coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-        return cls(scene=scene, **coerced)
+        """The config of a table read from a file; grid points stay tables."""
+        if isinstance(raw, dict):
+            raw = dict(raw)
+            version = raw.pop("schema_version", SCHEMA_VERSION)
+            if version != SCHEMA_VERSION:
+                raise ValueError(f"unsupported config schema version {version}")
+        return from_table(cls, raw, "")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -226,15 +200,21 @@ class StageError(RuntimeError):
 
 @contextmanager
 def _stage(name):
-    """Log the stage; an Exception raised in it becomes a StageError naming
-    it. KeyboardInterrupt and other BaseExceptions pass through."""
+    """Log the stage as it starts and, on a clean exit, its seconds and the
+    process's peak RSS so far (left out where `resource` is missing); an
+    Exception raised in it becomes a StageError naming it.
+    KeyboardInterrupt and other BaseExceptions pass through."""
     log.info("stage: %s", name)
+    start = time.perf_counter()
     try:
         yield
     except StageError:
         raise
     except Exception as exc:
         raise StageError(f"stage '{name}' failed: {exc}") from exc
+    peak = _peak_rss_mb()
+    log.info("stage: %s: %.3f s%s", name, time.perf_counter() - start,
+             "" if peak is None else f", peak RSS {peak:.1f} MB")
 
 
 def decoupled_split(n_b: int, s_w: int, num_beamformers: int) -> tuple[int, int]:
@@ -268,27 +248,30 @@ def build_rate_rows(config: ExperimentConfig):
                                              bs_geom, ue_geom, config.scene)
 
 
-def transform_corpus(config: ExperimentConfig, rate_rows):
-    """Rate rows -> (TR rows, ATR rows), leaving the rate rows intact."""
+def transform_corpus(config: ExperimentConfig, locations, rates):
+    """The (TR rows, ATR rows) of the (rows, pairs) `rates` at `locations`;
+    `rates` is divided in place and holds the TR rows."""
     with _stage("transform dataset"):
-        tr_rows = to_throughput_ratios(rate_rows)
+        tr_rows = to_throughput_ratios(locations, rates)
         return tr_rows, to_atr(tr_rows, config.num_combiners, config.num_beamformers)
 
 
 def build_corpus(config: ExperimentConfig):
-    """Snapshots -> rate rows -> TR/ATR rows, deterministically."""
+    """Snapshots -> rate rows -> TR/ATR rows, deterministically. The TR
+    rows divide a stacked copy of the rates, so the rate rows stay intact."""
     snapshots, rate_rows = build_rate_rows(config)
-    return (snapshots, rate_rows, *transform_corpus(config, rate_rows))
+    return (snapshots, rate_rows,
+            *transform_corpus(config, [row.location for row in rate_rows],
+                              np.array([row.rates for row in rate_rows])))
 
 
 def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
     """K-fold tune and fit one model role on the training rows, under its
     budget. The scenario-2 and scenario-3 UE models share targets, budget
     and grid, so theta3_w is fitted as theta2_w. Only the training rows'
-    locations and targets are stacked. The chosen grid point, the model's
-    trees and parameters and the seconds of tuning and of the final fit are
-    logged at info level, after `kfold_tune`'s line on the chosen point's
-    validation MSE."""
+    locations and targets are stacked. Tuning and the final fit are two
+    stages; the chosen grid point and the model's trees and parameters are
+    logged at info level after them."""
     rows = split.train_rows
     if name == "theta1":
         Y, grid, budget, role = ([tr_rows[i].ratios for i in rows], config.bs_grid,
@@ -303,17 +286,15 @@ def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
         raise ValueError(f"unknown model role {name!r}")
     X = np.array([tr_rows[i].location for i in rows])
     Y = np.array(Y)
-    with _stage(f"tune and train {name}"):
-        configs = [boosting.TrainConfig(budget_parameters=budget, **g) for g in grid]
-        start = time.perf_counter()
+    configs = [boosting.TrainConfig(budget_parameters=budget, **g) for g in grid]
+    with _stage(f"tune {name}"):
         cfg = boosting.kfold_tune(X, Y, configs, split.fold_assignments)
-        tuned = time.perf_counter()
+    with _stage(f"fit {name}"):
         model = boosting.train(X, Y, cfg, role=role)
-        log.info("trained %s: grid point %d of %d, %d trees, %d parameters, tune %.2f s, "
-                 "fit %.3f s", name, configs.index(cfg), len(configs),
-                 len(model.layout["tree_sizes"]), boosting.param_count(model), tuned - start,
-                 time.perf_counter() - tuned)
-        return model
+    log.info("trained %s: grid point %d of %d, %d trees, %d parameters", name,
+             configs.index(cfg), len(configs), len(model.layout["tree_sizes"]),
+             boosting.param_count(model))
+    return model
 
 
 def train_models(config: ExperimentConfig, tr_rows, atr_rows, split):
@@ -375,8 +356,7 @@ def run_experiment(config: ExperimentConfig) -> EvalResult:
 
     Each large matrix is held once: the rate rows are dropped with the
     corpus tuple, the TR rows once the models are trained, and evaluation
-    reads only the test rows' TR. The process's peak RSS is logged at info
-    level after evaluation."""
+    reads only the test rows' TR."""
     tr_rows, atr_rows = build_corpus(config)[2:]
     split = split_corpus(config, len(tr_rows))
     X = np.array([r.location for r in tr_rows])
@@ -389,9 +369,6 @@ def run_experiment(config: ExperimentConfig) -> EvalResult:
 
     with _stage("evaluate scenarios"):
         curves, heatmap = evaluate(config, models, plan, X[split.test_rows], TR_test)
-    peak = _peak_rss_mb()
-    if peak is not None:
-        log.info("peak RSS %.1f MB", peak)
     return EvalResult(curves=curves, heatmap=heatmap, n_test=len(split.test_rows),
                       master_seed=config.master_seed,
                       param_counts={k: boosting.param_count(m) for k, m in models.items()},
@@ -405,8 +382,9 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
     prefix of a stable descending sort, which on theta1's wide rows it finds
     without sorting them whole), and each point and cell is one entry of the
     `metrics.prefix_tables` of those orderings.
-    Each role's rows, trees, step-table size and prediction time (with the
-    compile of a model not yet read) are logged at info level."""
+    Each role's prediction (with the compile of a model not yet read) is a
+    stage, after which its rows, trees and step-table size are logged at
+    info level."""
     num_f, num_w = config.num_beamformers, config.num_combiners
     TR_test = np.asarray(TR_test, dtype=float)
     grid = TR_test.reshape(len(TR_test), num_w, num_f)
@@ -433,12 +411,12 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
                    default=1)
 
     def ordering(role, length):
-        start = time.perf_counter()
-        predictions = models[role].predict_batch(X_test)
+        with _stage(f"predict {role}"):
+            predictions = models[role].predict_batch(X_test)
         steps = models[role].step_tables
-        log.info("predicted %s: %d rows, %d trees, %d table cells (%.3f MB), %.4f s", role,
+        log.info("predicted %s: %d rows, %d trees, %d table cells (%.3f MB)", role,
                  len(predictions), len(models[role].layout["tree_sizes"]), steps.cells,
-                 steps.nbytes / 2**20, time.perf_counter() - start)
+                 steps.nbytes / 2**20)
         return selectors.top_k_stable(predictions, length)
 
     tables = {}

@@ -99,6 +99,32 @@ def test_train_holds_no_sorted_copy_of_the_targets():
     assert peak < Y.nbytes + 8 * 2**20
 
 
+
+def test_small_fits_size_their_blocks_by_their_split_tables():
+    """Below 128 rows the 32-bin floor makes a level's (node, bin) tables
+    larger than a tree's (feature, row) cells, and blocks are sized by the
+    larger of the two: a 24-row, 1024-output, 3-round fit peaks at or below
+    the 6.7 MiB of the exact split search (9.5 MiB when blocks counted only
+    the rows). Block size does not change the fit, so the layout is the
+    same at other `_CHUNK_CELLS`."""
+    rng = np.random.default_rng(0)
+    X, Y = rng.uniform(0, 100, size=(24, 2)), rng.uniform(size=(24, 1024))
+    config = TrainConfig(tree_count=3, max_depth=3, budget_parameters=10**9)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        layout = train(X, Y, config).layout
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.7 * 2**20
+    for cells in (2**10, 2**13, 2**20):
+        with mock.patch.object(boosting, "_CHUNK_CELLS", cells):
+            other = train(X, Y, config).layout
+        assert {k: v.tobytes() for k, v in other.items()} == {
+            k: v.tobytes() for k, v in layout.items()}
+
 def test_param_count_examples():
     # a single stump: 1 internal node (2 params) + 2 leaves = 4
     stump = Tree(feature=[0, -1, -1], threshold=[0.5, 0, 0],

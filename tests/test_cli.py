@@ -111,24 +111,27 @@ def test_readme_python_block_rebuilds_a_ues_channel(tmp_path, monkeypatch):
     assert H.tobytes() == expected.tobytes() and np.any(H != 0)
 
 
-def test_dataset_build_and_transform(tmp_path):
+def test_dataset_build_writes_the_rate_rows_that_the_transform_divides(tmp_path):
     """`dataset build` writes the rate rows of the in-process rate stage,
-    bit for bit, and the transform stage turns them into TR rows."""
+    bit for bit, and the transform stage divides the loaded rates in place
+    into TR rows."""
     config_path = _tiny_config(tmp_path)
-    rows, pair_shape, _ = load_dataset(_rate_file(tmp_path, "--config", config_path))
-    assert rows and rows[0].rates.shape == (1024,)
-    assert pair_shape == (16, 64)
     config = ExperimentConfig.from_file(config_path)
+    path = _rate_file(tmp_path, "--config", config_path)
+    locations, rates = load_dataset(path, (16, 64), config.corpus_keys())
     expected = harness.build_rate_rows(config)[1]
-    assert [(r.snapshot_id, r.ue_index) for r in rows] == [
-        (r.snapshot_id, r.ue_index) for r in expected]
-    assert all(a.rates.tobytes() == b.rates.tobytes() and a.location.tobytes()
-               == b.location.tobytes() for a, b in zip(rows, expected))
-    tr, _ = harness.transform_corpus(config, rows)
-    assert np.all(np.max([r.ratios for r in tr], axis=1) == 1.0)
+    assert rates.shape == (len(expected), 1024) and len(expected) > 0
+    with np.load(path) as npz:
+        assert list(zip(npz["snapshot_ids"].tolist(), npz["ue_indices"].tolist())) == [
+            (r.snapshot_id, r.ue_index) for r in expected]
+    assert rates.tobytes() == np.array([r.rates for r in expected]).tobytes()
+    assert locations.tobytes() == np.array([r.location for r in expected]).tobytes()
+    tr, _ = harness.transform_corpus(config, locations, rates)
+    assert all(np.shares_memory(r.ratios, rates) for r in tr)
+    assert np.all(rates.max(axis=1) == 1.0)
 
 
-def test_dataset_transform_keeps_the_input_pair_shape(tmp_path):
+def test_model_train_reads_the_pair_shape_of_its_rate_file(tmp_path):
     """The file of a 4x4 BS array records its (16, 16) pair shape, and the
     transform of `model train` reads it: theta2_f gets 16 outputs."""
     config = _tiny_config(tmp_path, bs_array=[4, 4])
@@ -136,8 +139,6 @@ def test_dataset_transform_keeps_the_input_pair_shape(tmp_path):
     with np.load(rates) as npz:
         assert npz["pair_shape"].tolist() == [16, 16]
         assert npz["rates"].shape[1] == 256
-    rows, pair_shape, _ = load_dataset(rates)
-    assert pair_shape == (16, 16) and rows[0].rates.shape == (256,)
     model = str(tmp_path / "m.npz")
     assert cli.main(["model", "train", "--config", config, "--input", rates,
                      "--role", "theta2_f", "--out", model]) == 0
@@ -190,7 +191,7 @@ def test_model_train_fits_only_its_role(tmp_path, monkeypatch):
     assert _npz_arrays(path) == _npz_arrays(str(tmp_path / "pipeline.npz"))
 
 
-def test_model_train_and_plan_build_read_only_the_tr_file(tmp_path, monkeypatch):
+def test_model_train_and_plan_build_read_only_the_rate_file(tmp_path, monkeypatch):
     """Each role's model file and the plan files from the `--input` rate
     file equal, byte for byte, those of the in-process stages on the
     rebuilt corpus; neither the corpus nor its rate rows are built, and the
@@ -261,8 +262,8 @@ def test_a_bad_input_fails_before_training(tmp_path, monkeypatch, capsys, comman
 
 @pytest.mark.parametrize("command", [["model", "train", "--role", "theta2_w"],
                                      ["plan", "build"]])
-def test_a_tr_file_of_another_corpus_fails_before_training(tmp_path, monkeypatch, capsys,
-                                                           command):
+def test_a_rate_file_of_another_corpus_fails_before_training(tmp_path, monkeypatch, capsys,
+                                                             command):
     """A rate file built with another master seed, snapshot count or scene
     than the config and `--seed` give is rejected with an error naming the
     file and the first differing key, before any stage runs."""
@@ -286,7 +287,9 @@ def test_a_tr_file_of_another_corpus_fails_before_training(tmp_path, monkeypatch
         assert err.startswith("error: ") and repr(rates) in err and key in err
     assert stages == [] and not (tmp_path / "out.npz").exists()
     # the file records the corpus keys of the config it was built with
-    assert load_dataset(rates)[2] == ExperimentConfig.from_file(config).corpus_keys()
+    with np.load(rates) as npz:
+        assert {key: npz[key][0].item() for key in dataset.CORPUS_KEYS} == (
+            ExperimentConfig.from_file(config).corpus_keys())
 
 
 @pytest.mark.parametrize("key, value", [
@@ -360,7 +363,7 @@ def test_eval_run_bad_grid_fails_before_any_stage(tmp_path, monkeypatch, capsys,
     cfg = _tiny_config(tmp_path, ue_grid=[{"tree_count": 5}, {"max_dept": 3}])
     with caplog.at_level(logging.INFO, logger="beamtrain"):
         assert cli.main(["eval", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "ue_grid[1].max_dept is not a grid key" in capsys.readouterr().err
+    assert "error: ue_grid[1].max_dept is an unknown key" in capsys.readouterr().err
     assert not [m for m in caplog.messages if m.startswith("stage:")]
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,15 +112,22 @@ def test_build_rate_dataset_rejects_non_finite_rates():
                            bs_g, ue_g, cfg)
 
 
+def _transform(rows):
+    """The TR rows of rate rows, from a stacked copy of their rates."""
+    return to_throughput_ratios([r.location for r in rows], np.array([r.rates for r in rows]))
+
+
 def test_rate_and_tr_rows_are_views_into_one_array_each():
     _, rows = _small_corpus()
-    tr_rows = to_throughput_ratios(rows)
-    for views in ([r.rates for r in rows], [r.ratios for r in tr_rows]):
-        base = views[0].base
-        assert base is not None and base.ndim == 2
-        assert all(view.base is base for view in views)
-    assert not np.shares_memory(rows[0].rates, tr_rows[0].ratios)
-    assert to_throughput_ratios([]) == []
+    rates = np.array([r.rates for r in rows])
+    tr_rows = to_throughput_ratios([r.location for r in rows], rates)
+    base = rows[0].rates.base
+    assert base is not None and base.ndim == 2
+    assert all(r.rates.base is base for r in rows)
+    # the transform divides the rates it is given in place
+    assert all(tr.ratios.base is rates for tr in tr_rows)
+    assert not np.shares_memory(rows[0].rates, rates)
+    assert to_throughput_ratios([], np.empty((0, 4))) == []
 
 
 def test_transform_rows_equal_the_per_row_stage_bit_for_bit():
@@ -127,7 +136,7 @@ def test_transform_rows_equal_the_per_row_stage_bit_for_bit():
     grid, bit for bit; the ATR rows of each side are views into one
     array."""
     _, rows = _small_corpus()
-    tr_rows = to_throughput_ratios(rows)
+    tr_rows = _transform(rows)
     atr_rows = to_atr(tr_rows, 16, 64)
     for row, tr, atr in zip(rows, tr_rows, atr_rows):
         peak = float(np.max(row.rates))
@@ -145,26 +154,26 @@ def test_transform_rows_equal_the_per_row_stage_bit_for_bit():
 
 def test_to_throughput_ratios_basic():
     row = RateRow(location=np.zeros(2), rates=np.array([2.0, 4.0, 8.0]), snapshot_id=0)
-    tr = to_throughput_ratios([row])[0]
+    tr = _transform([row])[0]
     assert np.allclose(tr.ratios, [0.25, 0.5, 1.0])
     assert tr.ratios.max() == 1.0  # exact
 
 
 def test_to_throughput_ratios_constant_row():
     row = RateRow(location=np.zeros(2), rates=np.full(6, 3.3), snapshot_id=0)
-    assert np.all(to_throughput_ratios([row])[0].ratios == 1.0)
+    assert np.all(_transform([row])[0].ratios == 1.0)
 
 
 def test_to_throughput_ratios_rejects_zero_row():
     row = RateRow(location=np.zeros(2), rates=np.zeros(4), snapshot_id=0)
     with pytest.raises(ValueError):
-        to_throughput_ratios([row])
+        _transform([row])
 
 
 def test_to_throughput_ratios_matches_oracle():
     rng = np.random.default_rng(0)
     rates = rng.uniform(0.01, 4.0, size=64)
-    tr = to_throughput_ratios([RateRow(np.zeros(2), rates, 0)])[0]
+    tr = _transform([RateRow(np.zeros(2), rates, 0)])[0]
     assert np.allclose(tr.ratios, rates / rates.max(), atol=0)
 
 
@@ -246,14 +255,12 @@ def test_binary_roundtrip_bit_identical(tmp_path):
     rows = _toy_rows()
     path = str(tmp_path / "d.npz")
     save_dataset(rows, path, (3, 4), _CORPUS)
-    loaded, pair_shape, corpus = load_dataset(path)
-    assert pair_shape == (3, 4) and corpus == _CORPUS
-    assert len(loaded) == len(rows)
-    for a, b in zip(rows, loaded):
-        assert isinstance(b, RateRow)
-        assert a.rates.tobytes() == b.rates.tobytes()
-        assert a.location.tobytes() == b.location.tobytes()
-        assert (a.snapshot_id, a.ue_index) == (b.snapshot_id, b.ue_index)
+    locations, rates = load_dataset(path, (3, 4), _CORPUS)
+    assert rates.tobytes() == np.array([r.rates for r in rows]).tobytes()
+    assert locations.tobytes() == np.array([r.location for r in rows]).tobytes()
+    with np.load(path) as npz:
+        assert npz["snapshot_ids"].tolist() == [r.snapshot_id for r in rows]
+        assert npz["ue_indices"].tolist() == [r.ue_index for r in rows]
     with pytest.raises(ValueError, match="cannot save an empty dataset"):
         save_dataset([], path, (3, 4), _CORPUS)
 
@@ -264,7 +271,7 @@ def test_truncated_files_raise(tmp_path):
     save_dataset(rows, str(binpath), (3, 4), _CORPUS)
     binpath.write_bytes(binpath.read_bytes()[:40])
     with pytest.raises(ValueError):
-        load_dataset(str(binpath))
+        load_dataset(str(binpath), (3, 4), _CORPUS)
 
 
 def test_load_rejects_a_binary_file_without_rows(tmp_path):
@@ -276,7 +283,7 @@ def test_load_rejects_a_binary_file_without_rows(tmp_path):
         arrays[key] = arrays[key][:0]
     np.savez_compressed(path, **arrays)
     with pytest.raises(ValueError, match="d.npz' holds no rows"):
-        load_dataset(path)
+        load_dataset(path, (3, 4), _CORPUS)
 
 
 def test_load_rejects_pair_shape_off_the_row_width(tmp_path):
@@ -288,13 +295,13 @@ def test_load_rejects_pair_shape_off_the_row_width(tmp_path):
     arrays["pair_shape"] = np.array([4, 4])
     np.savez_compressed(binpath, **arrays)
     with pytest.raises(ValueError, match=r"pair_shape \(4, 4\) .* row width 12"):
-        load_dataset(binpath)
+        load_dataset(binpath, (3, 4), _CORPUS)
     with pytest.raises(ValueError, match="row width 12"):
         save_dataset(rows, binpath, (4, 4), _CORPUS)
     arrays["pair_shape"], arrays["rates"] = np.array([3, 4]), arrays["rates"].ravel()
     np.savez_compressed(binpath, **arrays)
     with pytest.raises(ValueError, match=r"pair_shape \(3, 4\) .* row width None"):
-        load_dataset(binpath)
+        load_dataset(binpath, (3, 4), _CORPUS)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -315,12 +322,56 @@ def test_load_rejects_a_per_row_array_off_the_row_count(tmp_path, key, value):
         arrays = {name: npz[name] for name in npz.files}
     np.savez_compressed(path, **{**arrays, key: value})
     with pytest.raises(ValueError, match=rf"d.npz' has {key} of shape .* 5 rate rows need"):
-        load_dataset(path)
+        load_dataset(path, (3, 4), _CORPUS)
+
+
+_SCENE_CORPUS = {"master_seed": 3, "snapshot_count": 2,
+                 "scene": json.dumps({"lane_count": 4, "lane_width": 3.5}, sort_keys=True)}
+
+
+@pytest.mark.parametrize("pair_shape, corpus, message", [
+    ((4, 3), _SCENE_CORPUS, r"pair_shape \(3, 4\), but the config's ue_array and bs_array "
+                            r"give \(4, 3\)"),
+    ((3, 4), {**_SCENE_CORPUS, "master_seed": 4}, "master_seed 3, but the config gives 4"),
+    ((3, 4), {**_SCENE_CORPUS, "snapshot_count": 5}, "snapshot_count 2, but the config gives 5"),
+    ((3, 4), {**_SCENE_CORPUS, "scene": json.dumps({"lane_count": 3, "lane_width": 3.5})},
+     "scene.lane_count 4, but the config gives 3"),
+    ((3, 4), {**_SCENE_CORPUS, "scene": json.dumps({"lane_count": 4, "lane_width": 3.5,
+                                                    "bs_height": 6.0})},
+     "scene.bs_height None, but the config gives 6.0"),
+])
+def test_load_rejects_a_file_of_another_run(tmp_path, pair_shape, corpus, message):
+    """A rate file of another pair shape, master seed, snapshot count or
+    scene field than the run's fails naming the file and the first
+    differing key."""
+    path = str(tmp_path / "d.npz")
+    save_dataset(_toy_rows(), path, (3, 4), _SCENE_CORPUS)
+    load_dataset(path, (3, 4), _SCENE_CORPUS)
+    with pytest.raises(ValueError, match=rf"^dataset file '.*d\.npz' has {message}$"):
+        load_dataset(path, pair_shape, corpus)
+
+
+def test_transforming_a_loaded_rate_file_divides_its_rates_in_place(tmp_path):
+    """The TR rows of a loaded rate file are its rates divided in place:
+    the transform allocates less than half of the rates array."""
+    rows = _toy_rows(n=200, width=1024)
+    path = str(tmp_path / "d.npz")
+    save_dataset(rows, path, (16, 64), _CORPUS)
+    locations, rates = load_dataset(path, (16, 64), _CORPUS)
+    tracemalloc.start()
+    try:
+        tr_rows = to_throughput_ratios(locations, rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rates.nbytes / 2, (peak, rates.nbytes)
+    assert all(np.shares_memory(tr.ratios, rates) for tr in tr_rows)
+    assert np.all(rates.max(axis=1) == 1.0)
 
 
 def test_tr_rows_have_unique_argmax_under_tie_rule():
     _, rows = _small_corpus(seed_count=2)
-    for tr in to_throughput_ratios(rows):
+    for tr in _transform(rows):
         best = int(np.argmax(tr.ratios))
         assert tr.ratios[best] == 1.0
         # lowest-index rule: no earlier entry reaches the max

@@ -6,7 +6,9 @@ import pytest
 from beamtrain import cli
 from beamtrain.boosting import TrainConfig, load_model, save_model, train
 from beamtrain.dataset import DATASET_FORMAT_VERSION, RateRow, load_dataset, save_dataset
-from beamtrain.fileio import atomic_write, load_npz, save_npz
+from beamtrain.fileio import atomic_write, from_table, load_npz, save_npz
+from beamtrain.harness import ExperimentConfig
+from beamtrain.scene import SceneConfig
 from beamtrain.selectors import ClusterCoveragePlan, load_plan, save_plan
 
 
@@ -130,9 +132,11 @@ def _write_model(path):
 ])
 def test_loaders_name_a_missing_key(tmp_path, write, load):
     version = DATASET_FORMAT_VERSION if load is load_dataset else 1
+    # a rate file is read against the run's pair shape and corpus keys
+    args = ((2, 3), _CORPUS) if load is load_dataset else ()
     path = str(tmp_path / "artifact.npz")
     write(path)
-    load(path)
+    load(path, *args)
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
     assert arrays.pop("format_version").tolist() == [version]
@@ -141,4 +145,15 @@ def test_loaders_name_a_missing_key(tmp_path, write, load):
         np.savez_compressed(cut, format_version=np.array([version]),
                             **{k: v for k, v in arrays.items() if k != key})
         with pytest.raises(ValueError, match=f"cut.npz' lacks key '{key}'"):
-            load(cut)
+            load(cut, *args)
+
+
+def test_from_table_reads_a_table_into_its_dataclass():
+    """Lists become tuples, a table under a dataclass field is read in turn,
+    and given fields are passed through."""
+    config = from_table(ExperimentConfig, {"bs_array": [4, 4], "scene": {"car_dims": [1, 4, 1]}},
+                        "")
+    assert config.bs_array == (4, 4) and config.scene == SceneConfig(car_dims=(1, 4, 1))
+    assert from_table(TrainConfig, {"max_depth": 2}, "g[0]", budget_parameters=7) == TrainConfig(
+        max_depth=2, budget_parameters=7)
+

@@ -224,14 +224,14 @@ def test_config_bounds_the_beam_pairs():
 
 @pytest.mark.parametrize("key, grid, message", [
     ("ue_grid", [], "ue_grid must hold at least one grid point"),
-    ("bs_grid", [{"max_dept": 3}], "bs_grid[0].max_dept is not a grid key"),
-    ("ue_grid", [{}, {"budget_parameters": 10}], "ue_grid[1].budget_parameters is not a grid key"),
+    ("bs_grid", [{"max_dept": 3}], "bs_grid[0].max_dept is an unknown key"),
+    ("ue_grid", [{}, {"budget_parameters": 10}], "ue_grid[1].budget_parameters is an unknown key"),
     ("ue_grid", [{"tree_count": 5}, {"min_samples_leaf": 0}],
      "ue_grid[1].min_samples_leaf must be an integer >= 1, got 0"),
     ("bs_grid", [{"max_depth": 2.5}], "bs_grid[0].max_depth must be an integer >= 1, got 2.5"),
     ("bs_grid", [{"learning_rate": 0.0}], "bs_grid[0].learning_rate must be in (0, 1], got 0.0"),
     ("bs_grid", [{"tree_count": "9"}], "bs_grid[0].tree_count must be an integer >= 0, got '9'"),
-    ("bs_grid", [3], "bs_grid[0] must be a table of grid keys, got 3"),
+    ("bs_grid", [3], "bs_grid[0] must be a table of keys, got 3"),
 ])
 def test_config_rejects_bad_model_grids(key, grid, message):
     # rejected when the config is built, before any stage runs
@@ -372,7 +372,8 @@ def test_stage_lets_keyboard_interrupt_through():
 
 def test_config_rejects_output_dir():
     # the output directory is the CLI's --out, never a config key
-    with pytest.raises(ValueError, match=r"unknown config keys: \['output_dir'\]"):
+    with pytest.raises(ValueError, match=r"^output_dir is an unknown key; the known keys are "
+                                         r"\['bs_array', "):
         ExperimentConfig.from_dict({"output_dir": "out"})
 
 
@@ -398,8 +399,11 @@ def test_build_coverage_plan_logs_cluster_sizes(caplog):
     with caplog.at_level(logging.INFO, logger="beamtrain.harness"):
         plan = build_coverage_plan(config, locations, atr_f, split)
     assert sorted(np.bincount(plan.assignments)) == [2, 3, 6]
-    assert caplog.messages == ["stage: build cluster coverage plan",
-                               "coverage plan: 3 clusters of 2 to 6 training rows, median 3"]
+    assert caplog.messages[:2] == ["stage: build cluster coverage plan",
+                                   "coverage plan: 3 clusters of 2 to 6 training rows, median 3"]
+    assert re.fullmatch(r"stage: build cluster coverage plan: \d+\.\d{3} s, peak RSS \d+\.\d MB",
+                        caplog.messages[2])
+    assert len(caplog.messages) == 3
 
 
 @pytest.fixture(scope="module")
@@ -485,14 +489,42 @@ def test_dataset_checksum_is_the_sha256_of_the_stacked_tr_rows(smoke_result):
 
 
 def test_run_experiment_logs_the_peak_rss_after_evaluation(caplog):
+    """Every stage that starts ends with a line of its seconds and the peak
+    RSS so far, the last one after evaluation, and nested stages end first."""
     config = dataclasses.replace(ExperimentConfig.smoke(), snapshot_count=4, folds=3)
     with caplog.at_level(logging.INFO, logger="beamtrain.harness"):
         run_experiment(config)
-    evaluated = caplog.messages.index("stage: evaluate scenarios")
-    peak = [m for m in caplog.messages if m.startswith("peak RSS")]
-    assert len(peak) == 1 and caplog.messages.index(peak[0]) > evaluated
-    megabytes = re.fullmatch(r"peak RSS (\d+\.\d) MB", peak[0])
-    assert megabytes and 10.0 < float(megabytes[1]) <= harness._peak_rss_mb() + 0.05
+    started = [m[len("stage: "):] for m in caplog.messages if re.fullmatch(r"stage: [\w ]+", m)]
+    ended = [re.fullmatch(r"stage: ([\w ]+): (\d+\.\d{3}) s, peak RSS (\d+\.\d) MB", m)
+             for m in caplog.messages if re.fullmatch(r"stage: .*: .*", m)]
+    assert all(ended) and sorted(m[1] for m in ended) == sorted(started)
+    assert started == [
+        "generate snapshots", "build rate dataset", "transform dataset", "split dataset",
+        "build cluster coverage plan", "tune theta1", "fit theta1", "tune theta2_f",
+        "fit theta2_f", "tune theta2_w", "fit theta2_w", "evaluate scenarios",
+        "predict theta1", "predict theta2_w", "predict theta2_f"]
+    assert [m[1] for m in ended][-4:] == ["predict theta1", "predict theta2_w",
+                                          "predict theta2_f", "evaluate scenarios"]
+    assert caplog.messages[-1] == ended[-1][0]
+    peaks = [float(m[3]) for m in ended]
+    assert peaks == sorted(peaks) and 10.0 < peaks[-1] <= harness._peak_rss_mb() + 0.05
+
+
+def test_stage_logs_its_seconds_and_peak_rss_on_a_clean_exit_only(caplog, monkeypatch):
+    with caplog.at_level(logging.INFO, logger="beamtrain.harness"):
+        with _stage("demo"):
+            pass
+        with pytest.raises(StageError):
+            with _stage("failing"):
+                raise ValueError("boom")
+        monkeypatch.setattr(harness, "resource", None)
+        with _stage("no resource"):
+            pass
+    assert caplog.messages[0] == "stage: demo"
+    assert re.fullmatch(r"stage: demo: \d+\.\d{3} s, peak RSS \d+\.\d MB", caplog.messages[1])
+    assert caplog.messages[2:4] == ["stage: failing", "stage: no resource"]
+    assert re.fullmatch(r"stage: no resource: \d+\.\d{3} s", caplog.messages[4])
+    assert len(caplog.messages) == 5
 
 
 @pytest.mark.parametrize("platform, mb", [("linux", 3 * 2**10), ("darwin", 3.0)])
@@ -590,6 +622,8 @@ def test_evaluate_reads_the_per_row_metrics(scenarios, n_b_sweep, heatmap_s_w, h
 
 
 def test_evaluate_logs_rows_trees_and_seconds_per_role(caplog):
+    """Each role's prediction is a stage, timed by its end line, and is
+    followed by the role's rows, trees and table cells."""
     cfg = ExperimentConfig(bs_array=(2, 4), ue_array=(2, 2), n_b_sweep=(1, 2),
                            heatmap_s_w=(1,), heatmap_s_f=(1,))
     rng = np.random.default_rng(5)
@@ -600,11 +634,15 @@ def test_evaluate_logs_rows_trees_and_seconds_per_role(caplog):
     X = np.column_stack([np.arange(6), np.zeros(6)])
     with caplog.at_level(logging.INFO, logger="beamtrain.harness"):
         evaluate(cfg, models, plan, X, rng.uniform(size=(6, cfg.num_pairs)))
-    assert [m.rsplit(",", 1)[0] for m in caplog.messages] == [
-        "predicted theta1: 6 rows, 7 trees, 70 table cells (3.500 MB)",
-        "predicted theta2_w: 6 rows, 3 trees, 30 table cells (1.500 MB)",
-        "predicted theta2_f: 6 rows, 5 trees, 50 table cells (2.500 MB)"]
-    assert all(re.fullmatch(r" \d+\.\d{4} s", m.rsplit(",", 1)[1]) for m in caplog.messages)
+    timed = r"stage: predict %s: \d+\.\d{3} s, peak RSS \d+\.\d MB"
+    expected = []
+    for role, line in (("theta1", "6 rows, 7 trees, 70 table cells (3.500 MB)"),
+                       ("theta2_w", "6 rows, 3 trees, 30 table cells (1.500 MB)"),
+                       ("theta2_f", "6 rows, 5 trees, 50 table cells (2.500 MB)")):
+        expected += [re.escape(f"stage: predict {role}"), timed % role,
+                     re.escape(f"predicted {role}: {line}")]
+    assert len(caplog.messages) == len(expected)
+    assert all(re.fullmatch(e, m) for e, m in zip(expected, caplog.messages)), caplog.messages
 
 
 def test_train_role_logs_grid_point_trees_parameters_and_seconds(caplog):
@@ -619,15 +657,22 @@ def test_train_role_logs_grid_point_trees_parameters_and_seconds(caplog):
                   for name in ("theta2_f", "theta2_w")}
     counts = {name: (len(m.layout["tree_sizes"]), boosting.param_count(m))
               for name, m in models.items()}
-    fit = r"tune \d+\.\d{2} s, fit \d+\.\d{3} s"
-    # a one-point grid is not tuned, so it logs no validation MSE
-    assert caplog.messages[0] == "stage: tune and train theta2_f"
-    assert re.fullmatch(r"trained theta2_f: grid point 0 of 1, %d trees, %d parameters, " % counts[
-        "theta2_f"] + fit, caplog.messages[1])
-    assert caplog.messages[2] == "stage: tune and train theta2_w"
+    timed = r"stage: %s: \d+\.\d{3} s, peak RSS \d+\.\d MB"
+    # tuning and the final fit are timed as two stages; a one-point grid is
+    # not tuned, so it logs no validation MSE
+    assert caplog.messages[0] == "stage: tune theta2_f"
+    assert re.fullmatch(timed % "tune theta2_f", caplog.messages[1])
+    assert caplog.messages[2] == "stage: fit theta2_f"
+    assert re.fullmatch(timed % "fit theta2_f", caplog.messages[3])
+    assert caplog.messages[4] == "trained theta2_f: grid point 0 of 1, %d trees, %d parameters" % (
+        counts["theta2_f"])
+    assert caplog.messages[5] == "stage: tune theta2_w"
     chosen = re.fullmatch(r"chose grid point ([01]) of 2: val MSE (\S+), mean params \S+",
-                          caplog.messages[3])
+                          caplog.messages[6])
     assert chosen and 0.0 < float(chosen[2]) < 1.0
-    assert re.fullmatch(r"trained theta2_w: grid point %s of 2, %d trees, %d parameters, " % (
-        chosen[1], *counts["theta2_w"]) + fit, caplog.messages[4])
-    assert len(caplog.messages) == 5
+    assert re.fullmatch(timed % "tune theta2_w", caplog.messages[7])
+    assert caplog.messages[8] == "stage: fit theta2_w"
+    assert re.fullmatch(timed % "fit theta2_w", caplog.messages[9])
+    assert caplog.messages[10] == "trained theta2_w: grid point %s of 2, %d trees, %d parameters" % (
+        chosen[1], *counts["theta2_w"])
+    assert len(caplog.messages) == 11
