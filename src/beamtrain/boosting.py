@@ -62,14 +62,13 @@ from .fileio import check, check_fields, integer, load_npz, real, save_npz
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
-
-# Node arrays of `Tree`, in constructor order, with their dtypes.
-_NODE_FIELDS = (("feature", int), ("threshold", float), ("left", int), ("right", int),
-                ("value", float))
-# Arrays of the packed layout with their dtypes; model files store them
-# under these names.
-_LAYOUT = (("tree_outputs", int), ("tree_sizes", int)) + tuple(
-    ("node_" + name, dtype) for name, dtype in _NODE_FIELDS)
+# a model file's keys (`fileio.load_npz`): D outputs, T trees, M nodes
+MODEL_SCHEMA = {"base_prediction": "f D", "learning_rate": "f 1", "output_dimension": "i 1",
+                "role": "U 1", "tree_outputs": "i T", "tree_sizes": "i T", "node_feature": "i M",
+                "node_threshold": "f M", "node_left": "i M", "node_right": "i M",
+                "node_value": "f M"}
+# the packed layout (see `TreeEnsembleModel`): the keys from `tree_outputs` on
+_LAYOUT = {key: float if rule[0] == "f" else int for key, rule in list(MODEL_SCHEMA.items())[4:]}
 # Prediction gathers chunks of at most this many (row, output) cells, so
 # that its temporaries stay small whatever the batch size. Training fits
 # the trees of about this many (feature, row, output) cells at once: a
@@ -78,9 +77,8 @@ _LAYOUT = (("tree_outputs", int), ("tree_sizes", int)) + tuple(
 # 128 rows, at most a quarter as many bins as rows, a few times that.
 _CHUNK_CELLS = 1 << 16
 
-_COUNT = integer(0)   # also a model's output_dimension
-_TRAIN_RULES = {"tree_count": _COUNT, "max_depth": integer(1), "learning_rate": real("(0, 1]"),
-                "min_samples_leaf": integer(1), "budget_parameters": _COUNT}
+_TRAIN_RULES = {"tree_count": integer(0), "max_depth": integer(1), "learning_rate": real("(0, 1]"),
+                "min_samples_leaf": integer(1), "budget_parameters": integer(0)}
 
 
 @dataclass(frozen=True)
@@ -147,13 +145,10 @@ class TreeEnsembleModel:
     arrays of every tree concatenated in fit order, with `tree_outputs[i]`
     the output and `tree_sizes[i]` the node count of tree i. Child ids are
     local to their tree and always greater than their parent's id, as the
-    preorder that `train` writes gives them. The constructor takes the
-    layout as `train` builds it and model files store it, checks it and
-    keeps a read-only copy; `trees` is a tuple of views into that copy, so
-    the trees a caller sees are always the trees prediction evaluates. A
-    layout that is not a tree (a node listed as a child twice, or by no
-    parent) or that has a NaN threshold on an internal node is rejected, as
-    are a base and a learning rate that would make predictions NaN.
+    preorder that `train` writes gives them. The constructor trusts its
+    makers, `train` and `load_model`, and keeps a read-only copy of the
+    layout; `trees` is a tuple of views into that copy, so the trees a
+    caller sees are always the trees prediction evaluates.
 
     Prediction reads `step_tables`, compiled from the layout on first use
     and kept, as the layout never changes. On a feature f, an output's trees
@@ -179,44 +174,10 @@ class TreeEnsembleModel:
 
     def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
                  role: str):
-        check("output_dimension", output_dimension, _COUNT)
-        if not (np.shape(base_prediction) == (output_dimension,)
-                and np.all(np.isfinite(base_prediction))):
-            raise ValueError(f"base_prediction must be a finite ({output_dimension},) array")
-        check("learning_rate", learning_rate, _TRAIN_RULES["learning_rate"])
         self.base_prediction = _read_only(base_prediction, float)
-        self.learning_rate = learning_rate
-        self.output_dimension = output_dimension
+        self.learning_rate, self.output_dimension = learning_rate, output_dimension
         self.role = role
-        self._layout = {key: _read_only(layout[key], dtype) for key, dtype in _LAYOUT}
-        outputs, sizes = self._layout["tree_outputs"], self._layout["tree_sizes"]
-        feature = self._layout["node_feature"]
-        n_nodes = len(feature)
-        if (outputs.ndim != 1 or sizes.shape != outputs.shape or np.any(sizes < 1)
-                or int(sizes.sum()) != n_nodes
-                or any(self._layout["node_" + name].shape != (n_nodes,)
-                       for name, _ in _NODE_FIELDS)):
-            raise ValueError("tree_sizes do not match the node arrays")
-        if np.any((outputs < 0) | (outputs >= output_dimension)):
-            raise ValueError(f"tree output index outside [0, {output_dimension})")
-        if np.any(feature < -1):
-            raise ValueError("node feature ids must be >= -1")
-        # the internal nodes, and the first node of their tree and of the next
-        inner = np.flatnonzero(feature >= 0)
-        if np.any(np.isnan(self._layout["node_threshold"][inner])):
-            raise ValueError("an internal node has a NaN threshold")
-        ends = np.cumsum(sizes)
-        tree = np.searchsorted(ends, inner, side="right")
-        start, end = (ends - sizes)[tree], ends[tree]
-        parents = np.zeros(n_nodes, dtype=int)
-        parents[ends - sizes] = 1           # a root has none, every other node one
-        for side in ("node_left", "node_right"):
-            child = self._layout[side][inner] + start
-            if np.any((child <= inner) | (child >= end)):
-                raise ValueError("child node ids must point forward inside their tree")
-            parents += np.bincount(child, minlength=n_nodes)
-        if np.any(parents != 1):
-            raise ValueError("the nodes are not a tree: a node has no parent or two")
+        self._layout = {key: _read_only(layout[key], dtype) for key, dtype in _LAYOUT.items()}
         self._trees = self._step_tables = None
 
     @property
@@ -231,7 +192,7 @@ class TreeEnsembleModel:
             sizes = self._layout["tree_sizes"]
             ends = np.cumsum(sizes)
             self._trees = tuple(
-                (int(dim), Tree(*(self._layout["node_" + name][a:b] for name, _ in _NODE_FIELDS)))
+                (int(dim), Tree(*(self._layout["node_" + name][a:b] for name in Tree.__slots__)))
                 for dim, a, b in zip(self._layout["tree_outputs"], ends - sizes, ends))
         return self._trees
 
@@ -548,7 +509,7 @@ def _preorder(levels, trees):
     tree_sizes = sizes[0]
     place = (np.cumsum(tree_sizes) - tree_sizes)[tree] + ids
     by_place = np.argsort(place)
-    nodes = {name: values[by_place] for (name, _), values in zip(_NODE_FIELDS, arrays)}
+    nodes = {name: values[by_place] for name, values in zip(Tree.__slots__, arrays)}
     internal = np.bincount(tree[arrays[0] >= 0], minlength=trees)
     return nodes, tree_sizes, internal
 
@@ -572,7 +533,7 @@ def _boosted_layout(X, Y, sort, base, config: TrainConfig):
     bins = _bins(X)
     pred = np.repeat(base[:, None], n, axis=1)      # output-major: output k in row k
     used = d
-    pieces = [tuple(np.zeros(0, dtype) for _, dtype in _LAYOUT)]  # an empty layout
+    pieces = [tuple(np.zeros(0, dtype) for dtype in _LAYOUT.values())]  # an empty layout
     cells = max(X.shape[1] * n, 2**config.max_depth * max(len(lo) for _, lo, _ in bins))
     block = max(1, _CHUNK_CELLS // cells)
     for _ in range(config.tree_count):
@@ -592,7 +553,7 @@ def _boosted_layout(X, Y, sort, base, config: TrainConfig):
             used += int(cost[kept].sum())
             in_kept = np.repeat(kept, sizes)
             pieces.append((dims[kept], sizes[kept],
-                           *(nodes[name][in_kept] for name, _ in _NODE_FIELDS)))
+                           *(nodes[name][in_kept] for name in Tree.__slots__)))
             if not np.all(fits):
                 return _pack(pieces)
     return _pack(pieces)
@@ -600,7 +561,7 @@ def _boosted_layout(X, Y, sort, base, config: TrainConfig):
 
 def _pack(pieces):
     """The layout (`_LAYOUT` keys) of the concatenated pieces."""
-    return {key: np.concatenate(arrays) for (key, _), arrays in zip(_LAYOUT, zip(*pieces))}
+    return {key: np.concatenate(arrays) for key, arrays in zip(_LAYOUT, zip(*pieces))}
 
 
 def train(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel:
@@ -661,23 +622,42 @@ def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray) -> T
 
 
 def save_model(model: TreeEnsembleModel, path: str) -> None:
-    save_npz(path, {
-        "base_prediction": model.base_prediction,
-        "learning_rate": np.array([model.learning_rate]),
-        "output_dimension": np.array([model.output_dimension]),
-        "role": np.array([model.role]),
-        **model.layout,
-    }, MODEL_FORMAT_VERSION)
+    save_npz(path, {"base_prediction": model.base_prediction,
+                    **{key: np.array([getattr(model, key)]) for key in list(MODEL_SCHEMA)[1:4]},
+                    **model.layout}, MODEL_FORMAT_VERSION)
 
 
 def load_model(path: str) -> TreeEnsembleModel:
-    arrays = load_npz(path, "model", MODEL_FORMAT_VERSION,
-                      ("base_prediction", "learning_rate", "output_dimension", "role")
-                      + tuple(key for key, _ in _LAYOUT))
-    try:
-        return TreeEnsembleModel(
-            arrays["base_prediction"], {key: arrays[key] for key, _ in _LAYOUT},
-            learning_rate=float(arrays["learning_rate"][0]),
-            output_dimension=int(arrays["output_dimension"][0]), role=str(arrays["role"][0]))
-    except ValueError as exc:
-        raise ValueError(f"bad model file {path!r}: {exc}") from exc
+    """Read a model written by `save_model`: MODEL_SCHEMA, a learning rate in
+    (0, 1], `base_prediction` of length `output_dimension`, and a layout
+    of trees, whose child ids point forward inside their tree and give each
+    node but a root one parent. A ValueError names the file and the key."""
+    data, sizes = load_npz(path, "model", MODEL_FORMAT_VERSION, MODEL_SCHEMA)
+    model = TreeEnsembleModel(data["base_prediction"], data, data["learning_rate"][0].item(),
+                              data["output_dimension"][0].item(), data["role"][0].item())
+    layout, d, n = model.layout, model.output_dimension, sizes["M"]
+    where, tree_sizes = f"model file {path!r}: ", layout["tree_sizes"]
+    check("learning_rate", model.learning_rate, _TRAIN_RULES["learning_rate"], where)
+    check("base_prediction", sizes["D"], (lambda v: v == d,
+                                          f"of length output_dimension = {d}"), where)
+    check("tree_sizes", tree_sizes, (lambda v: np.all(v >= 1) and v.sum() == n,
+                                 f"at least 1 and sum to the {n} nodes"), where)
+    check("tree_outputs", layout["tree_outputs"],
+          (lambda v: np.all((v >= 0) & (v < d)), f"in [0, {d})"), where)
+    check("node_feature", layout["node_feature"], (lambda v: np.all(v >= -1), ">= -1"), where)
+    # the internal nodes, and the first node of their tree and of the next
+    inner = np.flatnonzero(layout["node_feature"] >= 0)
+    ends = np.cumsum(tree_sizes)
+    tree = np.searchsorted(ends, inner, side="right")
+    start, end = (ends - tree_sizes)[tree], ends[tree]
+    listed, once = np.zeros(n, dtype=int), np.ones(n, dtype=int)
+    once[ends - tree_sizes] = 0                      # a root is no node's child
+    for side in ("node_left", "node_right"):
+        child = layout[side][inner] + start
+        check(side, layout[side], (lambda v: np.all((child > inner) & (child < end)),
+                                   "forward of its node inside its tree"), where)
+        listed += np.bincount(child, minlength=n)
+    for node in np.flatnonzero(listed != once)[:1]:
+        raise ValueError(f"{where}node_left and node_right must list each node but a root "
+                         f"once, got node {node} listed {listed[node]} times")
+    return model

@@ -14,6 +14,9 @@ from .fileio import atomic_write, save_npz
 from .scene import trace_snapshot
 
 PATHS_FORMAT_VERSION = 1
+# the path file's keys (`fileio.load_npz`): `scene.PathTable`'s of N paths
+PATHS_SCHEMA = {"snapshot_id": "i N", "ue": "i N", "kind": "i N", "gain": "c N", "delay": "f N",
+                "aod": "f N 2", "aoa": "f N 2"}
 
 
 def _load_config(args) -> harness.ExperimentConfig:
@@ -111,7 +114,7 @@ def cmd_plan_build(args) -> int:
     config, tr_rows, atr_rows, split = _tr_corpus(args)
     plan = harness.build_coverage_plan(config, np.array([r.location for r in tr_rows]),
                                        np.array([r.atr_f for r in atr_rows]), split)
-    selectors.save_plan(plan, args.out, csv_path=args.out + ".csv")
+    selectors.save_plan(plan, args.out)
     print(f"wrote coverage plan with {len(plan.selected_beams)} beams to {args.out}")
     return 0
 

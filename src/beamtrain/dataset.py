@@ -21,7 +21,10 @@ log = logging.getLogger(__name__)
 DATASET_FORMAT_VERSION = 3
 # the config values the corpus was built from, besides the pair shape
 CORPUS_KEYS = ("master_seed", "snapshot_count", "scene")
-_DATASET_KEYS = ("locations", "snapshot_ids", "ue_indices", "rates", "pair_shape") + CORPUS_KEYS
+# a rate file's keys (`fileio.load_npz`): N rows of P = |W|·|F| rates
+DATASET_SCHEMA = {"locations": "f N 2", "snapshot_ids": "i N", "ue_indices": "i N",
+                  "rates": "f N P", "pair_shape": "i 2", "master_seed": "i 1",
+                  "snapshot_count": "i 1", "scene": "U 1"}
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,9 @@ def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,
 
 
 def _check_pair_shape(pair_shape, width, path: str) -> tuple[int, int]:
-    """(|W|, |F|) of a dataset file, which must be positive and cover its
-    `width` pairs per row."""
-    shape = tuple(int(n) for n in np.ravel(pair_shape))
-    if len(shape) != 2 or min(shape) < 1 or shape[0] * shape[1] != width:
+    """(|W|, |F|) of a dataset file, positive and covering its `width`."""
+    shape = tuple(map(int, pair_shape))
+    if min(shape) < 1 or shape[0] * shape[1] != width:
         raise ValueError(f"pair_shape {shape} of dataset file {path!r} does not match "
                          f"its row width {width}")
     return shape
@@ -174,25 +176,23 @@ def save_dataset(rows: list[RateRow], path: str, pair_shape, corpus: dict) -> No
 
 
 def load_dataset(path: str, pair_shape, corpus: dict):
-    """The (locations, rates) arrays of a file of save_dataset. A malformed
-    file, and one not of `pair_shape` = (|W|, |F|) or not built from
-    `corpus` (CORPUS_KEYS' values), raises a ValueError naming the file and
-    the key (`scene.<field>` for a scene field)."""
-    data = load_npz(path, "dataset", DATASET_FORMAT_VERSION, _DATASET_KEYS)
-    rates = data["rates"]
-    shape = _check_pair_shape(data["pair_shape"], rates.shape[1] if rates.ndim == 2 else None,
-                              path)
-    n = len(rates)
-    if n == 0:
+    """The (locations, rates) arrays of a file of save_dataset. A file that
+    breaks DATASET_SCHEMA, holds no rows, a negative rate or a row without a
+    positive rate, or is not of `pair_shape` = (|W|, |F|) and `corpus` (CORPUS_KEYS'
+    values) is a ValueError naming it and the key (`scene.<field>` too)."""
+    data, sizes = load_npz(path, "dataset", DATASET_FORMAT_VERSION, DATASET_SCHEMA)
+    if sizes["N"] == 0:
         raise ValueError(f"dataset file {path!r} holds no rows")
-    for key, want in (("locations", (n, 2)), ("snapshot_ids", (n,)), ("ue_indices", (n,))):
-        if data[key].shape != want:
-            raise ValueError(f"dataset file {path!r} has {key} of shape {data[key].shape}, "
-                             f"but its {n} rate rows need {want}")
+    shape = _check_pair_shape(data["pair_shape"], sizes["P"], path)
     if shape != tuple(pair_shape):
         raise ValueError(f"dataset file {path!r} has pair_shape {shape}, but the config's "
                          f"ue_array and bs_array give {tuple(pair_shape)}")
-    recorded = _flat_corpus({key: data[key][0].item() for key in CORPUS_KEYS})
+    rates = data["rates"]
+    for row in np.flatnonzero((rates.min(axis=1) < 0) | (rates.max(axis=1) <= 0))[:1]:
+        raise ValueError(f"dataset file {path!r}: rates row {row} must be non-negative with a "
+                         f"positive peak, got min {rates[row].min()} and peak {rates[row].max()}")
+    recorded = _flat_corpus({key: data[key][0].item() for key in CORPUS_KEYS},
+                            f"dataset file {path!r}: ")
     for key, want in _flat_corpus(corpus).items():
         if recorded.get(key) != want:
             raise ValueError(f"dataset file {path!r} has {key} {recorded.get(key)!r}, "
@@ -200,8 +200,13 @@ def load_dataset(path: str, pair_shape, corpus: dict):
     return data["locations"], rates
 
 
-def _flat_corpus(corpus: dict) -> dict:
-    """Corpus keys with the scene's JSON spread into `scene.<field>` keys."""
-    scene = json.loads(corpus["scene"])
+def _flat_corpus(corpus: dict, where: str = "") -> dict:
+    """Corpus keys with the scene's JSON table spread into `scene.<field>`
+    keys; a scene that is no JSON table is a ValueError after `where`."""
+    try:
+        scene = json.loads(corpus["scene"])
+    except ValueError:
+        scene = None
+    check("scene", corpus["scene"], (lambda v: isinstance(scene, dict), "a JSON table"), where)
     return {"master_seed": corpus["master_seed"], "snapshot_count": corpus["snapshot_count"],
             **{f"scene.{key}": scene[key] for key in sorted(scene)}}

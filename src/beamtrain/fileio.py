@@ -1,5 +1,5 @@
-"""Atomic file writes, the versioned npz archive every artifact file uses,
-and the reader and rules that check config keys."""
+"""Atomic file writes, the versioned npz archive of every artifact file and
+its schema check, and the reader and rules that check config keys."""
 
 import dataclasses
 import numbers
@@ -40,12 +40,20 @@ def save_npz(path: str, arrays: dict, version: int) -> None:
         np.savez_compressed(fh, format_version=np.array([version]), **arrays)
 
 
-def load_npz(path: str, what: str, version: int, keys) -> dict:
-    """Read every array of an archive written by `save_npz`.
+# A schema maps each key of an artifact file to a kind, `f` (finite floats),
+# `c` (finite complex numbers), `i` (integers) or `U` (strings), and one
+# dimension per axis: a size, or a name that takes one size in every key
+# that uses it. "f N 2" is finite floats of shape (N, 2). An empty array
+# passes any kind.
+_KINDS = {"f": ("finite floats", np.floating), "c": ("finite complex numbers", np.complexfloating),
+          "i": ("integers", np.integer), "U": ("strings", np.str_)}
 
-    An unreadable archive, another `format_version` and the first of `keys`
-    that the archive lacks each raise a ValueError naming the file; `what`
-    names the kind of file in the message."""
+
+def load_npz(path: str, what: str, version: int, schema: dict) -> tuple[dict, dict]:
+    """Every array of an archive written by `save_npz`, and the size of each
+    named dimension of `schema`. An unreadable archive, another version, a
+    missing key and an array that breaks its rule raise a ValueError naming
+    the file (`what` is its kind), the key and what was found."""
     try:
         with open(path, "rb") as fh, np.load(fh) as npz:
             data = {name: npz[name] for name in npz.files}
@@ -53,19 +61,36 @@ def load_npz(path: str, what: str, version: int, keys) -> dict:
         raise ValueError(f"cannot read {what} file {path!r}: {exc}") from exc
     if not np.array_equal(data.get("format_version"), [version]):
         raise ValueError(f"unsupported {what} file version in {path!r}")
-    for key in keys:
+    bound = {}      # dimension -> (size, the key that set it); a size binds itself
+    for key, rule in schema.items():
         if key not in data:
             raise ValueError(f"{what} file {path!r} lacks key {key!r}")
-    return data
+        a, (kind, *dims) = data[key], rule.split()
+        for d, n in zip(dims, a.shape):
+            bound.setdefault(d, (int(d) if d.isdigit() else n, key))
+        ok = (a.ndim == len(dims) and all(n == bound[d][0] for d, n in zip(dims, a.shape))
+              and (a.size == 0 or np.issubdtype(a.dtype, _KINDS[kind][1])))
+        found = f"{a.dtype} of shape {a.shape}"
+        if ok and kind in "fc" and not np.isfinite(a).all():
+            at = np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
+            found = f"{a[at].item()} at {tuple(map(int, at))} in {found}"
+        elif ok:
+            continue
+        named = ", ".join(f"{d} = {bound[d][0]} from {bound[d][1]}" for d in dict.fromkeys(dims)
+                          if d.isalpha() and d in bound and bound[d][1] != key)
+        raise ValueError(f"{what} file {path!r}: {key} must be {_KINDS[kind][0]} of shape "
+                         f"({', '.join(dims)}{',' * (len(dims) == 1)}), got {found}"
+                         + f" ({named})" * bool(named))
+    return data, {d: n for d, (n, _) in bound.items() if d.isalpha()}
 
 
 # A rule is a (test, text) pair; `check` raises the ValueError
-# `<key> must be <text>, got <value!r>` for a value that fails the test.
-# A bool never passes as a number.
+# `<where><key> must be <text>, got <value!r>` for a value that fails the
+# test. A bool never passes as a number.
 
-def check(key: str, value, rule) -> None:
+def check(key: str, value, rule, where: str = "") -> None:
     if not rule[0](value):
-        raise ValueError(f"{key} must be {rule[1]}, got {value!r}")
+        raise ValueError(f"{where}{key} must be {rule[1]}, got {value!r}")
 
 
 def check_fields(obj, rules: dict) -> None:

@@ -41,7 +41,6 @@ def derive_seed(master_seed: int, label: int) -> int:
 
 
 # labels for derive_seed, frozen so runs stay reproducible across versions
-_SEED_SNAPSHOT_BASE = 0        # + snapshot index
 _SEED_SPLIT = 1_000_000
 _SEED_CLUSTER = 1_000_001
 

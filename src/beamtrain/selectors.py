@@ -18,12 +18,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import atomic_write, load_npz, save_npz
+from .fileio import atomic_write, check, load_npz, save_npz
 
 log = logging.getLogger(__name__)
 
 PLAN_FORMAT_VERSION = 1
-_PLAN_KEYS = ("centroids", "assignments", "significances", "prob_tables", "selected_beams")
+# a plan file's keys (`fileio.load_npz`): C clusters of N rows; S of B beams
+PLAN_SCHEMA = {"centroids": "f C 2", "assignments": "i N", "significances": "f C",
+               "prob_tables": "f C B B", "selected_beams": "i S"}
 
 
 @dataclass(frozen=True)
@@ -258,9 +260,10 @@ def select_decoupled_no_location(model_w, location, num_w: int,
     return DecoupledSets(s_w=top_k_stable(atr_w, num_w), s_f=plan.selected_beams.copy())
 
 
-def save_plan(plan: ClusterCoveragePlan, path: str, csv_path: str) -> None:
-    save_npz(path, {key: getattr(plan, key) for key in _PLAN_KEYS}, PLAN_FORMAT_VERSION)
-    with atomic_write(csv_path, newline="") as fh:
+def save_plan(plan: ClusterCoveragePlan, path: str) -> None:
+    """Write the plan to `path`, and its beams and clusters as CSV to `path`.csv."""
+    save_npz(path, {key: getattr(plan, key) for key in PLAN_SCHEMA}, PLAN_FORMAT_VERSION)
+    with atomic_write(path + ".csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["selection_order", "beam_index"])
         for i, j in enumerate(plan.selected_beams):
@@ -273,28 +276,12 @@ def save_plan(plan: ClusterCoveragePlan, path: str, csv_path: str) -> None:
 
 
 def load_plan(path: str) -> ClusterCoveragePlan:
-    """Read a plan written by `save_plan`. For C clusters and B beams,
-    `prob_tables` must be (C, B, B), `centroids` (C, 2) and `significances`
-    (C,); `assignments` must lie in [0, C), and `selected_beams` must be
-    distinct and lie in [0, B). A ValueError names the file and the key."""
-    data = load_npz(path, "plan", PLAN_FORMAT_VERSION, _PLAN_KEYS)
-
-    def bad(key, rule):
-        return ValueError(f"plan file {path!r}: {key!r} must be {rule}")
-
-    tables = data["prob_tables"]
-    if tables.ndim != 3 or tables.shape[1] != tables.shape[2]:
-        raise bad("prob_tables", f"of shape (C, B, B), got {tables.shape}")
-    clusters, beams = tables.shape[:2]
-    for key, shape in (("centroids", (clusters, 2)), ("significances", (clusters,))):
-        if data[key].shape != shape:
-            raise bad(key, f"of shape {shape}, got {data[key].shape}")
-    for key, bound in (("assignments", clusters), ("selected_beams", beams)):
-        a = data[key]
-        if (a.ndim != 1 or not np.issubdtype(a.dtype, np.integer)
-                or np.any((a < 0) | (a >= bound))):
-            raise bad(key, f"integers in [0, {bound})")
-    beams_in_order = np.sort(data["selected_beams"])
-    if np.any(beams_in_order[1:] == beams_in_order[:-1]):
-        raise bad("selected_beams", "distinct")
-    return ClusterCoveragePlan(**{key: data[key] for key in _PLAN_KEYS})
+    """Read a plan written by `save_plan`: PLAN_SCHEMA, `assignments` in [0, C)
+    and distinct `selected_beams` in [0, B); a ValueError names file and key."""
+    data, sizes = load_npz(path, "plan", PLAN_FORMAT_VERSION, PLAN_SCHEMA)
+    for key, bound in (("assignments", sizes["C"]), ("selected_beams", sizes["B"])):
+        check(key, data[key], (lambda v: np.all((v >= 0) & (v < bound)), f"in [0, {bound})"),
+              f"plan file {path!r}: ")
+    check("selected_beams", data["selected_beams"],
+          (lambda v: len(set(v.tolist())) == len(v), "distinct"), f"plan file {path!r}: ")
+    return ClusterCoveragePlan(**{key: data[key] for key in PLAN_SCHEMA})

@@ -283,32 +283,47 @@ def test_model_file_with_bad_layout_rejected(tmp_path, key, value):
     arrays[key] = np.array(value)
     path = str(tmp_path / "bad.npz")
     np.savez_compressed(path, **arrays)
-    with pytest.raises(ValueError, match="bad model file"):
+    with pytest.raises(ValueError, match=rf"^model file '.*bad\.npz': {key} must be"):
         load_model(path)
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("base_prediction", [0.5, np.nan], "base_prediction must be a finite (2,) array"),
-    ("base_prediction", [0.5, np.inf], "base_prediction must be a finite (2,) array"),
-    ("base_prediction", [0.5], "base_prediction must be a finite (2,) array"),
-    ("base_prediction", [[0.5, 0.5]], "base_prediction must be a finite (2,) array"),
-    ("learning_rate", [np.inf], "learning_rate must be in (0, 1], got inf"),
-    ("learning_rate", [np.nan], "learning_rate must be in (0, 1], got nan"),
+    ("base_prediction", [0.5, np.nan], "base_prediction must be finite floats of shape (D,), got "
+                                       "nan at (1,) in float64 of shape (2,)"),
+    ("base_prediction", [0.5, np.inf], "base_prediction must be finite floats of shape (D,), got "
+                                       "inf at (1,) in float64 of shape (2,)"),
+    ("base_prediction", [0.5], "base_prediction must be of length output_dimension = 2, got 1"),
+    ("base_prediction", [[0.5, 0.5]], "base_prediction must be finite floats of shape (D,), got "
+                                      "float64 of shape (1, 2)"),
+    ("learning_rate", [np.inf], "learning_rate must be finite floats of shape (1,), got inf at "
+                                "(0,) in float64 of shape (1,)"),
+    ("learning_rate", [np.nan], "learning_rate must be finite floats of shape (1,), got nan at "
+                                "(0,) in float64 of shape (1,)"),
     ("learning_rate", [0.0], "learning_rate must be in (0, 1], got 0.0"),
     ("learning_rate", [1.5], "learning_rate must be in (0, 1], got 1.5"),
-    ("output_dimension", [-1], "output_dimension must be an integer >= 0, got -1"),
+    ("output_dimension", [-1], "base_prediction must be of length output_dimension = -1, "
+                               "got 2"),
+    ("node_value", "nan leaf", "node_value must be finite floats of shape (M,), got nan at "),
+    ("node_feature", "floats", "node_feature must be integers of shape (M,), got float64 of "
+                               "shape "),
 ])
 def test_model_file_with_bad_base_rate_or_outputs_rejected(tmp_path, key, value, message):
-    """The arrays beside the layout: a NaN or infinite base or learning rate
-    would give NaN predictions, which every ranking puts last."""
+    """A NaN or infinite base, learning rate or leaf value would give NaN
+    predictions, which every ranking puts last, and float feature ids would
+    be truncated to integers; each fails naming the file and the key."""
     X, Y = _grid_data(n=30, d=2, seed=4)
     path = str(tmp_path / "m.npz")
     save_model(train(X, Y, TrainConfig(tree_count=2, budget_parameters=10000)), path)
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
-    arrays[key] = np.array(value)
+    if value == "nan leaf":
+        arrays[key][np.flatnonzero(arrays["node_feature"] < 0)[0]] = np.nan
+    elif value == "floats":
+        arrays[key] = arrays[key].astype(float)
+    else:
+        arrays[key] = np.array(value)
     np.savez_compressed(path, **arrays)
-    with pytest.raises(ValueError, match=f"^bad model file .*: {re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^model file '.*m\\.npz': {re.escape(message)}"):
         load_model(path)
 
 
@@ -324,28 +339,29 @@ def test_model_file_with_non_tree_layout_rejected(tmp_path, feature, left, right
                         tree_sizes=np.array([4]), node_feature=np.array(feature),
                         node_threshold=np.array([0.5, 0.5, 0, 0]), node_left=np.array(left),
                         node_right=np.array(right), node_value=np.array([0, 0, 0.2, 0.8]))
-    with pytest.raises(ValueError, match="^bad model file .*not a tree"):
+    with pytest.raises(ValueError, match="^model file .*: node_left and node_right must list "
+                                         "each node but a root once, got node [13] listed [02] "
+                                         "times$"):
         load_model(path)
 
 
 def test_model_file_with_nan_threshold_rejected(tmp_path):
     """A NaN threshold on an internal node has no place in an output's
-    sorted thresholds; `train` never writes one. A leaf's is never read."""
+    sorted thresholds, and `train` never writes one, on a leaf either: every
+    float of a model file must be finite."""
     X, Y = _grid_data(n=30, d=2, seed=4)
     path = str(tmp_path / "m.npz")
     save_model(train(X, Y, TrainConfig(tree_count=2, budget_parameters=10000)), path)
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
-    inner = np.flatnonzero(arrays["node_feature"] >= 0)
-    leaf = np.flatnonzero(arrays["node_feature"] < 0)[0]
-    arrays["node_threshold"][leaf] = np.nan
-    np.savez_compressed(path, **arrays)
     assert load_model(path).predict_batch(X).shape == Y.shape
-    arrays["node_threshold"][inner[-1]] = np.nan
-    np.savez_compressed(path, **arrays)
-    with pytest.raises(ValueError,
-                       match="^bad model file .*: an internal node has a NaN threshold$"):
-        load_model(path)
+    for node in (np.flatnonzero(arrays["node_feature"] >= 0)[-1],
+                 np.flatnonzero(arrays["node_feature"] < 0)[0]):
+        np.savez_compressed(path, **{**arrays, "node_threshold": np.where(
+            np.arange(len(arrays["node_threshold"])) == node, np.nan, arrays["node_threshold"])})
+        with pytest.raises(ValueError, match=rf"^model file .*: node_threshold must be finite "
+                                             rf"floats of shape \(M,\), got nan at \({node},\)"):
+            load_model(path)
 
 
 def _full_trees(trees, depth, outputs, seed):

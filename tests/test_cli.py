@@ -28,9 +28,6 @@ def _tiny_config(tmp_path, **overrides):
     return str(path)
 
 
-_PATH_KEYS = ("snapshot_id", "ue", "kind", "gain", "delay", "aod", "aoa")
-
-
 def _rate_file(tmp_path, *config_args):
     """The rate file that `dataset build` writes for the config flags
     `config_args`."""
@@ -59,8 +56,8 @@ def test_scene_gen(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert "wrote" in capsys.readouterr().out
     monkeypatch.undo()
-    paths = load_npz(out + "/paths.npz", "paths", cli.PATHS_FORMAT_VERSION, _PATH_KEYS)
-    assert sorted(paths) == sorted(("format_version",) + _PATH_KEYS)
+    paths, _ = load_npz(out + "/paths.npz", "paths", cli.PATHS_FORMAT_VERSION, cli.PATHS_SCHEMA)
+    assert sorted(paths) == sorted(("format_version", *cli.PATHS_SCHEMA))
     lines = Path(out, "paths_index.csv").read_text().splitlines()
     assert lines[0] == "snapshot_id,ue_index,x,y,path_count"
     index = [line.split(",") for line in lines[1:]]
@@ -74,7 +71,7 @@ def test_scene_gen(tmp_path, capsys, monkeypatch):
     config = ExperimentConfig.from_file(config_path)
     bs_g = default_bs_geometry(config.scene, *config.bs_array)
     ue_g = default_ue_geometry(config.scene, *config.ue_array)
-    table = scene.PathTable(**{key: paths[key] for key in _PATH_KEYS[1:]})
+    table = scene.PathTable(**{key: paths[key] for key in list(cli.PATHS_SCHEMA)[1:]})
     a_ue, a_bs, phases = path_responses(table, bs_g, ue_g, config.scene)
     snaps = harness.generate_snapshots(config)
     for snapshot_id, ue, x, y, count in index:
@@ -224,7 +221,7 @@ def test_model_train_and_plan_build_read_only_the_rate_file(tmp_path, monkeypatc
     plan = harness.build_coverage_plan(config, np.array([r.location for r in tr_rows]),
                                        np.array([r.atr_f for r in atr_rows]), split)
     expected = str(tmp_path / "expected_plan.npz")
-    selectors.save_plan(plan, expected, csv_path=expected + ".csv")
+    selectors.save_plan(plan, expected)
     assert Path(out).read_bytes() == Path(expected).read_bytes()
     assert Path(out + ".csv").read_bytes() == Path(expected + ".csv").read_bytes()
     assert len(transforms) == 4
@@ -258,6 +255,74 @@ def test_a_bad_input_fails_before_training(tmp_path, monkeypatch, capsys, comman
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(path) in err and key in err
     assert stages == [] and not (tmp_path / "out.npz").exists()
+
+
+def _load_arrays(path):
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _nan_at(a, index):
+    a = a.copy()
+    a[index] = np.nan
+    return a
+
+
+# each bad rate file as a change to the arrays of a good one, and the key
+# that its error names
+_BAD_RATES = [
+    (lambda a: {"rates": _nan_at(a["rates"], (3, 17))}, "rates must be finite floats"),
+    (lambda a: {"locations": np.where(np.arange(len(a["locations"]))[:, None] == 2, np.inf,
+                                      a["locations"])}, "locations must be finite floats"),
+    (lambda a: {"rates": (a["rates"] * 100).astype(np.int64)}, "rates must be finite floats"),
+    (lambda a: {"rates": np.where(np.arange(len(a["rates"]))[:, None] == 1, 0.0, a["rates"])},
+     "rates row 1 must be non-negative with a positive peak"),
+    (lambda a: {"scene": np.array(["not json"])}, "scene must be a JSON table"),
+    (lambda a: {"scene": np.array(["[1, 2]"])}, "scene must be a JSON table"),
+]
+
+
+@pytest.mark.parametrize("command", [["model", "train", "--role", "theta2_w"],
+                                     ["plan", "build"]])
+def test_a_rate_file_with_bad_values_fails_before_any_stage(tmp_path, monkeypatch, capsys,
+                                                            caplog, command):
+    """A NaN rate, an infinite location, integer rates, a row without a
+    positive rate and a scene that is not a JSON table each make the command
+    exit 1 with an error naming the file and the key; no stage runs, so no
+    `stage:` line is logged and no stage fails."""
+    config = _tiny_config(tmp_path)
+    arrays = _load_arrays(_rate_file(tmp_path, "--config", config))
+    bad = str(tmp_path / "bad.npz")
+    for change, key in _BAD_RATES:
+        np.savez_compressed(bad, **{**arrays, **change(arrays)})
+        capsys.readouterr()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="beamtrain"):
+            assert cli.main([*command, "--config", config, "--input", bad,
+                             "--out", str(tmp_path / "out.npz")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dataset file {bad!r}: {key}"), err
+        assert "stage" not in err
+        assert not [m for m in caplog.messages if m.startswith("stage:")]
+    assert not (tmp_path / "out.npz").exists()
+
+
+def test_model_inspect_rejects_a_nan_leaf_value(tmp_path, capsys, caplog):
+    """A model file with one NaN leaf value would predict NaN for its
+    output; `model inspect` exits 1 naming the file and `node_value`."""
+    X = np.random.default_rng(0).uniform(0, 10, size=(20, 2))
+    path = str(tmp_path / "m.npz")
+    save_model(train(X, X[:, :1] / 10.0, TrainConfig(tree_count=3, budget_parameters=1000)),
+               path)
+    arrays = _load_arrays(path)
+    arrays["node_value"][np.flatnonzero(arrays["node_feature"] < 0)[0]] = np.nan
+    np.savez_compressed(path, **arrays)
+    capsys.readouterr()
+    assert cli.main(["model", "inspect", "--model", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: model file {path!r}: node_value must be finite "
+                                   "floats of shape (M,), got nan at ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", [["model", "train", "--role", "theta2_w"],

@@ -300,7 +300,9 @@ def test_load_rejects_pair_shape_off_the_row_width(tmp_path):
         save_dataset(rows, binpath, (4, 4), _CORPUS)
     arrays["pair_shape"], arrays["rates"] = np.array([3, 4]), arrays["rates"].ravel()
     np.savez_compressed(binpath, **arrays)
-    with pytest.raises(ValueError, match=r"pair_shape \(3, 4\) .* row width None"):
+    with pytest.raises(ValueError, match=r"d\.npz': rates must be finite floats of shape "
+                                         r"\(N, P\), got float64 of shape \(60,\) \(N = 5 "
+                                         r"from locations\)$"):
         load_dataset(binpath, (3, 4), _CORPUS)
 
 
@@ -313,15 +315,46 @@ def test_load_rejects_pair_shape_off_the_row_width(tmp_path):
     ("locations", np.zeros(10)),
 ])
 def test_load_rejects_a_per_row_array_off_the_row_count(tmp_path, key, value):
-    """Each per-row array must hold one entry per rate row, (n, 2) for the
-    locations and (n,) for the ids; another shape fails naming the file and
-    the key, where a zip over the rows would drop or misread rows."""
+    """Each per-row array must hold one entry per rate row, (N, 2) for the
+    locations and (N,) for the ids; another shape fails naming the file and
+    the key (the locations set N, so a wrong row count there fails at the
+    next key, naming the locations as the key that set N), where a zip over
+    the rows would drop or misread rows."""
     path = str(tmp_path / "d.npz")
     save_dataset(_toy_rows(), path, (3, 4), _CORPUS)
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
     np.savez_compressed(path, **{**arrays, key: value})
-    with pytest.raises(ValueError, match=rf"d.npz' has {key} of shape .* 5 rate rows need"):
+    with pytest.raises(ValueError, match=rf"^dataset file '.*d\.npz': (\w+ must be .*\(N = "
+                                         rf"\d+ from )?{key}\b"):
+        load_dataset(path, (3, 4), _CORPUS)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("rates", lambda r: np.where(np.arange(12) == 7, np.nan, r),
+     r"rates must be finite floats of shape \(N, P\), got nan at \(0, 7\) in float64"),
+    ("rates", lambda r: r.astype(np.int64), r"rates must be finite floats of shape \(N, P\), "
+                                           r"got int64 of shape \(5, 12\)"),
+    ("rates", lambda r: np.where(np.arange(5)[:, None] == 3, 0.0, r),
+     r"rates row 3 must be non-negative with a positive peak, got min 0\.0 and peak 0\.0"),
+    ("rates", lambda r: np.where((np.arange(5)[:, None] == 2) & (np.arange(12) == 0), -1.0, r),
+     r"rates row 2 must be non-negative with a positive peak, got min -1\.0 and peak"),
+    ("locations", lambda a: np.where(np.arange(5)[:, None] == 4, np.inf, a),
+     r"locations must be finite floats of shape \(N, 2\), got inf at \(4, 0\) in float64"),
+    ("scene", lambda a: np.array(["not json"]), r"scene must be a JSON table, got 'not json'"),
+    ("scene", lambda a: np.array(["[1, 2]"]), r"scene must be a JSON table, got '\[1, 2\]'"),
+])
+def test_load_rejects_values_that_later_stages_cannot_use(tmp_path, key, value, message):
+    """A non-finite rate or location, rates that are not floats, a negative
+    rate, a row without a positive rate and a scene that is not a JSON
+    table fail when the file is read, naming the file, the key and the row,
+    not in a later stage."""
+    path = str(tmp_path / "d.npz")
+    save_dataset(_toy_rows(), path, (3, 4), _CORPUS)
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    np.savez_compressed(path, **{**arrays, key: value(arrays[key])})
+    with pytest.raises(ValueError, match=rf"^dataset file '.*d\.npz': {message}"):
         load_dataset(path, (3, 4), _CORPUS)
 
 

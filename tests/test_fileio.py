@@ -1,15 +1,18 @@
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beamtrain import cli
-from beamtrain.boosting import TrainConfig, load_model, save_model, train
-from beamtrain.dataset import DATASET_FORMAT_VERSION, RateRow, load_dataset, save_dataset
+from beamtrain import boosting, cli, dataset, selectors
+from beamtrain.boosting import MODEL_SCHEMA, TrainConfig, load_model, save_model, train
+from beamtrain.dataset import (DATASET_FORMAT_VERSION, DATASET_SCHEMA, RateRow, load_dataset,
+                               save_dataset)
 from beamtrain.fileio import atomic_write, from_table, load_npz, save_npz
 from beamtrain.harness import ExperimentConfig
 from beamtrain.scene import SceneConfig
-from beamtrain.selectors import ClusterCoveragePlan, load_plan, save_plan
+from beamtrain.selectors import PLAN_SCHEMA, ClusterCoveragePlan, load_plan, save_plan
 
 
 def test_atomic_write_replaces_the_file(tmp_path):
@@ -65,8 +68,8 @@ def test_npz_roundtrip_writes_the_version_first(tmp_path):
     save_npz(path, {"b": np.arange(3), "a": np.array(["x"])}, 7)
     with np.load(path) as npz:
         assert npz.files == ["format_version", "b", "a"]
-    data = load_npz(path, "test", 7, ("a", "b"))
-    assert data["format_version"].tolist() == [7]
+    data, sizes = load_npz(path, "test", 7, {"a": "U 1", "b": "i N"})
+    assert data["format_version"].tolist() == [7] and sizes == {"N": 3}
     assert data["b"].tolist() == [0, 1, 2] and data["a"].tolist() == ["x"]
 
 
@@ -74,16 +77,58 @@ def test_npz_rejects_other_versions_and_bad_archives(tmp_path):
     path = str(tmp_path / "a.npz")
     save_npz(path, {"x": np.arange(3)}, 2)
     with pytest.raises(ValueError, match="unsupported test file version in .*a.npz"):
-        load_npz(path, "test", 1, ("x",))
+        load_npz(path, "test", 1, {"x": "i 3"})
     np.savez_compressed(path, x=np.arange(3))   # no format_version at all
     with pytest.raises(ValueError, match="unsupported test file version"):
-        load_npz(path, "test", 1, ("x",))
+        load_npz(path, "test", 1, {"x": "i 3"})
     (tmp_path / "a.npz").write_bytes(b"PK\x03\x04" + bytes(36))   # a cut archive
     with pytest.raises(ValueError, match="cannot read test file .*a.npz"):
-        load_npz(path, "test", 1, ("x",))
+        load_npz(path, "test", 1, {"x": "i 3"})
     save_npz(path, {"x": np.arange(3)}, 1)
     with pytest.raises(ValueError, match="test file .*a.npz.* lacks key 'y'"):
-        load_npz(path, "test", 1, ("x", "y", "z"))
+        load_npz(path, "test", 1, {"x": "i 3", "y": "i 3", "z": "i 3"})
+
+
+@pytest.mark.parametrize("arrays, message", [
+    ({"a": np.array([[0.5, np.nan], [0.0, 1.0]]), "b": np.arange(2)},
+     "a must be finite floats of shape (N, 2), got nan at (0, 1) in float64 of shape (2, 2)"),
+    ({"a": np.zeros((2, 2)), "b": np.array([1.0, np.inf])},
+     "b must be integers of shape (N,), got float64 of shape (2,) (N = 2 from a)"),
+    ({"a": np.zeros((3, 2)), "b": np.arange(2)},
+     "b must be integers of shape (N,), got int64 of shape (2,) (N = 3 from a)"),
+    ({"a": np.zeros((2, 3)), "b": np.arange(2)},
+     "a must be finite floats of shape (N, 2), got float64 of shape (2, 3)"),
+    ({"a": np.zeros(2), "b": np.arange(2)},
+     "a must be finite floats of shape (N, 2), got float64 of shape (2,)"),
+    ({"a": np.zeros((2, 2), dtype=int), "b": np.arange(2)},
+     "a must be finite floats of shape (N, 2), got int64 of shape (2, 2)"),
+    ({"a": np.zeros((2, 2)), "b": np.arange(2), "c": np.array([1j, np.nan])},
+     "c must be finite complex numbers of shape (N,), got (nan+0j) at (1,) in complex128 of "
+     "shape (2,) (N = 2 from a)"),
+    ({"a": np.zeros((2, 2)), "b": np.arange(2), "c": np.zeros(2, complex), "d": np.array(3)},
+     "d must be strings of shape (1,), got int64 of shape ()"),
+])
+def test_npz_schema_names_the_key_and_what_was_found(tmp_path, arrays, message):
+    """A key's rule is its kind and its shape, each named dimension taking
+    one size in every key of the file; a failure names the file and the
+    key, the dtype and shape found, the first non-finite entry, and the
+    size of each named dimension that another key set, and that key."""
+    schema = {"a": "f N 2", "b": "i N", "c": "c N", "d": "U 1"}
+    path = str(tmp_path / "a.npz")
+    save_npz(path, {"a": np.zeros((2, 2)), "b": np.arange(2), "c": np.zeros(2, complex),
+                    "d": np.array(["x"])}, 1)
+    assert load_npz(path, "test", 1, schema)[1] == {"N": 2}
+    save_npz(path, arrays, 1)
+    with pytest.raises(ValueError, match=f"^test file {re.escape(repr(path))}: "
+                                         f"{re.escape(message)}$"):
+        load_npz(path, "test", 1, {key: schema[key] for key in arrays})
+
+
+def test_npz_schema_lets_an_empty_array_pass_any_kind(tmp_path):
+    path = str(tmp_path / "a.npz")
+    save_npz(path, {"a": np.zeros(0), "b": np.zeros((0, 2), dtype=int)}, 1)
+    data, sizes = load_npz(path, "test", 1, {"a": "i N", "b": "f N 2"})
+    assert sizes == {"N": 0} and data["a"].dtype == float
 
 
 _CORPUS = {"master_seed": 0, "snapshot_count": 4, "scene": "{}"}
@@ -107,15 +152,14 @@ def _write_paths(path):
 
 def _load_paths(path):
     """`scene gen`'s path file, which has no loader in the package."""
-    return load_npz(path, "paths", cli.PATHS_FORMAT_VERSION,
-                    ("snapshot_id", "ue", "kind", "gain", "delay", "aod", "aoa"))
+    return load_npz(path, "paths", cli.PATHS_FORMAT_VERSION, cli.PATHS_SCHEMA)
 
 
 def _write_plan(path):
     plan = ClusterCoveragePlan(centroids=np.zeros((1, 2)), assignments=np.zeros(3, dtype=int),
                                significances=np.ones(1), prob_tables=np.ones((1, 2, 2)) / 2,
                                selected_beams=np.array([1, 0]))
-    save_plan(plan, path, path + ".csv")
+    save_plan(plan, path)
 
 
 def _write_model(path):
@@ -124,12 +168,15 @@ def _write_model(path):
                path)
 
 
-@pytest.mark.parametrize("write, load", [
+_LOADERS = [
     (_write_rate_dataset, load_dataset),
     (_write_paths, _load_paths),
     (_write_plan, load_plan),
     (_write_model, load_model),
-])
+]
+
+
+@pytest.mark.parametrize("write, load", _LOADERS)
 def test_loaders_name_a_missing_key(tmp_path, write, load):
     version = DATASET_FORMAT_VERSION if load is load_dataset else 1
     # a rate file is read against the run's pair shape and corpus keys
@@ -146,6 +193,71 @@ def test_loaders_name_a_missing_key(tmp_path, write, load):
                             **{k: v for k, v in arrays.items() if k != key})
         with pytest.raises(ValueError, match=f"cut.npz' lacks key '{key}'"):
             load(cut, *args)
+
+
+_SCHEMAS = {load_dataset: DATASET_SCHEMA, _load_paths: cli.PATHS_SCHEMA, load_plan: PLAN_SCHEMA,
+            load_model: MODEL_SCHEMA}
+
+
+def _breaks(schema, key, a):
+    """Each way to break the rule of `key`, whose array is `a`: a NaN in a
+    float key, floats in an integer key, a dropped axis, and each named
+    dimension that the file uses twice off by one."""
+    kind, *dims = schema[key].split()
+    names = [d for rule in schema.values() for d in rule.split()[1:]]
+    if kind in "fc":
+        nan = a.copy()
+        nan.flat[0] = np.nan
+        yield "a NaN", nan
+    if kind == "i":
+        yield "floats", a.astype(float)
+    yield "a dropped axis", a[..., 0]
+    for axis, d in enumerate(dims):
+        if d.isalpha() and names.count(d) > 1:
+            yield f"{d} off by one", np.concatenate([a, a.take([0], axis=axis)], axis=axis)
+
+
+@pytest.mark.parametrize("write, load", _LOADERS)
+def test_loaders_name_a_key_that_breaks_its_schema(tmp_path, write, load):
+    """Every key of every artifact file is described by its schema: a NaN
+    in a float key, floats in an integer key, a dropped axis and a named
+    dimension off by one each raise a ValueError naming the file and the
+    key (a dimension off by one may fail at a later key of that dimension,
+    whose error names the key that set it)."""
+    args = ((2, 3), _CORPUS) if load is load_dataset else ()
+    path = str(tmp_path / "artifact.npz")
+    write(path)
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    schema = _SCHEMAS[load]
+    assert sorted(schema) == sorted(arrays.keys() - {"format_version"})
+    bad = str(tmp_path / "bad.npz")
+    for key in schema:
+        for what, value in _breaks(schema, key, arrays[key]):
+            np.savez_compressed(bad, **{**arrays, key: value})
+            with pytest.raises(ValueError) as info:
+                load(bad, *args)
+            message = str(info.value)
+            assert repr(bad) in message and re.search(rf"\b{key}\b", message), (key, what,
+                                                                                  message)
+
+
+def test_readme_tables_give_every_schema():
+    """README's "Files" section holds one (key, kind, shape) table per
+    artifact file, under the name of its schema, and each table is that
+    schema, key for key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tables = re.findall(r"`(\w+)\.(\w+_SCHEMA)`[^`]*\| Key \| Kind \| Shape \|\n\|[-|]+\|\n"
+                        r"((?:\|.*\|\n)+)", readme)
+    modules = {"cli": cli, "dataset": dataset, "selectors": selectors, "boosting": boosting}
+    assert sorted(name for _, name, _ in tables) == sorted(
+        ["PATHS_SCHEMA", "DATASET_SCHEMA", "PLAN_SCHEMA", "MODEL_SCHEMA"])
+    for module, name, rows in tables:
+        cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows.splitlines()]
+        assert {key.strip("`"): f"{kind} {shape}" for key, kind, shape in cells} == {
+            key: f"{kind} ({', '.join(dims)}{',' * (len(dims) == 1)})"
+            for key, (kind, *dims) in ((k, r.split()) for k, r in
+                                       getattr(modules[module], name).items())}
 
 
 def test_from_table_reads_a_table_into_its_dataclass():

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -256,13 +257,12 @@ def test_plan_roundtrip(tmp_path):
     rows = rng.uniform(0, 1, size=(40, 8))
     plan = select_bs_coverage(locations, rows, num_clusters=3, n_bs=8, seed=3)
     path = str(tmp_path / "plan.npz")
-    csv_path = str(tmp_path / "plan.csv")
-    save_plan(plan, path, csv_path=csv_path)
+    save_plan(plan, path)
     loaded = load_plan(path)
     assert np.array_equal(loaded.selected_beams, plan.selected_beams)
     assert np.allclose(loaded.prob_tables, plan.prob_tables)
     assert np.allclose(loaded.significances, plan.significances)
-    with open(csv_path) as fh:
+    with open(path + ".csv") as fh:
         assert fh.readline().strip() == "selection_order,beam_index"
     bad = tmp_path / "bad.npz"
     for content in (b"nope", b"PK\x03\x04" + bytes(36)):  # the second looks like a cut npz
@@ -295,11 +295,32 @@ def _plan_arrays(**changes):
     ("assignments", [[0, 0]]),
 ])
 def test_load_plan_rejects_inconsistent_arrays(tmp_path, key, value):
+    """A failure names the file and the key, or the key that set the size
+    that the failing key's shape breaks."""
     path = str(tmp_path / "plan.npz")
     np.savez_compressed(path, **_plan_arrays())
     assert load_plan(path).selected_beams.tolist() == [1, 0]
     np.savez_compressed(path, **_plan_arrays(**{key: value}))
-    with pytest.raises(ValueError, match=f"plan file .*plan.npz.*'{key}'"):
+    with pytest.raises(ValueError, match=rf"^plan file '.*plan\.npz': (\w+ must be .*\b)?"
+                                         rf"{key}\b"):
+        load_plan(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("significances", [np.nan], "significances must be finite floats of shape (C,), got nan at "
+                                "(0,) in float64 of shape (1,) (C = 1 from centroids)"),
+    ("centroids", [[1.0, np.inf]], "centroids must be finite floats of shape (C, 2), got inf "
+                                   "at (0, 1) in float64 of shape (1, 2)"),
+    ("prob_tables", [[[0.5, 0.5], [0.5, np.nan]]],
+     "prob_tables must be finite floats of shape (C, B, B), got nan at (0, 1, 1) in float64 of "
+     "shape (1, 2, 2) (C = 1 from centroids)"),
+])
+def test_load_plan_rejects_a_non_finite_value(tmp_path, key, value, message):
+    """A NaN significance or another non-finite float fails naming the file,
+    the key and where the value lies; `load_plan` would return it."""
+    path = str(tmp_path / "plan.npz")
+    np.savez_compressed(path, **_plan_arrays(**{key: value}))
+    with pytest.raises(ValueError, match=f"^plan file '.*plan\\.npz': {re.escape(message)}$"):
         load_plan(path)
 
 
