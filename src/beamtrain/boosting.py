@@ -163,7 +163,10 @@ class TreeEnsembleModel:
     thresholds among the first g cuts. A row's interval on f is then
     `below[searchsorted(cuts, x)]`: the count of the thresholds below x,
     which are those `x <=` fails; NaN sorts past every cut, into the last
-    interval. One gather reads the row's cells. The compile walks each cell
+    interval. One gather reads the row's cells. `predict` (one location)
+    and `predict_batch` (rows) share this index rule (`_cells`), after
+    checking the input width against the feature ids (`tables_for`).
+    The compile walks each cell
     through the output's trees by integers: a node whose threshold is the
     output's a_j has rank j, and the x of interval k pass its `x <= a_j`
     exactly when k <= j. A cell holds the base plus `learning_rate * leaf
@@ -205,31 +208,50 @@ class TreeEnsembleModel:
                                          self.output_dimension)
         return self._step_tables
 
+    def tables_for(self, width: int) -> StepTables:
+        """The step tables, for inputs of `width` columns: a feature id past
+        them raises a ValueError naming `node_feature`, its largest id and
+        the width (the model file does not record the width)."""
+        tables = self.step_tables
+        if tables.features and tables.features[-1] >= width:
+            raise ValueError(f"node_feature must be below the input width {width}, got "
+                             f"feature {tables.features[-1]}")
+        return tables
+
     def predict(self, location) -> np.ndarray:
-        return self.predict_batch(np.asarray(location, dtype=float).reshape(1, -1))[0]
+        """One location's row of `predict_batch`, bit for bit, by the same
+        index rule (`_cells`) with no batch around it."""
+        x = np.asarray(location, dtype=float).reshape(-1)
+        tables = self.tables_for(len(x))
+        return tables.values[_cells(tables, x)]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Each row's cell of each output's step table. On every feature one
-        binary search of the cuts finds each row's `below` entry, each
-        output's interval; the intervals, times the strides, plus the
-        offsets index one gather. Rows go in chunks of at most
-        `_CHUNK_CELLS` (row, output) cells."""
+        """Each row's cell of each output's step table (`_cells`). Rows go in
+        chunks of at most `_CHUNK_CELLS` (row, output) cells."""
         X = np.asarray(X, dtype=float)
-        tables = self.step_tables
-        at = [np.searchsorted(cuts, X[:, f]) for f, cuts in zip(tables.features, tables.cuts)]
+        tables = self.tables_for(X.shape[1])
         out = np.empty((X.shape[0], self.output_dimension))
         step = max(1, _CHUNK_CELLS // max(1, self.output_dimension))
         for lo in range(0, X.shape[0], step):
-            flat = tables.offsets
-            for g, below, strides in zip(at, tables.below, tables.strides):
-                flat = flat + below[g[lo:lo + step]] * strides
-            out[lo:lo + step] = tables.values[flat]
+            out[lo:lo + step] = tables.values[_cells(tables, X[lo:lo + step])]
         return out
 
     def depth_histogram(self) -> dict[int, int]:
         """Number of trees of each depth, by ascending depth."""
         counts = np.bincount(_children(self._layout)[1])
         return {depth: n for depth, n in enumerate(counts.tolist()) if n}
+
+
+def _cells(tables: StepTables, X) -> np.ndarray:
+    """The flat `values` index of each output's cell at X, a location
+    (width,) or rows (n, width): per feature, one binary search of the cuts
+    finds each output's interval in `below`, which, times the strides, adds
+    to the offsets. Without features it is the offsets, which broadcast."""
+    flat = tables.offsets
+    for f, cuts, below, strides in zip(tables.features, tables.cuts, tables.below,
+                                       tables.strides):
+        flat = flat + below[cuts.searchsorted(X[..., f])] * strides
+    return flat
 
 
 def _children(layout):

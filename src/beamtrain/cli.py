@@ -96,11 +96,14 @@ def cmd_model_train(args) -> int:
 
 def cmd_model_inspect(args) -> int:
     model = boosting.load_model(args.model)
+    try:
+        tables = model.tables_for(2)    # the models predict from a location's (x, y)
+    except ValueError as exc:
+        raise ValueError(f"model file {args.model!r}: {exc}") from None
     print(f"role: {model.role}")
     print(f"outputs: {model.output_dimension}")
     print(f"trees: {len(model.layout['tree_sizes'])}")
     print(f"param_count: {boosting.param_count(model)}")
-    tables = model.step_tables
     print(f"step_tables: {tables.cells} cells, {tables.nbytes / 2**20:.3f} MB")
     print("cuts: " + (", ".join(f"{len(cuts)} on feature {f}"
                                 for f, cuts in zip(tables.features, tables.cuts)) or "none"))

@@ -57,17 +57,28 @@ def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
     descending sort, `np.argsort(-scores, axis=-1, kind="stable")[..., :k]`,
     so selections are nested as k grows.
 
-    A batch of rows of at least 256 scores, k at most half of them, is not
-    sorted whole; on theta1's 1024-wide rows this is several times faster,
-    and on the 16- and 64-wide rows slower, than the full sort. Each row's
-    k-th value comes from a partition, and the row keeps every value above
-    it and its lowest-index ties at it, k values, whose columns are in
-    index order, so a stable sort of them by value keeps the tie rule. A
-    row whose k-th value is NaN is sorted whole. k = 0 gives no columns,
-    as the full sort's prefix does."""
+    A row, or a batch of rows, of at least 256 scores, k at most half of
+    them, is not sorted whole; on theta1's 1024-wide rows this is faster
+    (one row: about twice, a batch: several times), and on the 16- and
+    64-wide rows slower, than the full sort. Each row's k-th value comes
+    from a partition, and the row keeps every value above it and its
+    lowest-index ties at it, k values, whose columns are in index order,
+    so a stable sort of them by value keeps the tie rule. A row whose k-th
+    value is NaN is sorted whole. One row takes a route of its own, as the
+    batch route's bookkeeping costs one row more than the full sort. k = 0
+    gives no columns, as the full sort's prefix does."""
     neg = -np.asarray(scores, dtype=float)
-    if neg.ndim != 2 or neg.shape[1] < 256 or not 0 < k <= neg.shape[1] // 2:
+    if neg.ndim not in (1, 2) or neg.shape[-1] < 256 or not 0 < k <= neg.shape[-1] // 2:
         return np.argsort(neg, axis=-1, kind="stable")[..., :k]
+    if neg.ndim == 1:
+        kth = np.partition(neg, k - 1)[k - 1]
+        if np.isnan(kth):                              # NaN never passes `<=`
+            return np.argsort(neg, kind="stable")[:k]
+        columns = np.flatnonzero(neg <= kth)
+        if len(columns) > k:                           # more ties than places
+            ties = neg[columns] == kth
+            columns = columns[~ties | (np.cumsum(ties) <= k - np.count_nonzero(~ties))]
+        return columns[np.argsort(neg[columns], kind="stable")]
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
     keep = neg <= kth
     over = np.count_nonzero(keep, axis=1) > k          # rows with more ties than places

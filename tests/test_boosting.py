@@ -730,6 +730,52 @@ def test_packed_prediction_ignores_unused_columns(ensemble, spare, X, chunk_cell
     assert batch.tobytes() == _reference_predict(model, trees, X).tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(_ensembles(), st.integers(0, 2), hnp.arrays(float, st.just(3), elements=_INPUTS))
+def test_one_row_prediction_is_the_batch_row(ensemble, spare, x):
+    """`predict` on one location gives the bytes of `predict_batch`'s row
+    for it: on inputs on the thresholds, NaN, +-inf and -0.0, with unused
+    columns past the features, and for models that split on no feature."""
+    model, _ = ensemble
+    x = np.concatenate([x, np.full(spare, np.nan)])
+    expected = model.predict_batch(x[None])[0]
+    for location in (x, x.tolist(), x[None]):
+        row = model.predict(location)
+        assert row.shape == expected.shape and row.tobytes() == expected.tobytes()
+
+
+def test_one_row_prediction_of_models_without_features():
+    """A model without trees, without outputs, or of lone leaves predicts
+    from a location of any width, none included, the row of its batch."""
+    leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.5])
+    for model in (model_from_trees(np.zeros(0), [], 0.3, 0),
+                  model_from_trees(np.array([-0.5, 0.25, 1.5]), [], 0.3, 3),
+                  model_from_trees(np.array([0.125, -0.0]), [(0, leaf), (0, leaf)], 0.5, 2)):
+        assert model.step_tables.features == ()
+        for x in (np.zeros(0), np.array([np.nan]), np.array([-0.0, np.inf])):
+            expected = model.predict_batch(x[None])[0]
+            assert expected.shape == (model.output_dimension,)
+            assert model.predict(x).tobytes() == expected.tobytes()
+
+
+def test_prediction_names_a_feature_past_the_input_width():
+    """A model that splits on a feature past its input's columns raises a
+    ValueError naming node_feature, its largest id and the width, on one
+    row and on a batch, empty or not; wider inputs predict."""
+    stump = Tree(feature=[2, -1, -1], threshold=[0.5, 0, 0],
+                 left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
+    low = Tree(feature=[0, -1, -1], threshold=[0.5, 0, 0],
+               left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.1, 0.3])
+    model = model_from_trees(np.array([0.25, 0.5]), [(0, low), (1, stump)], 0.5, 2)
+    message = r"^node_feature must be below the input width 2, got feature 2$"
+    for predict, X in ((model.predict, np.zeros(2)), (model.predict_batch, np.zeros((3, 2))),
+                       (model.predict_batch, np.zeros((0, 2)))):
+        with pytest.raises(ValueError, match=message):
+            predict(X)
+    assert model.predict(np.ones(3)).tolist() == [0.25 + 0.15, 0.5 + 0.4]
+    assert model.predict_batch(np.ones((2, 4))).tolist() == [[0.25 + 0.15, 0.5 + 0.4]] * 2
+
+
 def test_step_tables_of_models_without_trees_or_splits():
     """A model without trees has one cell per output, its clipped base, and
     one without outputs predicts empty rows; an output without a tree keeps

@@ -325,6 +325,29 @@ def test_model_inspect_rejects_a_nan_leaf_value(tmp_path, capsys, caplog):
     assert captured.out == ""
 
 
+def test_model_inspect_rejects_a_feature_past_the_location(tmp_path, capsys):
+    """A model file whose trees split on a feature id past a location's
+    two columns loads, as the file does not record the width, but could
+    never predict; `model inspect` exits 1 naming the file, `node_feature`,
+    the id and the width, and prints nothing."""
+    X = np.random.default_rng(0).uniform(0, 10, size=(20, 2))
+    path = str(tmp_path / "m.npz")
+    save_model(train(X, X[:, :1] / 10.0, TrainConfig(tree_count=3, budget_parameters=1000)),
+               path)
+    assert cli.main(["model", "inspect", "--model", path]) == 0
+    for feature in (2, 5):
+        arrays = _load_arrays(path)
+        arrays["node_feature"][np.flatnonzero(arrays["node_feature"] >= 0)[-1]] = feature
+        bad = str(tmp_path / f"bad-{feature}.npz")
+        np.savez_compressed(bad, **arrays)
+        capsys.readouterr()
+        assert cli.main(["model", "inspect", "--model", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: model file {bad!r}: node_feature must be below the "
+                                f"input width 2, got feature {feature}\n")
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [["model", "train", "--role", "theta2_w"],
                                      ["plan", "build"]])
 def test_a_rate_file_of_another_corpus_fails_before_training(tmp_path, monkeypatch, capsys,

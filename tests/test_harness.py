@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrain import boosting, harness, metrics
+from beamtrain import boosting, harness, metrics, selectors
 from beamtrain.harness import (DEFAULT_N_B_SWEEP, ExperimentConfig, StageError, _stage,
                                build_corpus, build_coverage_plan, decoupled_split, derive_seed,
                                emit_outputs, evaluate, run_experiment, split_corpus, train_role)
@@ -408,13 +408,13 @@ def test_build_coverage_plan_logs_cluster_sizes(caplog):
 
 @pytest.fixture(scope="module")
 def smoke_run():
-    """The smoke run's result, and the models, test rows and orderings that
-    its evaluation read."""
+    """The smoke run's result, and the models, plan, test rows and
+    orderings that its evaluation read."""
     seen = {"orders": []}
     evaluate_, prefix_tables = harness.evaluate, metrics.prefix_tables
 
     def evaluate_spy(config, models, plan, X_test, TR_test):
-        seen.update(models=models, X_test=X_test)
+        seen.update(models=models, plan=plan, X_test=X_test)
         return evaluate_(config, models, plan, X_test, TR_test)
 
     def prefix_tables_spy(grid, w_order, f_order):
@@ -447,6 +447,35 @@ def test_evaluate_orderings_are_stable_argsort_prefixes(smoke_run):
     assert np.array_equal(theta1, prefix("theta1", 128))
     assert np.array_equal(w_order, prefix("theta2_w", w_order.shape[1])) and w_again is w_order
     assert np.array_equal(f_order, prefix("theta2_f", f_order.shape[1]))
+
+
+
+def test_online_selectors_take_the_prefixes_of_the_evaluated_orderings(smoke_run):
+    """For every test row and every N_B of the sweep, each online selector,
+    which predicts and ranks one location, picks the prefix of the ordering
+    that evaluation ranked for that row in its batch: theta1's pairs
+    (scheme 1), the theta2_w and theta2_f beams (scheme 2), and the theta3_w
+    beams with the plan's list (scheme 3)."""
+    result, seen = smoke_run
+    config, models, plan, X = result.config, seen["models"], seen["plan"], seen["X_test"]
+    (_, theta1), (w_order, f_order), (_, plan_order) = seen["orders"]
+    num_w, num_f = config.num_combiners, config.num_beamformers
+    assert config.num_pairs >= 512 and len(X) >= 8
+    for n_b in config.n_b_sweep:
+        k = min(n_b, config.num_pairs)
+        s_w, s_f = decoupled_split(n_b, min(config.s_w_size, num_w), num_f)
+        assert k <= theta1.shape[1] and s_w <= w_order.shape[1] and s_f <= f_order.shape[1]
+        for location, pairs, w, f in zip(X, theta1, w_order, f_order):
+            coupled = selectors.select_coupled(models["theta1"], location, k, num_f)
+            assert np.array_equal(coupled.flat_indices, pairs[:k])
+            decoupled = selectors.select_decoupled_with_location(
+                models["theta2_f"], models["theta2_w"], location, s_w, s_f)
+            assert np.array_equal(decoupled.s_w, w[:s_w])
+            assert np.array_equal(decoupled.s_f, f[:s_f])
+            no_location = selectors.select_decoupled_no_location(
+                models["theta3_w"], location, s_w, plan.prefix(s_f))
+            assert np.array_equal(no_location.s_w, w[:s_w])
+            assert np.array_equal(no_location.s_f, plan_order[:s_f])
 
 
 def test_smoke_run_shapes(smoke_result):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -383,6 +384,41 @@ def test_top_k_stable_rows_tied_across_the_kth_value():
     for k in (0, 1, 100, 128, 200, 256):
         expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         assert np.array_equal(top_k_stable(scores, k), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=_LEVELS, width=st.sampled_from([255, 256, 1024]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_top_k_stable_one_row_matches_the_stable_argsort_prefix(levels, width, seed, data):
+    """The top k of a single row is the prefix of its stable descending
+    argsort, in values and dtype, for every k from 0 to the width; rows of
+    at least 256 scores, k at most half of them, take it from a partition."""
+    k = data.draw(st.integers(0, width // 2) | st.integers(0, width))
+    rng = np.random.default_rng(seed)
+    scores = np.array(levels)[rng.integers(0, len(levels), width)]
+    expected = np.argsort(-scores, kind="stable")[:k]
+    got = top_k_stable(scores, k)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_top_k_stable_one_row_tied_across_the_kth_value():
+    """A single row whose k-th value is tied with values on both sides of
+    it, is -0.0 among 0.0, or is NaN, or that holds NaN past its k-th
+    value, keeps the lowest-index ties, as a stable sort does; the
+    partition serves rows of 256 scores or more, k at most half of them."""
+    rng = np.random.default_rng(4)
+    rows = [rng.choice([0.0, 0.5, 1.0], size=512), np.full(512, 0.5),
+            np.where(rng.random(512) < 0.5, -0.0, 0.0),
+            np.concatenate([np.full(412, np.nan), np.ones(100)]),  # NaN k-th from k = 101
+            np.where(rng.random(512) < 0.75, np.nan, rng.choice([0.0, 1.0], size=512))]
+    for scores in rows:
+        for k in (0, 1, 100, 101, 128, 200, 256, 257, 512):
+            with mock.patch("numpy.partition", wraps=np.partition) as partition:
+                got = top_k_stable(scores, k)
+            assert partition.called == (0 < k <= 256)
+            expected = np.argsort(-scores, kind="stable")[:k]
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert not np.isnan(rows[4][top_k_stable(rows[4], 16)]).any()
 
 
 @settings(max_examples=300, deadline=None)
