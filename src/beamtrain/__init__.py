@@ -5,8 +5,8 @@ selection over synthetic geometric MIMO-OFDM channels."""
 from .arrays import ArrayGeometry, Codebook, dft_codebook, steering_vector
 from .boosting import TrainConfig, TreeEnsembleModel, kfold_tune, param_count, train
 from .channel import ChannelRealization, channel_for_ue, paths_to_channel
-from .dataset import (ATRRow, DatasetSplit, RateRow, TRRow, build_rate_dataset, split_dataset,
-                      to_atr, to_throughput_ratios)
+from .dataset import (DatasetSplit, Rows, build_rate_dataset, split_dataset, to_atr,
+                      to_throughput_ratios)
 from .harness import EvalResult, ExperimentConfig, emit_outputs, run_experiment
 from .linkeval import sweep_all
 from .metrics import avg_throughput_ratio, misalignment_probability
@@ -20,7 +20,7 @@ __all__ = [
     "ArrayGeometry", "Codebook", "dft_codebook", "steering_vector",
     "TrainConfig", "TreeEnsembleModel", "kfold_tune", "param_count", "train",
     "ChannelRealization", "channel_for_ue", "paths_to_channel",
-    "ATRRow", "DatasetSplit", "RateRow", "TRRow", "build_rate_dataset", "split_dataset",
+    "DatasetSplit", "Rows", "build_rate_dataset", "split_dataset",
     "to_atr", "to_throughput_ratios",
     "EvalResult", "ExperimentConfig", "emit_outputs", "run_experiment",
     "sweep_all",

@@ -115,8 +115,7 @@ def cmd_model_inspect(args) -> int:
 
 def cmd_plan_build(args) -> int:
     config, tr_rows, atr_rows, split = _tr_corpus(args)
-    plan = harness.build_coverage_plan(config, np.array([r.location for r in tr_rows]),
-                                       np.array([r.atr_f for r in atr_rows]), split)
+    plan = harness.build_coverage_plan(config, tr_rows.location, atr_rows.atr_f, split)
     selectors.save_plan(plan, args.out)
     print(f"wrote coverage plan with {len(plan.selected_beams)} beams to {args.out}")
     return 0

@@ -2,6 +2,7 @@
 
 import json
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,28 +28,20 @@ DATASET_SCHEMA = {"locations": "f N 2", "snapshot_ids": "i N", "ue_indices": "i 
                   "snapshot_count": "i 1", "scene": "U 1"}
 
 
-@dataclass(frozen=True)
-class RateRow:
-    """Rates (bits/s/Hz) for all |W|*|F| beam pairs of one UE."""
-    location: np.ndarray      # (x, y)
-    rates: np.ndarray         # (|W|*|F|,)
-    snapshot_id: int
-    ue_index: int = -1
+class Rows:
+    """The corpus of one stage as columns, each an array with one row per
+    UE: `Rows(location=..., ratios=...)` has the attributes `location` and
+    `ratios`. `len()` is the row count. Iterating yields one named tuple per
+    row, of that row of each column; the pipeline reads the columns."""
 
+    def __init__(self, **columns):
+        vars(self).update(columns)
 
-@dataclass(frozen=True)
-class TRRow:
-    """Throughput ratios r_T for one UE; max entry is exactly 1.0."""
-    location: np.ndarray
-    ratios: np.ndarray        # (|W|*|F|,) in [0, 1]
+    def __len__(self) -> int:
+        return len(next(iter(vars(self).values())))
 
-
-@dataclass(frozen=True)
-class ATRRow:
-    """Per-beam approximate throughput ratios (codebook-averaged) of one
-    TR row."""
-    atr_f: np.ndarray         # (|F|,)
-    atr_w: np.ndarray         # (|W|,)
+    def __iter__(self):
+        return map(namedtuple("Row", vars(self)), *vars(self).values())
 
 
 @dataclass(frozen=True)
@@ -59,79 +52,73 @@ class DatasetSplit:
 
 
 def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
-                       bs_geometry, ue_geometry, config) -> list[RateRow]:
-    """One row per (snapshot, UE); fully blocked UEs (all-zero rows) are
-    dropped with a logged count. Row order is (snapshot_id, ue_index).
+                       bs_geometry, ue_geometry, config) -> Rows:
+    """The rate rows: columns `location` (n, 2), `rates` (n, |W|*|F|),
+    `snapshot_id` and `ue_index`, one row per (snapshot, UE), in
+    (snapshot_id, ue_index) order. Fully blocked UEs (all-zero rows) are
+    dropped with a logged count.
 
     Each snapshot is traced once into a path table, and its array responses
     are computed once (`path_responses`); each UE's rates come from its
-    slice of both (`sweep_responses`). No dense channel is formed. The rows'
-    `rates` are views into one (UEs, |W|*|F|) array: each UE is swept into
-    the next free row, and a dropped UE's row is overwritten by the next
-    UE. UEs without paths are dropped unswept. A kept row with a non-finite
-    rate, as degenerate geometry gives, raises a ValueError naming the
-    snapshot and the UE. The UE, dropped-UE and per-kind path counts are
-    logged at info level.
+    slice of both (`sweep_responses`). No dense channel is formed. Every
+    column is allocated once for all UEs: each UE is written into the next
+    free row, a dropped UE's row is overwritten by the next UE, and the kept
+    prefix of each column is returned. UEs without paths are dropped
+    unswept. A kept row with a non-finite rate, as degenerate geometry
+    gives, raises a ValueError naming the snapshot and the UE. The UE,
+    dropped-UE and per-kind path counts are logged at info level.
     """
     snapshots = sorted(snapshots, key=lambda s: s.snapshot_id)
-    rates = np.empty((sum(len(s.ue_indices) for s in snapshots),
-                      combiners.num_beams * beamformers.num_beams))
-    rows = []
-    ues = dropped = 0
+    ues = sum(len(s.ue_indices) for s in snapshots)
+    rows = Rows(location=np.empty((ues, 2)),
+                rates=np.empty((ues, combiners.num_beams * beamformers.num_beams)),
+                snapshot_id=np.empty(ues, dtype=int), ue_index=np.empty(ues, dtype=int))
+    kept = 0
     paths = np.zeros(len(PATH_KINDS), dtype=int)
     for snapshot in snapshots:
         table = trace_snapshot(snapshot, config)
         paths += np.bincount(table.kind, minlength=len(PATH_KINDS))
         a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
-        first = len(rows)
+        first = kept
         for ue_index, ue_rows in zip(snapshot.ue_indices, table.ue_rows(snapshot.ue_indices)):
-            ues += 1
             if ue_rows.start == ue_rows.stop:
-                dropped += 1
                 continue
             row = sweep_responses(table.gain[ue_rows], a_ue[ue_rows], a_bs[ue_rows],
                                   phases[:, ue_rows], combiners, beamformers, config.sigma2,
-                                  out=rates[len(rows)])
+                                  out=rows.rates[kept])
             if np.max(row) <= 0.0:
-                dropped += 1
                 continue
-            rows.append(RateRow(location=snapshot.ue_location(ue_index), rates=row,
-                                snapshot_id=snapshot.snapshot_id, ue_index=ue_index))
-        finite = np.isfinite(rates[first:len(rows)]).all(axis=1)
+            rows.location[kept] = snapshot.ue_location(ue_index)
+            rows.snapshot_id[kept], rows.ue_index[kept] = snapshot.snapshot_id, ue_index
+            kept += 1
+        finite = np.isfinite(rows.rates[first:kept]).all(axis=1)
         if not finite.all():
             raise ValueError(f"snapshot {snapshot.snapshot_id}, UE "
-                             f"{rows[first + int(np.argmin(finite))].ue_index}: "
+                             f"{rows.ue_index[first + int(np.argmin(finite))]}: "
                              "rates are not finite")
-    log.info("rate dataset: %d UEs, %d dropped as fully blocked; paths: %s", ues, dropped,
+    log.info("rate dataset: %d UEs, %d dropped as fully blocked; paths: %s", ues, ues - kept,
              ", ".join(f"{n} {kind}" for kind, n in zip(PATH_KINDS, paths.tolist())))
-    return rows
+    return Rows(**{name: column[:kept] for name, column in vars(rows).items()})
 
 
-def to_throughput_ratios(locations, rates: np.ndarray) -> list[TRRow]:
-    """The TR rows of the (rows, |W|*|F|) `rates` at `locations`: each row
-    divided by its peak rate, in place, as one max and one divide. The
-    rows' `ratios` are views into `rates`."""
-    if len(rates) == 0:
-        return []
+def to_throughput_ratios(rates: np.ndarray) -> np.ndarray:
+    """The throughput ratios of the (rows, |W|*|F|) `rates`: each row
+    divided by its peak rate, in place, as one max and one divide; returns
+    `rates`."""
     peaks = np.max(rates, axis=1)
     if np.any(peaks <= 0.0):
         raise ValueError("rate row with non-positive max (should be dropped upstream)")
     rates /= peaks[:, None]
-    return [TRRow(location=location, ratios=tr) for location, tr in zip(locations, rates)]
+    return rates
 
 
-def to_atr(tr_rows: list[TRRow], num_combiners: int, num_beamformers: int) -> list[ATRRow]:
-    """ATR of a combiner averages its row over all beamformers, and vice
-    versa; both vectors share the grand mean of the TR row. Each row's
-    means are written into one array per side, of which the rows' `atr_f`
-    and `atr_w` are views."""
-    atr_f = np.empty((len(tr_rows), num_beamformers))
-    atr_w = np.empty((len(tr_rows), num_combiners))
-    for row, f, w in zip(tr_rows, atr_f, atr_w):
-        grid = row.ratios.reshape(num_combiners, num_beamformers)
-        grid.mean(axis=0, out=f)
-        grid.mean(axis=1, out=w)
-    return [ATRRow(atr_f=f, atr_w=w) for f, w in zip(atr_f, atr_w)]
+def to_atr(tr: np.ndarray, num_combiners: int, num_beamformers: int) -> Rows:
+    """The ATR rows of the (rows, |W|*|F|) throughput ratios `tr`: columns
+    `atr_f` (rows, |F|) and `atr_w` (rows, |W|). The ATR of a combiner
+    averages its row of a UE's (|W|, |F|) grid over all beamformers, and
+    vice versa; both sides share the grand mean of the UE's TR."""
+    grid = tr.reshape(len(tr), num_combiners, num_beamformers)
+    return Rows(atr_f=grid.mean(axis=1), atr_w=grid.mean(axis=2))
 
 
 def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,
@@ -159,18 +146,16 @@ def _check_pair_shape(pair_shape, width, path: str) -> tuple[int, int]:
     return shape
 
 
-def save_dataset(rows: list[RateRow], path: str, pair_shape, corpus: dict) -> None:
-    """Persist rate rows of `pair_shape` = (|W|, |F|) pairs losslessly, with
-    `corpus`, the value of each of CORPUS_KEYS that the rows were built
-    from."""
-    if not rows:
+def save_dataset(rows: Rows, path: str, pair_shape, corpus: dict) -> None:
+    """Persist the columns of rate rows of `pair_shape` = (|W|, |F|) pairs
+    losslessly, as they are, with `corpus`, the value of each of
+    CORPUS_KEYS that the rows were built from."""
+    if not len(rows):
         raise ValueError("cannot save an empty dataset")
-    rates = np.array([r.rates for r in rows])
-    save_npz(path, {"locations": np.array([r.location for r in rows]),
-                    "snapshot_ids": np.array([r.snapshot_id for r in rows]),
-                    "ue_indices": np.array([r.ue_index for r in rows]),
-                    "rates": rates,
-                    "pair_shape": np.array(_check_pair_shape(pair_shape, rates.shape[1], path)),
+    save_npz(path, {"locations": rows.location, "snapshot_ids": rows.snapshot_id,
+                    "ue_indices": rows.ue_index, "rates": rows.rates,
+                    "pair_shape": np.array(_check_pair_shape(pair_shape, rows.rates.shape[1],
+                                                             path)),
                     **{key: np.array([corpus[key]]) for key in CORPUS_KEYS}},
              DATASET_FORMAT_VERSION)
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import boosting, metrics, selectors
 from .arrays import dft_codebook
 from .channel import default_bs_geometry, default_ue_geometry
-from .dataset import build_rate_dataset, split_dataset, to_atr, to_throughput_ratios
+from .dataset import Rows, build_rate_dataset, split_dataset, to_atr, to_throughput_ratios
 from .fileio import atomic_write, check, check_fields, from_table, integer, listof, real
 from .scene import SceneConfig, generate_snapshot
 
@@ -248,43 +248,39 @@ def build_rate_rows(config: ExperimentConfig):
 
 
 def transform_corpus(config: ExperimentConfig, locations, rates):
-    """The (TR rows, ATR rows) of the (rows, pairs) `rates` at `locations`;
-    `rates` is divided in place and holds the TR rows."""
+    """The TR rows (columns `location` and `ratios`) and the ATR rows
+    (`atr_f`, `atr_w`) of the (rows, pairs) `rates` at `locations`; `rates`
+    is divided in place and is the `ratios` column."""
     with _stage("transform dataset"):
-        tr_rows = to_throughput_ratios(locations, rates)
-        return tr_rows, to_atr(tr_rows, config.num_combiners, config.num_beamformers)
+        tr = to_throughput_ratios(rates)
+        return Rows(location=locations, ratios=tr), to_atr(tr, config.num_combiners,
+                                                           config.num_beamformers)
 
 
 def build_corpus(config: ExperimentConfig):
     """Snapshots -> rate rows -> TR/ATR rows, deterministically. The TR
-    rows divide a stacked copy of the rates, so the rate rows stay intact."""
+    rows divide a copy of the rates, so the rate rows stay intact."""
     snapshots, rate_rows = build_rate_rows(config)
     return (snapshots, rate_rows,
-            *transform_corpus(config, [row.location for row in rate_rows],
-                              np.array([row.rates for row in rate_rows])))
+            *transform_corpus(config, rate_rows.location, rate_rows.rates.copy()))
 
 
 def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
     """K-fold tune and fit one model role on the training rows, under its
     budget. The scenario-2 and scenario-3 UE models share targets, budget
     and grid, so theta3_w is fitted as theta2_w. Only the training rows'
-    locations and targets are stacked. Tuning and the final fit are two
+    locations and targets are gathered. Tuning and the final fit are two
     stages; the chosen grid point and the model's trees and parameters are
     logged at info level after them."""
-    rows = split.train_rows
     if name == "theta1":
-        Y, grid, budget, role = ([tr_rows[i].ratios for i in rows], config.bs_grid,
-                                 config.bs_budget, "coupled")
+        Y, grid, budget, role = tr_rows.ratios, config.bs_grid, config.bs_budget, "coupled"
     elif name == "theta2_f":
-        Y, grid, budget, role = ([atr_rows[i].atr_f for i in rows], config.bs_grid,
-                                 config.bs_budget, "decoupled_bs")
+        Y, grid, budget, role = atr_rows.atr_f, config.bs_grid, config.bs_budget, "decoupled_bs"
     elif name in ("theta2_w", "theta3_w"):
-        Y, grid, budget, role = ([atr_rows[i].atr_w for i in rows], config.ue_grid,
-                                 config.ue_budget, "decoupled_ue")
+        Y, grid, budget, role = atr_rows.atr_w, config.ue_grid, config.ue_budget, "decoupled_ue"
     else:
         raise ValueError(f"unknown model role {name!r}")
-    X = np.array([tr_rows[i].location for i in rows])
-    Y = np.array(Y)
+    X, Y = tr_rows.location[split.train_rows], Y[split.train_rows]
     configs = [boosting.TrainConfig(budget_parameters=budget, **g) for g in grid]
     with _stage(f"tune {name}"):
         cfg = boosting.kfold_tune(X, Y, configs, split.fold_assignments)
@@ -340,34 +336,24 @@ def _peak_rss_mb():
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-def _dataset_checksum(tr_rows) -> str:
-    """The sha256 of the stacked TR rows, fed to it row by row. Its own
-    function, so that no loop variable of the caller keeps the last row,
-    and with it the whole TR array, alive."""
-    digest = hashlib.sha256()
-    for row in tr_rows:
-        digest.update(row.ratios)
-    return digest.hexdigest()
-
-
 def run_experiment(config: ExperimentConfig) -> EvalResult:
     """Full reproducible pipeline from (config, master seed) to curves.
 
     Each large matrix is held once: the rate rows are dropped with the
     corpus tuple, the TR rows once the models are trained, and evaluation
-    reads only the test rows' TR."""
+    reads only the test rows' TR. The dataset checksum is the sha256 of the
+    (rows, pairs) TR array."""
     tr_rows, atr_rows = build_corpus(config)[2:]
     split = split_corpus(config, len(tr_rows))
-    X = np.array([r.location for r in tr_rows])
     # the plan reads no model, so a bad cluster_count fails before training
-    plan = build_coverage_plan(config, X, np.array([r.atr_f for r in atr_rows]), split)
+    plan = build_coverage_plan(config, tr_rows.location, atr_rows.atr_f, split)
     models = train_models(config, tr_rows, atr_rows, split)
-    checksum = _dataset_checksum(tr_rows)
-    TR_test = np.array([tr_rows[i].ratios for i in split.test_rows])
+    checksum = hashlib.sha256(tr_rows.ratios).hexdigest()
+    X_test, TR_test = tr_rows.location[split.test_rows], tr_rows.ratios[split.test_rows]
     del tr_rows, atr_rows
 
     with _stage("evaluate scenarios"):
-        curves, heatmap = evaluate(config, models, plan, X[split.test_rows], TR_test)
+        curves, heatmap = evaluate(config, models, plan, X_test, TR_test)
     return EvalResult(curves=curves, heatmap=heatmap, n_test=len(split.test_rows),
                       master_seed=config.master_seed,
                       param_counts={k: boosting.param_count(m) for k, m in models.items()},

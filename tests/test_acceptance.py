@@ -56,9 +56,8 @@ def _full_run(seed):
     t0 = time.perf_counter()
     _, _, tr_rows, atr_rows = build_corpus(config)
     split = split_corpus(config, len(tr_rows))
-    X = np.array([r.location for r in tr_rows])
-    TR = np.array([r.ratios for r in tr_rows])
-    plan = build_coverage_plan(config, X, np.array([r.atr_f for r in atr_rows]), split)
+    X, TR = tr_rows.location, tr_rows.ratios
+    plan = build_coverage_plan(config, X, atr_rows.atr_f, split)
     models = train_models(config, tr_rows, atr_rows, split)
     t_eval = time.perf_counter()
     curves, _ = evaluate(config, models, plan, X[split.test_rows], TR[split.test_rows])

@@ -119,12 +119,12 @@ def test_dataset_build_writes_the_rate_rows_that_the_transform_divides(tmp_path)
     expected = harness.build_rate_rows(config)[1]
     assert rates.shape == (len(expected), 1024) and len(expected) > 0
     with np.load(path) as npz:
-        assert list(zip(npz["snapshot_ids"].tolist(), npz["ue_indices"].tolist())) == [
-            (r.snapshot_id, r.ue_index) for r in expected]
-    assert rates.tobytes() == np.array([r.rates for r in expected]).tobytes()
-    assert locations.tobytes() == np.array([r.location for r in expected]).tobytes()
+        assert npz["snapshot_ids"].tolist() == expected.snapshot_id.tolist()
+        assert npz["ue_indices"].tolist() == expected.ue_index.tolist()
+    assert rates.tobytes() == expected.rates.tobytes()
+    assert locations.tobytes() == expected.location.tobytes()
     tr, _ = harness.transform_corpus(config, locations, rates)
-    assert all(np.shares_memory(r.ratios, rates) for r in tr)
+    assert tr.ratios is rates and tr.location is locations
     assert np.all(rates.max(axis=1) == 1.0)
 
 
@@ -218,8 +218,7 @@ def test_model_train_and_plan_build_read_only_the_rate_file(tmp_path, monkeypatc
     out = str(tmp_path / "plan.npz")
     assert cli.main(["plan", "build", "--config", config_path, "--input", rates,
                      "--out", out]) == 0
-    plan = harness.build_coverage_plan(config, np.array([r.location for r in tr_rows]),
-                                       np.array([r.atr_f for r in atr_rows]), split)
+    plan = harness.build_coverage_plan(config, tr_rows.location, atr_rows.atr_f, split)
     expected = str(tmp_path / "expected_plan.npz")
     selectors.save_plan(plan, expected)
     assert Path(out).read_bytes() == Path(expected).read_bytes()

@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from beamtrain import dataset as dataset_module
 from beamtrain.arrays import dft_codebook
 from beamtrain.channel import channel_for_ue, default_bs_geometry, default_ue_geometry
-from beamtrain.dataset import (RateRow, TRRow, build_rate_dataset, load_dataset, save_dataset,
-                               split_dataset, to_atr, to_throughput_ratios)
+from beamtrain.dataset import (Rows, build_rate_dataset, load_dataset, save_dataset, split_dataset,
+                               to_atr, to_throughput_ratios)
 from beamtrain.linkeval import sweep_all
 from beamtrain.scene import SceneConfig, generate_snapshot
 from reference_linkeval import sweep_paths
@@ -25,22 +26,28 @@ def _small_corpus(seed_count=3, seed0=0):
     return cfg, rows
 
 
+def _keys(rows):
+    """The (snapshot_id, ue_index) of each rate row."""
+    return list(zip(rows.snapshot_id.tolist(), rows.ue_index.tolist()))
+
+
 def test_build_rate_dataset_rows_and_order():
     _, rows = _small_corpus()
-    assert rows
-    keys = [(r.snapshot_id, r.ue_index) for r in rows]
+    assert len(rows)
+    keys = _keys(rows)
     assert keys == sorted(keys)
-    for r in rows:
-        assert r.rates.shape == (1024,)
-        assert np.max(r.rates) > 0
+    assert rows.location.shape == (len(rows), 2)
+    assert rows.snapshot_id.shape == rows.ue_index.shape == (len(rows),)
+    assert rows.rates.shape == (len(rows), 1024)
+    assert np.all(np.max(rows.rates, axis=1) > 0)
 
 
 def test_build_rate_dataset_deterministic():
     _, a = _small_corpus()
     _, b = _small_corpus()
     assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.rates, rb.rates)
+    for name, column in vars(a).items():
+        assert np.array_equal(column, getattr(b, name))
 
 
 def test_build_rate_dataset_matches_dense_route():
@@ -54,11 +61,10 @@ def test_build_rate_dataset_matches_dense_route():
              for ue in snap.ue_indices]
     kept = [(snap, ue, rates) for snap, ue, rates in dense if np.max(rates) > 0.0]
     assert 0 < len(kept) < len(dense)  # some UEs are fully blocked and dropped
-    assert [(r.snapshot_id, r.ue_index) for r in rows] == [(snap.snapshot_id, ue)
-                                                           for snap, ue, _ in kept]
-    for row, (snap, ue, rates) in zip(rows, kept):
-        assert np.array_equal(row.location, snap.center[ue, :2])
-        assert np.max(np.abs(row.rates - rates)) <= 1e-12 * np.max(rates)
+    assert _keys(rows) == [(snap.snapshot_id, ue) for snap, ue, _ in kept]
+    for location, row, (snap, ue, rates) in zip(rows.location, rows.rates, kept):
+        assert np.array_equal(location, snap.center[ue, :2])
+        assert np.max(np.abs(row - rates)) <= 1e-12 * np.max(rates)
 
 
 @pytest.mark.parametrize("bus_fraction", [0.0, 0.2, 0.6])
@@ -76,9 +82,9 @@ def test_build_rate_dataset_equals_per_ue_reference_route(bus_fraction):
             rates = sweep_paths(trace_paths_reference(snap, ue, cfg), W, F, bs_g, ue_g, cfg)
             if np.max(rates) > 0.0:
                 expected.append((snap.snapshot_id, ue, rates))
-    assert [(r.snapshot_id, r.ue_index) for r in rows] == [(s, u) for s, u, _ in expected]
-    for row, (_, _, rates) in zip(rows, expected):
-        assert row.rates.tobytes() == rates.tobytes()
+    assert _keys(rows) == [(s, u) for s, u, _ in expected]
+    for row, (_, _, rates) in zip(rows.rates, expected):
+        assert row.tobytes() == rates.tobytes()
     if bus_fraction == 0.6:
         assert len(rows) < sum(len(s.ue_indices) for s in snaps)   # some UEs dropped
 
@@ -113,82 +119,73 @@ def test_build_rate_dataset_rejects_non_finite_rates():
 
 
 def _transform(rows):
-    """The TR rows of rate rows, from a stacked copy of their rates."""
-    return to_throughput_ratios([r.location for r in rows], np.array([r.rates for r in rows]))
+    """The TR of rate rows, from a copy of their rates."""
+    return to_throughput_ratios(rows.rates.copy())
 
 
 def test_rate_and_tr_rows_are_views_into_one_array_each():
     _, rows = _small_corpus()
-    rates = np.array([r.rates for r in rows])
-    tr_rows = to_throughput_ratios([r.location for r in rows], rates)
-    base = rows[0].rates.base
-    assert base is not None and base.ndim == 2
-    assert all(r.rates.base is base for r in rows)
+    # each column is the kept prefix of one array allocated for every UE
+    for column in vars(rows).values():
+        assert column.base is not None and len(column) == len(rows) <= len(column.base)
+    assert all(r.rates.base is rows.rates.base for r in rows)
+    rates = rows.rates.copy()
     # the transform divides the rates it is given in place
-    assert all(tr.ratios.base is rates for tr in tr_rows)
-    assert not np.shares_memory(rows[0].rates, rates)
-    assert to_throughput_ratios([], np.empty((0, 4))) == []
+    assert to_throughput_ratios(rates) is rates
+    assert not np.shares_memory(rows.rates, rates)
+    assert to_throughput_ratios(np.empty((0, 4))).shape == (0, 4)
 
 
 def test_transform_rows_equal_the_per_row_stage_bit_for_bit():
     """The stacked transform gives each TR row its rates divided by their
     peak, and each ATR row the per-row means over the row's (|W|, |F|)
-    grid, bit for bit; the ATR rows of each side are views into one
-    array."""
+    grid, bit for bit; each ATR side is one (rows, beams) array."""
     _, rows = _small_corpus()
-    tr_rows = _transform(rows)
-    atr_rows = to_atr(tr_rows, 16, 64)
-    for row, tr, atr in zip(rows, tr_rows, atr_rows):
-        peak = float(np.max(row.rates))
-        assert tr.location is row.location
-        assert tr.ratios.tobytes() == (row.rates / peak).tobytes()
-        grid = tr.ratios.reshape(16, 64)
-        assert atr.atr_f.tobytes() == grid.mean(axis=0).tobytes()
-        assert atr.atr_w.tobytes() == grid.mean(axis=1).tobytes()
-    for side in ("atr_f", "atr_w"):
-        base = getattr(atr_rows[0], side).base
-        assert base is not None and base.shape[0] == len(rows)
-        assert all(getattr(atr, side).base is base for atr in atr_rows)
-    assert to_atr([], 16, 64) == []
+    tr = _transform(rows)
+    atr = to_atr(tr, 16, 64)
+    assert atr.atr_f.shape == (len(rows), 64) and atr.atr_w.shape == (len(rows), 16)
+    for rates, ratios, atr_f, atr_w in zip(rows.rates, tr, atr.atr_f, atr.atr_w):
+        peak = float(np.max(rates))
+        assert ratios.tobytes() == (rates / peak).tobytes()
+        grid = ratios.reshape(16, 64)
+        assert atr_f.tobytes() == grid.mean(axis=0).tobytes()
+        assert atr_w.tobytes() == grid.mean(axis=1).tobytes()
+    empty = to_atr(np.empty((0, 1024)), 16, 64)
+    assert len(empty) == 0 and empty.atr_f.shape == (0, 64) and empty.atr_w.shape == (0, 16)
 
 
 def test_to_throughput_ratios_basic():
-    row = RateRow(location=np.zeros(2), rates=np.array([2.0, 4.0, 8.0]), snapshot_id=0)
-    tr = _transform([row])[0]
-    assert np.allclose(tr.ratios, [0.25, 0.5, 1.0])
-    assert tr.ratios.max() == 1.0  # exact
+    tr = to_throughput_ratios(np.array([[2.0, 4.0, 8.0]]))[0]
+    assert np.allclose(tr, [0.25, 0.5, 1.0])
+    assert tr.max() == 1.0  # exact
 
 
 def test_to_throughput_ratios_constant_row():
-    row = RateRow(location=np.zeros(2), rates=np.full(6, 3.3), snapshot_id=0)
-    assert np.all(_transform([row])[0].ratios == 1.0)
+    assert np.all(to_throughput_ratios(np.full((1, 6), 3.3)) == 1.0)
 
 
 def test_to_throughput_ratios_rejects_zero_row():
-    row = RateRow(location=np.zeros(2), rates=np.zeros(4), snapshot_id=0)
     with pytest.raises(ValueError):
-        _transform([row])
+        to_throughput_ratios(np.zeros((1, 4)))
 
 
 def test_to_throughput_ratios_matches_oracle():
     rng = np.random.default_rng(0)
     rates = rng.uniform(0.01, 4.0, size=64)
-    tr = _transform([RateRow(np.zeros(2), rates, 0)])[0]
-    assert np.allclose(tr.ratios, rates / rates.max(), atol=0)
+    tr = to_throughput_ratios(rates[None, :].copy())[0]
+    assert np.allclose(tr, rates / rates.max(), atol=0)
 
 
 def test_atr_uniform_row():
-    tr = TRRow(location=np.zeros(2), ratios=np.full(8, 0.4))
-    atr = to_atr([tr], 2, 4)[0]
-    assert np.allclose(atr.atr_w, 0.4) and np.allclose(atr.atr_f, 0.4)
+    atr = to_atr(np.full((1, 8), 0.4), 2, 4)
+    assert np.allclose(atr.atr_w[0], 0.4) and np.allclose(atr.atr_f[0], 0.4)
 
 
 def test_atr_worked_example():
     # |W|=2, |F|=2, order (1,1),(1,2),(2,1),(2,2)
-    tr = TRRow(np.zeros(2), np.array([1.0, 0.5, 0.25, 0.75]))
-    atr = to_atr([tr], 2, 2)[0]
-    assert np.allclose(atr.atr_w, [0.75, 0.5])
-    assert np.allclose(atr.atr_f, [0.625, 0.625])
+    atr = to_atr(np.array([[1.0, 0.5, 0.25, 0.75]]), 2, 2)
+    assert np.allclose(atr.atr_w[0], [0.75, 0.5])
+    assert np.allclose(atr.atr_f[0], [0.625, 0.625])
 
 
 def test_atr_means_match_brute_force():
@@ -196,15 +193,15 @@ def test_atr_means_match_brute_force():
     for _ in range(20):
         ratios = rng.uniform(0, 1, size=16 * 64)
         ratios[rng.integers(ratios.size)] = 1.0
-        tr = TRRow(np.zeros(2), ratios)
-        atr = to_atr([tr], 16, 64)[0]
+        atr = to_atr(ratios[None, :], 16, 64)
+        atr_w, atr_f = atr.atr_w[0], atr.atr_f[0]
         grid = ratios.reshape(16, 64)
         for i in range(16):
-            assert atr.atr_w[i] == pytest.approx(np.mean([grid[i, j] for j in range(64)]), abs=1e-15)
+            assert atr_w[i] == pytest.approx(np.mean([grid[i, j] for j in range(64)]), abs=1e-15)
         for j in range(64):
-            assert atr.atr_f[j] == pytest.approx(np.mean([grid[i, j] for i in range(16)]), abs=1e-15)
-        assert abs(atr.atr_w.mean() - atr.atr_f.mean()) < 1e-12
-        assert abs(atr.atr_w.mean() - ratios.mean()) < 1e-12
+            assert atr_f[j] == pytest.approx(np.mean([grid[i, j] for i in range(16)]), abs=1e-15)
+        assert abs(atr_w.mean() - atr_f.mean()) < 1e-12
+        assert abs(atr_w.mean() - ratios.mean()) < 1e-12
 
 
 def test_split_fractions_and_folds():
@@ -247,8 +244,8 @@ _CORPUS = {"master_seed": 3, "snapshot_count": 2, "scene": "{}"}
 
 def _toy_rows(n=5, width=12, seed=0):
     rng = np.random.default_rng(seed)
-    return [RateRow(location=rng.uniform(0, 100, 2), rates=rng.uniform(0.01, 3, width),
-                    snapshot_id=k, ue_index=k) for k in range(n)]
+    return Rows(location=rng.uniform(0, 100, (n, 2)), rates=rng.uniform(0.01, 3, (n, width)),
+                snapshot_id=np.arange(n), ue_index=np.arange(n))
 
 
 def test_binary_roundtrip_bit_identical(tmp_path):
@@ -256,13 +253,25 @@ def test_binary_roundtrip_bit_identical(tmp_path):
     path = str(tmp_path / "d.npz")
     save_dataset(rows, path, (3, 4), _CORPUS)
     locations, rates = load_dataset(path, (3, 4), _CORPUS)
-    assert rates.tobytes() == np.array([r.rates for r in rows]).tobytes()
-    assert locations.tobytes() == np.array([r.location for r in rows]).tobytes()
+    assert rates.tobytes() == rows.rates.tobytes()
+    assert locations.tobytes() == rows.location.tobytes()
     with np.load(path) as npz:
-        assert npz["snapshot_ids"].tolist() == [r.snapshot_id for r in rows]
-        assert npz["ue_indices"].tolist() == [r.ue_index for r in rows]
+        assert npz["snapshot_ids"].tolist() == rows.snapshot_id.tolist()
+        assert npz["ue_indices"].tolist() == rows.ue_index.tolist()
     with pytest.raises(ValueError, match="cannot save an empty dataset"):
-        save_dataset([], path, (3, 4), _CORPUS)
+        save_dataset(_toy_rows(n=0), path, (3, 4), _CORPUS)
+
+
+def test_save_dataset_writes_the_columns_as_they_are(tmp_path, monkeypatch):
+    """The rate file is written from the bundle's own `rates` and `location`
+    arrays, with no stacked copy of either."""
+    rows = _toy_rows()
+    written = {}
+    monkeypatch.setattr(dataset_module, "save_npz",
+                        lambda path, arrays, version: written.update(arrays))
+    save_dataset(rows, str(tmp_path / "d.npz"), (3, 4), _CORPUS)
+    assert np.shares_memory(written["rates"], rows.rates)
+    assert np.shares_memory(written["locations"], rows.location)
 
 
 def test_truncated_files_raise(tmp_path):
@@ -393,19 +402,19 @@ def test_transforming_a_loaded_rate_file_divides_its_rates_in_place(tmp_path):
     locations, rates = load_dataset(path, (16, 64), _CORPUS)
     tracemalloc.start()
     try:
-        tr_rows = to_throughput_ratios(locations, rates)
+        tr = to_throughput_ratios(rates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < rates.nbytes / 2, (peak, rates.nbytes)
-    assert all(np.shares_memory(tr.ratios, rates) for tr in tr_rows)
+    assert tr is rates
     assert np.all(rates.max(axis=1) == 1.0)
 
 
 def test_tr_rows_have_unique_argmax_under_tie_rule():
     _, rows = _small_corpus(seed_count=2)
-    for tr in _transform(rows):
-        best = int(np.argmax(tr.ratios))
-        assert tr.ratios[best] == 1.0
+    for ratios in _transform(rows):
+        best = int(np.argmax(ratios))
+        assert ratios[best] == 1.0
         # lowest-index rule: no earlier entry reaches the max
-        assert not np.any(tr.ratios[:best] >= 1.0)
+        assert not np.any(ratios[:best] >= 1.0)

@@ -7,7 +7,7 @@ import pytest
 
 from beamtrain import boosting, cli, dataset, selectors
 from beamtrain.boosting import MODEL_SCHEMA, TrainConfig, load_model, save_model, train
-from beamtrain.dataset import (DATASET_FORMAT_VERSION, DATASET_SCHEMA, RateRow, load_dataset,
+from beamtrain.dataset import (DATASET_FORMAT_VERSION, DATASET_SCHEMA, Rows, load_dataset,
                                save_dataset)
 from beamtrain.fileio import atomic_write, from_table, load_npz, save_npz
 from beamtrain.harness import ExperimentConfig
@@ -136,8 +136,8 @@ _CORPUS = {"master_seed": 0, "snapshot_count": 4, "scene": "{}"}
 
 def _rate_rows():
     rng = np.random.default_rng(0)
-    return [RateRow(location=rng.uniform(0, 100, 2), rates=rng.uniform(0.01, 3, 6),
-                    snapshot_id=k, ue_index=k) for k in range(4)]
+    return Rows(location=rng.uniform(0, 100, (4, 2)), rates=rng.uniform(0.01, 3, (4, 6)),
+                snapshot_id=np.arange(4), ue_index=np.arange(4))
 
 
 def _write_rate_dataset(path):

@@ -513,8 +513,7 @@ def test_smoke_run_deterministic(smoke_result):
 
 def test_dataset_checksum_is_the_sha256_of_the_stacked_tr_rows(smoke_result):
     _, _, tr_rows, _ = build_corpus(ExperimentConfig.smoke())
-    stacked = np.array([r.ratios for r in tr_rows])
-    assert smoke_result.dataset_checksum == hashlib.sha256(stacked.tobytes()).hexdigest()
+    assert smoke_result.dataset_checksum == hashlib.sha256(tr_rows.ratios.tobytes()).hexdigest()
 
 
 def test_run_experiment_logs_the_peak_rss_after_evaluation(caplog):
