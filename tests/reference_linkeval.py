@@ -1,6 +1,7 @@
 """Per-UE rate helpers that only the tests use: the sweep of one UE's path
-tuples, the throughput ratio of a beam subset and the pair flattening
-n(i, j) = i * |F| + j of `beamtrain.linkeval`."""
+tuples, a sweep with one log per subcarrier, the throughput ratio of a beam
+subset and the pair flattening n(i, j) = i * |F| + j of
+`beamtrain.linkeval`."""
 
 import numpy as np
 
@@ -17,6 +18,19 @@ def sweep_paths(paths, combiners: Codebook, beamformers: Codebook, bs_geometry,
     table = paths_table(paths)
     a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
     return sweep_responses(table.gain, a_ue, a_bs, phases, combiners, beamformers, config.sigma2)
+
+
+def sweep_per_subcarrier(gains, a_ue, a_bs, phases, combiners: Codebook,
+                         beamformers: Codebook, sigma2: float) -> np.ndarray:
+    """Rates of all |W|*|F| beam pairs of `linkeval.sweep_responses`'s
+    arguments, term by term: the complex (K x P) @ (P x |W||F|) projection,
+    then mean_k log1p(|proj[k]|^2 / sigma2) / ln 2, one log per subcarrier
+    and pair, for every path count."""
+    u = a_ue @ combiners.beams.conj().T
+    v = a_bs.conj() @ beamformers.beams.T
+    pairs = (u[:, :, None] * v[:, None, :]).reshape(len(gains), u.shape[1] * v.shape[1])
+    proj = (phases * gains) @ pairs
+    return np.mean(np.log1p(np.abs(proj) ** 2 / sigma2), axis=0) / np.log(2.0)
 
 
 def throughput_ratio(rates: np.ndarray, subset) -> float:

@@ -6,6 +6,10 @@ module fixture, so the whole file stays within the stated time limits.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -273,6 +277,31 @@ def test_criterion_8_determinism(tmp_path):
         if Path(out_a, name).read_bytes() != Path(out_b, name).read_bytes():
             failures.append(f"{name} differs between runs")
     _verdict(8, "repeated runs are byte-identical", failures)
+
+
+def test_criterion_8_curves_do_not_depend_on_the_blas_kernel(tmp_path):
+    """The determinism contract across hosts: every output byte is fixed
+    for a (config, seed, host), but `curves.csv` and `heatmap.csv` must not
+    depend on the host's float kernels. `eval run --smoke` runs twice in
+    fresh processes, once under `OPENBLAS_CORETYPE=Sandybridge`, which
+    makes OpenBLAS pick other matmul kernels and so moves the rates'
+    rounding and `dataset_checksum`; the two runs' curves and heatmaps must
+    be byte-equal."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    runs = {"default": env, "Sandybridge": {**env, "OPENBLAS_CORETYPE": "Sandybridge"}}
+    for name, run_env in runs.items():
+        subprocess.run([sys.executable, "-m", "beamtrain.cli", "eval", "run", "--smoke", "--out",
+                        str(tmp_path / name)], capture_output=True, check=True, env=run_env)
+    failures = [f"{file} differs under OPENBLAS_CORETYPE=Sandybridge"
+                for file in ("curves.csv", "heatmap.csv")
+                if len({Path(tmp_path, name, file).read_bytes() for name in runs}) > 1]
+    _verdict(8, "curves and heatmap do not depend on the BLAS kernel", failures)
+    checksums = {json.loads(Path(tmp_path, name, "run_manifest.json").read_text())
+                 ["dataset_checksum"] for name in runs}
+    if len(checksums) == 1:
+        pytest.skip("OPENBLAS_CORETYPE=Sandybridge left dataset_checksum unchanged: this "
+                    "host's BLAS ignores it, so the equal curves show nothing")
 
 
 # -------------------------------------------------------- criterion 9

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamtrain.arrays import ArrayGeometry, dft_codebook
@@ -10,7 +10,8 @@ from beamtrain.channel import (ChannelRealization, default_bs_geometry, default_
                                path_responses, paths_to_channel)
 from beamtrain.linkeval import sweep_all, sweep_responses
 from beamtrain.scene import SceneConfig
-from reference_linkeval import pair_index, sweep_paths, throughput_ratio, unflatten_pair
+from reference_linkeval import (pair_index, sweep_paths, sweep_per_subcarrier, throughput_ratio,
+                               unflatten_pair)
 from reference_scene import TracedPath, paths_table
 
 
@@ -146,17 +147,60 @@ def _setup(bs_shape, ue_shape, subcarriers):
 
 # the default 8x8 / 4x4 arrays, and criterion 1's 2x4 / 2x2 arrays with K = 4
 _SETUPS = (_setup((8, 8), (4, 4), 64), _setup((2, 4), (2, 2), 4))
+# subcarrier counts that fold 3 times (64), stop early (4) or never fold (1, 3, 5)
+_K_SETUPS = tuple(_setup((2, 4), (2, 2), K) for K in (1, 3, 4, 5, 64))
 
 _ANGLES = st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi / 2, np.pi / 2))
-_PATHS = st.lists(st.builds(
-    lambda magnitude, phase, aod, aoa, delay: TracedPath(
-        complex_gain=magnitude * np.exp(1j * phase), aod=aod, aoa=aoa, delay=delay),
-    magnitude=st.floats(1e-8, 1e-3), phase=st.floats(-np.pi, np.pi),
-    aod=_ANGLES, aoa=_ANGLES, delay=st.floats(0.0, 2e-6)), max_size=4)
 
 
-@settings(max_examples=150, deadline=None)
+def _paths(magnitudes, min_size=0, max_size=4):
+    return st.lists(st.builds(
+        lambda magnitude, phase, aod, aoa, delay: TracedPath(
+            complex_gain=magnitude * np.exp(1j * phase), aod=aod, aoa=aoa, delay=delay),
+        magnitude=magnitudes, phase=st.floats(-np.pi, np.pi),
+        aod=_ANGLES, aoa=_ANGLES, delay=st.floats(0.0, 2e-6)), min_size=min_size,
+        max_size=max_size)
+
+
+_PATHS = _paths(st.floats(1e-8, 1e-3))
+# gains whose |g|^2 / sigma2 lies in [1e36, 1e40]: a product of 8
+# subcarriers' (1 + SNR) can pass the float range
+_STRONG = np.sqrt(SceneConfig().sigma2) * 1e20
+_STRONG_PATHS = _paths(st.floats(1e-2 * _STRONG, _STRONG), min_size=2)
+
+# Each rate-route property draws 150 examples in tier-1. A loaded Hypothesis
+# profile with more examples raises that: `pytest --hypothesis-profile=rate-routes`
+# (registered in tests/conftest.py) draws 3000, as CI's long run does.
+_ROUTE_DRAWS = max(150, settings.default.max_examples)
+
+
+def _responses(setup, paths):
+    """`sweep_responses`'s arguments for one UE's path tuples."""
+    scene, bs_g, ue_g, W, F = setup
+    table = paths_table(paths)
+    return (table.gain, *path_responses(table, bs_g, ue_g, scene), W, F, scene.sigma2)
+
+
+def _row_scale(rates, paths, sigma2):
+    """The scale that a row's rate errors are relative to: its peak rate.
+    Only nearly opposite paths that cancel can bring the peak below a
+    thousandth of its bound log2(1 + (sum_p |g_p|)^2 / sigma2); there,
+    rounding in either route is of the size of the terms before they
+    cancel, so the bound sets the scale."""
+    bound = np.log2(1.0 + sum(abs(p.complex_gain) for p in paths) ** 2 / sigma2)
+    return max(float(np.max(rates)), 1e-3 * bound)
+
+
+_WEAK_PATH = TracedPath(complex_gain=1e-8 * np.exp(1.0625j), aod=(1.11655941683716,) * 2,
+                        aoa=(1.11655941683716,) * 2, delay=0.0)
+
+
+@settings(max_examples=_ROUTE_DRAWS, deadline=None)
 @given(setup=st.sampled_from(_SETUPS), paths=_PATHS)
+# a weak single path at SNR about 3e-5: log2(1 + snr) rounds 1 + snr to
+# about 1e-16 absolute, which the two routes did differently (1.5e-11 of
+# the peak), where log1p keeps full relative precision
+@example(setup=_SETUPS[0], paths=[_WEAK_PATH])
 def test_sweep_paths_matches_dense_sweep(setup, paths):
     scene, bs_g, ue_g, W, F = setup
     dense = sweep_all(paths_to_channel(paths_table(paths), bs_g, ue_g, scene), W, F, scene.sigma2)
@@ -165,13 +209,80 @@ def test_sweep_paths_matches_dense_sweep(setup, paths):
     if not paths:
         assert np.all(rates == 0.0) and np.all(dense == 0.0)  # the UE is dropped
         return
-    # Errors are relative to the row's peak rate. Only nearly opposite paths
-    # that cancel can bring the peak below a thousandth of its bound
-    # log2(1 + (sum_p |g_p|)^2 / sigma2); there, rounding in either route is
-    # of the size of the terms before they cancel, so the bound sets the scale.
-    bound = np.log2(1.0 + sum(abs(p.complex_gain) for p in paths) ** 2 / scene.sigma2)
-    scale = max(float(np.max(dense)), 1e-3 * bound)
-    assert np.max(np.abs(rates - dense)) <= 1e-12 * scale
+    assert np.max(np.abs(rates - dense)) <= 1e-12 * _row_scale(dense, paths, scene.sigma2)
+
+
+@settings(max_examples=_ROUTE_DRAWS, deadline=None)
+@given(setup=st.sampled_from(_SETUPS + _K_SETUPS), paths=_PATHS)
+def test_sweep_responses_matches_one_log_per_subcarrier(setup, paths):
+    """The folded route (up to 8 subcarriers per log) and the single-path
+    route equal the per-subcarrier log1p reference to within 1e-12 of the
+    row's peak, for every path count and for subcarrier counts where the
+    folding stops early or never runs."""
+    args = _responses(setup, paths)
+    reference = sweep_per_subcarrier(*args)
+    rates = sweep_responses(*args)
+    assert np.max(np.abs(rates - reference)) <= 1e-12 * _row_scale(reference, paths,
+                                                                   setup[0].sigma2)
+
+
+@settings(max_examples=_ROUTE_DRAWS, deadline=None)
+@given(setup=st.sampled_from(_SETUPS + _K_SETUPS),
+       paths=_paths(st.floats(1e-8, 1e-3) | st.floats(1e-2 * _STRONG, _STRONG), 1, 1))
+def test_single_path_rows_match_one_log_per_subcarrier(setup, paths):
+    """One path has the same SNR on every subcarrier, so its row takes one
+    log per pair; it equals the per-subcarrier reference to within 1e-12
+    of the peak, weak or strong."""
+    args = _responses(setup, paths)
+    reference = sweep_per_subcarrier(*args)
+    assert np.max(np.abs(sweep_responses(*args) - reference)) <= 1e-12 * np.max(reference)
+
+
+def _resolved_pairs(gains, a_ue, a_bs, phases, combiners, beamformers, sigma2):
+    """The pairs whose projection keeps three digits on every subcarrier:
+    |sum_p t_p[k]| >= 1e-3 sum_p |t_p[k]| for the paths' terms t_p[k].
+    Elsewhere the paths cancel, and at strong gains the rounding of either
+    route is of the size of what is left."""
+    u = a_ue @ combiners.beams.conj().T
+    v = a_bs.conj() @ beamformers.beams.T
+    pairs = (u[:, :, None] * v[:, None, :]).reshape(len(gains), -1)
+    terms = (phases * gains)[:, :, None] * pairs[None]  # (K, P, pairs)
+    return np.all(np.abs(terms.sum(axis=1)) >= 1e-3 * np.abs(terms).sum(axis=1), axis=0)
+
+
+@settings(max_examples=_ROUTE_DRAWS, deadline=None)
+@given(setup=st.sampled_from(_SETUPS + _K_SETUPS), paths=_STRONG_PATHS)
+def test_sweep_responses_is_finite_at_snr_near_1e40(setup, paths):
+    """At SNRs up to about 1e40, where the product of 8 subcarriers'
+    (1 + SNR) can pass the float range, the rates stay finite with no
+    overflow or invalid-value warning, and every pair whose paths do not
+    cancel equals the per-subcarrier reference to within 1e-12 of the
+    row's peak."""
+    args = _responses(setup, paths)
+    reference = sweep_per_subcarrier(*args)
+    with np.errstate(over="raise", invalid="raise"):
+        rates = sweep_responses(*args)
+    assert np.isfinite(rates).all()
+    error = np.abs(rates - reference)[_resolved_pairs(*args)]
+    assert np.max(error, initial=0.0) <= 1e-12 * np.max(reference)
+
+
+def test_sweep_responses_recomputes_a_row_whose_group_product_overflows():
+    """Two equal paths without delay have the same SNR, near 4e40 at the
+    peak pair, on all 64 subcarriers, so the product of a group of 8
+    subcarriers' (1 + SNR), 2^(8 * rate), is past the float range. The row
+    is recomputed with one log per subcarrier: finite, and equal to the
+    reference to within 1e-12 of its peak."""
+    setup = _SETUPS[0]
+    path = TracedPath(complex_gain=_STRONG * np.exp(0.4j), aod=(0.3, -0.2), aoa=(0.5, 0.4),
+                      delay=0.0)
+    args = _responses(setup, [path, path])
+    reference = sweep_per_subcarrier(*args)
+    assert 8 * np.max(reference) > np.log2(np.finfo(float).max)
+    with np.errstate(over="raise", invalid="raise"):
+        rates = sweep_responses(*args)
+    assert np.isfinite(rates).all()
+    assert np.max(np.abs(rates - reference)) <= 1e-12 * np.max(reference)
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,9 +291,8 @@ def test_sweep_responses_writes_into_out(setup, paths):
     """With `out=` a row of a larger array, the rates land in that row and
     the row is returned; its bytes equal those of the allocating call, and
     the other rows are untouched."""
-    scene, bs_g, ue_g, W, F = setup
-    table = paths_table(paths)
-    args = (table.gain, *path_responses(table, bs_g, ue_g, scene), W, F, scene.sigma2)
+    args = _responses(setup, paths)
+    W, F = setup[3:]
     corpus = np.full((3, W.num_beams * F.num_beams), np.nan)
     row = corpus[1]
     assert sweep_responses(*args, out=row) is row
