@@ -12,9 +12,8 @@ from .linkeval import sweep_all
 from .metrics import avg_throughput_ratio, misalignment_probability
 from .scene import SceneConfig, SceneSnapshot, generate_snapshot, trace_paths
 from .selectors import (BeamPairSet, ClusterCoveragePlan, DecoupledSets, kmeans,
-                        kth_best_table, overhead_bits, select_bs_coverage,
-                        select_coupled, select_decoupled_no_location,
-                        select_decoupled_with_location)
+                        overhead_bits, select_bs_coverage, select_coupled,
+                        select_decoupled_no_location, select_decoupled_with_location)
 
 __all__ = [
     "ArrayGeometry", "Codebook", "dft_codebook", "steering_vector",
@@ -27,9 +26,8 @@ __all__ = [
     "avg_throughput_ratio", "misalignment_probability",
     "SceneConfig", "SceneSnapshot", "generate_snapshot", "trace_paths",
     "BeamPairSet", "ClusterCoveragePlan", "DecoupledSets", "kmeans",
-    "kth_best_table", "overhead_bits", "select_bs_coverage",
-    "select_coupled", "select_decoupled_no_location",
-    "select_decoupled_with_location",
+    "overhead_bits", "select_bs_coverage", "select_coupled",
+    "select_decoupled_no_location", "select_decoupled_with_location",
 ]
 
 __version__ = "0.1.0"

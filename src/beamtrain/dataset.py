@@ -62,11 +62,12 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
     are computed once (`path_responses`); each UE's rates come from its
     slice of both (`sweep_responses`). No dense channel is formed. Every
     column is allocated once for all UEs: each UE is written into the next
-    free row, a dropped UE's row is overwritten by the next UE, and the kept
-    prefix of each column is returned. UEs without paths are dropped
-    unswept. A kept row with a non-finite rate, as degenerate geometry
-    gives, raises a ValueError naming the snapshot and the UE. The UE,
-    dropped-UE and per-kind path counts are logged at info level.
+    free row, a dropped UE's row is overwritten by the next UE, and each
+    column is shrunk in place to its kept rows (a prefix view would keep
+    all of it). UEs without paths are dropped unswept. A kept row with a
+    non-finite rate, as degenerate geometry gives, raises a ValueError
+    naming the snapshot and the UE. The UE, dropped-UE and per-kind path
+    counts are logged at info level.
     """
     snapshots = sorted(snapshots, key=lambda s: s.snapshot_id)
     ues = sum(len(s.ue_indices) for s in snapshots)
@@ -83,10 +84,10 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
         for ue_index, ue_rows in zip(snapshot.ue_indices, table.ue_rows(snapshot.ue_indices)):
             if ue_rows.start == ue_rows.stop:
                 continue
-            row = sweep_responses(table.gain[ue_rows], a_ue[ue_rows], a_bs[ue_rows],
-                                  phases[:, ue_rows], combiners, beamformers, config.sigma2,
-                                  out=rows.rates[kept])
-            if np.max(row) <= 0.0:
+            # no view of the rates outlives the call, so that they can shrink
+            if np.max(sweep_responses(table.gain[ue_rows], a_ue[ue_rows], a_bs[ue_rows],
+                                      phases[:, ue_rows], combiners, beamformers,
+                                      config.sigma2, out=rows.rates[kept])) <= 0.0:
                 continue
             rows.location[kept] = snapshot.ue_location(ue_index)
             rows.snapshot_id[kept], rows.ue_index[kept] = snapshot.snapshot_id, ue_index
@@ -98,7 +99,10 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
                              "rates are not finite")
     log.info("rate dataset: %d UEs, %d dropped as fully blocked; paths: %s", ues, ues - kept,
              ", ".join(f"{n} {kind}" for kind, n in zip(PATH_KINDS, paths.tolist())))
-    return Rows(**{name: column[:kept] for name, column in vars(rows).items()})
+    for name in vars(rows):     # `resize` refuses a column that a view still holds
+        shape = (kept, *getattr(rows, name).shape[1:])
+        getattr(rows, name).resize(shape)
+    return rows
 
 
 def to_throughput_ratios(rates: np.ndarray) -> np.ndarray:

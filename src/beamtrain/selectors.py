@@ -34,19 +34,11 @@ class BeamPairSet:
     flat_indices: np.ndarray
     num_beamformers: int
 
-    @property
-    def budget(self) -> int:
-        return len(self.flat_indices)
-
 
 @dataclass(frozen=True)
 class DecoupledSets:
     s_w: np.ndarray   # combiner indices, selection order
     s_f: np.ndarray   # beamformer indices, selection order
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.s_w) * len(self.s_f)
 
 
 def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
@@ -61,13 +53,17 @@ def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
     them, is not sorted whole; on theta1's 1024-wide rows this is faster
     (one row: about twice, a batch: several times), and on the 16- and
     64-wide rows slower, than the full sort. Each row's k-th value comes
-    from a partition, and the row keeps every value above it and its
-    lowest-index ties at it, k values, whose columns are in index order,
-    so a stable sort of them by value keeps the tie rule. A row whose k-th
-    value is NaN is sorted whole. One row takes a route of its own, as the
-    batch route's bookkeeping costs one row more than the full sort. k = 0
-    gives no columns, as the full sort's prefix does."""
-    neg = -np.asarray(scores, dtype=float)
+    from a partition. One row keeps every value above it and its
+    lowest-index ties at it, k values, whose columns are in index order, so
+    a stable sort of them by value keeps the tie rule; a NaN k-th value
+    sorts the row whole. A batch takes, in one pass, the rows that hold
+    exactly k values at or above their k-th value; every other row (ties
+    across its k-th value, or a NaN k-th value) takes the one-row route.
+    A single row takes that route too, as the batch's bookkeeping costs
+    one row more than the full sort. k = 0 gives no columns, as the full
+    sort's prefix does."""
+    scores = np.asarray(scores, dtype=float)
+    neg = -scores
     if neg.ndim not in (1, 2) or neg.shape[-1] < 256 or not 0 < k <= neg.shape[-1] // 2:
         return np.argsort(neg, axis=-1, kind="stable")[..., :k]
     if neg.ndim == 1:
@@ -79,20 +75,16 @@ def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
             ties = neg[columns] == kth
             columns = columns[~ties | (np.cumsum(ties) <= k - np.count_nonzero(~ties))]
         return columns[np.argsort(neg[columns], kind="stable")]
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    keep = neg <= kth
-    over = np.count_nonzero(keep, axis=1) > k          # rows with more ties than places
-    if np.any(over):
-        ties = neg[over] == kth[over]
-        places = k - np.count_nonzero(neg[over] < kth[over], axis=1)
-        keep[over] &= ~ties | (np.cumsum(ties, axis=1) <= places[:, None])
-    redo = np.isnan(kth[:, 0])                         # NaN never passes `<=`
-    keep[redo] = np.arange(neg.shape[1]) < k           # placeholders, sorted whole below
-    columns = np.flatnonzero(keep).reshape(len(neg), k) % neg.shape[1]
-    order = np.argsort(np.take_along_axis(neg, columns, axis=1), axis=1, kind="stable")
-    top = np.take_along_axis(columns, order, axis=1)
-    if np.any(redo):
-        top[redo] = np.argsort(neg[redo], axis=1, kind="stable")[:, :k]
+    keep = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    exact = np.count_nonzero(keep, axis=1) == k
+    keep[~exact] = False
+    rows = np.flatnonzero(exact)[:, None]
+    columns = np.flatnonzero(keep).reshape(len(rows), k) % neg.shape[1]
+    top = np.empty((len(neg), k), dtype=columns.dtype)
+    top[exact] = np.take_along_axis(
+        columns, np.argsort(neg[rows, columns], axis=1, kind="stable"), axis=1)
+    for i in np.flatnonzero(~exact):
+        top[i] = top_k_stable(scores[i], k)
     return top
 
 
@@ -185,20 +177,6 @@ def kmeans(locations: np.ndarray, num_clusters: int,
     return centroids, assignments
 
 
-def kth_best_table(cluster_atr_rows: np.ndarray) -> np.ndarray:
-    """(|F|, |F|) table whose [k-1, j] entry is the empirical probability,
-    over a cluster's rows, that beam j ranks k-th by ATR (ranking ties
-    resolve to the lowest beam index)."""
-    rows = np.atleast_2d(np.asarray(cluster_atr_rows, dtype=float))
-    if rows.shape[0] == 0:
-        raise ValueError("empty cluster")
-    num_beams = rows.shape[1]
-    ranked = np.argsort(-rows, axis=1, kind="stable")
-    cells = np.arange(num_beams) * num_beams + ranked
-    counts = np.bincount(cells.ravel(), minlength=num_beams * num_beams)
-    return counts.reshape(num_beams, num_beams) / rows.shape[0]
-
-
 @dataclass(frozen=True)
 class ClusterCoveragePlan:
     centroids: np.ndarray
@@ -220,12 +198,15 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
     """Location-free BS beam list covering the region of interest.
 
     Clusters the rows by location and builds per-cluster k-th-best beam
-    probability tables. The greedy visits the slots (k, rank position) in
-    order and appends the beams that some cluster lists at that slot and
-    that are not chosen yet, by descending significance-weighted
-    probability of rank k, ties to the lower beam. So a beam is appended
-    at its first slot, and the list is all beams sorted by (first slot,
-    descending score there, index), cut to n_bs.
+    probability tables: each row is ranked once by a stable descending
+    sort (ties to the lower beam), and one bincount over the (cluster,
+    rank, beam) cells, divided by the cluster sizes, gives every table. An
+    empty cluster raises a ValueError. The greedy visits the slots (k, rank
+    position) in order and appends the beams that some cluster lists at
+    that slot and that are not chosen yet, by descending
+    significance-weighted probability of rank k, ties to the lower beam.
+    So a beam is appended at its first slot, and the list is all beams
+    sorted by (first slot, descending score there, index), cut to n_bs.
     """
     X = np.asarray(locations, dtype=float)
     rows = np.asarray(atr_f_rows, dtype=float)
@@ -234,13 +215,20 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
         raise ValueError("n_bs exceeds the beamformer codebook size")
     centroids, assignments = kmeans(X, num_clusters, seed=seed)
     counts = np.bincount(assignments, minlength=num_clusters)
+    if not counts.all():
+        raise ValueError("empty cluster")
     if use_significance:
         significances = counts / counts.sum()
     else:
         significances = np.ones(num_clusters)
 
-    prob_tables = np.stack([kth_best_table(rows[assignments == c])
-                            for c in range(num_clusters)])
+    # prob_tables[c, k, j]: the share of cluster c's rows that rank beam j
+    # (k + 1)-th
+    cells = np.argsort(-rows, axis=1, kind="stable")
+    cells += np.arange(num_beams) * num_beams
+    cells += (assignments * num_beams * num_beams)[:, None]
+    prob_tables = np.bincount(cells.ravel(), minlength=num_clusters * num_beams * num_beams
+                              ).reshape(num_clusters, num_beams, num_beams) / counts[:, None, None]
     # candidates[c, k]: the beams by their probability of rank k + 1 in
     # cluster c, most probable first, ties to the lower index; the `listed`
     # ones are nonzero. Slot (k, pos) is number k * B + pos; a beam's first

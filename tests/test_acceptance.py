@@ -279,6 +279,36 @@ def test_criterion_8_determinism(tmp_path):
     _verdict(8, "repeated runs are byte-identical", failures)
 
 
+def _smoke_runs(tmp_path, variable, value, *command):
+    """Run `beamtrain.cli <command> --smoke --out <dir>` in two fresh
+    processes, one without `variable` in its environment (<dir> "default")
+    and one with `variable=value` (<dir> `value`); return the two dirs."""
+    env = {key: val for key, val in os.environ.items() if key != variable}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    runs = {tmp_path / "default": env, tmp_path / value: {**env, variable: value}}
+    for run_dir, run_env in runs.items():
+        subprocess.run([sys.executable, "-m", "beamtrain.cli", *command, "--smoke", "--out",
+                        str(run_dir)], capture_output=True, check=True, env=run_env)
+    return list(runs)
+
+
+def _check_curves_and_checksum(tmp_path, variable, value, label):
+    """`eval run --smoke` with and without `variable=value`: the curves and
+    heatmap must be byte-equal (criterion 8, `label`), and the test skips
+    where the variable leaves `dataset_checksum` unchanged, as the equal
+    curves then show nothing."""
+    runs = _smoke_runs(tmp_path, variable, value, "eval", "run")
+    failures = [f"{file} differs under {variable}={value}"
+                for file in ("curves.csv", "heatmap.csv")
+                if len({Path(run, file).read_bytes() for run in runs}) > 1]
+    _verdict(8, label, failures)
+    checksums = {json.loads(Path(run, "run_manifest.json").read_text())
+                 ["dataset_checksum"] for run in runs}
+    if len(checksums) == 1:
+        pytest.skip(f"{variable}={value} left dataset_checksum unchanged: this host "
+                    "ignores it, so the equal curves show nothing")
+
+
 def test_criterion_8_curves_do_not_depend_on_the_blas_kernel(tmp_path):
     """The determinism contract across hosts: every output byte is fixed
     for a (config, seed, host), but `curves.csv` and `heatmap.csv` must not
@@ -287,21 +317,41 @@ def test_criterion_8_curves_do_not_depend_on_the_blas_kernel(tmp_path):
     makes OpenBLAS pick other matmul kernels and so moves the rates'
     rounding and `dataset_checksum`; the two runs' curves and heatmaps must
     be byte-equal."""
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    runs = {"default": env, "Sandybridge": {**env, "OPENBLAS_CORETYPE": "Sandybridge"}}
-    for name, run_env in runs.items():
-        subprocess.run([sys.executable, "-m", "beamtrain.cli", "eval", "run", "--smoke", "--out",
-                        str(tmp_path / name)], capture_output=True, check=True, env=run_env)
-    failures = [f"{file} differs under OPENBLAS_CORETYPE=Sandybridge"
-                for file in ("curves.csv", "heatmap.csv")
-                if len({Path(tmp_path, name, file).read_bytes() for name in runs}) > 1]
-    _verdict(8, "curves and heatmap do not depend on the BLAS kernel", failures)
-    checksums = {json.loads(Path(tmp_path, name, "run_manifest.json").read_text())
-                 ["dataset_checksum"] for name in runs}
-    if len(checksums) == 1:
-        pytest.skip("OPENBLAS_CORETYPE=Sandybridge left dataset_checksum unchanged: this "
-                    "host's BLAS ignores it, so the equal curves show nothing")
+    _check_curves_and_checksum(tmp_path, "OPENBLAS_CORETYPE", "Sandybridge",
+                               "curves and heatmap do not depend on the BLAS kernel")
+
+
+_AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_criterion_8_curves_do_not_depend_on_numpys_avx512_paths(tmp_path):
+    """The same contract with numpy's AVX-512 paths off: under
+    `NPY_DISABLE_CPU_FEATURES`, naming numpy's AVX-512 dispatch targets,
+    the child's elementwise float math (`log1p`, `exp`, ...) takes the
+    AVX2 paths. `eval run --smoke`'s curves and heatmap must be byte-equal,
+    and `dataset build --smoke`'s rates must agree to within 1e-12 of each
+    row's peak. Skips where numpy does not dispatch to those targets, or
+    where turning them off leaves `dataset_checksum` unchanged."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:                                 # numpy 1.x
+        from numpy.core import _multiarray_umath
+    missing = sorted(set(_AVX512_TARGETS) - set(_multiarray_umath.__cpu_dispatch__))
+    if missing:
+        pytest.skip(f"numpy {np.__version__} has no dispatch target {missing}, so "
+                    "NPY_DISABLE_CPU_FEATURES cannot turn its AVX-512 paths off")
+    value = " ".join(_AVX512_TARGETS)
+    runs = _smoke_runs(tmp_path / "rates", "NPY_DISABLE_CPU_FEATURES", value,
+                       "dataset", "build")
+    default, variant = (np.load(Path(run, "rates.npz"))["rates"] for run in runs)
+    peaks = default.max(axis=1, keepdims=True)
+    failures = ([] if default.shape == variant.shape and
+                np.all(np.abs(default - variant) <= 1e-12 * peaks) else
+                [f"rates differ by more than 1e-12 of the row peak under "
+                 f"NPY_DISABLE_CPU_FEATURES={value}"])
+    _verdict(8, "rates agree to 1e-12 of the peak without numpy's AVX-512 paths", failures)
+    _check_curves_and_checksum(tmp_path / "eval", "NPY_DISABLE_CPU_FEATURES", value,
+                               "curves and heatmap do not depend on numpy's AVX-512 paths")
 
 
 # -------------------------------------------------------- criterion 9

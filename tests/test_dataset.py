@@ -125,10 +125,10 @@ def _transform(rows):
 
 def test_rate_and_tr_rows_are_views_into_one_array_each():
     _, rows = _small_corpus()
-    # each column is the kept prefix of one array allocated for every UE
+    # each column is one array for every UE, shrunk in place to the kept rows
     for column in vars(rows).values():
-        assert column.base is not None and len(column) == len(rows) <= len(column.base)
-    assert all(r.rates.base is rows.rates.base for r in rows)
+        assert column.base is None and len(column) == len(rows)
+    assert all(r.rates.base is rows.rates for r in rows)
     rates = rows.rates.copy()
     # the transform divides the rates it is given in place
     assert to_throughput_ratios(rates) is rates

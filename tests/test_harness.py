@@ -516,6 +516,32 @@ def test_dataset_checksum_is_the_sha256_of_the_stacked_tr_rows(smoke_result):
     assert smoke_result.dataset_checksum == hashlib.sha256(tr_rows.ratios.tobytes()).hexdigest()
 
 
+def test_run_experiment_trains_on_the_rate_array_divided_in_place(monkeypatch):
+    """`run_experiment` divides the rate stage's array in place: the TR
+    column that its models train on shares memory with it, so the rates and
+    a TR copy are never held side by side."""
+    seen = {}
+    build_rate_rows = harness.build_rate_rows
+
+    def build_rate_rows_spy(config):
+        snapshots, rate_rows = build_rate_rows(config)
+        seen["rates"] = rate_rows.rates
+        return snapshots, rate_rows
+
+    class Trained(Exception):
+        pass
+
+    def train_models_spy(config, tr_rows, atr_rows, split):
+        seen["ratios"] = tr_rows.ratios
+        raise Trained
+
+    monkeypatch.setattr(harness, "build_rate_rows", build_rate_rows_spy)
+    monkeypatch.setattr(harness, "train_models", train_models_spy)
+    with pytest.raises(Trained):
+        run_experiment(ExperimentConfig.smoke())
+    assert np.shares_memory(seen["ratios"], seen["rates"])
+
+
 def test_run_experiment_logs_the_peak_rss_after_evaluation(caplog):
     """Every stage that starts ends with a line of its seconds and the peak
     RSS so far, the last one after evaluation, and nested stages end first."""

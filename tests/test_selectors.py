@@ -13,11 +13,16 @@ from hypothesis import strategies as st
 import beamtrain
 from beamtrain.harness import decoupled_split
 from beamtrain.selectors import (BeamPairSet, DecoupledSets, distinct_row_count, kmeans,
-                                 kth_best_table, load_plan, overhead_bits, save_plan,
-                                 select_bs_coverage, select_coupled,
-                                 select_decoupled_no_location,
+                                 load_plan, overhead_bits, save_plan, select_bs_coverage,
+                                 select_coupled, select_decoupled_no_location,
                                  select_decoupled_with_location, top_k_stable)
 from reference_selectors import kmeans_reference, select_bs_coverage_reference
+
+
+def _draws(tier1: int) -> int:
+    """A property's draws: `tier1`, or more under a profile that asks for
+    more (`pytest --hypothesis-profile=selection`, see tests/conftest.py)."""
+    return max(tier1, settings.default.max_examples)
 
 
 class _Const:
@@ -81,7 +86,6 @@ def test_decoupled_with_location_orders_and_sizes():
     sets = select_decoupled_with_location(model_f, model_w, (0, 0), num_w=2, num_f=3)
     assert list(sets.s_w) == [0, 1]
     assert list(sets.s_f) == [3, 1, 2]
-    assert sets.num_pairs == 6
     with pytest.raises(ValueError):
         select_decoupled_with_location(model_f, model_w, (0, 0), num_w=3, num_f=2)
 
@@ -138,7 +142,7 @@ _RESEEDING_ROWS = [[5, 7], [1, 7], [8, 1], [5, 7], [9, 1], [8, 1], [9, 2], [5, 1
 _COORDINATES = st.integers(0, 9) | st.integers(-10 ** 4, 10 ** 4).map(lambda v: v / 7)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_draws(300), deadline=None)
 @given(locations=st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1,
                           max_size=12).flatmap(
            lambda points: st.lists(st.sampled_from(points), min_size=1, max_size=60)),
@@ -194,18 +198,34 @@ def test_plan_leaves_numpy_ma_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def _one_cluster_table(rows):
+    """The k-th-best table of a one-cluster plan over `rows`: [k-1, j] is
+    the share of the rows that rank beam j k-th."""
+    return select_bs_coverage(np.zeros((len(rows), 2)), rows, num_clusters=1,
+                              n_bs=rows.shape[1]).prob_tables[0]
+
+
 def test_kth_best_table_worked_example():
     # two rows; beam 2 is best in both, second best splits between 0 and 1
     rows = np.array([[0.5, 0.2, 0.9], [0.1, 0.6, 0.8]])
-    table = kth_best_table(rows)
+    table = _one_cluster_table(rows)
     assert np.allclose(table, [[0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
-    with pytest.raises(ValueError):
-        kth_best_table(np.zeros((0, 3)))
 
 
 def test_kth_best_table_ranking_ties_to_lower_index():
     rows = np.array([[0.7, 0.7, 0.1]])
-    assert np.allclose(kth_best_table(rows), np.eye(3))
+    assert np.allclose(_one_cluster_table(rows), np.eye(3))
+
+
+def test_coverage_plan_rejects_an_empty_cluster(monkeypatch):
+    """A clustering that leaves a cluster without rows gives it no k-th-best
+    table: the plan raises, and `harness.build_coverage_plan` reports it
+    under the cluster count."""
+    monkeypatch.setattr("beamtrain.selectors.kmeans",
+                        lambda X, num_clusters, seed=0: (np.zeros((num_clusters, 2)),
+                                                         np.array([0, 0, 2])))
+    with pytest.raises(ValueError, match="^empty cluster$"):
+        select_bs_coverage(np.arange(6.0).reshape(3, 2), np.eye(3), num_clusters=3, n_bs=2)
 
 
 def test_coverage_worked_example_two_clusters():
@@ -327,9 +347,7 @@ def test_load_plan_rejects_a_non_finite_value(tmp_path, key, value, message):
 
 def test_beam_pair_set_helpers():
     s = BeamPairSet(flat_indices=np.array([5, 0, 130]), num_beamformers=64)
-    assert s.budget == 3
     d = DecoupledSets(s_w=np.array([0, 1]), s_f=np.array([3, 4, 5]))
-    assert d.num_pairs == 6
 
 
 # ------------------------------------------------- nesting as the budget grows
@@ -353,15 +371,15 @@ _LEVELS = st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.inf, np.
                    | st.floats(0.0, 1.0), min_size=1, max_size=6)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_draws(300), deadline=None)
 @given(levels=_LEVELS, rows=st.integers(1, 12),
        width=st.sampled_from([1, 16, 64, 255, 256, 300, 1024]),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_top_k_stable_rows_match_the_stable_argsort_prefix(levels, rows, width, seed, data):
     """The top k of each row of a batch is the prefix of its stable
     descending argsort, for every k from 1 to the width; batches of at
-    least 8 rows of at least 256 columns, k at most half the width, take
-    them from a partition."""
+    least 256 columns, k at most half the width, take them from a
+    partition."""
     k = data.draw(st.integers(1, width))
     rng = np.random.default_rng(seed)
     scores = np.array(levels)[rng.integers(0, len(levels), (rows, width))]
@@ -386,7 +404,25 @@ def test_top_k_stable_rows_tied_across_the_kth_value():
         assert np.array_equal(top_k_stable(scores, k), expected)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_draws(300), deadline=None)
+@given(levels=_LEVELS, rows=st.integers(2, 12), width=st.sampled_from([255, 256, 300, 1024]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_top_k_stable_batch_rows_equal_the_one_row_calls(levels, rows, width, seed, data):
+    """Each row of a batch ranks as that row alone does, in values and
+    dtype: whether a row takes the batch route or the one-row route (ties
+    across its k-th value, a NaN k-th value), its ranking does not depend
+    on the rows beside it."""
+    k = data.draw(st.integers(0, width // 2) | st.integers(0, width))
+    rng = np.random.default_rng(seed)
+    scores = np.array(levels)[rng.integers(0, len(levels), (rows, width))]
+    got = top_k_stable(scores, k)
+    assert got.shape == (rows, k)
+    for row, top in zip(scores, got):
+        alone = top_k_stable(row, k)
+        assert top.dtype == alone.dtype and np.array_equal(top, alone)
+
+
+@settings(max_examples=_draws(300), deadline=None)
 @given(levels=_LEVELS, width=st.sampled_from([255, 256, 1024]),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_top_k_stable_one_row_matches_the_stable_argsort_prefix(levels, width, seed, data):
@@ -433,7 +469,7 @@ def test_top_k_stable_nested_as_k_grows(scores, data):
 
 # up to 24 beams: past 16 elements numpy's default sort is no insertion sort, so an
 # unstable candidate sort would show
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=_draws(100), deadline=None)
 @given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 40), beams=st.integers(1, 24),
        levels=st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (0.0,)]),
        clusters=st.integers(1, 5), significance=st.booleans(), data=st.data())
