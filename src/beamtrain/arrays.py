@@ -6,8 +6,11 @@ Conventions used throughout the package:
     column axis, d being half the wavelength at the scene's carrier, where
     the DFT codebooks tile the visible region; elements are flattened as
     e = r*cols + c.
-  - azimuth/elevation are measured in the array-local frame; the direction
-    unit vector is (cos(el)cos(az), cos(el)sin(az), sin(el)).
+  - a direction is a unit vector; `d @ orientation` turns a world-frame
+    direction d into the array-local frame, whose components are the
+    direction cosines along the boresight, column and row axes. The package
+    forms no angles; a local direction's azimuth is arctan2(d_y, d_x) and
+    its elevation arcsin(d_z).
   - `orientation` is the rotation matrix mapping local to world coordinates
     (columns = world images of the local x/y/z axes).
 """
@@ -63,24 +66,22 @@ class Codebook:
         return self.beams.shape[0]
 
 
-def steering_vector(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
-    """Unit-norm array response for a direction given in the local frame.
+def steering_vector(geometry: ArrayGeometry, direction) -> np.ndarray:
+    """Unit-norm array response toward a unit vector in the local frame.
 
     Element (r, c) carries phase -2*pi*d/lambda * (r*u_row + c*u_col) =
-    -pi * (r*u_row + c*u_col), (u_row, u_col) being the direction cosines
-    along the row/column axes. The carrier cancels from d/lambda = 1/2.
-    `azimuth` and `elevation` may be arrays of one shape S; the responses
-    then have shape S + (num_elements,), each equal to its own call.
+    -pi * (r*u_row + c*u_col), (u_row, u_col) = (direction[2], direction[1])
+    being the direction cosines along the row/column axes. The carrier
+    cancels from d/lambda = 1/2. `direction` may have shape S + (3,); the
+    responses then have shape S + (num_elements,), each equal to its own
+    call.
     """
-    u_col = np.cos(elevation) * np.sin(azimuth)
-    u_row = np.sin(elevation)
-    r = np.arange(geometry.rows)[:, None]
-    c = np.arange(geometry.cols)[None, :]
-    shape = np.shape(u_row)
-    phase = -np.pi * (r * np.reshape(u_row, shape + (1, 1))
-                      + c * np.reshape(u_col, shape + (1, 1)))
+    d = np.asarray(direction, dtype=float)
+    u_col, u_row = d[..., 1, None, None], d[..., 2, None, None]
+    phase = -np.pi * (np.arange(geometry.rows)[:, None] * u_row
+                      + np.arange(geometry.cols) * u_col)
     a = np.exp(1j * phase) / np.sqrt(geometry.num_elements)
-    return a.reshape(shape + (geometry.num_elements,))
+    return a.reshape(d.shape[:-1] + (geometry.num_elements,))
 
 
 def _dft_basis(n: int) -> np.ndarray:
@@ -108,18 +109,6 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     and `einsum` sum the squares in other orders and differ in the last bit.
     """
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
-def direction_angles(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(azimuth, elevation) of each row of an (N, 3) array of unit vectors."""
-    return np.arctan2(unit[:, 1], unit[:, 0]), np.arcsin(np.clip(unit[:, 2], -1.0, 1.0))
-
-
-def local_angles(geometry: ArrayGeometry, directions_world: np.ndarray):
-    """(azimuth, elevation) arrays in the array-local frame of the rows of
-    an (N, 3) array of world directions."""
-    d = directions_world / row_norms(directions_world)[:, None]
-    return direction_angles(d @ geometry.orientation)
 
 
 def rotation_from_boresight(boresight, col_axis_hint=(0.0, 0.0, 1.0)) -> np.ndarray:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, local_angles, rotation_from_boresight, steering_vector
+from .arrays import ArrayGeometry, rotation_from_boresight, steering_vector
 from .scene import PathTable, SceneConfig, SceneSnapshot, trace_paths
 
 
@@ -39,14 +39,14 @@ def path_responses(table: PathTable, bs_geometry: ArrayGeometry,
 
     Returns (a_ue, a_bs, phases): the unit-norm steering vectors a_ue (P, n_ue)
     and a_bs (P, n_bs) toward each path's world-frame arrival and departure
-    angles, turned into each array's local frame, and phases (K, P) with
+    directions, turned into each array's local frame, and phases (K, P) with
     phases[k, p] = exp(-2j pi k df tau_p). This is the one place where the
-    angle conventions of the paths meet those of the arrays. Each path's
+    world frame of the paths meets the frames of the arrays. Each path's
     responses are computed elementwise, so a row does not depend on the
     other rows of the table.
     """
-    a_bs = steering_vector(bs_geometry, *local_angles(bs_geometry, _unit_from_angles(table.aod)))
-    a_ue = steering_vector(ue_geometry, *local_angles(ue_geometry, _unit_from_angles(table.aoa)))
+    a_bs = steering_vector(bs_geometry, table.departure @ bs_geometry.orientation)
+    a_ue = steering_vector(ue_geometry, table.arrival @ ue_geometry.orientation)
     k = np.arange(config.subcarrier_count)[:, None]
     phases = np.exp(-2j * np.pi * k * config.subcarrier_spacing * table.delay)
     return a_ue, a_bs, phases
@@ -63,7 +63,7 @@ def dense_channel(gains, a_ue, a_bs, phases) -> np.ndarray:
 
 def paths_to_channel(table: PathTable, bs_geometry: ArrayGeometry,
                      ue_geometry: ArrayGeometry, config: SceneConfig) -> ChannelRealization:
-    """H[k] = sum_p gain_p * exp(-2j pi k df tau_p) * a_ue(aoa_p) a_bs(aod_p)^*
+    """H[k] = sum_p gain_p * exp(-2j pi k df tau_p) * a_ue(arrival_p) a_bs(departure_p)^*
     over the rows of a path table."""
     a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
     return ChannelRealization(matrices=dense_channel(table.gain, a_ue, a_bs, phases))
@@ -73,11 +73,3 @@ def channel_for_ue(snapshot: SceneSnapshot, ue_index: int, bs_geometry: ArrayGeo
                    ue_geometry: ArrayGeometry, config: SceneConfig) -> ChannelRealization:
     return paths_to_channel(trace_paths(snapshot, ue_index, config), bs_geometry, ue_geometry,
                             config)
-
-
-def _unit_from_angles(angles: np.ndarray) -> np.ndarray:
-    """Unit vectors of the rows of an (N, 2) array of (azimuth, elevation)."""
-    azimuth, elevation = angles[:, 0], angles[:, 1]
-    return np.stack([np.cos(elevation) * np.cos(azimuth),
-                     np.cos(elevation) * np.sin(azimuth),
-                     np.sin(elevation)], axis=1)

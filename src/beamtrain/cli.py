@@ -13,10 +13,10 @@ from . import boosting, dataset, harness, selectors
 from .fileio import atomic_write, save_npz
 from .scene import trace_snapshot
 
-PATHS_FORMAT_VERSION = 1
+PATHS_FORMAT_VERSION = 2
 # the path file's keys (`fileio.load_npz`): `scene.PathTable`'s of N paths
 PATHS_SCHEMA = {"snapshot_id": "i N", "ue": "i N", "kind": "i N", "gain": "c N", "delay": "f N",
-                "aod": "f N 2", "aoa": "f N 2"}
+                "departure": "f N 3", "arrival": "f N 3"}
 
 
 def _load_config(args) -> harness.ExperimentConfig:
@@ -121,20 +121,16 @@ def cmd_plan_build(args) -> int:
     return 0
 
 
-def cmd_eval_run(args) -> int:
+def cmd_eval(args) -> int:
+    """`eval run` and `eval heatmap`: the same run and outputs; `heatmap`
+    prints the heatmap rows where `run` prints a summary line."""
     config = _load_config(args)
     _output_dir(args.out)
     result = harness.run_experiment(config)
     harness.emit_outputs(result, args.out)
-    print(f"evaluated {result.n_test} test UEs; outputs in {args.out}")
-    return 0
-
-
-def cmd_eval_heatmap(args) -> int:
-    config = _load_config(args)
-    _output_dir(args.out)
-    result = harness.run_experiment(config)
-    harness.emit_outputs(result, args.out)
+    if args.subcommand == "run":
+        print(f"evaluated {result.n_test} test UEs; outputs in {args.out}")
+        return 0
     for row in result.heatmap:
         print(f"scenario {row['scenario']}  |S_w|={row['s_w']:2d}  |S_f|={row['s_f']:2d}"
               f"  R_T={row['r_t']:.4f}")
@@ -191,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = ev.add_parser("run", help="run the full experiment pipeline")
     _add_common(p, "out")
-    p.set_defaults(func=cmd_eval_run)
+    p.set_defaults(func=cmd_eval)
     p = ev.add_parser("heatmap", help="run and print the (|S_w|, |S_f|) heatmap")
     _add_common(p, "out")
-    p.set_defaults(func=cmd_eval_heatmap)
+    p.set_defaults(func=cmd_eval)
     return parser
 
 

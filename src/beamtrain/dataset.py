@@ -99,9 +99,11 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
                              "rates are not finite")
     log.info("rate dataset: %d UEs, %d dropped as fully blocked; paths: %s", ues, ues - kept,
              ", ".join(f"{n} {kind}" for kind, n in zip(PATH_KINDS, paths.tolist())))
-    for name in vars(rows):     # `resize` refuses a column that a view still holds
-        shape = (kept, *getattr(rows, name).shape[1:])
-        getattr(rows, name).resize(shape)
+    # no view of a column outlives the loop above, so nothing can read the
+    # memory that a shrink frees; `refcheck` would also count the references
+    # that a Python trace function (a debugger, `python -m trace`) holds
+    for column in vars(rows).values():
+        column.resize((kept, *column.shape[1:]), refcheck=False)
     return rows
 
 

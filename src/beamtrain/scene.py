@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import SPEED_OF_LIGHT, direction_angles, row_norms, wavelength
+from .arrays import SPEED_OF_LIGHT, row_norms, wavelength
 from .fileio import check, check_fields, integer, listof, real
 
 log = logging.getLogger(__name__)
@@ -134,12 +134,12 @@ class PathTable:
     LOS, then the walls in `wall_x` order, then bus side panels in vehicle
     order, each bus's `cx - w/2` panel before its `cx + w/2` panel.
     """
-    ue: np.ndarray      # (P,) vehicle index of the path's UE
-    kind: np.ndarray    # (P,) index into PATH_KINDS
-    gain: np.ndarray    # (P,) complex gain
-    delay: np.ndarray   # (P,) seconds
-    aod: np.ndarray     # (P, 2) world-frame (azimuth, elevation) at the BS
-    aoa: np.ndarray     # (P, 2) world-frame (azimuth, elevation) at the UE
+    ue: np.ndarray          # (P,) vehicle index of the path's UE
+    kind: np.ndarray        # (P,) index into PATH_KINDS
+    gain: np.ndarray        # (P,) complex gain
+    delay: np.ndarray       # (P,) seconds
+    departure: np.ndarray   # (P, 3) world-frame unit vector from the BS to the first hop
+    arrival: np.ndarray     # (P, 3) world-frame unit vector from the UE to the last hop
 
     def ue_rows(self, ue_indices) -> list[slice]:
         """The row slice of each UE in `ue_indices`; empty for a UE without
@@ -297,8 +297,8 @@ def _trace(snapshot: SceneSnapshot, ue_indices, config: SceneConfig) -> PathTabl
         kind=np.where(los, 0, np.where(col <= n_walls, 1, 2)),
         gain=amp * np.exp(phase),
         delay=total / SPEED_OF_LIGHT,
-        aod=np.stack(direction_angles(departure / dist_out[:, None]), axis=1),
-        aoa=np.stack(direction_angles(arrival / dist_in[:, None]), axis=1),
+        departure=departure / dist_out[:, None],
+        arrival=arrival / dist_in[:, None],
     )
 
 

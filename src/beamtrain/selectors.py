@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import atomic_write, check, load_npz, save_npz
+from .fileio import atomic_write, save_npz
 
 log = logging.getLogger(__name__)
 
@@ -229,17 +229,15 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
     cells += (assignments * num_beams * num_beams)[:, None]
     prob_tables = np.bincount(cells.ravel(), minlength=num_clusters * num_beams * num_beams
                               ).reshape(num_clusters, num_beams, num_beams) / counts[:, None, None]
-    # candidates[c, k]: the beams by their probability of rank k + 1 in
-    # cluster c, most probable first, ties to the lower index; the `listed`
-    # ones are nonzero. Slot (k, pos) is number k * B + pos; a beam's first
-    # slot is the first that any cluster lists it at, and every beam has
-    # one, as every row ranks every beam and no cluster is empty.
-    candidates = np.argsort(-prob_tables, axis=2, kind="stable")
-    listed = np.arange(num_beams) < np.count_nonzero(prob_tables > 0, axis=2)[..., None]
-    slots = np.broadcast_to(np.arange(num_beams * num_beams).reshape(num_beams, num_beams),
-                            candidates.shape)
-    first = np.full(num_beams, num_beams * num_beams)
-    np.minimum.at(first, candidates[listed], slots[listed])
+    # position[c, k, j]: beam j's place when cluster c's beams are ranked by
+    # their probability of rank k + 1, most probable first, ties to the
+    # lower index (the inverse of that stable ranking). Slot (k, pos) is
+    # number k * B + pos; a beam's first slot is the least at which some
+    # cluster gives it a nonzero probability, and every beam has one, as
+    # every row ranks every beam and no cluster is empty.
+    position = np.argsort(np.argsort(-prob_tables, axis=2, kind="stable"), axis=2)
+    first = np.where(prob_tables > 0, np.arange(num_beams)[:, None] * num_beams + position,
+                     num_beams * num_beams).min(axis=(0, 1))
     scores = np.array([float(np.dot(significances, prob_tables[:, k, j]))
                        for j, k in enumerate(first // num_beams)])
     # by first slot, then by score at that slot's rank, descending; lexsort
@@ -272,15 +270,3 @@ def save_plan(plan: ClusterCoveragePlan, path: str) -> None:
         for c in range(len(plan.centroids)):
             writer.writerow([c, "%.9g" % plan.significances[c],
                              "%.9g" % plan.centroids[c, 0], "%.9g" % plan.centroids[c, 1]])
-
-
-def load_plan(path: str) -> ClusterCoveragePlan:
-    """Read a plan written by `save_plan`: PLAN_SCHEMA, `assignments` in [0, C)
-    and distinct `selected_beams` in [0, B); a ValueError names file and key."""
-    data, sizes = load_npz(path, "plan", PLAN_FORMAT_VERSION, PLAN_SCHEMA)
-    for key, bound in (("assignments", sizes["C"]), ("selected_beams", sizes["B"])):
-        check(key, data[key], (lambda v: np.all((v >= 0) & (v < bound)), f"in [0, {bound})"),
-              f"plan file {path!r}: ")
-    check("selected_beams", data["selected_beams"],
-          (lambda v: len(set(v.tolist())) == len(v), "distinct"), f"plan file {path!r}: ")
-    return ClusterCoveragePlan(**{key: data[key] for key in PLAN_SCHEMA})

@@ -1,10 +1,10 @@
 """Beam-direction helpers that only the tests use: the steering direction
-of each DFT beam, the beam nearest a direction, and one direction's angles
-in an array's local frame."""
+of each DFT beam, the beam nearest a direction, one world direction in an
+array's local frame, and the unit vector of an (azimuth, elevation) pair."""
 
 import numpy as np
 
-from beamtrain.arrays import ArrayGeometry, local_angles
+from beamtrain.arrays import ArrayGeometry
 
 
 def beam_direction_cosines(geometry: ArrayGeometry) -> np.ndarray:
@@ -31,8 +31,16 @@ def nearest_beam_index(geometry: ArrayGeometry, u_row: float, u_col: float) -> i
     return m_r * geometry.cols + m_c
 
 
-def world_to_local_angles(geometry: ArrayGeometry, direction_world) -> tuple[float, float]:
-    """(azimuth, elevation) in the array-local frame of a world direction."""
-    direction = np.asarray(direction_world, dtype=float).reshape(1, 3)
-    azimuth, elevation = local_angles(geometry, direction)
-    return float(azimuth[0]), float(elevation[0])
+def world_to_local(geometry: ArrayGeometry, direction_world) -> np.ndarray:
+    """The unit vector in the array-local frame of a nonzero world direction:
+    (boresight, column, row) direction cosines."""
+    direction = np.asarray(direction_world, dtype=float)
+    return direction / np.linalg.norm(direction) @ geometry.orientation
+
+
+def unit_from_angles(azimuth, elevation) -> np.ndarray:
+    """(cos(el)cos(az), cos(el)sin(az), sin(el)): the unit vector of an
+    azimuth and elevation, stacked on a last axis of size 3."""
+    return np.stack([np.cos(elevation) * np.cos(azimuth),
+                     np.cos(elevation) * np.sin(azimuth),
+                     np.sin(elevation)], axis=-1)

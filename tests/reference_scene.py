@@ -30,11 +30,12 @@ class Vehicle:
 
 
 class TracedPath(NamedTuple):
-    """One propagation path; angles are world-frame (azimuth, elevation) of
-    the departure direction at the BS and arrival-source direction at the UE."""
+    """One propagation path; `departure` and `arrival` are world-frame unit
+    vectors from the BS toward the first hop and from the UE toward the last
+    hop."""
     complex_gain: complex
-    aod: tuple
-    aoa: tuple
+    departure: tuple
+    arrival: tuple
     delay: float
     kind: str = "los"         # "los", "wall", "bus"
 
@@ -45,8 +46,8 @@ def paths_table(paths) -> PathTable:
                      kind=np.array([PATH_KINDS.index(p.kind) for p in paths], dtype=int),
                      gain=np.array([p.complex_gain for p in paths], dtype=complex),
                      delay=np.array([p.delay for p in paths], dtype=float),
-                     aod=np.array([p.aod for p in paths], dtype=float).reshape(-1, 2),
-                     aoa=np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2))
+                     departure=np.array([p.departure for p in paths], dtype=float).reshape(-1, 3),
+                     arrival=np.array([p.arrival for p in paths], dtype=float).reshape(-1, 3))
 
 
 def generate_snapshot_reference(config: SceneConfig, seed, snapshot_id: int = 0) -> SceneSnapshot:
@@ -116,9 +117,9 @@ def blocked(p0, p1, boxes, exclude=None) -> bool:
     return False
 
 
-def angles_world(direction: np.ndarray) -> tuple[float, float]:
-    d = direction / np.linalg.norm(direction)
-    return (float(np.arctan2(d[1], d[0])), float(np.arcsin(np.clip(d[2], -1.0, 1.0))))
+def unit_world(direction: np.ndarray) -> tuple[float, float, float]:
+    """The unit vector of a nonzero world-frame direction."""
+    return tuple(float(v) for v in direction / np.linalg.norm(direction))
 
 
 def make_path(bs: np.ndarray, ue: np.ndarray, first_hop: np.ndarray,
@@ -128,8 +129,8 @@ def make_path(bs: np.ndarray, ue: np.ndarray, first_hop: np.ndarray,
     gain = amp * np.exp(-2j * np.pi * total_dist / lam)
     return TracedPath(
         complex_gain=complex(gain),
-        aod=angles_world(first_hop - bs),
-        aoa=angles_world(last_hop - ue),
+        departure=unit_world(first_hop - bs),
+        arrival=unit_world(last_hop - ue),
         delay=total_dist / SPEED_OF_LIGHT,
         kind=kind,
     )

@@ -25,9 +25,8 @@ from beamtrain.harness import (ExperimentConfig, build_corpus, build_coverage_pl
                                evaluate, split_corpus, train_models)
 from beamtrain.linkeval import sweep_all
 from beamtrain.scene import SceneConfig, generate_snapshot
-from reference_arrays import nearest_beam_index, world_to_local_angles
-from reference_scene import TracedPath, paths_table
-from reference_scene import angles_world as _angles_world
+from reference_arrays import nearest_beam_index, world_to_local
+from reference_scene import TracedPath, paths_table, unit_world
 
 
 _CAPFD = None
@@ -251,14 +250,14 @@ def test_criterion_7_physics_sanity():
                        rng.uniform(20, scene.street_length), 1.5])
         d = float(np.linalg.norm(ue - scene.bs_position))
         gain = lam / (4 * np.pi * d) * np.exp(-2j * np.pi * d / lam)
-        path = TracedPath(complex_gain=gain, aod=_angles_world(ue - scene.bs_position),
-                          aoa=_angles_world(scene.bs_position - ue), delay=d / 299792458.0)
+        path = TracedPath(complex_gain=gain, departure=unit_world(ue - scene.bs_position),
+                          arrival=unit_world(scene.bs_position - ue), delay=d / 299792458.0)
         ch = paths_to_channel(paths_table([path]), bs_g, ue_g, scene)
         i, j = divmod(int(np.argmax(sweep_all(ch, W, F, scene.sigma2))), 64)
-        az, el = world_to_local_angles(bs_g, ue - scene.bs_position)
-        want_j = nearest_beam_index(bs_g, np.sin(el), np.cos(el) * np.sin(az))
-        az, el = world_to_local_angles(ue_g, scene.bs_position - ue)
-        want_i = nearest_beam_index(ue_g, np.sin(el), np.cos(el) * np.sin(az))
+        d = world_to_local(bs_g, ue - scene.bs_position)
+        want_j = nearest_beam_index(bs_g, d[2], d[1])
+        d = world_to_local(ue_g, scene.bs_position - ue)
+        want_i = nearest_beam_index(ue_g, d[2], d[1])
         matches += int(i == want_i and j == want_j)
     failures = [] if matches >= 190 else [f"only {matches}/200 argmax pairs match"]
     _verdict(7, "exhaustive argmax matches nearest steering beam", failures)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from beamtrain.arrays import ArrayGeometry, dft_codebook, rotation_from_boresight, steering_vector
-from reference_arrays import beam_direction_cosines, nearest_beam_index, world_to_local_angles
+from reference_arrays import (beam_direction_cosines, nearest_beam_index, unit_from_angles,
+                              world_to_local)
 
 
 def test_boresight_steering_2x2():
     g = ArrayGeometry(2, 2)
-    a = steering_vector(g, 0.0, 0.0)
+    a = steering_vector(g, [1.0, 0.0, 0.0])
     assert np.allclose(a, 0.5)
 
 
@@ -16,20 +17,20 @@ def test_steering_unit_norm():
     rng = np.random.default_rng(3)
     for _ in range(20):
         az, el = rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2)
-        assert abs(np.linalg.norm(steering_vector(g, az, el)) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(steering_vector(g, unit_from_angles(az, el))) - 1.0) < 1e-9
 
 
 def test_endfire_1x2_half_wavelength():
     g = ArrayGeometry(1, 2)
-    a = steering_vector(g, np.pi / 2, 0.0)  # direction cosine along columns = 1
+    a = steering_vector(g, [0.0, 1.0, 0.0])  # direction cosine along columns = 1
     expected = np.array([1.0, np.exp(-1j * np.pi)]) / np.sqrt(2)
     assert np.allclose(a, expected, atol=1e-12)
 
 
 def test_steering_continuity():
     g = ArrayGeometry(8, 8)
-    a0 = steering_vector(g, 0.3, 0.1)
-    a1 = steering_vector(g, 0.3 + 1e-8, 0.1 + 1e-8)
+    a0 = steering_vector(g, unit_from_angles(0.3, 0.1))
+    a1 = steering_vector(g, unit_from_angles(0.3 + 1e-8, 0.1 + 1e-8))
     assert np.linalg.norm(a1 - a0) < 1e-6
 
 
@@ -67,7 +68,7 @@ def test_nearest_beam_matches_inner_product_argmax():
     for _ in range(50):
         az = rng.uniform(-np.pi, np.pi)
         el = rng.uniform(-np.pi / 2, np.pi / 2)
-        a = steering_vector(g, az, el)
+        a = steering_vector(g, unit_from_angles(az, el))
         by_product = int(np.argmax(np.abs(cb.beams.conj() @ a)))
         u_row, u_col = np.sin(el), np.cos(el) * np.sin(az)
         predicted = nearest_beam_index(g, u_row, u_col)
@@ -84,7 +85,7 @@ def test_beam_direction_cosines_align_with_beams():
             continue  # beam points outside the visible region
         el = np.arcsin(u_row)
         az = np.arcsin(np.clip(u_col / max(np.cos(el), 1e-12), -1, 1))
-        a = steering_vector(g, az, el)
+        a = steering_vector(g, unit_from_angles(az, el))
         # a beam responds fully to its own steering direction
         assert abs(abs(cb.beams[m].conj() @ a) - 1.0) < 1e-9
 
@@ -95,5 +96,6 @@ def test_rotation_and_world_to_local_roundtrip():
     assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
     assert np.isclose(np.linalg.det(R), 1.0)
     g = ArrayGeometry(2, 2, orientation=R)
-    az, el = world_to_local_angles(g, boresight)
-    assert abs(az) < 1e-12 and abs(el) < 1e-12
+    d = world_to_local(g, boresight)
+    # azimuth arctan2(d_y, d_x) and elevation arcsin(d_z) both 0
+    assert d[0] > 0.0 and abs(d[1]) < 1e-12 and abs(d[2]) < 1e-12

@@ -8,9 +8,8 @@ from beamtrain.channel import (channel_for_ue, default_bs_geometry, default_ue_g
                                path_responses, paths_to_channel)
 from beamtrain.linkeval import sweep_all
 from beamtrain.scene import SceneConfig, generate_snapshot, trace_paths
-from reference_arrays import nearest_beam_index, world_to_local_angles
-from reference_scene import TracedPath, paths_table
-from reference_scene import angles_world as _angles_world
+from reference_arrays import nearest_beam_index, world_to_local
+from reference_scene import TracedPath, paths_table, unit_world
 
 
 @pytest.fixture
@@ -29,8 +28,8 @@ def _los_path(cfg, ue_xyz):
     d = float(np.linalg.norm(ue - bs))
     lam = 299792458.0 / cfg.carrier_frequency
     gain = lam / (4 * np.pi * d) * np.exp(-2j * np.pi * d / lam)
-    return TracedPath(complex_gain=gain, aod=_angles_world(ue - bs),
-                      aoa=_angles_world(bs - ue), delay=d / 299792458.0)
+    return TracedPath(complex_gain=gain, departure=unit_world(ue - bs),
+                      arrival=unit_world(bs - ue), delay=d / 299792458.0)
 
 
 def test_empty_paths_give_zero_channel(cfg):
@@ -54,14 +53,11 @@ def test_two_path_channel_matches_direct_sum_oracle(cfg):
     p2 = p2._replace(complex_gain=0.3j * p2.complex_gain)
     ch = paths_to_channel(paths_table([p1, p2]), bs_g, ue_g, cfg4)
 
-    def unit(az, el):
-        return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
-
     for k in range(4):
         expected = np.zeros((16, 64), dtype=complex)
         for p in (p1, p2):
-            a_bs = steering_vector(bs_g, *world_to_local_angles(bs_g, unit(*p.aod)))
-            a_ue = steering_vector(ue_g, *world_to_local_angles(ue_g, unit(*p.aoa)))
+            a_bs = steering_vector(bs_g, world_to_local(bs_g, p.departure))
+            a_ue = steering_vector(ue_g, world_to_local(ue_g, p.arrival))
             expected += (p.complex_gain
                          * np.exp(-2j * np.pi * k * cfg4.subcarrier_spacing * p.delay)
                          * np.outer(a_ue, a_bs.conj()))
@@ -95,10 +91,10 @@ def test_single_los_best_pair_is_nearest_steering(cfg):
                        rng.uniform(20, cfg.street_length), 1.5])
         ch = paths_to_channel(paths_table([_los_path(cfg, ue)]), bs_g, ue_g, cfg)
         i, j = divmod(int(np.argmax(sweep_all(ch, W, F, cfg.sigma2))), 64)
-        az, el = world_to_local_angles(bs_g, ue - cfg.bs_position)
-        assert j == nearest_beam_index(bs_g, np.sin(el), np.cos(el) * np.sin(az))
-        az, el = world_to_local_angles(ue_g, cfg.bs_position - ue)
-        assert i == nearest_beam_index(ue_g, np.sin(el), np.cos(el) * np.sin(az))
+        d = world_to_local(bs_g, ue - cfg.bs_position)
+        assert j == nearest_beam_index(bs_g, d[2], d[1])
+        d = world_to_local(ue_g, cfg.bs_position - ue)
+        assert i == nearest_beam_index(ue_g, d[2], d[1])
 
 
 def test_channel_determinism(cfg):

@@ -496,9 +496,8 @@ def test_plan_build(tmp_path, capsys):
     rc = cli.main(["plan", "build", "--config", config, "--input",
                    _rate_file(tmp_path, "--config", config), "--out", out])
     assert rc == 0
-    from beamtrain.selectors import load_plan
-    plan = load_plan(out)
-    assert sorted(plan.selected_beams) == list(range(64))
+    plan, _ = load_npz(out, "plan", selectors.PLAN_FORMAT_VERSION, selectors.PLAN_SCHEMA)
+    assert sorted(plan["selected_beams"]) == list(range(64))
     assert Path(out + ".csv").read_text().startswith("selection_order")
 
 

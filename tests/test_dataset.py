@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import logging
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from beamtrain import dataset as dataset_module
+from beamtrain import harness
 from beamtrain.arrays import dft_codebook
 from beamtrain.channel import channel_for_ue, default_bs_geometry, default_ue_geometry
 from beamtrain.dataset import (Rows, build_rate_dataset, load_dataset, save_dataset, split_dataset,
@@ -134,6 +136,25 @@ def test_rate_and_tr_rows_are_views_into_one_array_each():
     assert to_throughput_ratios(rates) is rates
     assert not np.shares_memory(rows.rates, rates)
     assert to_throughput_ratios(np.empty((0, 4))).shape == (0, 4)
+
+
+def test_rate_stage_runs_under_a_trace_function():
+    """Under a Python trace function, as a debugger or `python -m trace`
+    installs, a method call holds one more reference to its array, which
+    `ndarray.resize`'s reference check counted: the rate stage failed. Its
+    columns now shrink without that check, and equal an untraced run's."""
+    config = harness.ExperimentConfig.smoke()
+    _, plain = harness.build_rate_rows(config)
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        _, traced = harness.build_rate_rows(config)
+    finally:
+        sys.settrace(previous)
+    assert len(traced) == len(plain) > 0
+    for name, column in vars(plain).items():
+        assert getattr(traced, name).base is None
+        assert np.array_equal(getattr(traced, name), column)
 
 
 def test_transform_rows_equal_the_per_row_stage_bit_for_bit():

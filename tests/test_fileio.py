@@ -12,7 +12,7 @@ from beamtrain.dataset import (DATASET_FORMAT_VERSION, DATASET_SCHEMA, Rows, loa
 from beamtrain.fileio import atomic_write, from_table, load_npz, save_npz
 from beamtrain.harness import ExperimentConfig
 from beamtrain.scene import SceneConfig
-from beamtrain.selectors import PLAN_SCHEMA, ClusterCoveragePlan, load_plan, save_plan
+from beamtrain.selectors import PLAN_FORMAT_VERSION, PLAN_SCHEMA, ClusterCoveragePlan, save_plan
 
 
 def test_atomic_write_replaces_the_file(tmp_path):
@@ -155,6 +155,11 @@ def _load_paths(path):
     return load_npz(path, "paths", cli.PATHS_FORMAT_VERSION, cli.PATHS_SCHEMA)
 
 
+def load_plan(path):
+    """`plan build`'s plan file, which no command reads."""
+    return load_npz(path, "plan", PLAN_FORMAT_VERSION, PLAN_SCHEMA)
+
+
 def _write_plan(path):
     plan = ClusterCoveragePlan(centroids=np.zeros((1, 2)), assignments=np.zeros(3, dtype=int),
                                significances=np.ones(1), prob_tables=np.ones((1, 2, 2)) / 2,
@@ -178,7 +183,8 @@ _LOADERS = [
 
 @pytest.mark.parametrize("write, load", _LOADERS)
 def test_loaders_name_a_missing_key(tmp_path, write, load):
-    version = DATASET_FORMAT_VERSION if load is load_dataset else 1
+    version = {load_dataset: DATASET_FORMAT_VERSION, _load_paths: cli.PATHS_FORMAT_VERSION,
+               load_plan: PLAN_FORMAT_VERSION, load_model: boosting.MODEL_FORMAT_VERSION}[load]
     # a rate file is read against the run's pair shape and corpus keys
     args = ((2, 3), _CORPUS) if load is load_dataset else ()
     path = str(tmp_path / "artifact.npz")

@@ -12,6 +12,7 @@ from beamtrain.linkeval import sweep_all, sweep_responses
 from beamtrain.scene import SceneConfig
 from reference_linkeval import (pair_index, sweep_paths, sweep_per_subcarrier, throughput_ratio,
                                unflatten_pair)
+from reference_arrays import unit_from_angles
 from reference_scene import TracedPath, paths_table
 
 
@@ -150,16 +151,23 @@ _SETUPS = (_setup((8, 8), (4, 4), 64), _setup((2, 4), (2, 2), 4))
 # subcarrier counts that fold 3 times (64), stop early (4) or never fold (1, 3, 5)
 _K_SETUPS = tuple(_setup((2, 4), (2, 2), K) for K in (1, 3, 4, 5, 64))
 
-_ANGLES = st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi / 2, np.pi / 2))
+
+def _unit(azimuth, elevation):
+    """A path direction tuple from world-frame angles."""
+    return tuple(unit_from_angles(azimuth, elevation).tolist())
+
+
+_DIRECTIONS = st.builds(_unit, st.floats(-np.pi, np.pi), st.floats(-np.pi / 2, np.pi / 2))
 
 
 def _paths(magnitudes, min_size=0, max_size=4):
     return st.lists(st.builds(
-        lambda magnitude, phase, aod, aoa, delay: TracedPath(
-            complex_gain=magnitude * np.exp(1j * phase), aod=aod, aoa=aoa, delay=delay),
+        lambda magnitude, phase, departure, arrival, delay: TracedPath(
+            complex_gain=magnitude * np.exp(1j * phase), departure=departure, arrival=arrival,
+            delay=delay),
         magnitude=magnitudes, phase=st.floats(-np.pi, np.pi),
-        aod=_ANGLES, aoa=_ANGLES, delay=st.floats(0.0, 2e-6)), min_size=min_size,
-        max_size=max_size)
+        departure=_DIRECTIONS, arrival=_DIRECTIONS, delay=st.floats(0.0, 2e-6)),
+        min_size=min_size, max_size=max_size)
 
 
 _PATHS = _paths(st.floats(1e-8, 1e-3))
@@ -191,8 +199,9 @@ def _row_scale(rates, paths, sigma2):
     return max(float(np.max(rates)), 1e-3 * bound)
 
 
-_WEAK_PATH = TracedPath(complex_gain=1e-8 * np.exp(1.0625j), aod=(1.11655941683716,) * 2,
-                        aoa=(1.11655941683716,) * 2, delay=0.0)
+_WEAK_PATH = TracedPath(complex_gain=1e-8 * np.exp(1.0625j),
+                        departure=_unit(1.11655941683716, 1.11655941683716),
+                        arrival=_unit(1.11655941683716, 1.11655941683716), delay=0.0)
 
 
 @settings(max_examples=_ROUTE_DRAWS, deadline=None)
@@ -274,8 +283,8 @@ def test_sweep_responses_recomputes_a_row_whose_group_product_overflows():
     is recomputed with one log per subcarrier: finite, and equal to the
     reference to within 1e-12 of its peak."""
     setup = _SETUPS[0]
-    path = TracedPath(complex_gain=_STRONG * np.exp(0.4j), aod=(0.3, -0.2), aoa=(0.5, 0.4),
-                      delay=0.0)
+    path = TracedPath(complex_gain=_STRONG * np.exp(0.4j), departure=_unit(0.3, -0.2),
+                      arrival=_unit(0.5, 0.4), delay=0.0)
     args = _responses(setup, [path, path])
     reference = sweep_per_subcarrier(*args)
     assert 8 * np.max(reference) > np.log2(np.finfo(float).max)

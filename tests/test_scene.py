@@ -205,15 +205,13 @@ def test_wall_reflection_matches_image_source_oracle():
     image = np.array([2 * (-2.0) - bs[0], bs[1], bs[2]])
     dist = np.linalg.norm(ue - image)
     assert abs(table.delay[left_wall] - dist / 299792458.0) < 1e-15
-    # reflection point from similar triangles, then departure/arrival angles
+    # reflection point from similar triangles, then departure/arrival directions
     t = (-2.0 - image[0]) / (ue[0] - image[0])
     point = image + t * (ue - image)
     dep = point - bs
-    expected_aod = (np.arctan2(dep[1], dep[0]), np.arcsin(dep[2] / np.linalg.norm(dep)))
-    assert np.allclose(table.aod[left_wall], expected_aod, atol=1e-12)
+    assert np.allclose(table.departure[left_wall], dep / np.linalg.norm(dep), atol=1e-12)
     arr = point - ue
-    expected_aoa = (np.arctan2(arr[1], arr[0]), np.arcsin(arr[2] / np.linalg.norm(arr)))
-    assert np.allclose(table.aoa[left_wall], expected_aoa, atol=1e-12)
+    assert np.allclose(table.arrival[left_wall], arr / np.linalg.norm(arr), atol=1e-12)
     lam = 299792458.0 / cfg.carrier_frequency
     assert abs(abs(table.gain[left_wall]) - cfg.wall_reflection * lam / (4 * np.pi * dist)) < 1e-18
 
@@ -282,7 +280,8 @@ def test_blocked_matches_scalar_slab_test(p0, offset, data):
 
 
 def _path_bits(path):
-    floats = (path.complex_gain.real, path.complex_gain.imag, path.delay, *path.aod, *path.aoa)
+    floats = (path.complex_gain.real, path.complex_gain.imag, path.delay, *path.departure,
+              *path.arrival)
     return (path.kind, *(float(v).hex() for v in floats))
 
 
@@ -290,7 +289,7 @@ def _table_bits(table, rows=slice(None)):
     """_path_bits of the table's rows, read from the arrays themselves."""
     return [(PATH_KINDS[table.kind[n]],
              *(float(v).hex() for v in (table.gain[n].real, table.gain[n].imag, table.delay[n],
-                                        *table.aod[n], *table.aoa[n])))
+                                        *table.departure[n], *table.arrival[n])))
             for n in range(len(table.ue))[rows]]
 
 
@@ -407,7 +406,8 @@ def test_path_table_matches_reference_tracer(cfg, seed, data):
         if buses:
             snap = _onto_panel_ends(snap, cfg, ue, data.draw(st.sampled_from(buses)))
     table = _assert_table_matches_reference(snap, cfg)
-    assert table.gain.dtype == complex and table.aod.shape == table.aoa.shape == (len(table.ue), 2)
+    assert table.gain.dtype == complex
+    assert table.departure.shape == table.arrival.shape == (len(table.ue), 3)
 
 
 def test_path_table_edge_snapshots():
@@ -415,7 +415,7 @@ def test_path_table_edge_snapshots():
     cfg = SceneConfig()
     empty = _snapshot_with([_car(cfg, 1.75, 50.0)], [])
     table = _assert_table_matches_reference(empty, cfg)
-    assert len(table.ue) == 0 and table.aod.shape == (0, 2)
+    assert len(table.ue) == 0 and table.departure.shape == table.arrival.shape == (0, 3)
     no_bus = dataclasses.replace(cfg, bus_fraction=0.0)
     snap = generate_snapshot(no_bus, 3)
     assert len(_assert_table_matches_reference(snap, no_bus).ue) == 3 * len(snap.ue_indices)

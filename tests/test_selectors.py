@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beamtrain
+from beamtrain.fileio import load_npz
 from beamtrain.harness import decoupled_split
-from beamtrain.selectors import (BeamPairSet, DecoupledSets, distinct_row_count, kmeans,
-                                 load_plan, overhead_bits, save_plan, select_bs_coverage,
-                                 select_coupled, select_decoupled_no_location,
-                                 select_decoupled_with_location, top_k_stable)
+from beamtrain.selectors import (PLAN_FORMAT_VERSION, PLAN_SCHEMA, BeamPairSet, DecoupledSets,
+                                 distinct_row_count, kmeans, overhead_bits, save_plan,
+                                 select_bs_coverage, select_coupled,
+                                 select_decoupled_no_location, select_decoupled_with_location,
+                                 top_k_stable)
 from reference_selectors import kmeans_reference, select_bs_coverage_reference
 
 
@@ -272,6 +274,11 @@ def test_no_location_selection_ignores_ue_position():
     assert list(a.s_w) == [1, 3]
 
 
+def _load_plan(path):
+    """A plan file read against its schema; no command reads one."""
+    return load_npz(path, "plan", PLAN_FORMAT_VERSION, PLAN_SCHEMA)
+
+
 def test_plan_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     locations = rng.uniform(0, 100, size=(40, 2))
@@ -279,17 +286,17 @@ def test_plan_roundtrip(tmp_path):
     plan = select_bs_coverage(locations, rows, num_clusters=3, n_bs=8, seed=3)
     path = str(tmp_path / "plan.npz")
     save_plan(plan, path)
-    loaded = load_plan(path)
-    assert np.array_equal(loaded.selected_beams, plan.selected_beams)
-    assert np.allclose(loaded.prob_tables, plan.prob_tables)
-    assert np.allclose(loaded.significances, plan.significances)
+    loaded, _ = _load_plan(path)
+    assert np.array_equal(loaded["selected_beams"], plan.selected_beams)
+    assert np.allclose(loaded["prob_tables"], plan.prob_tables)
+    assert np.allclose(loaded["significances"], plan.significances)
     with open(path + ".csv") as fh:
         assert fh.readline().strip() == "selection_order,beam_index"
     bad = tmp_path / "bad.npz"
     for content in (b"nope", b"PK\x03\x04" + bytes(36)):  # the second looks like a cut npz
         bad.write_bytes(content)
         with pytest.raises(ValueError):
-            load_plan(str(bad))
+            _load_plan(str(bad))
 
 
 def _plan_arrays(**changes):
@@ -302,29 +309,29 @@ def _plan_arrays(**changes):
     return arrays
 
 
+# the explicit ids keep each case's name from when this list also held the
+# range and distinct checks of a plan loader that no longer exists
 @pytest.mark.parametrize("key, value", [
-    ("selected_beams", [5, 9]),          # beams past a 2-beam codebook
-    ("selected_beams", [1, 1]),          # a beam twice
-    ("selected_beams", [-1]),
-    ("selected_beams", [0.0, 1.0]),      # not beam indices
-    ("prob_tables", [[0.5, 0.5]]),       # not (C, B, B)
-    ("prob_tables", np.zeros((1, 2, 3))),
-    ("centroids", [[1.0, 2.0, 3.0]]),
-    ("centroids", [[1.0, 2.0], [3.0, 4.0]]),  # two centroids for one cluster
-    ("significances", [0.5, 0.5]),
-    ("assignments", [0, 1, 0]),          # cluster 1 of a one-cluster plan
-    ("assignments", [[0, 0]]),
+    pytest.param("selected_beams", [0.0, 1.0], id="selected_beams-value3"),  # not beam indices
+    pytest.param("prob_tables", [[0.5, 0.5]], id="prob_tables-value4"),      # not (C, B, B)
+    pytest.param("prob_tables", np.zeros((1, 2, 3)), id="prob_tables-value5"),
+    pytest.param("centroids", [[1.0, 2.0, 3.0]], id="centroids-value6"),
+    # two centroids for one cluster
+    pytest.param("centroids", [[1.0, 2.0], [3.0, 4.0]], id="centroids-value7"),
+    pytest.param("significances", [0.5, 0.5], id="significances-value8"),
+    pytest.param("assignments", [[0, 0]], id="assignments-value10"),
 ])
 def test_load_plan_rejects_inconsistent_arrays(tmp_path, key, value):
-    """A failure names the file and the key, or the key that set the size
-    that the failing key's shape breaks."""
+    """A plan file read against its schema: a failure names the file and
+    the key, or the key that set the size that the failing key's shape
+    breaks."""
     path = str(tmp_path / "plan.npz")
     np.savez_compressed(path, **_plan_arrays())
-    assert load_plan(path).selected_beams.tolist() == [1, 0]
+    assert _load_plan(path)[0]["selected_beams"].tolist() == [1, 0]
     np.savez_compressed(path, **_plan_arrays(**{key: value}))
     with pytest.raises(ValueError, match=rf"^plan file '.*plan\.npz': (\w+ must be .*\b)?"
                                          rf"{key}\b"):
-        load_plan(path)
+        _load_plan(path)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -338,11 +345,11 @@ def test_load_plan_rejects_inconsistent_arrays(tmp_path, key, value):
 ])
 def test_load_plan_rejects_a_non_finite_value(tmp_path, key, value, message):
     """A NaN significance or another non-finite float fails naming the file,
-    the key and where the value lies; `load_plan` would return it."""
+    the key and where the value lies."""
     path = str(tmp_path / "plan.npz")
     np.savez_compressed(path, **_plan_arrays(**{key: value}))
     with pytest.raises(ValueError, match=f"^plan file '.*plan\\.npz': {re.escape(message)}$"):
-        load_plan(path)
+        _load_plan(path)
 
 
 def test_beam_pair_set_helpers():
