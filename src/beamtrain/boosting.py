@@ -27,19 +27,32 @@ split by `x <= threshold` exactly as by bin; prediction never sees a bin.
 Where every bin is one value, the search sees every split that an exact
 search over sorted values sees.
 
-The fit gives the trees of a recursive per-tree histogram trainer (the
-tests keep one as the reference) node for node and bit for bit, because it
+The fit sees a row only through its bins, so the rows that share a bin on
+every feature, an occupied cell, fall in the same node of every tree.
+Training therefore runs on cells (`_bin_cells`): every split and every leaf
+depends on the rows only through each cell's row count w, residual sum S
+and squared sum Q, as XGBoost and LightGBM build histograms from weighted
+sums. The targets are read once, a column block at a time, into the
+(cells, outputs) tables S and Q, and each kept tree moves them by its step
+per cell, so no per-row prediction is held.
+
+The fit gives the trees of a recursive per-tree cell trainer (the tests
+keep one as the reference) node for node and bit for bit, because it
 keeps that trainer's arithmetic:
-- every sum over rows, a node's residual sum and sum of squares and a
-  (node, bin) histogram cell alike, is an `np.bincount` over all the
-  block's cells, which adds its weights one after another in input
-  order; a node's cells lie in row order among them, so each sum adds the
-  node's rows in the order the per-node trainer adds them;
+- every sum over cells, a node's row count, residual sum and sum of
+  squares and a (node, bin) histogram cell alike, is an `np.bincount` over
+  all the block's (cell, tree) entries, which adds its weights one after
+  another in input order; a node's entries lie in cell order among them,
+  so each sum adds the node's cells in the order the per-node trainer adds
+  them;
 - the cumulative sums along the bins and the split scores are the same
-  elementwise operations, per node;
+  elementwise operations, per node, and so are the updates of S and Q;
 - node ids are in preorder: node, left subtree, right subtree;
 - within a feature the lowest bin wins ties, and a later feature wins only
   if its score is higher by more than 1e-15.
+A row-by-row trainer adds the same rows in another grouping, so it splits
+alike but where two splits tie in exact arithmetic, and its leaf values
+differ in the last bits.
 
 Where the squared residuals overflow (residuals of about 1e200), a node's
 sse is inf or NaN and it does not split. Throughput ratios in [0, 1] never
@@ -70,11 +83,11 @@ MODEL_SCHEMA = {"base_prediction": "f D", "learning_rate": "f 1", "output_dimens
 # the packed layout (see `TreeEnsembleModel`): the keys from `tree_outputs` on
 _LAYOUT = {key: float if rule[0] == "f" else int for key, rule in list(MODEL_SCHEMA.items())[4:]}
 # Prediction gathers chunks of at most this many (row, output) cells, so
-# that its temporaries stay small whatever the batch size. Training fits
-# the trees of about this many (feature, row, output) cells at once: a
-# level's cell arrays (node ids, and per feature the keys) are that large,
-# and its (node, bin) tables, with at most 2^depth nodes per tree and, past
-# 128 rows, at most a quarter as many bins as rows, a few times that.
+# that its temporaries stay small whatever the batch size. Training reads
+# its targets in blocks of about this many (row, output) values, and fits
+# the trees of about this many (feature, bin cell, output) entries at once
+# (`_boosted_layout`): a level's entry arrays (node ids, and per feature the
+# keys) are that large, and its (node, bin) tables at most that large.
 _CHUNK_CELLS = 1 << 16
 
 _TRAIN_RULES = {"tree_count": integer(0), "max_depth": integer(1), "learning_rate": real("(0, 1]"),
@@ -404,20 +417,35 @@ def _bins(X):
     return bins
 
 
-def _best_splits(bins, node, r, m, min_leaf):
+def _bin_cells(bins):
+    """The occupied cells of the fit's rows: each row's cell, each cell's
+    row count (as floats, the weights of the fit's bincounts) and the
+    cells' `bins`, per feature each cell's bin and the bin ends. A cell is
+    one bin on every feature; cells are numbered by their key, the bins as
+    the digits of one number, feature 0 the most significant."""
+    key = np.zeros(len(bins[0][0]), dtype=np.intp)
+    for b, lo, _ in bins:
+        key = key * len(lo) + b
+    _, first, cell, count = np.unique(key, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    return cell, count.astype(float), [(b[first], lo, hi) for b, lo, hi in bins]
+
+
+def _best_splits(bins, node, s, w, m, min_leaf):
     """Best split of every node 0..m-1 from its histograms: (score,
     feature, bin, threshold, keys), feature -1 if none.
 
-    `node` and `r` hold each (row, tree) cell's node and residual. On a
-    feature of `width` bins, cell keys `node * width + bin` index one
-    (node, bin) table, so one bincount of the keys counts every node's
-    rows per bin and one more sums their residuals. Along the bins, the
-    cumulative sums give the left side of a split after each bin, and
-    the split that maximises S_l^2 / n_l + S_r^2 / n_r is the best; it
-    must follow a bin that the node occupies and leave `min_leaf` rows on
-    either side. The lowest bin wins ties, and a later feature wins only
-    by more than 1e-15. The threshold is the midpoint between the chosen
-    bin's highest value and the lowest value of the next bin the node
+    `node` holds each (cell, tree) entry's node, (cells, trees), and `s`
+    and `w` each entry's residual sum and row count, flat in that order. On
+    a feature of `width` bins, entry keys `node * width + bin` index one
+    (node, bin) table, so one bincount of the keys weighted by `w` counts
+    every node's rows per bin and one weighted by `s` sums their residuals.
+    Along the bins, the cumulative sums give the left side of a split after
+    each bin, and the split that maximises S_l^2 / n_l + S_r^2 / n_r is the
+    best; it must follow a bin that the node occupies and leave `min_leaf`
+    rows on either side. The lowest bin wins ties, and a later feature wins
+    only by more than 1e-15. The threshold is the midpoint between the
+    chosen bin's highest value and the lowest value of the next bin the node
     occupies, or the lower value where the midpoint rounds up to the
     higher, so that `x <= threshold` splits the node's rows as the bins do. A
     feature of one bin gives no split and no keys."""
@@ -429,8 +457,8 @@ def _best_splits(bins, node, r, m, min_leaf):
         keys.append((node * width + b[:, None]).ravel() if width > 1 else None)
         if width < 2:
             continue
-        count = np.bincount(keys[f], minlength=m * width).reshape(m, width)
-        left_s = np.bincount(keys[f], weights=r.ravel(), minlength=m * width).reshape(m, width)
+        count = np.bincount(keys[f], weights=w, minlength=m * width).reshape(m, width)
+        left_s = np.bincount(keys[f], weights=s, minlength=m * width).reshape(m, width)
         left_n = np.cumsum(count, axis=1)
         np.cumsum(left_s, axis=1, out=left_s)
         right_n, right_s = left_n[:, -1:] - left_n, left_s[:, -1:] - left_s
@@ -438,53 +466,54 @@ def _best_splits(bins, node, r, m, min_leaf):
         score += np.square(right_s) / np.maximum(right_n, 1)
         score[(count == 0) | (left_n < min_leaf) | (right_n < max(min_leaf, 1))] = -np.inf
         at = np.argmax(score, axis=1)
-        s = score[np.arange(m), at]
-        k = np.flatnonzero(np.isfinite(s) & ((feature < 0) | (s > best + 1e-15)))
+        best_s = score[np.arange(m), at]
+        k = np.flatnonzero(np.isfinite(best_s) & ((feature < 0) | (best_s > best + 1e-15)))
         after = np.argmax((count[k] > 0) & (np.arange(width) > at[k, None]), axis=1)
         mid = hi[at[k]] / 2.0 + lo[after] / 2.0            # no overflow near 1.8e308
-        best[k], feature[k], cut[k] = s[k], f, at[k]
+        best[k], feature[k], cut[k] = best_s[k], f, at[k]
         threshold[k] = np.where(mid < lo[after], mid, hi[at[k]])
     return best, feature, cut, threshold, keys
 
 
-def _fit_trees(bins, residual, config: TrainConfig):
-    """One tree per column of `residual` (rows x trees, C-contiguous), all
-    fitted together, level by level, on the fit's `bins`.
+def _fit_trees(bins, w, S, Q, config: TrainConfig):
+    """One tree per column of `S`, all fitted together, level by level, on
+    the fit's cells: `bins` holds each cell's bin per feature (`_bin_cells`),
+    `w` each cell's row count, and `S` and `Q` (cells x trees) the residual
+    sum and the sum of squared residuals of each (cell, tree).
 
-    Every (row, tree) cell keeps its node id; a level's nodes are 1..m-1,
-    and node 0 holds the cells of nodes that stopped, so no array is ever
-    compacted. Per node, bincounts of the cells give the row count, the
-    residual sum and the sum of squares, which give the node's value (the
-    mean) and its sse, `sq - sum * mean`. A node splits at its best split
-    (`_best_splits`) if that lowers its sse by more than 1e-12 * max(1,
-    sse). The k-th split node's children are nodes k (left) and K + k
-    (right) of the next level, K the number of splits, and each cell's
-    next node is a gather at its keys from a (node, bin) child table per
-    feature that holds 0 for nodes that split on another feature or not at
-    all. A cell's leaf value is added at the level where its node stops,
-    from a per-node table that holds -0.0 elsewhere (`v + -0.0` is `v` for
-    every v, signed zeros included).
+    Every (cell, tree) entry keeps its node id; a level's nodes are 1..m-1,
+    and node 0 holds the entries of nodes that stopped, so no array is ever
+    compacted. Per node, bincounts of the entries weighted by `w`, `S` and
+    `Q` give the row count, the residual sum and the sum of squares, which
+    give the node's value (the mean) and its sse, `sq - sum * mean`. A node
+    splits at its best split (`_best_splits`) if that lowers its sse by
+    more than 1e-12 * max(1, sse). The k-th split node's children are nodes
+    k (left) and K + k (right) of the next level, K the number of splits,
+    and each entry's next node is a gather at its keys from a (node, bin)
+    child table per feature that holds 0 for nodes that split on another
+    feature or not at all. An entry's leaf value is added at the level
+    where its node stops, from a per-node table that holds -0.0 elsewhere
+    (`v + -0.0` is `v` for every v, signed zeros included).
 
     Returns the trees' node arrays, packed tree after tree with each tree in
     preorder (node, left subtree, right subtree), the trees' node counts
-    and internal-node counts, and the leaf value of every (row, tree)."""
-    n, trees = residual.shape
+    and internal-node counts, and the leaf value of every (cell, tree)."""
+    n, trees = S.shape
     node = np.tile(np.arange(1, trees + 1), (n, 1))
-    r = residual.ravel()
-    r2 = np.square(r)
+    s, q, weight = np.ravel(S), np.ravel(Q), np.repeat(w, trees)
     tree = np.arange(trees)                     # the tree of each node 1..m-1
     leaf_value = np.full(trees * n, -0.0)
     levels = []
     for depth in range(config.max_depth + 1):
         m = len(tree) + 1
         flat = node.ravel()
-        total = np.bincount(flat, weights=r, minlength=m)
-        mean = total / np.maximum(np.bincount(flat, minlength=m), 1)
+        total = np.bincount(flat, weights=s, minlength=m)
+        mean = total / np.maximum(np.bincount(flat, weights=weight, minlength=m), 1)
         feature, threshold = np.full(m, -1), np.zeros(m)
         if depth < config.max_depth:
             score, best, cut, best_threshold, keys = _best_splits(
-                bins, node, residual, m, config.min_samples_leaf)
-            sse = np.bincount(flat, weights=r2, minlength=m) - total * mean
+                bins, node, s, weight, m, config.min_samples_leaf)
+            sse = np.bincount(flat, weights=q, minlength=m) - total * mean
             split = (best >= 0) & (score - total * mean > 1e-12 * np.maximum(1.0, sse))
             split[0] = False
             feature[split], threshold[split] = best[split], best_threshold[split]
@@ -536,49 +565,78 @@ def _preorder(levels, trees):
     return nodes, tree_sizes, internal
 
 
-def _boosted_layout(X, Y, sort, base, config: TrainConfig):
-    """The packed layout of the boosted trees, in fit order, fitted to the
-    rows `Y[sort]` at the locations `X` (already sorted); each block of
-    outputs is read as `Y[sort, lo:hi]`, so no sorted copy of `Y` is made.
+def _cell_tables(Y, rows, cell, cells):
+    """The base predictions and the (cells, outputs) tables of the targets
+    `Y[rows]`, the rows lying in `cell` of `cells`: per cell, the sum S of
+    its rows' residuals, the targets less the base, and the sum Q of their
+    squares, each adding the cell's rows in row order.
 
-    Every round fits one tree per output on the current residuals, skipping
-    outputs whose residuals are all below 1e-12 and trees without a split,
+    The targets are read once, a column block at a time as `Y[rows,
+    lo:hi]`. The base is each block's mean, which adds the rows one after
+    another as the whole array's mean does; a block is at least two columns
+    wide, as a one-column mean adds pairwise."""
+    n, d = len(rows), Y.shape[1]
+    base, S, Q = np.empty(d), np.empty((cells, d)), np.empty((cells, d))
+    width = max(2, _CHUNK_CELLS // n)
+    for lo in range(0, d, width):
+        lo = max(0, min(lo, d - 2))
+        hi = min(lo + width, d)
+        residual = Y[rows, lo:hi]
+        base[lo:hi] = residual.mean(axis=0)
+        residual -= base[lo:hi]
+        keys = (cell[:, None] * (hi - lo) + np.arange(hi - lo)).ravel()
+        for table, weights in ((S, residual), (Q, np.square(residual))):
+            table[:, lo:hi] = np.bincount(keys, weights=weights.ravel(),
+                                          minlength=cells * (hi - lo)).reshape(cells, hi - lo)
+    return base, S, Q
+
+
+def _boosted_layout(X, Y, rows, config: TrainConfig):
+    """The base predictions and the packed layout of the boosted trees, in
+    fit order, fitted to the targets `Y[rows]` at the locations `X` (both
+    already sorted).
+
+    The features are binned once, on these rows (`_bins`), and the rows are
+    mapped once to their occupied cells (`_bin_cells`), whose row counts w
+    and target tables S and Q (`_cell_tables`) are all the fit reads. Every
+    round fits one tree per output on them, skipping trees without a split,
     and training stops the moment the next tree would push the parameter
-    count past the budget, also partway through a round. The trees of a
+    count past the budget, also partway through a round. After each kept
+    tree, S and Q take its step per cell, δ = learning_rate * leaf value: Q
+    -= (2S - wδ)δ with S before the update, then S -= wδ. The trees of a
     round depend only on their own output's residuals, so blocks of outputs
     are fitted at once, and the block's trees are then taken in output
-    order. A block spans about `_CHUNK_CELLS` cells, counting per tree the
-    larger of its (feature, row) cells and the (node, bin) cells of its
-    deepest level, 2^max_depth nodes on the widest feature's bins. The
-    features are binned once, on these rows (`_bins`)."""
-    n, d = Y.shape
-    bins = _bins(X)
-    pred = np.repeat(base[:, None], n, axis=1)      # output-major: output k in row k
+    order. A block spans about `_CHUNK_CELLS` entries, counting per tree the
+    larger of its (feature, cell) entries and the (node, bin) cells of its
+    deepest level, 2^max_depth nodes on the widest feature's bins."""
+    n, d = len(rows), Y.shape[1]
+    cell, w, bins = _bin_cells(_bins(X))
+    cells = len(w)
+    base, S, Q = _cell_tables(Y, rows, cell, cells)
     used = d
     pieces = [tuple(np.zeros(0, dtype) for dtype in _LAYOUT.values())]  # an empty layout
-    cells = max(X.shape[1] * n, 2**config.max_depth * max(len(lo) for _, lo, _ in bins))
-    block = max(1, _CHUNK_CELLS // cells)
+    size = max(X.shape[1] * cells, 2**config.max_depth * max(len(lo) for _, lo, _ in bins))
+    block = max(1, _CHUNK_CELLS // size)
+    log.debug("fit: %d rows in %d cells, %d outputs per block", n, cells, min(block, d))
     for _ in range(config.tree_count):
         for lo in range(0, d, block):
-            dims = np.arange(lo, min(lo + block, d))
-            # C-contiguous (rows, outputs), as `_fit_trees` reads it
-            residual = Y[sort, lo:lo + block] - pred[dims].T
-            active = ~(np.max(np.abs(residual), axis=0) < 1e-12)
-            if not np.any(active):
-                continue
-            dims, residual = dims[active], residual[:, active]
-            nodes, sizes, internal, leaf_value = _fit_trees(bins, residual, config)
+            hi = min(lo + block, d)
+            nodes, sizes, internal, leaf_value = _fit_trees(bins, w, S[:, lo:hi], Q[:, lo:hi],
+                                                            config)
             cost = np.where(internal > 0, sizes + internal, 0)
             fits = used + np.cumsum(cost) <= config.budget_parameters
             kept = (internal > 0) & fits
-            pred[dims[kept]] += config.learning_rate * leaf_value[:, kept].T
+            dims = np.arange(lo, hi)[kept]
+            delta = config.learning_rate * leaf_value[:, kept]
+            step = w[:, None] * delta
+            Q[:, dims] -= (2 * S[:, dims] - step) * delta
+            S[:, dims] -= step
             used += int(cost[kept].sum())
             in_kept = np.repeat(kept, sizes)
-            pieces.append((dims[kept], sizes[kept],
-                           *(nodes[name][in_kept] for name in Tree.__slots__)))
+            pieces.append((dims, sizes[kept], *(nodes[name][in_kept] for name in Tree.__slots__)))
             if not np.all(fits):
-                return _pack(pieces)
-    return _pack(pieces)
+                return base, _pack(pieces)
+    return base, _pack(pieces)
 
 
 def _pack(pieces):
@@ -586,37 +644,44 @@ def _pack(pieces):
     return {key: np.concatenate(arrays) for key, arrays in zip(_LAYOUT, zip(*pieces))}
 
 
-def train(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel:
-    """Greedy per-output boosting under a global parameter budget.
+def train(X, Y, config: TrainConfig, role: str = "coupled", rows=None) -> TreeEnsembleModel:
+    """Greedy per-output boosting under a global parameter budget, on the
+    targets `Y[rows]` at the locations `X`, one location per row; `rows`
+    are row indices of `Y`, all of its rows by default.
 
     Rows are lexicographically sorted by location first, so the fit does not
-    depend on input row order. The caller's `Y` is read in that order, never
-    copied whole: only the base takes a transient sorted copy, freed before
-    the fit. A non-finite `X` or `Y` raises a ValueError naming it.
+    depend on input row order. The caller's `Y` is read at the rows, a
+    column block at a time, and never copied whole, so that `train(X, Y,
+    config, rows=r)` is `train(X, Y[r], config)` bit for bit. A non-finite
+    `X` or `Y[rows]` raises a ValueError naming it.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
+    rows = np.arange(len(Y)) if rows is None else np.asarray(rows, dtype=np.intp)
     if len(X) == 0:
         raise ValueError("empty training data")
-    if len(X) != len(Y):
+    if len(X) != len(rows):
         raise ValueError("inputs and targets must have the same length")
-    for name, a in (("X", X), ("Y", Y)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} holds a non-finite value")
+    if not np.isfinite(X).all():
+        raise ValueError("X holds a non-finite value")
+    step = max(1, _CHUNK_CELLS // len(rows))        # Y[rows] is checked a column block at a time
+    if not all(np.isfinite(Y[rows, lo:lo + step]).all() for lo in range(0, Y.shape[1], step)):
+        raise ValueError("Y holds a non-finite value")
     d = Y.shape[1]
     if config.budget_parameters < d:
         raise ValueError(f"budget {config.budget_parameters} cannot hold {d} base predictions")
 
     sort = np.lexsort((X[:, 1], X[:, 0]))
-    base = Y[sort].mean(axis=0)
-    return TreeEnsembleModel(base, _boosted_layout(X[sort], Y, sort, base, config),
-                             config.learning_rate, d, role)
+    base, layout = _boosted_layout(X[sort], Y, rows[sort], config)
+    return TreeEnsembleModel(base, layout, config.learning_rate, d, role)
 
 
-def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray) -> TrainConfig:
-    """Grid point with the lowest mean validation MSE over folds; ties break
+def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray,
+               rows=None) -> TrainConfig:
+    """Grid point with the lowest mean validation MSE over folds, on the
+    targets `Y[rows]` at the locations `X` (`train`'s `rows`); ties break
     toward smaller parameter count, then earlier grid position."""
     if not grid:
         raise ValueError("hyperparameter grid must be nonempty")
@@ -624,14 +689,15 @@ def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray) -> T
         return grid[0]
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    rows = np.arange(len(Y)) if rows is None else np.asarray(rows, dtype=np.intp)
     folds = sorted(set(np.asarray(fold_assignments).tolist()))  # np.unique loads numpy.ma
     best = None
     for gi, cfg in enumerate(grid):
         mses, params = [], []
         for f in folds:
             val = fold_assignments == f
-            model = train(X[~val], Y[~val], cfg)
-            mses.append(float(np.mean((model.predict_batch(X[val]) - Y[val]) ** 2)))
+            model = train(X[~val], Y, cfg, rows=rows[~val])
+            mses.append(float(np.mean((model.predict_batch(X[val]) - Y[rows[val]]) ** 2)))
             params.append(param_count(model))
         key = (float(np.mean(mses)), float(np.mean(params)), gi)
         if best is None or key < best[0]:

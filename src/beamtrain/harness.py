@@ -271,9 +271,10 @@ def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
     """K-fold tune and fit one model role on the training rows, under its
     budget. The scenario-2 and scenario-3 UE models share targets, budget
     and grid, so theta3_w is fitted as theta2_w. Only the training rows'
-    locations and targets are gathered. Tuning and the final fit are two
-    stages; the chosen grid point and the model's trees and parameters are
-    logged at info level after them."""
+    locations are gathered; tuning and the fit read the targets at the
+    training rows in place. Tuning and the final fit are two stages; the
+    chosen grid point and the model's trees and parameters are logged at
+    info level after them."""
     if name == "theta1":
         Y, grid, budget, role = tr_rows.ratios, config.bs_grid, config.bs_budget, "coupled"
     elif name == "theta2_f":
@@ -282,12 +283,12 @@ def train_role(config: ExperimentConfig, name: str, tr_rows, atr_rows, split):
         Y, grid, budget, role = atr_rows.atr_w, config.ue_grid, config.ue_budget, "decoupled_ue"
     else:
         raise ValueError(f"unknown model role {name!r}")
-    X, Y = tr_rows.location[split.train_rows], Y[split.train_rows]
+    X, rows = tr_rows.location[split.train_rows], split.train_rows
     configs = [boosting.TrainConfig(budget_parameters=budget, **g) for g in grid]
     with _stage(f"tune {name}"):
-        cfg = boosting.kfold_tune(X, Y, configs, split.fold_assignments)
+        cfg = boosting.kfold_tune(X, Y, configs, split.fold_assignments, rows=rows)
     with _stage(f"fit {name}"):
-        model = boosting.train(X, Y, cfg, role=role)
+        model = boosting.train(X, Y, cfg, role=role, rows=rows)
     log.info("trained %s: grid point %d of %d, %d trees, %d parameters", name,
              configs.index(cfg), len(configs), len(model.layout["tree_sizes"]),
              boosting.param_count(model))

@@ -1,11 +1,19 @@
 """Per-tree boosting trainers, kept as the references that the
 round-at-once fit in `beamtrain.boosting` is held to.
 
-Both fit one tree per (round, output) with a recursive builder that
+All fit one tree per (round, output) with a recursive builder that
 searches one node at a time:
-- `train_histogram_reference` searches the node's histograms over the
-  fit's bins (`histogram_bins`, `_histogram_split`), as `boosting.train`
-  does; the fit is held to it tree for tree and bit for bit;
+- `train_cell_reference` searches the node's histograms over the fit's
+  bins (`histogram_bins`, `_histogram_split`) on the occupied bin cells,
+  with the cells' row counts as weights and per-cell residual sums and
+  squared sums that each tree's step updates (`cell_tables`), as
+  `boosting.train` does; the fit is held to it tree for tree and bit for
+  bit;
+- `train_histogram_reference` runs the same search on the rows, each a
+  cell of weight 1, and keeps per-row residuals. It adds the same rows in
+  another grouping, so the fit gives its split features and thresholds,
+  but where two splits tie in exact arithmetic, and its leaf values to
+  within rounding;
 - `train_reference` searches every midpoint between distinct values in
   sorted order (`_best_split`), the exact search. Where every feature has
   no more distinct values than bins, the bins are the values and the fit
@@ -155,22 +163,24 @@ def histogram_bins(X):
     return bins
 
 
-def _histogram_split(bins, residual, rows, min_leaf):
+def _histogram_split(bins, residual, rows, min_leaf, weights=None):
     """Best (feature, threshold, score) of the node of the ascending `rows`
-    over the histograms of `bins`: per bin, the row count and the residual
-    sum, added row after row; a split after bin j scores S_l^2 / n_l + S_r^2
-    / n_r and needs a row in bin j and `min_leaf` rows on either side. The
+    over the histograms of `bins`: per bin, the row count (the sum of the
+    rows' `weights`, 1 each by default) and the residual sum, added row after
+    row; a split after bin j scores S_l^2 / n_l + S_r^2 / n_r and needs a
+    row in bin j and `min_leaf` counted rows on either side. The
     first best bin of a feature wins, a later feature only by more than
     1e-15; the threshold is the midpoint of bin j's highest value and the
     next occupied bin's lowest, halves added so that it cannot overflow, or
     bin j's highest where the midpoint rounds up to the next value."""
+    weights = np.ones(len(residual)) if weights is None else weights
     best = None
     for f, (row_bin, lo, hi) in enumerate(bins):
         width = len(lo)
         if width < 2:
             continue
-        count, sums = np.zeros(width, dtype=int), np.zeros(width)
-        np.add.at(count, row_bin[rows], 1)
+        count, sums = np.zeros(width), np.zeros(width)
+        np.add.at(count, row_bin[rows], weights[rows])
         np.add.at(sums, row_bin[rows], residual[rows])
         left_n, left_s = np.cumsum(count), np.cumsum(sums)
         right_n, right_s = left_n[-1] - left_n, left_s[-1] - left_s
@@ -186,13 +196,16 @@ def _histogram_split(bins, residual, rows, min_leaf):
     return best
 
 
-def fit_histogram_tree(X, bins, residual, config: TrainConfig):
+def fit_histogram_tree(X, bins, residual, config: TrainConfig, weights=None, squares=None):
     """Fit one tree by histogram split search. A node's value is its
-    residual sum, added row after row, over its row count; it splits if its
-    best split raises S^2 / n by more than 1e-12 * max(1, sse), its sse
-    being the sum of squares less sum * mean. Also returns the leaf id of
-    every training row, taken from the `<=` partition that `tree_predict`
-    uses."""
+    residual sum, added row after row, over its row count, the sum of its
+    rows' `weights` (1 each by default); it splits if its best split raises
+    S^2 / n by more than 1e-12 * max(1, sse), its sse being the sum of
+    `squares` (the squared residuals by default) less sum * mean. Also
+    returns the leaf id of every training row, taken from the `<=`
+    partition that `tree_predict` uses."""
+    weights = np.ones(len(residual)) if weights is None else weights
+    squares = np.square(residual) if squares is None else squares
     feature, threshold, left, right, value = [], [], [], [], []
     leaf_of_row = np.empty(X.shape[0], dtype=int)
 
@@ -203,14 +216,13 @@ def fit_histogram_tree(X, bins, residual, config: TrainConfig):
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        r = residual[rows]
-        total = sequential_sum(r)
-        mean = total / len(rows)
+        total = sequential_sum(residual[rows])
+        mean = total / sequential_sum(weights[rows])
         value.append(mean)
         if depth >= config.max_depth:
             return node_id
-        sse = sequential_sum(np.square(r)) - total * mean
-        split = _histogram_split(bins, residual, rows, config.min_samples_leaf)
+        sse = sequential_sum(squares[rows]) - total * mean
+        split = _histogram_split(bins, residual, rows, config.min_samples_leaf, weights)
         if split is None or not split[2] - total * mean > 1e-12 * np.maximum(1.0, sse):
             return node_id
         f, thr, _ = split
@@ -247,27 +259,80 @@ def boosted_trees(X, Y, base, config: TrainConfig, fit):
             pred[:, dim] += config.learning_rate * tree.value[leaf_of_row]
 
 
+def cell_tables(X, Y, base):
+    """The occupied bin cells of the sorted rows `X`: the rows that share a
+    bin (`histogram_bins`) on every feature. Cells go in the order of their
+    bins, feature 0 first. Returns each cell's first row, its row count,
+    the cells' bins (each cell's bin per feature, and the bin ends) and,
+    per (cell, output), the sum of the rows' residuals `Y - base` and the
+    sum of their squares, each added row after row."""
+    bins = histogram_bins(X)
+    members = {}
+    for row in range(len(X)):
+        members.setdefault(tuple(int(b[row]) for b, _, _ in bins), []).append(row)
+    rows = [members[key] for key in sorted(members)]
+    residual = Y - base
+    S, Q = (np.array([np.add.accumulate(np.vstack([np.zeros(Y.shape[1]), a[r]]))[-1]
+                      for r in rows]) for a in (residual, np.square(residual)))
+    first = np.array([r[0] for r in rows])
+    return (first, np.array([float(len(r)) for r in rows]),
+            [(b[first], lo, hi) for b, lo, hi in bins], S, Q)
+
+
+def boosted_cell_trees(X, Y, base, config: TrainConfig):
+    """(output, tree) pairs in fit order, fitted on the cells of
+    `cell_tables` at their first row's location. Rounds fit one tree per
+    output on the cells' row counts w, residual sums S and squared sums Q,
+    and stop the moment the next tree would push the parameter count past
+    the budget. After each kept tree, the output's S and Q take its step
+    δ = learning_rate * leaf value per cell: Q -= (2S - wδ)δ with S before
+    the update, then S -= wδ."""
+    first, w, bins, S, Q = cell_tables(X, Y, base)
+    used = Y.shape[1]
+    for _ in range(config.tree_count):
+        for dim in range(Y.shape[1]):
+            tree, leaf_of_cell = fit_histogram_tree(X[first], bins, S[:, dim], config, w,
+                                                    Q[:, dim])
+            if internal_count(tree) == 0:
+                continue  # no useful split left for this output
+            if used + tree_param_cost(tree) > config.budget_parameters:
+                return
+            yield dim, tree
+            used += tree_param_cost(tree)
+            delta = config.learning_rate * tree.value[leaf_of_cell]
+            step = w * delta
+            Q[:, dim] -= (2 * S[:, dim] - step) * delta
+            S[:, dim] -= step
+
+
 def train_reference(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel:
     """`boosting.train` on the exact per-node split search."""
     def fit(X):
         order = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
         return lambda residual: fit_tree(X, residual, order, config)
-    return _train(X, Y, config, role, fit)
+    return _train(X, Y, config, role, lambda X, Y, base: boosted_trees(X, Y, base, config, fit(X)))
 
 
 def train_histogram_reference(X, Y, config: TrainConfig,
                               role: str = "coupled") -> TreeEnsembleModel:
     """`boosting.train` on the per-node histogram split search, over bins
-    of the sorted rows."""
+    of the sorted rows, row by row."""
     def fit(X):
         bins = histogram_bins(X)
         return lambda residual: fit_histogram_tree(X, bins, residual, config)
-    return _train(X, Y, config, role, fit)
+    return _train(X, Y, config, role, lambda X, Y, base: boosted_trees(X, Y, base, config, fit(X)))
 
 
-def _train(X, Y, config, role, fit):
-    """Greedy per-output boosting under a global parameter budget, each
-    tree fitted by `fit(X)(residual)`.
+def train_cell_reference(X, Y, config: TrainConfig, role: str = "coupled") -> TreeEnsembleModel:
+    """`boosting.train` on the per-node histogram split search over the
+    occupied bin cells of the sorted rows (`boosted_cell_trees`)."""
+    return _train(X, Y, config, role,
+                  lambda X, Y, base: boosted_cell_trees(X, Y, base, config))
+
+
+def _train(X, Y, config, role, boosted):
+    """Greedy per-output boosting under a global parameter budget, the
+    (output, tree) pairs given by `boosted(X, Y, base)` on the sorted rows.
 
     Rows are lexicographically sorted by location first, so the fit does not
     depend on input row order.
@@ -287,5 +352,4 @@ def _train(X, Y, config, role, fit):
     sort = np.lexsort((X[:, 1], X[:, 0]))
     X, Y = X[sort], Y[sort]
     base = Y.mean(axis=0)
-    return model_from_trees(base, list(boosted_trees(X, Y, base, config, fit(X))),
-                            config.learning_rate, d, role)
+    return model_from_trees(base, list(boosted(X, Y, base)), config.learning_rate, d, role)

@@ -1,3 +1,4 @@
+import logging
 import os
 import re
 import subprocess
@@ -20,8 +21,8 @@ from beamtrain.boosting import (TrainConfig, Tree, kfold_tune, load_model, param
                                 save_model, train)
 from reference_boosting import (_histogram_split, fit_histogram_tree, fit_tree, histogram_bins,
                                 internal_count, model_from_trees, sequential_sum,
-                                train_histogram_reference, train_reference, tree_depth,
-                                tree_param_cost, tree_predict)
+                                train_cell_reference, train_histogram_reference, train_reference,
+                                tree_depth, tree_param_cost, tree_predict)
 
 
 def _grid_data(n=64, d=4, seed=0):
@@ -57,7 +58,8 @@ def test_budget_enforced_during_training():
     assert param_count(model) <= 2048
     # the budget runs out after 46 trees of the first round
     assert len(model.trees) == 46
-    assert _layout_bytes(model) == _layout_bytes(train_histogram_reference(X, Y, cfg))
+    assert _layout_bytes(model) == _layout_bytes(train_cell_reference(X, Y, cfg))
+    _assert_splits_as_row_form(model, train_histogram_reference(X, Y, cfg))
 
 
 def test_budget_below_outputs_raises():
@@ -830,8 +832,9 @@ def test_budget_stop_mid_round_predicts_with_held_trees(tmp_path):
     extra = [dim for dim in range(32) if per_output[dim] == max(per_output.values())]
     assert extra == list(range(len(extra)))
     assert param_count(model) == 32 + sum(tree_param_cost(t) for _, t in model.trees) <= 1000
-    assert _layout_bytes(model) == _layout_bytes(train_histogram_reference(X, Y, TrainConfig(
-        tree_count=10, max_depth=3, learning_rate=0.5, budget_parameters=1000)))
+    config = TrainConfig(tree_count=10, max_depth=3, learning_rate=0.5, budget_parameters=1000)
+    assert _layout_bytes(model) == _layout_bytes(train_cell_reference(X, Y, config))
+    _assert_splits_as_row_form(model, train_histogram_reference(X, Y, config))
     probe = np.random.default_rng(11).uniform(0, 100, size=(25, 2))
     expected = _reference_predict(model, model.trees, probe)
     assert model.predict_batch(probe).tobytes() == expected.tobytes()
@@ -894,17 +897,20 @@ def test_bins_match_the_reference_bins(n, distinct, seed):
 @given(st.lists(_NODE_KINDS, min_size=1, max_size=6), _ROW_COUNTS, st.integers(0, 2**32 - 1),
        st.integers(1, 3))
 def test_node_stats_equal_per_node_sums(kinds, n, seed, max_depth):
-    """In a level fit, every node's value is the sum of its rows'
-    residuals, added row after row from 0.0, over its row count, byte for
-    byte, and every row's leaf value is its leaf's value, signed zeros
-    included: the bincounts over all cells add each node's residuals in row
-    order. The rows of a node are those that reach it by `x <= threshold`."""
+    """In a level fit on n cells of 1-7 rows each, every node's value is
+    the sum of its cells' residual sums, added cell after cell from 0.0,
+    over its row count, byte for byte, and every cell's leaf value is its
+    leaf's value, signed zeros included: the bincounts over all entries add
+    each node's residual sums in cell order. The cells of a node are those
+    that reach it by `x <= threshold`."""
     rng = np.random.default_rng(seed)
     X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n), rng.uniform(20.0, 80.0, n)])
     residual = np.column_stack([_node_values(rng, n, kind) for kind in kinds])
+    w = rng.integers(1, 8, n).astype(float)
     config = TrainConfig(max_depth=max_depth, min_samples_leaf=1)
     with np.errstate(over="ignore", invalid="ignore"):   # squares of values near 1e300 are inf
-        nodes, sizes, _, leaf_value = boosting._fit_trees(boosting._bins(X), residual, config)
+        nodes, sizes, _, leaf_value = boosting._fit_trees(boosting._bins(X), w, residual,
+                                                          np.square(residual), config)
         expected = []
         ends = np.cumsum(sizes)
         for c in range(len(kinds)):
@@ -912,7 +918,7 @@ def test_node_stats_equal_per_node_sums(kinds, n, seed, max_depth):
             stack = [(0, np.arange(n))]
             while stack:
                 i, rows = stack.pop()
-                mean = sequential_sum(residual[rows, c]) / len(rows)
+                mean = sequential_sum(residual[rows, c]) / sequential_sum(w[rows])
                 expected.append((tree.value[i].tobytes(), np.float64(mean).tobytes()))
                 if tree.feature[i] < 0:
                     expected.append((leaf_value[rows, c].tobytes(),
@@ -939,6 +945,18 @@ def _layout_bytes(model):
     return {key: (a.dtype.str, a.tobytes()) for key, a in model.layout.items()}
 
 
+def _assert_splits_as_row_form(model, reference, tolerance=1e-14):
+    """The fit on cells gives the row-form reference's trees node for node,
+    thresholds included, and its base bit for bit; its leaf values add the
+    rows in another grouping and lie within `tolerance` of the reference's."""
+    for key in ("tree_outputs", "tree_sizes", "node_feature", "node_threshold", "node_left",
+                "node_right"):
+        assert np.array_equal(model.layout[key], reference.layout[key]), key
+    assert np.allclose(model.layout["node_value"], reference.layout["node_value"], rtol=0.0,
+                       atol=tolerance)
+    assert model.base_prediction.tobytes() == reference.base_prediction.tobytes()
+
+
 @st.composite
 def _training_sets(draw):
     """X on a coarse grid (`_FIT_GRID`), 1-40 outputs, some of them constant
@@ -963,7 +981,7 @@ def test_round_fit_matches_per_tree_reference(data, chunk_cells):
     X, Y, config = data
     with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
         model = train(X, Y, config)
-    reference = train_histogram_reference(X, Y, config)
+    reference = train_cell_reference(X, Y, config)
     assert _layout_bytes(model) == _layout_bytes(reference)
     assert model.base_prediction.tobytes() == reference.base_prediction.tobytes()
     assert model.predict_batch(X).tobytes() == reference.predict_batch(X).tobytes()
@@ -994,9 +1012,129 @@ def test_paper_shaped_fit_matches_per_tree_reference(data, chunk_cells):
     X, Y, config = data
     with mock.patch.object(boosting, "_CHUNK_CELLS", chunk_cells):
         model = train(X, Y, config)
-    reference = train_histogram_reference(X, Y, config)
+    reference = train_cell_reference(X, Y, config)
     assert _layout_bytes(model) == _layout_bytes(reference)
     assert model.base_prediction.tobytes() == reference.base_prediction.tobytes()
+    _assert_splits_as_row_form(model, train_histogram_reference(X, Y, config))
+
+
+@st.composite
+def _celled_sets(draw):
+    """Training sets of many rows per bin cell: 2-200 rows on 1-4 lanes and
+    1-8 coordinates, with 1-12 outputs of continuous targets in [0, 1], read
+    at `rows` of a target array of up to 50 rows more. The learning rate
+    stays below 1: a rate of 1 zeroes each leaf's residual sum exactly, so
+    that later splits of its rows tie exactly, and the cell and row forms
+    round those ties apart (the cell reference holds the fit at 1)."""
+    n, d = draw(st.integers(2, 200)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lanes = rng.choice([1.75, 5.25, 8.75, 12.25], draw(st.integers(1, 4)), replace=False)
+    X = np.column_stack([rng.choice(lanes, n),
+                         rng.choice(rng.uniform(20.0, 80.0, draw(st.integers(1, 8))), n)])
+    Y = rng.uniform(size=(n + draw(st.integers(0, 50)), d))
+    rows = rng.permutation(len(Y))[:n]
+    config = TrainConfig(tree_count=draw(st.integers(1, 5)), max_depth=draw(st.integers(1, 4)),
+                         learning_rate=draw(st.sampled_from([0.3, 0.5]) | st.floats(0.05, 0.9)),
+                         min_samples_leaf=draw(st.integers(1, 3)),
+                         budget_parameters=d + draw(st.integers(0, 40 * d)))
+    return X, Y, rows, config
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(_celled_sets())
+def test_cell_fit_splits_as_the_row_form_reference(data):
+    """Where many rows share each cell, the fit on cells gives the trees of
+    the row-by-row histogram trainer node for node, with leaf values within
+    1e-12, although it adds each node's rows by cells. The long run is the
+    `cell-fit` profile of tests/conftest.py."""
+    X, Y, rows, config = data
+    _assert_splits_as_row_form(train(X, Y[rows], config),
+                               train_histogram_reference(X, Y[rows], config), 1e-12)
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(_celled_sets())
+def test_train_on_rows_equals_train_on_their_copy(data):
+    """`train(X, Y, config, rows=r)` reads the targets at r in place and
+    gives `train(X, Y[r], config)` bit for bit, base included."""
+    X, Y, rows, config = data
+    model, copied = train(X, Y, config, rows=rows), train(X, Y[rows], config)
+    assert _layout_bytes(model) == _layout_bytes(copied)
+    assert model.base_prediction.tobytes() == copied.base_prediction.tobytes()
+
+
+def test_an_output_of_constant_targets_gets_no_tree_and_spends_no_budget():
+    """In one block beside outputs that split, an output whose targets are
+    all 0.7 gets no tree and spends no parameter past its base: its
+    residuals, 0.7 less the mean of 60 of them, are about 4e-16, and a split
+    of residuals below 1e-12 gains less than the 1e-12 split floor, so no
+    fit needs to skip it. The other outputs get the trees that they get
+    without it, bit for bit, also where the budget stops the fit partway
+    through a round."""
+    X, Y = _grid_data(n=60, d=6, seed=13)
+    config = TrainConfig(tree_count=10, max_depth=3, learning_rate=0.5, budget_parameters=300)
+    alone = train(X, Y, config)
+    blocks, fit = [], boosting._fit_trees
+
+    def counting(bins, w, S, Q, config):
+        blocks.append(S.shape[1])
+        return fit(bins, w, S, Q, config)
+
+    with mock.patch.object(boosting, "_fit_trees", counting):
+        model = train(X, np.insert(Y, 3, 0.7, axis=1), replace(config, budget_parameters=301))
+    assert blocks == [7, 7, 7]     # three rounds, all seven outputs in one block
+    assert 0 < abs(0.7 - model.base_prediction[3]) < 1e-12
+    outputs = alone.layout["tree_outputs"]
+    assert Counter(outputs.tolist()) == {0: 3, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2}
+    assert model.layout["tree_outputs"].tolist() == (outputs + (outputs >= 3)).tolist()
+    for key in list(boosting._LAYOUT)[1:]:
+        assert model.layout[key].tobytes() == alone.layout[key].tobytes()
+    assert param_count(model) == param_count(alone) + 1
+
+
+def test_cell_tables_hold_each_rounds_residual_sums_and_squares():
+    """The S and Q that each round's fit reads are, cell by cell, the sums
+    of the rows' residuals after the trees of the rounds before, and of
+    their squares, to within rounding: each kept tree's step updates them
+    in place of per-row residuals. 90 rows on 4 lanes and 11 coordinates
+    share 37 cells; all 3 outputs fit in one block, one call per round."""
+    X, Y = _grid_data(n=90, d=3, seed=14)
+    X = np.column_stack([np.array([1.75, 5.25, 8.75, 12.25])[np.arange(90) % 4],
+                         np.round(X[:, 1] / 10.0) * 10.0])
+    config = TrainConfig(tree_count=4, max_depth=2, learning_rate=0.5, budget_parameters=10**4)
+    seen, fit = [], boosting._fit_trees
+
+    def recording(bins, w, S, Q, config):
+        seen.append((S.copy(), Q.copy()))
+        return fit(bins, w, S, Q, config)
+
+    with mock.patch.object(boosting, "_fit_trees", recording):
+        model = train(X, Y, config)
+    sort = np.lexsort((X[:, 1], X[:, 0]))
+    cell, w, _ = boosting._bin_cells(boosting._bins(X[sort]))
+    residual = Y[sort] - model.base_prediction
+    rounds = Counter()
+    trees = [(dim, rounds.update([dim]) or rounds[dim], tree) for dim, tree in model.trees]
+    assert len(seen) == 4 and len(model.trees) == 4 * 3 and len(w) == 37
+    for r, (S, Q) in enumerate(seen, start=1):
+        for table, values in ((S, residual), (Q, np.square(residual))):
+            sums = np.column_stack([np.bincount(cell, weights=v) for v in values.T])
+            assert np.allclose(table, sums, rtol=0.0, atol=1e-12)
+        for dim, tree_round, tree in trees:
+            if tree_round == r:
+                residual[:, dim] -= config.learning_rate * tree_predict(tree, X[sort])
+
+
+def test_fit_logs_its_rows_cells_and_block_width(caplog):
+    """Each fit logs at debug level its row count, its occupied bin cells
+    and the outputs it fits at once: 100 rows on 2 lanes and 5 coordinates
+    lie in 10 cells, and all 3 outputs fit in one block."""
+    X = np.column_stack([np.repeat([1.75, 5.25], 50), np.tile(np.arange(5.0), 20)])
+    Y = np.column_stack([np.sin(X[:, 1] + k) for k in range(3)])
+    with caplog.at_level(logging.DEBUG, logger="beamtrain.boosting"):
+        train(X, Y, TrainConfig(tree_count=2))
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("DEBUG", "fit: 100 rows in 10 cells, 3 outputs per block")]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1005,24 +1143,26 @@ def test_paper_shaped_fit_matches_per_tree_reference(data, chunk_cells):
 def test_best_splits_match_per_node_reference(n, distinct, trees, per_tree, seed, min_leaf):
     """One level's `_best_splits` gives every node the (score, feature,
     threshold) of the per-node histogram search, byte for byte: 1-8 nodes
-    per tree over the interleaved cells of 1-4 trees, each node's rows
-    scattered over the fit's rows, a lane column of 4 values, a coordinate
-    with ties, signed zeros and neighbouring floats, and residuals with
-    ties and signed zeros."""
+    per tree over the interleaved entries of 1-4 trees, each node's cells
+    scattered over the fit's cells, each cell of 1-7 rows, a lane column of
+    4 values, a coordinate with ties, signed zeros and neighbouring floats,
+    and residual sums with ties and signed zeros."""
     rng = np.random.default_rng(seed)
     X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n),
                          _column(rng, n, [-0.0, 0.0, 0.5, 1.0, _ONE_UP,
                                           float(np.nextafter(_ONE_UP, 2.0))], distinct)])
     residual = np.column_stack([_column(rng, n, [-0.0, 0.0, 0.25, -0.5], 2000)
                                 for _ in range(trees)])
+    w = rng.integers(1, 8, n).astype(float)
     # node k belongs to tree k % trees
     node = rng.integers(0, per_tree, (n, trees)) * trees + np.arange(trees)
     m = trees * per_tree
     bins = boosting._bins(X)
-    score, feature, _, threshold, _ = boosting._best_splits(bins, node, residual, m, min_leaf)
+    score, feature, _, threshold, _ = boosting._best_splits(
+        bins, node, residual.ravel(), np.repeat(w, trees), m, min_leaf)
     for k in range(m):
         rows = np.flatnonzero(node[:, k % trees] == k)
-        expected = _histogram_split(histogram_bins(X), residual[:, k % trees], rows, min_leaf)
+        expected = _histogram_split(histogram_bins(X), residual[:, k % trees], rows, min_leaf, w)
         if expected is None:
             assert feature[k] == -1
         else:
@@ -1034,24 +1174,30 @@ def test_best_splits_match_per_node_reference(n, distinct, trees, per_tree, seed
 @given(hnp.arrays(float, st.tuples(st.integers(1, 40), st.just(2)), elements=_FIT_GRID),
        st.data(), st.integers(1, 4), st.integers(1, 3))
 def test_level_fit_matches_per_tree_reference(X, data, max_depth, min_leaf):
-    """Every tree and every row's leaf value (the in-sample update of the
-    next round) equal the recursive per-tree histogram fit, also for
-    unsorted rows."""
+    """Every tree and every cell's leaf value (the step of the next round)
+    equal the recursive per-tree histogram fit on the same cells, also for
+    unsorted cells: cells of 1-7 rows, each with a residual sum and a sum
+    of squares."""
     columns = data.draw(st.integers(1, 12))
     residual = data.draw(hnp.arrays(float, (len(X), columns), elements=_RESIDUALS))
     residual[:, data.draw(hnp.arrays(bool, columns))] = 0.0
+    w = data.draw(hnp.arrays(float, len(X), elements=st.sampled_from([1.0, 2.0, 3.0, 7.0])))
+    squares = np.square(residual) / w[:, None] + data.draw(
+        hnp.arrays(float, (len(X), columns), elements=st.sampled_from([0.0, 0.25, 1.0])))
     config = TrainConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
-    nodes, sizes, internal, leaf_value = boosting._fit_trees(boosting._bins(X), residual, config)
+    nodes, sizes, internal, leaf_value = boosting._fit_trees(boosting._bins(X), w, residual,
+                                                             squares, config)
     ends = np.cumsum(sizes)
     assert ends[-1] == len(nodes["feature"])
     for c in range(columns):
-        tree, leaf_of_row = fit_histogram_tree(X, histogram_bins(X), residual[:, c], config)
+        tree, leaf_of_cell = fit_histogram_tree(X, histogram_bins(X), residual[:, c], config, w,
+                                               squares[:, c])
         for name in ("feature", "threshold", "left", "right", "value"):
             got = nodes[name][ends[c] - sizes[c]:ends[c]]
             assert (got.dtype, got.tobytes()) == (getattr(tree, name).dtype,
                                                   getattr(tree, name).tobytes())
         assert internal[c] == internal_count(tree)
-        assert leaf_value[:, c].tobytes() == tree.value[leaf_of_row].tobytes()
+        assert leaf_value[:, c].tobytes() == tree.value[leaf_of_cell].tobytes()
 
 
 def test_best_splits_give_no_split_where_the_sse_overflows():
@@ -1063,8 +1209,9 @@ def test_best_splits_give_no_split_where_the_sse_overflows():
     residual = np.array([1e200, -1e200] * 3)
     config = TrainConfig(min_samples_leaf=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes, sizes, internal, _ = boosting._fit_trees(boosting._bins(X), residual[:, None],
-                                                         config)
+        nodes, sizes, internal, _ = boosting._fit_trees(boosting._bins(X), np.ones(6),
+                                                         residual[:, None],
+                                                         np.square(residual)[:, None], config)
         tree, _ = fit_histogram_tree(X, histogram_bins(X), residual, config)
     assert (sizes.tolist(), internal.tolist(), nodes["feature"].tolist()) == ([1], [0], [-1])
     assert tree.feature.tolist() == [-1]
@@ -1072,12 +1219,13 @@ def test_best_splits_give_no_split_where_the_sse_overflows():
 
 def test_thresholds_of_extreme_values_split_rows_as_their_bins():
     """The midpoint of -1.7e308 and -1e308 is -1.35e308, not the -inf that
-    their sum overflows to, so every training row's in-sample leaf value
+    their sum overflows to, so every training cell's in-sample leaf value
     (from the bins) is the value `tree_predict` reaches (by thresholds)."""
     X = np.column_stack([np.zeros(4), [-1.7e308, -1e308, 1e308, 1.7e308]])
     residual = np.array([[1.0], [0.0], [0.5], [0.25]])
     config = TrainConfig(max_depth=2, min_samples_leaf=1)
-    nodes, _, _, leaf_value = boosting._fit_trees(boosting._bins(X), residual, config)
+    nodes, _, _, leaf_value = boosting._fit_trees(boosting._bins(X), np.ones(4), residual,
+                                                  np.square(residual), config)
     tree = Tree(*(nodes[name] for name in Tree.__slots__))
     assert np.all(np.isfinite(tree.threshold))
     assert -1.7e308 <= tree.threshold[0] < -1e308
@@ -1122,7 +1270,8 @@ def test_constant_column_and_few_rows_fit(n):
                          budget_parameters=1000)
     model = train(X, Y, config)
     assert not np.any(model.layout["node_feature"] == 0)
-    assert _layout_bytes(model) == _layout_bytes(train_histogram_reference(X, Y, config))
+    assert _layout_bytes(model) == _layout_bytes(train_cell_reference(X, Y, config))
+    _assert_splits_as_row_form(model, train_histogram_reference(X, Y, config))
     exact = train_reference(X, Y, config)
     for key in ("tree_outputs", "node_feature", "node_threshold"):
         assert np.array_equal(model.layout[key], exact.layout[key])

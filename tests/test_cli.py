@@ -170,9 +170,9 @@ def test_model_train_fits_only_its_role(tmp_path, monkeypatch):
     fitted = []
     real_train = boosting.train
 
-    def counting(X, Y, config, role="coupled"):
+    def counting(X, Y, config, role="coupled", rows=None):
         fitted.append(Y.shape[1])
-        return real_train(X, Y, config, role)
+        return real_train(X, Y, config, role, rows)
 
     monkeypatch.setattr(boosting, "train", counting)
     path = str(tmp_path / "m.npz")
