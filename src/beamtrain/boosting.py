@@ -36,9 +36,9 @@ sums. The targets are read once, a column block at a time, into the
 (cells, outputs) tables S and Q, and each kept tree moves them by its step
 per cell, so no per-row prediction is held.
 
-The fit gives the trees of a recursive per-tree cell trainer (the tests
-keep one as the reference) node for node and bit for bit, because it
-keeps that trainer's arithmetic:
+The fit gives the trees of a recursive per-tree cell trainer
+(`train_cell_reference` in tests/reference_boosting.py) node for node and
+bit for bit, because it keeps that trainer's arithmetic:
 - every sum over cells, a node's row count, residual sum and sum of
   squares and a (node, bin) histogram cell alike, is an `np.bincount` over
   all the block's (cell, tree) entries, which adds its weights one after
@@ -170,22 +170,31 @@ class TreeEnsembleModel:
     last holding everything above a_{m-1} and NaN, which no `x <=` passes.
     Every point of an interval takes the same branch at every node of those
     trees, so an output's prediction is constant on each cell of the
-    product of its intervals, Π_f (m_f + 1) cells. The tables keep, per
-    feature, the cuts (the sorted distinct thresholds of all outputs, -0.0
-    and 0.0 being one) and `below`, whose entry [g, o] counts output o's
-    thresholds among the first g cuts. A row's interval on f is then
-    `below[searchsorted(cuts, x)]`: the count of the thresholds below x,
-    which are those `x <=` fails; NaN sorts past every cut, into the last
-    interval. One gather reads the row's cells. `predict` (one location)
+    product of its intervals, Π_f (m_f + 1) cells, the last feature varying
+    fastest. The tables keep, per feature, the cuts (the sorted distinct
+    thresholds of all outputs, -0.0 and 0.0 being one) and `below`, whose
+    entry [g, o] counts output o's thresholds among the first g cuts. A
+    row's interval on f is then `below[searchsorted(cuts, x)]`: the count
+    of the thresholds below x, which are those `x <=` fails; NaN sorts past
+    every cut, into the last interval, and a +inf threshold is a cut like
+    any other. One gather reads the row's cells. `predict` (one location)
     and `predict_batch` (rows) share this index rule (`_cells`), after
     checking the input width against the feature ids (`tables_for`).
-    The compile walks each cell
-    through the output's trees by integers: a node whose threshold is the
-    output's a_j has rank j, and the x of interval k pass its `x <= a_j`
-    exactly when k <= j. A cell holds the base plus `learning_rate * leaf
-    value` of those trees, added in fit order as a per-tree loop adds them,
-    clipped to [0, 1]. So predictions are bit-identical to walking the
-    trees one at a time.
+    The compile walks each cell through the output's trees by integers: a
+    node whose threshold is the output's a_j has rank j, and the x of
+    interval k pass its `x <= a_j` exactly when k <= j. A cell holds the
+    base plus `learning_rate * leaf value` of those trees, added in fit
+    order as a per-tree loop adds them, clipped to [0, 1]. So predictions
+    are bit-identical to walking the trees one at a time (`tree_predict` in
+    tests/reference_boosting.py), NaN, ±inf, -0.0 and threshold-valued
+    inputs included.
+
+    A table's size follows from the thresholds. The lane's 4 values give at
+    most 5 distinct thresholds, and the cuts on y stay near the fit's bins,
+    as a threshold lies between two bins and only the rows a node occupies
+    move it. A model that split two features finely would need the product
+    of both counts per output. `below` takes a byte per entry while no
+    output holds more than 255 thresholds on a feature.
     """
 
     def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
@@ -259,7 +268,9 @@ def _cells(tables: StepTables, X) -> np.ndarray:
     """The flat `values` index of each output's cell at X, a location
     (width,) or rows (n, width): per feature, one binary search of the cuts
     finds each output's interval in `below`, which, times the strides, adds
-    to the offsets. Without features it is the offsets, which broadcast."""
+    to the offsets. Without features it is the offsets, which broadcast.
+    The cost of a row does not grow with the thresholds per output, and a
+    feature that no tree splits on is never read."""
     flat = tables.offsets
     for f, cuts, below, strides in zip(tables.features, tables.cuts, tables.below,
                                        tables.strides):
@@ -362,25 +373,17 @@ def _thresholds(layout, d):
     cuts, below, rank = [], [], np.full(len(node_feature), -1)
     for f in features:
         nodes = np.flatnonzero(node_feature == f)
-        # the nodes by threshold, then by output (a stable sort on the small
-        # output ids is a radix sort); then the distinct ones, and each
-        # output's distinct ones
         a, output = layout["node_threshold"][nodes], node_output[nodes]
-        order = np.argsort(a)
-        cut = a[order]
+        cut = a[np.argsort(a)]
         cuts.append(cut[np.concatenate(([True], cut[1:] != cut[:-1]))])
-        order = order[np.argsort(output[order], kind="stable")]
-        a, output = a[order], output[order]
-        first = np.concatenate(([True], (output[1:] != output[:-1]) | (a[1:] != a[:-1])))
-        a, output = a[first], output[first]
-        # a 1 just past each output's thresholds' cuts, summed down the cuts
-        # in the table's own dtype
-        count = np.zeros((len(cuts[-1]) + 1, d),
-                         dtype=np.min_scalar_type(np.bincount(output).max()))
-        count[np.searchsorted(cuts[-1], a) + 1, output] = 1
-        below.append(np.add.accumulate(count, axis=0, dtype=count.dtype, out=count))
-        rank[nodes] = below[-1][np.searchsorted(cuts[-1], layout["node_threshold"][nodes]),
-                                node_output[nodes]]
+        at = np.searchsorted(cuts[-1], a)
+        # a mark just past each output's thresholds' cuts; marking a cell
+        # twice leaves one mark, so an output's repeated thresholds count
+        # once. Summed down the cuts in the smallest dtype that holds them
+        seen = np.zeros((len(cuts[-1]) + 1, d), dtype=bool)
+        seen[at + 1, output] = True
+        below.append(np.cumsum(seen, axis=0, dtype=np.min_scalar_type(seen.sum(axis=0).max())))
+        rank[nodes] = below[-1][at, output]
     if not features:
         cuts, below = [np.zeros(0)], [np.zeros((1, d), np.uint8)]
     return features, cuts, below, rank
@@ -398,7 +401,9 @@ def _bins(X):
     A feature of at most `cap` distinct values gets one bin per value. Any
     other gets row-count quantile bins: a value goes to bin `rank * cap //
     n`, its first row's rank in the sorted column, so that equal values
-    share a bin; bins no value reaches are dropped."""
+    share a bin; bins no value reaches are dropped. The floor of 32 bins
+    keeps a small fit at one bin per value up to 32 values, so that a 2-row
+    fit can still split."""
     n = len(X)
     cap = min(256, max(32, n // 4))
     bins = []
@@ -422,7 +427,10 @@ def _bin_cells(bins):
     row count (as floats, the weights of the fit's bincounts) and the
     cells' `bins`, per feature each cell's bin and the bin ends. A cell is
     one bin on every feature; cells are numbered by their key, the bins as
-    the digits of one number, feature 0 the most significant."""
+    the digits of one number, feature 0 the most significant. With the
+    scene's 4 lanes and at most 256 bins of y, a fit has at most 1024 cells
+    however many rows it has, so the fit's time stops growing with the
+    corpus."""
     key = np.zeros(len(bins[0][0]), dtype=np.intp)
     for b, lo, _ in bins:
         key = key * len(lo) + b
@@ -483,9 +491,12 @@ def _fit_trees(bins, w, S, Q, config: TrainConfig):
 
     Every (cell, tree) entry keeps its node id; a level's nodes are 1..m-1,
     and node 0 holds the entries of nodes that stopped, so no array is ever
-    compacted. Per node, bincounts of the entries weighted by `w`, `S` and
-    `Q` give the row count, the residual sum and the sum of squares, which
-    give the node's value (the mean) and its sse, `sq - sum * mean`. A node
+    compacted. The entries lie cell by cell, tree after tree within a cell,
+    so consecutive entries of a bincount belong to different trees and its
+    adds do not wait on one another, as along one node's run of entries.
+    Per node, bincounts of the entries weighted by `w`, `S` and `Q` give
+    the row count, the residual sum and the sum of squares, which give the
+    node's value (the mean) and its sse, `sq - sum * mean`. A node
     splits at its best split (`_best_splits`) if that lowers its sse by
     more than 1e-12 * max(1, sse). The k-th split node's children are nodes
     k (left) and K + k (right) of the next level, K the number of splits,
@@ -595,6 +606,11 @@ def _boosted_layout(X, Y, rows, config: TrainConfig):
     """The base predictions and the packed layout of the boosted trees, in
     fit order, fitted to the targets `Y[rows]` at the locations `X` (both
     already sorted).
+
+    Every output is fitted in every round. One whose residuals are all
+    below 1e-12, such as an output of constant targets, cannot clear the
+    1e-12 split floor (its gain is at most n * 1e-24), so it gets no tree
+    and spends no parameter.
 
     The features are binned once, on these rows (`_bins`), and the rows are
     mapped once to their occupied cells (`_bin_cells`), whose row counts w
@@ -717,9 +733,17 @@ def save_model(model: TreeEnsembleModel, path: str) -> None:
 
 def load_model(path: str) -> TreeEnsembleModel:
     """Read a model written by `save_model`: MODEL_SCHEMA, a learning rate in
-    (0, 1], `base_prediction` of length `output_dimension`, and a layout
-    of trees, whose child ids point forward inside their tree and give each
-    node but a root one parent. A ValueError names the file and the key."""
+    (0, 1], `base_prediction` of length `output_dimension` (zero outputs
+    are legal), and a layout of trees: tree sizes of at least 1 that sum to
+    the node count, tree outputs in [0, D), feature ids of at least -1, and
+    child ids that point forward inside their tree and give each node but a
+    root one parent. A ValueError names the file and the key.
+
+    The schema keeps every float finite, as a NaN threshold has no place in
+    the sorted thresholds and a NaN leaf value, base or learning rate makes
+    predictions NaN, and every id an integer, as a float feature id would
+    be truncated. The file does not record the input width, so a feature id
+    past it loads and fails at prediction (`tables_for`)."""
     data, sizes = load_npz(path, "model", MODEL_FORMAT_VERSION, MODEL_SCHEMA)
     model = TreeEnsembleModel(data["base_prediction"], data, data["learning_rate"][0].item(),
                               data["output_dimension"][0].item(), data["role"][0].item())

@@ -71,5 +71,7 @@ def paths_to_channel(table: PathTable, bs_geometry: ArrayGeometry,
 
 def channel_for_ue(snapshot: SceneSnapshot, ue_index: int, bs_geometry: ArrayGeometry,
                    ue_geometry: ArrayGeometry, config: SceneConfig) -> ChannelRealization:
+    """`paths_to_channel` of the UE's `trace_paths`: the dense route, which
+    the rate sweep is held to."""
     return paths_to_channel(trace_paths(snapshot, ue_index, config), bs_geometry, ue_geometry,
                             config)

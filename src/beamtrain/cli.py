@@ -43,7 +43,10 @@ def _output_dir(path: str) -> None:
 
 def cmd_scene_gen(args) -> int:
     """Trace every snapshot into its path table and write the tables,
-    concatenated with a `snapshot_id` column, plus an index of every UE."""
+    concatenated with a `snapshot_id` column, plus an index of every UE.
+    A UE's rows of the file give its dense channel through
+    `channel.path_responses` and `channel.dense_channel`, bit for bit that
+    of its traced paths."""
     config = _load_config(args)
     _output_dir(args.out)
     tables, index = [], []

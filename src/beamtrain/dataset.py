@@ -122,7 +122,9 @@ def to_atr(tr: np.ndarray, num_combiners: int, num_beamformers: int) -> Rows:
     """The ATR rows of the (rows, |W|*|F|) throughput ratios `tr`: columns
     `atr_f` (rows, |F|) and `atr_w` (rows, |W|). The ATR of a combiner
     averages its row of a UE's (|W|, |F|) grid over all beamformers, and
-    vice versa; both sides share the grand mean of the UE's TR."""
+    vice versa; both sides share the grand mean of the UE's TR. The two
+    means over the (rows, |W|, |F|) view equal each UE's own grid means bit
+    for bit."""
     grid = tr.reshape(len(tr), num_combiners, num_beamformers)
     return Rows(atr_f=grid.mean(axis=1), atr_w=grid.mean(axis=2))
 

@@ -350,6 +350,11 @@ def run_experiment(config: ExperimentConfig) -> EvalResult:
     tr_rows, atr_rows = transform_corpus(config, rate_rows.location, rate_rows.rates)
     del rate_rows
     split = split_corpus(config, len(tr_rows))
+    # evaluation reads the test rows, so a split without one fails before
+    # the plan and the fits (`model train` and `plan build` read none)
+    check("test_fraction", config.test_fraction, (
+        lambda _: len(split.test_rows) > 0,
+        f"large enough to give one of the {len(tr_rows)} rows to the test split"))
     # the plan reads no model, so a bad cluster_count fails before training
     plan = build_coverage_plan(config, tr_rows.location, atr_rows.atr_f, split)
     models = train_models(config, tr_rows, atr_rows, split)

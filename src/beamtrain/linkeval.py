@@ -52,12 +52,21 @@ def sweep_responses(gains, a_ue, a_bs, phases, combiners: Codebook, beamformers:
       product, squared into the (K, |W||F|) SNRs. While the subcarrier
       count is even, at most three times, the second half of the SNR rows
       is folded into the first by (1 + a)(1 + b) - 1 = a + b + ab, which is
-      exact in real numbers and adds only non-negative terms. One log1p
+      exact in real numbers and adds only non-negative terms, so nothing
+      cancels and each folded value is off by a few ulp. One log1p
       per group of up to 8 subcarriers follows, and the groups' logs are
       summed and divided by K ln 2. A group product past the float range
       (an SNR above about 1e38) makes a rate non-finite; that UE is then
       recomputed with one log1p per subcarrier, so rates are finite
       wherever the SNRs are.
+
+    The sweep stays one product per UE: stacking a snapshot's UEs into one
+    block raised peak memory and was no faster, and computing every UE's u
+    and v once per snapshot changed the matmul's rounding with the row
+    count while it saved little. The tests also hold both routes to one
+    log1p per subcarrier of these arguments (`sweep_per_subcarrier` in
+    tests/reference_linkeval.py), for K in {1, 3, 4, 5, 64} and at SNRs
+    near 1e40.
 
     The rates are written into `out`, a float64 (|W|*|F|,) array such as a
     row of a caller's corpus array, and `out` is returned; its bytes equal
@@ -97,8 +106,11 @@ def _group_logs(proj, K: int, folds: int) -> np.ndarray:
     subcarriers, from the (2K, N) real projection `proj` (real parts in
     rows [:K], imaginary parts in [K:]), in place. Each of up to `folds`
     halvings, while the row count is even, folds the second half of the SNR
-    rows into the first; the products use the imaginary rows as scratch. A
-    product past the float range gives inf or nan without a warning."""
+    rows into the first; the products use the imaginary rows as scratch. An
+    odd row count stops the folding early: with three folds, K = 64 gives 8
+    groups of 8 subcarriers, K = 12 3 groups of 4, K = 4 one group of 4 and
+    K = 5 five groups of one. A product past the float range gives inf or
+    nan without a warning."""
     power = np.square(proj, out=proj)
     snr, scratch = power[:K], power[K:]
     snr += scratch

@@ -56,7 +56,10 @@ def prefix_tables(tr_grid: np.ndarray, a_orders, b_orders) -> tuple[np.ndarray, 
     Returns (r_t, p_m), each (L_a, L_b), with entry [i - 1, j - 1] equal to
     `avg_throughput_ratio` and `misalignment_probability` of those
     selections: R_T bit for bit, P_m exactly. The coupled scenario is the
-    grid (n, 1, |W||F|) with a_orders = [0].
+    grid (n, 1, |W||F|) with a_orders = [0]. An ordering may be cut to the
+    longest prefix that is read: each entry equals that of the full
+    ordering, and a row whose best beam lies past the cut ranks at the
+    cut's length and never hits.
     """
     n = tr_grid.shape[0]
     if n == 0:

@@ -155,7 +155,9 @@ def generate_snapshot(config: SceneConfig, seed, snapshot_id: int = 0) -> SceneS
 
     The draws are frozen: per lane a gap then a bus flag for each vehicle
     (and for the one that no longer fits), then one UE flag per car in the
-    region of interest, in vehicle order.
+    region of interest, in vehicle order. Those flags are one
+    `rng.random(k)` draw, which gives the same k numbers as k scalar draws.
+    A change to that order changes every corpus.
     """
     rng = np.random.default_rng(seed)
     placed = []   # (lane x, y centre, is bus) per vehicle
@@ -193,7 +195,8 @@ def _bus_boxes(snapshot: SceneSnapshot, margin: float) -> np.ndarray:
 
 
 def _segments_blocked(p0, p1, boxes, exclude) -> np.ndarray:
-    """Slab test of every segment p0[s] -> p1[s] against every box at once.
+    """Slab test (Williams et al., J. Graphics Tools 2005) of every segment
+    p0[s] -> p1[s] against every box at once.
 
     `p0` and `p1` are (S, 3), `boxes` holds (lo, hi) corner pairs, shape
     (B, 2, 3), and segment s skips box exclude[s] (-1 skips none). On an axis
@@ -219,7 +222,8 @@ def _segments_blocked(p0, p1, boxes, exclude) -> np.ndarray:
 def _trace(snapshot: SceneSnapshot, ue_indices, config: SceneConfig) -> PathTable:
     """Path table of the given UEs (in the given order): LOS plus
     first-order specular reflections (image method) off the two building
-    walls and off bus side panels, with bus bounding-box blockage.
+    walls and off bus side panels, with bus bounding-box blockage. A bus
+    does not block the legs of a path off its own panels.
 
     Every step runs on all (UE, candidate path) pairs at once with the same
     float operations, in the same order, as a per-UE scalar tracer, so each

@@ -130,7 +130,9 @@ def kmeans(locations: np.ndarray, num_clusters: int,
            seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ initialization plus at most 100 Lloyd iterations to
     an assignment fixpoint; empty clusters are re-seeded at the point
-    farthest from all centroids. `locations` is (n, 2)."""
+    farthest from all centroids. `locations` is (n, 2). The centroids are
+    those of the per-cluster k-means in tests/reference_selectors.py, bit
+    for bit."""
     X = np.asarray(locations, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2:
         raise ValueError(f"locations must be (n, 2), got shape {X.shape}")
@@ -200,13 +202,19 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
     Clusters the rows by location and builds per-cluster k-th-best beam
     probability tables: each row is ranked once by a stable descending
     sort (ties to the lower beam), and one bincount over the (cluster,
-    rank, beam) cells, divided by the cluster sizes, gives every table. An
-    empty cluster raises a ValueError. The greedy visits the slots (k, rank
-    position) in order and appends the beams that some cluster lists at
-    that slot and that are not chosen yet, by descending
+    rank, beam) cells, divided by the cluster sizes, gives every table. A
+    row's ranking does not depend on the other rows, so the tables equal
+    those of ranking each cluster on its own. An empty cluster raises a
+    ValueError. A cluster's significance is its share of the rows, or 1
+    for every cluster without `use_significance`. The greedy visits the
+    slots (k, rank position) in order and appends the beams that some
+    cluster lists at that slot and that are not chosen yet, by descending
     significance-weighted probability of rank k, ties to the lower beam.
     So a beam is appended at its first slot, and the list is all beams
     sorted by (first slot, descending score there, index), cut to n_bs.
+    Every prefix of the list is the list a smaller n_bs builds. The plan
+    equals that of the per-rank greedy in tests/reference_selectors.py, bit
+    for bit.
     """
     X = np.asarray(locations, dtype=float)
     rows = np.asarray(atr_f_rows, dtype=float)
@@ -234,10 +242,13 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
     # lower index (the inverse of that stable ranking). Slot (k, pos) is
     # number k * B + pos; a beam's first slot is the least at which some
     # cluster gives it a nonzero probability, and every beam has one, as
-    # every row ranks every beam and no cluster is empty.
+    # every row ranks every beam and no cluster is empty, so the list always
+    # reaches |F| beams.
     position = np.argsort(np.argsort(-prob_tables, axis=2, kind="stable"), axis=2)
     first = np.where(prob_tables > 0, np.arange(num_beams)[:, None] * num_beams + position,
                      num_beams * num_beams).min(axis=(0, 1))
+    # each score is its own dot product, as one matrix-vector product for
+    # all beams could round differently and so break a tie another way
     scores = np.array([float(np.dot(significances, prob_tables[:, k, j]))
                        for j, k in enumerate(first // num_beams)])
     # by first slot, then by score at that slot's rank, descending; lexsort

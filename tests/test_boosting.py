@@ -19,6 +19,7 @@ import beamtrain
 from beamtrain import boosting
 from beamtrain.boosting import (TrainConfig, Tree, kfold_tune, load_model, param_count,
                                 save_model, train)
+from conftest import draws
 from reference_boosting import (_histogram_split, fit_histogram_tree, fit_tree, histogram_bins,
                                 internal_count, model_from_trees, sequential_sum,
                                 train_cell_reference, train_histogram_reference, train_reference,
@@ -83,8 +84,10 @@ def test_train_rejects_non_finite_inputs_before_sorting(name, bad):
 def test_train_holds_no_sorted_copy_of_the_targets():
     """`train` reads the caller's Y in sorted order, block by block, and
     never copies it whole for the fit: on a 4 MiB Y the traced peak stays
-    below one Y more (the (outputs, rows) predictions) plus a fixed 8 MiB
-    for one block's fit temporaries. A sorted copy of Y would exceed it."""
+    below one Y more plus a fixed 8 MiB. The fit holds the two (cells,
+    outputs) tables S and Q (the 1024 rows lie in 701 cells here, so each
+    is 2.7 MiB) and one block's fit temporaries. A sorted copy of Y, 4 MiB
+    more, would exceed the bound."""
     rng = np.random.default_rng(3)
     n, d = 1024, 512
     X = np.column_stack([rng.choice([1.75, 5.25, 8.75, 12.25], n), rng.uniform(0, 100, n)])
@@ -1040,19 +1043,18 @@ def _celled_sets(draw):
     return X, Y, rows, config
 
 
-@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@settings(max_examples=draws(150), deadline=None)
 @given(_celled_sets())
 def test_cell_fit_splits_as_the_row_form_reference(data):
     """Where many rows share each cell, the fit on cells gives the trees of
     the row-by-row histogram trainer node for node, with leaf values within
-    1e-12, although it adds each node's rows by cells. The long run is the
-    `cell-fit` profile of tests/conftest.py."""
+    1e-12, although it adds each node's rows by cells."""
     X, Y, rows, config = data
     _assert_splits_as_row_form(train(X, Y[rows], config),
                                train_histogram_reference(X, Y[rows], config), 1e-12)
 
 
-@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@settings(max_examples=draws(150), deadline=None)
 @given(_celled_sets())
 def test_train_on_rows_equals_train_on_their_copy(data):
     """`train(X, Y, config, rows=r)` reads the targets at r in place and

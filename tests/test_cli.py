@@ -1,5 +1,8 @@
+import dataclasses
+import importlib
 import json
 import logging
+import pkgutil
 import re
 from collections import Counter
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beamtrain
 from beamtrain import boosting, channel, cli, dataset, harness, scene, selectors
 from beamtrain.boosting import TrainConfig, save_model, train
 from beamtrain.channel import (default_bs_geometry, default_ue_geometry, dense_channel,
@@ -106,6 +110,28 @@ def test_readme_python_block_rebuilds_a_ues_channel(tmp_path, monkeypatch):
     H = namespace["H"]
     assert H.dtype == expected.dtype and H.shape == expected.shape
     assert H.tobytes() == expected.tobytes() and np.any(H != 0)
+
+
+def test_readme_names_only_attributes_and_config_keys_that_exist():
+    """Every backticked `<module>.<name>` of README, alone or called, is an
+    attribute of `beamtrain.<module>`, or, as `scene.<name>`, a scene config
+    key; so a rename or a deletion fails here instead of leaving stale docs.
+    Fenced blocks are left out: the python block runs in its own test."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = re.sub(r"```.*?```", "", readme, flags=re.S)
+    modules = {m.name for m in pkgutil.iter_modules(beamtrain.__path__)}
+    keys = {f.name for f in dataclasses.fields(scene.SceneConfig)}
+    refs = {(module, name) for module, name in
+            re.findall(r"`(\w+)\.([\w.]+)(?:\([^`]*\))?`", readme) if module in modules}
+
+    def exists(module, name):
+        obj = importlib.import_module(f"beamtrain.{module}")
+        for part in name.split("."):
+            obj = getattr(obj, part, exists)
+        return obj is not exists or (module == "scene" and name in keys)
+
+    assert {module for module, _ in refs} >= {"boosting", "dataset", "harness", "scene"}
+    assert [f"{module}.{name}" for module, name in sorted(refs) if not exists(module, name)] == []
 
 
 def test_dataset_build_writes_the_rate_rows_that_the_transform_divides(tmp_path):

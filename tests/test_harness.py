@@ -387,6 +387,22 @@ def test_too_many_clusters_fail_before_training(monkeypatch):
         run_experiment(config)
 
 
+def test_an_empty_test_split_fails_before_the_plan_and_training(monkeypatch):
+    """A `test_fraction` that rounds to no test row fails right after the
+    split, naming the key and the row count, before the plan is built or a
+    model is trained."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the plan or a model was built before the split was checked")
+    monkeypatch.setattr(selectors, "select_bs_coverage", not_reached)
+    monkeypatch.setattr(boosting, "train", not_reached)
+    config = dataclasses.replace(ExperimentConfig.smoke(), snapshot_count=4,
+                                 test_fraction=0.001)
+    rows = len(harness.build_rate_rows(config)[1])
+    with pytest.raises(ValueError, match=rf"^test_fraction must be large enough to give one of "
+                                         rf"the {rows} rows to the test split, got 0\.001$"):
+        run_experiment(config)
+
+
 def test_build_coverage_plan_logs_cluster_sizes(caplog):
     # three far-apart blobs of 2, 3 and 6 training rows; the last 4 rows are
     # held out and must not count

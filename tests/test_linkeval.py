@@ -10,6 +10,7 @@ from beamtrain.channel import (ChannelRealization, default_bs_geometry, default_
                                path_responses, paths_to_channel)
 from beamtrain.linkeval import sweep_all, sweep_responses
 from beamtrain.scene import SceneConfig
+from conftest import draws
 from reference_linkeval import (pair_index, sweep_paths, sweep_per_subcarrier, throughput_ratio,
                                unflatten_pair)
 from reference_arrays import unit_from_angles
@@ -176,11 +177,6 @@ _PATHS = _paths(st.floats(1e-8, 1e-3))
 _STRONG = np.sqrt(SceneConfig().sigma2) * 1e20
 _STRONG_PATHS = _paths(st.floats(1e-2 * _STRONG, _STRONG), min_size=2)
 
-# Each rate-route property draws 150 examples in tier-1. A loaded Hypothesis
-# profile with more examples raises that: `pytest --hypothesis-profile=rate-routes`
-# (registered in tests/conftest.py) draws 3000, as CI's long run does.
-_ROUTE_DRAWS = max(150, settings.default.max_examples)
-
 
 def _responses(setup, paths):
     """`sweep_responses`'s arguments for one UE's path tuples."""
@@ -204,7 +200,7 @@ _WEAK_PATH = TracedPath(complex_gain=1e-8 * np.exp(1.0625j),
                         arrival=_unit(1.11655941683716, 1.11655941683716), delay=0.0)
 
 
-@settings(max_examples=_ROUTE_DRAWS, deadline=None)
+@settings(max_examples=draws(150), deadline=None)
 @given(setup=st.sampled_from(_SETUPS), paths=_PATHS)
 # a weak single path at SNR about 3e-5: log2(1 + snr) rounds 1 + snr to
 # about 1e-16 absolute, which the two routes did differently (1.5e-11 of
@@ -221,7 +217,7 @@ def test_sweep_paths_matches_dense_sweep(setup, paths):
     assert np.max(np.abs(rates - dense)) <= 1e-12 * _row_scale(dense, paths, scene.sigma2)
 
 
-@settings(max_examples=_ROUTE_DRAWS, deadline=None)
+@settings(max_examples=draws(150), deadline=None)
 @given(setup=st.sampled_from(_SETUPS + _K_SETUPS), paths=_PATHS)
 def test_sweep_responses_matches_one_log_per_subcarrier(setup, paths):
     """The folded route (up to 8 subcarriers per log) and the single-path
@@ -235,7 +231,7 @@ def test_sweep_responses_matches_one_log_per_subcarrier(setup, paths):
                                                                    setup[0].sigma2)
 
 
-@settings(max_examples=_ROUTE_DRAWS, deadline=None)
+@settings(max_examples=draws(150), deadline=None)
 @given(setup=st.sampled_from(_SETUPS + _K_SETUPS),
        paths=_paths(st.floats(1e-8, 1e-3) | st.floats(1e-2 * _STRONG, _STRONG), 1, 1))
 def test_single_path_rows_match_one_log_per_subcarrier(setup, paths):
@@ -259,7 +255,7 @@ def _resolved_pairs(gains, a_ue, a_bs, phases, combiners, beamformers, sigma2):
     return np.all(np.abs(terms.sum(axis=1)) >= 1e-3 * np.abs(terms).sum(axis=1), axis=0)
 
 
-@settings(max_examples=_ROUTE_DRAWS, deadline=None)
+@settings(max_examples=draws(150), deadline=None)
 @given(setup=st.sampled_from(_SETUPS + _K_SETUPS), paths=_STRONG_PATHS)
 def test_sweep_responses_is_finite_at_snr_near_1e40(setup, paths):
     """At SNRs up to about 1e40, where the product of 8 subcarriers'

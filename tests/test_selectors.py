@@ -18,13 +18,8 @@ from beamtrain.selectors import (PLAN_FORMAT_VERSION, PLAN_SCHEMA, BeamPairSet, 
                                  select_bs_coverage, select_coupled,
                                  select_decoupled_no_location, select_decoupled_with_location,
                                  top_k_stable)
+from conftest import draws
 from reference_selectors import kmeans_reference, select_bs_coverage_reference
-
-
-def _draws(tier1: int) -> int:
-    """A property's draws: `tier1`, or more under a profile that asks for
-    more (`pytest --hypothesis-profile=selection`, see tests/conftest.py)."""
-    return max(tier1, settings.default.max_examples)
 
 
 class _Const:
@@ -144,7 +139,7 @@ _RESEEDING_ROWS = [[5, 7], [1, 7], [8, 1], [5, 7], [9, 1], [8, 1], [9, 2], [5, 1
 _COORDINATES = st.integers(0, 9) | st.integers(-10 ** 4, 10 ** 4).map(lambda v: v / 7)
 
 
-@settings(max_examples=_draws(300), deadline=None)
+@settings(max_examples=draws(300), deadline=None)
 @given(locations=st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1,
                           max_size=12).flatmap(
            lambda points: st.lists(st.sampled_from(points), min_size=1, max_size=60)),
@@ -378,7 +373,7 @@ _LEVELS = st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.inf, np.
                    | st.floats(0.0, 1.0), min_size=1, max_size=6)
 
 
-@settings(max_examples=_draws(300), deadline=None)
+@settings(max_examples=draws(300), deadline=None)
 @given(levels=_LEVELS, rows=st.integers(1, 12),
        width=st.sampled_from([1, 16, 64, 255, 256, 300, 1024]),
        seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -411,7 +406,7 @@ def test_top_k_stable_rows_tied_across_the_kth_value():
         assert np.array_equal(top_k_stable(scores, k), expected)
 
 
-@settings(max_examples=_draws(300), deadline=None)
+@settings(max_examples=draws(300), deadline=None)
 @given(levels=_LEVELS, rows=st.integers(2, 12), width=st.sampled_from([255, 256, 300, 1024]),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_top_k_stable_batch_rows_equal_the_one_row_calls(levels, rows, width, seed, data):
@@ -429,7 +424,7 @@ def test_top_k_stable_batch_rows_equal_the_one_row_calls(levels, rows, width, se
         assert top.dtype == alone.dtype and np.array_equal(top, alone)
 
 
-@settings(max_examples=_draws(300), deadline=None)
+@settings(max_examples=draws(300), deadline=None)
 @given(levels=_LEVELS, width=st.sampled_from([255, 256, 1024]),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_top_k_stable_one_row_matches_the_stable_argsort_prefix(levels, width, seed, data):
@@ -476,7 +471,7 @@ def test_top_k_stable_nested_as_k_grows(scores, data):
 
 # up to 24 beams: past 16 elements numpy's default sort is no insertion sort, so an
 # unstable candidate sort would show
-@settings(max_examples=_draws(100), deadline=None)
+@settings(max_examples=draws(100), deadline=None)
 @given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 40), beams=st.integers(1, 24),
        levels=st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (0.0,)]),
        clusters=st.integers(1, 5), significance=st.booleans(), data=st.data())
