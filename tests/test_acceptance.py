@@ -265,25 +265,83 @@ def test_criterion_7_physics_sanity():
 
 # -------------------------------------------------------- criterion 8
 
-def test_criterion_8_determinism(tmp_path):
-    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+# the --smoke artifact chain, each command run in the run's directory, and
+# the files that it writes there
+_ROLES = ("theta1", "theta2_f", "theta2_w")
+_CHAIN = [
+    ("scene gen --smoke --out scene", ("scene/paths.npz", "scene/paths_index.csv")),
+    ("dataset build --smoke --out ds", ("ds/rates.npz",)),
+    ("plan build --smoke --input ds/rates.npz --out plan.npz", ("plan.npz", "plan.npz.csv")),
+    *((f"model train --smoke --input ds/rates.npz --role {role} --out {role}.npz",
+       (f"{role}.npz",)) for role in _ROLES),
+    *((f"model inspect --model {role}.npz", ()) for role in _ROLES),
+    ("eval run --smoke --out eval", ("eval/curves.csv", "eval/heatmap.csv",
+                                     "eval/run_manifest.json")),
+]
+
+
+def _child_env(**variables):
+    """This process's environment for a `python -m beamtrain.cli` child,
+    with `beamtrain` importable and `variables` set."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **variables}
+
+
+def _chain_in_process(run_dir, capfd, monkeypatch):
+    """Each command of _CHAIN through `cli.main` in this process: its exit
+    code, stdout and stderr."""
+    monkeypatch.chdir(run_dir)
+    results = []
+    for command, _ in _CHAIN:
+        code = cli.main(command.split())
+        results.append((code, *capfd.readouterr()))
+    return results
+
+
+def _chain_in_fresh_processes(run_dir, hash_seed):
+    """Each command of _CHAIN in a fresh `python -m beamtrain.cli` process
+    under PYTHONHASHSEED=`hash_seed`: its exit code, stdout and stderr."""
+    env = _child_env(PYTHONHASHSEED=hash_seed)
+    runs = (subprocess.run([sys.executable, "-m", "beamtrain.cli", *command.split()],
+                           cwd=run_dir, env=env, capture_output=True, text=True)
+            for command, _ in _CHAIN)
+    return [(run.returncode, run.stdout, run.stderr) for run in runs]
+
+
+def test_criterion_8_determinism(tmp_path, capfd, monkeypatch):
+    """The --smoke artifact chain (`scene gen`, `dataset build`, `plan
+    build`, `model train` for each role, `model inspect` of each model file
+    and `eval run`) runs twice: in this process, and with each command in a
+    fresh `python -m beamtrain.cli` process under a PYTHONHASHSEED that this
+    process does not hash with. So neither the order of hashed strings nor
+    state that an earlier command leaves in a process may reach an output.
+    Each command must exit 0 and print the same lines in both runs, and
+    each file it writes must hold the same bytes."""
+    here, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    other_seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    runs = zip(_CHAIN, _chain_in_process(here, capfd, monkeypatch),
+               _chain_in_fresh_processes(fresh, other_seed))
     failures = []
-    if cli.main(["eval", "run", "--smoke", "--out", out_a]) != 0:
-        failures.append("first run returned nonzero")
-    if cli.main(["eval", "run", "--smoke", "--out", out_b]) != 0:
-        failures.append("second run returned nonzero")
-    for name in ("curves.csv", "heatmap.csv", "run_manifest.json"):
-        if Path(out_a, name).read_bytes() != Path(out_b, name).read_bytes():
-            failures.append(f"{name} differs between runs")
-    _verdict(8, "repeated runs are byte-identical", failures)
+    for (command, files), (code_a, out_a, err_a), (code_b, out_b, err_b) in runs:
+        if code_a or code_b:
+            failures.append(f"{command} exited {code_a} in this process ({err_a.strip()}) and "
+                            f"{code_b} in a fresh one ({err_b.strip()})")
+            break
+        if out_a != out_b:
+            failures.append(f"{command} printed {out_a!r} in this process, {out_b!r} in a "
+                            "fresh one")
+        failures += [f"{name} differs between the runs" for name in files
+                     if (here / name).read_bytes() != (fresh / name).read_bytes()]
+    _verdict(8, "the artifact chain writes the same bytes in fresh processes", failures)
 
 
 def _smoke_runs(tmp_path, variable, value, *command):
     """Run `beamtrain.cli <command> --smoke --out <dir>` in two fresh
     processes, one without `variable` in its environment (<dir> "default")
     and one with `variable=value` (<dir> `value`); return the two dirs."""
-    env = {key: val for key, val in os.environ.items() if key != variable}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    env = _child_env()
+    env.pop(variable, None)
     runs = {tmp_path / "default": env, tmp_path / value: {**env, variable: value}}
     for run_dir, run_env in runs.items():
         subprocess.run([sys.executable, "-m", "beamtrain.cli", *command, "--smoke", "--out",

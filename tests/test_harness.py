@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrain import boosting, harness, metrics, selectors
+from beamtrain import boosting, cli, harness, metrics, selectors
 from beamtrain.harness import (DEFAULT_N_B_SWEEP, ExperimentConfig, StageError, _stage,
                                build_corpus, build_coverage_plan, decoupled_split, derive_seed,
                                emit_outputs, evaluate, run_experiment, split_corpus, train_role)
@@ -401,6 +401,41 @@ def test_an_empty_test_split_fails_before_the_plan_and_training(monkeypatch):
     with pytest.raises(ValueError, match=rf"^test_fraction must be large enough to give one of "
                                          rf"the {rows} rows to the test split, got 0\.001$"):
         run_experiment(config)
+
+
+def test_too_few_training_rows_for_the_folds_fail_before_the_plan_and_training(
+        tmp_path, monkeypatch, capsys, caplog):
+    """A `test_fraction` that leaves fewer training rows than `folds` makes
+    `eval run`, `model train` and `plan build` exit 1 with an error that
+    begins with the key and names the row counts, before the split stage
+    starts, so before the plan is built or a model is trained."""
+    raw = {**ExperimentConfig.smoke().to_dict(), "snapshot_count": 4, "test_fraction": 0.99,
+           "folds": 10}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["dataset", "build", "--config", str(config),
+                     "--out", str(tmp_path / "ds")]) == 0
+    rates = str(tmp_path / "ds" / "rates.npz")
+    with np.load(rates) as npz:
+        rows = len(npz["rates"])
+    n_train = rows - round(rows * 0.99)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the plan or a model was built before the split was checked")
+    monkeypatch.setattr(selectors, "select_bs_coverage", not_reached)
+    monkeypatch.setattr(boosting, "train", not_reached)
+    for command in (["eval", "run"], ["model", "train", "--input", rates],
+                    ["plan", "build", "--input", rates]):
+        capsys.readouterr()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="beamtrain"):
+            assert cli.main([*command, "--config", str(config),
+                             "--out", str(tmp_path / "out" / "result")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: folds must be at most the {n_train} training rows that test_fraction "
+            f"0.99 leaves of {rows}, got 10\n")
+        assert "stage: split dataset" not in caplog.messages
+    assert [path for path in (tmp_path / "out").rglob("*") if path.is_file()] == []
 
 
 def test_build_coverage_plan_logs_cluster_sizes(caplog):
