@@ -133,12 +133,14 @@ def _read_only(a, dtype):
 @dataclass(frozen=True)
 class StepTables:
     """A model's predictions as exact step functions of the features its
-    trees split on, one table per output; see `TreeEnsembleModel`."""
+    trees split on, one table per output, each a run of the flat `values`.
+    A location's cell of every output is the sum over the features of the
+    row of `rows` that its binary search of `cuts` picks (`_cells`); see
+    `TreeEnsembleModel`."""
     features: tuple       # the feature ids the trees split on, ascending
     cuts: tuple           # per feature: all outputs' sorted distinct thresholds
-    below: tuple          # per feature: (cuts + 1, outputs) interval of each output
-    strides: tuple        # per feature: each output's flat-index step per interval
-    offsets: np.ndarray   # each output's first cell in `values`
+    rows: tuple           # per feature: (cuts + 1, outputs) flat-index steps;
+                          # without features, one (1, outputs) table of first cells
     values: np.ndarray    # the clipped prediction of every cell, flat
 
     @property
@@ -147,8 +149,7 @@ class StepTables:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (*self.cuts, *self.below, *self.strides, self.offsets,
-                                      self.values))
+        return sum(a.nbytes for a in (*self.cuts, *self.rows, self.values))
 
 
 class TreeEnsembleModel:
@@ -171,15 +172,21 @@ class TreeEnsembleModel:
     Every point of an interval takes the same branch at every node of those
     trees, so an output's prediction is constant on each cell of the
     product of its intervals, Π_f (m_f + 1) cells, the last feature varying
-    fastest. The tables keep, per feature, the cuts (the sorted distinct
-    thresholds of all outputs, -0.0 and 0.0 being one) and `below`, whose
-    entry [g, o] counts output o's thresholds among the first g cuts. A
-    row's interval on f is then `below[searchsorted(cuts, x)]`: the count
-    of the thresholds below x, which are those `x <=` fails; NaN sorts past
-    every cut, into the last interval, and a +inf threshold is a cut like
-    any other. One gather reads the row's cells. `predict` (one location)
-    and `predict_batch` (rows) share this index rule (`_cells`), after
-    checking the input width against the feature ids (`tables_for`).
+    fastest, so that its cells are one run of the flat `values`. The tables
+    keep, per feature, the cuts (the sorted distinct thresholds of all
+    outputs, -0.0 and 0.0 being one) and a row table whose entry [g, o] is
+    output o's flat-index step past the first g cuts: the count of o's
+    thresholds among them, which is o's interval, times o's stride on f
+    (its cells per interval), plus, on the first feature, o's first cell.
+    A location's row on f is `rows[searchsorted(cuts, x)]`, whose count is
+    that of the thresholds below x, which are those `x <=` fails; NaN sorts
+    past every cut, into the last interval, and a +inf threshold is a cut
+    like any other. The rows of its features add up to the flat index of
+    each output's cell, and one gather reads the cells. A model that splits
+    on no feature has no features and one (1, outputs) row table, each
+    output's one cell. `predict` (one location) and `predict_batch` (rows)
+    share this index rule (`_cells`), after checking the input width
+    against the feature ids (`tables_for`).
     The compile walks each cell through the output's trees by integers: a
     node whose threshold is the output's a_j has rank j, and the x of
     interval k pass its `x <= a_j` exactly when k <= j. A cell holds the
@@ -193,8 +200,8 @@ class TreeEnsembleModel:
     most 5 distinct thresholds, and the cuts on y stay near the fit's bins,
     as a threshold lies between two bins and only the rows a node occupies
     move it. A model that split two features finely would need the product
-    of both counts per output. `below` takes a byte per entry while no
-    output holds more than 255 thresholds on a feature.
+    of both counts per output. The row tables take 8 bytes per (cut,
+    output) entry, so they grow with the cuts but not with the cells.
     """
 
     def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
@@ -267,14 +274,23 @@ class TreeEnsembleModel:
 def _cells(tables: StepTables, X) -> np.ndarray:
     """The flat `values` index of each output's cell at X, a location
     (width,) or rows (n, width): per feature, one binary search of the cuts
-    finds each output's interval in `below`, which, times the strides, adds
-    to the offsets. Without features it is the offsets, which broadcast.
-    The cost of a row does not grow with the thresholds per output, and a
-    feature that no tree splits on is never read."""
-    flat = tables.offsets
-    for f, cuts, below, strides in zip(tables.features, tables.cuts, tables.below,
-                                       tables.strides):
-        flat = flat + below[cuts.searchsorted(X[..., f])] * strides
+    picks a row of its row table, and the rows add up. Without features it
+    is the one row of each output's cell, which broadcasts. The cost of a
+    row does not grow with the thresholds per output, and a feature that no
+    tree splits on is never read. A location's step is a view of a table's
+    row, which the sum copies, and the steps of rows are a gather, which
+    the later steps add into in place."""
+    if not tables.features:
+        return tables.rows[0][0]
+    flat = None
+    for f, cuts, rows in zip(tables.features, tables.cuts, tables.rows):
+        step = rows[cuts.searchsorted(X[..., f])]
+        if flat is None:
+            flat = step
+        elif flat.flags.writeable:
+            flat += step
+        else:
+            flat = flat + step
     return flat
 
 
@@ -315,8 +331,10 @@ def _compile(layout, base, learning_rate, d) -> StepTables:
     through those trees on the layout as stored, as `node = child[2 * node
     + (k <= rank[node])]` with k the cell's interval on the node's feature
     (`_children`, `_thresholds`), and adds the leaf values to it, so that
-    every cell adds its trees in fit order. A model that splits on no
-    feature is compiled as if on one feature without thresholds."""
+    every cell adds its trees in fit order. The row tables are built last,
+    from the threshold counts (`_thresholds`), the strides and the runs'
+    starts. A model that splits on no feature is compiled as if on one
+    feature without thresholds, whose one row holds the runs' starts."""
     outputs = layout["tree_outputs"]
     per_output = np.bincount(outputs, minlength=d)      # trees per output
     by_count = np.argsort(-per_output, kind="stable")   # table position -> output
@@ -347,13 +365,15 @@ def _compile(layout, base, learning_rate, d) -> StepTables:
             node = child[2 * node + (np.take(interval, pick[node] + column) <= rank[node])]
         values[:n] += learning_rate * layout["node_value"][node]
     np.clip(values, 0.0, 1.0, out=values)
-    offsets = np.empty(d, dtype=int)
-    offsets[by_count] = ends - sizes
+    del interval                # freed before the row tables are built
+    # per feature, each output's interval times its stride, plus its first
+    # cell on the first feature
+    rows = [np.multiply(b, s, dtype=np.intp) for b, s in zip(below, strides)]
+    rows[0][:, by_count] += ends - sizes
+    for table in (*cuts, *rows, values):
+        table.flags.writeable = False
     n = len(features)
-    return StepTables(features, tuple(_read_only(c, float) for c in cuts[:n]),
-                      tuple(_read_only(b, b.dtype) for b in below[:n]),
-                      tuple(_read_only(s, int) for s in strides[:n]),
-                      _read_only(offsets, int), _read_only(values, float))
+    return StepTables(features, tuple(cuts[:n]), tuple(rows[:max(n, 1)]), values)
 
 
 def _thresholds(layout, d):

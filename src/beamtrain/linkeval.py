@@ -63,7 +63,10 @@ def sweep_responses(gains, a_ue, a_bs, phases, combiners: Codebook, beamformers:
     The sweep stays one product per UE: stacking a snapshot's UEs into one
     block raised peak memory and was no faster, and computing every UE's u
     and v once per snapshot changed the matmul's rounding with the row
-    count while it saved little. The tests also hold both routes to one
+    count while it saved little. The Gram form, SNR = C @ G over the
+    paths' power and cross terms, is not used, as its error scales with
+    the sum of the path powers, not with |proj|: where paths nearly cancel
+    it misses the 1e-12 bound. The tests also hold both routes to one
     log1p per subcarrier of these arguments (`sweep_per_subcarrier` in
     tests/reference_linkeval.py), for K in {1, 3, 4, 5, 64} and at SNRs
     near 1e40.

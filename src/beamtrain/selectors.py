@@ -14,7 +14,7 @@ as budgets grow.
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,9 @@ PLAN_FORMAT_VERSION = 1
 # a plan file's keys (`fileio.load_npz`): C clusters of N rows; S of B beams
 PLAN_SCHEMA = {"centroids": "f C 2", "assignments": "i N", "significances": "f C",
                "prob_tables": "f C B B", "selected_beams": "i S"}
+# `select_bs_coverage` ranks the rows in blocks of about this many scores,
+# so that it holds the negated scores and the ranking of one block at a time
+_RANK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,13 @@ class BeamPairSet:
 class DecoupledSets:
     s_w: np.ndarray   # combiner indices, selection order
     s_f: np.ndarray   # beamformer indices, selection order
+
+
+def _check_size(name, size):
+    """A set size is at least 0: a negative one would cut a ranking from
+    its end."""
+    if size < 0:
+        raise ValueError(f"{name} must be at least 0, got {size}")
 
 
 def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
@@ -61,7 +71,8 @@ def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
     across its k-th value, or a NaN k-th value) takes the one-row route.
     A single row takes that route too, as the batch's bookkeeping costs
     one row more than the full sort. k = 0 gives no columns, as the full
-    sort's prefix does."""
+    sort's prefix does, and a negative k raises a ValueError."""
+    _check_size("k", k)
     scores = np.asarray(scores, dtype=float)
     neg = -scores
     if neg.ndim not in (1, 2) or neg.shape[-1] < 256 or not 0 < k <= neg.shape[-1] // 2:
@@ -89,6 +100,7 @@ def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def select_coupled(model, location, n_pairs: int, num_beamformers: int) -> BeamPairSet:
+    _check_size("n_pairs", n_pairs)
     scores = np.asarray(model.predict(location))
     if n_pairs > scores.shape[0]:
         raise ValueError("n_pairs exceeds the number of beam pairs")
@@ -109,6 +121,8 @@ def overhead_bits(scenario: int, num_selected: int, num_combiners: int) -> float
 
 def select_decoupled_with_location(model_f, model_w, location,
                                    num_w: int, num_f: int) -> DecoupledSets:
+    _check_size("num_w", num_w)
+    _check_size("num_f", num_f)
     atr_f = np.asarray(model_f.predict(location))
     atr_w = np.asarray(model_w.predict(location))
     if num_w > atr_w.shape[0] or num_f > atr_f.shape[0]:
@@ -190,9 +204,11 @@ class ClusterCoveragePlan:
     def prefix(self, n_bs: int) -> "ClusterCoveragePlan":
         """Plan restricted to the first n_bs coverage beams (the greedy
         selection order is prefix-consistent)."""
+        _check_size("n_bs", n_bs)
         if n_bs > len(self.selected_beams):
             raise ValueError("prefix longer than the selected beam list")
-        return replace(self, selected_beams=self.selected_beams[:n_bs])
+        return ClusterCoveragePlan(self.centroids, self.assignments, self.significances,
+                                   self.prob_tables, self.selected_beams[:n_bs])
 
 
 def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_clusters: int,
@@ -201,8 +217,9 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
 
     Clusters the rows by location and builds per-cluster k-th-best beam
     probability tables: each row is ranked once by a stable descending
-    sort (ties to the lower beam), and one bincount over the (cluster,
-    rank, beam) cells, divided by the cluster sizes, gives every table. A
+    sort (ties to the lower beam), and the counts of the (cluster, rank,
+    beam) cells, divided by the cluster sizes, give every table; the rows
+    are ranked and counted in blocks of about `_RANK_CELLS` scores. A
     row's ranking does not depend on the other rows, so the tables equal
     those of ranking each cluster on its own. An empty cluster raises a
     ValueError. A cluster's significance is its share of the rows, or 1
@@ -219,6 +236,7 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
     X = np.asarray(locations, dtype=float)
     rows = np.asarray(atr_f_rows, dtype=float)
     num_beams = rows.shape[1]
+    _check_size("n_bs", n_bs)
     if n_bs > num_beams:
         raise ValueError("n_bs exceeds the beamformer codebook size")
     centroids, assignments = kmeans(X, num_clusters, seed=seed)
@@ -231,12 +249,15 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
         significances = np.ones(num_clusters)
 
     # prob_tables[c, k, j]: the share of cluster c's rows that rank beam j
-    # (k + 1)-th
-    cells = np.argsort(-rows, axis=1, kind="stable")
-    cells += np.arange(num_beams) * num_beams
-    cells += (assignments * num_beams * num_beams)[:, None]
-    prob_tables = np.bincount(cells.ravel(), minlength=num_clusters * num_beams * num_beams
-                              ).reshape(num_clusters, num_beams, num_beams) / counts[:, None, None]
+    # (k + 1)-th; the integer counts add up exactly, block by block
+    hits = np.zeros(num_clusters * num_beams * num_beams, dtype=np.intp)
+    step = max(1, _RANK_CELLS // num_beams)
+    for lo in range(0, len(rows), step):
+        cells = np.argsort(-rows[lo:lo + step], axis=1, kind="stable")
+        cells += np.arange(num_beams) * num_beams
+        cells += (assignments[lo:lo + step] * num_beams * num_beams)[:, None]
+        hits += np.bincount(cells.ravel(), minlength=len(hits))
+    prob_tables = hits.reshape(num_clusters, num_beams, num_beams) / counts[:, None, None]
     # position[c, k, j]: beam j's place when cluster c's beams are ranked by
     # their probability of rank k + 1, most probable first, ties to the
     # lower index (the inverse of that stable ranking). Slot (k, pos) is
@@ -262,6 +283,7 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
 def select_decoupled_no_location(model_w, location, num_w: int,
                                  plan: ClusterCoveragePlan) -> DecoupledSets:
     """UE side as in scenario 2; BS side is the plan's beam list verbatim."""
+    _check_size("num_w", num_w)
     atr_w = np.asarray(model_w.predict(location))
     if num_w > atr_w.shape[0]:
         raise ValueError("requested combiner count exceeds the codebook size")

@@ -573,16 +573,16 @@ def test_child_and_step_tables_of_a_hand_built_model():
     tables = model.step_tables
     assert tables.features == (0, 1)
     assert [c.tolist() for c in tables.cuts] == [[1.0], [0.5]]
-    # below[g] holds the output's intervals at and after cut g - 1: none of
-    # its thresholds lies below a row up to the cut, one above it
-    assert [b.tolist() for b in tables.below] == [[[0], [1]], [[0], [1]]]
-    assert [b.dtype for b in tables.below] == [np.uint8, np.uint8]
-    assert [s.tolist() for s in tables.strides] == [[2], [1]]
-    assert tables.offsets.tolist() == [0] and tables.cells == 4
+    # rows[g] holds the output's flat-index step at and after cut g - 1:
+    # none of its thresholds lies below a row up to the cut, one above it,
+    # and an interval spans 2 cells on feature 0 and 1 on feature 1; the
+    # output's cells start at 0
+    assert [r.tolist() for r in tables.rows] == [[[0], [2]], [[0], [1]]]
+    assert [r.dtype for r in tables.rows] == [np.intp, np.intp]
+    assert tables.cells == 4
     assert tables.values.tolist() == [0.05 + 0.05 + stump + deep for stump, deep in (
         (0.1, 0.15), (0.4, 0.15), (0.1, 0.2), (0.4, 0.25))]
-    for table in (*tables.cuts, *tables.below, *tables.strides, tables.offsets,
-                  tables.values):
+    for table in (*tables.cuts, *tables.rows, tables.values):
         with pytest.raises(ValueError):
             table[0] = 1
     assert model.step_tables is tables
@@ -634,40 +634,52 @@ def test_child_table_and_ranks_hold_the_trees(ensemble):
 def test_step_tables_hold_each_outputs_sorted_distinct_thresholds(ensemble):
     """Per feature, the cuts are the sorted distinct thresholds of all the
     trees' nodes on that feature (-0.0 and 0.0 are one, +-inf are
-    thresholds like any other), and `below[g]` counts each output's own
-    sorted distinct thresholds among the first g cuts, in the smallest
-    unsigned dtype that holds them. So `below[searchsorted(cuts, x)]` is the
-    number of an output's thresholds that `x <=` fails, NaN failing all of
-    them. An output's table has one cell per product of its intervals."""
+    thresholds like any other), and each output's column of the row table
+    steps by its stride exactly at its own sorted distinct thresholds: its
+    entry g is the stride times the count of those among the first g cuts,
+    plus the output's first cell on the first feature. So
+    `rows[searchsorted(cuts, x)]` counts the thresholds that `x <=` fails,
+    NaN failing all of them. An output's table has one cell per product of
+    its intervals, the last feature's stride being 1 and each earlier one
+    the cells of the later features' intervals, and the outputs' tables
+    are contiguous runs that cover the cells once."""
     model, trees = ensemble
     tables = model.step_tables
+    d = model.output_dimension
     used = sorted({f for _, tree in trees for f in tree.feature[tree.feature >= 0].tolist()})
     assert tables.features == tuple(used)
-    cells = np.ones(model.output_dimension, dtype=int)
-    probes = [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.25, 1.0, 1.25, 3.0, 3.5]
-    for f, cuts, below in zip(tables.features, tables.cuts, tables.below):
-        own = [sorted({float(t) for dim, tree in trees if dim == output
-                       for t in tree.threshold[tree.feature == f]})
-               for output in range(model.output_dimension)]
-        assert cuts.tolist() == sorted(set().union(*own))
-        assert np.all(cuts[1:] > cuts[:-1])
-        assert below.shape == (len(cuts) + 1, model.output_dimension)
-        assert below.dtype == np.min_scalar_type(max(map(len, own)))
-        for output, a in enumerate(own):
-            assert below[:, output].tolist() == [0] + [sum(t <= c for t in a) for c in cuts]
-            for x in probes + cuts.tolist():
-                assert below[np.searchsorted(cuts, x), output] == sum(not x <= t for t in a)
-        cells *= below[-1].astype(int) + 1
+    assert len(tables.cuts) == len(used) and len(tables.rows) == max(1, len(used))
+    own = [[sorted({float(t) for dim, tree in trees if dim == output
+                    for t in tree.threshold[tree.feature == f]})
+            for output in range(d)] for f in used]
+    intervals = np.array([[len(a) + 1 for a in per_output] for per_output in own],
+                         dtype=int).reshape(len(used), d)
+    cells = np.prod(intervals, axis=0)
     assert tables.cells == cells.sum()
-    # each output's cells are one contiguous run, the feature strides of a
-    # row-major grid
-    order = np.argsort(tables.offsets, kind="stable")
-    assert np.array_equal(np.sort(tables.offsets), np.cumsum(cells[order]) - cells[order])
-    expected = np.ones(model.output_dimension, dtype=int)
-    for below, strides in reversed(list(zip(tables.below, tables.strides))):
-        assert np.array_equal(strides, expected)
-        expected = expected * (below[-1].astype(int) + 1)
+    first = tables.rows[0][0]
+    order = np.argsort(first, kind="stable")
+    assert np.array_equal(np.sort(first), np.cumsum(cells[order]) - cells[order])
+    probes = [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.25, 1.0, 1.25, 3.0, 3.5]
+    for f, (cuts, rows, per_output) in enumerate(zip(tables.cuts, tables.rows, own)):
+        assert cuts.tolist() == sorted(set().union(*per_output))
+        assert np.all(cuts[1:] > cuts[:-1])
+        assert rows.shape == (len(cuts) + 1, d) and rows.dtype == np.intp
+        stride = np.prod(intervals[f + 1:], axis=0)
+        start = first if f == 0 else np.zeros(d, dtype=int)
+        for output, a in enumerate(per_output):
+            below = [0] + [sum(t <= c for t in a) for c in cuts]
+            assert rows[:, output].tolist() == [start[output] + stride[output] * n for n in below]
+            for x in probes + cuts.tolist():
+                assert rows[np.searchsorted(cuts, x), output] == (
+                    start[output] + stride[output] * sum(not x <= t for t in a))
 
+
+def _interval_counts(tables):
+    """(features, outputs): each output's threshold count per feature, the
+    steps of its column of the row table."""
+    return np.array([np.count_nonzero(np.diff(rows, axis=0), axis=0)
+                     for rows in tables.rows[:len(tables.features)]],
+                    dtype=int).reshape(len(tables.features), tables.rows[0].shape[1])
 
 
 def _assert_cells_hold_the_walk(model, trees, outputs, intervals, width):
@@ -675,17 +687,23 @@ def _assert_cells_hold_the_walk(model, trees, outputs, intervals, width):
     `intervals` hold, bit for bit, the clipped base plus the fit-order sum
     of `learning_rate * tree_predict` of the output's trees at the cell's
     representative point: a_k on interval k, NaN on the last and on the
-    features the trees never split on. a_k is the cut where the output's
-    `below` column first exceeds k. Returns the cells' flat indices."""
+    features the trees never split on. a_k is the cut at which the
+    output's column of the row table steps for the (k + 1)-th time, and a
+    cell's flat index is the sum of the output's rows at its point's cuts,
+    the last row at NaN. Returns the cells' flat indices."""
     tables = model.step_tables
-    flat = tables.offsets[outputs]
+    columns = np.arange(len(outputs))
+    flat = np.zeros(len(outputs), dtype=np.intp) if tables.features else tables.rows[0][0, outputs]
     points = np.full((len(outputs), width), np.nan)
-    for f, cuts, below, strides, k in zip(tables.features, tables.cuts, tables.below,
-                                          tables.strides, intervals.T):
-        flat += k * strides[outputs]
-        past = np.argmax(below[:, outputs] > k, axis=0)      # 0 on the last interval
-        points[:, f] = np.where(k < below[-1, outputs], cuts[past - 1], np.nan)
-    expected = _reference_predict(model, trees, points)[np.arange(len(outputs)), outputs]
+    for f, cuts, rows, k in zip(tables.features, tables.cuts, tables.rows, intervals.T):
+        # each output's steps among the first g cuts
+        steps = np.cumsum(np.diff(rows[:, outputs], axis=0, prepend=rows[:1, outputs]) != 0,
+                          axis=0)
+        past = np.argmax(steps > k, axis=0)                  # 0 on the last interval
+        inside = k < steps[-1]
+        points[:, f] = np.where(inside, cuts[past - 1], np.nan)
+        flat = flat + rows[np.where(inside, past - 1, len(cuts)), outputs]
+    expected = _reference_predict(model, trees, points)[columns, outputs]
     assert tables.values[flat].tobytes() == expected.tobytes()
     return flat
 
@@ -698,9 +716,10 @@ def test_every_step_table_cell_holds_the_walk_at_its_point(ensemble):
     once."""
     model, trees = ensemble
     tables = model.step_tables
+    counts = _interval_counts(tables)
     outputs, intervals = [], []
     for output in range(model.output_dimension):
-        grid = np.array(list(product(*(range(int(b[-1, output]) + 1) for b in tables.below))),
+        grid = np.array(list(product(*(range(m + 1) for m in counts[:, output]))),
                         dtype=int, ndmin=2)
         outputs += [output] * len(grid)
         intervals.append(grid)
@@ -717,7 +736,7 @@ def test_step_table_cells_of_many_outputs_and_rounds_hold_the_walk():
     tables = model.step_tables
     rng = np.random.default_rng(1)
     outputs = rng.integers(0, 256, 2000)
-    intervals = np.stack([rng.integers(0, b[-1, outputs].astype(int) + 1) for b in tables.below],
+    intervals = np.stack([rng.integers(0, m[outputs] + 1) for m in _interval_counts(tables)],
                          axis=1)
     assert tables.features == (0, 1)
     _assert_cells_hold_the_walk(model, model.trees, outputs, intervals, 2)
@@ -792,6 +811,7 @@ def test_step_tables_of_models_without_trees_or_splits():
     empty = model_from_trees(np.array([-0.5, 0.25, 1.5]), [], 0.3, 3)
     assert empty.step_tables.features == () and empty.step_tables.cells == 3
     assert empty.step_tables.values.tolist() == [0.0, 0.25, 1.0]
+    assert [r.tolist() for r in empty.step_tables.rows] == [[[0, 1, 2]]]
     assert empty.predict_batch(X).tolist() == [[0.0, 0.25, 1.0]] * 3
     leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.5])
     stump = Tree(feature=[1, -1, -1], threshold=[0.5, 0, 0],
@@ -800,9 +820,11 @@ def test_step_tables_of_models_without_trees_or_splits():
     model = model_from_trees(np.array([0.125, -0.0, 0.25]), trees, 0.5, 3)
     tables = model.step_tables
     assert tables.features == (1,) and tables.cuts[0].tolist() == [0.5]
-    assert tables.below[0].tolist() == [[0, 0, 0], [1, 0, 0]]
+    # output 2 (two trees) holds cell 0, output 0 (one tree) cells 1 and 2,
+    # stepping by 1 at its threshold, and output 1 (no tree) cell 3
+    assert tables.rows[0].tolist() == [[1, 3, 0], [2, 3, 0]]
     assert tables.cells == 2 + 1 + 1
-    assert tables.values[tables.offsets[1]].tobytes() == np.float64(-0.0).tobytes()
+    assert tables.values[tables.rows[0][0, 1]].tobytes() == np.float64(-0.0).tobytes()
     assert model.predict_batch(X).tobytes() == _reference_predict(model, trees, X).tobytes()
     only_leaves = model_from_trees(np.array([0.125]), [(0, leaf)] * 2, 0.5, 1)
     assert only_leaves.step_tables.features == ()

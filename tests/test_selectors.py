@@ -256,6 +256,20 @@ def test_coverage_prefix_consistency_and_full_exhaustion():
         select_bs_coverage(locations, rows, num_clusters=4, n_bs=17)
 
 
+@pytest.mark.parametrize("rank_cells", [1, 37, 16 * 60])
+def test_coverage_plan_ranked_in_blocks_is_the_one_block_plan(rank_cells):
+    """Ranking the rows a block at a time, one row or a few, changes no
+    byte of the plan."""
+    rng = np.random.default_rng(9)
+    locations = rng.uniform(0, 100, size=(150, 2))
+    rows = rng.integers(0, 4, size=(150, 16)) / 4.0        # many ties
+    whole = select_bs_coverage(locations, rows, num_clusters=5, n_bs=16, seed=3)
+    with mock.patch.object(beamtrain.selectors, "_RANK_CELLS", rank_cells):
+        blocks = select_bs_coverage(locations, rows, num_clusters=5, n_bs=16, seed=3)
+    for key in PLAN_SCHEMA:
+        assert getattr(blocks, key).tobytes() == getattr(whole, key).tobytes()
+
+
 def test_no_location_selection_ignores_ue_position():
     rng = np.random.default_rng(5)
     locations = rng.uniform(0, 100, size=(30, 2))
@@ -267,6 +281,50 @@ def test_no_location_selection_ignores_ue_position():
     assert np.array_equal(a.s_f, plan.selected_beams)
     assert np.array_equal(a.s_f, b.s_f)
     assert list(a.s_w) == [1, 3]
+
+
+def test_negative_set_sizes_raise_naming_the_argument():
+    """A negative set size would cut a ranking from its end: k = -1 of 1024
+    scores would keep 1023 of them, and a plan's prefix(-1) would drop its
+    last beam. Every selector rejects it with a ValueError that names the
+    argument, before it predicts; a size of 0 stays legal and selects
+    nothing."""
+    rng = np.random.default_rng(7)
+    scores = rng.uniform(0, 1, size=1024)
+    for case in (scores, scores[:16], np.stack([scores] * 3)):
+        with pytest.raises(ValueError, match=r"^k must be at least 0, got -1$"):
+            top_k_stable(case, -1)
+        assert top_k_stable(case, 0).shape == case.shape[:-1] + (0,)
+    pairs, model_f, model_w = _Const(scores), _Const(scores[:64]), _Const(scores[:16])
+    with pytest.raises(ValueError, match=r"^n_pairs must be at least 0, got -1$"):
+        select_coupled(pairs, (0, 0), -1, 64)
+    assert len(select_coupled(pairs, (0, 0), 0, 64).flat_indices) == 0
+    for num_w, num_f, name in ((-3, 4, "num_w"), (4, -1, "num_f")):
+        with pytest.raises(ValueError, match=rf"^{name} must be at least 0, got -\d$"):
+            select_decoupled_with_location(model_f, model_w, (0, 0), num_w, num_f)
+    sets = select_decoupled_with_location(model_f, model_w, (0, 0), 0, 0)
+    assert len(sets.s_w) == len(sets.s_f) == 0
+    locations = rng.uniform(0, 100, size=(30, 2))
+    plan = select_bs_coverage(locations, rng.uniform(0, 1, size=(30, 8)), 3, n_bs=8, seed=1)
+    with pytest.raises(ValueError, match=r"^n_bs must be at least 0, got -1$"):
+        plan.prefix(-1)
+    with pytest.raises(ValueError, match=r"^n_bs must be at least 0, got -1$"):
+        select_bs_coverage(locations, rng.uniform(0, 1, size=(30, 8)), 3, n_bs=-1, seed=1)
+    with pytest.raises(ValueError, match=r"^num_w must be at least 0, got -2$"):
+        select_decoupled_no_location(model_w, (0, 0), -2, plan)
+    assert len(plan.prefix(0).selected_beams) == 0
+    assert len(select_decoupled_no_location(model_w, (0, 0), 0, plan).s_w) == 0
+
+
+def test_plan_prefix_keeps_the_plans_arrays():
+    """A prefix shares every array of its plan but the cut beam list."""
+    rng = np.random.default_rng(8)
+    plan = select_bs_coverage(rng.uniform(0, 100, size=(30, 2)), rng.uniform(0, 1, size=(30, 8)),
+                              3, n_bs=8, seed=1)
+    cut = plan.prefix(5)
+    for key in ("centroids", "assignments", "significances", "prob_tables"):
+        assert getattr(cut, key) is getattr(plan, key)
+    assert cut.selected_beams.tolist() == plan.selected_beams[:5].tolist()
 
 
 def _load_plan(path):
