@@ -80,8 +80,13 @@ MODEL_SCHEMA = {"base_prediction": "f D", "learning_rate": "f 1", "output_dimens
                 "role": "U 1", "tree_outputs": "i T", "tree_sizes": "i T", "node_feature": "i M",
                 "node_threshold": "f M", "node_left": "i M", "node_right": "i M",
                 "node_value": "f M"}
-# the packed layout (see `TreeEnsembleModel`): the keys from `tree_outputs` on
-_LAYOUT = {key: float if rule[0] == "f" else int for key, rule in list(MODEL_SCHEMA.items())[4:]}
+# a `Tree`'s node arrays, each kept in the layout and a model file as `node_<name>`
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+# a model file's scalar keys, and the packed layout's keys and dtypes (see
+# `TreeEnsembleModel`)
+_SCALAR_KEYS = ("learning_rate", "output_dimension", "role")
+_LAYOUT = {key: float if MODEL_SCHEMA[key][0] == "f" else int
+           for key in ("tree_outputs", "tree_sizes", *("node_" + name for name in NODE_ARRAYS))}
 # Prediction gathers chunks of at most this many (row, output) cells, so
 # that its temporaries stay small whatever the batch size. Training reads
 # its targets in blocks of about this many (row, output) values, and fits
@@ -114,7 +119,7 @@ class Tree:
     means leaf with value[n].
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = NODE_ARRAYS
 
     def __init__(self, feature, threshold, left, right, value):
         self.feature = np.asarray(feature, dtype=int)
@@ -224,7 +229,7 @@ class TreeEnsembleModel:
             sizes = self._layout["tree_sizes"]
             ends = np.cumsum(sizes)
             self._trees = tuple(
-                (int(dim), Tree(*(self._layout["node_" + name][a:b] for name in Tree.__slots__)))
+                (int(dim), Tree(*(self._layout["node_" + name][a:b] for name in NODE_ARRAYS)))
                 for dim, a, b in zip(self._layout["tree_outputs"], ends - sizes, ends))
         return self._trees
 
@@ -249,8 +254,11 @@ class TreeEnsembleModel:
 
     def predict(self, location) -> np.ndarray:
         """One location's row of `predict_batch`, bit for bit, by the same
-        index rule (`_cells`) with no batch around it."""
-        x = np.asarray(location, dtype=float).reshape(-1)
+        index rule (`_cells`) with no batch around it. A `location` that is
+        not 1-D raises a ValueError naming its shape."""
+        x = np.asarray(location, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"location must be 1-D, got shape {x.shape}")
         tables = self.tables_for(len(x))
         return tables.values[_cells(tables, x)]
 
@@ -591,7 +599,7 @@ def _preorder(levels, trees):
     tree_sizes = sizes[0]
     place = (np.cumsum(tree_sizes) - tree_sizes)[tree] + ids
     by_place = np.argsort(place)
-    nodes = {name: values[by_place] for name, values in zip(Tree.__slots__, arrays)}
+    nodes = {name: values[by_place] for name, values in zip(NODE_ARRAYS, arrays)}
     internal = np.bincount(tree[arrays[0] >= 0], minlength=trees)
     return nodes, tree_sizes, internal
 
@@ -603,9 +611,10 @@ def _cell_tables(Y, rows, cell, cells):
     squares, each adding the cell's rows in row order.
 
     The targets are read once, a column block at a time as `Y[rows,
-    lo:hi]`. The base is each block's mean, which adds the rows one after
-    another as the whole array's mean does; a block is at least two columns
-    wide, as a one-column mean adds pairwise."""
+    lo:hi]`; a non-finite block raises a ValueError naming `Y`. The base is
+    each block's mean, which adds the rows one after another as the whole
+    array's mean does; a block is at least two columns wide, as a
+    one-column mean adds pairwise."""
     n, d = len(rows), Y.shape[1]
     base, S, Q = np.empty(d), np.empty((cells, d)), np.empty((cells, d))
     width = max(2, _CHUNK_CELLS // n)
@@ -613,6 +622,8 @@ def _cell_tables(Y, rows, cell, cells):
         lo = max(0, min(lo, d - 2))
         hi = min(lo + width, d)
         residual = Y[rows, lo:hi]
+        if not np.isfinite(residual).all():
+            raise ValueError("Y holds a non-finite value")
         base[lo:hi] = residual.mean(axis=0)
         residual -= base[lo:hi]
         keys = (cell[:, None] * (hi - lo) + np.arange(hi - lo)).ravel()
@@ -669,7 +680,7 @@ def _boosted_layout(X, Y, rows, config: TrainConfig):
             S[:, dims] -= step
             used += int(cost[kept].sum())
             in_kept = np.repeat(kept, sizes)
-            pieces.append((dims, sizes[kept], *(nodes[name][in_kept] for name in Tree.__slots__)))
+            pieces.append((dims, sizes[kept], *(nodes[name][in_kept] for name in NODE_ARRAYS)))
             if not np.all(fits):
                 return base, _pack(pieces)
     return base, _pack(pieces)
@@ -689,8 +700,8 @@ def train(X, Y, config: TrainConfig, role: str = "coupled", rows=None) -> TreeEn
     depend on input row order. The caller's `Y` is read at the rows, a
     column block at a time, and never copied whole, so that `train(X, Y,
     config, rows=r)` is `train(X, Y[r], config)` bit for bit. A non-finite
-    `X` or `Y[rows]` raises a ValueError naming it.
-    """
+    `X` or `Y[rows]` raises a ValueError naming it, `Y` as `_cell_tables`
+    reads it, before any tree is fitted."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
@@ -702,9 +713,6 @@ def train(X, Y, config: TrainConfig, role: str = "coupled", rows=None) -> TreeEn
         raise ValueError("inputs and targets must have the same length")
     if not np.isfinite(X).all():
         raise ValueError("X holds a non-finite value")
-    step = max(1, _CHUNK_CELLS // len(rows))        # Y[rows] is checked a column block at a time
-    if not all(np.isfinite(Y[rows, lo:lo + step]).all() for lo in range(0, Y.shape[1], step)):
-        raise ValueError("Y holds a non-finite value")
     d = Y.shape[1]
     if config.budget_parameters < d:
         raise ValueError(f"budget {config.budget_parameters} cannot hold {d} base predictions")
@@ -747,7 +755,7 @@ def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray,
 
 def save_model(model: TreeEnsembleModel, path: str) -> None:
     save_npz(path, {"base_prediction": model.base_prediction,
-                    **{key: np.array([getattr(model, key)]) for key in list(MODEL_SCHEMA)[1:4]},
+                    **{key: np.array([getattr(model, key)]) for key in _SCALAR_KEYS},
                     **model.layout}, MODEL_FORMAT_VERSION)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .arrays import Codebook
 from .channel import path_responses
-from .fileio import check, integer, load_npz, save_npz
+from .fileio import check, integer, load_npz, real, save_npz
 from .linkeval import sweep_responses
 from .scene import PATH_KINDS, trace_snapshot
 # The dense route (channel_for_ue, sweep_all) is no longer called here, but
@@ -64,10 +64,11 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
     column is allocated once for all UEs: each UE is written into the next
     free row, a dropped UE's row is overwritten by the next UE, and each
     column is shrunk in place to its kept rows (a prefix view would keep
-    all of it). UEs without paths are dropped unswept. A kept row with a
-    non-finite rate, as degenerate geometry gives, raises a ValueError
-    naming the snapshot and the UE. The UE, dropped-UE and per-kind path
-    counts are logged at info level.
+    all of it). UEs without paths are dropped unswept. A UE whose peak rate
+    is not finite (no rate is -inf, so the peak is finite exactly when the
+    row is), as degenerate geometry gives, raises a ValueError naming the
+    snapshot and the UE before the next UE is swept. The UE, dropped-UE
+    and per-kind path counts are logged at info level.
     """
     snapshots = sorted(snapshots, key=lambda s: s.snapshot_id)
     ues = sum(len(s.ue_indices) for s in snapshots)
@@ -80,23 +81,21 @@ def build_rate_dataset(snapshots, combiners: Codebook, beamformers: Codebook,
         table = trace_snapshot(snapshot, config)
         paths += np.bincount(table.kind, minlength=len(PATH_KINDS))
         a_ue, a_bs, phases = path_responses(table, bs_geometry, ue_geometry, config)
-        first = kept
         for ue_index, ue_rows in zip(snapshot.ue_indices, table.ue_rows(snapshot.ue_indices)):
             if ue_rows.start == ue_rows.stop:
                 continue
             # no view of the rates outlives the call, so that they can shrink
-            if np.max(sweep_responses(table.gain[ue_rows], a_ue[ue_rows], a_bs[ue_rows],
-                                      phases[:, ue_rows], combiners, beamformers,
-                                      config.sigma2, out=rows.rates[kept])) <= 0.0:
+            peak = np.max(sweep_responses(table.gain[ue_rows], a_ue[ue_rows], a_bs[ue_rows],
+                                          phases[:, ue_rows], combiners, beamformers,
+                                          config.sigma2, out=rows.rates[kept]))
+            if not np.isfinite(peak):
+                raise ValueError(f"snapshot {snapshot.snapshot_id}, UE {ue_index}: "
+                                 "rates are not finite")
+            if peak <= 0.0:
                 continue
             rows.location[kept] = snapshot.ue_location(ue_index)
             rows.snapshot_id[kept], rows.ue_index[kept] = snapshot.snapshot_id, ue_index
             kept += 1
-        finite = np.isfinite(rows.rates[first:kept]).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"snapshot {snapshot.snapshot_id}, UE "
-                             f"{rows.ue_index[first + int(np.argmin(finite))]}: "
-                             "rates are not finite")
     log.info("rate dataset: %d UEs, %d dropped as fully blocked; paths: %s", ues, ues - kept,
              ", ".join(f"{n} {kind}" for kind, n in zip(PATH_KINDS, paths.tolist())))
     # no view of a column outlives the loop above, so nothing can read the
@@ -131,7 +130,9 @@ def to_atr(tr: np.ndarray, num_combiners: int, num_beamformers: int) -> Rows:
 
 def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,
                   seed: int = 0) -> DatasetSplit:
-    """Seeded shuffle into train/test plus round-robin fold ids on train."""
+    """Seeded shuffle into train/test plus round-robin fold ids on train.
+    `test_fraction` lies in (0, 1), as in `ExperimentConfig`."""
+    check("test_fraction", test_fraction, real("(0, 1)"))
     check("folds", folds, integer(2))
     rng = np.random.default_rng(seed)
     order = rng.permutation(num_rows)

@@ -216,8 +216,8 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
     """Location-free BS beam list covering the region of interest.
 
     Clusters the rows by location and builds per-cluster k-th-best beam
-    probability tables: each row is ranked once by a stable descending
-    sort (ties to the lower beam), and the counts of the (cluster, rank,
+    probability tables: each row is ranked once by `top_k_stable` over all
+    its beams (ties to the lower beam), and the counts of the (cluster, rank,
     beam) cells, divided by the cluster sizes, give every table; the rows
     are ranked and counted in blocks of about `_RANK_CELLS` scores. A
     row's ranking does not depend on the other rows, so the tables equal
@@ -225,13 +225,13 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
     ValueError. A cluster's significance is its share of the rows, or 1
     for every cluster without `use_significance`. The greedy visits the
     slots (k, rank position) in order and appends the beams that some
-    cluster lists at that slot and that are not chosen yet, by descending
-    significance-weighted probability of rank k, ties to the lower beam.
-    So a beam is appended at its first slot, and the list is all beams
-    sorted by (first slot, descending score there, index), cut to n_bs.
-    Every prefix of the list is the list a smaller n_bs builds. The plan
-    equals that of the per-rank greedy in tests/reference_selectors.py, bit
-    for bit.
+    cluster's `top_k_stable` ranking by probability of rank k lists at that
+    slot and that are not chosen yet, by descending significance-weighted
+    probability of rank k, ties to the lower beam. So a beam is appended at
+    its first slot, and the list is all beams sorted by (first slot,
+    descending score there, index), cut to n_bs. Every prefix of the list
+    is the list a smaller n_bs builds. The plan equals that of the per-rank
+    greedy in tests/reference_selectors.py, bit for bit.
     """
     X = np.asarray(locations, dtype=float)
     rows = np.asarray(atr_f_rows, dtype=float)
@@ -253,19 +253,19 @@ def select_bs_coverage(locations: np.ndarray, atr_f_rows: np.ndarray, num_cluste
     hits = np.zeros(num_clusters * num_beams * num_beams, dtype=np.intp)
     step = max(1, _RANK_CELLS // num_beams)
     for lo in range(0, len(rows), step):
-        cells = np.argsort(-rows[lo:lo + step], axis=1, kind="stable")
+        cells = top_k_stable(rows[lo:lo + step], num_beams)
         cells += np.arange(num_beams) * num_beams
         cells += (assignments[lo:lo + step] * num_beams * num_beams)[:, None]
         hits += np.bincount(cells.ravel(), minlength=len(hits))
     prob_tables = hits.reshape(num_clusters, num_beams, num_beams) / counts[:, None, None]
     # position[c, k, j]: beam j's place when cluster c's beams are ranked by
     # their probability of rank k + 1, most probable first, ties to the
-    # lower index (the inverse of that stable ranking). Slot (k, pos) is
+    # lower index (the inverse of `top_k_stable`'s ranking). Slot (k, pos) is
     # number k * B + pos; a beam's first slot is the least at which some
     # cluster gives it a nonzero probability, and every beam has one, as
     # every row ranks every beam and no cluster is empty, so the list always
     # reaches |F| beams.
-    position = np.argsort(np.argsort(-prob_tables, axis=2, kind="stable"), axis=2)
+    position = np.argsort(top_k_stable(prob_tables, num_beams), axis=2)
     first = np.where(prob_tables > 0, np.arange(num_beams)[:, None] * num_beams + position,
                      num_beams * num_beams).min(axis=(0, 1))
     # each score is its own dot product, as one matrix-vector product for

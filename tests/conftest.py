@@ -1,9 +1,10 @@
 from hypothesis import settings
 
 # The long run of the properties that take their draws from `draws`: the
-# rate routes, the selections and the cell fit. Every other property sets
-# its own draws, so under `pytest --hypothesis-profile=long-run` the rest of
-# the suite runs as in tier-1; CI runs it so (.github/workflows/tests.yml).
+# rate routes, the selections, the cell fit and its check of the targets.
+# Every other property sets its own draws, so under `pytest
+# --hypothesis-profile=long-run` the rest of the suite runs as in tier-1; CI
+# runs it so (.github/workflows/tests.yml).
 settings.register_profile("long-run", max_examples=3000, deadline=None)
 
 

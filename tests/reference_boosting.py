@@ -26,7 +26,7 @@ a list of (output, Tree) pairs into a model.
 
 import numpy as np
 
-from beamtrain.boosting import TrainConfig, Tree, TreeEnsembleModel
+from beamtrain.boosting import NODE_ARRAYS, TrainConfig, Tree, TreeEnsembleModel
 
 
 def internal_count(tree: Tree) -> int:
@@ -52,7 +52,7 @@ def model_from_trees(base_prediction, trees, learning_rate: float, output_dimens
     concatenated into one packed layout."""
     layout = {"tree_outputs": [dim for dim, _ in trees],
               "tree_sizes": [len(tree.feature) for _, tree in trees]}
-    for name in Tree.__slots__:
+    for name in NODE_ARRAYS:
         layout["node_" + name] = (np.concatenate([getattr(tree, name) for _, tree in trees])
                                   if trees else [])
     return TreeEnsembleModel(base_prediction, layout, learning_rate, output_dimension, role)

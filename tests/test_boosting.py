@@ -17,8 +17,8 @@ from hypothesis.extra import numpy as hnp
 
 import beamtrain
 from beamtrain import boosting
-from beamtrain.boosting import (TrainConfig, Tree, kfold_tune, load_model, param_count,
-                                save_model, train)
+from beamtrain.boosting import (NODE_ARRAYS, TrainConfig, Tree, kfold_tune, load_model,
+                                param_count, save_model, train)
 from conftest import draws
 from reference_boosting import (_histogram_split, fit_histogram_tree, fit_tree, histogram_bins,
                                 internal_count, model_from_trees, sequential_sum,
@@ -74,11 +74,26 @@ def test_budget_below_outputs_raises():
 @pytest.mark.parametrize("name", ["X", "Y"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_train_rejects_non_finite_inputs_before_sorting(name, bad):
+    """X is checked before the rows are sorted, and Y as `_cell_tables`
+    reads it, before any tree is fitted."""
     data = dict(zip("XY", _grid_data()))
     data[name][5, 1] = bad
-    with mock.patch.object(np, "lexsort", side_effect=AssertionError("rows were sorted")), \
+    first = (np, "lexsort") if name == "X" else (boosting, "_fit_trees")
+    with mock.patch.object(*first, side_effect=AssertionError(f"{first[1]} ran")), \
             pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
         train(data["X"], data["Y"], TrainConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_rejects_a_non_finite_target_in_its_last_column_block(bad):
+    """64 rows at 128 cells per block read the 9 outputs in five blocks of
+    two columns, the last one shifted back to columns 7 and 8."""
+    X, Y = _grid_data(d=9)
+    Y[40, 8] = bad
+    with mock.patch.object(boosting, "_CHUNK_CELLS", 128), \
+            mock.patch.object(boosting, "_fit_trees", side_effect=AssertionError("_fit_trees ran")), \
+            pytest.raises(ValueError, match="^Y holds a non-finite value$"):
+        train(X, Y, TrainConfig())
 
 
 def test_train_holds_no_sorted_copy_of_the_targets():
@@ -763,9 +778,20 @@ def test_one_row_prediction_is_the_batch_row(ensemble, spare, x):
     model, _ = ensemble
     x = np.concatenate([x, np.full(spare, np.nan)])
     expected = model.predict_batch(x[None])[0]
-    for location in (x, x.tolist(), x[None]):
+    for location in (x, x.tolist()):
         row = model.predict(location)
         assert row.shape == expected.shape and row.tobytes() == expected.tobytes()
+
+
+def test_one_row_prediction_takes_one_location():
+    """`predict` flattened its input, so that four rows gave the outputs of
+    the first row's cells; an input that is not 1-D raises a ValueError
+    naming `location` and its shape, also for a model without features."""
+    X, Y = _grid_data(d=3)
+    for model in (train(X, Y, TrainConfig(tree_count=3)), model_from_trees(np.zeros(2), [], 0.3, 2)):
+        for location, shape in ((X[:4], (4, 2)), (X[:1], (1, 2)), (3.0, ())):
+            with pytest.raises(ValueError, match=re.escape(f"location must be 1-D, got shape {shape}")):
+                model.predict(location)
 
 
 def test_one_row_prediction_of_models_without_features():
@@ -939,7 +965,7 @@ def test_node_stats_equal_per_node_sums(kinds, n, seed, max_depth):
         expected = []
         ends = np.cumsum(sizes)
         for c in range(len(kinds)):
-            tree = Tree(*(nodes[name][ends[c] - sizes[c]:ends[c]] for name in Tree.__slots__))
+            tree = Tree(*(nodes[name][ends[c] - sizes[c]:ends[c]] for name in NODE_ARRAYS))
             stack = [(0, np.arange(n))]
             while stack:
                 i, rows = stack.pop()
@@ -1085,6 +1111,28 @@ def test_train_on_rows_equals_train_on_their_copy(data):
     model, copied = train(X, Y, config, rows=rows), train(X, Y[rows], config)
     assert _layout_bytes(model) == _layout_bytes(copied)
     assert model.base_prediction.tobytes() == copied.base_prediction.tobytes()
+
+
+@settings(max_examples=draws(60), deadline=None)
+@given(_celled_sets(), st.data())
+def test_train_checks_the_targets_at_its_rows_as_it_reads_them(data, pick):
+    """Read in blocks of a few columns, a non-finite target at any row of
+    `rows`, in any column, is rejected before any tree is fitted, and one
+    in a row outside `rows` leaves the model unchanged."""
+    X, Y, rows, config = data
+    row, column = pick.draw(st.integers(0, len(Y) - 1)), pick.draw(st.integers(0, Y.shape[1] - 1))
+    with mock.patch.object(boosting, "_CHUNK_CELLS", pick.draw(st.sampled_from([1, 37, 400]))):
+        clean = train(X, Y, config, rows=rows)
+        Y[row, column] = pick.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if row in rows:
+            with mock.patch.object(boosting, "_fit_trees",
+                                   side_effect=AssertionError("_fit_trees ran")), \
+                    pytest.raises(ValueError, match="^Y holds a non-finite value$"):
+                train(X, Y, config, rows=rows)
+        else:
+            model = train(X, Y, config, rows=rows)
+            assert _layout_bytes(model) == _layout_bytes(clean)
+            assert model.base_prediction.tobytes() == clean.base_prediction.tobytes()
 
 
 def test_an_output_of_constant_targets_gets_no_tree_and_spends_no_budget():
@@ -1250,7 +1298,7 @@ def test_thresholds_of_extreme_values_split_rows_as_their_bins():
     config = TrainConfig(max_depth=2, min_samples_leaf=1)
     nodes, _, _, leaf_value = boosting._fit_trees(boosting._bins(X), np.ones(4), residual,
                                                   np.square(residual), config)
-    tree = Tree(*(nodes[name] for name in Tree.__slots__))
+    tree = Tree(*(nodes[name] for name in NODE_ARRAYS))
     assert np.all(np.isfinite(tree.threshold))
     assert -1.7e308 <= tree.threshold[0] < -1e308
     assert leaf_value[:, 0].tolist() == tree_predict(tree, X).tolist()

@@ -3,6 +3,7 @@ import json
 import logging
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from beamtrain.channel import channel_for_ue, default_bs_geometry, default_ue_ge
 from beamtrain.dataset import (Rows, build_rate_dataset, load_dataset, save_dataset, split_dataset,
                                to_atr, to_throughput_ratios)
 from beamtrain.linkeval import sweep_all
-from beamtrain.scene import SceneConfig, generate_snapshot
+from beamtrain.scene import SceneConfig, generate_snapshot, trace_snapshot
 from reference_linkeval import sweep_paths
 from reference_scene import trace_paths as trace_paths_reference
 
@@ -108,16 +109,33 @@ def test_build_rate_dataset_logs_ue_and_path_counts(caplog):
 
 
 def test_build_rate_dataset_rejects_non_finite_rates():
-    # a wall 1e-275 m beside the BS passes SceneConfig's check (only an
-    # ExperimentConfig rejects it), but the wall path's direction underflows
-    # and its rates come out NaN
+    """A wall 1e-275 m beside the BS passes SceneConfig's check (only an
+    ExperimentConfig rejects it), but the wall path's direction underflows
+    and its rates come out NaN. The stage raises at the first swept UE whose
+    rates are not finite, naming it, and sweeps no later UE."""
     cfg = dataclasses.replace(SceneConfig(), wall_clearance=1e-275)
     snaps = [generate_snapshot(cfg, s, snapshot_id=s) for s in range(2)]
     bs_g, ue_g = default_bs_geometry(cfg, 8, 8), default_ue_geometry(cfg, 4, 4)
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match=r"^snapshot 0, UE \d+: rates are not finite$"):
+    finite, sweep = [], dataset_module.sweep_responses
+
+    def recording(*args, **kwargs):
+        rates = sweep(*args, **kwargs)
+        finite.append(bool(np.isfinite(rates).all()))
+        return rates
+
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            mock.patch.object(dataset_module, "sweep_responses", recording), \
+            pytest.raises(ValueError, match=r"^snapshot 0, UE \d+: rates are not finite$") as error:
         build_rate_dataset(snaps, dft_codebook(ue_g, "ue"), dft_codebook(bs_g, "bs"),
                            bs_g, ue_g, cfg)
+    assert finite == [True] * (len(finite) - 1) + [False]
+    # the k-th sweep is of the k-th UE with paths
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = trace_snapshot(snaps[0], cfg)
+    swept = [ue for ue, rows in zip(snaps[0].ue_indices, table.ue_rows(snaps[0].ue_indices))
+             if rows.start != rows.stop]
+    assert len(swept) > len(finite)
+    assert str(error.value) == f"snapshot 0, UE {swept[len(finite) - 1]}: rates are not finite"
 
 
 def _transform(rows):
@@ -246,6 +264,14 @@ def test_split_determinism_and_errors():
         split_dataset(8, folds=10)
     with pytest.raises(ValueError):
         split_dataset(100, folds=1)
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 0.0, 1.0, 1.5, float("nan"), True])
+def test_split_rejects_a_test_fraction_outside_the_open_unit_interval(fraction):
+    """`test_fraction` follows ExperimentConfig's rule: at -0.1 the split
+    took 10 training rows and 90 test rows, and at 0.0 no test row."""
+    with pytest.raises(ValueError, match=r"^test_fraction must be in \(0, 1\), got "):
+        split_dataset(100, test_fraction=fraction)
 
 
 
