@@ -111,16 +111,16 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def rotation_from_boresight(boresight, col_axis_hint=(0.0, 0.0, 1.0)) -> np.ndarray:
+def rotation_from_boresight(boresight) -> np.ndarray:
     """Rotation (local -> world) with local +x mapped to `boresight`.
 
-    The column axis is chosen perpendicular to the boresight, close to
-    hint x boresight; the row axis completes the right-handed frame.
+    The column axis is chosen perpendicular to the boresight, along
+    +z x boresight (+x x boresight for a vertical boresight); the row axis
+    completes the right-handed frame.
     """
     b = np.asarray(boresight, dtype=float)
     b = b / np.linalg.norm(b)
-    hint = np.asarray(col_axis_hint, dtype=float)
-    c = np.cross(hint, b)
+    c = np.cross((0.0, 0.0, 1.0), b)
     if np.linalg.norm(c) < 1e-12:
         c = np.cross((1.0, 0.0, 0.0), b)
     c = c / np.linalg.norm(c)

@@ -167,7 +167,8 @@ class TreeEnsembleModel:
     preorder that `train` writes gives them. The constructor trusts its
     makers, `train` and `load_model`, and keeps a read-only copy of the
     layout; `trees` is a tuple of views into that copy, so the trees a
-    caller sees are always the trees prediction evaluates.
+    caller sees are always the trees prediction evaluates. The output
+    count, `output_dimension`, is the length of `base_prediction`.
 
     Prediction reads `step_tables`, compiled from the layout on first use
     and kept, as the layout never changes. On a feature f, an output's trees
@@ -209,11 +210,10 @@ class TreeEnsembleModel:
     output) entry, so they grow with the cuts but not with the cells.
     """
 
-    def __init__(self, base_prediction, layout, learning_rate: float, output_dimension: int,
-                 role: str):
+    def __init__(self, base_prediction, layout, learning_rate: float, role: str):
         self.base_prediction = _read_only(base_prediction, float)
-        self.learning_rate, self.output_dimension = learning_rate, output_dimension
-        self.role = role
+        self.output_dimension = len(self.base_prediction)
+        self.learning_rate, self.role = learning_rate, role
         self._layout = {key: _read_only(layout[key], dtype) for key, dtype in _LAYOUT.items()}
         self._trees = self._step_tables = None
 
@@ -264,8 +264,11 @@ class TreeEnsembleModel:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Each row's cell of each output's step table (`_cells`). Rows go in
-        chunks of at most `_CHUNK_CELLS` (row, output) cells."""
+        chunks of at most `_CHUNK_CELLS` (row, output) cells. An `X` that is
+        not 2-D raises a ValueError naming its shape."""
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {X.shape}")
         tables = self.tables_for(X.shape[1])
         out = np.empty((X.shape[0], self.output_dimension))
         step = max(1, _CHUNK_CELLS // max(1, self.output_dimension))
@@ -693,19 +696,21 @@ def _pack(pieces):
 
 def train(X, Y, config: TrainConfig, role: str = "coupled", rows=None) -> TreeEnsembleModel:
     """Greedy per-output boosting under a global parameter budget, on the
-    targets `Y[rows]` at the locations `X`, one location per row; `rows`
-    are row indices of `Y`, all of its rows by default.
+    (rows, outputs) targets `Y[rows]` at the locations `X`, one location
+    per row; `rows` are row indices of `Y`, all of its rows by default. A
+    `Y` of another shape raises a ValueError naming it.
 
-    Rows are lexicographically sorted by location first, so the fit does not
-    depend on input row order. The caller's `Y` is read at the rows, a
-    column block at a time, and never copied whole, so that `train(X, Y,
-    config, rows=r)` is `train(X, Y[r], config)` bit for bit. A non-finite
-    `X` or `Y[rows]` raises a ValueError naming it, `Y` as `_cell_tables`
-    reads it, before any tree is fitted."""
+    Rows are lexicographically sorted by location first, on every column of
+    `X`, so the fit does not depend on the order of rows at distinct
+    locations (rows at one location keep their order). The caller's `Y` is
+    read at the rows, a column block at a time, and never copied whole, so
+    that `train(X, Y, config, rows=r)` is `train(X, Y[r], config)` bit for
+    bit. A non-finite `X` or `Y[rows]` raises a ValueError naming it, `Y`
+    as `_cell_tables` reads it, before any tree is fitted."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be 2-D, got shape {Y.shape}")
     rows = np.arange(len(Y)) if rows is None else np.asarray(rows, dtype=np.intp)
     if len(X) == 0:
         raise ValueError("empty training data")
@@ -717,16 +722,18 @@ def train(X, Y, config: TrainConfig, role: str = "coupled", rows=None) -> TreeEn
     if config.budget_parameters < d:
         raise ValueError(f"budget {config.budget_parameters} cannot hold {d} base predictions")
 
-    sort = np.lexsort((X[:, 1], X[:, 0]))
+    sort = np.lexsort(X.T[::-1])
     base, layout = _boosted_layout(X[sort], Y, rows[sort], config)
-    return TreeEnsembleModel(base, layout, config.learning_rate, d, role)
+    return TreeEnsembleModel(base, layout, config.learning_rate, role)
 
 
 def kfold_tune(X, Y, grid: list[TrainConfig], fold_assignments: np.ndarray,
                rows=None) -> TrainConfig:
     """Grid point with the lowest mean validation MSE over folds, on the
-    targets `Y[rows]` at the locations `X` (`train`'s `rows`); ties break
-    toward smaller parameter count, then earlier grid position."""
+    (rows, outputs) targets `Y[rows]` at the locations `X` (`train`'s
+    `rows`, whose first fold fit rejects any other `Y` before an error is
+    scored); ties break toward smaller parameter count, then earlier grid
+    position."""
     if not grid:
         raise ValueError("hyperparameter grid must be nonempty")
     if len(grid) == 1:
@@ -774,12 +781,12 @@ def load_model(path: str) -> TreeEnsembleModel:
     past it loads and fails at prediction (`tables_for`)."""
     data, sizes = load_npz(path, "model", MODEL_FORMAT_VERSION, MODEL_SCHEMA)
     model = TreeEnsembleModel(data["base_prediction"], data, data["learning_rate"][0].item(),
-                              data["output_dimension"][0].item(), data["role"][0].item())
-    layout, d, n = model.layout, model.output_dimension, sizes["M"]
+                              data["role"][0].item())
+    layout, d, n = model.layout, data["output_dimension"][0].item(), sizes["M"]
     where, tree_sizes = f"model file {path!r}: ", layout["tree_sizes"]
     check("learning_rate", model.learning_rate, _TRAIN_RULES["learning_rate"], where)
-    check("base_prediction", sizes["D"], (lambda v: v == d,
-                                          f"of length output_dimension = {d}"), where)
+    check("base_prediction", model.output_dimension,
+          (lambda v: v == d, f"of length output_dimension = {d}"), where)
     check("tree_sizes", tree_sizes, (lambda v: np.all(v >= 1) and v.sum() == n,
                                  f"at least 1 and sum to the {n} nodes"), where)
     check("tree_outputs", layout["tree_outputs"],

@@ -59,7 +59,7 @@ def cmd_scene_gen(args) -> int:
     save_npz(os.path.join(args.out, "paths.npz"),
              {key: np.concatenate([t[key] for t in tables]) for key in tables[0]},
              PATHS_FORMAT_VERSION)
-    with atomic_write(os.path.join(args.out, "paths_index.csv"), newline="") as fh:
+    with atomic_write(os.path.join(args.out, "paths_index.csv")) as fh:
         fh.write("snapshot_id,ue_index,x,y,path_count\n")
         fh.writelines("%d,%d,%.9g,%.9g,%d\n" % row for row in index)
     print(f"wrote {sum(len(t['ue']) for t in tables)} paths of {len(index)} UEs to {args.out}")
@@ -140,13 +140,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_common(p, out_default=None):
+def _add_common(p, out_default):
     profile = p.add_mutually_exclusive_group()
     profile.add_argument("--config", help="experiment config file (.json or .toml)")
     profile.add_argument("--smoke", action="store_true", help="use the small CI profile")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    if out_default is not None:
-        p.add_argument("--out", default=out_default, help="output path")
+    p.add_argument("--out", default=out_default, help="output path")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -131,16 +131,20 @@ def to_atr(tr: np.ndarray, num_combiners: int, num_beamformers: int) -> Rows:
 def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,
                   seed: int = 0) -> DatasetSplit:
     """Seeded shuffle into train/test plus round-robin fold ids on train.
-    `test_fraction` lies in (0, 1), as in `ExperimentConfig`."""
+    `test_fraction` lies in (0, 1), as in `ExperimentConfig`, and `folds` is
+    at most the training rows left by the round(num_rows * test_fraction)
+    test rows; a ValueError names the key and the row counts."""
     check("test_fraction", test_fraction, real("(0, 1)"))
     check("folds", folds, integer(2))
+    n_test = int(round(num_rows * test_fraction))
+    n_train = num_rows - n_test
+    check("folds", folds, (lambda f: f <= n_train,
+                           f"at most the {n_train} training rows that test_fraction "
+                           f"{test_fraction} leaves of {num_rows}"))
     rng = np.random.default_rng(seed)
     order = rng.permutation(num_rows)
-    n_test = int(round(num_rows * test_fraction))
     test = np.sort(order[:n_test])
     train = np.sort(order[n_test:])
-    if len(train) < folds:
-        raise ValueError(f"{len(train)} training rows cannot fill {folds} folds")
     fold_of = np.empty(len(train), dtype=int)
     fold_of[rng.permutation(len(train))] = np.arange(len(train)) % folds
     return DatasetSplit(train_rows=train, test_rows=test, fold_assignments=fold_of)

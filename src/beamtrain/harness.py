@@ -305,14 +305,9 @@ def train_models(config: ExperimentConfig, tr_rows, atr_rows, split):
 
 
 def split_corpus(config: ExperimentConfig, num_rows: int):
-    """The seeded train/test split and training folds of a corpus. A
-    `test_fraction` that leaves fewer training rows than `folds` fails
-    before the stage starts, with an error naming the key and the rows."""
-    n_train = num_rows - int(round(num_rows * config.test_fraction))   # as split_dataset rounds
-    check("folds", config.folds, (
-        lambda folds: folds <= n_train,
-        f"at most the {n_train} training rows that test_fraction {config.test_fraction} "
-        f"leaves of {num_rows}"))
+    """The seeded train/test split and training folds of a corpus, in the
+    stage 'split dataset', which `split_dataset` fails when `test_fraction`
+    leaves fewer training rows than `folds`."""
     with _stage("split dataset"):
         return split_dataset(num_rows, config.test_fraction, config.folds,
                              seed=derive_seed(config.master_seed, _SEED_SPLIT))
@@ -479,7 +474,7 @@ def _format_cell(v) -> str:
 
 
 def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
-    with atomic_write(path, newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(row[c]) for c in columns) + "\n")

@@ -293,7 +293,7 @@ def select_decoupled_no_location(model_w, location, num_w: int,
 def save_plan(plan: ClusterCoveragePlan, path: str) -> None:
     """Write the plan to `path`, and its beams and clusters as CSV to `path`.csv."""
     save_npz(path, {key: getattr(plan, key) for key in PLAN_SCHEMA}, PLAN_FORMAT_VERSION)
-    with atomic_write(path + ".csv", newline="") as fh:
+    with atomic_write(path + ".csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["selection_order", "beam_index"])
         for i, j in enumerate(plan.selected_beams):

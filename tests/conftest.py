@@ -1,7 +1,8 @@
 from hypothesis import settings
 
 # The long run of the properties that take their draws from `draws`: the
-# rate routes, the selections, the cell fit and its check of the targets.
+# rate routes, the selections, the cell fit, its check of the targets and
+# its row order at any location width.
 # Every other property sets its own draws, so under `pytest
 # --hypothesis-profile=long-run` the rest of the suite runs as in tier-1; CI
 # runs it so (.github/workflows/tests.yml).

@@ -46,7 +46,7 @@ def tree_depth(tree: Tree) -> int:
     return walk(0)
 
 
-def model_from_trees(base_prediction, trees, learning_rate: float, output_dimension: int,
+def model_from_trees(base_prediction, trees, learning_rate: float,
                      role: str = "coupled") -> TreeEnsembleModel:
     """The model of (output, Tree) pairs in fit order: their node arrays
     concatenated into one packed layout."""
@@ -55,7 +55,7 @@ def model_from_trees(base_prediction, trees, learning_rate: float, output_dimens
     for name in NODE_ARRAYS:
         layout["node_" + name] = (np.concatenate([getattr(tree, name) for _, tree in trees])
                                   if trees else [])
-    return TreeEnsembleModel(base_prediction, layout, learning_rate, output_dimension, role)
+    return TreeEnsembleModel(base_prediction, layout, learning_rate, role)
 
 
 def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -339,8 +339,6 @@ def _train(X, Y, config, role, boosted):
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
     if len(X) == 0:
         raise ValueError("empty training data")
     if len(X) != len(Y):
@@ -349,7 +347,7 @@ def _train(X, Y, config, role, boosted):
     if config.budget_parameters < d:
         raise ValueError(f"budget {config.budget_parameters} cannot hold {d} base predictions")
 
-    sort = np.lexsort((X[:, 1], X[:, 0]))
+    sort = np.lexsort(X.T[::-1])
     X, Y = X[sort], Y[sort]
     base = Y.mean(axis=0)
-    return model_from_trees(base, list(boosted(X, Y, base)), config.learning_rate, d, role)
+    return model_from_trees(base, list(boosted(X, Y, base)), config.learning_rate, role)

@@ -214,6 +214,24 @@ def test_kfold_prefers_richer_model_when_underfitting():
     assert kfold_tune(X, Y, [weak, strong], folds) == strong
 
 
+def test_train_and_kfold_tune_take_targets_of_rows_and_outputs():
+    """Targets are (rows, outputs), one column per output. Given the
+    (n,) targets of the underfitting grid above, `kfold_tune` scored its
+    (n_val, 1) predictions against (n_val,) targets, an (n_val, n_val)
+    error, and chose the weak grid point; now its first fold fit raises."""
+    X, Y = _grid_data(n=120, d=1, seed=6)
+    folds = np.arange(len(X)) % 4
+    weak = TrainConfig(tree_count=1, max_depth=1, budget_parameters=10000)
+    strong = TrainConfig(tree_count=60, max_depth=3, learning_rate=0.3,
+                         budget_parameters=10000)
+    for bad in (Y[:, 0], Y[:, :, None]):
+        message = rf"^Y must be 2-D, got shape {re.escape(str(bad.shape))}$"
+        with pytest.raises(ValueError, match=message):
+            train(X, bad, strong)
+        with pytest.raises(ValueError, match=message):
+            kfold_tune(X, bad, [weak, strong], folds)
+
+
 def test_kfold_leaves_numpy_ma_unloaded():
     # np.unique imports numpy.ma, about 1.5 MB of RSS; numpy 1.x imports it
     # with numpy itself, so the test checks only that the call adds no import
@@ -249,6 +267,18 @@ def test_model_roundtrip(tmp_path):
     assert param_count(loaded) == param_count(model)
     probe = np.random.default_rng(9).uniform(0, 100, size=(10, 2))
     assert np.array_equal(loaded.predict_batch(probe), model.predict_batch(probe))
+
+
+def test_output_count_is_the_length_of_the_base(tmp_path):
+    """A model's output count is its base's length, and its file records
+    it (a file whose count disagrees is rejected by
+    `test_model_file_with_bad_base_rate_or_outputs_rejected`)."""
+    model = model_from_trees(np.array([0.25, 0.5, 0.75]), [], 0.3)
+    assert model.output_dimension == 3
+    path = str(tmp_path / "m.npz")
+    save_model(model, path)
+    with np.load(path) as npz:
+        assert npz["output_dimension"].tolist() == [3]
 
 
 def test_model_bad_file(tmp_path):
@@ -422,7 +452,7 @@ def test_model_construction_stays_near_the_layout_size():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        model = boosting.TreeEnsembleModel(np.full(256, 0.5), layout, 0.3, 256, "coupled")
+        model = boosting.TreeEnsembleModel(np.full(256, 0.5), layout, 0.3, "coupled")
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -475,7 +505,7 @@ def _ensembles(draw):
     trees = draw(st.lists(st.tuples(st.integers(0, d - 1), _trees()), max_size=12))
     base = np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=d, max_size=d)))
     learning_rate = draw(st.floats(0.05, 1.0))
-    return model_from_trees(base, trees, learning_rate, d), trees
+    return model_from_trees(base, trees, learning_rate), trees
 
 
 def _reference_predict(model, trees, X):
@@ -528,7 +558,7 @@ def test_hand_built_model_trees_are_read_only():
     stump = Tree(feature=[0, -1, -1], threshold=[0.5, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
     # output 0 has no tree, so it keeps its base bit for bit, sign of zero included
-    model = model_from_trees(np.array([-0.0, 0.3]), [(1, stump)], 1.0, 2)
+    model = model_from_trees(np.array([-0.0, 0.3]), [(1, stump)], 1.0)
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     expected = _reference_predict(model, [(1, stump)], X).tobytes()
     assert model.predict_batch(X).tobytes() == expected
@@ -554,7 +584,7 @@ def test_model_keeps_its_own_base_prediction(compile_first):
     stump = Tree(feature=[0, -1, -1], threshold=[0.5, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
     base = np.array([0.25, 0.5])
-    model = model_from_trees(base, [(1, stump)], 0.5, 2)
+    model = model_from_trees(base, [(1, stump)], 0.5)
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     expected = _reference_predict(model, [(1, stump)], X).tobytes()
     if compile_first:
@@ -573,7 +603,7 @@ def test_child_and_step_tables_of_a_hand_built_model():
     # a root on feature 0 with a leaf left and a stump on feature 1 right
     deep = Tree(feature=[0, -1, 1, -1, -1], threshold=[1.0, 0, 0.5, 0, 0],
                 left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1], value=[0, 0.3, 0, 0.4, 0.5])
-    model = model_from_trees(np.array([0.05]), [(0, leaf), (0, stump), (0, deep)], 0.5, 1)
+    model = model_from_trees(np.array([0.05]), [(0, leaf), (0, stump), (0, deep)], 0.5)
     # the trees lie at layout nodes 0, 1-3 and 4-8; node n's right child is
     # child[2n] and its left child child[2n + 1], and a leaf is its own child
     child, depths = boosting._children(model.layout)
@@ -747,7 +777,7 @@ def test_step_table_cells_of_many_outputs_and_rounds_hold_the_walk():
     """A seeded sample of the cells of 256 outputs with 11 or 12 depth-3
     trees each, so that the compile's rounds run over shrinking prefixes."""
     model = boosting.TreeEnsembleModel(np.full(256, 0.5), _full_trees(3000, 3, 256, seed=1),
-                                       0.3, 256, "coupled")
+                                       0.3, "coupled")
     tables = model.step_tables
     rng = np.random.default_rng(1)
     outputs = rng.integers(0, 256, 2000)
@@ -788,19 +818,31 @@ def test_one_row_prediction_takes_one_location():
     the first row's cells; an input that is not 1-D raises a ValueError
     naming `location` and its shape, also for a model without features."""
     X, Y = _grid_data(d=3)
-    for model in (train(X, Y, TrainConfig(tree_count=3)), model_from_trees(np.zeros(2), [], 0.3, 2)):
+    for model in (train(X, Y, TrainConfig(tree_count=3)), model_from_trees(np.zeros(2), [], 0.3)):
         for location, shape in ((X[:4], (4, 2)), (X[:1], (1, 2)), (3.0, ())):
             with pytest.raises(ValueError, match=re.escape(f"location must be 1-D, got shape {shape}")):
                 model.predict(location)
+
+
+def test_batch_prediction_takes_rows():
+    """`predict_batch` takes (rows, width) locations; any other shape raises
+    a ValueError naming `X` and its shape (a 1-D `X` raised IndexError),
+    also for a model without features."""
+    X, Y = _grid_data(d=3)
+    for model in (train(X, Y, TrainConfig(tree_count=3)), model_from_trees(np.zeros(2), [], 0.3)):
+        for bad in (X[0], X[None], 3.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"X must be 2-D, got shape {np.shape(bad)}")):
+                model.predict_batch(bad)
 
 
 def test_one_row_prediction_of_models_without_features():
     """A model without trees, without outputs, or of lone leaves predicts
     from a location of any width, none included, the row of its batch."""
     leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.5])
-    for model in (model_from_trees(np.zeros(0), [], 0.3, 0),
-                  model_from_trees(np.array([-0.5, 0.25, 1.5]), [], 0.3, 3),
-                  model_from_trees(np.array([0.125, -0.0]), [(0, leaf), (0, leaf)], 0.5, 2)):
+    for model in (model_from_trees(np.zeros(0), [], 0.3),
+                  model_from_trees(np.array([-0.5, 0.25, 1.5]), [], 0.3),
+                  model_from_trees(np.array([0.125, -0.0]), [(0, leaf), (0, leaf)], 0.5)):
         assert model.step_tables.features == ()
         for x in (np.zeros(0), np.array([np.nan]), np.array([-0.0, np.inf])):
             expected = model.predict_batch(x[None])[0]
@@ -816,7 +858,7 @@ def test_prediction_names_a_feature_past_the_input_width():
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
     low = Tree(feature=[0, -1, -1], threshold=[0.5, 0, 0],
                left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.1, 0.3])
-    model = model_from_trees(np.array([0.25, 0.5]), [(0, low), (1, stump)], 0.5, 2)
+    model = model_from_trees(np.array([0.25, 0.5]), [(0, low), (1, stump)], 0.5)
     message = r"^node_feature must be below the input width 2, got feature 2$"
     for predict, X in ((model.predict, np.zeros(2)), (model.predict_batch, np.zeros((3, 2))),
                        (model.predict_batch, np.zeros((0, 2)))):
@@ -832,9 +874,9 @@ def test_step_tables_of_models_without_trees_or_splits():
     one cell, its clipped base, next to the cells of outputs with trees; a
     tree that is a lone leaf adds its value to every cell."""
     X = np.array([[0.0, 1.0], [np.nan, np.inf], [-0.0, -np.inf]])
-    no_outputs = model_from_trees(np.zeros(0), [], 0.3, 0)
+    no_outputs = model_from_trees(np.zeros(0), [], 0.3)
     assert no_outputs.step_tables.cells == 0 and no_outputs.predict_batch(X).shape == (3, 0)
-    empty = model_from_trees(np.array([-0.5, 0.25, 1.5]), [], 0.3, 3)
+    empty = model_from_trees(np.array([-0.5, 0.25, 1.5]), [], 0.3)
     assert empty.step_tables.features == () and empty.step_tables.cells == 3
     assert empty.step_tables.values.tolist() == [0.0, 0.25, 1.0]
     assert [r.tolist() for r in empty.step_tables.rows] == [[[0, 1, 2]]]
@@ -843,7 +885,7 @@ def test_step_tables_of_models_without_trees_or_splits():
     stump = Tree(feature=[1, -1, -1], threshold=[0.5, 0, 0],
                  left=[1, -1, -1], right=[2, -1, -1], value=[0, 0.2, 0.8])
     trees = [(2, leaf), (0, stump), (2, leaf)]
-    model = model_from_trees(np.array([0.125, -0.0, 0.25]), trees, 0.5, 3)
+    model = model_from_trees(np.array([0.125, -0.0, 0.25]), trees, 0.5)
     tables = model.step_tables
     assert tables.features == (1,) and tables.cuts[0].tolist() == [0.5]
     # output 2 (two trees) holds cell 0, output 0 (one tree) cells 1 and 2,
@@ -852,7 +894,7 @@ def test_step_tables_of_models_without_trees_or_splits():
     assert tables.cells == 2 + 1 + 1
     assert tables.values[tables.rows[0][0, 1]].tobytes() == np.float64(-0.0).tobytes()
     assert model.predict_batch(X).tobytes() == _reference_predict(model, trees, X).tobytes()
-    only_leaves = model_from_trees(np.array([0.125]), [(0, leaf)] * 2, 0.5, 1)
+    only_leaves = model_from_trees(np.array([0.125]), [(0, leaf)] * 2, 0.5)
     assert only_leaves.step_tables.features == ()
     assert only_leaves.predict_batch(X).tolist() == [[0.125 + 0.25 + 0.25]] * 3
 
@@ -863,7 +905,7 @@ def test_rounds_are_added_in_fit_order():
     values = [1e16, 1.0, 1.0, -1e16, 0.25, 0.0, 0.0, 0.0, 0.0]
     trees = [(0, Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[v]))
              for v in values]
-    model = model_from_trees(np.array([0.0]), trees, 1.0, 1)
+    model = model_from_trees(np.array([0.0]), trees, 1.0)
     expected = 0.0
     for v in values:
         expected += v
@@ -1113,6 +1155,34 @@ def test_train_on_rows_equals_train_on_their_copy(data):
     assert model.base_prediction.tobytes() == copied.base_prediction.tobytes()
 
 
+@st.composite
+def _located_sets(draw):
+    """2-60 rows at distinct locations of 1-3 columns, every column but the
+    last drawn from 1-3 values, so that rows often tie on all of them, 1-4
+    outputs of continuous targets, and a permutation of the rows."""
+    n, width, d = draw(st.integers(2, 60)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([*(rng.choice(rng.uniform(0.0, 100.0, draw(st.integers(1, 3))), n)
+                           for _ in range(width - 1)), rng.permutation(n) * 2.5])
+    config = TrainConfig(tree_count=draw(st.integers(1, 4)), max_depth=draw(st.integers(1, 3)),
+                         min_samples_leaf=draw(st.integers(1, 3)),
+                         budget_parameters=d + draw(st.integers(0, 40 * d)))
+    return X, rng.uniform(size=(n, d)), rng.permutation(n), config
+
+
+@settings(max_examples=draws(100), deadline=None)
+@given(_located_sets())
+def test_fit_does_not_depend_on_row_order_for_any_location_width(data):
+    """`train` sorts the rows on every location column, so permuting rows
+    at distinct locations leaves the layout and the base bit for bit (the
+    sort read two columns: one column raised IndexError, and rows tied on
+    those two were fitted in input order)."""
+    X, Y, perm, config = data
+    model, permuted = train(X, Y, config), train(X[perm], Y[perm], config)
+    assert _layout_bytes(model) == _layout_bytes(permuted)
+    assert model.base_prediction.tobytes() == permuted.base_prediction.tobytes()
+
+
 @settings(max_examples=draws(60), deadline=None)
 @given(_celled_sets(), st.data())
 def test_train_checks_the_targets_at_its_rows_as_it_reads_them(data, pick):
@@ -1182,7 +1252,7 @@ def test_cell_tables_hold_each_rounds_residual_sums_and_squares():
 
     with mock.patch.object(boosting, "_fit_trees", recording):
         model = train(X, Y, config)
-    sort = np.lexsort((X[:, 1], X[:, 0]))
+    sort = np.lexsort(X.T[::-1])
     cell, w, _ = boosting._bin_cells(boosting._bins(X[sort]))
     residual = Y[sort] - model.base_prediction
     rounds = Counter()

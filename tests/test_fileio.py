@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamtrain import boosting, cli, dataset, selectors
+from beamtrain import boosting, cli, dataset, fileio, selectors
 from beamtrain.boosting import MODEL_SCHEMA, TrainConfig, load_model, save_model, train
 from beamtrain.dataset import (DATASET_FORMAT_VERSION, DATASET_SCHEMA, Rows, load_dataset,
                                save_dataset)
@@ -13,15 +13,35 @@ from beamtrain.fileio import atomic_write, from_table, load_npz, save_npz
 from beamtrain.harness import ExperimentConfig
 from beamtrain.scene import SceneConfig
 from beamtrain.selectors import PLAN_FORMAT_VERSION, PLAN_SCHEMA, ClusterCoveragePlan, save_plan
+from test_acceptance import _CHAIN, _chain_in_process
 
 
 def test_atomic_write_replaces_the_file(tmp_path):
     path = tmp_path / "out.csv"
     path.write_text("old\n")
-    with atomic_write(str(path), newline="") as fh:
+    with atomic_write(str(path)) as fh:
         fh.write("new\n")
     assert path.read_text() == "new\n"
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_every_text_file_of_the_chain_ends_its_lines_with_lf(tmp_path, capfd, monkeypatch):
+    """Through the --smoke artifact chain, `atomic_write` opens each of the
+    five text files (`paths_index.csv`, `plan.npz.csv`, `curves.csv`,
+    `heatmap.csv` and `run_manifest.json`) with `newline="\\n"`, so no
+    platform translates its line ends, and each binary file with `None`.
+    The manifest took the platform's line end."""
+    opened, fdopen = [], os.fdopen
+
+    def spy(fd, mode, newline):
+        opened.append((mode, newline))
+        return fdopen(fd, mode, newline=newline)
+
+    monkeypatch.setattr(fileio.os, "fdopen", spy)
+    codes = [code for code, *_ in _chain_in_process(tmp_path, capfd, monkeypatch)]
+    assert codes == [0] * len(_CHAIN)
+    assert [newline for mode, newline in opened if mode == "w"] == ["\n"] * 5
+    assert {newline for mode, newline in opened if mode != "w"} == {None}
 
 
 def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):

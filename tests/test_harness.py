@@ -406,9 +406,9 @@ def test_an_empty_test_split_fails_before_the_plan_and_training(monkeypatch):
 def test_too_few_training_rows_for_the_folds_fail_before_the_plan_and_training(
         tmp_path, monkeypatch, capsys, caplog):
     """A `test_fraction` that leaves fewer training rows than `folds` makes
-    `eval run`, `model train` and `plan build` exit 1 with an error that
-    begins with the key and names the row counts, before the split stage
-    starts, so before the plan is built or a model is trained."""
+    `eval run`, `model train` and `plan build` exit 1 in the split stage
+    with an error that names the key and the row counts, so before the
+    plan is built or a model is trained."""
     raw = {**ExperimentConfig.smoke().to_dict(), "snapshot_count": 4, "test_fraction": 0.99,
            "folds": 10}
     config = tmp_path / "cfg.json"
@@ -432,9 +432,9 @@ def test_too_few_training_rows_for_the_folds_fail_before_the_plan_and_training(
             assert cli.main([*command, "--config", str(config),
                              "--out", str(tmp_path / "out" / "result")]) == 1
         assert capsys.readouterr().err == (
-            f"error: folds must be at most the {n_train} training rows that test_fraction "
-            f"0.99 leaves of {rows}, got 10\n")
-        assert "stage: split dataset" not in caplog.messages
+            f"error: stage 'split dataset' failed: folds must be at most the {n_train} training "
+            f"rows that test_fraction 0.99 leaves of {rows}, got 10\n")
+        assert caplog.messages[-1] == "stage: split dataset"
     assert [path for path in (tmp_path / "out").rglob("*") if path.is_file()] == []
 
 
