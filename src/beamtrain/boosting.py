@@ -697,8 +697,9 @@ def _pack(pieces):
 def train(X, Y, config: TrainConfig, role: str = "coupled", rows=None) -> TreeEnsembleModel:
     """Greedy per-output boosting under a global parameter budget, on the
     (rows, outputs) targets `Y[rows]` at the locations `X`, one location
-    per row; `rows` are row indices of `Y`, all of its rows by default. A
-    `Y` of another shape raises a ValueError naming it.
+    per row; `rows` are row indices of `Y`, all of its rows by default. An
+    `X` that is not 2-D with a column, or a `Y` that is not 2-D, raises a
+    ValueError naming it and its shape.
 
     Rows are lexicographically sorted by location first, on every column of
     `X`, so the fit does not depend on the order of rows at distinct
@@ -709,6 +710,8 @@ def train(X, Y, config: TrainConfig, role: str = "coupled", rows=None) -> TreeEn
     as `_cell_tables` reads it, before any tree is fitted."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError(f"X must be 2-D with at least one column, got shape {X.shape}")
     if Y.ndim != 2:
         raise ValueError(f"Y must be 2-D, got shape {Y.shape}")
     rows = np.arange(len(Y)) if rows is None else np.asarray(rows, dtype=np.intp)

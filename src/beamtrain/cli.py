@@ -125,24 +125,18 @@ def cmd_plan_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """`eval run` and `eval heatmap`: the same run and outputs; `heatmap`
-    prints the heatmap rows where `run` prints a summary line."""
+    """`eval run`: the whole experiment, written by `harness.emit_outputs`."""
     config = _load_config(args)
     _output_dir(args.out)
     result = harness.run_experiment(config)
     harness.emit_outputs(result, args.out)
-    if args.subcommand == "run":
-        print(f"evaluated {result.n_test} test UEs; outputs in {args.out}")
-        return 0
-    for row in result.heatmap:
-        print(f"scenario {row['scenario']}  |S_w|={row['s_w']:2d}  |S_f|={row['s_f']:2d}"
-              f"  R_T={row['r_t']:.4f}")
+    print(f"evaluated {result.n_test} test UEs; outputs in {args.out}")
     return 0
 
 
 def _add_common(p, out_default):
     profile = p.add_mutually_exclusive_group()
-    profile.add_argument("--config", help="experiment config file (.json or .toml)")
+    profile.add_argument("--config", help="experiment config file (JSON)")
     profile.add_argument("--smoke", action="store_true", help="use the small CI profile")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--out", default=out_default, help="output path")
@@ -188,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="experiments and metrics").add_subparsers(
         dest="subcommand", required=True)
     p = ev.add_parser("run", help="run the full experiment pipeline")
-    _add_common(p, "out")
-    p.set_defaults(func=cmd_eval)
-    p = ev.add_parser("heatmap", help="run and print the (|S_w|, |S_f|) heatmap")
     _add_common(p, "out")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -128,8 +128,7 @@ def to_atr(tr: np.ndarray, num_combiners: int, num_beamformers: int) -> Rows:
     return Rows(atr_f=grid.mean(axis=1), atr_w=grid.mean(axis=2))
 
 
-def split_dataset(num_rows: int, test_fraction: float = 0.2, folds: int = 10,
-                  seed: int = 0) -> DatasetSplit:
+def split_dataset(num_rows: int, test_fraction: float, folds: int, seed: int) -> DatasetSplit:
     """Seeded shuffle into train/test plus round-robin fold ids on train.
     `test_fraction` lies in (0, 1), as in `ExperimentConfig`, and `folds` is
     at most the training rows left by the round(num_rows * test_fraction)
@@ -177,7 +176,8 @@ def load_dataset(path: str, pair_shape, corpus: dict):
     """The (locations, rates) arrays of a file of save_dataset. A file that
     breaks DATASET_SCHEMA, holds no rows, a negative rate or a row without a
     positive rate, or is not of `pair_shape` = (|W|, |F|) and `corpus` (CORPUS_KEYS'
-    values) is a ValueError naming it and the key (`scene.<field>` too)."""
+    values) is a ValueError naming it and the key (`scene.<field>` too); so
+    is a scene field that the file records and `corpus` lacks."""
     data, sizes = load_npz(path, "dataset", DATASET_FORMAT_VERSION, DATASET_SCHEMA)
     if sizes["N"] == 0:
         raise ValueError(f"dataset file {path!r} holds no rows")
@@ -191,10 +191,14 @@ def load_dataset(path: str, pair_shape, corpus: dict):
                          f"positive peak, got min {rates[row].min()} and peak {rates[row].max()}")
     recorded = _flat_corpus({key: data[key][0].item() for key in CORPUS_KEYS},
                             f"dataset file {path!r}: ")
-    for key, want in _flat_corpus(corpus).items():
-        if recorded.get(key) != want:
+    want = _flat_corpus(corpus)
+    for key in [*want, *sorted(recorded.keys() - want.keys())]:
+        if key not in want:
+            raise ValueError(f"dataset file {path!r} has {key} {recorded[key]!r}, "
+                             f"but the config has no such key")
+        if recorded.get(key) != want[key]:
             raise ValueError(f"dataset file {path!r} has {key} {recorded.get(key)!r}, "
-                             f"but the config gives {want!r}")
+                             f"but the config gives {want[key]!r}")
     return data["locations"], rates
 
 

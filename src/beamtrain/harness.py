@@ -11,10 +11,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 try:
-    import tomllib
-except ModuleNotFoundError:  # Python < 3.11
-    tomllib = None
-try:
     import resource
 except ModuleNotFoundError:  # not on Windows
     resource = None
@@ -151,14 +147,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        if path.endswith(".toml"):
-            if tomllib is None:
-                raise RuntimeError("TOML configs need Python >= 3.11; use JSON instead")
-            with open(path, "rb") as fh:
-                raw = tomllib.load(fh)
-        else:
-            with open(path) as fh:
+        """The config of a JSON file; a parse error names the file."""
+        with open(path) as fh:
+            try:
                 raw = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
         return cls.from_dict(raw)
 
     @classmethod

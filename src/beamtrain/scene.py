@@ -23,7 +23,7 @@ log = logging.getLogger(__name__)
 _POSITIVE = real("(0, 1e12]")
 _SCENE_RULES = {
     **dict.fromkeys(("lane_width", "street_length", "bs_height", "wall_clearance", "wall_height",
-                     "subcarrier_spacing", "reference_distance"), _POSITIVE),
+                     "subcarrier_spacing"), _POSITIVE),
     "carrier_frequency": real("[1e6, 1e12]"),  # a radio carrier, with a finite wavelength
     # resource bounds: the rate stage's time and memory grow with both
     "lane_count": integer(1, 64),
@@ -33,7 +33,6 @@ _SCENE_RULES = {
                     real("[0, 1]")),
     **dict.fromkeys(("car_dims", "bus_dims"), listof(_POSITIVE, range(3, 4))),  # w, l, h
     **dict.fromkeys(("roi_y_min", "blockage_margin"), real("(-inf, inf)")),
-    "noise_power": (lambda v: v is None or _POSITIVE[0](v), f"None or {_POSITIVE[1]}"),
     "reference_snr_db": real("[-300, 300]"),
 }
 
@@ -56,12 +55,10 @@ class SceneConfig:
     carrier_frequency: float = 28e9
     subcarrier_count: int = 64
     subcarrier_spacing: float = 120e3
-    noise_power: float | None = None     # None -> reference-SNR default
     wall_reflection: float = 0.5         # amplitude coefficients
     bus_reflection: float = 0.7
     blockage_margin: float = 0.2         # bus box inflation (m)
     reference_snr_db: float = 25.0       # peak post-beamforming SNR at 30 m
-    reference_distance: float = 30.0
 
     def __post_init__(self):
         check_fields(self, _SCENE_RULES)
@@ -73,10 +70,6 @@ class SceneConfig:
               real(f"[{self.min_gap + self.car_dims[1]}, {100_000 * shortest}]"))
         # a bus box deflated by half its smallest side turns inside out
         check("blockage_margin", self.blockage_margin, real(f"({-min(self.bus_dims) / 2}, inf)"))
-        # like reference_snr_db, noise_power keeps the peak SNR in [-300, 300] dB
-        if self.noise_power is not None:
-            check("noise_power", self.noise_power,
-                  real(f"[{self.reference_gain / 1e30}, {self.reference_gain * 1e30}]"))
 
     @property
     def bs_position(self) -> np.ndarray:
@@ -97,16 +90,14 @@ class SceneConfig:
 
     @property
     def sigma2(self) -> float:
-        """Noise power; defaults so an unblocked UE at the reference distance
-        sees the configured peak post-beamforming SNR."""
-        if self.noise_power is not None:
-            return self.noise_power
+        """Noise power, set by `reference_snr_db` alone: an unblocked UE at
+        30 m sees it as its peak post-beamforming SNR."""
         return self.reference_gain / 10.0 ** (self.reference_snr_db / 10.0)
 
     @property
     def reference_gain(self) -> float:
-        """Power gain of an unblocked path at the reference distance."""
-        return (wavelength(self.carrier_frequency) / (4.0 * np.pi * self.reference_distance)) ** 2
+        """Power gain of an unblocked path at 30 m."""
+        return (wavelength(self.carrier_frequency) / (4.0 * np.pi * 30.0)) ** 2
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,24 @@ def test_train_and_kfold_tune_take_targets_of_rows_and_outputs():
             kfold_tune(X, bad, [weak, strong], folds)
 
 
+@pytest.mark.parametrize("shape", [(10,), (10, 0), (10, 2, 1)])
+def test_train_and_kfold_tune_take_locations_of_rows_and_columns(shape):
+    """Locations are (rows, width) with at least one column, as in
+    `predict_batch`. Before the check, these shapes failed in `len`, in
+    `np.lexsort` and in a concatenation, with errors that named no `X`.
+    `kfold_tune` fails in its first fold fit, naming the fold's shape."""
+    X = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    Y = np.ones((10, 2))
+    grid = [TrainConfig(tree_count=t, budget_parameters=1000) for t in (1, 2)]
+    with mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort ran")):
+        for fit, rows in ((lambda: train(X, Y, grid[0]), 10),
+                          (lambda: kfold_tune(X, Y, grid, np.arange(10) % 2), 5)):
+            got = re.escape(str((rows, *shape[1:])))
+            with pytest.raises(ValueError, match=rf"^X must be 2-D with at least one "
+                                                 rf"column, got shape {got}$"):
+                fit()
+
+
 def test_kfold_leaves_numpy_ma_unloaded():
     # np.unique imports numpy.ma, about 1.5 MB of RSS; numpy 1.x imports it
     # with numpy itself, so the test checks only that the call adds no import

@@ -366,26 +366,35 @@ def test_model_inspect_rejects_a_feature_past_the_location(tmp_path, capsys):
 def test_a_rate_file_of_another_corpus_fails_before_training(tmp_path, monkeypatch, capsys,
                                                              command):
     """A rate file built with another master seed, snapshot count or scene
-    than the config and `--seed` give is rejected with an error naming the
-    file and the first differing key, before any stage runs."""
+    than the config and `--seed` give, or recording a scene key that the
+    config does not have, is rejected with an error naming the file and the
+    first differing key, before any stage runs."""
     config = _tiny_config(tmp_path)
     rates = _rate_file(tmp_path, "--config", config)
+    # the same file as built with a noise-power key that scenes no longer have
+    stale = str(tmp_path / "stale.npz")
+    with np.load(rates) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    scene_keys = {**json.loads(arrays["scene"][0]), "noise_power": 1e-10}
+    np.savez_compressed(stale, **{**arrays, "scene": np.array([json.dumps(scene_keys)])})
     stages = []
     monkeypatch.setattr(harness, "transform_corpus", lambda *args: stages.append(args))
     monkeypatch.setattr(harness, "split_corpus", lambda *args: stages.append(args))
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
-    for flags, key in (
-            (["--config", config, "--seed", "5"], "master_seed 0, but the config gives 5"),
-            (["--config", _tiny_config(tmp_path / "a", snapshot_count=5)],
+    for flags, path, key in (
+            (["--config", config, "--seed", "5"], rates, "master_seed 0, but the config gives 5"),
+            (["--config", _tiny_config(tmp_path / "a", snapshot_count=5)], rates,
              "snapshot_count 4, but the config gives 5"),
-            (["--config", _tiny_config(tmp_path / "b", scene={"lane_count": 3})],
-             "scene.lane_count 4, but the config gives 3")):
+            (["--config", _tiny_config(tmp_path / "b", scene={"lane_count": 3})], rates,
+             "scene.lane_count 4, but the config gives 3"),
+            (["--config", config], stale,
+             "scene.noise_power 1e-10, but the config has no such key")):
         capsys.readouterr()
-        assert cli.main([*command, *flags, "--input", rates,
+        assert cli.main([*command, *flags, "--input", path,
                          "--out", str(tmp_path / "out.npz")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(rates) in err and key in err
+        assert err.startswith("error: ") and repr(path) in err and key in err
     assert stages == [] and not (tmp_path / "out.npz").exists()
     # the file records the corpus keys of the config it was built with
     with np.load(rates) as npz:
@@ -407,6 +416,8 @@ def test_a_rate_file_of_another_corpus_fails_before_training(tmp_path, monkeypat
     ("scene.roi_y_min", 500.0),
     ("use_significance", "no"),
     ("scene.lane_cnt", 4),
+    ("scene.noise_power", None),
+    ("scene.reference_distance", 30.0),
 ])
 def test_eval_run_bad_key_fails_before_any_stage(tmp_path, monkeypatch, capsys, caplog, key,
                                                  value):
@@ -424,10 +435,26 @@ def test_eval_run_bad_key_fails_before_any_stage(tmp_path, monkeypatch, capsys, 
     assert not [m for m in caplog.messages if m.startswith("stage:")]
 
 
+@pytest.mark.parametrize("name, text", [("bad.json", "{not json"),
+                                        ("cfg.toml", "master_seed = 7\n")])
+def test_eval_run_config_file_that_is_no_json_fails_naming_it(tmp_path, monkeypatch, capsys,
+                                                             caplog, name, text):
+    """A config file that JSON cannot parse, TOML included, makes `eval run`
+    exit 1 with an error that names the file, before any stage starts."""
+    def no_snapshots(*args, **kwargs):
+        raise AssertionError("a snapshot was generated")
+    monkeypatch.setattr(harness, "generate_snapshot", no_snapshots)
+    path = tmp_path / name
+    path.write_text(text)
+    with caplog.at_level(logging.INFO, logger="beamtrain"):
+        assert cli.main(["eval", "run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {str(path)!r}: ")
+    assert not [m for m in caplog.messages if m.startswith("stage:")]
+
+
 @pytest.mark.parametrize("command, stage, out", [
     pytest.param(["eval", "run", "--smoke"], (harness, "run_experiment"), "out", id="run"),
-    pytest.param(["eval", "heatmap", "--smoke"], (harness, "run_experiment"), "out",
-                 id="heatmap"),
     pytest.param(["dataset", "build", "--smoke"], (harness, "build_rate_rows"), "ds",
                  id="dataset-build"),
     pytest.param(["dataset", "build", "--smoke"], (harness, "build_rate_rows"), None,
@@ -458,7 +485,7 @@ def test_smoke_and_config_cannot_be_combined(tmp_path, capsys):
     pair on every command that takes both."""
     config = _tiny_config(tmp_path)
     for command in (["scene", "gen"], ["dataset", "build"], ["model", "train", "--input", "x"],
-                    ["plan", "build", "--input", "x"], ["eval", "run"], ["eval", "heatmap"]):
+                    ["plan", "build", "--input", "x"], ["eval", "run"]):
         with pytest.raises(SystemExit) as exit_info:
             cli.main([*command, "--smoke", "--config", config, "--out", str(tmp_path / "out")])
         assert exit_info.value.code == 2

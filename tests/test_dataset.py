@@ -256,14 +256,14 @@ def test_split_fractions_and_folds():
 
 
 def test_split_determinism_and_errors():
-    a = split_dataset(57, seed=9)
-    b = split_dataset(57, seed=9)
+    a = split_dataset(57, test_fraction=0.2, folds=10, seed=9)
+    b = split_dataset(57, test_fraction=0.2, folds=10, seed=9)
     assert np.array_equal(a.train_rows, b.train_rows)
     assert np.array_equal(a.fold_assignments, b.fold_assignments)
     with pytest.raises(ValueError):
-        split_dataset(8, folds=10)
+        split_dataset(8, test_fraction=0.2, folds=10, seed=0)
     with pytest.raises(ValueError):
-        split_dataset(100, folds=1)
+        split_dataset(100, test_fraction=0.2, folds=1, seed=0)
 
 
 @pytest.mark.parametrize("fraction", [-0.1, 0.0, 1.0, 1.5, float("nan"), True])
@@ -271,7 +271,7 @@ def test_split_rejects_a_test_fraction_outside_the_open_unit_interval(fraction):
     """`test_fraction` follows ExperimentConfig's rule: at -0.1 the split
     took 10 training rows and 90 test rows, and at 0.0 no test row."""
     with pytest.raises(ValueError, match=r"^test_fraction must be in \(0, 1\), got "):
-        split_dataset(100, test_fraction=fraction)
+        split_dataset(100, test_fraction=fraction, folds=10, seed=0)
 
 
 
@@ -431,11 +431,13 @@ _SCENE_CORPUS = {"master_seed": 3, "snapshot_count": 2,
     ((3, 4), {**_SCENE_CORPUS, "scene": json.dumps({"lane_count": 4, "lane_width": 3.5,
                                                     "bs_height": 6.0})},
      "scene.bs_height None, but the config gives 6.0"),
+    ((3, 4), {**_SCENE_CORPUS, "scene": json.dumps({"lane_count": 4})},
+     "scene.lane_width 3.5, but the config has no such key"),
 ])
 def test_load_rejects_a_file_of_another_run(tmp_path, pair_shape, corpus, message):
     """A rate file of another pair shape, master seed, snapshot count or
-    scene field than the run's fails naming the file and the first
-    differing key."""
+    scene field than the run's, or with a scene field that the run lacks,
+    fails naming the file and the first differing key."""
     path = str(tmp_path / "d.npz")
     save_dataset(_toy_rows(), path, (3, 4), _SCENE_CORPUS)
     load_dataset(path, (3, 4), _SCENE_CORPUS)

@@ -4,7 +4,6 @@ import json
 import logging
 import math
 import re
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -74,62 +73,6 @@ def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     assert ExperimentConfig.from_file(str(path)) == cfg
-
-
-_TOML_CONFIG = """\
-master_seed = 7
-snapshot_count = 3
-n_b_sweep = [1, 5, 10]
-test_fraction = 0.25
-
-[scene]
-lane_count = 3
-car_dims = [1.8, 4.4, 1.5]
-
-[[bs_grid]]
-tree_count = 20
-max_depth = 3
-learning_rate = 0.5
-
-[[ue_grid]]
-tree_count = 10
-max_depth = 2
-learning_rate = 0.3
-
-[[ue_grid]]
-tree_count = 5
-max_depth = 4
-learning_rate = 0.1
-"""
-
-_JSON_TWIN = {
-    "master_seed": 7, "snapshot_count": 3, "n_b_sweep": [1, 5, 10], "test_fraction": 0.25,
-    "scene": {"lane_count": 3, "car_dims": [1.8, 4.4, 1.5]},
-    "bs_grid": [{"tree_count": 20, "max_depth": 3, "learning_rate": 0.5}],
-    "ue_grid": [{"tree_count": 10, "max_depth": 2, "learning_rate": 0.3},
-                {"tree_count": 5, "max_depth": 4, "learning_rate": 0.1}],
-}
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is in the standard library "
-                    "from Python 3.11; below it TOML configs are refused")
-def test_config_from_toml_file_equals_its_json_twin(tmp_path):
-    toml_path, json_path = tmp_path / "cfg.toml", tmp_path / "cfg.json"
-    toml_path.write_text(_TOML_CONFIG)
-    json_path.write_text(json.dumps(_JSON_TWIN))
-    cfg = ExperimentConfig.from_file(str(toml_path))
-    assert cfg == ExperimentConfig.from_file(str(json_path))
-    assert cfg.config_hash() == ExperimentConfig.from_file(str(json_path)).config_hash()
-    assert cfg != ExperimentConfig() and cfg.scene.car_dims == (1.8, 4.4, 1.5)
-    assert len(cfg.ue_grid) == 2
-
-
-def test_toml_config_without_tomllib_points_to_json(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "tomllib", None)
-    path = tmp_path / "cfg.toml"
-    path.write_text(_TOML_CONFIG)
-    with pytest.raises(RuntimeError, match="TOML configs need Python >= 3.11; use JSON instead"):
-        ExperimentConfig.from_file(str(path))
 
 
 def test_config_rejects_unknown_keys_and_versions(tmp_path):
@@ -253,8 +196,6 @@ def _ints(*bounds):
     return [v for b in bounds for v in (b - 1, b, b + 1)]
 
 
-# the reference SNR bounds of noise_power at the smoke scene's 28 GHz and 30 m
-_PEAK = (299_792_458.0 / 28e9 / (4.0 * math.pi * 30.0)) ** 2
 # Values at, just inside and just outside each bound of every key's rule,
 # cross-key bounds included, against the smoke config's other keys: min_gap
 # 2 m, max_gap 12 m, a 4.5 m car, a 2.5 m wide bus, a 160 m street, and the
@@ -262,8 +203,8 @@ _PEAK = (299_792_458.0 / 28e9 / (4.0 * math.pi * 30.0)) ** 2
 _SCENE_EDGES = {
     "lane_count": _ints(1, 64),
     "subcarrier_count": _ints(1, 4096),
-    **dict.fromkeys(("lane_width", "bs_height", "wall_height", "subcarrier_spacing",
-                     "reference_distance"), _reals(0.0, 1e12)),
+    **dict.fromkeys(("lane_width", "bs_height", "wall_height", "subcarrier_spacing"),
+                    _reals(0.0, 1e12)),
     "wall_clearance": _reals(0.0, 1e-100, 1e12),
     "carrier_frequency": _reals(1e6, 1e12),
     # a 650 km street holds the most vehicles a lane may; a corpus at it
@@ -276,7 +217,6 @@ _SCENE_EDGES = {
     "car_dims": [(1.75, v, 1.5) for v in _reals(0.0, 140.0)] + [(1.75, 4.5), (1, 1, 1, 1)],
     "bus_dims": [(v, 12.0, 3.8) for v in _reals(0.0, 1e12)] + [(2.5, 12.0)],
     "roi_y_min": _reals(-math.inf, 155.5, math.inf),
-    "noise_power": [None] + _reals(0.0, _PEAK / 1e30, _PEAK * 1e30, 1e12),
     "blockage_margin": _reals(-math.inf, -1.25, math.inf),
     "reference_snr_db": _reals(-300.0, 300.0),
 }

@@ -51,10 +51,10 @@ def test_snapshot_determinism():
     ("carrier_frequency", 0.0), ("carrier_frequency", -28e9),
     ("carrier_frequency", float("nan")), ("carrier_frequency", float("inf")),
     ("subcarrier_count", 0), ("subcarrier_count", -1), ("subcarrier_count", 2.5),
-    ("noise_power", 0.0), ("noise_power", -1.0), ("noise_power", float("nan")),
+    ("reference_snr_db", float("nan")), ("reference_snr_db", float("inf")),
+    ("reference_snr_db", -float("inf")), ("reference_snr_db", 1e308),
+    ("street_length", 6.0), ("street_length", float("inf")), ("street_length", float("nan")),
     ("lane_count", 0), ("lane_count", -2), ("lane_count", 2.5),
-    ("reference_distance", 0.0), ("reference_distance", -30.0),
-    ("reference_distance", float("nan")), ("reference_distance", float("inf")),
     ("lane_width", 0.0), ("lane_width", -3.5), ("lane_width", float("nan")),
     ("lane_width", float("inf")),
     ("max_gap", 1.0), ("max_gap", float("nan")),
@@ -63,17 +63,16 @@ def test_snapshot_determinism():
     ("car_dims", (1.75, 4.5, float("nan"))), ("car_dims", (1.75, 4.5)),
     ("bus_dims", (2.5, -12.0, 3.8)), ("bus_dims", (0.0, 12.0, 3.8)),
     ("bus_dims", (2.5, float("inf"), 3.8)),
-    ("street_length", 6.0), ("street_length", float("inf")), ("street_length", float("nan")),
     ("bs_height", -10.0), ("wall_height", -5.0), ("subcarrier_spacing", -120e3),
     ("wall_reflection", 3.0), ("bus_reflection", -0.1), ("bus_fraction", 1.5),
     ("ue_fraction", -0.1), ("roi_y_min", float("nan")), ("roi_y_min", float("inf")),
-    ("reference_snr_db", 1e308), ("blockage_margin", -5.0), ("noise_power", "x"),
+    ("blockage_margin", -5.0),
     ("lane_count", True), ("lane_width", "3.5"), ("car_dims", 4.5),
     # more than 100000 vehicles of 2 m gap + 4.5 m car a lane
     ("street_length", 650_001.0),
     # values at which the corpus stage's floats overflow or underflow
-    ("lane_width", 1e300), ("bs_height", 1e300), ("reference_distance", 1e300),
-    ("carrier_frequency", 5e-324), ("carrier_frequency", 1e300), ("noise_power", 5e-324),
+    ("lane_width", 1e300), ("bs_height", 1e300),
+    ("carrier_frequency", 5e-324), ("carrier_frequency", 1e300),
     # values at which the rate stage would exhaust memory or time
     ("subcarrier_count", 10**9), ("lane_count", 10**7),
 ])
