@@ -10,7 +10,7 @@ import tempfile
 import numpy as np
 
 from . import boosting, dataset, harness, selectors
-from .fileio import atomic_write, save_npz
+from .fileio import save_npz, write_csv
 from .scene import trace_snapshot
 
 PATHS_FORMAT_VERSION = 2
@@ -54,14 +54,14 @@ def cmd_scene_gen(args) -> int:
         table = trace_snapshot(snap, config.scene)
         tables.append({"snapshot_id": np.full(len(table.ue), snap.snapshot_id),
                        **vars(table)})
-        index += [(snap.snapshot_id, ue, *snap.ue_location(ue), rows.stop - rows.start)
+        index += [(snap.snapshot_id, ue, *("%.9g" % v for v in snap.ue_location(ue)),
+                   rows.stop - rows.start)
                   for ue, rows in zip(snap.ue_indices, table.ue_rows(snap.ue_indices))]
     save_npz(os.path.join(args.out, "paths.npz"),
              {key: np.concatenate([t[key] for t in tables]) for key in tables[0]},
              PATHS_FORMAT_VERSION)
-    with atomic_write(os.path.join(args.out, "paths_index.csv")) as fh:
-        fh.write("snapshot_id,ue_index,x,y,path_count\n")
-        fh.writelines("%d,%d,%.9g,%.9g,%d\n" % row for row in index)
+    write_csv(os.path.join(args.out, "paths_index.csv"),
+              ["snapshot_id", "ue_index", "x", "y", "path_count"], index)
     print(f"wrote {sum(len(t['ue']) for t in tables)} paths of {len(index)} UEs to {args.out}")
     return 0
 
@@ -77,20 +77,24 @@ def cmd_dataset_build(args) -> int:
     return 0
 
 
-def _tr_corpus(args):
+def _tr_corpus(args, outputs):
     """The config, and the TR rows, ATR rows and split of the `--input`
     rate file, which `dataset.load_dataset` checks against the config's
-    (|W|, |F|) pair shape and corpus keys. Checks the `--out` directory
-    first, and the file before any stage runs."""
+    (|W|, |F|) pair shape and corpus keys. Checks first the `--out`
+    directory, and that none of `outputs`, the files the command writes,
+    is a directory; then the file, before any stage runs."""
     config = _load_config(args)
     _output_dir(os.path.dirname(args.out))
+    for path in outputs:
+        if os.path.isdir(path):
+            raise ValueError(f"output file {path!r} is a directory")
     tr_rows, atr_rows = harness.transform_corpus(config, *dataset.load_dataset(
         args.input, (config.num_combiners, config.num_beamformers), config.corpus_keys()))
     return config, tr_rows, atr_rows, harness.split_corpus(config, len(tr_rows))
 
 
 def cmd_model_train(args) -> int:
-    config, tr_rows, atr_rows, split = _tr_corpus(args)
+    config, tr_rows, atr_rows, split = _tr_corpus(args, [args.out])
     model = harness.train_role(config, args.role, tr_rows, atr_rows, split)
     boosting.save_model(model, args.out)
     print(f"wrote {args.role} model ({boosting.param_count(model)} parameters)")
@@ -117,7 +121,7 @@ def cmd_model_inspect(args) -> int:
 
 
 def cmd_plan_build(args) -> int:
-    config, tr_rows, atr_rows, split = _tr_corpus(args)
+    config, tr_rows, atr_rows, split = _tr_corpus(args, [args.out, args.out + ".csv"])
     plan = harness.build_coverage_plan(config, tr_rows.location, atr_rows.atr_f, split)
     selectors.save_plan(plan, args.out)
     print(f"wrote coverage plan with {len(plan.selected_beams)} beams to {args.out}")

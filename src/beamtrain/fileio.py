@@ -1,5 +1,6 @@
-"""Atomic file writes, the versioned npz archive of every artifact file and
-its schema check, and the reader and rules that check config keys."""
+"""Atomic file writes, the one CSV writer, the versioned npz archive of
+every artifact file and its schema check, and the reader and rules that
+check config keys. Every text file ends its lines with LF."""
 
 import dataclasses
 import numbers
@@ -32,6 +33,16 @@ def atomic_write(path: str, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write `header` and then each of `rows` to `path` atomically, as one
+    line of comma-joined cells each, ending in LF. A float cell is written
+    as "%.12g" and any other as `str` gives it, so a cell of another format
+    is passed as a string; an empty row is an empty line."""
+    with atomic_write(path) as fh:
+        for row in (header, *rows):
+            fh.write(",".join("%.12g" % v if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def save_npz(path: str, arrays: dict, version: int) -> None:

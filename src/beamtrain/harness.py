@@ -9,6 +9,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 try:
     import resource
@@ -21,7 +22,7 @@ from . import boosting, metrics, selectors
 from .arrays import dft_codebook
 from .channel import default_bs_geometry, default_ue_geometry
 from .dataset import Rows, build_rate_dataset, split_dataset, to_atr, to_throughput_ratios
-from .fileio import atomic_write, check, check_fields, from_table, integer, listof, real
+from .fileio import atomic_write, check, check_fields, from_table, integer, listof, real, write_csv
 from .scene import SceneConfig, generate_snapshot
 
 log = logging.getLogger(__name__)
@@ -50,7 +51,6 @@ _EXPERIMENT_RULES = {
     "snapshot_count": integer(1, _SEED_SPLIT - 1),
     "test_fraction": real("(0, 1)"),
     "folds": integer(2),
-    "scenarios": listof(integer(1, 3), range(1, sys.maxsize)),
     # set sizes and budgets index the evaluation tables from 1
     **dict.fromkeys(("n_b_sweep", "heatmap_s_w", "heatmap_s_f"), listof(integer(1))),
     **dict.fromkeys(("s_w_size", "cluster_count"), integer(1)),
@@ -69,7 +69,9 @@ class ExperimentConfig:
     snapshot_count: int = 500
     test_fraction: float = 0.2
     folds: int = 10
-    scenarios: tuple = (1, 2, 3)
+    # every run evaluates the paper's three scenarios; a class constant, so
+    # no config key
+    scenarios: ClassVar[tuple] = (1, 2, 3)
     n_b_sweep: tuple = DEFAULT_N_B_SWEEP
     s_w_size: int = 5
     cluster_count: int = 12
@@ -367,12 +369,14 @@ def run_experiment(config: ExperimentConfig) -> EvalResult:
 
 
 def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
-    """Curves over the N_B sweep and the decoupled (|S_w|, |S_f|) heatmap.
-    Each model ranks every test row's beams once, up to the longest prefix
-    that a curve point or heatmap cell reads (`selectors.top_k_stable`, the
-    prefix of a stable descending sort, which on theta1's wide rows it finds
-    without sorting them whole), and each point and cell is one entry of the
-    `metrics.prefix_tables` of those orderings.
+    """Curves of all three scenarios over the N_B sweep and the decoupled
+    (|S_w|, |S_f|) heatmap of scenarios 2 and 3. Each model ranks every
+    test row's beams once, up to the longest prefix that a curve point or
+    heatmap cell reads (`selectors.top_k_stable`, the prefix of a stable
+    descending sort, which on theta1's wide rows it finds without sorting
+    them whole), and each point and cell is one entry of the
+    `metrics.prefix_tables` of those orderings. Scenarios 2 and 3 read the
+    same set sizes, each from its own tables.
     Each role's prediction (with the compile of a model not yet read) is a
     stage, after which its rows, trees and step-table size are logged at
     info level."""
@@ -380,26 +384,14 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
     TR_test = np.asarray(TR_test, dtype=float)
     grid = TR_test.reshape(len(TR_test), num_w, num_f)
 
-    # the (scenario, n_b, s_w, s_f) of every curve point, then of every
-    # heatmap cell (n_b None); a coupled point reads prefix N_B of one ordering
-    curve_cells = []
-    for n_b in config.n_b_sweep:
-        if 1 in config.scenarios:
-            curve_cells.append((1, n_b, 1, min(n_b, config.num_pairs)))
-        for scenario in (2, 3):
-            if scenario in config.scenarios:
-                curve_cells.append((scenario, n_b,
-                                    *decoupled_split(n_b, min(config.s_w_size, num_w), num_f)))
-    heat_cells = [(scenario, None, s_w, s_f)
-                  for scenario in (2, 3) if scenario in config.scenarios
-                  for s_w in config.heatmap_s_w if s_w <= num_w
-                  for s_f in config.heatmap_s_f if s_f <= num_f]
-
-    def longest(scenarios, axis):
-        """The largest entry at `axis` (2: |S_w|, 3: |S_f|) of the cells of
-        `scenarios`; 1 where none is read, as a table needs one entry."""
-        return max((cell[axis] for cell in curve_cells + heat_cells if cell[0] in scenarios),
-                   default=1)
+    # per N_B, the coupled pair count and the decoupled (|S_w|, |S_f|); then
+    # the (|S_w|, |S_f|) of every heatmap cell. A longest prefix is 1 where
+    # no cell reads one, as a table needs one entry.
+    coupled = [min(n_b, config.num_pairs) for n_b in config.n_b_sweep]
+    decoupled = [decoupled_split(n_b, min(config.s_w_size, num_w), num_f)
+                 for n_b in config.n_b_sweep]
+    cells = [(s_w, s_f) for s_w in config.heatmap_s_w if s_w <= num_w
+             for s_f in config.heatmap_s_f if s_f <= num_f]
 
     def ordering(role, length):
         with _stage(f"predict {role}"):
@@ -410,16 +402,12 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
                  steps.nbytes / 2**20)
         return selectors.top_k_stable(predictions, length)
 
-    tables = {}
-    if 1 in config.scenarios:
-        tables[1] = metrics.prefix_tables(TR_test[:, None, :], [0],
-                                          ordering("theta1", longest((1,), 3)))
-    if 2 in config.scenarios or 3 in config.scenarios:
-        w_order = ordering("theta2_w", longest((2, 3), 2))
-    if 2 in config.scenarios:
-        tables[2] = metrics.prefix_tables(grid, w_order, ordering("theta2_f", longest((2,), 3)))
-    if 3 in config.scenarios:
-        tables[3] = metrics.prefix_tables(grid, w_order, plan.selected_beams[:longest((3,), 3)])
+    tables = {1: metrics.prefix_tables(TR_test[:, None, :], [0],
+                                       ordering("theta1", max(coupled, default=1)))}
+    w_order = ordering("theta2_w", max((s_w for s_w, _ in decoupled + cells), default=1))
+    f_length = max((s_f for _, s_f in decoupled + cells), default=1)
+    tables[2] = metrics.prefix_tables(grid, w_order, ordering("theta2_f", f_length))
+    tables[3] = metrics.prefix_tables(grid, w_order, plan.selected_beams[:f_length])
 
     def point(scenario, n_b, s_w, s_f):
         r_t, p_m = tables[scenario]
@@ -431,10 +419,12 @@ def evaluate(config: ExperimentConfig, models, plan, X_test, TR_test):
             row.update(s_w=-1, s_f=-1)
         return row
 
-    curves = [point(*cell) for cell in curve_cells]
+    curves = [point(scenario, n_b, *sizes)
+              for n_b, pairs, split in zip(config.n_b_sweep, coupled, decoupled)
+              for scenario, sizes in ((1, (1, pairs)), (2, split), (3, split))]
     heatmap = [{"scenario": scenario, "s_w": s_w, "s_f": s_f,
                 "r_t": float(tables[scenario][0][s_w - 1, s_f - 1])}
-               for scenario, _, s_w, s_f in heat_cells]
+               for scenario in (2, 3) for s_w, s_f in cells]
     return curves, heatmap
 
 
@@ -442,11 +432,10 @@ def emit_outputs(result: EvalResult, out_dir: str) -> None:
     """Write curves.csv, heatmap.csv and the run manifest; outputs are a
     pure function of the result, so re-emitting is byte-identical."""
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "curves.csv"),
-               ["scenario", "n_b", "n_b_actual", "s_w", "s_f", "r_t", "p_m", "overhead_bits"],
-               result.curves)
-    _write_csv(os.path.join(out_dir, "heatmap.csv"),
-               ["scenario", "s_w", "s_f", "r_t"], result.heatmap)
+    curves = ["scenario", "n_b", "n_b_actual", "s_w", "s_f", "r_t", "p_m", "overhead_bits"]
+    for name, columns in (("curves", curves), ("heatmap", ["scenario", "s_w", "s_f", "r_t"])):
+        write_csv(os.path.join(out_dir, name + ".csv"), columns,
+                  ([row[c] for c in columns] for row in getattr(result, name)))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": result.config.to_dict(),
@@ -460,15 +449,3 @@ def emit_outputs(result: EvalResult, out_dir: str) -> None:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return "%.12g" % v
-    return str(v)
-
-
-def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
-    with atomic_write(path) as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(row[c]) for c in columns) + "\n")

@@ -12,13 +12,12 @@ so ties resolve to the lowest beam index and the selected sets are nested
 as budgets grow.
 """
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_write, save_npz
+from .fileio import save_npz, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -291,15 +290,12 @@ def select_decoupled_no_location(model_w, location, num_w: int,
 
 
 def save_plan(plan: ClusterCoveragePlan, path: str) -> None:
-    """Write the plan to `path`, and its beams and clusters as CSV to `path`.csv."""
+    """Write the plan to `path`, and as CSV to `path`.csv its beams in
+    selection order, an empty line, and its clusters' significances and
+    centroids."""
     save_npz(path, {key: getattr(plan, key) for key in PLAN_SCHEMA}, PLAN_FORMAT_VERSION)
-    with atomic_write(path + ".csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["selection_order", "beam_index"])
-        for i, j in enumerate(plan.selected_beams):
-            writer.writerow([i, int(j)])
-        writer.writerow([])
-        writer.writerow(["cluster", "significance", "centroid_x", "centroid_y"])
-        for c in range(len(plan.centroids)):
-            writer.writerow([c, "%.9g" % plan.significances[c],
-                             "%.9g" % plan.centroids[c, 0], "%.9g" % plan.centroids[c, 1]])
+    clusters = [(c, *("%.9g" % v for v in (plan.significances[c], *plan.centroids[c])))
+                for c in range(len(plan.centroids))]
+    write_csv(path + ".csv", ["selection_order", "beam_index"],
+              [*enumerate(plan.selected_beams.tolist()), (),
+               ("cluster", "significance", "centroid_x", "centroid_y"), *clusters])

@@ -403,8 +403,10 @@ def test_a_rate_file_of_another_corpus_fails_before_training(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("key, value", [
-    ("scenarios", []),
-    ("scenarios", [4]),
+    # every run evaluates all three scenarios, so the key is unknown: with
+    # the value older manifests record, and with a subset older runs took
+    ("scenarios", [1, 2, 3]),
+    ("scenarios", [2, 3]),
     ("bs_array", [8]),
     ("ue_array", [4, 0]),
     ("folds", "3"),
@@ -453,30 +455,37 @@ def test_eval_run_config_file_that_is_no_json_fails_naming_it(tmp_path, monkeypa
     assert not [m for m in caplog.messages if m.startswith("stage:")]
 
 
-@pytest.mark.parametrize("command, stage, out", [
-    pytest.param(["eval", "run", "--smoke"], (harness, "run_experiment"), "out", id="run"),
-    pytest.param(["dataset", "build", "--smoke"], (harness, "build_rate_rows"), "ds",
-                 id="dataset-build"),
-    pytest.param(["dataset", "build", "--smoke"], (harness, "build_rate_rows"), None,
-                 id="dataset-build-onto-a-file"),
+@pytest.mark.parametrize("command, stage, out, named", [
+    pytest.param(["eval", "run", "--smoke"], (harness, "run_experiment"), "file/out",
+                 "file/out", id="run"),
+    pytest.param(["dataset", "build", "--smoke"], (harness, "build_rate_rows"), "file/ds",
+                 "file/ds", id="dataset-build"),
+    pytest.param(["dataset", "build", "--smoke"], (harness, "build_rate_rows"), "file",
+                 "file", id="dataset-build-onto-a-file"),
     pytest.param(["model", "train", "--smoke", "--input", "rates.npz"],
-                 (dataset, "load_dataset"), "ds/m.npz", id="model-train"),
+                 (dataset, "load_dataset"), "file/ds/m.npz", "file/ds", id="model-train"),
     pytest.param(["plan", "build", "--smoke", "--input", "rates.npz"],
-                 (dataset, "load_dataset"), "ds/p.npz", id="plan-build"),
+                 (dataset, "load_dataset"), "file/ds/p.npz", "file/ds", id="plan-build"),
+    pytest.param(["model", "train", "--smoke", "--input", "rates.npz"],
+                 (dataset, "load_dataset"), "dir", "dir", id="model-train-onto-a-directory"),
+    pytest.param(["plan", "build", "--smoke", "--input", "rates.npz"],
+                 (dataset, "load_dataset"), "dir/p.npz", "dir/p.npz.csv",
+                 id="plan-build-onto-a-directory"),
 ])
-def test_eval_bad_out_fails_before_any_stage(tmp_path, monkeypatch, capsys, command, stage, out):
-    """An --out that cannot be written fails with an error naming it before
-    the input is read or a stage runs: a path below a regular file (for a
-    file, its directory is checked), or for a directory an existing file."""
+def test_eval_bad_out_fails_before_any_stage(tmp_path, monkeypatch, capsys, command, stage, out,
+                                             named):
+    """An --out that cannot be written fails with an error naming the path
+    at fault before the input is read or a stage runs: a path below the
+    regular file `file` (for a file, its directory is checked), for a
+    directory an existing file, and for a file an existing directory, `dir`
+    or, for the plan, `dir/p.npz.csv`, where its CSV goes."""
     ran = []
     monkeypatch.setattr(*stage, lambda *args, **kwargs: ran.append(args))
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    bad = blocker if out is None else blocker / out
-    assert cli.main([*command, "--out", str(bad)]) == 1
-    checked = bad.parent if bad.suffix == ".npz" else bad
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "p.npz.csv").mkdir(parents=True)
+    assert cli.main([*command, "--out", str(tmp_path / out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(str(checked)) in err
+    assert err.startswith("error: ") and repr(str(tmp_path / named)) in err
     assert ran == []
 
 

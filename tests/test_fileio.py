@@ -29,8 +29,10 @@ def test_every_text_file_of_the_chain_ends_its_lines_with_lf(tmp_path, capfd, mo
     """Through the --smoke artifact chain, `atomic_write` opens each of the
     five text files (`paths_index.csv`, `plan.npz.csv`, `curves.csv`,
     `heatmap.csv` and `run_manifest.json`) with `newline="\\n"`, so no
-    platform translates its line ends, and each binary file with `None`.
-    The manifest took the platform's line end."""
+    platform translates its line ends, and each binary file with `None`;
+    and no text file holds a CR, which a writer could still write itself.
+    The manifest took the platform's line end, and the plan's CSV was
+    written with CRLF."""
     opened, fdopen = [], os.fdopen
 
     def spy(fd, mode, newline):
@@ -42,6 +44,9 @@ def test_every_text_file_of_the_chain_ends_its_lines_with_lf(tmp_path, capfd, mo
     assert codes == [0] * len(_CHAIN)
     assert [newline for mode, newline in opened if mode == "w"] == ["\n"] * 5
     assert {newline for mode, newline in opened if mode != "w"} == {None}
+    texts = [name for _, files in _CHAIN for name in files if name.endswith((".csv", ".json"))]
+    assert len(texts) == 5
+    assert [name for name in texts if b"\r" in (tmp_path / name).read_bytes()] == []
 
 
 def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):

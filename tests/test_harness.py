@@ -121,7 +121,6 @@ def test_config_rejects_snapshot_count_reaching_seed_labels():
     ("use_significance", "no"),
     ("master_seed", True),
     ("test_fraction", "0.2"),
-    ("scenarios", [1.0]),
     ("bs_grid", 5),
     ("scene", [1]),
     ("scene", 5),
@@ -228,7 +227,6 @@ _EXPERIMENT_EDGES = {
     "snapshot_count": _ints(1, 999_999),
     "test_fraction": _reals(0.0, 1.0),
     "folds": _ints(2),
-    "scenarios": [[], [2, 3]] + [[v] for v in _ints(1, 3)],
     **dict.fromkeys(("n_b_sweep", "heatmap_s_w", "heatmap_s_f"), [[]] + [[v] for v in _ints(1)]),
     **dict.fromkeys(("s_w_size", "cluster_count"), _ints(1)),
     "use_significance": [True, False, 0],
@@ -310,6 +308,15 @@ def test_stage_lets_keyboard_interrupt_through():
     assert info.value is interrupt
 
 
+def test_every_run_evaluates_the_three_scenarios():
+    # `scenarios` is a class constant, so neither a config key nor a field
+    # of the manifest's config
+    assert ExperimentConfig.scenarios == (1, 2, 3)
+    assert "scenarios" not in ExperimentConfig().to_dict()
+    with pytest.raises(ValueError, match=r"^scenarios is an unknown key; the known keys are "):
+        ExperimentConfig.from_dict({"scenarios": [1, 2, 3]})
+
+
 def test_config_rejects_output_dir():
     # the output directory is the CLI's --out, never a config key
     with pytest.raises(ValueError, match=r"^output_dir is an unknown key; the known keys are "
@@ -369,8 +376,10 @@ def test_too_few_training_rows_for_the_folds_fail_before_the_plan_and_training(
         capsys.readouterr()
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="beamtrain"):
+            # each its own --out: `eval run` makes its --out a directory,
+            # which a one-file command refuses before the split
             assert cli.main([*command, "--config", str(config),
-                             "--out", str(tmp_path / "out" / "result")]) == 1
+                             "--out", str(tmp_path / "out" / command[0])]) == 1
         assert capsys.readouterr().err == (
             f"error: stage 'split dataset' failed: folds must be at most the {n_train} training "
             f"rows that test_fraction 0.99 leaves of {rows}, got 10\n")
@@ -606,23 +615,20 @@ class _Predictions:
         return self.values[np.asarray(X, dtype=int)[:, 0]]
 
 
-# (scenarios, n_b_sweep, heatmap_s_w, heatmap_s_f) on 4 x 8 pairs: the first
-# reads every prefix in full; the others read theta1's ordering up to 9 of 32
-# and the theta2_w ordering, the theta2_f ordering and the plan up to 3 of 4,
+# (n_b_sweep, heatmap_s_w, heatmap_s_f) on 4 x 8 pairs: the first reads
+# every prefix in full; the second reads theta1's ordering up to 9 of 32 and
+# the theta2_w ordering, the theta2_f ordering and the plan up to 3 of 4,
 # 3 of 8 and 3 of 8; the last reads nothing
-@pytest.mark.parametrize("scenarios, n_b_sweep, heatmap_s_w, heatmap_s_f", [
-    ((1, 2, 3), (1, 2, 5, 9, 32, 40), (1, 2, 4, 5), (1, 3, 8, 9)),
-    ((1,), (1, 2, 5, 9), (1, 2), (1, 3)),
-    ((3,), (1, 2, 5, 9), (1, 2), (1, 3)),
-    ((2, 3), (1, 2, 5, 9), (1, 2), (1, 3)),
-    ((1, 2, 3), (), (), ()),
-], ids=["all", "theta1_cut", "scenario3_cut", "scenarios23_cut", "nothing_read"])
-def test_evaluate_reads_the_per_row_metrics(scenarios, n_b_sweep, heatmap_s_w, heatmap_s_f):
+@pytest.mark.parametrize("n_b_sweep, heatmap_s_w, heatmap_s_f", [
+    ((1, 2, 5, 9, 32, 40), (1, 2, 4, 5), (1, 3, 8, 9)),
+    ((1, 2, 5, 9), (1, 2), (1, 3)),
+    ((), (), ()),
+], ids=["all", "theta1_cut", "nothing_read"])
+def test_evaluate_reads_the_per_row_metrics(n_b_sweep, heatmap_s_w, heatmap_s_f):
     """Every curve point and heatmap cell equals the per-row reference
     metrics over the prefixes of the predicted orderings, with ties in the
     predictions and in TR; heatmap sizes beyond the codebooks are skipped."""
-    cfg = ExperimentConfig(bs_array=(2, 4), ue_array=(2, 2), scenarios=scenarios,
-                           n_b_sweep=n_b_sweep, s_w_size=3, heatmap_s_w=heatmap_s_w,
+    cfg = ExperimentConfig(bs_array=(2, 4), ue_array=(2, 2), n_b_sweep=n_b_sweep, s_w_size=3, heatmap_s_w=heatmap_s_w,
                            heatmap_s_f=heatmap_s_f)
     num_w, num_f, n = cfg.num_combiners, cfg.num_beamformers, 30
     rng = np.random.default_rng(4)
@@ -644,15 +650,12 @@ def test_evaluate_reads_the_per_row_metrics(scenarios, n_b_sweep, heatmap_s_w, h
 
     want = []
     for n_b in cfg.n_b_sweep:
-        if 1 in scenarios:
-            k = min(n_b, cfg.num_pairs)
-            sets = [BeamPairSet(ordering("theta1")[r, :k], num_f) for r in range(n)]
-            want.append((1, n_b, k, -1, -1, sets))
-        for scenario in (2, 3):
-            if scenario in scenarios:
-                s_w, s_f = decoupled_split(n_b, cfg.s_w_size, num_f)
-                want.append((scenario, n_b, s_w * s_f, s_w, s_f,
-                             decoupled(scenario, s_w, s_f)))
+        k = min(n_b, cfg.num_pairs)
+        sets = [BeamPairSet(ordering("theta1")[r, :k], num_f) for r in range(n)]
+        want.append((1, n_b, k, -1, -1, sets))
+        s_w, s_f = decoupled_split(n_b, cfg.s_w_size, num_f)
+        want += [(scenario, n_b, s_w * s_f, s_w, s_f, decoupled(scenario, s_w, s_f))
+                 for scenario in (2, 3)]
     assert curves == [
         {"scenario": scenario, "n_b": n_b, "n_b_actual": actual, "s_w": s_w, "s_f": s_f,
          "r_t": metrics.avg_throughput_ratio(TR, sets, num_f),
@@ -662,7 +665,7 @@ def test_evaluate_reads_the_per_row_metrics(scenarios, n_b_sweep, heatmap_s_w, h
     assert heatmap == [
         {"scenario": scenario, "s_w": s_w, "s_f": s_f,
          "r_t": metrics.avg_throughput_ratio(TR, decoupled(scenario, s_w, s_f), num_f)}
-        for scenario in (2, 3) if scenario in scenarios
+        for scenario in (2, 3)
         for s_w in heatmap_s_w if s_w <= num_w for s_f in heatmap_s_f if s_f <= num_f]
 
 
